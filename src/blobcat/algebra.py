@@ -7,9 +7,14 @@ Scalars are sparse polynomials with integer coefficients in six independent
 parameters d, dL, dR, kL, kR, k (loop weights of the interior and the two
 boundaries, the two boundary-braid weights, and the global blob weight).  A
 product of generators rewrites to a single parameter monomial times a
-canonical basis word; the rules all strictly shorten the word, and a redex
-is searched across the whole commutation class, so termination is by length
-and the surviving word is reduced and fully commutative.
+canonical basis word; the rules all strictly shorten the word, so
+termination is by length.  A redex is looked for in the commutation class
+of the word, walked breadth first; at each position only the rules whose
+pattern starts with that letter are tried.  Once the walk has visited as
+many members as the word has letters without a hit, a heap certificate
+(`_redex_free`) checks in polynomial time whether any member can have a
+redex at all; if it proves that none has, the walk stops there instead of
+covering the class.  The surviving word is reduced and fully commutative.
 
 At rank 1 the two boundary pairs coincide; overlapping rules are resolved by
 fixed priority (blob rules first, then the left boundary), which keeps the
@@ -18,6 +23,7 @@ kernel deterministic there.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
@@ -35,7 +41,16 @@ from .normal_forms import (
     tilde,
     word_of_normal_form,
 )
-from .words import Letters, canonical_word, check_rank, check_word, iter_commutation_class
+from .words import (
+    Letters,
+    _contains_rigid,
+    _reach_masks,
+    canonical_word,
+    check_rank,
+    check_word,
+    is_reduced_fc,
+    iter_commutation_class,
+)
 
 PARAMS = ("d", "dL", "dR", "kL", "kR", "k")
 _PARAM_INDEX = {name: i for i, name in enumerate(PARAMS)}
@@ -179,6 +194,18 @@ def _square_scalar(n: int, i: int) -> Scalar:
     return D
 
 
+def _blob_rules(n: int) -> tuple[tuple[Letters, Letters], tuple[Letters, Letters]]:
+    """The two blob rules IJI -> I and JIJ -> J as (pattern, replacement)."""
+    iw = tuple(sorted(i_generators(n)))
+    jw = tuple(sorted(j_generators(n)))
+    return (iw + jw + iw, iw), (jw + iw + jw, jw)
+
+
+def _boundary_patterns(n: int) -> tuple[Letters, Letters]:
+    """The two boundary-braid triples of the two-boundary quotient."""
+    return (1, 0, 1), (n - 1, n, n - 1)
+
+
 @lru_cache(maxsize=None)
 def rewrite_rules(level: AlgebraLevel, n: int) -> tuple[Rule, ...]:
     """
@@ -196,13 +223,13 @@ def rewrite_rules(level: AlgebraLevel, n: int) -> tuple[Rule, ...]:
             rules.append(Rule(pattern, replacement, scalar))
 
     if level >= AlgebraLevel.SYMPLECTIC_BLOB:
-        iw = tuple(sorted(i_generators(n)))
-        jw = tuple(sorted(j_generators(n)))
-        add(iw + jw + iw, iw, K)
-        add(jw + iw + jw, jw, K)
+        (iji, iw), (jij, jw) = _blob_rules(n)
+        add(iji, iw, K)
+        add(jij, jw, K)
     if level >= AlgebraLevel.TWO_BOUNDARY:
-        add((1, 0, 1), (1,), KL)
-        add((n - 1, n, n - 1), (n - 1,), KR)
+        left, right = _boundary_patterns(n)
+        add(left, (1,), KL)
+        add(right, (n - 1,), KR)
     for i in range(n + 1):
         add((i, i), (i,), _square_scalar(n, i))
     for i in range(1, n - 1):
@@ -215,6 +242,40 @@ def rewrite_rules(level: AlgebraLevel, n: int) -> tuple[Rule, ...]:
     return tuple(rules)
 
 
+@lru_cache(maxsize=None)
+def _rules_by_first_letter(level: AlgebraLevel, n: int) -> tuple[tuple[Rule, ...], ...]:
+    """For each letter 0..n, the rules whose pattern starts with it, in priority order."""
+    rules = rewrite_rules(level, n)
+    return tuple(
+        tuple(rule for rule in rules if rule.pattern[0] == letter) for letter in range(n + 1)
+    )
+
+
+def _redex_free(level: AlgebraLevel, n: int, word: Letters) -> bool:
+    """
+    Heap certificate: True only if no member of the commutation class of
+    `word` contains a rule pattern of `level`, decided without walking it.
+
+    The TL patterns are exactly the factors forbidden in reduced FC words,
+    so at TL this is `is_reduced_fc`.  The two boundary triples are rigid
+    and are matched on the occurrence order by `_contains_rigid`.  The blob
+    patterns IJI and JIJ are not rigid: a word whose letter multiset holds
+    either one's gets False ("don't know").  So True is exact at TL and
+    two-boundary and sound at the blob level.
+    """
+    if not is_reduced_fc(n, word):
+        return False
+    if level == AlgebraLevel.TL:
+        return True
+    reach = _reach_masks(word)
+    if any(_contains_rigid(word, pattern, reach) for pattern in _boundary_patterns(n)):
+        return False
+    if level == AlgebraLevel.TWO_BOUNDARY:
+        return True
+    letters = Counter(word)
+    return not any(Counter(pattern) <= letters for pattern, _ in _blob_rules(n))
+
+
 def _find_redex(
     level: AlgebraLevel, n: int, word: Letters, strategy: str
 ) -> tuple[Letters, int, Rule] | None:
@@ -222,16 +283,29 @@ def _find_redex(
     First redex in class-BFS order from `word`: the earliest visited member
     containing any rule pattern, with the position chosen by the strategy
     and ties between rules at one position broken by priority.
+
+    At each position only the rules starting with that letter are tried
+    (`_rules_by_first_letter`), in priority order, so the choice is the same
+    as trying every rule.  After `len(word)` members without a hit, when the
+    walk has already cost about as much as the O(L^2) certificate,
+    `_redex_free` is asked once.  If it proves the class redex-free the
+    search ends with None instead of walking the rest of it.  Otherwise the
+    walk goes on: to the first redex, however deep it lies, or to the end of
+    a blob-level class that the certificate could not decide.  A class past
+    the enumeration cap before either still raises ClassSizeError.
     """
-    rules = rewrite_rules(level, n)
-    for member in iter_commutation_class(n, word):
+    index = _rules_by_first_letter(level, n)
+    certify_after = len(word)
+    for visited, member in enumerate(iter_commutation_class(n, word), 1):
         positions = range(len(member))
         if strategy == "rightmost":
             positions = reversed(positions)
         for pos in positions:
-            for rule in rules:
+            for rule in index[member[pos]]:
                 if member[pos : pos + len(rule.pattern)] == rule.pattern:
                     return member, pos, rule
+        if visited == certify_after and _redex_free(level, n, word):
+            return None
     return None
 
 

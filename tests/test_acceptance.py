@@ -139,6 +139,23 @@ def test_criterion_7_rewriting_confluence():
     budget.done(f"{per_level} words per level, two strategies, outputs sound")
 
 
+def test_long_words_reduce_at_rank_8():
+    # Redex-free classes of long words are certified from the heap instead of
+    # walked.  A word whose first blob redex lies deep in its class still
+    # walks to it (see test_deep_blob_redex_is_found_in_few_members).
+    budget = Budget("long words at rank 8", 10.0)
+    n = 8
+    rng = random.Random(8)
+    words = [tuple(rng.randint(0, n) for _ in range(length)) for length in (20,) * 10 + (30,) * 10]
+    for level in AlgebraLevel:
+        for word in words:
+            left = reduce_word(level, n, word, "leftmost")
+            right = reduce_word(level, n, word, "rightmost")
+            assert left == right, (level, word)
+            assert is_reduced_fc(n, left[1]), (level, word)
+    budget.done(f"{len(words)} words of length 20 and 30, three levels, two strategies")
+
+
 def test_criterion_8_quotient_identities():
     budget = Budget("criterion 8 quotient identities", 30.0)
     checked = 0

@@ -1,10 +1,11 @@
 """Scalar ring, rewriting kernel, quotient identities, structure constants."""
 
+import itertools
 import random
 
 import pytest
 
-from blobcat import enumeration, grids, normal_forms as nfm
+from blobcat import algebra, enumeration, grids, normal_forms as nfm
 from blobcat.algebra import (
     D,
     DL,
@@ -23,6 +24,12 @@ from blobcat.algebra import (
     rewrite_rules,
     sb_basis,
     structure_constants,
+)
+from blobcat.words import (
+    ClassSizeError,
+    canonical_word,
+    commutation_class,
+    iter_commutation_class,
 )
 
 TL = AlgebraLevel.TL
@@ -162,6 +169,110 @@ def test_index_soundness_uses_the_stated_detectors():
         _, out = reduce_word(SB, n, word)
         nf = nfm.normal_form_of_word(n, out)
         assert grids.is_blobbed(n, nfm.positive_blocks_of(n, nf))
+
+
+# ---------------------------------------------------------------------------
+# the redex search: rule index and heap certificate
+
+
+def _reference_find_redex(level, n, word, strategy):
+    """The plain class-BFS search: every rule at every position of every member."""
+    rules = rewrite_rules(level, n)
+    for member in iter_commutation_class(n, word):
+        positions = range(len(member))
+        if strategy == "rightmost":
+            positions = reversed(positions)
+        for pos in positions:
+            for rule in rules:
+                if member[pos : pos + len(rule.pattern)] == rule.pattern:
+                    return member, pos, rule.pattern
+    return None
+
+
+def _redex_choice(level, n, word, strategy):
+    hit = algebra._find_redex(level, n, word, strategy)
+    return None if hit is None else (hit[0], hit[1], hit[2].pattern)
+
+
+def _assert_same_redex_choice(n, word):
+    for level in (TL, TB, SB):
+        for strategy in ("leftmost", "rightmost"):
+            expected = _reference_find_redex(level, n, word, strategy)
+            assert _redex_choice(level, n, word, strategy) == expected, (
+                level, n, word, strategy
+            )
+
+
+def test_redex_choice_matches_reference_exhaustive():
+    for n in (1, 2, 3):
+        for length in range(8):
+            for word in itertools.product(range(n + 1), repeat=length):
+                for w in {word, canonical_word(n, word)}:
+                    _assert_same_redex_choice(n, w)
+
+
+def test_redex_choice_matches_reference_random():
+    rng = random.Random(4061)
+    for n in (4, 5, 6):
+        for _ in range(300):
+            word = tuple(rng.randint(0, n) for _ in range(rng.randint(0, 12)))
+            _assert_same_redex_choice(n, word)
+
+
+def _redex_free_levels(n, word):
+    """Oracle: enumerate the class once and look for each level's patterns in every member."""
+    members = commutation_class(n, word)
+    factors = {m[p:q] for m in members for p in range(len(m)) for q in range(p + 2, len(m) + 1)}
+    return {
+        level: not any(rule.pattern in factors for rule in rewrite_rules(level, n))
+        for level in (TL, TB, SB)
+    }
+
+
+def test_redex_free_certificate_exhaustive():
+    # exact at TL and two-boundary; at the blob level True must be sound
+    for n in (1, 2, 3, 4):
+        truth = {}
+        for length in range(8):
+            for word in itertools.product(range(n + 1), repeat=length):
+                key = canonical_word(n, word)
+                if key not in truth:
+                    truth[key] = _redex_free_levels(n, key)
+                for level, free in truth[key].items():
+                    got = algebra._redex_free(level, n, word)
+                    if level == SB:
+                        assert free or not got, (level, n, word)
+                    else:
+                        assert got == free, (level, n, word)
+
+
+def test_redex_free_certificate_on_positive_elements():
+    # positive elements carry no TL or boundary redex; a blob-level True
+    # must mean blobbed (these reach the long blob patterns of ranks 4-5)
+    for n in (2, 3, 4, 5):
+        for s in range(3):
+            for blocks in enumeration.iter_positive_blocks(n, s):
+                word = nfm.block_word(blocks)
+                assert algebra._redex_free(TB, n, word), (n, blocks)
+                if algebra._redex_free(SB, n, word):
+                    assert grids.is_blobbed(n, blocks), (n, blocks)
+
+
+@pytest.mark.xfail(
+    raises=ClassSizeError,
+    strict=True,
+    reason="a blob redex far from the start of the class is still reached by walking it",
+)
+def test_deep_blob_redex_is_found_in_few_members(monkeypatch):
+    # This rank-8 word is reduced FC and free of boundary triples, so only a
+    # blob rule applies; its first IJI factor lies ~325k members into the walk.
+    word = (2, 1, 0, 3, 2, 1, 0, 5, 4, 3, 7, 6, 5, 8, 7)
+    assert algebra._redex_free(TB, 8, word)
+    cap = len(word) ** 2
+    monkeypatch.setattr(
+        algebra, "iter_commutation_class", lambda n, w: iter_commutation_class(n, w, cap)
+    )
+    assert algebra._find_redex(SB, 8, word, "leftmost") is not None
 
 
 # ---------------------------------------------------------------------------
