@@ -55,7 +55,7 @@ def _count(args: argparse.Namespace) -> int:
 
 def _enumerate(args: argparse.Namespace) -> int:
     elements = []
-    for nf in normal_forms.generate_fc(args.n, args.s):
+    for nf in normal_forms.fc_forms(args.n, args.s):
         word = normal_forms.word_of_normal_form(args.n, nf)
         positive = normal_forms.is_positive(args.n, nf)
         blocks = normal_forms.positive_blocks_of(args.n, nf) if positive else None

@@ -121,8 +121,8 @@ def d_count(n: int, s: int) -> int:
     """
     Positive elements of affine length s containing a boundary pattern.
     Dispatches on the edge cases, the square at s == 1, and the wing-sum
-    formula for 2 <= s <= n; the equivalent closed form in doubled-triangle
-    entries is cross-checked on that range.
+    formula for 2 <= s <= n.  The equivalent closed form in doubled-triangle
+    entries (_d_closed) is checked against it by `verify` (oracle:d-forms).
     """
     check_rank(n)
     if s < 0:
@@ -134,13 +134,7 @@ def d_count(n: int, s: int) -> int:
     if s == 1:
         wing = i_t(n, 0) if n % 2 == 0 else j_t(n, 0)
         return wing * wing
-    value = _d_by_wing_sums(n, s)
-    closed = _d_closed(n, s)
-    if value != closed:
-        raise AssertionError(
-            f"wing-sum and closed forms disagree at (n={n}, s={s}): {value} != {closed}"
-        )
-    return value
+    return _d_by_wing_sums(n, s)
 
 
 def b_count(n: int, s: int) -> int:

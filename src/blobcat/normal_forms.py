@@ -436,11 +436,6 @@ def fc_forms(n: int, s: int) -> tuple[NormalForm, ...]:
     return tuple(out)
 
 
-def generate_fc(n: int, s: int) -> Iterator[NormalForm]:
-    """Stream the normal forms of all FC elements of affine length s."""
-    return iter(fc_forms(n, s))
-
-
 @lru_cache(maxsize=None)
 def _forms_by_multiset(n: int, s: int) -> dict[Letters, list[tuple[NormalForm, Letters]]]:
     index: dict[Letters, list[tuple[NormalForm, Letters]]] = {}

@@ -6,8 +6,10 @@ binomial coefficients into classical-triangle entries.
 Both triangles are indexed from -1 and computed with exact integers.  The
 classical one has c_{-1,-1} = 1 and zero elsewhere on its borders; the
 doubled variant seeds its first two rows with the parity pattern 1,0,1,0,...
-Entries above the main diagonal of the doubled triangle are plain powers of
-two and come out of the same recursion without special-casing.
+On and above the main diagonal the entries are closed: 1 on the diagonal and
+0 beyond it for the classical triangle, and 2^i on the parity pattern for
+the doubled one.  So each row is cached once, up to one step past the
+diagonal, and every later entry is computed on demand.
 """
 
 from __future__ import annotations
@@ -29,35 +31,39 @@ def binomial(m: int, k: int) -> int:
     return comb(m, k)
 
 
-@lru_cache(maxsize=None)
-def _row(kind: str, i: int, width: int) -> tuple[int, ...]:
-    """Entries (C_{i,-1}, ..., C_{i,width-2}), built row by row."""
+def _beyond(kind: str, i: int, j: int) -> int:
+    """C_{i,j} on and above the diagonal (j >= i), where no sum is needed."""
     if kind == CLASSICAL:
-        if i == -1:
-            return (1,) + (0,) * (width - 1)
-        base = lambda j: 0  # noqa: E731  (borders vanish for i >= 0)
-    elif kind == BLOBBED:
-        if i <= 0:
-            return tuple(1 if (i + j) % 2 == 0 else 0 for j in range(-1, width - 1))
-        base = lambda j: 0  # noqa: E731
-    else:
-        raise ValueError(f"unknown triangle kind {kind!r}")
-    prev = _row(kind, i - 1, width + 1)
-    out = [base(-1)]
-    for j in range(0, width - 1):
-        out.append(prev[j] + prev[j + 2])
-    return tuple(out)
+        return int(j == i)
+    return 2 ** max(i, 0) if (i + j) % 2 == 0 else 0
+
+
+@lru_cache(maxsize=None)
+def _row(kind: str, i: int) -> tuple[int, ...]:
+    """Entries (C_{i,-1}, ..., C_{i,i+1}); later ones come from _beyond."""
+    if i == -1 or (kind == BLOBBED and i == 0):
+        # the seeded rows: their whole parity pattern is the closed formula
+        return tuple(_beyond(kind, i, j) for j in range(-1, i + 2))
+    prev = _row(kind, i - 1) + (_beyond(kind, i - 1, i + 1), _beyond(kind, i - 1, i + 2))
+    return (0,) + tuple(prev[j] + prev[j + 2] for j in range(i + 2))
+
+
+# rows are built this many at a time, so building one never recurses deeply
+_ROW_STEP = 256
 
 
 def _entry(kind: str, i: int, j: int) -> int:
+    if kind not in KINDS:
+        raise ValueError(f"unknown triangle kind {kind!r}")
     # total: everything outside the bordered quadrant vanishes, so identity
     # sums never need boundary branches
     if i < -1 or j < -1:
         return 0
-    # warm the cache bottom-up so deep rows never recurse deeply
-    for r in range(-1, i + 1):
-        _row(kind, r, j + 2 + (i - r))
-    return _row(kind, i, j + 2)[j + 1]
+    if j > i + 1:
+        return _beyond(kind, i, j)
+    for r in range(i % _ROW_STEP, i, _ROW_STEP):
+        _row(kind, r)
+    return _row(kind, i)[j + 1]
 
 
 def classical_entry(i: int, j: int) -> int:

@@ -3,20 +3,23 @@ Self-contained verification suites behind the `verify` subcommand: golden
 table reproduction, exhaustive-oracle versus closed-formula agreement,
 triangle identities, and the rewriting-kernel property checks.
 
-Each suite returns a list of Check records; a run passes iff every record
-does.  The counting functions are injectable so a deliberately broken
-formula can be shown to produce mismatches.
+Each check is one function returning one Check record; a suite is a list of
+checks, and a run passes iff every record does.  These functions are the
+only implementation of the acceptance criteria: tests/test_acceptance.py
+calls them under its time budgets.  The counting functions are injectable so
+a deliberately broken formula can be shown to produce mismatches.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from math import comb
 from typing import Callable, Sequence
 
 from . import enumeration, normal_forms, tables, triangles
-from .algebra import AlgebraLevel, in_index_set, quotient_image_check, reduce_word, sb_basis, structure_constants
+from .algebra import KL, KR, AlgebraLevel, in_index_set, quotient_image_check, reduce_word
+from .algebra import sb_basis, structure_constants
 from .words import is_reduced_fc
 
 CONFLUENCE_SEED = 20240817
@@ -30,114 +33,132 @@ class Check:
     name: str
     ok: bool
     detail: str
+    cases: int = 0
 
 
-def _check(name: str, mismatches: list[str], detail_ok: str) -> Check:
+def _check(name: str, mismatches: list[str], cases: int, detail_ok: str) -> Check:
     if mismatches:
-        return Check(name, False, "; ".join(mismatches))
-    return Check(name, True, detail_ok)
+        return Check(name, False, "; ".join(mismatches), cases)
+    return Check(name, True, detail_ok, cases)
 
 
-def verify_tables(
-    max_n: int = 9,
-    d_fn: Callable[[int, int], int] | None = None,
-    b_fn: Callable[[int, int], int] | None = None,
-    p_fn: Callable[[int], int] | None = None,
-) -> list[Check]:
+def _count_table(name: str, fn: Callable[[int, int], int], table, max_n: int) -> Check:
+    cells = [(n, s) for n in range(1, min(max_n, 9) + 1) for s in range(10)]
+    mismatches = []
+    for n, s in cells:
+        got, want = fn(n, s), table[n - 1][s]
+        if got != want:
+            mismatches.append(f"(n={n},s={s}) got {got} want {want}")
+    return _check(name, mismatches, len(cells), f"{len(cells)} cells")
+
+
+def check_excluded(max_n: int = 9, d_fn: Callable[[int, int], int] | None = None) -> Check:
     d_fn = d_fn or enumeration.d_count
+    return _count_table("tables:excluded", d_fn, tables.EXCLUDED_TABLE, max_n)
+
+
+def check_blobbed(max_n: int = 9, b_fn: Callable[[int, int], int] | None = None) -> Check:
     b_fn = b_fn or enumeration.b_count
+    return _count_table("tables:blobbed", b_fn, tables.BLOBBED_TABLE, max_n)
+
+
+def check_dimension_sequence(max_n: int = 9, p_fn: Callable[[int], int] | None = None) -> Check:
     p_fn = p_fn or enumeration.p_dim
     max_n = min(max_n, 9)
-    checks = []
-    mismatches = []
-    cells = 0
-    for n in range(1, max_n + 1):
-        for s in range(10):
-            cells += 1
-            got = d_fn(n, s)
-            want = tables.EXCLUDED_TABLE[n - 1][s]
-            if got != want:
-                mismatches.append(f"(n={n},s={s}) got {got} want {want}")
-    checks.append(_check("tables:excluded", mismatches, f"{cells} cells"))
     mismatches = []
     for n in range(1, max_n + 1):
-        for s in range(10):
-            got = b_fn(n, s)
-            want = tables.BLOBBED_TABLE[n - 1][s]
-            if got != want:
-                mismatches.append(f"(n={n},s={s}) got {got} want {want}")
-    checks.append(_check("tables:blobbed", mismatches, f"{cells} cells"))
-    mismatches = []
-    for n in range(1, max_n + 1):
-        got = p_fn(n)
-        want = tables.DIMENSION_SEQUENCE[n - 1]
+        got, want = p_fn(n), tables.DIMENSION_SEQUENCE[n - 1]
         if got != want:
             mismatches.append(f"n={n} got {got} want {want}")
-    checks.append(_check("tables:dimension-sequence", mismatches, f"{max_n} terms"))
-    return checks
+    return _check("tables:dimension-sequence", mismatches, max_n, f"{max_n} terms")
 
 
-def verify_oracle(max_n: int = 5) -> list[Check]:
-    checks = []
-    max_n = min(max_n, 5)
+def check_oracle(n: int) -> Check:
+    """Block enumeration against a_count and b_count at rank n, s <= min(n+1, 6)."""
+    mismatches = []
+    lengths = range(0, min(n + 1, 6) + 1)
+    for s in lengths:
+        got = enumeration.oracle_positive_count(n, s)
+        want = triangles.blobbed_entry(2 * n, 2 * s)
+        if got != want:
+            mismatches.append(f"positive (n={n},s={s}) got {got} want {want}")
+        got = enumeration.oracle_blobbed_count(n, s)
+        want = enumeration.b_count(n, s)
+        if got != want:
+            mismatches.append(f"blobbed (n={n},s={s}) got {got} want {want}")
+    return _check(f"oracle:n={n}", mismatches, len(lengths), f"{len(lengths)} affine lengths")
+
+
+def check_finite_part(max_n: int = 8) -> Check:
+    """Generated affine-length-0 elements: (n+2)·Catalan(n) − 1 of them, C(2n, n) positive."""
+    mismatches = []
     for n in range(1, max_n + 1):
-        mismatches = []
-        pairs = 0
-        for s in range(0, min(n + 1, 6) + 1):
-            pairs += 1
-            got = enumeration.oracle_positive_count(n, s)
-            want = triangles.blobbed_entry(2 * n, 2 * s)
-            if got != want:
-                mismatches.append(f"positive (n={n},s={s}) got {got} want {want}")
-            got = enumeration.oracle_blobbed_count(n, s)
-            want = enumeration.b_count(n, s)
-            if got != want:
-                mismatches.append(f"blobbed (n={n},s={s}) got {got} want {want}")
-        checks.append(_check(f"oracle:n={n}", mismatches, f"{pairs} affine lengths"))
-    return checks
+        forms = normal_forms.fc_forms(n, 0)
+        want = (n + 2) * comb(2 * n, n) // (n + 1) - 1
+        if len(forms) != want:
+            mismatches.append(f"total n={n} got {len(forms)} want {want}")
+        positive = sum(1 for f in forms if normal_forms.is_positive(n, f))
+        if positive != comb(2 * n, n):
+            mismatches.append(f"positive n={n} got {positive} want {comb(2 * n, n)}")
+    detail = f"totals and positive counts for n <= {max_n}"
+    return _check("oracle:finite-part", mismatches, max_n, detail)
 
 
-def verify_triangle(max_i: int = 64, max_ident: int = 40, max_decomp: int = 30) -> list[Check]:
-    checks = []
+def check_d_forms(max_n: int = 90) -> Check:
+    """d_count's wing sums against the closed form in doubled-triangle entries."""
+    pairs = [(n, s) for n in range(2, max_n + 1) for s in range(2, n + 1)]
     mismatches = []
-    for i in range(0, max_i + 1):
-        for j in range(i % 2, i + 1, 2):
-            if triangles.blobbed_closed(i, j) != triangles.blobbed_entry(i, j):
-                mismatches.append(f"({i},{j})")
-    checks.append(_check("triangle:closed-form", mismatches, f"i <= {max_i}"))
-    mismatches = []
-    for j in range(0, max_ident + 1):
-        if triangles.blobbed_entry(j, 0) != triangles.blobbed_entry(j - 1, 1):
-            mismatches.append(f"column identity at {j}")
+    for n, s in pairs:
+        got, want = enumeration.d_count(n, s), enumeration._d_closed(n, s)
+        if got != want:
+            mismatches.append(f"(n={n},s={s}) wing sums {got} closed form {want}")
+    detail = f"{len(pairs)} (n,s) pairs, n <= {max_n}"
+    return _check("oracle:d-forms", mismatches, len(pairs), detail)
+
+
+def check_triangle_closed_form(max_i: int = 64) -> Check:
+    cells = [(i, j) for i in range(0, max_i + 1) for j in range(i % 2, i + 1, 2)]
+    mismatches = [
+        f"({i},{j})"
+        for i, j in cells
+        if triangles.blobbed_closed(i, j) != triangles.blobbed_entry(i, j)
+    ]
+    return _check("triangle:closed-form", mismatches, len(cells), f"i <= {max_i}")
+
+
+def check_triangle_identities(max_ident: int = 40) -> Check:
+    C = triangles.blobbed_entry
+    mismatches = [
+        f"column identity at {j}" for j in range(0, max_ident + 1) if C(j, 0) != C(j - 1, 1)
+    ]
     for i in range(1, max_ident + 1):
         for j in range(1, max_ident + 1):
-            lhs = triangles.blobbed_entry(i, j)
-            if lhs != sum(
-                triangles.blobbed_entry(i - 1 - k, j + 1 - k) for k in range(j + 1)
-            ):
+            lhs = C(i, j)
+            if lhs != sum(C(i - 1 - k, j + 1 - k) for k in range(j + 1)):
                 mismatches.append(f"row-sum identity at ({i},{j})")
-            if lhs != sum(
-                triangles.blobbed_entry(i - 1 - k, j - 1 + k) for k in range(i + 1)
-            ):
+            if lhs != sum(C(i - 1 - k, j - 1 + k) for k in range(i + 1)):
                 mismatches.append(f"diagonal-sum identity at ({i},{j})")
-    checks.append(_check("triangle:identities", mismatches, f"indices <= {max_ident}"))
+    cases = max_ident + 1 + 2 * max_ident**2
+    return _check("triangle:identities", mismatches, cases, f"indices <= {max_ident}")
+
+
+def check_triangle_decompositions(max_decomp: int = 30) -> Check:
     mismatches = []
+    cases = 0
     for i in range(1, max_decomp + 1):
+        cases += 1 + i
         total = sum(w * c for _, w, c in triangles.central_binomial_decomposition(i))
         if total != triangles.binomial(2 * i, i):
             mismatches.append(f"central at {i}")
         for j in range(1, i + 1):
-            total = sum(
-                w * c for _, w, c in triangles.general_binomial_decomposition(i, j)
-            )
+            total = sum(w * c for _, w, c in triangles.general_binomial_decomposition(i, j))
             if total != triangles.binomial(2 * i - j, i):
                 mismatches.append(f"general at ({i},{j})")
-    checks.append(_check("triangle:decompositions", mismatches, f"i <= {max_decomp}"))
-    return checks
+    return _check("triangle:decompositions", mismatches, cases, f"i <= {max_decomp}")
 
 
-def verify_algebra(max_n: int = 3) -> list[Check]:
-    checks = []
+def check_confluence() -> Check:
+    """Seeded random words reduce the same under both strategies, into the index set."""
     rng = random.Random(CONFLUENCE_SEED)
     mismatches = []
     cases = 0
@@ -155,35 +176,86 @@ def verify_algebra(max_n: int = 3) -> list[Check]:
                 scalar, out = left
                 if not is_reduced_fc(n, out) or not in_index_set(level, n, out):
                     mismatches.append(f"unsound output {level.name} n={n} {word}->{out}")
-    checks.append(_check("algebra:confluence", mismatches, f"{cases} random words"))
+    return _check("algebra:confluence", mismatches, cases, f"{cases} random words")
+
+
+# (rank, word, reduction) at the two-boundary level: the full descent chain
+# through both boundaries at rank 3, and the rank-1 boundary identity, which
+# is the defining relation itself
+BOUNDARY_IDENTITIES = (
+    (3, (2, 3, 2, 1, 0, 1, 2, 3), (KL * KR, (2, 3))),
+    (1, (1, 0, 1), (KL, (1,))),
+)
+
+
+def check_quotient_identities(max_n: int = 3) -> Check:
     mismatches = []
     swept = 0
-    for n in sorted({2, min(max(max_n, 2), 3)}):
+    for n in range(2, min(max(max_n, 2), 3) + 1):
         for s in range(0, 3):
             for nf in normal_forms.fc_forms(n, s):
-                word = normal_forms.word_of_normal_form(n, nf)
                 if normal_forms.is_positive(n, nf):
                     continue
+                word = normal_forms.word_of_normal_form(n, nf)
                 swept += 1
-                if not quotient_image_check(
-                    AlgebraLevel.TL, AlgebraLevel.TWO_BOUNDARY, n, word
-                ):
+                if not quotient_image_check(AlgebraLevel.TL, AlgebraLevel.TWO_BOUNDARY, n, word):
                     mismatches.append(f"n={n} {word}")
-    checks.append(_check("algebra:quotient-identities", mismatches, f"{swept} elements"))
+    for n, word, want in BOUNDARY_IDENTITIES:
+        got = reduce_word(AlgebraLevel.TWO_BOUNDARY, n, word)
+        if got != want:
+            mismatches.append(f"n={n} {word} -> {got}, want {want}")
+    fixed = len(BOUNDARY_IDENTITIES)
+    detail = f"{swept} elements plus {fixed} boundary identities"
+    return _check("algebra:quotient-identities", mismatches, swept + fixed, detail)
+
+
+def check_blob_closure(max_n: int = 3) -> Check:
+    """Blob bases of the published sizes, and products that stay inside them."""
     mismatches = []
     sizes = []
     for n in range(1, min(max_n, 3) + 1):
         table = structure_constants(n)
         basis = sb_basis(n)
         sizes.append(len(table))
+        if len(basis) != tables.DIMENSION_SEQUENCE[n - 1]:
+            mismatches.append(f"n={n} basis size {len(basis)}")
         if len(table) != len(basis) ** 2:
             mismatches.append(f"n={n} table size {len(table)}")
-        for (_, _), (_, target) in table.items():
-            if target not in set(basis):
-                mismatches.append(f"n={n} target {target} left the basis")
-                break
-    checks.append(_check("algebra:blob-closure", mismatches, f"table sizes {sizes}"))
-    return checks
+        members = set(basis)
+        strays = [target for _, target in table.values() if target not in members]
+        if strays:
+            mismatches.append(f"n={n} target {strays[0]} left the basis")
+    return _check("algebra:blob-closure", mismatches, sum(sizes), f"table sizes {sizes}")
+
+
+def _cap(limit: int, max_n: int | None) -> int:
+    return limit if max_n is None else min(limit, max_n)
+
+
+def verify_tables(max_n: int = 9, d_fn=None, b_fn=None, p_fn=None) -> list[Check]:
+    """The published tables; d_fn, b_fn and p_fn replace the count functions under test."""
+    return [
+        check_excluded(max_n, d_fn),
+        check_blobbed(max_n, b_fn),
+        check_dimension_sequence(max_n, p_fn),
+    ]
+
+
+def verify_oracle(max_n: int | None = None) -> list[Check]:
+    oracle = [check_oracle(n) for n in range(1, _cap(5, max_n) + 1)]
+    return oracle + [check_finite_part(_cap(8, max_n)), check_d_forms(_cap(90, max_n))]
+
+
+def verify_triangle(max_i: int = 64, max_ident: int = 40, max_decomp: int = 30) -> list[Check]:
+    return [
+        check_triangle_closed_form(max_i),
+        check_triangle_identities(max_ident),
+        check_triangle_decompositions(max_decomp),
+    ]
+
+
+def verify_algebra(max_n: int = 3) -> list[Check]:
+    return [check_confluence(), check_quotient_identities(max_n), check_blob_closure(max_n)]
 
 
 SUITES: dict[str, Callable[..., list[Check]]] = {
@@ -195,13 +267,11 @@ SUITES: dict[str, Callable[..., list[Check]]] = {
 
 
 def run_suites(names: Sequence[str], max_n: int | None = None) -> list[Check]:
-    """Run the named suites concurrently; results come back in name order."""
-    def run(name: str) -> list[Check]:
-        suite = SUITES[name]
-        if max_n is None:
-            return suite()
-        return suite(max_n)
-
-    with ThreadPoolExecutor(max_workers=len(names) or 1) as pool:
-        results = list(pool.map(run, names))
-    return [check for result in results for check in result]
+    """
+    Run the named suites one after another; results come back in name order.
+    The suites are CPU-bound pure Python, so a thread pool only adds cost.
+    """
+    checks = []
+    for name in names:
+        checks += SUITES[name]() if max_n is None else SUITES[name](max_n)
+    return checks

@@ -430,3 +430,14 @@ def test_rank_one_associativity_exhaustive():
             ab = a * b
             for c in basis:
                 assert (ab) * c == a * (b * c)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="at rank 1 the two-boundary relations overlap on (0,1,0,1) and the "
+    "strategies pick kL or kR there; the semantics is open (ROADMAP item 4)",
+)
+@pytest.mark.parametrize("word", [(0, 1, 0, 1), (1, 0, 1, 0, 0)])
+def test_rank_one_two_boundary_strategies_agree(word):
+    # today leftmost gives kR*[0,1] and dL*kL*[1,0], rightmost kL*[0,1] and dL*kR*[1,0]
+    assert reduce_word(TB, 1, word, "leftmost") == reduce_word(TB, 1, word, "rightmost")

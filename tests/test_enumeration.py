@@ -192,3 +192,12 @@ def test_excluded_counts_from_generated_words():
                 if contains_pattern(n, word, iji) or contains_pattern(n, word, jij):
                     hits += 1
             assert hits == d_count(n, s), (n, s)
+
+
+def test_d_count_wing_sums_match_closed_form():
+    # d_count evaluates one formula; the closed form is checked in verify
+    from blobcat import verify
+
+    check = verify.check_d_forms()
+    assert check.ok, check.detail
+    assert check.cases == 4005

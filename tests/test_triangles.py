@@ -2,12 +2,14 @@
 
 import pytest
 
+from blobcat import triangles
 from blobcat.triangles import (
     binomial,
     blobbed_closed,
     blobbed_entry,
     central_binomial_decomposition,
     classical_entry,
+    entry,
     general_binomial_decomposition,
     triangle_rows,
 )
@@ -169,3 +171,33 @@ def test_displayed_rows():
     assert [classical_entry(9, j) for j in (1, 3, 5, 7, 9)] == [42, 48, 27, 8, 1]
     assert [blobbed_entry(7, j) for j in (1, 3, 5, 7)] == [70, 112, 126, 128]
     assert [blobbed_entry(6, j) for j in (0, 2, 4, 6)] == [20, 50, 62, 64]
+
+
+@pytest.mark.parametrize("i,j", [(-5, 0), (-1, -1), (0, 100), (3, 1), (3, -4)])
+def test_unknown_kind_is_rejected_everywhere(i, j):
+    with pytest.raises(ValueError):
+        entry("other", i, j)
+
+
+@pytest.mark.parametrize("kind", triangles.KINDS)
+def test_stored_rows_meet_the_closed_entries_beyond_them(kind):
+    # each row stores C_{i,-1}..C_{i,i+1}; its last two entries, built by the
+    # recurrence, must equal the closed values used for every later entry
+    for i in range(0, 201):
+        row = triangles._row(kind, i)
+        assert len(row) == i + 3
+        assert row[-2:] == (triangles._beyond(kind, i, i), triangles._beyond(kind, i, i + 1)), i
+
+
+def test_row_cache_holds_one_row_per_index():
+    triangles._row.cache_clear()
+    blobbed_entry(180, 90)
+    assert triangles._row.cache_info().currsize <= 182
+
+
+def test_deep_rows_do_not_recurse_deeply():
+    # row 1200 lies past the default recursion limit
+    try:
+        assert blobbed_entry(1200, 400) == blobbed_closed(1200, 400)
+    finally:
+        triangles._row.cache_clear()
