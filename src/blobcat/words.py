@@ -180,7 +180,7 @@ def _forbidden_factor(n: int, word: Letters) -> bool:
     return False
 
 
-def is_reduced_fc(n: int, word: Letters, cap: int = DEFAULT_CLASS_CAP) -> bool:
+def is_reduced_fc(n: int, word: Letters) -> bool:
     """
     True iff `word` is a reduced expression of a fully commutative element:
     no member of its commutation class contains ss, a bond-3 factor sts, or a

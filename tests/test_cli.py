@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs, determinism, exit codes, fault injection."""
 
+import hashlib
 import json
 
 import pytest
@@ -86,6 +87,35 @@ def test_enumerate_filters_and_limit(capsys):
         capsys, "enumerate", "--n", "2", "--s", "1", "--blobbed", "--limit", "4"
     )
     assert json.loads(out)["count"] == 4
+
+
+# sha256 of the `enumerate --n N --s S` stdout: the listing order is
+# user-visible, so it is pinned as well as the set of elements
+ENUMERATE_SHA256 = {
+    (1, 0): "a2dc8d3778e48fae5202895b0bef75c02036c1b9a89dee59640ec04f95867af0",
+    (1, 1): "376e53a17e479a155f84d195aed545f37f112cf587658fe633e43aa7988105e4",
+    (1, 2): "973684d3fc928b9b1167d72d02231a73a7a292e18a9ecb369b149450f9a5c1c3",
+    (1, 3): "a7304b71db23d965e68afd5bdb07b687bc16666a08a41d1ab4c1bc8f60e338fb",
+    (2, 0): "3c49cd3ce6dbc4cd3746fcf7eee899a8691896f2b0bfff98344e8b29da2eff17",
+    (2, 1): "c96ce130ecd35b18fe1e9dab0763448421351b0152f97b89993350a1b8d71349",
+    (2, 2): "ab08d8ac45397335a9c81d61c2ebcd68dfa58a48d730877582ccade2566dcac6",
+    (2, 3): "92932c836fe14456a2ce3ecc7d73d63b71a324a2348a82d9f7fd48240fee8647",
+    (3, 0): "24356221a876c40f29152321ef1da9f0e71984dcdca9290cdb9e12b5f7a295ce",
+    (3, 1): "98b1b6b161aeb4f426af3de0910b97bfc7e33d1e27161a430f9394bd1d8b2ef6",
+    (3, 2): "7ef018376f99108f1cfbfc80278c21d569a1d36e7e0a9c314b39c93c26d363ac",
+    (3, 3): "6f7f4aa3d492dc67044bbe8c091a36ac9a942e570159c39997409e814ef3f78e",
+    (4, 0): "1246141d00f26e44b3004ab1ee688b95eb63042d1ecce6f9ad83885bed213a40",
+    (4, 1): "fa4d76438709bbf4436891855cc258adaeeb1dcaa64bd78bed33fd8f2524e916",
+    (4, 2): "9609a39e7bc2e5d45217b7769be31ea3a91ed565f0cd76f4dfa265c26b6e9bef",
+    (4, 3): "a78177825a15a6b1beaf0f6b9d0be27cd335c4bdebb35f300be5c042dd2fcdaa",
+}
+
+
+@pytest.mark.parametrize("n, s", sorted(ENUMERATE_SHA256))
+def test_enumerate_output_is_pinned(capsys, n, s):
+    code, out, _ = run(capsys, "enumerate", "--n", str(n), "--s", str(s))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_SHA256[n, s]
 
 
 def test_grid_from_blocks_and_word(capsys):

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from blobcat import normal_forms as nfm
+from blobcat import words
 from blobcat.normal_forms import (
     Bracket,
     DescentTail,
@@ -110,16 +111,69 @@ def test_generation_positive_counts_match_triangle():
 
 
 def test_generation_is_unique_and_reduced():
-    for n in (1, 2, 3, 4):
+    cases = [(n, s) for n in (1, 2, 3, 4) for s in LENGTHS] + [(5, 1), (6, 1)]
+    for n, s in cases:
+        seen = set()
+        for f in fc_forms(n, s):
+            word = word_of_normal_form(n, f)
+            assert is_reduced_fc(n, word), (n, s, f)
+            assert affine_length(n, word) == s
+            key = canonical_word(n, word)
+            assert key not in seen, (n, s, f)
+            seen.add(key)
+
+
+def _fc_elements_grown(n, max_s):
+    """
+    Canonical words of all FC elements of affine length <= max_s, grown one
+    letter at a time from the identity.  FC elements are closed under
+    prefixes (Stembridge 1996), so every one is reached.
+    """
+    found = {()}
+    frontier = [()]
+    while frontier:
+        grown = []
+        for word in frontier:
+            for a in range(n + 1):
+                longer = word + (a,)
+                if affine_length(n, longer) > max_s or not is_reduced_fc(n, longer):
+                    continue
+                key = canonical_word(n, longer)
+                if key not in found:
+                    found.add(key)
+                    grown.append(key)
+        frontier = grown
+    return found
+
+
+@pytest.mark.parametrize("n, max_s", [(1, 3), (2, 3), (3, 3), (4, 2), (5, 1)])
+def test_generation_matches_prefix_growth(n, max_s):
+    grown = _fc_elements_grown(n, max_s)
+    for s in range(max_s + 1):
+        forms = fc_forms(n, s)
+        generated = {canonical_word(n, word_of_normal_form(n, f)) for f in forms}
+        assert len(generated) == len(forms), (n, s)
+        assert generated == {w for w in grown if affine_length(n, w) == s}, (n, s)
+
+
+def test_generation_and_shortening_use_no_oracle(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle called on a production path")
+
+    monkeypatch.setattr(words, "is_reduced_fc", refuse)
+    monkeypatch.setattr(words, "canonical_word", refuse)
+    monkeypatch.setattr(nfm, "is_reduced_fc", refuse)
+    fc_forms.cache_clear()
+    assert [len(fc_forms(5, s)) for s in LENGTHS] == [293, 1092, 1086, 1137]
+
+    monkeypatch.setattr(nfm, "normal_form_of_word", refuse)
+    for n in (2, 3):
         for s in LENGTHS:
-            seen = set()
             for f in fc_forms(n, s):
-                word = word_of_normal_form(n, f)
-                assert is_reduced_fc(n, word), (n, s, f)
-                assert affine_length(n, word) == s
-                key = canonical_word(n, word)
-                assert key not in seen, (n, s, f)
-                seen.add(key)
+                if not is_left_positive(n, f):
+                    bar(n, f)
+                elif not is_right_positive(n, f):
+                    tilde(n, f)
 
 
 def test_rank_one_census():
@@ -231,18 +285,22 @@ def test_tilde_requires_left_not_right():
 
 
 def test_bar_and_tilde_shrink_across_generation():
-    for n in (2, 3):
+    # every image is itself a generated normal form, not just a valid one
+    for n in (2, 3, 4, 5):
+        generated = set().union(*(fc_forms(n, s) for s in LENGTHS))
         for s in LENGTHS:
             for f in fc_forms(n, s):
                 word = word_of_normal_form(n, f)
                 if not is_left_positive(n, f):
                     image, _ = bar(n, f)
                     assert len(word_of_normal_form(n, image)) < len(word), (n, f)
+                    assert image in generated, (n, f)
                 elif not is_right_positive(n, f):
                     image = tilde(n, f)
                     shorter = word_of_normal_form(n, image)
                     assert len(shorter) < len(word), (n, f)
                     assert is_positive(n, image), (n, f)
+                    assert image in generated, (n, f)
 
 
 # ---------------------------------------------------------------------------
