@@ -133,6 +133,12 @@ def test_reduce_examples(level, n, word, scalar, out):
     assert reduce_word(level, n, word) == (scalar, out)
 
 
+@pytest.mark.parametrize("word", [(1.0, 1), (1, "1"), (None,)])
+def test_reduce_rejects_non_integer_letters(word):
+    with pytest.raises(ValueError):
+        reduce_word(TL, 2, word)
+
+
 def test_reduce_is_class_invariant():
     rng = random.Random(41)
     from blobcat.words import commutation_class

@@ -1,6 +1,8 @@
 """Word-level combinatorics: commutation classes, reducedness, containment."""
 
+import itertools
 import random
+import time
 
 import pytest
 
@@ -130,6 +132,54 @@ def test_canonical_word_examples():
 def test_canonical_word_matches_class_minimum():
     for n, word in random_words(seed=11, count=150, max_n=4, max_len=9):
         assert canonical_word(n, word) == min(commutation_class(n, word))
+
+
+def test_canonical_word_is_class_minimum_exhaustive():
+    checked = 0
+    for n, max_len in ((1, 7), (2, 7), (3, 7), (4, 6)):
+        for length in range(max_len + 1):
+            for word in itertools.product(range(n + 1), repeat=length):
+                assert canonical_word(n, word) == min(commutation_class(n, word))
+                checked += 1
+    assert checked == 44_911
+
+
+def _reference_canonical_word(n, word):
+    """Greedy rescan: the smallest letter whose first occurrence has no
+    non-commuting letter before it, removed and repeated."""
+    remaining = list(word)
+    out = []
+    while remaining:
+        best = None
+        for idx, a in enumerate(remaining):
+            if best is not None and remaining[best] <= a:
+                continue
+            if all(abs(a - b) > 1 for b in remaining[:idx]):
+                best = idx
+        out.append(remaining.pop(best))
+    return tuple(out)
+
+
+def test_canonical_word_matches_reference_greedy():
+    for n, word in random_words(seed=37, count=2_000, max_n=16, max_len=60):
+        assert canonical_word(n, word) == _reference_canonical_word(n, word)
+
+
+def test_canonical_word_scales_to_long_words():
+    rng = random.Random(43)
+    word = tuple(rng.randint(0, 50) for _ in range(2_000))
+    start = time.perf_counter()
+    canon = canonical_word(50, word)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"{elapsed:.2f}s for a length-2000 word at rank 50"
+    assert sorted(canon) == sorted(word)
+    assert same_element(50, word, canon)
+
+
+@pytest.mark.parametrize("word", [(2.0, 0, 1), (0, "1"), (None,)])
+def test_canonical_word_rejects_non_integer_letters(word):
+    with pytest.raises(ValueError):
+        canonical_word(3, word)
 
 
 def test_same_element_matches_class_membership():
