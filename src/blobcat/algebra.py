@@ -11,10 +11,11 @@ canonical basis word; the rules all strictly shorten the word, so
 termination is by length.  A redex is looked for in the commutation class
 of the word, walked breadth first; at each position only the rules whose
 pattern starts with that letter are tried.  Once the walk has visited as
-many members as the word has letters without a hit, a heap certificate
-(`_redex_free`) checks in polynomial time whether any member can have a
-redex at all; if it proves that none has, the walk stops there instead of
-covering the class.  The surviving word is reduced and fully commutative.
+many members as the word has letters without a hit, `in_index_set` reads
+the word's heap in O(length * rank) and says exactly whether any member
+holds a rule pattern of the level; if none does, the walk stops there
+instead of covering the class.  The surviving word indexes a basis
+monomial of the level.
 
 At rank 1 the two boundary pairs coincide; overlapping rules are resolved by
 fixed priority (blob rules first, then the left boundary), which keeps the
@@ -23,7 +24,6 @@ kernel deterministic there.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
@@ -34,21 +34,19 @@ from .grids import i_generators, is_blobbed, j_generators, oblique_bar_word, obl
 from .normal_forms import (
     bar,
     block_word,
+    blocks_of_word,
     is_left_positive,
-    is_positive,
     normal_form_of_word,
-    positive_blocks_of,
     tilde,
     word_of_normal_form,
 )
 from .words import (
+    HeapState,
     Letters,
-    _contains_rigid,
-    _reach_masks,
     canonical_word,
     check_rank,
     check_word,
-    is_reduced_fc,
+    heap_state,
     iter_commutation_class,
 )
 
@@ -194,18 +192,6 @@ def _square_scalar(n: int, i: int) -> Scalar:
     return D
 
 
-def _blob_rules(n: int) -> tuple[tuple[Letters, Letters], tuple[Letters, Letters]]:
-    """The two blob rules IJI -> I and JIJ -> J as (pattern, replacement)."""
-    iw = tuple(sorted(i_generators(n)))
-    jw = tuple(sorted(j_generators(n)))
-    return (iw + jw + iw, iw), (jw + iw + jw, jw)
-
-
-def _boundary_patterns(n: int) -> tuple[Letters, Letters]:
-    """The two boundary-braid triples of the two-boundary quotient."""
-    return (1, 0, 1), (n - 1, n, n - 1)
-
-
 @lru_cache(maxsize=None)
 def rewrite_rules(level: AlgebraLevel, n: int) -> tuple[Rule, ...]:
     """
@@ -223,13 +209,13 @@ def rewrite_rules(level: AlgebraLevel, n: int) -> tuple[Rule, ...]:
             rules.append(Rule(pattern, replacement, scalar))
 
     if level >= AlgebraLevel.SYMPLECTIC_BLOB:
-        (iji, iw), (jij, jw) = _blob_rules(n)
-        add(iji, iw, K)
-        add(jij, jw, K)
+        iw = tuple(sorted(i_generators(n)))
+        jw = tuple(sorted(j_generators(n)))
+        add(iw + jw + iw, iw, K)
+        add(jw + iw + jw, jw, K)
     if level >= AlgebraLevel.TWO_BOUNDARY:
-        left, right = _boundary_patterns(n)
-        add(left, (1,), KL)
-        add(right, (n - 1,), KR)
+        add((1, 0, 1), (1,), KL)
+        add((n - 1, n, n - 1), (n - 1,), KR)
     for i in range(n + 1):
         add((i, i), (i,), _square_scalar(n, i))
     for i in range(1, n - 1):
@@ -251,31 +237,6 @@ def _rules_by_first_letter(level: AlgebraLevel, n: int) -> tuple[tuple[Rule, ...
     )
 
 
-def _redex_free(level: AlgebraLevel, n: int, word: Letters) -> bool:
-    """
-    Heap certificate: True only if no member of the commutation class of
-    `word` contains a rule pattern of `level`, decided without walking it.
-
-    The TL patterns are exactly the factors forbidden in reduced FC words,
-    so at TL this is `is_reduced_fc`.  The two boundary triples are rigid
-    and are matched on the occurrence order by `_contains_rigid`.  The blob
-    patterns IJI and JIJ are not rigid: a word whose letter multiset holds
-    either one's gets False ("don't know").  So True is exact at TL and
-    two-boundary and sound at the blob level.
-    """
-    if not is_reduced_fc(n, word):
-        return False
-    if level == AlgebraLevel.TL:
-        return True
-    reach = _reach_masks(word)
-    if any(_contains_rigid(word, pattern, reach) for pattern in _boundary_patterns(n)):
-        return False
-    if level == AlgebraLevel.TWO_BOUNDARY:
-        return True
-    letters = Counter(word)
-    return not any(Counter(pattern) <= letters for pattern, _ in _blob_rules(n))
-
-
 def _find_redex(
     level: AlgebraLevel, n: int, word: Letters, strategy: str
 ) -> tuple[Letters, int, Rule] | None:
@@ -287,12 +248,12 @@ def _find_redex(
     At each position only the rules starting with that letter are tried
     (`_rules_by_first_letter`), in priority order, so the choice is the same
     as trying every rule.  After `len(word)` members without a hit, when the
-    walk has already cost about as much as the O(L^2) certificate,
-    `_redex_free` is asked once.  If it proves the class redex-free the
-    search ends with None instead of walking the rest of it.  Otherwise the
-    walk goes on: to the first redex, however deep it lies, or to the end of
-    a blob-level class that the certificate could not decide.  A class past
-    the enumeration cap before either still raises ClassSizeError.
+    walk has already cost more than a heap pass, `in_index_set` is asked
+    once.  It is exact at every level, so if it says the word is a basis
+    index the class holds no redex and the search ends with None instead of
+    walking the rest of it; otherwise the walk goes on to the first redex,
+    however deep it lies.  A class past the enumeration cap before that
+    still raises ClassSizeError.
     """
     index = _rules_by_first_letter(level, n)
     certify_after = len(word)
@@ -304,7 +265,7 @@ def _find_redex(
             for rule in index[member[pos]]:
                 if member[pos : pos + len(rule.pattern)] == rule.pattern:
                     return member, pos, rule
-        if visited == certify_after and _redex_free(level, n, word):
+        if visited == certify_after and in_index_set(level, n, word):
             return None
     return None
 
@@ -341,18 +302,20 @@ def reduce_word(
 
 
 def in_index_set(level: AlgebraLevel, n: int, word: Letters) -> bool:
-    """Does the (reduced, FC) word index a basis monomial at this level?"""
-    try:
-        nf = normal_form_of_word(n, word)
-    except ValueError:
-        return False
+    """
+    Does the word index a basis monomial at this level, i.e. does no member
+    of its commutation class hold a rule pattern of the level?  Read off the
+    heap: TL takes the reduced FC words, the two-boundary level those with
+    no boundary triple (the positive elements), and the blob level those of
+    them whose rigid blocks are blobbed.  O(len(word) * n); a malformed
+    word raises ValueError.
+    """
+    state = heap_state(n, word)
     if level == AlgebraLevel.TL:
-        return True
-    if not is_positive(n, nf):
+        return state != HeapState.NOT_REDUCED_FC
+    if state != HeapState.POSITIVE:
         return False
-    if level == AlgebraLevel.TWO_BOUNDARY:
-        return True
-    return is_blobbed(n, positive_blocks_of(n, nf))
+    return level == AlgebraLevel.TWO_BOUNDARY or is_blobbed(n, blocks_of_word(n, word))
 
 
 @dataclass(frozen=True)
@@ -468,8 +431,7 @@ def quotient_image_check(
         AlgebraLevel.TWO_BOUNDARY,
         AlgebraLevel.SYMPLECTIC_BLOB,
     ):
-        nf = normal_form_of_word(n, word)
-        blocks = positive_blocks_of(n, nf)
+        blocks = blocks_of_word(n, word)
         try:
             image_word = oblique_bar_word(n, blocks)
         except ValueError:

@@ -23,7 +23,7 @@ import sys
 from typing import Sequence
 
 from . import enumeration, grids, normal_forms, triangles, verify
-from .algebra import AlgebraLevel, reduce_word
+from .algebra import AlgebraLevel, in_index_set, reduce_word
 from .words import format_word, parse_word
 
 
@@ -95,10 +95,9 @@ def _grid(args: argparse.Namespace) -> int:
         word = parse_word(args.word)
         n = args.n if args.n is not None else max(word, default=1)
         n = max(n, 1)
-        nf = normal_forms.normal_form_of_word(n, word)
-        if not normal_forms.is_positive(n, nf):
-            raise ValueError(f"word {args.word!r} is not positive; it has no grid")
-        blocks = normal_forms.positive_blocks_of(n, nf)
+        if not in_index_set(AlgebraLevel.TWO_BOUNDARY, n, word):
+            raise ValueError(f"word {args.word!r} is not reduced and positive; it has no grid")
+        blocks = normal_forms.blocks_of_word(n, word)
     grid = grids.grid_of(n, blocks)
     print(grids.render(grid, args.render))
     return 0

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Union
 
-from .words import Letters, affine_length, check_rank, same_element
+from .words import Letters, _heads, affine_length, check_rank, check_word, same_element
 from .words import is_reduced_fc  # noqa: F401  kept as a binding the perfbench tracer wraps
 
 # ---------------------------------------------------------------------------
@@ -621,20 +621,39 @@ def format_blocks(blocks: Blocks) -> str:
     return ",".join(f"{l}:{r}" for l, r in blocks)
 
 
+def blocks_of_word(n: int, word: Letters) -> Blocks:
+    """
+    The rigid blocks of a positive element, read from any word of it: a
+    greedy linear extension of the heap (see `words._heads`) split into
+    maximal runs.  The current run <l, r> grows by r + 1 while that letter
+    is minimal among the remaining occurrences; otherwise a new run starts
+    at the largest minimal letter.  O(len(word) * n).  The word must be
+    positive (`words.heap_state`); a reading that breaks the block rules
+    raises ValueError.
+    """
+    word = check_word(n, word)
+    heads, following = _heads(n, word)
+
+    def minimal(a: int) -> bool:  # a is the letter plus one, as in `heads`
+        return heads[a] < heads[a - 1] and heads[a] < heads[a + 1]
+
+    runs: list[list[int]] = []
+    for _ in range(len(word)):
+        a = runs[-1][1] + 2 if runs else n + 2
+        if a <= n + 1 and minimal(a):
+            runs[-1][1] += 1
+        else:
+            a = next(a for a in range(n + 1, 0, -1) if minimal(a))
+            runs.append([a - 1, a - 1])
+        heads[a] = following[heads[a]]
+    return check_blocks(n, tuple(map(tuple, runs)))
+
+
 def positive_blocks_of(n: int, nf: NormalForm) -> Blocks:
     """Split the normal form of a positive element into its rigid blocks."""
     if not is_positive(n, nf):
         raise ValueError(f"rigid blocks exist only for positive elements: {nf}")
-    word = word_of_normal_form(n, nf)
-    blocks: list[tuple[int, int]] = []
-    idx = 0
-    while idx < len(word):
-        start = idx
-        while idx + 1 < len(word) and word[idx + 1] == word[idx] + 1:
-            idx += 1
-        blocks.append((word[start], word[idx]))
-        idx += 1
-    return check_blocks(n, tuple(blocks))
+    return blocks_of_word(n, word_of_normal_form(n, nf))
 
 
 def nf_of_positive_blocks(n: int, blocks: Blocks) -> NormalForm:

@@ -10,8 +10,8 @@ Everything here works up to the commutation congruence: two words are
 equivalent when one can be turned into the other by swapping adjacent
 commuting letters.  The equivalence class of a word is finite; the functions
 below either enumerate it (the slow, oracle-grade route, guarded by a hard
-cap) or exploit the projection criterion / greedy linearisation, which need
-no enumeration.
+cap) or read the word's heap (the projection criterion, greedy linear
+extensions, the one-pass chain test of `heap_state`) with no enumeration.
 
 >>> canonical_word(4, (3, 1, 2))
 (1, 3, 2)
@@ -19,11 +19,14 @@ no enumeration.
 True
 >>> is_reduced_fc(2, (1, 0, 1, 0))
 False
+>>> heap_state(2, (1, 0, 1)).name
+'BOUNDARY_TRIPLE'
 """
 
 from __future__ import annotations
 
 from collections import deque
+from enum import IntEnum
 from typing import Iterator
 
 Letters = tuple[int, ...]
@@ -123,20 +126,14 @@ def commutation_class(
     return frozenset(iter_commutation_class(n, word, cap))
 
 
-def canonical_word(n: int, word: Letters) -> Letters:
+def _heads(n: int, word: Letters) -> tuple[list[int], list[int]]:
     """
-    The lexicographically least member of the commutation class: the greedy
-    linear extension of the word's heap, computed without enumerating the
-    class.
-
-    `heads[a + 1]` is the first remaining position of letter a, and `len(word)`
-    once a is used up; `heads[0]` and `heads[n + 2]` pad the ends.  The first
-    remaining a can move to the front iff it precedes every remaining a - 1
-    and a + 1, i.e. `heads[a + 1]` is below both neighbouring heads; the
-    smallest such a is the next letter, and its head moves on to the next a.
-    That is O(n) per output letter, O(len(word) * n) per word.
+    `heads[a + 1]` is the first position of letter a (`len(word)` if none;
+    `heads[0]` and `heads[n + 2]` pad the ends) and `following[pos]` the next
+    position of the letter at `pos`.  The first remaining a is minimal in the
+    heap iff its head lies below both neighbouring heads; a reader consumes
+    it by moving the head on to `following[head]`.
     """
-    word = check_word(n, word)
     length = len(word)
     heads = [length] * (n + 3)
     following = [length] * length
@@ -144,9 +141,21 @@ def canonical_word(n: int, word: Letters) -> Letters:
         a = word[pos] + 1
         following[pos] = heads[a]
         heads[a] = pos
+    return heads, following
+
+
+def canonical_word(n: int, word: Letters) -> Letters:
+    """
+    The lexicographically least member of the commutation class: the greedy
+    linear extension of the word's heap, computed without enumerating the
+    class.  Each step takes the smallest minimal letter (see `_heads`), so
+    it is O(n) per output letter, O(len(word) * n) per word.
+    """
+    word = check_word(n, word)
+    heads, following = _heads(n, word)
     out = []
     letters = range(1, n + 2)
-    for _ in range(length):
+    for _ in range(len(word)):
         for a in letters:
             head = heads[a]
             if head < heads[a - 1] and head < heads[a + 1]:
@@ -175,47 +184,54 @@ def same_element(n: int, left: Letters, right: Letters) -> bool:
     return True
 
 
-def _forbidden_factor(n: int, word: Letters) -> bool:
-    """A repeated letter, a bond-3 factor aba, or a bond-4 factor abab."""
-    for p in range(len(word) - 1):
-        a, b = word[p], word[p + 1]
-        if a == b:
-            return True
-        if abs(a - b) > 1:
-            continue
-        if p + 2 < len(word) and word[p + 2] == a:
-            if braid_order(n, a, b) == 3:
-                return True
-            if p + 3 < len(word) and word[p + 3] == b:
-                return True
-    return False
+class HeapState(IntEnum):
+    """The three answers of `heap_state`, from worst to best."""
+
+    NOT_REDUCED_FC = 0
+    BOUNDARY_TRIPLE = 1
+    POSITIVE = 2
+
+
+def heap_state(n: int, word: Letters) -> HeapState:
+    """
+    Classify a word in one left-to-right pass, O(len(word)).  By Stembridge
+    (1996) it is reduced and fully commutative iff its heap has no convex
+    chain ss, sts (bond 3) or stst (bond 4).  Such chains end at the second
+    of two consecutive occurrences of a letter a with no neighbour a +- 1
+    between them (ss) or exactly one, b: with bond 3 that is sts; with bond
+    4 it is stst when b's own previous gap held nothing but that first a,
+    else the triple a, b, a, a boundary triple (1,0,1) or (n-1,n,n-1) when b
+    is an end letter.  POSITIVE means reduced FC with no boundary triple.
+    """
+    word = check_word(n, word)
+    # per letter: its latest position, the neighbour occurrences since then
+    # and the latest of them; slot n + 1 takes the missing neighbours of 0, n
+    last, gap, gap_last = [-1] * (n + 2), [0] * (n + 2), [-1] * (n + 2)
+    lone = [-1] * len(word)  # the single neighbour in the gap a position closed
+    state = HeapState.POSITIVE
+    for pos, a in enumerate(word):
+        if last[a] >= 0:
+            if gap[a] == 0:
+                return HeapState.NOT_REDUCED_FC
+            if gap[a] == 1:
+                q = gap_last[a]
+                b = word[q]
+                # bond 3 (no end letter in the pair), or bond 4 closing b a b a
+                if (0 < a < n and 0 < b < n) or lone[q] == last[a]:
+                    return HeapState.NOT_REDUCED_FC
+                if b in (0, n):
+                    state = HeapState.BOUNDARY_TRIPLE
+                lone[pos] = q
+        for c in (a - 1, a + 1):
+            gap[c] += 1
+            gap_last[c] = pos
+        last[a], gap[a] = pos, 0
+    return state
 
 
 def is_reduced_fc(n: int, word: Letters) -> bool:
-    """
-    True iff `word` is a reduced expression of a fully commutative element:
-    no member of its commutation class contains ss, a bond-3 factor sts, or a
-    bond-4 factor stst.  All three factor shapes are rigid, so they are
-    detected on the occurrence order instead of by enumerating the class.
-    """
-    word = check_word(n, word)
-    reach = _reach_masks(word)
-    present = set(word)
-    for a in present:
-        if word.count(a) >= 2 and _contains_rigid(word, (a, a), reach):
-            return False
-    for a in range(n):
-        b = a + 1
-        if a not in present or b not in present:
-            continue
-        if braid_order(n, a, b) == 3:
-            candidates = ((a, b, a), (b, a, b))
-        else:
-            candidates = ((a, b, a, b), (b, a, b, a))
-        for pattern in candidates:
-            if _contains_rigid(word, pattern, reach):
-                return False
-    return True
+    """True iff `word` is a reduced expression of a fully commutative element."""
+    return heap_state(n, word) != HeapState.NOT_REDUCED_FC
 
 
 def _reach_masks(word: Letters) -> list[int]:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from blobcat import algebra, enumeration, grids, normal_forms as nfm
+from blobcat import algebra, cli, enumeration, grids, normal_forms as nfm
 from blobcat.algebra import (
     D,
     DL,
@@ -235,8 +235,9 @@ def _redex_free_levels(n, word):
     }
 
 
-def test_redex_free_certificate_exhaustive():
-    # exact at TL and two-boundary; at the blob level True must be sound
+def test_index_set_is_exactly_the_redex_free_words_exhaustive():
+    # the redex search stops on `in_index_set`, so it must be exact at every level
+    cases = 0
     for n in (1, 2, 3, 4):
         truth = {}
         for length in range(8):
@@ -245,23 +246,65 @@ def test_redex_free_certificate_exhaustive():
                 if key not in truth:
                     truth[key] = _redex_free_levels(n, key)
                 for level, free in truth[key].items():
-                    got = algebra._redex_free(level, n, word)
-                    if level == SB:
-                        assert free or not got, (level, n, word)
-                    else:
-                        assert got == free, (level, n, word)
+                    assert in_index_set(level, n, word) == free, (level, n, word)
+                    cases += 1
+    assert cases == 369_108
 
 
-def test_redex_free_certificate_on_positive_elements():
-    # positive elements carry no TL or boundary redex; a blob-level True
-    # must mean blobbed (these reach the long blob patterns of ranks 4-5)
-    for n in (2, 3, 4, 5):
+def test_index_set_is_exact_on_positive_elements_at_the_blob_level():
+    # positive elements carry no TL or boundary redex; at the blob level the
+    # heap answer must equal a class walk for the long IJI and JIJ patterns
+    checked = 0
+    for n in (2, 3, 4):
+        blob_patterns = [rule.pattern for rule in rewrite_rules(SB, n)[:2]]
         for s in range(3):
             for blocks in enumeration.iter_positive_blocks(n, s):
                 word = nfm.block_word(blocks)
-                assert algebra._redex_free(TB, n, word), (n, blocks)
-                if algebra._redex_free(SB, n, word):
-                    assert grids.is_blobbed(n, blocks), (n, blocks)
+                assert in_index_set(TB, n, word), (n, blocks)
+                has_blob_redex = any(
+                    member[p : p + len(pattern)] == pattern
+                    for member in commutation_class(n, word)
+                    for pattern in blob_patterns
+                    for p in range(len(member))
+                )
+                assert in_index_set(SB, n, word) == (not has_blob_redex), (n, blocks)
+                assert in_index_set(SB, n, word) == grids.is_blobbed(n, blocks), (n, blocks)
+                checked += 1
+    assert checked > 300
+
+
+@pytest.mark.parametrize(
+    "level, n, word",
+    [(TL, 2, (3,)), (SB, 2, (1.0, 0)), (TL, 0, ()), (TB, 3, (-1, 0)), (SB, 1.5, ())],
+)
+def test_index_set_rejects_malformed_input(level, n, word):
+    with pytest.raises(ValueError):
+        in_index_set(level, n, word)
+
+
+def test_queries_at_rank_12_use_no_normal_forms(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("normal forms reached on a query path")
+
+    monkeypatch.setattr(nfm, "fc_forms", refuse)
+    monkeypatch.setattr(nfm, "normal_form_of_word", refuse)
+    monkeypatch.setattr(algebra, "normal_form_of_word", refuse)
+    n = 12
+    basis = (11, 12, 9, 10, 11, 7, 8, 9, 0, 1, 2, 3)
+    iji = nfm.block_word(grids.iji_blocks(n))
+    for word, answers in (
+        (basis, [True, True, True]),
+        (iji, [True, True, False]),
+        ((1, 0, 1), [True, False, False]),
+        ((5, 6, 5), [False, False, False]),
+    ):
+        assert [in_index_set(level, n, word) for level in (TL, TB, SB)] == answers, word
+    assert BasisElement(SB, n, basis).word == canonical_word(n, basis)
+    for level in (TL, TB, SB):
+        _, out = reduce_word(level, n, basis + basis)
+        assert in_index_set(level, n, out) and len(out) < 2 * len(basis)
+    assert cli.main(["grid", "--word", ",".join(map(str, basis)), "--n", "12"]) == 0
+    assert capsys.readouterr().out.count("*") == len(basis)
 
 
 @pytest.mark.xfail(
@@ -273,7 +316,7 @@ def test_deep_blob_redex_is_found_in_few_members(monkeypatch):
     # This rank-8 word is reduced FC and free of boundary triples, so only a
     # blob rule applies; its first IJI factor lies ~325k members into the walk.
     word = (2, 1, 0, 3, 2, 1, 0, 5, 4, 3, 7, 6, 5, 8, 7)
-    assert algebra._redex_free(TB, 8, word)
+    assert in_index_set(TB, 8, word) and not in_index_set(SB, 8, word)
     cap = len(word) ** 2
     monkeypatch.setattr(
         algebra, "iter_commutation_class", lambda n, w: iter_commutation_class(n, w, cap)

@@ -1,6 +1,7 @@
 """Normal forms: expansion, generation, positivity, bar/tilde, rigid blocks."""
 
 import math
+import random
 
 import pytest
 
@@ -17,6 +18,7 @@ from blobcat.normal_forms import (
     bar,
     block_word,
     blocks_affine_length,
+    blocks_of_word,
     check_blocks,
     check_normal_form,
     classify_left_not_right,
@@ -343,6 +345,36 @@ def test_blocks_round_trip_with_normal_forms():
                 nf = nf_of_positive_blocks(n, blocks)
                 assert word_of_normal_form(n, nf) == block_word(blocks)
                 assert positive_blocks_of(n, nf) == blocks
+
+
+def _scrambled(rng, word):
+    """A random member of the commutation class, by swaps of commuting neighbours."""
+    w = list(word)
+    for _ in range(4 * len(w)):
+        p = rng.randrange(max(len(w) - 1, 1))
+        if p + 1 < len(w) and abs(w[p] - w[p + 1]) > 1:
+            w[p], w[p + 1] = w[p + 1], w[p]
+    return tuple(w)
+
+
+def test_blocks_are_read_from_any_class_member():
+    from blobcat import enumeration
+
+    rng = random.Random(61)
+    checked = 0
+    for n in range(1, 7):
+        for s in range(4):
+            for blocks in enumeration.iter_positive_blocks(n, s):
+                word = block_word(blocks)
+                assert blocks_of_word(n, word) == blocks
+                assert blocks_of_word(n, _scrambled(rng, word)) == blocks, (n, blocks)
+                checked += 1
+    assert checked > 10_000
+
+
+def test_blocks_of_a_non_positive_word_are_refused():
+    with pytest.raises(ValueError):
+        blocks_of_word(2, (1, 0, 1))
 
 
 def test_positive_generation_completeness():

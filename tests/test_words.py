@@ -9,6 +9,7 @@ import pytest
 from blobcat import words
 from blobcat.words import (
     ClassSizeError,
+    HeapState,
     affine_length,
     braid_order,
     canonical_word,
@@ -16,6 +17,7 @@ from blobcat.words import (
     commutes,
     contains_pattern,
     format_word,
+    heap_state,
     is_reduced_fc,
     parse_word,
     same_element,
@@ -121,6 +123,71 @@ def test_commutation_class_cap():
 )
 def test_is_reduced_fc(n, word, expected):
     assert is_reduced_fc(n, word) is expected
+
+
+def _reference_is_reduced_fc(n, word):
+    """The reach-mask test: each forbidden factor matched as a rigid chain."""
+    reach = words._reach_masks(word)
+    present = set(word)
+    for a in present:
+        if word.count(a) >= 2 and words._contains_rigid(word, (a, a), reach):
+            return False
+    for a in range(n):
+        b = a + 1
+        if a not in present or b not in present:
+            continue
+        if braid_order(n, a, b) == 3:
+            candidates = ((a, b, a), (b, a, b))
+        else:
+            candidates = ((a, b, a, b), (b, a, b, a))
+        for pattern in candidates:
+            if words._contains_rigid(word, pattern, reach):
+                return False
+    return True
+
+
+def _reference_heap_state(n, word):
+    if not _reference_is_reduced_fc(n, word):
+        return HeapState.NOT_REDUCED_FC
+    for pattern in ((1, 0, 1), (n - 1, n, n - 1)):
+        if words._contains_rigid(word, pattern):
+            return HeapState.BOUNDARY_TRIPLE
+    return HeapState.POSITIVE
+
+
+def _grown_fc_words(seed, count, max_n, max_len):
+    """Reduced FC words grown a letter at a time at either end."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        word = ()
+        for _ in range(rng.randint(0, max_len)):
+            x = rng.randint(0, n)
+            grown = word + (x,) if rng.random() < 0.5 else (x,) + word
+            if _reference_is_reduced_fc(n, grown):
+                word = grown
+        out.append((n, word))
+    return out
+
+
+def test_heap_state_matches_reach_mask_reference():
+    cases = random_words(seed=41, count=4_000, max_n=12, max_len=30)
+    cases += _grown_fc_words(seed=43, count=1_500, max_n=12, max_len=40)
+    states = set()
+    for n, word in cases:
+        state = heap_state(n, word)
+        assert state == _reference_heap_state(n, word), (n, word)
+        assert is_reduced_fc(n, word) == (state != HeapState.NOT_REDUCED_FC)
+        states.add(state)
+    assert states == set(HeapState)
+
+
+def test_heap_state_matches_reference_exhaustive():
+    for n, max_len in ((1, 8), (2, 8), (3, 7), (4, 6)):
+        for length in range(max_len + 1):
+            for word in itertools.product(range(n + 1), repeat=length):
+                assert heap_state(n, word) == _reference_heap_state(n, word), (n, word)
 
 
 def test_canonical_word_examples():
