@@ -30,7 +30,8 @@ from functools import lru_cache
 from itertools import product
 
 from . import enumeration
-from .grids import i_generators, is_blobbed, j_generators, oblique_bar_word, oblique_tilde_word
+from .grids import alternating_word, i_generators, is_blobbed, j_generators
+from .grids import oblique_bar_word, oblique_tilde_word
 from .normal_forms import (
     bar,
     block_word,
@@ -209,10 +210,9 @@ def rewrite_rules(level: AlgebraLevel, n: int) -> tuple[Rule, ...]:
             rules.append(Rule(pattern, replacement, scalar))
 
     if level >= AlgebraLevel.SYMPLECTIC_BLOB:
-        iw = tuple(sorted(i_generators(n)))
-        jw = tuple(sorted(j_generators(n)))
-        add(iw + jw + iw, iw, K)
-        add(jw + iw + jw, jw, K)
+        odd, even = i_generators(n), j_generators(n)
+        add(alternating_word(odd, even), tuple(sorted(odd)), K)
+        add(alternating_word(even, odd), tuple(sorted(even)), K)
     if level >= AlgebraLevel.TWO_BOUNDARY:
         add((1, 0, 1), (1,), KL)
         add((n - 1, n, n - 1), (n - 1,), KR)
@@ -289,7 +289,9 @@ def reduce_word(
 ) -> tuple[Scalar, Letters]:
     """
     Rewrite a product of generators to (parameter monomial, canonical basis
-    word) under the level's relations.  Total on arbitrary words.
+    word) under the level's relations, for any word short of one limit: it
+    recurses once per rewrite, so under the default recursion limit a word
+    needing ~500 rewrites, e.g. `(1,) * 499` at rank 2, raises RecursionError.
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")

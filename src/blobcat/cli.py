@@ -24,7 +24,7 @@ from typing import Sequence
 
 from . import enumeration, grids, normal_forms, triangles, verify
 from .algebra import AlgebraLevel, in_index_set, reduce_word
-from .words import format_word, parse_word
+from .words import HeapState, format_word, heap_state, parse_word
 
 
 def _triangle(args: argparse.Namespace) -> int:
@@ -54,11 +54,15 @@ def _count(args: argparse.Namespace) -> int:
 
 
 def _enumerate(args: argparse.Namespace) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise ValueError(f"--limit must be non-negative, got {args.limit}")
     elements = []
     for nf in normal_forms.fc_forms(args.n, args.s):
+        if len(elements) == args.limit:
+            break
         word = normal_forms.word_of_normal_form(args.n, nf)
-        positive = normal_forms.is_positive(args.n, nf)
-        blocks = normal_forms.positive_blocks_of(args.n, nf) if positive else None
+        positive = heap_state(args.n, word) == HeapState.POSITIVE
+        blocks = normal_forms.blocks_of_word(args.n, word) if positive else None
         blobbed = grids.is_blobbed(args.n, blocks) if positive else None
         if args.positive and not positive:
             continue
@@ -72,8 +76,6 @@ def _enumerate(args: argparse.Namespace) -> int:
                 "blocks": normal_forms.format_blocks(blocks) if positive else None,
             }
         )
-        if args.limit is not None and len(elements) >= args.limit:
-            break
     selector = "blobbed" if args.blobbed else "positive" if args.positive else "all"
     payload = {
         "n": args.n,
@@ -118,6 +120,8 @@ def _dim(args: argparse.Namespace) -> int:
 
 
 def _verify(args: argparse.Namespace) -> int:
+    if args.max_n is not None and args.max_n < 1:
+        raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
     names = [args.suite] if args.suite else list(verify.SUITES)
     checks = verify.run_suites(names, args.max_n)
     failures = 0

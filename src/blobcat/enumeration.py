@@ -87,19 +87,6 @@ def j_nr(n: int, r: int) -> int:
     return _exact_half(blobbed_entry(n - 1 - r, r))
 
 
-def _d_by_wing_sums(n: int, s: int) -> int:
-    x = [i_t(n, t) for t in range(s)]
-    y = [j_t(n, t) for t in range(s)]
-    if n % 2 == 0:
-        main, other = x, y
-    else:
-        main, other = y, x
-    total = sum(main[k] * main[s - 1 - k] for k in range(s))
-    total += sum(other[k] * other[s - 2 - k] for k in range(s - 1))
-    total -= 2 * sum(main[k] * other[s - 2 - k] for k in range(s - 1))
-    return total
-
-
 def _d_closed(n: int, s: int) -> int:
     C = blobbed_entry
     if n % 2 == 0:
@@ -119,9 +106,9 @@ def _d_closed(n: int, s: int) -> int:
 
 def d_count(n: int, s: int) -> int:
     """
-    Positive elements of affine length s containing a boundary pattern.
-    Dispatches on the edge cases, the square at s == 1, and the wing-sum
-    formula for 2 <= s <= n.  The equivalent closed form in doubled-triangle
+    Positive elements of affine length s containing a boundary pattern: none
+    at s == 0, all past s == n, else the wing sums over i_t and j_t (at s == 1
+    the square of one).  The equivalent closed form in doubled-triangle
     entries (_d_closed) is checked against it by `verify` (oracle:d-forms).
     """
     check_rank(n)
@@ -131,10 +118,16 @@ def d_count(n: int, s: int) -> int:
         return 0
     if s > n:
         return a_count(n, s)
-    if s == 1:
-        wing = i_t(n, 0) if n % 2 == 0 else j_t(n, 0)
-        return wing * wing
-    return _d_by_wing_sums(n, s)
+    x = [i_t(n, t) for t in range(s)]
+    y = [j_t(n, t) for t in range(s)]
+    if n % 2 == 0:
+        main, other = x, y
+    else:
+        main, other = y, x
+    total = sum(main[k] * main[s - 1 - k] for k in range(s))
+    total += sum(other[k] * other[s - 2 - k] for k in range(s - 1))
+    total -= 2 * sum(main[k] * other[s - 2 - k] for k in range(s - 1))
+    return total
 
 
 def b_count(n: int, s: int) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .words import Letters, check_rank
-from .normal_forms import Blocks, check_blocks
+from .normal_forms import Blocks, blocks_of_word, check_blocks
 
 Point = tuple[int, int]
 
@@ -84,38 +84,22 @@ def j_generators(n: int) -> frozenset[int]:
     return frozenset(range(0, n + 1, 2))
 
 
+def alternating_word(first: frozenset[int], second: frozenset[int]) -> Letters:
+    """The word F S F of two commuting families, each in increasing order."""
+    f, s = tuple(sorted(first)), tuple(sorted(second))
+    return f + s + f
+
+
 @lru_cache(maxsize=None)
 def iji_blocks(n: int) -> Blocks:
-    """Rigid blocks of the alternating pattern starting and ending odd."""
-    check_rank(n)
-    if n == 1:
-        return ((1, 1), (0, 1))
-    if n % 2 == 0:
-        blocks = [(n - 1, n)]
-        blocks += [(a, a + 2) for a in range(n - 3, 0, -2)]
-        blocks.append((0, 1))
-    else:
-        blocks = [(n, n), (n - 2, n)]
-        blocks += [(a, a + 2) for a in range(n - 4, 0, -2)]
-        blocks.append((0, 1))
-    return check_blocks(n, tuple(blocks))
+    """Rigid blocks of the alternating pattern I J I, read from its word."""
+    return blocks_of_word(n, alternating_word(i_generators(n), j_generators(n)))
 
 
 @lru_cache(maxsize=None)
 def jij_blocks(n: int) -> Blocks:
-    """Rigid blocks of the alternating pattern starting and ending even."""
-    check_rank(n)
-    if n == 1:
-        return ((0, 1), (0, 0))
-    if n % 2 == 0:
-        blocks = [(n, n), (n - 2, n)]
-        blocks += [(a, a + 2) for a in range(n - 4, -1, -2)]
-        blocks.append((0, 0))
-    else:
-        blocks = [(n - 1, n)]
-        blocks += [(a, a + 2) for a in range(n - 3, -1, -2)]
-        blocks.append((0, 0))
-    return check_blocks(n, tuple(blocks))
+    """Rigid blocks of the alternating pattern J I J, read from its word."""
+    return blocks_of_word(n, alternating_word(j_generators(n), i_generators(n)))
 
 
 def pattern_i(n: int) -> Grid:

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Union
 
-from .words import Letters, _heads, affine_length, check_rank, check_word, same_element
+from .words import HeapState, Letters, _heads, affine_length, canonical_word, check_rank
+from .words import check_word, heap_state
 from .words import is_reduced_fc  # noqa: F401  kept as a binding the perfbench tracer wraps
 
 # ---------------------------------------------------------------------------
@@ -108,9 +109,7 @@ def iter_bforms(n: int) -> Iterator[BForm]:
                 ls: list[int] = [0]
             else:
                 top = g if prev_l is None else min(g, prev_l - 1)
-                ls = list(range(top, 0, -1)) + [0]
-                neg_top = g if prev_l is None else min(g, prev_l - 1)
-                ls += [-x for x in range(1, neg_top + 1)]
+                ls = list(range(top, 0, -1)) + [0] + [-x for x in range(1, top + 1)]
             for l in ls:
                 bracket = Bracket(l, g)
                 if l < 0:
@@ -173,25 +172,12 @@ NormalForm = Union[LengthZero, FirstType, SecondType, LengthOne]
 
 def ascending_run(n: int, i: int) -> Letters:
     """Word of [i, n-1] for i in (-n, n]; i == n is the empty run."""
-    if i == n:
-        return ()
-    if i >= 0:
-        return tuple(range(i, n))
-    return tuple(range(-i, 0, -1)) + (0,) + tuple(range(1, n))
+    return Bracket(i, n - 1).word() if i < n else ()
 
 
 def descending_run(n: int, f: int) -> Letters:
-    """Word of ([f, n-1])^-1 for f in (-n, n]."""
-    if f == n:
-        return ()
-    if f >= 0:
-        return tuple(range(n - 1, f - 1, -1))
-    return tuple(range(n - 1, 0, -1)) + (0,) + tuple(range(1, -f + 1))
-
-
-def _middle_run(n: int) -> Letters:
-    # [-(n-1), n-1]; collapses to the single letter 0 at rank 1
-    return tuple(range(n - 1, 0, -1)) + (0,) + tuple(range(1, n))
+    """Word of ([f, n-1])^-1 for f in (-n, n]: the ascending run reversed."""
+    return ascending_run(n, f)[::-1]
 
 
 def descent_bform(n: int, h: int) -> BForm:
@@ -278,7 +264,7 @@ def word_of_normal_form(n: int, nf: NormalForm) -> Letters:
         out = list(ascending_run(n, nf.i))
         out.append(n)
         for _ in range(nf.k):
-            out.extend(_middle_run(n))
+            out.extend(ascending_run(n, 1 - n))
             out.append(n)
         out.extend(descending_run(n, nf.f))
         return tuple(out)
@@ -399,21 +385,16 @@ def fc_forms(n: int, s: int) -> tuple[NormalForm, ...]:
 
 
 @lru_cache(maxsize=None)
-def _forms_by_multiset(n: int, s: int) -> dict[Letters, list[tuple[NormalForm, Letters]]]:
-    index: dict[Letters, list[tuple[NormalForm, Letters]]] = {}
-    for nf in fc_forms(n, s):
-        word = word_of_normal_form(n, nf)
-        index.setdefault(tuple(sorted(word)), []).append((nf, word))
-    return index
+def _forms_by_canonical_word(n: int, s: int) -> dict[Letters, NormalForm]:
+    return {canonical_word(n, word_of_normal_form(n, nf)): nf for nf in fc_forms(n, s)}
 
 
 def normal_form_of_word(n: int, word: Letters) -> NormalForm:
-    """The normal form whose expression is commutation-equivalent to `word`."""
-    s = affine_length(n, word)
-    for nf, candidate in _forms_by_multiset(n, s).get(tuple(sorted(word)), []):
-        if same_element(n, word, candidate):
-            return nf
-    raise ValueError(f"no normal form matches {word} (is it reduced and FC?)")
+    """The normal form commutation-equivalent to `word`, found by its canonical word."""
+    nf = _forms_by_canonical_word(n, affine_length(n, word)).get(canonical_word(n, word))
+    if nf is None:
+        raise ValueError(f"no normal form matches {word} (is it reduced and FC?)")
+    return nf
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +417,8 @@ def is_right_positive(n: int, nf: NormalForm) -> bool:
 
 
 def is_positive(n: int, nf: NormalForm) -> bool:
-    return is_left_positive(n, nf) and is_right_positive(n, nf)
+    """No boundary triple in the heap of the normal form (`words.heap_state`)."""
+    return heap_state(n, word_of_normal_form(n, nf)) == HeapState.POSITIVE
 
 
 def classify_non_left_positive(n: int, nf: NormalForm) -> str | None:
@@ -651,9 +633,10 @@ def blocks_of_word(n: int, word: Letters) -> Blocks:
 
 def positive_blocks_of(n: int, nf: NormalForm) -> Blocks:
     """Split the normal form of a positive element into its rigid blocks."""
-    if not is_positive(n, nf):
+    word = word_of_normal_form(n, nf)
+    if heap_state(n, word) != HeapState.POSITIVE:
         raise ValueError(f"rigid blocks exist only for positive elements: {nf}")
-    return blocks_of_word(n, word_of_normal_form(n, nf))
+    return blocks_of_word(n, word)
 
 
 def nf_of_positive_blocks(n: int, blocks: Blocks) -> NormalForm:

@@ -52,7 +52,7 @@ def _row(kind: str, i: int) -> tuple[int, ...]:
 _ROW_STEP = 256
 
 
-def _entry(kind: str, i: int, j: int) -> int:
+def entry(kind: str, i: int, j: int) -> int:
     if kind not in KINDS:
         raise ValueError(f"unknown triangle kind {kind!r}")
     # total: everything outside the bordered quadrant vanishes, so identity
@@ -67,15 +67,11 @@ def _entry(kind: str, i: int, j: int) -> int:
 
 
 def classical_entry(i: int, j: int) -> int:
-    return _entry(CLASSICAL, i, j)
+    return entry(CLASSICAL, i, j)
 
 
 def blobbed_entry(i: int, j: int) -> int:
-    return _entry(BLOBBED, i, j)
-
-
-def entry(kind: str, i: int, j: int) -> int:
-    return _entry(kind, i, j)
+    return entry(BLOBBED, i, j)
 
 
 def blobbed_closed(i: int, j: int) -> int:
@@ -115,4 +111,4 @@ def triangle_rows(kind: str, rows: int, cols: int) -> list[list[int]]:
         raise ValueError(f"unknown triangle kind {kind!r}")
     if rows < 0 or cols < 0:
         raise ValueError("rows and cols must be non-negative")
-    return [[_entry(kind, i, j) for j in range(cols)] for i in range(rows)]
+    return [[entry(kind, i, j) for j in range(cols)] for i in range(rows)]

@@ -471,6 +471,31 @@ def test_structure_constants_records_schema():
     assert '"scalar": "k"' in blob
 
 
+# sha256 of json.dumps(structure_constants_records(3), sort_keys=True): the
+# whole rank-3 blob table, scalars and targets, must not drift
+STRUCTURE_CONSTANTS_3_SHA256 = "0727a3ba3623a6b5b11beec79735df77c06741e4a8a09418d4cd8a7598b5c134"
+
+
+def test_structure_constants_records_rank_three_are_pinned():
+    import hashlib
+    import json
+
+    from blobcat.algebra import structure_constants_records
+
+    blob = json.dumps(structure_constants_records(3), sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == STRUCTURE_CONSTANTS_3_SHA256
+
+
+@pytest.mark.xfail(
+    raises=RecursionError,
+    strict=True,
+    reason="_reduce_canonical recurses once per rewrite (ROADMAP item 2)",
+)
+def test_long_word_reduces_without_recursion_limit():
+    # 1199 square rewrites; a fresh process already fails at (1,) * 499
+    assert reduce_word(TL, 2, (1,) * 1200) == (Scalar({(1199, 0, 0, 0, 0, 0): 1}), (1,))
+
+
 def test_rank_one_associativity_exhaustive():
     # the delicate rank: all 125 triples of basis monomials associate
     basis = [AlgebraElement(SB, 1, {BasisElement(SB, 1, w): Scalar.one()}) for w in sb_basis(1)]

@@ -89,6 +89,16 @@ def test_enumerate_filters_and_limit(capsys):
     assert json.loads(out)["count"] == 4
 
 
+@pytest.mark.parametrize("limit, code, count", [("0", 0, 0), ("1", 0, 1), ("-1", 2, None)])
+def test_enumerate_limit_bounds(capsys, limit, code, count):
+    got, out, err = run(capsys, "enumerate", "--n", "2", "--s", "1", "--limit", limit)
+    assert got == code
+    if count is None:
+        assert out == "" and "--limit" in err
+    else:
+        assert json.loads(out)["count"] == count
+
+
 # sha256 of the `enumerate --n N --s S` stdout: the listing order is
 # user-visible, so it is pinned as well as the set of elements
 ENUMERATE_SHA256 = {
@@ -162,6 +172,12 @@ def test_verify_max_n_subset(capsys):
     assert code == 0
     assert "PASS tables:excluded: 30 cells" in out
     assert "PASS tables:blobbed: 30 cells" in out
+
+
+@pytest.mark.parametrize("argv", [("--max-n", "0"), ("--suite", "tables", "--max-n", "-1")])
+def test_verify_rejects_max_n_below_one(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == "" and "--max-n" in err
 
 
 def test_verify_reports_injected_fault(capsys):

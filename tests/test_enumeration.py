@@ -50,7 +50,9 @@ def test_wing_row_sums():
         assert sum(j_nr(n, r) for r in range(n)) == j_t(n, 0)
 
 
-@pytest.mark.parametrize("n,s,expected", [(4, 2, 148), (9, 4, 221004), (1, 2, 4)])
+@pytest.mark.parametrize(
+    "n,s,expected", [(4, 2, 148), (9, 4, 221004), (1, 2, 4), (1, 1, 1), (4, 1, 36), (9, 1, 15876)]
+)
 def test_d_count_examples(n, s, expected):
     assert d_count(n, s) == expected
 
@@ -164,14 +166,6 @@ def test_format_count_table():
     ]
     with pytest.raises(ValueError):
         format_count_table(CountKind.A, 1, 1, "xml")
-
-
-def test_d_count_square_case_agrees_with_sums():
-    # the s == 1 dispatch equals the general wing-sum formula
-    from blobcat.enumeration import _d_by_wing_sums
-
-    for n in range(1, 12):
-        assert d_count(n, 1) == _d_by_wing_sums(n, 1), n
 
 
 def test_excluded_counts_from_generated_words():

@@ -8,6 +8,7 @@ from blobcat import enumeration, grids
 from blobcat.grids import (
     Grid,
     Oblique,
+    alternating_word,
     contains_grid,
     grid_of,
     i_generators,
@@ -76,6 +77,38 @@ def test_oblique_words_across_small_blocks():
                     continue
                 ow = oblique_word(obliques_of(grid_of(n, blocks)))
                 assert same_element(n, ow, word), (n, blocks)
+
+
+def _reference_iji_blocks(n):
+    # the hand-built parity construction the derived blocks replaced
+    if n == 1:
+        return ((1, 1), (0, 1))
+    if n % 2 == 0:
+        blocks = [(n - 1, n)] + [(a, a + 2) for a in range(n - 3, 0, -2)]
+    else:
+        blocks = [(n, n), (n - 2, n)] + [(a, a + 2) for a in range(n - 4, 0, -2)]
+    return tuple(blocks + [(0, 1)])
+
+
+def _reference_jij_blocks(n):
+    if n == 1:
+        return ((0, 1), (0, 0))
+    if n % 2 == 0:
+        blocks = [(n, n), (n - 2, n)] + [(a, a + 2) for a in range(n - 4, -1, -2)]
+    else:
+        blocks = [(n - 1, n)] + [(a, a + 2) for a in range(n - 3, -1, -2)]
+    return tuple(blocks + [(0, 0)])
+
+
+def test_pattern_blocks_read_from_words_match_parity_construction():
+    for n in range(1, 41):
+        assert iji_blocks(n) == _reference_iji_blocks(n), n
+        assert jij_blocks(n) == _reference_jij_blocks(n), n
+
+
+def test_alternating_word():
+    assert alternating_word(i_generators(3), j_generators(3)) == (1, 3, 0, 2, 1, 3)
+    assert alternating_word(j_generators(1), i_generators(1)) == (0, 1, 0)
 
 
 def test_boundary_pattern_blocks():

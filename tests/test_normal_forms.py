@@ -197,6 +197,15 @@ def test_normal_form_of_word_round_trip():
                 assert normal_form_of_word(n, word) == f
 
 
+def test_normal_form_of_word_from_scrambled_class_members():
+    rng = random.Random(29)
+    for n in (1, 2, 3, 4):
+        for s in (0, 1, 2):
+            for f in fc_forms(n, s):
+                word = _scrambled(rng, word_of_normal_form(n, f))
+                assert normal_form_of_word(n, word) == f, (n, s, word)
+
+
 def test_normal_form_of_word_rejects_non_fc():
     with pytest.raises(ValueError):
         normal_form_of_word(2, (1, 0, 1, 0))
@@ -211,12 +220,11 @@ def test_detector_agreement_with_containment_oracle():
         for s in LENGTHS:
             for f in fc_forms(n, s):
                 word = word_of_normal_form(n, f)
-                assert is_left_positive(n, f) == (
-                    not contains_pattern(n, word, (1, 0, 1))
-                ), (n, s, f)
-                assert is_right_positive(n, f) == (
-                    not contains_pattern(n, word, (n - 1, n, n - 1))
-                ), (n, s, f)
+                left = not contains_pattern(n, word, (1, 0, 1))
+                right = not contains_pattern(n, word, (n - 1, n, n - 1))
+                assert is_left_positive(n, f) == left, (n, s, f)
+                assert is_right_positive(n, f) == right, (n, s, f)
+                assert is_positive(n, f) == (left and right), (n, s, f)
 
 
 def test_classification_matches_detectors():
