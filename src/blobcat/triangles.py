@@ -8,8 +8,9 @@ classical one has c_{-1,-1} = 1 and zero elsewhere on its borders; the
 doubled variant seeds its first two rows with the parity pattern 1,0,1,0,...
 On and above the main diagonal the entries are closed: 1 on the diagonal and
 0 beyond it for the classical triangle, and 2^i on the parity pattern for
-the doubled one.  So each row is cached once, up to one step past the
-diagonal, and every later entry is computed on demand.
+the doubled one.  Below it, with m = (i - j)/2, both are read off binomial
+row i: the ballot number C(i, m) - C(i, m-1), and the sum of C(i, k) over
+m <= k <= i - m.  Only the last few rows are cached.
 """
 
 from __future__ import annotations
@@ -31,39 +32,32 @@ def binomial(m: int, k: int) -> int:
     return comb(m, k)
 
 
-def _beyond(kind: str, i: int, j: int) -> int:
-    """C_{i,j} on and above the diagonal (j >= i), where no sum is needed."""
-    if kind == CLASSICAL:
-        return int(j == i)
-    return 2 ** max(i, 0) if (i + j) % 2 == 0 else 0
-
-
-@lru_cache(maxsize=None)
-def _row(kind: str, i: int) -> tuple[int, ...]:
-    """Entries (C_{i,-1}, ..., C_{i,i+1}); later ones come from _beyond."""
-    if i == -1 or (kind == BLOBBED and i == 0):
-        # the seeded rows: their whole parity pattern is the closed formula
-        return tuple(_beyond(kind, i, j) for j in range(-1, i + 2))
-    prev = _row(kind, i - 1) + (_beyond(kind, i - 1, i + 1), _beyond(kind, i - 1, i + 2))
-    return (0,) + tuple(prev[j] + prev[j + 2] for j in range(i + 2))
-
-
-# rows are built this many at a time, so building one never recurses deeply
-_ROW_STEP = 256
+@lru_cache(maxsize=4)
+def _row(i: int) -> tuple[int, ...]:
+    """Prefix sums of binomial row i: S_k = C(i, 0) + ... + C(i, k-1), k <= i + 1."""
+    sums, c = [0], 1
+    for k in range(i + 1):
+        sums.append(sums[-1] + c)
+        c = c * (i - k) // (k + 1)
+    return tuple(sums)
 
 
 def entry(kind: str, i: int, j: int) -> int:
     if kind not in KINDS:
         raise ValueError(f"unknown triangle kind {kind!r}")
-    # total: everything outside the bordered quadrant vanishes, so identity
-    # sums never need boundary branches
-    if i < -1 or j < -1:
+    if not (isinstance(i, int) and isinstance(j, int)):
+        raise ValueError(f"triangle indices must be integers, got ({i!r}, {j!r})")
+    # total: everything outside the bordered quadrant or off parity vanishes,
+    # so identity sums never need boundary branches
+    if i < -1 or j < -1 or (i + j) % 2:
         return 0
-    if j > i + 1:
-        return _beyond(kind, i, j)
-    for r in range(i % _ROW_STEP, i, _ROW_STEP):
-        _row(kind, r)
-    return _row(kind, i)[j + 1]
+    if j >= i:
+        return int(j == i) if kind == CLASSICAL else 2 ** max(i, 0)
+    # below the diagonal; column -1 comes out 0 from both differences
+    m, S = (i - j) // 2, _row(i)
+    if kind == CLASSICAL:
+        return S[m + 1] - 2 * S[m] + S[m - 1]
+    return S[i - m + 1] - S[m]
 
 
 def classical_entry(i: int, j: int) -> int:
@@ -109,6 +103,6 @@ def triangle_rows(kind: str, rows: int, cols: int) -> list[list[int]]:
     """Row-major slab of entries for i in 0..rows-1, j in 0..cols-1."""
     if kind not in KINDS:
         raise ValueError(f"unknown triangle kind {kind!r}")
-    if rows < 0 or cols < 0:
-        raise ValueError("rows and cols must be non-negative")
+    if not (isinstance(rows, int) and isinstance(cols, int)) or rows < 0 or cols < 0:
+        raise ValueError("rows and cols must be non-negative integers")
     return [[entry(kind, i, j) for j in range(cols)] for i in range(rows)]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 from typing import Callable, Sequence
 
@@ -116,13 +117,37 @@ def check_d_forms(max_n: int = 90) -> Check:
 
 
 def check_triangle_closed_form(max_i: int = 64) -> Check:
+    """
+    blobbed_closed against blobbed_entry, and both kinds of entry against
+    their definition: C_{i,j} = C_{i-1,j-1} + C_{i-1,j+1} from the seeds.
+    Row i is checked up to column 2*max_i - i + 1, so every entry checked
+    rests on entries checked in the row above, and by induction on i each
+    one equals the triangle as defined.
+    """
     cells = [(i, j) for i in range(0, max_i + 1) for j in range(i % 2, i + 1, 2)]
     mismatches = [
         f"({i},{j})"
         for i, j in cells
         if triangles.blobbed_closed(i, j) != triangles.blobbed_entry(i, j)
     ]
-    return _check("triangle:closed-form", mismatches, len(cells), f"i <= {max_i}")
+    cases = len(cells)
+    for kind in triangles.KINDS:
+        C = partial(triangles.entry, kind)
+        for i in range(-1, max_i + 1):
+            for j in range(-1, 2 * max_i - i + 2):
+                if kind == triangles.CLASSICAL and (i == -1 or j == -1):
+                    want = int(i == j == -1)
+                elif kind == triangles.BLOBBED and i <= 0:
+                    want = int((i + j) % 2 == 0)  # row -1 is [j odd], row 0 is [j even]
+                elif j == -1:
+                    want = 0
+                else:
+                    want = C(i - 1, j - 1) + C(i - 1, j + 1)
+                cases += 1
+                if C(i, j) != want:
+                    mismatches.append(f"{kind} recurrence at ({i},{j})")
+    detail = f"i <= {max_i}, both kinds against their recurrence"
+    return _check("triangle:closed-form", mismatches, cases, detail)
 
 
 def check_triangle_identities(max_ident: int = 40) -> Check:

@@ -62,7 +62,7 @@ def test_criterion_5_triangle_coherence():
     accept(
         "criterion 5 triangle coherence",
         5.0,
-        [1089, 3241, 495],
+        [14223, 3241, 495],
         verify.check_triangle_closed_form,
         verify.check_triangle_identities,
         verify.check_triangle_decompositions,

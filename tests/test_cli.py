@@ -128,6 +128,35 @@ def test_enumerate_output_is_pinned(capsys, n, s):
     assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_SHA256[n, s]
 
 
+# the count outputs, recorded before the triangles were read off binomial rows
+TRIANGLE_SHA256 = {
+    ("blobbed", "csv"): "d9502f965eca81b0bef4201bc2d3a10e9a7378e4c872ca9ac5b6738a91b62ed9",
+    ("blobbed", "json"): "df0ca87b1a81cfce1e0ff74b58a9613eac6c6325d340e5c564ccb54767dc8a4c",
+    ("classical", "csv"): "52713ba42b4ee8ac3b2ff4df0de0df971bfda49e8816d106cb3fd2a812a0f7bc",
+    ("classical", "json"): "3b307b66221b0ee42a163f335134fbb5b3abee3a1c609b2cbe07bfb40ebca4e0",
+}
+# stdout of `dim --n N` for N = 1..90, concatenated
+DIM_SHA256 = "ac369d4d2039b9cce59d57c4fa534450a97e9d8542256a0f34f69f40fdc4f1fb"
+
+
+@pytest.mark.parametrize("kind, fmt", sorted(TRIANGLE_SHA256))
+def test_triangle_output_is_pinned(capsys, kind, fmt):
+    code, out, _ = run(
+        capsys, "triangle", "--kind", kind, "--rows", "80", "--cols", "80", "--format", fmt
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TRIANGLE_SHA256[kind, fmt]
+
+
+def test_dim_output_is_pinned(capsys):
+    outs = []
+    for n in range(1, 91):
+        code, out, _ = run(capsys, "dim", "--n", str(n))
+        assert code == 0
+        outs.append(out)
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == DIM_SHA256
+
+
 def test_grid_from_blocks_and_word(capsys):
     code, out, _ = run(
         capsys, "grid", "--blocks", "7:8,4:8,3:7,1:4,0:1,0:0", "--render", "svg"

@@ -1,8 +1,11 @@
 """Triangle entries, the closed formula, and the binomial decompositions."""
 
+import tracemalloc
+from functools import partial
+
 import pytest
 
-from blobcat import triangles
+from blobcat import triangles, verify
 from blobcat.triangles import (
     binomial,
     blobbed_closed,
@@ -61,9 +64,10 @@ def test_blobbed_closed_examples():
 
 
 def test_blobbed_closed_matches_recursion():
-    for i in range(0, 41):
-        for j in range(i % 2, i + 1, 2):
-            assert blobbed_closed(i, j) == blobbed_entry(i, j), (i, j)
+    # both kinds, every row i <= 200 up to column 401 - i, plus blobbed_closed
+    check = verify.check_triangle_closed_form(200)
+    assert check.ok, check.detail
+    assert check.cases == 132815
 
 
 def test_binomial_examples():
@@ -179,25 +183,39 @@ def test_unknown_kind_is_rejected_everywhere(i, j):
         entry("other", i, j)
 
 
-@pytest.mark.parametrize("kind", triangles.KINDS)
-def test_stored_rows_meet_the_closed_entries_beyond_them(kind):
-    # each row stores C_{i,-1}..C_{i,i+1}; its last two entries, built by the
-    # recurrence, must equal the closed values used for every later entry
-    for i in range(0, 201):
-        row = triangles._row(kind, i)
-        assert len(row) == i + 3
-        assert row[-2:] == (triangles._beyond(kind, i, i), triangles._beyond(kind, i, i + 1)), i
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (blobbed_entry, (4.0, 2)),
+        (blobbed_entry, (4, 2.0)),
+        (classical_entry, (6, "2")),
+        (partial(entry, "classical"), (None, 0)),
+        (triangle_rows, ("blobbed", 4.0, 2)),
+    ],
+)
+def test_non_integer_indices_are_rejected(fn, args):
+    with pytest.raises(ValueError):
+        fn(*args)
 
 
-def test_row_cache_holds_one_row_per_index():
+def test_row_cache_stays_within_its_bound():
     triangles._row.cache_clear()
-    blobbed_entry(180, 90)
-    assert triangles._row.cache_info().currsize <= 182
+    for i in (180, 3, 1200, 181, 90, 180, 2):
+        for kind in triangles.KINDS:
+            entry(kind, i, i % 2)
+            assert triangles._row.cache_info().currsize <= 4
+    triangle_rows("blobbed", 60, 60)
+    assert triangles._row.cache_info().currsize <= 4
 
 
 def test_deep_rows_do_not_recurse_deeply():
-    # row 1200 lies past the default recursion limit
+    # row 2000 lies past the default recursion limit, and one row is all it takes
+    triangles._row.cache_clear()
+    want = blobbed_closed(2000, 600)
+    tracemalloc.start()
     try:
-        assert blobbed_entry(1200, 400) == blobbed_closed(1200, 400)
+        assert blobbed_entry(2000, 600) == want
+        _, peak = tracemalloc.get_traced_memory()
     finally:
-        triangles._row.cache_clear()
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, peak
