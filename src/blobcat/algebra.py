@@ -193,7 +193,6 @@ def _square_scalar(n: int, i: int) -> Scalar:
     return D
 
 
-@lru_cache(maxsize=None)
 def rewrite_rules(level: AlgebraLevel, n: int) -> tuple[Rule, ...]:
     """
     The rule list in priority order; identical patterns introduced by lower
@@ -450,7 +449,6 @@ def quotient_image_check(
 # the blob basis and its multiplication table
 
 
-@lru_cache(maxsize=None)
 def sb_basis(n: int) -> tuple[Letters, ...]:
     """Canonical words of all blobbed elements, sorted; its size is the
     dimension of the blob quotient."""

@@ -107,7 +107,13 @@ def _grid(args: argparse.Namespace) -> int:
 
 def _reduce(args: argparse.Namespace) -> int:
     level = AlgebraLevel.parse(args.level)
-    scalar, word = reduce_word(level, args.n, parse_word(args.word))
+    try:
+        scalar, word = reduce_word(level, args.n, parse_word(args.word))
+    except RecursionError:
+        # the kernel recurses once per rewrite until ROADMAP item 2's loop lands
+        raise ValueError(
+            "word needs more nested rewrites than reduce supports yet"
+        ) from None
     print(f"{scalar} * [{format_word(word)}]")
     return 0
 

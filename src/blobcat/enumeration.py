@@ -18,8 +18,8 @@ from .normal_forms import Blocks
 from .triangles import blobbed_entry
 from .words import check_rank
 
-DEFAULT_ORACLE_MAX_N = 5
-DEFAULT_ORACLE_MAX_S = 6
+ORACLE_MAX_N = 5
+ORACLE_MAX_S = 6
 
 
 class CountKind(Enum):
@@ -209,58 +209,15 @@ def iter_positive_blocks(n: int, s: int) -> Iterator[Blocks]:
             yield head + tail
 
 
-def oracle_positive_count(
-    n: int,
-    s: int,
-    max_n: int = DEFAULT_ORACLE_MAX_N,
-    max_s: int = DEFAULT_ORACLE_MAX_S,
-) -> int:
+def oracle_positive_count(n: int, s: int) -> int:
     """Count rigid-block forms directly; must equal a_count."""
-    if n > max_n or s > max_s:
+    if n > ORACLE_MAX_N or s > ORACLE_MAX_S:
         raise ValueError(f"oracle budget exceeded: (n={n}, s={s})")
     return sum(1 for _ in iter_positive_blocks(n, s))
 
 
-def oracle_blobbed_count(
-    n: int,
-    s: int,
-    max_n: int = DEFAULT_ORACLE_MAX_N,
-    max_s: int = DEFAULT_ORACLE_MAX_S,
-) -> int:
+def oracle_blobbed_count(n: int, s: int) -> int:
     """Count rigid-block forms avoiding both patterns; must equal b_count."""
-    if n > max_n or s > max_s:
+    if n > ORACLE_MAX_N or s > ORACLE_MAX_S:
         raise ValueError(f"oracle budget exceeded: (n={n}, s={s})")
     return sum(1 for blocks in iter_positive_blocks(n, s) if is_blobbed(n, blocks))
-
-
-# ---------------------------------------------------------------------------
-# table emission
-
-
-def count_table(kind: CountKind, max_n: int, max_s: int) -> list[dict[str, str]]:
-    """Row-major records {kind, n, s, value}; values as decimal strings."""
-    rows = []
-    for n in range(1, max_n + 1):
-        for s in range(0, max_s + 1):
-            rows.append(
-                {
-                    "kind": kind.value,
-                    "n": str(n),
-                    "s": str(s),
-                    "value": str(count(kind, n, s)),
-                }
-            )
-    return rows
-
-
-def format_count_table(kind: CountKind, max_n: int, max_s: int, fmt: str = "csv") -> str:
-    rows = count_table(kind, max_n, max_s)
-    if fmt == "json":
-        import json
-
-        return json.dumps(rows, sort_keys=True)
-    if fmt == "csv":
-        lines = ["kind,n,s,value"]
-        lines += [f"{r['kind']},{r['n']},{r['s']},{r['value']}" for r in rows]
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown table format {fmt!r}")

@@ -5,7 +5,9 @@ two alternating boundary patterns, blobbedness, and plain-text / SVG drawing.
 The grid of a rigid-block word <l_1,r_1>...<l_k,r_k> is the point set
 {(i, j) : 1 <= i <= k, l_i <= j <= r_i}.  Columns carry generator identity
 and never move; rows are only defined up to a common shift, so containment
-quantifies over vertical translates.
+quantifies over vertical translates.  Each row is an interval, so pattern
+containment is decided row by row on the blocks themselves: every row
+interval of the pattern must lie inside the shifted row of the element.
 
 Sweeping a line of slope -2 across the staircase drawing groups the points
 by the value 2*i + j; each group is an antichain of pairwise commuting
@@ -102,49 +104,23 @@ def jij_blocks(n: int) -> Blocks:
     return blocks_of_word(n, alternating_word(j_generators(n), i_generators(n)))
 
 
-def pattern_i(n: int) -> Grid:
-    """Grid of the single odd oblique."""
-    gens = sorted(i_generators(n), reverse=True)
-    return grid_of(n, tuple((g, g) for g in gens))
-
-
-def pattern_j(n: int) -> Grid:
-    gens = sorted(j_generators(n), reverse=True)
-    return grid_of(n, tuple((g, g) for g in gens))
-
-
-def pattern_iji(n: int) -> Grid:
-    return grid_of(n, iji_blocks(n))
-
-
-def pattern_jij(n: int) -> Grid:
-    return grid_of(n, jij_blocks(n))
-
-
-def contains_grid(grid: Grid, pattern: Grid) -> bool:
+def _contains(blocks: Blocks, pattern: Blocks) -> bool:
     """
-    True iff some vertical (row) translate of `pattern` is a subset of
-    `grid`.  Columns are absolute.
+    True iff some row shift t puts every row interval of `pattern` inside
+    row t + i of `blocks`.  Rows are intervals and columns never move, so
+    this is point-set containment of the grids under a vertical translate.
     """
-    if grid.n != pattern.n:
-        raise ValueError("grids must share the rank")
-    if not pattern.points:
-        return True
-    rows = [i for i, _ in pattern.points]
-    span = max(rows) - min(rows)
-    base = min(rows)
-    for t in range(1 - base, grid.rows - span - base + 1):
-        if all((i + t, j) in grid.points for i, j in pattern.points):
-            return True
-    return False
+    k = len(pattern)
+    return any(
+        all(l <= pl and pr <= r for (pl, pr), (l, r) in zip(pattern, blocks[t : t + k]))
+        for t in range(len(blocks) - k + 1)
+    )
 
 
 def is_blobbed(n: int, blocks: Blocks) -> bool:
     """A positive element avoiding both alternating boundary patterns."""
-    grid = grid_of(n, blocks)
-    return not contains_grid(grid, pattern_iji(n)) and not contains_grid(
-        grid, pattern_jij(n)
-    )
+    check_blocks(n, blocks)
+    return not _contains(blocks, iji_blocks(n)) and not _contains(blocks, jij_blocks(n))
 
 
 @dataclass(frozen=True)
@@ -161,8 +137,8 @@ def oblique_factorization(n: int, blocks: Blocks) -> ObliqueFactorization:
     For a positive element containing the odd-ended alternating pattern,
     split its oblique form as prefix, (IJ)^k I, suffix with k >= 1.
     """
-    grid = grid_of(n, blocks)
-    if not contains_grid(grid, pattern_iji(n)):
+    grid = grid_of(n, blocks)  # validates the blocks
+    if not _contains(blocks, iji_blocks(n)):
         raise ValueError("element avoids the odd-ended alternating pattern")
     obliques = obliques_of(grid)
     i_set = i_generators(n)
@@ -210,10 +186,10 @@ def oblique_tilde_word(n: int, blocks: Blocks) -> Letters:
     For an element avoiding the odd-ended pattern but containing the
     even-ended one, contract its unique J I J run to a single J.
     """
-    grid = grid_of(n, blocks)
-    if contains_grid(grid, pattern_iji(n)):
+    grid = grid_of(n, blocks)  # validates the blocks
+    if _contains(blocks, iji_blocks(n)):
         raise ValueError("element contains the odd-ended pattern; use the bar form")
-    if not contains_grid(grid, pattern_jij(n)):
+    if not _contains(blocks, jij_blocks(n)):
         raise ValueError("element avoids the even-ended alternating pattern")
     obliques = obliques_of(grid)
     i_set = i_generators(n)

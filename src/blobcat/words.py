@@ -286,9 +286,7 @@ def _contains_rigid(
     return extend([])
 
 
-def contains_pattern(
-    n: int, word: Letters, pattern: Letters, cap: int = DEFAULT_CLASS_CAP
-) -> bool:
+def contains_pattern(n: int, word: Letters, pattern: Letters) -> bool:
     """
     True iff some reduced expression of `word` has some reduced expression of
     `pattern` as a contiguous factor.  Both inputs must be reduced-FC.
@@ -306,8 +304,8 @@ def contains_pattern(
         return False
     if all(abs(pattern[t] - pattern[t + 1]) <= 1 for t in range(k - 1)):
         return _contains_rigid(word, pattern)
-    pattern_class = commutation_class(n, pattern, cap)
-    for member in iter_commutation_class(n, word, cap):
+    pattern_class = commutation_class(n, pattern)
+    for member in iter_commutation_class(n, word):
         for p in range(len(member) - k + 1):
             if member[p : p + k] in pattern_class:
                 return True

@@ -509,7 +509,7 @@ def test_rank_one_associativity_exhaustive():
 @pytest.mark.xfail(
     strict=True,
     reason="at rank 1 the two-boundary relations overlap on (0,1,0,1) and the "
-    "strategies pick kL or kR there; the semantics is open (ROADMAP item 4)",
+    "strategies pick kL or kR there; the semantics is open (ROADMAP item 3)",
 )
 @pytest.mark.parametrize("word", [(0, 1, 0, 1), (1, 0, 1, 0, 0)])
 def test_rank_one_two_boundary_strategies_agree(word):

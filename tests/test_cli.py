@@ -34,6 +34,16 @@ def test_reduce_output(capsys):
     assert code == 0 and out == "1 * []\n"
 
 
+def test_reduce_past_recursion_limit_is_malformed_input(capsys):
+    # the kernel recurses once per rewrite; ROADMAP item 2's loop will turn
+    # this into exit 0 with "d^2999 * [1]"
+    word = ",".join(["1"] * 3000)
+    code, out, err = run(capsys, "reduce", "--n", "2", "--level", "tl", "--word", word)
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert out == ""
+
+
 def test_triangle_csv(capsys):
     code, out, _ = run(
         capsys, "triangle", "--kind", "blobbed", "--rows", "3", "--cols", "4",

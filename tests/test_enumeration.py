@@ -10,7 +10,6 @@ from blobcat.enumeration import (
     b_count,
     blob_polynomial,
     count,
-    count_table,
     d_count,
     i_nr,
     i_t,
@@ -139,10 +138,6 @@ def test_oracle_budget():
 def test_count_dispatch_and_table():
     assert count(CountKind.A, 2, 1) == 14
     assert count(CountKind.D, 9, 4) == 221004
-    rows = count_table(CountKind.B, 2, 3)
-    assert rows[0] == {"kind": "b", "n": "1", "s": "0", "value": "2"}
-    assert len(rows) == 2 * 4
-    assert all(set(r) == {"kind", "n", "s", "value"} for r in rows)
 
 
 def test_exact_halving_guard():
@@ -150,22 +145,6 @@ def test_exact_halving_guard():
     for n in range(1, 20):
         for t in range(0, 12):
             j_t(n, t)
-
-
-def test_format_count_table():
-    from blobcat.enumeration import format_count_table
-    import json
-
-    csv_text = format_count_table(CountKind.D, 2, 2, "csv")
-    assert csv_text.splitlines()[0] == "kind,n,s,value"
-    assert "d,2,1,4" in csv_text
-    records = json.loads(format_count_table(CountKind.B, 1, 1, "json"))
-    assert records == [
-        {"kind": "b", "n": "1", "s": "0", "value": "2"},
-        {"kind": "b", "n": "1", "s": "1", "value": "3"},
-    ]
-    with pytest.raises(ValueError):
-        format_count_table(CountKind.A, 1, 1, "xml")
 
 
 def test_excluded_counts_from_generated_words():

@@ -6,10 +6,8 @@ import pytest
 
 from blobcat import enumeration, grids
 from blobcat.grids import (
-    Grid,
     Oblique,
     alternating_word,
-    contains_grid,
     grid_of,
     i_generators,
     iji_blocks,
@@ -21,10 +19,6 @@ from blobcat.grids import (
     oblique_tilde_word,
     oblique_word,
     obliques_of,
-    pattern_i,
-    pattern_iji,
-    pattern_j,
-    pattern_jij,
     render,
 )
 from blobcat.normal_forms import block_word
@@ -127,42 +121,73 @@ def test_pattern_words_match_oblique_products(n):
     assert same_element(n, block_word(jij_blocks(n)), jw + iw + jw)
 
 
-def test_single_oblique_pattern_grids():
-    assert pattern_i(2).points == frozenset({(1, 1)})
-    assert pattern_j(2).points == frozenset({(1, 2), (2, 0)})
-    assert pattern_iji(2) == grid_of(2, ((1, 2), (0, 1)))
-    assert pattern_jij(1) == grid_of(1, ((0, 1), (0, 0)))
+def _reference_contains(grid, pattern):
+    # the point-set shift test that row-by-row interval containment replaced
+    if not pattern.points:
+        return True
+    rows = [i for i, _ in pattern.points]
+    span = max(rows) - min(rows)
+    base = min(rows)
+    for t in range(1 - base, grid.rows - span - base + 1):
+        if all((i + t, j) in grid.points for i, j in pattern.points):
+            return True
+    return False
+
+
+def _oblique_blocks(family):
+    # a single oblique: one point per row, highest generator on top
+    return tuple((g, g) for g in sorted(family, reverse=True))
+
+
+def test_contains_matches_point_set_reference():
+    cases = 0
+    for n in range(1, 7):
+        patterns = [(p, grid_of(n, p)) for p in (iji_blocks(n), jij_blocks(n))]
+        for s in range(0, n + 2):
+            for blocks in enumeration.iter_positive_blocks(n, s):
+                grid = grid_of(n, blocks)
+                for pattern, pattern_grid in patterns:
+                    expected = _reference_contains(grid, pattern_grid)
+                    assert grids._contains(blocks, pattern) == expected, (n, blocks)
+                cases += 1
+    assert cases == 34_710
 
 
 def test_contains_grid_examples():
-    assert contains_grid(pattern_iji(4), pattern_iji(4))
-    assert not contains_grid(grid_of(3, ((2, 3), (1, 2), (0, 1))), pattern_iji(3))
-    assert contains_grid(grid_of(3, ((0, 1),)), Grid(3, 0, frozenset()))
-    with pytest.raises(ValueError):
-        contains_grid(pattern_iji(2), pattern_iji(3))
+    assert grids._contains(iji_blocks(4), iji_blocks(4))
+    assert not grids._contains(((2, 3), (1, 2), (0, 1)), iji_blocks(3))
+    assert grids._contains(((0, 1),), ())
+    assert grids._contains((), ())
+    assert not grids._contains((), ((0, 0),))
+    # a pattern taller than the element never fits
+    assert not grids._contains(((0, 2),), ((0, 0), (0, 0)))
 
 
 def test_contains_grid_translation():
     # the single odd oblique of the worked example sits at rows 1..4
-    big = grid_of(8, PAPER_BLOCKS)
-    assert contains_grid(big, pattern_i(8))
-    assert contains_grid(big, pattern_j(8))
-    assert contains_grid(big, pattern_iji(8))
-    assert not contains_grid(big, pattern_jij(8))
+    assert grids._contains(PAPER_BLOCKS, _oblique_blocks(i_generators(8)))
+    assert grids._contains(PAPER_BLOCKS, _oblique_blocks(j_generators(8)))
+    assert grids._contains(PAPER_BLOCKS, iji_blocks(8))
+    assert not grids._contains(PAPER_BLOCKS, jij_blocks(8))
+    # the bottom rows only fit at the last shift
+    assert grids._contains(PAPER_BLOCKS, ((0, 1), (0, 0)))
+    assert not grids._contains(PAPER_BLOCKS[:-1], ((0, 1), (0, 0)))
 
 
 def test_contains_grid_monotone_under_point_addition():
-    # adding points never destroys containment
+    # widening any row interval (adding a point to the grid) never destroys
+    # containment
     cases = [
-        (grid_of(3, ((2, 3), (1, 3), (0, 1))), pattern_iji(3)),
-        (grid_of(2, ((1, 2), (0, 1))), pattern_i(2)),
-        (grid_of(2, ((1, 2), (0, 1))), pattern_iji(2)),
+        (((2, 3), (1, 3), (0, 1)), iji_blocks(3)),
+        (((1, 2), (0, 1)), _oblique_blocks(i_generators(2))),
+        (((1, 2), (0, 1)), iji_blocks(2)),
     ]
     for base, pattern in cases:
-        assert contains_grid(base, pattern)
-        for extra in [(1, 0), (3, 2), (4, 0)]:
-            bigger = Grid(base.n, max(base.rows, extra[0]), base.points | {extra})
-            assert contains_grid(bigger, pattern), (base, extra)
+        assert grids._contains(base, pattern)
+        for row, (l, r) in enumerate(base):
+            for wider in [(l - 1, r), (l, r + 1)]:
+                bigger = base[:row] + (wider,) + base[row + 1 :]
+                assert grids._contains(bigger, pattern), (base, bigger)
 
 
 def test_is_blobbed_examples():
@@ -174,6 +199,11 @@ def test_is_blobbed_examples():
         for s in range(0, 3)
     )
     assert total == 19
+
+
+def test_is_blobbed_rejects_malformed_blocks():
+    with pytest.raises(ValueError):
+        is_blobbed(2, ((0, 1), (1, 2)))
 
 
 def test_repeated_full_obliques_force_alternation():
