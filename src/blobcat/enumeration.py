@@ -11,6 +11,7 @@ this is asserted, never floored.
 from __future__ import annotations
 
 from enum import Enum
+from operator import mul
 from typing import Iterator
 
 from .grids import is_blobbed
@@ -104,49 +105,82 @@ def _d_closed(n: int, s: int) -> int:
     return total + _exact_half(_exact_half(quarter))
 
 
+def _wings(n: int, length: int) -> tuple[list[int], list[int]]:
+    """
+    The wing sequences i_t and j_t for t < length, as (main, other): main is
+    i_t for even n and j_t for odd n.  Their prefixes of length s give d(s)
+    for every s <= length.
+    """
+    x = [i_t(n, t) for t in range(length)]
+    y = [j_t(n, t) for t in range(length)]
+    return (x, y) if n % 2 == 0 else (y, x)
+
+
+def _wing_sum(wings: tuple[list[int], list[int]], s: int) -> int:
+    """
+    d(s) from the first s wing terms, 0 <= s <= len(main):
+        sum main[k] main[s-1-k] + sum other[k] other[s-2-k]
+            - 2 sum main[k] other[s-2-k].
+    """
+    main, other = wings
+    m, o = main[:s], other[: max(s - 1, 0)]
+    total = sum(map(mul, m, reversed(m))) + sum(map(mul, o, reversed(o)))
+    return total - 2 * sum(map(mul, m, reversed(o)))
+
+
 def d_count(n: int, s: int) -> int:
     """
     Positive elements of affine length s containing a boundary pattern: none
-    at s == 0, all past s == n, else the wing sums over i_t and j_t (at s == 1
-    the square of one).  The equivalent closed form in doubled-triangle
-    entries (_d_closed) is checked against it by `verify` (oracle:d-forms).
+    at s == 0, all past s == n, else the wing sum over the first s terms of
+    i_t and j_t (at s == 1 the square of one).  `blob_polynomial` reads every
+    s from one pair of wing sequences through the same `_wing_sum`.  The
+    equivalent closed form in doubled-triangle entries (_d_closed) is checked
+    against it by `verify` (oracle:d-forms).
+
+    >>> d_count(4, 2), d_count(9, 4)
+    (148, 221004)
     """
     check_rank(n)
     if s < 0:
         raise ValueError("affine length must be non-negative")
-    if s == 0:
-        return 0
     if s > n:
         return a_count(n, s)
-    x = [i_t(n, t) for t in range(s)]
-    y = [j_t(n, t) for t in range(s)]
-    if n % 2 == 0:
-        main, other = x, y
-    else:
-        main, other = y, x
-    total = sum(main[k] * main[s - 1 - k] for k in range(s))
-    total += sum(other[k] * other[s - 2 - k] for k in range(s - 1))
-    total -= 2 * sum(main[k] * other[s - 2 - k] for k in range(s - 1))
-    return total
+    return _wing_sum(_wings(n, s), s)
 
 
-def b_count(n: int, s: int) -> int:
-    """Blobbed elements of affine length s."""
-    a = a_count(n, s)
-    d = d_count(n, s)
+def _blobbed(n: int, s: int, a: int, d: int) -> int:
     if d > a:
         raise AssertionError(f"excluded count exceeds total at (n={n}, s={s})")
     return a - d
 
 
+def b_count(n: int, s: int) -> int:
+    """Blobbed elements of affine length s."""
+    return _blobbed(n, s, a_count(n, s), d_count(n, s))
+
+
 def blob_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients (b_n^0, ..., b_n^n) of the dimension polynomial."""
+    """
+    Coefficients (b_n^0, ..., b_n^n) of the dimension polynomial, equal to
+    b_count(n, s) for each s.  The wing sequences are built once, up to
+    length n, and every d(s) is read off their prefixes: three binomial
+    rows, O(n) triangle entries and O(n^2) big-integer products in all.
+
+    >>> blob_polynomial(2)
+    (6, 10, 3)
+    """
     check_rank(n)
-    return tuple(b_count(n, s) for s in range(n + 1))
+    wings = _wings(n, n)
+    return tuple(_blobbed(n, s, a_count(n, s), _wing_sum(wings, s)) for s in range(n + 1))
 
 
 def p_dim(n: int) -> int:
-    """Dimension of the largest quotient: the value of the polynomial at 1."""
+    """
+    Dimension of the largest quotient: the value of the polynomial at 1.
+
+    >>> p_dim(3)
+    84
+    """
     return sum(blob_polynomial(n))
 
 

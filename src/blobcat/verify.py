@@ -116,6 +116,20 @@ def check_d_forms(max_n: int = 90) -> Check:
     return _check("oracle:d-forms", mismatches, len(pairs), detail)
 
 
+def check_dim_polynomial(max_n: int = 90) -> Check:
+    """blob_polynomial's one pass over the wing sequences against b_count at each s."""
+    mismatches = []
+    for n in range(1, max_n + 1):
+        got = enumeration.blob_polynomial(n)
+        want = tuple(enumeration.b_count(n, s) for s in range(n + 1))
+        if got != want:
+            diffs = (s for s, (g, w) in enumerate(zip(got, want)) if g != w)
+            s = next(diffs, min(len(got), len(want)))
+            mismatches.append(f"n={n} first differs at s={s}, length {len(got)} of {n + 1}")
+    detail = f"{max_n} polynomials, n <= {max_n}"
+    return _check("oracle:dim-polynomial", mismatches, max_n, detail)
+
+
 def check_triangle_closed_form(max_i: int = 64) -> Check:
     """
     blobbed_closed against blobbed_entry, and both kinds of entry against
@@ -267,7 +281,11 @@ def verify_tables(max_n: int = 9, d_fn=None, b_fn=None, p_fn=None) -> list[Check
 
 def verify_oracle(max_n: int | None = None) -> list[Check]:
     oracle = [check_oracle(n) for n in range(1, _cap(5, max_n) + 1)]
-    return oracle + [check_finite_part(_cap(8, max_n)), check_d_forms(_cap(90, max_n))]
+    return oracle + [
+        check_finite_part(_cap(8, max_n)),
+        check_d_forms(_cap(90, max_n)),
+        check_dim_polynomial(_cap(90, max_n)),
+    ]
 
 
 def verify_triangle(max_i: int = 64, max_ident: int = 40, max_decomp: int = 30) -> list[Check]:

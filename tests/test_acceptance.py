@@ -58,6 +58,11 @@ def test_criterion_4_oracle_vs_formula():
     accept("criterion 4 oracle vs formula", 60.0, [3, 4, 5, 6, 7], *checks)
 
 
+def test_dimension_polynomial_one_pass():
+    # blob_polynomial(n) against b_count(n, s) for every s, n = 1..90
+    accept("dimension polynomial in one pass", 10.0, [90], verify.check_dim_polynomial)
+
+
 def test_criterion_5_triangle_coherence():
     accept(
         "criterion 5 triangle coherence",

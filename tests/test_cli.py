@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from blobcat import verify
+import blobcat
+from blobcat import cli, verify
 from blobcat.cli import main
 from blobcat.triangles import blobbed_entry
 
@@ -149,6 +154,26 @@ TRIANGLE_SHA256 = {
 DIM_SHA256 = "ac369d4d2039b9cce59d57c4fa534450a97e9d8542256a0f34f69f40fdc4f1fb"
 
 
+# recorded before blob_polynomial read every d(s) off one pair of wing
+# sequences: sha256 of the stdout of `dim --n N`, and of
+# `count --n 512 --s S --which W`
+DIM_LARGE_SHA256 = {
+    128: "5bdabecaf4a14b2bb34cc38baed144f6047f11142b46b1b924c947d7444ce0c3",
+    256: "46bfb168457be645280c184c96de8410fe8729265d8f571b6e691f67fbb32c9a",
+    512: "210a15bfd6bf9c83a3e32755d097705d2e9132c4f1de0b22c2c8b89e5eef9c0a",
+}
+COUNT_512_SHA256 = {
+    ("b", 1): "6c2b02cf5ef1ac6088017bf5d224a4db4f6dcb6aa5c3cc8d57c88cfffa64cf97",
+    ("b", 128): "091cc90e4e584c231d131c110c6d4db95fd6e2c4e9a490848d9d2ea2b7904045",
+    ("b", 256): "8fffb62371e897e559a6e6753c0fad2e81e24caf96d903cba96c0ef851e48588",
+    ("b", 511): "140efbc9400a3f40ab15cab19998af12bfe68489be61dd0927e2244e369a6f14",
+    ("d", 1): "eeb174831fd5949715b7d5c9aa73aae03e49a45014eb4dfb81496e3209a1b715",
+    ("d", 128): "cf9c2cb2233c60b6340c8cfa25486b3fc7db0b079038e897668967643b47b8f9",
+    ("d", 256): "d1bbf05d1ad06dc930b8d3e5c1c93d7a0cb598434786c5f4affa80d92a2d6d3c",
+    ("d", 511): "a66672d89e346d5144d20604f8c022eb87bca7028abef454218d34728548f4c1",
+}
+
+
 @pytest.mark.parametrize("kind, fmt", sorted(TRIANGLE_SHA256))
 def test_triangle_output_is_pinned(capsys, kind, fmt):
     code, out, _ = run(
@@ -165,6 +190,60 @@ def test_dim_output_is_pinned(capsys):
         assert code == 0
         outs.append(out)
     assert hashlib.sha256("".join(outs).encode()).hexdigest() == DIM_SHA256
+
+
+@pytest.mark.parametrize("n", sorted(DIM_LARGE_SHA256))
+def test_dim_output_is_pinned_at_large_n(capsys, n):
+    code, out, _ = run(capsys, "dim", "--n", str(n))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DIM_LARGE_SHA256[n]
+
+
+@pytest.mark.parametrize("which, s", sorted(COUNT_512_SHA256))
+def test_count_output_is_pinned_at_rank_512(capsys, which, s):
+    code, out, _ = run(capsys, "count", "--n", "512", "--s", str(s), "--which", which)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == COUNT_512_SHA256[which, s]
+
+
+def fresh(*args):
+    """Run python with blobcat importable, in a new process; return its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(blobcat.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout
+
+
+def test_import_does_not_build_the_parser():
+    code = "import blobcat.cli as c; print(c._parser.cache_info().currsize)"
+    assert fresh("-c", code) == "0\n"
+
+
+@pytest.mark.parametrize(
+    "second, extra",
+    [
+        (("enumerate", "--n", "2", "--s", "1"), ("--limit", "1")),
+        (("verify", "--suite", "tables"), ("--max-n", "2")),
+    ],
+)
+def test_reused_parser_answers_as_a_fresh_process(capsys, second, extra):
+    # the same call with one more option first: nothing of it may carry over
+    run(capsys, *second, *extra)
+    code, out, _ = run(capsys, *second)
+    assert code == 0
+    assert out == fresh("-m", "blobcat.cli", *second)
+    assert cli._parser.cache_info().currsize == 1
+
+
+def test_reused_parser_survives_rejected_calls(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--n", "x", "--s", "1", "--which", "a"])
+    assert exc.value.code == 2
+    code, _, _ = run(capsys, "enumerate", "--n", "2", "--s", "1", "--limit", "-1")
+    assert code == 2
+    code, out, _ = run(capsys, "count", "--n", "9", "--s", "4", "--which", "d")
+    assert code == 0 and out == "221004\n"
 
 
 def test_grid_from_blocks_and_word(capsys):
