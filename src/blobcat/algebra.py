@@ -31,7 +31,7 @@ from itertools import product
 
 from . import enumeration
 from .grids import alternating_word, i_generators, is_blobbed, j_generators
-from .grids import oblique_bar_word, oblique_tilde_word
+from .grids import oblique_shortening_word
 from .normal_forms import (
     bar,
     block_word,
@@ -411,8 +411,11 @@ def quotient_image_check(
     """
     Check that a basis monomial of `level_from` that leaves the index set of
     `level_to` reduces there to the predicted multiple of its shortening
-    image (bar for a failed left boundary or a lost alternation, tilde for a
-    failed right boundary or a lost even-ended alternation).
+    image.  Into the two-boundary quotient the image is `bar` of a
+    non-left-positive element (times kL, or kL kR in its one flagged case)
+    or `tilde` of a left- but not right-positive one (times kR).  Into the
+    blob quotient it is `grids.oblique_shortening_word` of a non-blobbed
+    positive element: one I J alternation fewer, times k.
     """
     word = check_word(n, word)
     if not in_index_set(level_from, n, word):
@@ -432,11 +435,7 @@ def quotient_image_check(
         AlgebraLevel.TWO_BOUNDARY,
         AlgebraLevel.SYMPLECTIC_BLOB,
     ):
-        blocks = blocks_of_word(n, word)
-        try:
-            image_word = oblique_bar_word(n, blocks)
-        except ValueError:
-            image_word = oblique_tilde_word(n, blocks)
+        image_word = oblique_shortening_word(n, blocks_of_word(n, word))
         factor = K
     else:
         raise ValueError("supported steps: TL->TWO_BOUNDARY, TWO_BOUNDARY->SYMPLECTIC_BLOB")

@@ -10,7 +10,8 @@ Command-line front end.
     blobcat verify --suite tables
 
 Data goes to stdout, diagnostics to stderr.  Exit status: 0 on success, 1
-when a verification suite reports a mismatch, 2 on malformed input.
+when a verification suite reports a mismatch, 2 on malformed input, 141
+(128 + SIGPIPE) when the reader closes stdout early, as `head` does.
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import enumeration, grids, normal_forms, triangles, verify
 from .algebra import AlgebraLevel, in_index_set, reduce_word
-from .words import HeapState, format_word, heap_state, parse_word
+from .words import HeapState, check_rank, format_word, heap_state, parse_word
 
 
 def _triangle(args: argparse.Namespace) -> int:
@@ -89,15 +91,18 @@ def _enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _grid_rank(given: int | None, letters: Iterable[int]) -> int:
+    """An explicit --n is checked as given; an inferred rank is at least 1."""
+    return max([1, *letters]) if given is None else check_rank(given)
+
+
 def _grid(args: argparse.Namespace) -> int:
     if args.blocks is not None:
         blocks = normal_forms.parse_blocks(args.blocks)
-        n = args.n if args.n is not None else max((r for _, r in blocks), default=1)
-        n = max(n, 1)
+        n = _grid_rank(args.n, (r for _, r in blocks))
     else:
         word = parse_word(args.word)
-        n = args.n if args.n is not None else max(word, default=1)
-        n = max(n, 1)
+        n = _grid_rank(args.n, word)
         if not in_index_set(AlgebraLevel.TWO_BOUNDARY, n, word):
             raise ValueError(f"word {args.word!r} is not reduced and positive; it has no grid")
         blocks = normal_forms.blocks_of_word(n, word)
@@ -206,10 +211,24 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone; send what is still buffered to /dev/null so the
+        # flush at interpreter exit does not fail again
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            fd = None
+        if fd is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

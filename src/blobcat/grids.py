@@ -1,6 +1,7 @@
 """
 Lattice-point grids of positive elements, their oblique decomposition, the
-two alternating boundary patterns, blobbedness, and plain-text / SVG drawing.
+two alternating boundary patterns, blobbedness, the blob step that drops
+one alternation, and plain-text / SVG drawing.
 
 The grid of a rigid-block word <l_1,r_1>...<l_k,r_k> is the point set
 {(i, j) : 1 <= i <= k, l_i <= j <= r_i}.  Columns carry generator identity
@@ -172,40 +173,26 @@ def oblique_factorization(n: int, blocks: Blocks) -> ObliqueFactorization:
     return ObliqueFactorization(prefix, k, suffix)
 
 
-def oblique_bar_word(n: int, blocks: Blocks) -> Letters:
-    """Drop one odd/even alternation pair: prefix (IJ)^{k-1} I suffix."""
-    fact = oblique_factorization(n, blocks)
-    i_word = tuple(sorted(i_generators(n)))
-    j_word = tuple(sorted(j_generators(n)))
-    middle = (i_word + j_word) * (fact.k - 1) + i_word
-    return oblique_word(fact.prefix) + middle + oblique_word(fact.suffix)
-
-
-def oblique_tilde_word(n: int, blocks: Blocks) -> Letters:
+def oblique_shortening_word(n: int, blocks: Blocks) -> Letters:
     """
-    For an element avoiding the odd-ended pattern but containing the
-    even-ended one, contract its unique J I J run to a single J.
+    The image of a non-blobbed positive element under the blob step: its
+    oblique word without the first full odd oblique I and the full even
+    oblique J right after it.  This takes (IJ)^k I to (IJ)^{k-1} I and
+    J I J to J, whichever pattern the element holds.
+
+    >>> oblique_shortening_word(2, iji_blocks(2))
+    (1,)
+    >>> oblique_shortening_word(2, jij_blocks(2))
+    (0, 2)
     """
-    grid = grid_of(n, blocks)  # validates the blocks
-    if _contains(blocks, iji_blocks(n)):
-        raise ValueError("element contains the odd-ended pattern; use the bar form")
-    if not _contains(blocks, jij_blocks(n)):
-        raise ValueError("element avoids the even-ended alternating pattern")
-    obliques = obliques_of(grid)
-    i_set = i_generators(n)
-    j_set = j_generators(n)
-    i_positions = [p for p, ob in enumerate(obliques) if ob.generators == i_set]
-    if len(i_positions) != 1:
-        raise ValueError(f"expected a single odd oblique in {blocks}")
-    a = i_positions[0]
-    if not (
-        0 < a < len(obliques) - 1
-        and obliques[a - 1].generators == j_set
-        and obliques[a + 1].generators == j_set
-    ):
-        raise ValueError(f"odd oblique not flanked by even ones in {blocks}")
-    kept = obliques[:a] + obliques[a + 2 :]
-    return oblique_word(kept)
+    if is_blobbed(n, blocks):  # validates the blocks
+        raise ValueError(f"a blobbed element has no alternation to drop: {blocks}")
+    obliques = obliques_of(grid_of(n, blocks))
+    i_set, j_set = i_generators(n), j_generators(n)
+    a = next((p for p, ob in enumerate(obliques) if ob.generators == i_set), len(obliques))
+    if a + 1 >= len(obliques) or obliques[a + 1].generators != j_set:
+        raise ValueError(f"no full odd oblique followed by the even one in {blocks}")
+    return oblique_word(obliques[:a] + obliques[a + 2 :])
 
 
 # ---------------------------------------------------------------------------

@@ -421,47 +421,6 @@ def is_positive(n: int, nf: NormalForm) -> bool:
     return heap_state(n, word_of_normal_form(n, nf)) == HeapState.POSITIVE
 
 
-def classify_non_left_positive(n: int, nf: NormalForm) -> str | None:
-    """
-    The case tag of a non-left-positive element, or None when left-positive.
-    Mirrors the structural classification used by the bar operator.
-    """
-    if isinstance(nf, FirstType):
-        return "first_type"
-    if isinstance(nf, SecondType):
-        if nf.k == 0 and nf.prefix:
-            if nf.prefix[-1] < 0 and not nf.tail:
-                return "second_a"
-            if nf.prefix[-1] > 0 and bform_is_negative(nf.tail):
-                return "second_b"
-        return None
-    if isinstance(nf, LengthOne):
-        if nf.i < 0:
-            assert isinstance(nf.v, DescentTail)
-            return "len1_a" if nf.v.h >= 0 else "len1_b"
-        if nf.i == 0 and isinstance(nf.v, DescentTail) and nf.v.h < 0:
-            return "len1_c"
-        if nf.i > 0 and isinstance(nf.v, tuple) and bform_is_negative(nf.v):
-            return "len1_d"
-        return None
-    return "negative" if bform_is_negative(nf.form) else None
-
-
-def classify_left_not_right(n: int, nf: NormalForm) -> str | None:
-    """Case tag (a/b/c) for left-positive elements that fail right-positivity."""
-    if not isinstance(nf, LengthOne):
-        return None
-    if not is_left_positive(n, nf) or is_right_positive(n, nf):
-        return None
-    if 0 < nf.i < n and isinstance(nf.v, tuple):
-        return "a"
-    if nf.i == 0 and isinstance(nf.v, DescentTail):
-        return "b"
-    if nf.i == 0 and isinstance(nf.v, DescentZerosTail):
-        return "c"
-    return None
-
-
 # ---------------------------------------------------------------------------
 # the bar and tilde operators
 
@@ -475,77 +434,68 @@ def bar(n: int, nf: NormalForm) -> tuple[NormalForm, bool]:
     """
     The shortening operator on non-left-positive elements.  Returns the image
     together with a flag marking the single case whose monomial identity
-    carries an extra right-boundary coefficient.
+    carries an extra right-boundary coefficient.  The shapes matched below
+    are exactly the normal forms that hold s_1 s_0 s_1.
     """
-    case = classify_non_left_positive(n, nf)
-    if case is None:
-        raise ValueError(f"bar is only defined on non-left-positive elements: {nf}")
-    if case == "first_type":
-        assert isinstance(nf, FirstType)
-        if nf.f < 0:
-            return FirstType(nf.i, nf.k, -nf.f), False
-        if nf.k == 1 and nf.f == n and nf.i == n:
-            if n == 1:
-                raise ValueError("bar is undefined on the rank-1 boundary braid")
-            return SecondType((n, n - 1), 0, ()), False
-        if nf.k > 1:
-            return FirstType(nf.i, nf.k - 1, nf.f), True
-        if nf.i > 0:
-            return LengthOne(nf.i, descent_bform(n, nf.f)), True
-        return LengthOne(nf.i, DescentTail(nf.f)), True
-    if case == "second_a":
-        assert isinstance(nf, SecondType)
-        return SecondType(nf.prefix[:-1] + (-nf.prefix[-1],), 0, nf.tail), False
-    if case == "second_b":
-        assert isinstance(nf, SecondType)
-        return SecondType(nf.prefix, 0, _flip_last_bracket(nf.tail)), False
-    if case == "len1_a":
-        assert isinstance(nf, LengthOne) and isinstance(nf.v, DescentTail)
-        return LengthOne(-nf.i, descent_bform(n, nf.v.h)), False
-    if case in ("len1_b", "len1_c"):
-        assert isinstance(nf, LengthOne) and isinstance(nf.v, DescentTail)
-        return LengthOne(nf.i, DescentTail(-nf.v.h)), False
-    if case == "len1_d":
-        assert isinstance(nf, LengthOne) and isinstance(nf.v, tuple)
-        return check_normal_form(n, LengthOne(nf.i, _flip_last_bracket(nf.v))), False
-    assert case == "negative" and isinstance(nf, LengthZero)
-    return LengthZero(_flip_last_bracket(nf.form)), False
+    match nf:
+        case FirstType(i, k, f):
+            if f < 0:
+                return FirstType(i, k, -f), False
+            if k == 1 and f == n and i == n:
+                if n == 1:
+                    raise ValueError("bar is undefined on the rank-1 boundary braid")
+                return SecondType((n, n - 1), 0, ()), False
+            if k > 1:
+                return FirstType(i, k - 1, f), True
+            if i > 0:
+                return LengthOne(i, descent_bform(n, f)), True
+            return LengthOne(i, DescentTail(f)), True
+        case SecondType(prefix, 0, ()) if prefix and prefix[-1] < 0:
+            return SecondType(prefix[:-1] + (-prefix[-1],), 0, ()), False
+        case SecondType(prefix, 0, tail) if prefix and prefix[-1] > 0 and bform_is_negative(tail):
+            return SecondType(prefix, 0, _flip_last_bracket(tail)), False
+        case LengthOne(i, DescentTail(h)) if i < 0 and h >= 0:
+            return LengthOne(-i, descent_bform(n, h)), False
+        case LengthOne(i, DescentTail(h)) if i <= 0 and h < 0:
+            return LengthOne(i, DescentTail(-h)), False
+        case LengthOne(i, tuple() as v) if bform_is_negative(v):
+            return check_normal_form(n, LengthOne(i, _flip_last_bracket(v))), False
+        case LengthZero(form) if bform_is_negative(form):
+            return LengthZero(_flip_last_bracket(form)), False
+    raise ValueError(f"bar is only defined on non-left-positive elements: {nf}")
 
 
 def tilde(n: int, nf: NormalForm) -> NormalForm:
-    """The shortening operator on left-positive, non-right-positive elements."""
-    case = classify_left_not_right(n, nf)
-    if case is None:
-        raise ValueError(
-            f"tilde needs a left-positive element that fails right-positivity: {nf}"
-        )
-    assert isinstance(nf, LengthOne)
-    if case == "a":
-        v = nf.v
-        assert isinstance(v, tuple)
-        # end of the staircase prefix hugging the affine letter; a low tail
-        # bracket can satisfy l == n - j by accident and must not count
-        alpha = 0
-        while alpha < len(v) and v[alpha].l == n - (alpha + 1):
-            alpha += 1
-        l_alpha = v[alpha - 1].l
-        keep = v[alpha:]
-        if nf.i <= l_alpha:
-            head: BForm = (Bracket(nf.i, l_alpha),)
-        else:
-            head = tuple(Bracket(g, g) for g in range(nf.i, l_alpha - 1, -1))
-        return check_normal_form(n, LengthZero(head + keep))
-    if case == "b":
-        v = nf.v
-        assert isinstance(v, DescentTail)
-        if v.h > 0:
-            return LengthZero((Bracket(0, v.h),))
-        if n == 1:
-            raise ValueError("tilde is undefined on the rank-1 boundary braid")
-        return LengthZero((Bracket(0, 1), Bracket(0, 0)))
-    v = nf.v
-    assert isinstance(v, DescentZerosTail)
-    return LengthZero((Bracket(0, v.z),) + tuple(Bracket(0, r) for r in v.runs))
+    """
+    The shortening operator on left-positive, non-right-positive elements.
+    Some left- and right-positive forms share the shapes matched below, so
+    the positivity guard comes first.
+    """
+    if is_left_positive(n, nf) and not is_right_positive(n, nf):
+        match nf:
+            case LengthOne(i, tuple() as v) if 0 < i < n:
+                # end of the staircase prefix hugging the affine letter; a low
+                # tail bracket can satisfy l == n - j by accident and must not count
+                alpha = 0
+                while alpha < len(v) and v[alpha].l == n - (alpha + 1):
+                    alpha += 1
+                l_alpha = v[alpha - 1].l
+                if i <= l_alpha:
+                    head: BForm = (Bracket(i, l_alpha),)
+                else:
+                    head = tuple(Bracket(g, g) for g in range(i, l_alpha - 1, -1))
+                return check_normal_form(n, LengthZero(head + v[alpha:]))
+            case LengthOne(0, DescentTail(h)):
+                if h > 0:
+                    return LengthZero((Bracket(0, h),))
+                if n == 1:
+                    raise ValueError("tilde is undefined on the rank-1 boundary braid")
+                return LengthZero((Bracket(0, 1), Bracket(0, 0)))
+            case LengthOne(0, DescentZerosTail(z, runs)):
+                return LengthZero((Bracket(0, z),) + tuple(Bracket(0, r) for r in runs))
+    raise ValueError(
+        f"tilde needs a left-positive element that fails right-positivity: {nf}"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from functools import partial
 from math import comb
 from typing import Callable, Sequence
 
-from . import enumeration, normal_forms, tables, triangles
+from . import enumeration, grids, normal_forms, tables, triangles
 from .algebra import KL, KR, AlgebraLevel, in_index_set, quotient_image_check, reduce_word
 from .algebra import sb_basis, structure_constants
 
@@ -227,24 +227,37 @@ BOUNDARY_IDENTITIES = (
 
 
 def check_quotient_identities(max_n: int = 3) -> Check:
-    mismatches = []
-    swept = 0
+    """
+    Both shortening steps at ranks 2..3, affine lengths 0..2: TL -> 2B on
+    every non-positive element, 2B -> SB on every non-blobbed positive one
+    (rank 1 is left out: its block words are not all positive).
+    """
+    TL, TB, SB = AlgebraLevel.TL, AlgebraLevel.TWO_BOUNDARY, AlgebraLevel.SYMPLECTIC_BLOB
+    steps = []
     for n in range(2, min(max(max_n, 2), 3) + 1):
         for s in range(0, 3):
             for nf in normal_forms.fc_forms(n, s):
-                if normal_forms.is_positive(n, nf):
-                    continue
-                word = normal_forms.word_of_normal_form(n, nf)
-                swept += 1
-                if not quotient_image_check(AlgebraLevel.TL, AlgebraLevel.TWO_BOUNDARY, n, word):
-                    mismatches.append(f"n={n} {word}")
+                if not normal_forms.is_positive(n, nf):
+                    steps.append((TL, TB, n, normal_forms.word_of_normal_form(n, nf)))
+            for blocks in enumeration.iter_positive_blocks(n, s):
+                if not grids.is_blobbed(n, blocks):
+                    steps.append((TB, SB, n, normal_forms.block_word(blocks)))
+    mismatches = [
+        f"{a.name}->{b.name} n={n} {word}"
+        for a, b, n, word in steps
+        if not quotient_image_check(a, b, n, word)
+    ]
     for n, word, want in BOUNDARY_IDENTITIES:
-        got = reduce_word(AlgebraLevel.TWO_BOUNDARY, n, word)
+        got = reduce_word(TB, n, word)
         if got != want:
             mismatches.append(f"n={n} {word} -> {got}, want {want}")
     fixed = len(BOUNDARY_IDENTITIES)
-    detail = f"{swept} elements plus {fixed} boundary identities"
-    return _check("algebra:quotient-identities", mismatches, swept + fixed, detail)
+    into_tb = sum(1 for step in steps if step[1] == TB)
+    detail = (
+        f"{into_tb} TL->2B and {len(steps) - into_tb} 2B->SB elements"
+        f" plus {fixed} boundary identities"
+    )
+    return _check("algebra:quotient-identities", mismatches, len(steps) + fixed, detail)
 
 
 def check_blob_closure(max_n: int = 3) -> Check:

@@ -100,8 +100,9 @@ def test_long_words_reduce_at_rank_8():
 
 
 def test_criterion_8_quotient_identities():
-    # 114 non-positive elements, the rank-3 descent chain, the rank-1 identity
-    accept("criterion 8 quotient identities", 30.0, [116], verify.check_quotient_identities)
+    # 114 non-positive elements (TL -> 2B), 68 non-blobbed positive elements
+    # (2B -> SB), the rank-3 descent chain, the rank-1 identity
+    accept("criterion 8 quotient identities", 30.0, [184], verify.check_quotient_identities)
 
 
 def test_criterion_9_blob_closure():

@@ -1,6 +1,7 @@
 """Command-line behaviour: outputs, determinism, exit codes, fault injection."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -260,6 +261,52 @@ def test_grid_from_blocks_and_word(capsys):
 def test_grid_rejects_non_positive_word(capsys):
     code, _, err = run(capsys, "grid", "--word", "1,0,1", "--n", "2")
     assert code == 2 and "positive" in err
+
+
+@pytest.mark.parametrize("source", [("--blocks", "0:0"), ("--word", "1")])
+def test_grid_rejects_explicit_rank_zero(capsys, source):
+    code, out, err = run(capsys, "grid", *source, "--n", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_grid_inferred_rank_is_at_least_one(capsys):
+    _, inferred, _ = run(capsys, "grid", "--blocks", "0:0")
+    _, explicit, _ = run(capsys, "grid", "--blocks", "0:0", "--n", "1")
+    assert inferred == explicit
+
+
+class ClosedOnWrite(io.StringIO):
+    """A stdout whose reader has gone, seen on the first write."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class ClosedOnFlush(io.StringIO):
+    """A stdout whose reader has gone, seen only when the buffer is flushed."""
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("stdout", [ClosedOnWrite, ClosedOnFlush])
+def test_closed_stdout_exits_141_quietly(capsys, monkeypatch, stdout):
+    monkeypatch.setattr(sys, "stdout", stdout())
+    assert main(["count", "--n", "9", "--s", "4", "--which", "d"]) == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_exits_141_quietly_in_a_fresh_process():
+    # 113,665 bytes overfill the pipe, so the write fails once the reader closes
+    env = dict(os.environ, PYTHONPATH=str(Path(blobcat.__file__).parent.parent))
+    argv = [sys.executable, "-m", "blobcat.cli", "enumerate", "--n", "5", "--s", "2"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait() == 141
+    assert err == b""
 
 
 def test_malformed_input_exits_two(capsys):

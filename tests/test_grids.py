@@ -1,5 +1,6 @@
 """Grids, obliques, boundary patterns, blobbedness, and rendering."""
 
+import hashlib
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -14,9 +15,8 @@ from blobcat.grids import (
     is_blobbed,
     j_generators,
     jij_blocks,
-    oblique_bar_word,
     oblique_factorization,
-    oblique_tilde_word,
+    oblique_shortening_word,
     oblique_word,
     obliques_of,
     render,
@@ -242,12 +242,55 @@ def test_oblique_factorization_requires_pattern():
 
 def test_oblique_bar_and_tilde_words():
     # dropping one alternation from I J I leaves the single odd oblique
-    assert oblique_bar_word(2, iji_blocks(2)) == (1,)
-    assert oblique_bar_word(2, ((1, 2), (0, 2), (0, 1))) == (1, 0, 2, 1)
+    assert oblique_shortening_word(2, iji_blocks(2)) == (1,)
+    assert oblique_shortening_word(2, ((1, 2), (0, 2), (0, 1))) == (1, 0, 2, 1)
     # contracting J I J leaves the single even oblique
-    assert oblique_tilde_word(2, jij_blocks(2)) == (0, 2)
-    with pytest.raises(ValueError):
-        oblique_tilde_word(2, iji_blocks(2))
+    assert oblique_shortening_word(2, jij_blocks(2)) == (0, 2)
+    # a blobbed element has no alternation to drop
+    for blocks in ((), ((1, 1),), ((0, 2),)):
+        assert is_blobbed(2, blocks)
+        with pytest.raises(ValueError, match="blobbed"):
+            oblique_shortening_word(2, blocks)
+
+
+def _non_blobbed(ranks, lengths):
+    for n in ranks:
+        for s in lengths:
+            for blocks in enumeration.iter_positive_blocks(n, s):
+                if not is_blobbed(n, blocks):
+                    yield n, blocks
+
+
+def test_oblique_shortening_matches_the_factorization():
+    # on the odd-ended elements the image is prefix (IJ)^(k-1) I suffix, as
+    # read off the paper's factorization around the alternating run
+    odd_ended = 0
+    for n, blocks in _non_blobbed(range(1, 6), range(0, 4)):
+        if not grids._contains(blocks, iji_blocks(n)):
+            continue
+        odd_ended += 1
+        fact = oblique_factorization(n, blocks)
+        i_word, j_word = (tuple(sorted(f)) for f in (i_generators(n), j_generators(n)))
+        middle = (i_word + j_word) * (fact.k - 1) + i_word
+        want = oblique_word(fact.prefix) + middle + oblique_word(fact.suffix)
+        assert oblique_shortening_word(n, blocks) == want, (n, blocks)
+    assert odd_ended == 1724  # 8 at rank 1, 1,716 at ranks 2..5
+
+
+# sha256 over the non-blobbed positive elements at ranks 2..5, affine
+# lengths 0..3 (1,716 odd-ended, 286 even-ended), of one line per element,
+# "n blocks image", in iter_positive_blocks order.  Recorded when the
+# odd-ended and the even-ended images were two functions.
+BLOB_STEP_SHA256 = "346f225006dc1b63a25c3d543fe7d9f53cccf719c53d284017e4eea23e8bfcb7"
+
+
+def test_oblique_shortening_images_are_pinned():
+    h = hashlib.sha256()
+    elements = list(_non_blobbed(range(2, 6), range(0, 4)))
+    for n, blocks in elements:
+        h.update(f"{n} {blocks} {oblique_shortening_word(n, blocks)}\n".encode())
+    assert len(elements) == 2002
+    assert h.hexdigest() == BLOB_STEP_SHA256
 
 
 def test_render_ascii():

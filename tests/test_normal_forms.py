@@ -1,5 +1,6 @@
 """Normal forms: expansion, generation, positivity, bar/tilde, rigid blocks."""
 
+import hashlib
 import math
 import random
 
@@ -21,8 +22,6 @@ from blobcat.normal_forms import (
     blocks_of_word,
     check_blocks,
     check_normal_form,
-    classify_left_not_right,
-    classify_non_left_positive,
     fc_forms,
     format_blocks,
     is_left_positive,
@@ -227,15 +226,47 @@ def test_detector_agreement_with_containment_oracle():
                 assert is_positive(n, f) == (left and right), (n, s, f)
 
 
+def _image_or_refusal(op, n, f):
+    try:
+        return repr(op(n, f))
+    except ValueError as exc:
+        return type(exc).__name__
+
+
 def test_classification_matches_detectors():
-    for n in (2, 3):
+    # the operators' shape cases are their domains: bar refuses exactly the
+    # left-positive forms, tilde all but the left- and not right-positive ones
+    # (the rank-1 boundary braids are refused inside the domain)
+    braids = {(1, FirstType(1, 1, 1)), (1, LengthOne(0, DescentTail(0)))}
+    for n in (1, 2, 3, 4, 5):
         for s in LENGTHS:
             for f in fc_forms(n, s):
-                left = classify_non_left_positive(n, f)
-                assert (left is None) == is_left_positive(n, f), (n, s, f)
-                lnr = classify_left_not_right(n, f)
-                expected = is_left_positive(n, f) and not is_right_positive(n, f)
-                assert (lnr is not None) == expected, (n, s, f)
+                if (n, f) in braids:
+                    continue
+                left, right = is_left_positive(n, f), is_right_positive(n, f)
+                assert (_image_or_refusal(bar, n, f) == "ValueError") == left, (n, s, f)
+                refused = _image_or_refusal(tilde, n, f) == "ValueError"
+                assert refused == (not left or right), (n, s, f)
+
+
+# sha256 over fc_forms(n, s) for n = 1..5 and s = 0..3 (5,073 forms) of one
+# line per form, "n s form bar tilde", where each image is its repr or, when
+# the operator refuses the form, the name of the exception type.  Recorded
+# before bar and tilde matched the form's shape themselves.
+BAR_TILDE_SHA256 = "77efa2dd7e17954feaa417f25ddd74c81ed6ead357b3d33908c1ad64d939fba6"
+
+
+def test_bar_and_tilde_outputs_are_pinned():
+    h = hashlib.sha256()
+    count = 0
+    for n in range(1, 6):
+        for s in LENGTHS:
+            for f in fc_forms(n, s):
+                count += 1
+                bar_out, tilde_out = (_image_or_refusal(op, n, f) for op in (bar, tilde))
+                h.update(f"{n} {s} {f!r} {bar_out} {tilde_out}\n".encode())
+    assert count == 5073
+    assert h.hexdigest() == BAR_TILDE_SHA256
 
 
 def test_positivity_examples():
@@ -292,6 +323,12 @@ def test_tilde_examples():
 def test_tilde_requires_left_not_right():
     with pytest.raises(ValueError):
         tilde(2, LengthZero(()))
+
+
+def test_tilde_undefined_on_rank_one_braid():
+    # s_0 s_1 s_0 is left-positive but not right-positive at rank 1
+    with pytest.raises(ValueError, match="rank-1 boundary braid"):
+        tilde(1, LengthOne(0, DescentTail(0)))
 
 
 def test_bar_and_tilde_shrink_across_generation():
