@@ -10,7 +10,7 @@ product of generators rewrites to a single parameter monomial times a
 canonical basis word; the rules all strictly shorten the word, so
 termination is by length.  A redex is looked for in the commutation class
 of the word, walked breadth first; at each position only the rules whose
-pattern starts with that letter are tried.  Once the walk has visited as
+pattern starts with its two letters are tried.  Once the walk has visited as
 many members as the word has letters without a hit, `in_index_set` reads
 the word's heap in O(length * rank) and says exactly whether any member
 holds a rule pattern of the level; if none does, the walk stops there
@@ -228,12 +228,12 @@ def rewrite_rules(level: AlgebraLevel, n: int) -> tuple[Rule, ...]:
 
 
 @lru_cache(maxsize=None)
-def _rules_by_first_letter(level: AlgebraLevel, n: int) -> tuple[tuple[Rule, ...], ...]:
-    """For each letter 0..n, the rules whose pattern starts with it, in priority order."""
-    rules = rewrite_rules(level, n)
-    return tuple(
-        tuple(rule for rule in rules if rule.pattern[0] == letter) for letter in range(n + 1)
-    )
+def _rules_by_first_pair(level: AlgebraLevel, n: int) -> dict[Letters, tuple[Rule, ...]]:
+    """The rules keyed by the first two letters of their pattern, in priority order."""
+    index: dict[Letters, tuple[Rule, ...]] = {}
+    for rule in rewrite_rules(level, n):
+        index[rule.pattern[:2]] = index.get(rule.pattern[:2], ()) + (rule,)
+    return index
 
 
 def _find_redex(
@@ -244,27 +244,26 @@ def _find_redex(
     containing any rule pattern, with the position chosen by the strategy
     and ties between rules at one position broken by priority.
 
-    At each position only the rules starting with that letter are tried
-    (`_rules_by_first_letter`), in priority order, so the choice is the same
-    as trying every rule.  After `len(word)` members without a hit, when the
-    walk has already cost more than a heap pass, `in_index_set` is asked
-    once.  It is exact at every level, so if it says the word is a basis
-    index the class holds no redex and the search ends with None instead of
-    walking the rest of it; otherwise the walk goes on to the first redex,
-    however deep it lies.  A class past the enumeration cap before that
-    still raises ClassSizeError.
+    Every pattern has two letters or more, so one dict probe per position
+    (`_rules_by_first_pair`) finds the only rules that can match there, in
+    priority order: the choice is that of trying every rule.  After
+    `len(word)` members without a hit, when the walk has already cost more
+    than a heap pass, `in_index_set` is asked once.  It is exact at every
+    level, so if it says the word is a basis index the class holds no redex
+    and the search ends with None instead of walking the rest of it;
+    otherwise the walk goes on to the first redex, however deep it lies.  A
+    class past the enumeration cap before that still raises ClassSizeError.
     """
-    index = _rules_by_first_letter(level, n)
-    certify_after = len(word)
+    index = _rules_by_first_pair(level, n)
     for visited, member in enumerate(iter_commutation_class(n, word), 1):
-        positions = range(len(member))
+        pairs = enumerate(zip(member, member[1:]))
         if strategy == "rightmost":
-            positions = reversed(positions)
-        for pos in positions:
-            for rule in index[member[pos]]:
+            pairs = reversed(tuple(pairs))
+        for pos, pair in pairs:
+            for rule in index.get(pair, ()):
                 if member[pos : pos + len(rule.pattern)] == rule.pattern:
                     return member, pos, rule
-        if visited == certify_after and in_index_set(level, n, word):
+        if visited == len(word) and in_index_set(level, n, word):
             return None
     return None
 
@@ -294,7 +293,6 @@ def reduce_word(
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    word = check_word(n, word)
     return _reduce_canonical(level, n, canonical_word(n, word), strategy)
 
 

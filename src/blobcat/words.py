@@ -102,14 +102,13 @@ def _swap_neighbours(n: int, word: Letters) -> Iterator[Letters]:
 def iter_commutation_class(
     n: int, word: Letters, cap: int = DEFAULT_CLASS_CAP
 ) -> Iterator[Letters]:
-    """Yield the class members in BFS order from `word` (deduplicated)."""
+    """Yield the class members in BFS order from `word`, each as soon as it is found."""
     word = check_word(n, word)
     seen = {word}
     queue = deque([word])
+    yield word
     while queue:
-        current = queue.popleft()
-        yield current
-        for other in _swap_neighbours(n, current):
+        for other in _swap_neighbours(n, queue.popleft()):
             if other not in seen:
                 if len(seen) >= cap:
                     raise ClassSizeError(
@@ -117,6 +116,7 @@ def iter_commutation_class(
                     )
                 seen.add(other)
                 queue.append(other)
+                yield other
 
 
 def commutation_class(
@@ -148,18 +148,20 @@ def canonical_word(n: int, word: Letters) -> Letters:
     """
     The lexicographically least member of the commutation class: the greedy
     linear extension of the word's heap, computed without enumerating the
-    class.  Each step takes the smallest minimal letter (see `_heads`), so
-    it is O(n) per output letter, O(len(word) * n) per word.
+    class.  Each step takes the smallest minimal letter (see `_heads`).
+    Taking a moves only `heads[a]`, so no letter below a - 1 can have turned
+    minimal and the next scan starts at a - 1: O(len(word) + n) per word.
     """
     word = check_word(n, word)
     heads, following = _heads(n, word)
     out = []
-    letters = range(1, n + 2)
+    a = 1
     for _ in range(len(word)):
-        for a in letters:
+        a = a - 1 or 1
+        head = heads[a]
+        while not (head < heads[a - 1] and head < heads[a + 1]):
+            a += 1
             head = heads[a]
-            if head < heads[a - 1] and head < heads[a + 1]:
-                break
         out.append(a - 1)
         heads[a] = following[head]
     return tuple(out)

@@ -133,10 +133,13 @@ def test_reduce_examples(level, n, word, scalar, out):
     assert reduce_word(level, n, word) == (scalar, out)
 
 
-@pytest.mark.parametrize("word", [(1.0, 1), (1, "1"), (None,)])
+@pytest.mark.parametrize("word", [(1.0, 1), (1, "1"), (None,), (3,)])
 def test_reduce_rejects_non_integer_letters(word):
+    # canonical_word is the one check of rank and letters on this path
     with pytest.raises(ValueError):
         reduce_word(TL, 2, word)
+    with pytest.raises(ValueError):
+        reduce_word(TL, 0, ())
 
 
 def test_reduce_is_class_invariant():
@@ -201,12 +204,17 @@ def _redex_choice(level, n, word, strategy):
 
 
 def _assert_same_redex_choice(n, word):
+    """Compare at every level and strategy; return the patterns chosen."""
+    patterns = set()
     for level in (TL, TB, SB):
         for strategy in ("leftmost", "rightmost"):
             expected = _reference_find_redex(level, n, word, strategy)
             assert _redex_choice(level, n, word, strategy) == expected, (
                 level, n, word, strategy
             )
+            if expected is not None:
+                patterns.add(expected[2])
+    return patterns
 
 
 def test_redex_choice_matches_reference_exhaustive():
@@ -223,6 +231,43 @@ def test_redex_choice_matches_reference_random():
         for _ in range(300):
             word = tuple(rng.randint(0, n) for _ in range(rng.randint(0, 12)))
             _assert_same_redex_choice(n, word)
+    # at high rank, letters from a window of three to five (at either end or
+    # inside) keep the classes small; no letter repeats its predecessor, so
+    # the braid rules at both boundary pairs get chosen, not only the squares
+    for n in (12, 64):
+        keys = set()
+        for _ in range(300):
+            width = rng.randint(2, 4)
+            low = rng.choice((0, n - width, rng.randint(0, n - width)))
+            word = [rng.randint(low, low + width) for _ in range(rng.randint(0, 12))]
+            word = tuple(x for p, x in enumerate(word) if p == 0 or x != word[p - 1])
+            keys |= {pattern[:2] for pattern in _assert_same_redex_choice(n, word)}
+        assert {(0, 0), (0, 1), (1, 0), (n - 1, n), (n, n - 1), (n, n)} <= keys, n
+
+
+# sha256 of json.dumps(_rightmost_records()): the rightmost strategy's
+# outputs must not drift, and no benchmark or CI step runs that strategy
+RIGHTMOST_SHA256 = "aa12c1cac0338088137286b1da792d71029cd7a08a20345bc6e7b45c2b2f7d76"
+
+
+def _rightmost_records():
+    rng = random.Random(1313)
+    records = []
+    for level in AlgebraLevel:
+        for n in range(1, 9):
+            for _ in range(100):
+                word = tuple(rng.randint(0, n) for _ in range(rng.randint(0, 16)))
+                scalar, out = reduce_word(level, n, word, "rightmost")
+                records.append([level.name, n, list(word), str(scalar), list(out)])
+    return records
+
+
+def test_rightmost_reductions_are_pinned():
+    import hashlib
+    import json
+
+    blob = json.dumps(_rightmost_records())
+    assert hashlib.sha256(blob.encode()).hexdigest() == RIGHTMOST_SHA256
 
 
 def _redex_free_levels(n, word):

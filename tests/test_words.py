@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+from collections import deque
 
 import pytest
 
@@ -19,6 +20,7 @@ from blobcat.words import (
     format_word,
     heap_state,
     is_reduced_fc,
+    iter_commutation_class,
     parse_word,
     same_element,
 )
@@ -108,6 +110,53 @@ def test_commutation_class_examples():
 def test_commutation_class_cap():
     with pytest.raises(ClassSizeError):
         commutation_class(8, (0, 2, 4, 6, 8, 0, 2, 4, 6, 8), cap=10)
+    word = (1, 3, 5, 2)
+    size = len(commutation_class(6, word))
+    assert len(commutation_class(6, word, cap=size)) == size
+    with pytest.raises(ClassSizeError):
+        commutation_class(6, word, cap=size - 1)
+
+
+def _reference_iter_commutation_class(n, word):
+    """Eager BFS: each member is yielded when it leaves the queue."""
+    word = words.check_word(n, word)
+    seen = {word}
+    queue = deque([word])
+    while queue:
+        current = queue.popleft()
+        yield current
+        for other in words._swap_neighbours(n, current):
+            if other not in seen:
+                seen.add(other)
+                queue.append(other)
+
+
+def test_class_walk_order_matches_eager_bfs_exhaustive():
+    for n in (1, 2, 3):
+        for length in range(8):
+            for word in itertools.product(range(n + 1), repeat=length):
+                assert list(iter_commutation_class(n, word)) == list(
+                    _reference_iter_commutation_class(n, word)
+                ), (n, word)
+
+
+def test_class_walk_order_matches_eager_bfs_rank_eight():
+    rng = random.Random(61)
+    for _ in range(20):
+        word = tuple(rng.randint(0, 8) for _ in range(rng.randint(12, 20)))
+        lazy = list(itertools.islice(iter_commutation_class(8, word), 5_000))
+        eager = list(itertools.islice(_reference_iter_commutation_class(8, word), 5_000))
+        assert lazy == eager, word
+
+
+def test_class_walk_yields_cap_members_then_raises():
+    word = (0, 2, 4, 6, 8, 0, 2, 4, 6, 8)
+    walk = iter_commutation_class(8, word, cap=10)
+    assert list(itertools.islice(walk, 10)) == list(
+        itertools.islice(_reference_iter_commutation_class(8, word), 10)
+    )
+    with pytest.raises(ClassSizeError):
+        next(walk)
 
 
 @pytest.mark.parametrize(
@@ -211,7 +260,7 @@ def test_canonical_word_is_class_minimum_exhaustive():
     assert checked == 44_911
 
 
-def _reference_canonical_word(n, word):
+def _rescan_canonical_word(n, word):
     """Greedy rescan: the smallest letter whose first occurrence has no
     non-commuting letter before it, removed and repeated."""
     remaining = list(word)
@@ -229,7 +278,55 @@ def _reference_canonical_word(n, word):
 
 def test_canonical_word_matches_reference_greedy():
     for n, word in random_words(seed=37, count=2_000, max_n=16, max_len=60):
-        assert canonical_word(n, word) == _reference_canonical_word(n, word)
+        assert canonical_word(n, word) == _rescan_canonical_word(n, word)
+
+
+def _reference_canonical_word(n, word):
+    """The full rescan of the heads: every letter from the smallest up at
+    each step, O(len(word) * n)."""
+    word = words.check_word(n, word)
+    heads, following = words._heads(n, word)
+    out = []
+    letters = range(1, n + 2)
+    for _ in range(len(word)):
+        for a in letters:
+            head = heads[a]
+            if head < heads[a - 1] and head < heads[a + 1]:
+                break
+        out.append(a - 1)
+        heads[a] = following[head]
+    return tuple(out)
+
+
+def _drifting_words(seed, count, max_n, max_len):
+    """Words whose letters wander by -1, 0 or +1, so their heaps are deep."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        a, word = rng.randint(0, n), []
+        for _ in range(rng.randint(0, max_len)):
+            a = min(max(a + rng.randint(-1, 1), 0), n)
+            word.append(a)
+        out.append((n, tuple(word)))
+    return out
+
+
+def test_canonical_word_matches_full_rescan_exhaustive():
+    checked = 0
+    for n in (1, 2, 3, 4):
+        for length in range(8):
+            for word in itertools.product(range(n + 1), repeat=length):
+                assert canonical_word(n, word) == _reference_canonical_word(n, word)
+                checked += 1
+    assert checked == 123_036
+
+
+def test_canonical_word_matches_full_rescan_random():
+    cases = random_words(seed=47, count=60, max_n=300, max_len=500)
+    cases += _drifting_words(seed=53, count=60, max_n=300, max_len=500)
+    for n, word in cases:
+        assert canonical_word(n, word) == _reference_canonical_word(n, word), n
 
 
 def test_canonical_word_scales_to_long_words():
@@ -241,6 +338,17 @@ def test_canonical_word_scales_to_long_words():
     assert elapsed < 1.0, f"{elapsed:.2f}s for a length-2000 word at rank 50"
     assert sorted(canon) == sorted(word)
     assert same_element(50, word, canon)
+
+
+def test_canonical_word_budget_rank_2000():
+    # O(len(word) + n): the full rescan of every letter takes about a second
+    rng = random.Random(59)
+    word = tuple(rng.randint(0, 2_000) for _ in range(20_000))
+    start = time.perf_counter()
+    canon = canonical_word(2_000, word)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.25, f"{elapsed:.3f}s for a length-20000 word at rank 2000"
+    assert sorted(canon) == sorted(word)
 
 
 @pytest.mark.parametrize("word", [(2.0, 0, 1), (0, "1"), (None,)])
