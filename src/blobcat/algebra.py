@@ -8,14 +8,16 @@ parameters d, dL, dR, kL, kR, k (loop weights of the interior and the two
 boundaries, the two boundary-braid weights, and the global blob weight).  A
 product of generators rewrites to a single parameter monomial times a
 canonical basis word; the rules all strictly shorten the word, so
-termination is by length.  A redex is looked for in the commutation class
-of the word, walked breadth first; at each position only the rules whose
-pattern starts with its two letters are tried.  Once the walk has visited as
-many members as the word has letters without a hit, `in_index_set` reads
-the word's heap in O(length * rank) and says exactly whether any member
-holds a rule pattern of the level; if none does, the walk stops there
-instead of covering the class.  The surviving word indexes a basis
-monomial of the level.
+termination is by length.  Each rule scales by one monomial of coefficient
+1, so a rewrite step adds exponent vectors, and the kernel hands out one
+shared `Scalar` per monomial instead of a new one per step.  A redex is
+looked for in the commutation class of the word, walked breadth first; at
+each position only the rules whose pattern starts with its two letters are
+tried.  Once the walk has visited as many members as the word has letters
+without a hit, `in_index_set` reads the word's heap in O(length * rank) and
+says exactly whether any member holds a rule pattern of the level; if none
+does, the walk stops there instead of covering the class.  The surviving
+word indexes a basis monomial of the level.
 
 At rank 1 the two boundary pairs coincide; overlapping rules are resolved by
 fixed priority (blob rules first, then the left boundary), which keeps the
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
 from itertools import product
+from operator import add
 
 from . import enumeration
 from .grids import alternating_word, i_generators, is_blobbed, j_generators
@@ -44,6 +47,7 @@ from .normal_forms import (
 from .words import (
     HeapState,
     Letters,
+    _canonical_word,
     canonical_word,
     check_rank,
     check_word,
@@ -59,7 +63,12 @@ Exponents = tuple[int, ...]
 
 
 class Scalar:
-    """Sparse integer polynomial in the six parameters; canonical, no zeros."""
+    """
+    Sparse integer polynomial in the six parameters; canonical, no zeros.
+    Instances are immutable values: `reduce_word` hands out one shared
+    instance per monomial, the same object on every call, so a caller must
+    never mutate `terms`.
+    """
 
     __slots__ = ("terms",)
 
@@ -162,6 +171,19 @@ KL = Scalar.param("kL")
 KR = Scalar.param("kR")
 K = Scalar.param("k")
 
+# the one Scalar per monomial that `_reduce_canonical` returns, by exponents
+_MONOMIALS: dict[Exponents, Scalar] = {}
+
+
+def _shared_monomial(exps: Exponents) -> Scalar:
+    scalar = _MONOMIALS.get(exps)
+    if scalar is None:
+        scalar = _MONOMIALS[exps] = Scalar({exps: 1})
+    return scalar
+
+
+_ONE = _shared_monomial(_ZERO_EXP)
+
 
 class AlgebraLevel(IntEnum):
     TL = 0
@@ -229,9 +251,17 @@ def rewrite_rules(level: AlgebraLevel, n: int) -> tuple[Rule, ...]:
 
 @lru_cache(maxsize=None)
 def _rules_by_first_pair(level: AlgebraLevel, n: int) -> dict[Letters, tuple[Rule, ...]]:
-    """The rules keyed by the first two letters of their pattern, in priority order."""
+    """
+    The rules keyed by the first two letters of their pattern, in priority
+    order.  Each rule must scale by a monomial of coefficient 1, so that a
+    rewrite step is an addition of exponents (`_reduce_canonical`).
+    """
     index: dict[Letters, tuple[Rule, ...]] = {}
     for rule in rewrite_rules(level, n):
+        if list(rule.scalar.terms.values()) != [1]:
+            raise ValueError(
+                f"rule {rule.pattern} scales by {rule.scalar}, not by a monomial of coefficient 1"
+            )
         index[rule.pattern[:2]] = index.get(rule.pattern[:2], ()) + (rule,)
     return index
 
@@ -272,14 +302,21 @@ def _find_redex(
 def _reduce_canonical(
     level: AlgebraLevel, n: int, word: Letters, strategy: str
 ) -> tuple[Scalar, Letters]:
+    """
+    `reduce_word` on a canonical word.  Every rule scalar is a monomial of
+    coefficient 1 (`_rules_by_first_pair`), so a step adds the rule's
+    exponents to the tail's and returns the shared Scalar of the sum.
+    """
     hit = _find_redex(level, n, word, strategy)
     if hit is None:
-        return Scalar.one(), word
+        return _ONE, word
     member, pos, rule = hit
     shorter = member[:pos] + rule.replacement + member[pos + len(rule.pattern) :]
     assert len(shorter) < len(member), "rules must strictly shorten"
-    scalar, final = _reduce_canonical(level, n, canonical_word(n, shorter), strategy)
-    return rule.scalar * scalar, final
+    scalar, final = _reduce_canonical(level, n, _canonical_word(n, shorter), strategy)
+    (step,) = rule.scalar.terms
+    (tail,) = scalar.terms
+    return _shared_monomial(tuple(map(add, step, tail))), final
 
 
 def reduce_word(

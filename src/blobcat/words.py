@@ -152,7 +152,11 @@ def canonical_word(n: int, word: Letters) -> Letters:
     Taking a moves only `heads[a]`, so no letter below a - 1 can have turned
     minimal and the next scan starts at a - 1: O(len(word) + n) per word.
     """
-    word = check_word(n, word)
+    return _canonical_word(n, check_word(n, word))
+
+
+def _canonical_word(n: int, word: Letters) -> Letters:
+    """`canonical_word` without the checks, for a word known to be valid."""
     heads, following = _heads(n, word)
     out = []
     a = 1

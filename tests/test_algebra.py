@@ -112,6 +112,25 @@ def test_rule_sets_grow_along_the_quotient_chain():
     assert tl1[(0, 1, 0, 1)] == KL
 
 
+def test_rule_scalars_are_monomials_of_coefficient_one():
+    # a rewrite step adds the rule's exponents to the tail's (_reduce_canonical)
+    for level in AlgebraLevel:
+        for n in range(1, 9):
+            for rule in rewrite_rules(level, n):
+                ((exps, coeff),) = rule.scalar.terms.items()
+                assert coeff == 1 and min(exps) >= 0, (level, n, rule)
+            assert algebra._rules_by_first_pair(level, n)
+
+
+@pytest.mark.parametrize("bad", [Scalar.integer(2) * D, D + K, Scalar.zero()])
+def test_rule_index_rejects_a_scalar_that_is_not_a_unit_monomial(monkeypatch, bad):
+    rules = rewrite_rules(TL, 2)
+    broken = rules[:1] + (algebra.Rule(rules[1].pattern, rules[1].replacement, bad),) + rules[2:]
+    monkeypatch.setattr(algebra, "rewrite_rules", lambda level, n: broken)
+    with pytest.raises(ValueError, match="coefficient 1"):
+        algebra._rules_by_first_pair.__wrapped__(TL, 2)
+
+
 @pytest.mark.parametrize(
     "level,n,word,scalar,out",
     [
@@ -268,6 +287,45 @@ def test_rightmost_reductions_are_pinned():
 
     blob = json.dumps(_rightmost_records())
     assert hashlib.sha256(blob.encode()).hexdigest() == RIGHTMOST_SHA256
+
+
+def _rank_three_blob_table():
+    basis = sb_basis(3)
+    return [reduce_word(SB, 3, x + y) for x, y in itertools.product(basis, repeat=2)]
+
+
+def test_reduce_word_shares_one_scalar_per_value():
+    scalars = [scalar for scalar, _ in _rank_three_blob_table()]
+    rng = random.Random(1414)
+    for level in AlgebraLevel:
+        for n in range(1, 7):
+            for _ in range(150):
+                word = tuple(rng.randint(0, n) for _ in range(rng.randint(0, 14)))
+                for strategy in ("leftmost", "rightmost"):
+                    scalars.append(reduce_word(level, n, word, strategy)[0])
+    # the list keeps every object alive, so no id is reused
+    assert len({id(s) for s in scalars}) == len(set(scalars)) > 80
+
+
+def test_reduce_memo_bytes_per_entry():
+    import gc
+    import tracemalloc
+
+    _rank_three_blob_table()  # build the rules and the shared scalars first
+    algebra._reduce_canonical.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _rank_three_blob_table()
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    entries = algebra._reduce_canonical.cache_info().currsize
+    assert entries > 3000
+    # ~280 B an entry with shared scalars, ~630 B with a fresh Scalar per entry
+    assert grown / entries < 480, grown / entries
 
 
 def _redex_free_levels(n, word):
