@@ -33,8 +33,7 @@ from itertools import product
 from operator import add
 
 from . import enumeration
-from .grids import alternating_word, i_generators, is_blobbed, j_generators
-from .grids import oblique_shortening_word
+from .grids import i_word, is_blobbed, j_word, oblique_shortening_word
 from .normal_forms import (
     bar,
     block_word,
@@ -231,9 +230,9 @@ def rewrite_rules(level: AlgebraLevel, n: int) -> tuple[Rule, ...]:
             rules.append(Rule(pattern, replacement, scalar))
 
     if level >= AlgebraLevel.SYMPLECTIC_BLOB:
-        odd, even = i_generators(n), j_generators(n)
-        add(alternating_word(odd, even), tuple(sorted(odd)), K)
-        add(alternating_word(even, odd), tuple(sorted(even)), K)
+        odd, even = i_word(n), j_word(n)
+        add(odd + even + odd, odd, K)
+        add(even + odd + even, even, K)
     if level >= AlgebraLevel.TWO_BOUNDARY:
         add((1, 0, 1), (1,), KL)
         add((n - 1, n, n - 1), (n - 1,), KR)

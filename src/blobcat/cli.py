@@ -106,8 +106,7 @@ def _grid(args: argparse.Namespace) -> int:
         if not in_index_set(AlgebraLevel.TWO_BOUNDARY, n, word):
             raise ValueError(f"word {args.word!r} is not reduced and positive; it has no grid")
         blocks = normal_forms.blocks_of_word(n, word)
-    grid = grids.grid_of(n, blocks)
-    print(grids.render(grid, args.render))
+    print(grids.render(n, blocks, args.render))
     return 0
 
 

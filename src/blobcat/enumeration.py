@@ -208,7 +208,10 @@ def iter_positive_blocks(n: int, s: int) -> Iterator[Blocks]:
     Depth-first generation of all rigid-block forms with exactly s rows
     touching the last column, enforcing the block invariants incrementally.
     The rows touching the last column come first; below them the right ends
-    strictly decrease, so the recursion is finite.
+    strictly decrease, so the recursion is finite.  At rank 1 some lists
+    spell no positive element (0,1,0 is a boundary triple, and every list
+    but one from s = 2 on spells a word that is not reduced FC), so the
+    rank-1 counts are counts of block lists.
     """
     check_rank(n)
     if s < 0:

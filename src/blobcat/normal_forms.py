@@ -46,11 +46,6 @@ class Bracket:
             return tuple(range(self.l, self.g + 1))
         return tuple(range(-self.l, 0, -1)) + (0,) + tuple(range(1, self.g + 1))
 
-    def length(self) -> int:
-        if self.l >= 0:
-            return self.g - self.l + 1
-        return -self.l + self.g + 1
-
 
 BForm = tuple[Bracket, ...]
 
@@ -530,10 +525,6 @@ def block_word(blocks: Blocks) -> Letters:
     return tuple(out)
 
 
-def blocks_affine_length(n: int, blocks: Blocks) -> int:
-    return sum(1 for _, r in blocks if r == n)
-
-
 def parse_blocks(text: str) -> Blocks:
     """Parse the "l:r,l:r,..." encoding; empty string is the identity."""
     text = text.strip()
@@ -587,23 +578,3 @@ def positive_blocks_of(n: int, nf: NormalForm) -> Blocks:
     if heap_state(n, word) != HeapState.POSITIVE:
         raise ValueError(f"rigid blocks exist only for positive elements: {nf}")
     return blocks_of_word(n, word)
-
-
-def nf_of_positive_blocks(n: int, blocks: Blocks) -> NormalForm:
-    """The normal form spelled by a rigid-block word."""
-    check_blocks(n, blocks)
-    s = blocks_affine_length(n, blocks)
-    if s == 0:
-        return LengthZero(tuple(Bracket(l, r) for l, r in blocks))
-    if s == 1:
-        i = blocks[0][0]
-        rest = blocks[1:]
-        if i > 0:
-            return LengthOne(i, tuple(Bracket(l, r) for l, r in rest))
-        if not rest:
-            return LengthOne(0, DescentTail(n))
-        return LengthOne(0, DescentZerosTail(n, tuple(r for _, r in rest)))
-    head = [l for l, r in blocks[:s]]
-    p = sum(1 for l in head if l > 0)
-    tail = tuple(Bracket(l, r) for l, r in blocks[s:])
-    return SecondType(tuple(head[:p]), s - p, tail)

@@ -119,13 +119,6 @@ def iter_commutation_class(
                 yield other
 
 
-def commutation_class(
-    n: int, word: Letters, cap: int = DEFAULT_CLASS_CAP
-) -> frozenset[Letters]:
-    """The full set of words reachable by swaps of adjacent commuting letters."""
-    return frozenset(iter_commutation_class(n, word, cap))
-
-
 def _heads(n: int, word: Letters) -> tuple[list[int], list[int]]:
     """
     `heads[a + 1]` is the first position of letter a (`len(word)` if none;
@@ -238,84 +231,6 @@ def heap_state(n: int, word: Letters) -> HeapState:
 def is_reduced_fc(n: int, word: Letters) -> bool:
     """True iff `word` is a reduced expression of a fully commutative element."""
     return heap_state(n, word) != HeapState.NOT_REDUCED_FC
-
-
-def _reach_masks(word: Letters) -> list[int]:
-    """
-    Transitive closure of the occurrence order: bit v is set in reach[u] iff
-    the occurrence at position v sits above the one at u in every member
-    (connected by a chain of non-commuting letters, left to right).
-    """
-    length = len(word)
-    reach = [0] * length
-    for u in range(length - 1, -1, -1):
-        mask = 0
-        for v in range(u + 1, length):
-            if abs(word[u] - word[v]) <= 1:
-                mask |= (1 << v) | reach[v]
-        reach[u] = mask
-    return reach
-
-
-def _contains_rigid(
-    word: Letters, pattern: Letters, reach: list[int] | None = None
-) -> bool:
-    """
-    Containment of a pattern whose consecutive letters never commute (its
-    class is a singleton).  Such a pattern occurs contiguously in some member
-    iff matching occurrences form a chain x_1 < ... < x_k in the occurrence
-    order whose open interval holds nothing but x_2 .. x_{k-1}.
-    """
-    k = len(pattern)
-    if reach is None:
-        reach = _reach_masks(word)
-    occurrences = [
-        [p for p, letter in enumerate(word) if letter == target] for target in pattern
-    ]
-
-    def extend(chain: list[int]) -> bool:
-        t = len(chain)
-        if t == k:
-            first, last = chain[0], chain[-1]
-            inner = sum(1 << p for p in chain[1:-1])
-            between = reach[first] & sum(
-                1 << u for u in range(first + 1, last) if reach[u] >> last & 1
-            )
-            return between == inner
-        for p in occurrences[t]:
-            if chain and not reach[chain[-1]] >> p & 1:
-                continue
-            if extend(chain + [p]):
-                return True
-        return False
-
-    return extend([])
-
-
-def contains_pattern(n: int, word: Letters, pattern: Letters) -> bool:
-    """
-    True iff some reduced expression of `word` has some reduced expression of
-    `pattern` as a contiguous factor.  Both inputs must be reduced-FC.
-
-    Rigid patterns (no commuting adjacent pair, e.g. the two boundary
-    patterns) dispatch to the occurrence-order test; general patterns fall
-    back to enumerating the class.
-    """
-    word = check_word(n, word)
-    pattern = check_word(n, pattern)
-    k = len(pattern)
-    if k == 0:
-        return True
-    if k > len(word):
-        return False
-    if all(abs(pattern[t] - pattern[t + 1]) <= 1 for t in range(k - 1)):
-        return _contains_rigid(word, pattern)
-    pattern_class = commutation_class(n, pattern)
-    for member in iter_commutation_class(n, word):
-        for p in range(len(member) - k + 1):
-            if member[p : p + k] in pattern_class:
-                return True
-    return False
 
 
 def affine_length(n: int, word: Letters) -> int:

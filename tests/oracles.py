@@ -1,0 +1,191 @@
+"""
+Reference implementations that only the tests call.
+
+Each one is the slow or literal route to an answer that `blobcat` computes
+another way: containment through commutation classes and the occurrence
+order, the normal form spelled by rigid blocks, and the paper's oblique
+factorization around the alternating run, which the blob step
+`grids.oblique_shortening_word` shortcuts.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from blobcat import grids
+from blobcat.normal_forms import (
+    Blocks,
+    Bracket,
+    DescentTail,
+    DescentZerosTail,
+    LengthOne,
+    LengthZero,
+    NormalForm,
+    SecondType,
+    check_blocks,
+)
+from blobcat.words import DEFAULT_CLASS_CAP, Letters, check_word, iter_commutation_class
+
+# ---------------------------------------------------------------------------
+# commutation classes and pattern containment
+
+
+def commutation_class(
+    n: int, word: Letters, cap: int = DEFAULT_CLASS_CAP
+) -> frozenset[Letters]:
+    """The full set of words reachable by swaps of adjacent commuting letters."""
+    return frozenset(iter_commutation_class(n, word, cap))
+
+
+def reach_masks(word: Letters) -> list[int]:
+    """
+    Transitive closure of the occurrence order: bit v is set in reach[u] iff
+    the occurrence at position v sits above the one at u in every member
+    (connected by a chain of non-commuting letters, left to right).
+    """
+    length = len(word)
+    reach = [0] * length
+    for u in range(length - 1, -1, -1):
+        mask = 0
+        for v in range(u + 1, length):
+            if abs(word[u] - word[v]) <= 1:
+                mask |= (1 << v) | reach[v]
+        reach[u] = mask
+    return reach
+
+
+def contains_rigid(word: Letters, pattern: Letters, reach: list[int] | None = None) -> bool:
+    """
+    Containment of a pattern whose consecutive letters never commute (its
+    class is a singleton).  Such a pattern occurs contiguously in some member
+    iff matching occurrences form a chain x_1 < ... < x_k in the occurrence
+    order whose open interval holds nothing but x_2 .. x_{k-1}.
+    """
+    k = len(pattern)
+    if reach is None:
+        reach = reach_masks(word)
+    occurrences = [
+        [p for p, letter in enumerate(word) if letter == target] for target in pattern
+    ]
+
+    def extend(chain: list[int]) -> bool:
+        t = len(chain)
+        if t == k:
+            first, last = chain[0], chain[-1]
+            inner = sum(1 << p for p in chain[1:-1])
+            between = reach[first] & sum(
+                1 << u for u in range(first + 1, last) if reach[u] >> last & 1
+            )
+            return between == inner
+        for p in occurrences[t]:
+            if chain and not reach[chain[-1]] >> p & 1:
+                continue
+            if extend(chain + [p]):
+                return True
+        return False
+
+    return extend([])
+
+
+def contains_pattern(n: int, word: Letters, pattern: Letters) -> bool:
+    """
+    True iff some reduced expression of `word` has some reduced expression of
+    `pattern` as a contiguous factor.  Both inputs must be reduced-FC.
+
+    Rigid patterns (no commuting adjacent pair, e.g. the two boundary
+    patterns) dispatch to the occurrence-order test; general patterns fall
+    back to enumerating the class.
+    """
+    word = check_word(n, word)
+    pattern = check_word(n, pattern)
+    k = len(pattern)
+    if k == 0:
+        return True
+    if k > len(word):
+        return False
+    if all(abs(pattern[t] - pattern[t + 1]) <= 1 for t in range(k - 1)):
+        return contains_rigid(word, pattern)
+    pattern_class = commutation_class(n, pattern)
+    for member in iter_commutation_class(n, word):
+        for p in range(len(member) - k + 1):
+            if member[p : p + k] in pattern_class:
+                return True
+    return False
+
+
+# ---------------------------------------------------------------------------
+# rigid blocks
+
+
+def blocks_affine_length(n: int, blocks: Blocks) -> int:
+    return sum(1 for _, r in blocks if r == n)
+
+
+def nf_of_positive_blocks(n: int, blocks: Blocks) -> NormalForm:
+    """The normal form spelled by a rigid-block word."""
+    check_blocks(n, blocks)
+    s = blocks_affine_length(n, blocks)
+    if s == 0:
+        return LengthZero(tuple(Bracket(l, r) for l, r in blocks))
+    if s == 1:
+        i = blocks[0][0]
+        rest = blocks[1:]
+        if i > 0:
+            return LengthOne(i, tuple(Bracket(l, r) for l, r in rest))
+        if not rest:
+            return LengthOne(0, DescentTail(n))
+        return LengthOne(0, DescentZerosTail(n, tuple(r for _, r in rest)))
+    head = [l for l, r in blocks[:s]]
+    p = sum(1 for l in head if l > 0)
+    tail = tuple(Bracket(l, r) for l, r in blocks[s:])
+    return SecondType(tuple(head[:p]), s - p, tail)
+
+
+# ---------------------------------------------------------------------------
+# the oblique factorization
+
+
+@dataclass(frozen=True)
+class ObliqueFactorization:
+    """Oblique form split around the maximal alternating odd/even run."""
+
+    prefix: tuple[Letters, ...]
+    k: int
+    suffix: tuple[Letters, ...]
+
+
+def oblique_factorization(n: int, blocks: Blocks) -> ObliqueFactorization:
+    """
+    For a positive element containing the odd-ended alternating pattern,
+    split its oblique form as prefix, (IJ)^k I, suffix with k >= 1.
+    """
+    sweep = grids.obliques(n, blocks)  # validates the blocks
+    if not grids._contains(blocks, grids.iji_blocks(n)):
+        raise ValueError("element avoids the odd-ended alternating pattern")
+    i, j = grids.i_word(n), grids.j_word(n)
+    i_positions = [p for p, ob in enumerate(sweep) if ob == i]
+    first, last = i_positions[0], i_positions[-1]
+    run = sweep[first : last + 1]
+    if (last - first) % 2 != 0:
+        raise ValueError(f"malformed alternating run in {blocks}")
+    for p, ob in enumerate(run):
+        if ob != (i if p % 2 == 0 else j):
+            raise ValueError(f"alternating run broken at {blocks}")
+    k = (last - first) // 2
+    if k < 1:
+        raise ValueError(f"no repeated alternation in {blocks}")
+    prefix = sweep[:first]
+    suffix = sweep[last + 1 :]
+    # a full even-family oblique can flank the run on either side, but only
+    # directly (two adjacent sweep values cannot both carry it)
+    for p, ob in enumerate(prefix):
+        if ob == i:
+            raise ValueError(f"stray odd oblique before the run in {blocks}")
+        if ob == j and p != len(prefix) - 1:
+            raise ValueError(f"stray even oblique before the run in {blocks}")
+    for p, ob in enumerate(suffix):
+        if ob == i:
+            raise ValueError(f"stray odd oblique after the run in {blocks}")
+        if ob == j and p != 0:
+            raise ValueError(f"stray even oblique after the run in {blocks}")
+    return ObliqueFactorization(prefix, k, suffix)

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,9 @@ from pathlib import Path
 import pytest
 
 import blobcat
-from blobcat import cli, verify
+from blobcat import cli, enumeration, verify
 from blobcat.cli import main
+from blobcat.normal_forms import format_blocks
 from blobcat.triangles import blobbed_entry
 
 
@@ -258,6 +260,33 @@ def test_grid_from_blocks_and_word(capsys):
     assert out_blocks.splitlines()[1].count("*") == 2
 
 
+# sha256 of the concatenated stdout of `grid --blocks B --n N --render R` for
+# every block list of `iter_positive_blocks(n, s)`, n 1..5, s 0..3, in that
+# order (3,844 lists), recorded while the grid was still a point-set object
+GRID_SHA256 = {
+    "ascii": "aa046200b5cce352c5b5d6a3b7fd45f9a8b369a275a373801bcca4ffd7c39ce9",
+    "svg": "7affc140e0e1e161ac44a66e090d538882fbaf1dc9090b6194058752bb96f132",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(GRID_SHA256))
+def test_grid_output_is_pinned(capsys, fmt):
+    h = hashlib.sha256()
+    renders = 0
+    for n in range(1, 6):
+        for s in range(0, 4):
+            for blocks in enumeration.iter_positive_blocks(n, s):
+                text = format_blocks(blocks)
+                code, out, _ = run(
+                    capsys, "grid", "--blocks", text, "--n", str(n), "--render", fmt
+                )
+                assert code == 0, (n, blocks)
+                h.update(out.encode())
+                renders += 1
+    assert renders == 3844
+    assert h.hexdigest() == GRID_SHA256[fmt]
+
+
 def test_grid_rejects_non_positive_word(capsys):
     code, _, err = run(capsys, "grid", "--word", "1,0,1", "--n", "2")
     assert code == 2 and "positive" in err
@@ -346,8 +375,6 @@ def test_verify_rejects_max_n_below_one(capsys, argv):
 
 
 def test_verify_reports_injected_fault(capsys):
-    from blobcat import enumeration
-
     def broken(n, s):
         value = enumeration.d_count(n, s)
         return value + 1 if (n, s) == (4, 2) else value
@@ -365,3 +392,37 @@ def test_verify_exit_code_on_failure(capsys, monkeypatch):
     monkeypatch.setitem(verify.SUITES, "tables", broken_suite)
     code, out, _ = run(capsys, "verify", "--suite", "tables")
     assert code == 1 and "FAIL tables:excluded: injected" in out
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_block(heading, lang):
+    """The first ```lang block under the README section `heading`."""
+    section = README.read_text().split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_command_lines_run(capsys):
+    # each line of "Command line" exits 0, and a "# -> a and b" note names
+    # the stdout lines
+    lines = [x for x in _readme_block("Command line", "sh").splitlines() if x.strip()]
+    assert len(lines) == 7
+    notes = 0
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "blobcat", line
+        code, out, err = run(capsys, *argv[1:])
+        assert code == 0 and err == "", line
+        if "# ->" in line:
+            assert out.splitlines() == line.split("# ->", 1)[1].strip().split(" and "), line
+            notes += 1
+    assert notes == 3
+
+
+def test_readme_library_example_runs(capsys):
+    code = _readme_block("Library example", "python")
+    exec(compile(code, str(README), "exec"), {})
+    expected = [x.split("#", 1)[1].strip() for x in code.splitlines() if x.startswith("print(")]
+    assert expected == ["k^2 (1,)"]
+    assert capsys.readouterr().out.splitlines() == expected

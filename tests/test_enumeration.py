@@ -20,7 +20,9 @@ from blobcat.enumeration import (
     oracle_positive_count,
     p_dim,
 )
-from blobcat.normal_forms import check_blocks
+from blobcat.algebra import AlgebraLevel, in_index_set
+from blobcat.grids import is_blobbed
+from blobcat.normal_forms import block_word, check_blocks
 from blobcat.triangles import blobbed_entry
 
 
@@ -111,6 +113,22 @@ def test_iter_positive_blocks_valid_and_exact():
             assert len(set(blocks_list)) == len(blocks_list)
 
 
+def test_rank_one_block_lists_are_not_all_positive_elements():
+    # at rank 1 the block lists outnumber the positive elements: a_count
+    # counts block lists, and only 2, 3, 0, ... of them spell a word that
+    # is reduced, fully commutative and free of both boundary triples;
+    # the blobbed lists are exactly the blob-level basis words
+    tb, sb = AlgebraLevel.TWO_BOUNDARY, AlgebraLevel.SYMPLECTIC_BLOB
+    for s, positive in enumerate((2, 3, 0, 0, 0)):
+        blocks_list = list(iter_positive_blocks(1, s))
+        assert len(blocks_list) == a_count(1, s) == (2, 4, 4, 4, 4)[s]
+        words = [block_word(blocks) for blocks in blocks_list]
+        assert sum(in_index_set(tb, 1, word) for word in words) == positive, s
+        blobbed = [in_index_set(sb, 1, word) for word in words]
+        assert blobbed == [is_blobbed(1, blocks) for blocks in blocks_list], s
+        assert sum(blobbed) == b_count(1, s), s
+
+
 @pytest.mark.parametrize("n,s,expected", [(1, 1, 4), (2, 0, 6), (3, 2, 62)])
 def test_oracle_positive_examples(n, s, expected):
     assert oracle_positive_count(n, s) == expected
@@ -151,7 +169,7 @@ def test_excluded_counts_from_generated_words():
     # third independent leg: count pattern-containing positive elements from
     # the generated normal forms via the word-level containment oracle
     from blobcat import grids, normal_forms as nfm
-    from blobcat.words import contains_pattern
+    from oracles import contains_pattern
 
     for n in (2, 3):
         iji = nfm.block_word(grids.iji_blocks(n))

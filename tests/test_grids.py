@@ -1,4 +1,4 @@
-"""Grids, obliques, boundary patterns, blobbedness, and rendering."""
+"""Grids of rigid blocks: obliques, boundary patterns, blobbedness, rendering."""
 
 import hashlib
 import xml.etree.ElementTree as ET
@@ -7,59 +7,71 @@ import pytest
 
 from blobcat import enumeration, grids
 from blobcat.grids import (
-    Oblique,
-    alternating_word,
-    grid_of,
-    i_generators,
+    i_word,
     iji_blocks,
     is_blobbed,
-    j_generators,
+    j_word,
     jij_blocks,
-    oblique_factorization,
     oblique_shortening_word,
-    oblique_word,
-    obliques_of,
+    obliques,
     render,
 )
 from blobcat.normal_forms import block_word
 from blobcat.words import same_element
 
+from oracles import contains_pattern, oblique_factorization
+
 PAPER_BLOCKS = ((7, 8), (4, 8), (3, 7), (1, 4), (0, 1), (0, 0))
 
 
-def test_grid_of_examples():
-    grid = grid_of(8, PAPER_BLOCKS)
-    assert len(grid.points) == 19
-    assert grid.rows == 6
-    assert grid_of(3, ()).points == frozenset()
-    full = grid_of(3, ((0, 3),))
-    assert full.points == frozenset({(1, 0), (1, 1), (1, 2), (1, 3)})
+def _points(blocks):
+    # the grid as a point set: row i holds the columns l_i..r_i
+    return {(i, j) for i, (l, r) in enumerate(blocks, start=1) for j in range(l, r + 1)}
 
 
-def test_oblique_validation():
+def _oblique_word(sweep):
+    return tuple(x for ob in sweep for x in ob)
+
+
+def test_grid_examples():
+    sweep = obliques(8, PAPER_BLOCKS)
+    assert sum(len(ob) for ob in sweep) == 19
+    body = render(8, PAPER_BLOCKS, "ascii").splitlines()[1:-1]
+    assert len(body) == 6 and sum(line.count("*") for line in body) == 19
+    assert obliques(3, ()) == ()
+    # one row: each point is its own sweep value
+    assert obliques(3, ((0, 3),)) == ((0,), (1,), (2,), (3,))
     with pytest.raises(ValueError):
-        Oblique(frozenset({1, 2}))
-    assert Oblique(frozenset({0, 2, 4})).word() == (0, 2, 4)
+        obliques(2, ((0, 1), (1, 2)))
 
 
 def test_obliques_of_worked_example():
-    obliques = obliques_of(grid_of(8, PAPER_BLOCKS))
-    expected = [
-        {4},
-        {1, 3, 5, 7},
-        {0, 2, 4, 6, 8},
-        {1, 3, 5, 7},
-        {0, 4, 6, 8},
-        {7},
-    ]
-    assert [set(o.generators) for o in obliques] == expected
+    assert obliques(8, PAPER_BLOCKS) == (
+        (4,),
+        (1, 3, 5, 7),
+        (0, 2, 4, 6, 8),
+        (1, 3, 5, 7),
+        (0, 4, 6, 8),
+        (7,),
+    )
+
+
+def test_obliques_are_commuting_words_that_cover_the_grid():
+    # two points of one sweep value sit an even number of columns apart
+    for n in range(1, 6):
+        for s in range(0, 4):
+            for blocks in enumeration.iter_positive_blocks(n, s):
+                sweep = obliques(n, blocks)
+                for ob in sweep:
+                    assert all(b - a >= 2 and (b - a) % 2 == 0 for a, b in zip(ob, ob[1:]))
+                assert sorted(_oblique_word(sweep)) == sorted(j for _, j in _points(blocks))
 
 
 def test_oblique_word_is_reduced_expression():
     blocks = ((0, 2),)
-    word = oblique_word(obliques_of(grid_of(3, blocks)))
+    word = _oblique_word(obliques(3, blocks))
     assert same_element(3, word, block_word(blocks))
-    assert obliques_of(grid_of(3, ())) == ()
+    assert obliques(3, ()) == ()
 
 
 def test_oblique_words_across_small_blocks():
@@ -69,7 +81,7 @@ def test_oblique_words_across_small_blocks():
                 word = block_word(blocks)
                 if len(word) > 14:
                     continue
-                ow = oblique_word(obliques_of(grid_of(n, blocks)))
+                ow = _oblique_word(obliques(n, blocks))
                 assert same_element(n, ow, word), (n, blocks)
 
 
@@ -101,8 +113,11 @@ def test_pattern_blocks_read_from_words_match_parity_construction():
 
 
 def test_alternating_word():
-    assert alternating_word(i_generators(3), j_generators(3)) == (1, 3, 0, 2, 1, 3)
-    assert alternating_word(j_generators(1), i_generators(1)) == (0, 1, 0)
+    assert i_word(3) + j_word(3) + i_word(3) == (1, 3, 0, 2, 1, 3)
+    assert j_word(1) + i_word(1) + j_word(1) == (0, 1, 0)
+    assert i_word(8) == (1, 3, 5, 7) and j_word(8) == (0, 2, 4, 6, 8)
+    with pytest.raises(ValueError):
+        i_word(0)
 
 
 def test_boundary_pattern_blocks():
@@ -115,39 +130,38 @@ def test_boundary_pattern_blocks():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_pattern_words_match_oblique_products(n):
-    iw = tuple(sorted(i_generators(n)))
-    jw = tuple(sorted(j_generators(n)))
+    iw, jw = i_word(n), j_word(n)
     assert same_element(n, block_word(iji_blocks(n)), iw + jw + iw)
     assert same_element(n, block_word(jij_blocks(n)), jw + iw + jw)
 
 
-def _reference_contains(grid, pattern):
+def _reference_contains(rows, points, pattern_points):
     # the point-set shift test that row-by-row interval containment replaced
-    if not pattern.points:
+    if not pattern_points:
         return True
-    rows = [i for i, _ in pattern.points]
-    span = max(rows) - min(rows)
-    base = min(rows)
-    for t in range(1 - base, grid.rows - span - base + 1):
-        if all((i + t, j) in grid.points for i, j in pattern.points):
+    pattern_rows = [i for i, _ in pattern_points]
+    span = max(pattern_rows) - min(pattern_rows)
+    base = min(pattern_rows)
+    for t in range(1 - base, rows - span - base + 1):
+        if all((i + t, j) in points for i, j in pattern_points):
             return True
     return False
 
 
 def _oblique_blocks(family):
     # a single oblique: one point per row, highest generator on top
-    return tuple((g, g) for g in sorted(family, reverse=True))
+    return tuple((g, g) for g in reversed(family))
 
 
 def test_contains_matches_point_set_reference():
     cases = 0
     for n in range(1, 7):
-        patterns = [(p, grid_of(n, p)) for p in (iji_blocks(n), jij_blocks(n))]
+        patterns = [(p, _points(p)) for p in (iji_blocks(n), jij_blocks(n))]
         for s in range(0, n + 2):
             for blocks in enumeration.iter_positive_blocks(n, s):
-                grid = grid_of(n, blocks)
-                for pattern, pattern_grid in patterns:
-                    expected = _reference_contains(grid, pattern_grid)
+                points = _points(blocks)
+                for pattern, pattern_points in patterns:
+                    expected = _reference_contains(len(blocks), points, pattern_points)
                     assert grids._contains(blocks, pattern) == expected, (n, blocks)
                 cases += 1
     assert cases == 34_710
@@ -165,8 +179,8 @@ def test_contains_grid_examples():
 
 def test_contains_grid_translation():
     # the single odd oblique of the worked example sits at rows 1..4
-    assert grids._contains(PAPER_BLOCKS, _oblique_blocks(i_generators(8)))
-    assert grids._contains(PAPER_BLOCKS, _oblique_blocks(j_generators(8)))
+    assert grids._contains(PAPER_BLOCKS, _oblique_blocks(i_word(8)))
+    assert grids._contains(PAPER_BLOCKS, _oblique_blocks(j_word(8)))
     assert grids._contains(PAPER_BLOCKS, iji_blocks(8))
     assert not grids._contains(PAPER_BLOCKS, jij_blocks(8))
     # the bottom rows only fit at the last shift
@@ -179,7 +193,7 @@ def test_contains_grid_monotone_under_point_addition():
     # containment
     cases = [
         (((2, 3), (1, 3), (0, 1)), iji_blocks(3)),
-        (((1, 2), (0, 1)), _oblique_blocks(i_generators(2))),
+        (((1, 2), (0, 1)), _oblique_blocks(i_word(2))),
         (((1, 2), (0, 1)), iji_blocks(2)),
     ]
     for base, pattern in cases:
@@ -211,15 +225,12 @@ def test_repeated_full_obliques_force_alternation():
     for n in (2, 3, 4):
         for s in range(0, n + 2):
             for blocks in enumeration.iter_positive_blocks(n, s):
-                obliques = obliques_of(grid_of(n, blocks))
-                for family in (i_generators(n), j_generators(n)):
-                    positions = [
-                        p for p, o in enumerate(obliques) if o.generators == family
-                    ]
-                    other = j_generators(n) if family == i_generators(n) else i_generators(n)
+                sweep = obliques(n, blocks)
+                for family, other in ((i_word(n), j_word(n)), (j_word(n), i_word(n))):
+                    positions = [p for p, ob in enumerate(sweep) if ob == family]
                     for a, b in zip(positions, positions[1:]):
                         assert b - a == 2, (n, blocks)
-                        assert obliques[a + 1].generators == other, (n, blocks)
+                        assert sweep[a + 1] == other, (n, blocks)
 
 
 def test_oblique_factorization_examples():
@@ -228,9 +239,9 @@ def test_oblique_factorization_examples():
     fact = oblique_factorization(2, ((1, 2), (0, 2), (0, 1)))  # five alternations
     assert (fact.prefix, fact.k, fact.suffix) == ((), 2, ())
     fact = oblique_factorization(8, PAPER_BLOCKS)
-    assert [set(o.generators) for o in fact.prefix] == [{4}]
+    assert fact.prefix == ((4,),)
     assert fact.k == 1
-    assert [set(o.generators) for o in fact.suffix] == [{0, 4, 6, 8}, {7}]
+    assert fact.suffix == ((0, 4, 6, 8), (7,))
 
 
 def test_oblique_factorization_requires_pattern():
@@ -270,9 +281,8 @@ def test_oblique_shortening_matches_the_factorization():
             continue
         odd_ended += 1
         fact = oblique_factorization(n, blocks)
-        i_word, j_word = (tuple(sorted(f)) for f in (i_generators(n), j_generators(n)))
-        middle = (i_word + j_word) * (fact.k - 1) + i_word
-        want = oblique_word(fact.prefix) + middle + oblique_word(fact.suffix)
+        middle = (i_word(n) + j_word(n)) * (fact.k - 1) + i_word(n)
+        want = _oblique_word(fact.prefix) + middle + _oblique_word(fact.suffix)
         assert oblique_shortening_word(n, blocks) == want, (n, blocks)
     assert odd_ended == 1724  # 8 at rank 1, 1,716 at ranks 2..5
 
@@ -294,18 +304,20 @@ def test_oblique_shortening_images_are_pinned():
 
 
 def test_render_ascii():
-    empty = render(grid_of(2, ()), "ascii")
+    empty = render(2, (), "ascii")
     lines = empty.splitlines()
     assert len(lines) == 2 and set(lines[0]) == {"+", "-"}
-    two_dots = render(grid_of(1, ((0, 1),)), "ascii")
+    two_dots = render(1, ((0, 1),), "ascii")
     body = two_dots.splitlines()[1]
     assert body.count("*") == 2
     with pytest.raises(ValueError):
-        render(grid_of(1, ()), "png")
+        render(1, (), "png")
+    with pytest.raises(ValueError):
+        render(2, ((0, 1), (1, 2)), "ascii")
 
 
 def test_render_svg_well_formed():
-    svg = render(grid_of(8, PAPER_BLOCKS), "svg")
+    svg = render(8, PAPER_BLOCKS, "svg")
     root = ET.fromstring(svg)
     assert root.tag.endswith("svg")
     circles = [el for el in root if el.tag.endswith("circle")]
@@ -314,16 +326,14 @@ def test_render_svg_well_formed():
 
 
 def test_render_deterministic():
-    a = render(grid_of(8, PAPER_BLOCKS), "svg")
-    b = render(grid_of(8, PAPER_BLOCKS), "svg")
+    a = render(8, PAPER_BLOCKS, "svg")
+    b = render(8, PAPER_BLOCKS, "svg")
     assert a == b
 
 
 def test_blobbed_matches_word_level_avoidance():
     # grid detection agrees with the generic containment oracle on the two
     # alternating pattern words
-    from blobcat.words import contains_pattern
-
     for n in (1, 2, 3):
         iji = block_word(iji_blocks(n))
         jij = block_word(jij_blocks(n))

@@ -18,7 +18,6 @@ from blobcat.normal_forms import (
     SecondType,
     bar,
     block_word,
-    blocks_affine_length,
     blocks_of_word,
     check_blocks,
     check_normal_form,
@@ -27,14 +26,15 @@ from blobcat.normal_forms import (
     is_left_positive,
     is_positive,
     is_right_positive,
-    nf_of_positive_blocks,
     normal_form_of_word,
     parse_blocks,
     positive_blocks_of,
     tilde,
     word_of_normal_form,
 )
-from blobcat.words import affine_length, canonical_word, contains_pattern, is_reduced_fc
+from blobcat.words import affine_length, canonical_word, is_reduced_fc
+
+from oracles import blocks_affine_length, contains_pattern, nf_of_positive_blocks
 
 RANKS = (1, 2, 3)
 LENGTHS = (0, 1, 2, 3)

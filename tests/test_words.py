@@ -14,9 +14,7 @@ from blobcat.words import (
     affine_length,
     braid_order,
     canonical_word,
-    commutation_class,
     commutes,
-    contains_pattern,
     format_word,
     heap_state,
     is_reduced_fc,
@@ -24,6 +22,8 @@ from blobcat.words import (
     parse_word,
     same_element,
 )
+
+from oracles import commutation_class, contains_pattern, contains_rigid, reach_masks
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +176,10 @@ def test_is_reduced_fc(n, word, expected):
 
 def _reference_is_reduced_fc(n, word):
     """The reach-mask test: each forbidden factor matched as a rigid chain."""
-    reach = words._reach_masks(word)
+    reach = reach_masks(word)
     present = set(word)
     for a in present:
-        if word.count(a) >= 2 and words._contains_rigid(word, (a, a), reach):
+        if word.count(a) >= 2 and contains_rigid(word, (a, a), reach):
             return False
     for a in range(n):
         b = a + 1
@@ -190,7 +190,7 @@ def _reference_is_reduced_fc(n, word):
         else:
             candidates = ((a, b, a, b), (b, a, b, a))
         for pattern in candidates:
-            if words._contains_rigid(word, pattern, reach):
+            if contains_rigid(word, pattern, reach):
                 return False
     return True
 
@@ -199,7 +199,7 @@ def _reference_heap_state(n, word):
     if not _reference_is_reduced_fc(n, word):
         return HeapState.NOT_REDUCED_FC
     for pattern in ((1, 0, 1), (n - 1, n, n - 1)):
-        if words._contains_rigid(word, pattern):
+        if contains_rigid(word, pattern):
             return HeapState.BOUNDARY_TRIPLE
     return HeapState.POSITIVE
 
