@@ -63,7 +63,7 @@ def _enumerate(args: argparse.Namespace) -> int:
     for nf in normal_forms.fc_forms(args.n, args.s):
         if len(elements) == args.limit:
             break
-        word = normal_forms.word_of_normal_form(args.n, nf)
+        word = normal_forms._word_of_normal_form(args.n, nf)
         positive = heap_state(args.n, word) == HeapState.POSITIVE
         blocks = normal_forms.blocks_of_word(args.n, word) if positive else None
         blobbed = grids.is_blobbed(args.n, blocks) if positive else None

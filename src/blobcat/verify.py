@@ -97,7 +97,8 @@ def check_finite_part(max_n: int = 8) -> Check:
         want = (n + 2) * comb(2 * n, n) // (n + 1) - 1
         if len(forms) != want:
             mismatches.append(f"total n={n} got {len(forms)} want {want}")
-        positive = sum(1 for f in forms if normal_forms.is_positive(n, f))
+        spelled = (normal_forms._word_of_normal_form(n, f) for f in forms)
+        positive = sum(1 for word in spelled if in_index_set(AlgebraLevel.TWO_BOUNDARY, n, word))
         if positive != comb(2 * n, n):
             mismatches.append(f"positive n={n} got {positive} want {comb(2 * n, n)}")
     detail = f"totals and positive counts for n <= {max_n}"
@@ -237,8 +238,9 @@ def check_quotient_identities(max_n: int = 3) -> Check:
     for n in range(2, min(max(max_n, 2), 3) + 1):
         for s in range(0, 3):
             for nf in normal_forms.fc_forms(n, s):
-                if not normal_forms.is_positive(n, nf):
-                    steps.append((TL, TB, n, normal_forms.word_of_normal_form(n, nf)))
+                word = normal_forms._word_of_normal_form(n, nf)
+                if not in_index_set(TB, n, word):
+                    steps.append((TL, TB, n, word))
             for blocks in enumeration.iter_positive_blocks(n, s):
                 if not grids.is_blobbed(n, blocks):
                     steps.append((TB, SB, n, normal_forms.block_word(blocks)))

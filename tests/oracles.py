@@ -3,14 +3,16 @@ Reference implementations that only the tests call.
 
 Each one is the slow or literal route to an answer that `blobcat` computes
 another way: containment through commutation classes and the occurrence
-order, the normal form spelled by rigid blocks, and the paper's oblique
-factorization around the alternating run, which the blob step
+order, the normal form looked up among all generated forms by canonical
+word and spelled by rigid blocks, and the paper's oblique factorization
+around the alternating run, which the blob step
 `grids.oblique_shortening_word` shortcuts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from blobcat import grids
 from blobcat.normal_forms import (
@@ -22,9 +24,20 @@ from blobcat.normal_forms import (
     LengthZero,
     NormalForm,
     SecondType,
+    _word_of_normal_form,
     check_blocks,
+    fc_forms,
 )
-from blobcat.words import DEFAULT_CLASS_CAP, Letters, check_word, iter_commutation_class
+from blobcat.words import (
+    DEFAULT_CLASS_CAP,
+    HeapState,
+    Letters,
+    affine_length,
+    canonical_word,
+    check_word,
+    heap_state,
+    iter_commutation_class,
+)
 
 # ---------------------------------------------------------------------------
 # commutation classes and pattern containment
@@ -111,6 +124,33 @@ def contains_pattern(n: int, word: Letters, pattern: Letters) -> bool:
             if member[p : p + k] in pattern_class:
                 return True
     return False
+
+
+def grown_fc_word(rng, n: int, length: int, word: Letters = ()) -> Letters:
+    """A reduced FC word grown from `word` by up to `length` random letters at either end."""
+    for _ in range(length):
+        x = rng.randint(0, n)
+        grown = word + (x,) if rng.random() < 0.5 else (x,) + word
+        if heap_state(n, grown) != HeapState.NOT_REDUCED_FC:
+            word = grown
+    return word
+
+
+# ---------------------------------------------------------------------------
+# normal forms by lookup
+
+
+@lru_cache(maxsize=None)
+def _forms_by_canonical_word(n: int, s: int) -> dict[Letters, NormalForm]:
+    return {canonical_word(n, _word_of_normal_form(n, nf)): nf for nf in fc_forms(n, s)}
+
+
+def normal_form_by_lookup(n: int, word: Letters) -> NormalForm:
+    """The generated form whose word has the canonical word of `word`."""
+    nf = _forms_by_canonical_word(n, affine_length(n, word)).get(canonical_word(n, word))
+    if nf is None:
+        raise ValueError(f"no normal form matches {word} (is it reduced and FC?)")
+    return nf
 
 
 # ---------------------------------------------------------------------------

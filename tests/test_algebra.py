@@ -27,7 +27,7 @@ from blobcat.algebra import (
 )
 from blobcat.words import ClassSizeError, canonical_word, iter_commutation_class
 
-from oracles import commutation_class
+from oracles import commutation_class, grown_fc_word
 
 TL = AlgebraLevel.TL
 TB = AlgebraLevel.TWO_BOUNDARY
@@ -511,6 +511,20 @@ def test_quotient_sweep_small():
                     assert quotient_image_check(TB, SB, n, word), (n, blocks)
 
 
+def test_quotient_image_at_higher_ranks():
+    # TL -> 2B on seeded non-positive FC words at ranks 6-16, grown around a
+    # boundary triple; the image comes from the normal form read off the heap
+    rng = random.Random(83)
+    checked = 0
+    for n in range(6, 17):
+        for _ in range(10):
+            triple = rng.choice([(1, 0, 1), (n - 1, n, n - 1)])
+            word = grown_fc_word(rng, n, rng.randint(0, 3 * n), triple)
+            assert quotient_image_check(TL, TB, n, word), (n, word)
+            checked += 1
+    assert checked == 110
+
+
 # ---------------------------------------------------------------------------
 # structure constants
 
@@ -607,7 +621,7 @@ def test_rank_one_associativity_exhaustive():
 @pytest.mark.xfail(
     strict=True,
     reason="at rank 1 the two-boundary relations overlap on (0,1,0,1) and the "
-    "strategies pick kL or kR there; the semantics is open (ROADMAP item 3)",
+    "strategies pick kL or kR there; the semantics is open (ROADMAP item 7)",
 )
 @pytest.mark.parametrize("word", [(0, 1, 0, 1), (1, 0, 1, 0, 0)])
 def test_rank_one_two_boundary_strategies_agree(word):

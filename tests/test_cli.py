@@ -146,6 +146,28 @@ def test_enumerate_output_is_pinned(capsys, n, s):
     assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_SHA256[n, s]
 
 
+# sha256 of the stdouts of `enumerate --n N --s S [filter]` for n = 1..6 and
+# s = 0..4, concatenated in that order; recorded before normal forms were
+# read off the heap
+ENUMERATE_SWEEP_SHA256 = {
+    "": "dea22e950c2c620567ce23f9987c82482e22a62bd4d3f42089645a33f6dc51ef",
+    "--positive": "d53c82e4e159c1983365eac30161a4b5bf09f0727d58cdcd0545727b268a268f",
+    "--blobbed": "017a57f0233ef2fdd1aca0847b74b29080747bb6a82f00e15f7295bb9d3338d2",
+}
+
+
+@pytest.mark.parametrize("selector", sorted(ENUMERATE_SWEEP_SHA256))
+def test_enumerate_sweep_is_pinned(capsys, selector):
+    h = hashlib.sha256()
+    for n in range(1, 7):
+        for s in range(5):
+            argv = ["enumerate", "--n", str(n), "--s", str(s)] + ([selector] if selector else [])
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            h.update(out.encode())
+    assert h.hexdigest() == ENUMERATE_SWEEP_SHA256[selector]
+
+
 # the count outputs, recorded before the triangles were read off binomial rows
 TRIANGLE_SHA256 = {
     ("blobbed", "csv"): "d9502f965eca81b0bef4201bc2d3a10e9a7378e4c872ca9ac5b6738a91b62ed9",

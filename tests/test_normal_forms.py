@@ -1,6 +1,7 @@
 """Normal forms: expansion, generation, positivity, bar/tilde, rigid blocks."""
 
 import hashlib
+import itertools
 import math
 import random
 
@@ -23,6 +24,7 @@ from blobcat.normal_forms import (
     check_normal_form,
     fc_forms,
     format_blocks,
+    iter_bforms,
     is_left_positive,
     is_positive,
     is_right_positive,
@@ -34,7 +36,14 @@ from blobcat.normal_forms import (
 )
 from blobcat.words import affine_length, canonical_word, is_reduced_fc
 
-from oracles import blocks_affine_length, contains_pattern, nf_of_positive_blocks
+from oracles import (
+    blocks_affine_length,
+    commutation_class,
+    contains_pattern,
+    grown_fc_word,
+    nf_of_positive_blocks,
+    normal_form_by_lookup,
+)
 
 RANKS = (1, 2, 3)
 LENGTHS = (0, 1, 2, 3)
@@ -62,7 +71,11 @@ def test_word_of_first_type():
 
 
 def test_word_of_second_type():
-    assert word_of_normal_form(2, SecondType((), 1, ())) == (0, 1, 2)
+    # SecondType((), 1, ()) spells the word of LengthOne(0, DescentTail(2)),
+    # the element's generated form, so only the unchecked spelling takes it
+    assert nfm._word_of_normal_form(2, SecondType((), 1, ())) == (0, 1, 2)
+    with pytest.raises(ValueError):
+        word_of_normal_form(2, SecondType((), 1, ()))
     assert word_of_normal_form(2, SecondType((2, 1), 0, ())) == (2, 1, 2)
     assert word_of_normal_form(
         3, SecondType((2,), 1, (Bracket(0, 0),))
@@ -88,6 +101,46 @@ def test_invalid_forms_rejected():
         check_normal_form(3, LengthZero((Bracket(2, 1),)))
     with pytest.raises(ValueError):
         check_normal_form(3, LengthZero((Bracket(1, 2), Bracket(1, 1))))
+
+
+def _candidate_forms(n):
+    """
+    Forms of every shape whose parameters run one step past their ranges:
+    i, f and prefix entries in -n-1..n+1, k <= 3, tails from `iter_bforms`,
+    descent tails over the same span and zero runs over every subset of 0..n.
+    """
+    span = range(-n - 1, n + 2)
+    ks = range(4)
+    bforms = tuple(iter_bforms(n))
+    yield from (LengthZero(form) for form in bforms)
+    for i, k, f in itertools.product(span, ks, span):
+        yield FirstType(i, k, f)
+    for p in range(n + 1):
+        for prefix, k, tail in itertools.product(itertools.product(span, repeat=p), ks, bforms):
+            yield SecondType(prefix, k, tail)
+    runs = [c for m in range(n + 2) for c in itertools.combinations(range(n, -1, -1), m)]
+    tails = bforms + tuple(DescentTail(h) for h in span)
+    tails += tuple(DescentZerosTail(z, r) for z in span for r in runs)
+    for i, v in itertools.product(span, tails):
+        yield LengthOne(i, v)
+
+
+def _accepts(n, nf):
+    try:
+        check_normal_form(n, nf)
+    except ValueError:
+        return False
+    return True
+
+
+def test_check_normal_form_accepts_exactly_the_generated_forms():
+    candidates = 0
+    for n in (1, 2, 3):
+        generated = set().union(*(fc_forms(n, s) for s in range(n + 4)))
+        for nf in _candidate_forms(n):
+            candidates += 1
+            assert _accepts(n, nf) == (nf in generated), (n, nf)
+    assert candidates == 83_235
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +220,17 @@ def test_generation_and_shortening_use_no_oracle(monkeypatch):
     fc_forms.cache_clear()
     assert [len(fc_forms(5, s)) for s in LENGTHS] == [293, 1092, 1086, 1137]
 
-    monkeypatch.setattr(nfm, "normal_form_of_word", refuse)
-    for n in (2, 3):
-        for s in LENGTHS:
-            for f in fc_forms(n, s):
-                if not is_left_positive(n, f):
-                    bar(n, f)
-                elif not is_right_positive(n, f):
-                    tilde(n, f)
+    # the shortening path, with the checks that read normal forms off the
+    # heap, builds no whole FC set and walks no commutation class
+    forms = [(n, f) for n in (2, 3) for s in LENGTHS for f in fc_forms(n, s)]
+    monkeypatch.setattr(nfm, "fc_forms", refuse)
+    monkeypatch.setattr(words, "iter_commutation_class", refuse)
+    for n, f in forms:
+        check_normal_form(n, f)
+        if not is_left_positive(n, f):
+            bar(n, f)
+        elif not is_right_positive(n, f):
+            tilde(n, f)
 
 
 def test_rank_one_census():
@@ -198,11 +254,58 @@ def test_normal_form_of_word_round_trip():
 
 def test_normal_form_of_word_from_scrambled_class_members():
     rng = random.Random(29)
-    for n in (1, 2, 3, 4):
-        for s in (0, 1, 2):
+    checked = 0
+    for n in range(1, 7):
+        for s in range(5):
             for f in fc_forms(n, s):
-                word = _scrambled(rng, word_of_normal_form(n, f))
-                assert normal_form_of_word(n, word) == f, (n, s, word)
+                word = _scrambled(rng, nfm._word_of_normal_form(n, f))
+                got = normal_form_of_word(n, word)
+                assert got == normal_form_by_lookup(n, word) == f, (n, s, word)
+                checked += 1
+    assert checked == 24_049
+
+
+def test_normal_word_is_class_maximum_exhaustive():
+    checked = 0
+    for n in (1, 2, 3, 4):
+        for length in range(8):
+            for word in itertools.product(range(n + 1), repeat=length):
+                if is_reduced_fc(n, word):
+                    assert nfm._normal_word(n, word) == max(commutation_class(n, word))
+                    checked += 1
+    assert checked == 3_466
+
+
+def _seed_forms(rng, n):
+    """The identity and one random generated form of each rigid or descent shape."""
+    i, f, h = (rng.randint(1 - n, n) for _ in range(3))
+    z = rng.randint(2, n)
+    runs = tuple(sorted(rng.sample(range(z), rng.randint(1, z)), reverse=True))
+    return (
+        LengthZero(()),
+        FirstType(i, rng.randint(1, 3), f),
+        LengthOne(rng.randint(1 - n, 0), DescentTail(h)),
+        LengthOne(0, DescentZerosTail(z, runs)),
+    )
+
+
+def test_normal_form_of_word_at_high_rank():
+    # seeded FC words at ranks 8-64, grown from the seed forms; each read
+    # form passes the round trip and spells a word of the input's element
+    rng = random.Random(71)
+    shapes = set()
+    for n in (8, 12, 16, 32, 64):
+        for _ in range(10):
+            for seed in _seed_forms(rng, n):
+                start = nfm._word_of_normal_form(n, seed)
+                word = grown_fc_word(rng, n, rng.randint(0, 3 * n), start)
+                nf = normal_form_of_word(n, _scrambled(rng, word))
+                assert check_normal_form(n, nf) == nf
+                assert canonical_word(n, word_of_normal_form(n, nf)) == canonical_word(n, word)
+                shapes.add(type(nf.v).__name__ if isinstance(nf, LengthOne) else type(nf).__name__)
+    assert shapes == {
+        "LengthZero", "FirstType", "SecondType", "tuple", "DescentTail", "DescentZerosTail"
+    }
 
 
 def test_normal_form_of_word_rejects_non_fc():
