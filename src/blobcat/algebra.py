@@ -38,7 +38,6 @@ from .normal_forms import (
     bar,
     block_word,
     blocks_of_word,
-    is_left_positive,
     normal_form_of_word,
     tilde,
     word_of_normal_form,
@@ -447,9 +446,10 @@ def quotient_image_check(
     `level_to` reduces there to the predicted multiple of its shortening
     image.  Into the two-boundary quotient the image is `bar` of a
     non-left-positive element (times kL, or kL kR in its one flagged case)
-    or `tilde` of a left- but not right-positive one (times kR).  Into the
-    blob quotient it is `grids.oblique_shortening_word` of a non-blobbed
-    positive element: one I J alternation fewer, times k.
+    or `tilde` of a left- but not right-positive one (times kR), as the
+    word's `heap_state` says.  Into the blob quotient it is
+    `grids.oblique_shortening_word` of a non-blobbed positive element: one
+    I J alternation fewer, times k.
     """
     word = check_word(n, word)
     if not in_index_set(level_from, n, word):
@@ -458,7 +458,7 @@ def quotient_image_check(
         raise ValueError(f"{word} stays a basis word at level {level_to.name}")
     if (level_from, level_to) == (AlgebraLevel.TL, AlgebraLevel.TWO_BOUNDARY):
         nf = normal_form_of_word(n, word)
-        if not is_left_positive(n, nf):
+        if heap_state(n, word) == HeapState.LEFT_TRIPLE:
             image, needs_kr = bar(n, nf)
             factor = KL * KR if needs_kr else KL
         else:

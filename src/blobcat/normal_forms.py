@@ -13,10 +13,10 @@ Elements of positive affine length append descending/ascending runs through
 the last generator; the four dataclasses below tag the shapes.  Positive
 elements additionally carry the rigid-block form <l_1,r_1>...<l_k,r_k>.
 
-The rank n == 1 case is degenerate (the two boundary patterns coincide):
-its group is dihedral of order 8, so generation lists its one element of
-affine length 2 directly, and the bar/tilde operators refuse the two
-self-fixed elements.
+The rank n == 1 case is degenerate (both end pairs are {0, 1}): its group
+is dihedral of order 8, so generation lists its one element of affine
+length 2 directly, and the bar/tilde operators refuse the two self-fixed
+elements.
 
 Reading a normal form off a word: each generated form spells the
 lexicographically greatest member of its commutation class.  By Anisimov and
@@ -375,31 +375,12 @@ def normal_form_of_word(n: int, word: Letters) -> NormalForm:
 
 
 # ---------------------------------------------------------------------------
-# positivity
-
-
-def _has_factor(word: Letters, factor: Letters) -> bool:
-    k = len(factor)
-    return any(word[p : p + k] == factor for p in range(len(word) - k + 1))
-
-
-def is_left_positive(n: int, nf: NormalForm) -> bool:
-    """The left boundary pattern s_1 s_0 s_1 is absent from the normal form."""
-    return not _has_factor(word_of_normal_form(n, nf), (1, 0, 1))
-
-
-def is_right_positive(n: int, nf: NormalForm) -> bool:
-    """The right boundary pattern s_{n-1} s_n s_{n-1} is absent."""
-    return not _has_factor(word_of_normal_form(n, nf), (n - 1, n, n - 1))
+# positivity and the bar and tilde operators
 
 
 def is_positive(n: int, nf: NormalForm) -> bool:
     """No boundary triple in the heap of the normal form (`words.heap_state`)."""
     return heap_state(n, word_of_normal_form(n, nf)) == HeapState.POSITIVE
-
-
-# ---------------------------------------------------------------------------
-# the bar and tilde operators
 
 
 def _flip_last_bracket(form: BForm) -> BForm:
@@ -409,46 +390,47 @@ def _flip_last_bracket(form: BForm) -> BForm:
 
 def bar(n: int, nf: NormalForm) -> tuple[NormalForm, bool]:
     """
-    The shortening operator on non-left-positive elements.  Returns the image
-    together with a flag marking the single case whose monomial identity
-    carries an extra right-boundary coefficient.  The shapes matched below
-    are exactly the normal forms that hold s_1 s_0 s_1.
+    The shortening operator on non-left-positive elements (`heap_state`
+    LEFT_TRIPLE; elsewhere ValueError).  Returns the image together with a
+    flag marking the single case whose monomial identity carries an extra
+    right-boundary coefficient.  The shapes below cover the domain.
     """
-    match nf:
-        case FirstType(i, k, f):
-            if f < 0:
-                return FirstType(i, k, -f), False
-            if k == 1 and f == n and i == n:
-                if n == 1:
-                    raise ValueError("bar is undefined on the rank-1 boundary braid")
-                return SecondType((n, n - 1), 0, ()), False
-            if k > 1:
-                return FirstType(i, k - 1, f), True
-            if i > 0:
-                return LengthOne(i, descent_bform(n, f)), True
-            return LengthOne(i, DescentTail(f)), True
-        case SecondType(prefix, 0, ()) if prefix and prefix[-1] < 0:
-            return SecondType(prefix[:-1] + (-prefix[-1],), 0, ()), False
-        case SecondType(prefix, 0, tail) if prefix and prefix[-1] > 0 and bform_is_negative(tail):
-            return SecondType(prefix, 0, _flip_last_bracket(tail)), False
-        case LengthOne(i, DescentTail(h)) if i < 0 and h >= 0:
-            return LengthOne(-i, descent_bform(n, h)), False
-        case LengthOne(i, DescentTail(h)) if i <= 0 and h < 0:
-            return LengthOne(i, DescentTail(-h)), False
-        case LengthOne(i, tuple() as v) if bform_is_negative(v):
-            return check_normal_form(n, LengthOne(i, _flip_last_bracket(v))), False
-        case LengthZero(form) if bform_is_negative(form):
-            return LengthZero(_flip_last_bracket(form)), False
+    if heap_state(n, word_of_normal_form(n, nf)) == HeapState.LEFT_TRIPLE:
+        match nf:
+            case FirstType(i, k, f):
+                if f < 0:
+                    return FirstType(i, k, -f), False
+                if k == 1 and f == n and i == n:
+                    if n == 1:
+                        raise ValueError("bar is undefined on the rank-1 boundary braid")
+                    return SecondType((n, n - 1), 0, ()), False
+                if k > 1:
+                    return FirstType(i, k - 1, f), True
+                if i > 0:
+                    return LengthOne(i, descent_bform(n, f)), True
+                return LengthOne(i, DescentTail(f)), True
+            case SecondType(prefix, 0, ()) if prefix and prefix[-1] < 0:
+                return SecondType(prefix[:-1] + (-prefix[-1],), 0, ()), False
+            case SecondType(prefix, 0, tail) if prefix and prefix[-1] > 0 and bform_is_negative(tail):
+                return SecondType(prefix, 0, _flip_last_bracket(tail)), False
+            case LengthOne(i, DescentTail(h)) if i < 0 and h >= 0:
+                return LengthOne(-i, descent_bform(n, h)), False
+            case LengthOne(i, DescentTail(h)) if i <= 0 and h < 0:
+                return LengthOne(i, DescentTail(-h)), False
+            case LengthOne(i, tuple() as v) if bform_is_negative(v):
+                return check_normal_form(n, LengthOne(i, _flip_last_bracket(v))), False
+            case LengthZero(form) if bform_is_negative(form):
+                return LengthZero(_flip_last_bracket(form)), False
     raise ValueError(f"bar is only defined on non-left-positive elements: {nf}")
 
 
 def tilde(n: int, nf: NormalForm) -> NormalForm:
     """
-    The shortening operator on left-positive, non-right-positive elements.
-    Some left- and right-positive forms share the shapes matched below, so
-    the positivity guard comes first.
+    The shortening operator on left-positive, non-right-positive elements
+    (`heap_state` RIGHT_TRIPLE; elsewhere ValueError).  Some forms outside
+    the domain share the shapes matched below, so it is checked first.
     """
-    if is_left_positive(n, nf) and not is_right_positive(n, nf):
+    if heap_state(n, word_of_normal_form(n, nf)) == HeapState.RIGHT_TRIPLE:
         match nf:
             case LengthOne(i, tuple() as v) if 0 < i < n:
                 # end of the staircase prefix hugging the affine letter; a low
@@ -470,9 +452,7 @@ def tilde(n: int, nf: NormalForm) -> NormalForm:
                 return LengthZero((Bracket(0, 1), Bracket(0, 0)))
             case LengthOne(0, DescentZerosTail(z, runs)):
                 return LengthZero((Bracket(0, z),) + tuple(Bracket(0, r) for r in runs))
-    raise ValueError(
-        f"tilde needs a left-positive element that fails right-positivity: {nf}"
-    )
+    raise ValueError(f"tilde is only defined on left- but not right-positive elements: {nf}")
 
 
 # ---------------------------------------------------------------------------

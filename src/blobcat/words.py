@@ -20,7 +20,7 @@ True
 >>> is_reduced_fc(2, (1, 0, 1, 0))
 False
 >>> heap_state(2, (1, 0, 1)).name
-'BOUNDARY_TRIPLE'
+'LEFT_TRIPLE'
 """
 
 from __future__ import annotations
@@ -69,28 +69,6 @@ def parse_word(text: str) -> Letters:
 
 def format_word(word: Letters) -> str:
     return ",".join(str(x) for x in word)
-
-
-def commutes(n: int, i: int, j: int) -> bool:
-    """True iff the generators with indices i and j commute."""
-    check_rank(n)
-    if not (0 <= i <= n and 0 <= j <= n):
-        raise ValueError(f"indices {i}, {j} out of range 0..{n}")
-    return abs(i - j) > 1
-
-
-def braid_order(n: int, i: int, j: int) -> int:
-    """Bond of the diagram edge {i, j}: 2, 3, or 4."""
-    check_rank(n)
-    if i == j:
-        raise ValueError("braid_order needs two distinct indices")
-    if not (0 <= i <= n and 0 <= j <= n):
-        raise ValueError(f"indices {i}, {j} out of range 0..{n}")
-    if abs(i - j) > 1:
-        return 2
-    if {i, j} == {0, 1} or {i, j} == {n - 1, n}:
-        return 4
-    return 3
 
 
 def _swap_neighbours(n: int, word: Letters) -> Iterator[Letters]:
@@ -184,11 +162,16 @@ def same_element(n: int, left: Letters, right: Letters) -> bool:
 
 
 class HeapState(IntEnum):
-    """The three answers of `heap_state`, from worst to best."""
+    """
+    The answers of `heap_state`, from worst to best.  LEFT_TRIPLE: not
+    left-positive (`normal_forms.bar`'s domain); RIGHT_TRIPLE: left- but
+    not right-positive (`normal_forms.tilde`'s domain); POSITIVE: both.
+    """
 
     NOT_REDUCED_FC = 0
-    BOUNDARY_TRIPLE = 1
-    POSITIVE = 2
+    LEFT_TRIPLE = 1
+    RIGHT_TRIPLE = 2
+    POSITIVE = 3
 
 
 def heap_state(n: int, word: Letters) -> HeapState:
@@ -199,8 +182,16 @@ def heap_state(n: int, word: Letters) -> HeapState:
     of two consecutive occurrences of a letter a with no neighbour a +- 1
     between them (ss) or exactly one, b: with bond 3 that is sts; with bond
     4 it is stst when b's own previous gap held nothing but that first a,
-    else the triple a, b, a, a boundary triple (1,0,1) or (n-1,n,n-1) when b
-    is an end letter.  POSITIVE means reduced FC with no boundary triple.
+    else the triple a, b, a: the left boundary triple 1,0,1 when b == 0,
+    the right one n-1,n,n-1 (0,1,0 at rank 1) when b == n.  The left one
+    wins: a heap with both is LEFT_TRIPLE.
+
+    >>> heap_state(3, (1, 0, 1)).name
+    'LEFT_TRIPLE'
+    >>> heap_state(3, (2, 3, 2)).name
+    'RIGHT_TRIPLE'
+    >>> heap_state(3, (2, 3, 2, 1, 0, 1)).name
+    'LEFT_TRIPLE'
     """
     word = check_word(n, word)
     # per letter: its latest position, the neighbour occurrences since then
@@ -218,8 +209,10 @@ def heap_state(n: int, word: Letters) -> HeapState:
                 # bond 3 (no end letter in the pair), or bond 4 closing b a b a
                 if (0 < a < n and 0 < b < n) or lone[q] == last[a]:
                     return HeapState.NOT_REDUCED_FC
-                if b in (0, n):
-                    state = HeapState.BOUNDARY_TRIPLE
+                if b == 0:
+                    state = HeapState.LEFT_TRIPLE
+                elif b == n:
+                    state = min(state, HeapState.RIGHT_TRIPLE)
                 lone[pos] = q
         for c in (a - 1, a + 1):
             gap[c] += 1
@@ -231,9 +224,3 @@ def heap_state(n: int, word: Letters) -> HeapState:
 def is_reduced_fc(n: int, word: Letters) -> bool:
     """True iff `word` is a reduced expression of a fully commutative element."""
     return heap_state(n, word) != HeapState.NOT_REDUCED_FC
-
-
-def affine_length(n: int, word: Letters) -> int:
-    """Number of occurrences of the last generator index n."""
-    word = check_word(n, word)
-    return sum(1 for x in word if x == n)

@@ -2,11 +2,11 @@
 Reference implementations that only the tests call.
 
 Each one is the slow or literal route to an answer that `blobcat` computes
-another way: containment through commutation classes and the occurrence
-order, the normal form looked up among all generated forms by canonical
-word and spelled by rigid blocks, and the paper's oblique factorization
-around the alternating run, which the blob step
-`grids.oblique_shortening_word` shortcuts.
+another way: reduced expressions through braid moves, containment through
+commutation classes and the occurrence order, the normal form looked up
+among all generated forms by canonical word and spelled by rigid blocks,
+and the paper's oblique factorization around the alternating run, which
+the blob step `grids.oblique_shortening_word` shortcuts.
 """
 
 from __future__ import annotations
@@ -32,12 +32,55 @@ from blobcat.words import (
     DEFAULT_CLASS_CAP,
     HeapState,
     Letters,
-    affine_length,
     canonical_word,
+    check_rank,
     check_word,
     heap_state,
     iter_commutation_class,
 )
+
+# ---------------------------------------------------------------------------
+# braid moves
+
+
+def braid_order(n: int, i: int, j: int) -> int:
+    """Bond of the diagram edge {i, j}: 2, 3, or 4."""
+    check_rank(n)
+    if i == j:
+        raise ValueError("braid_order needs two distinct indices")
+    if not (0 <= i <= n and 0 <= j <= n):
+        raise ValueError(f"indices {i}, {j} out of range 0..{n}")
+    if abs(i - j) > 1:
+        return 2
+    if {i, j} == {0, 1} or {i, j} == {n - 1, n}:
+        return 4
+    return 3
+
+
+def all_reduced_expressions(n: int, word: Letters) -> set[Letters]:
+    """Every word reachable from `word` by commutation and braid moves."""
+    seen = {tuple(word)}
+    stack = [tuple(word)]
+    while stack:
+        current = stack.pop()
+        for p in range(len(current) - 1):
+            a, b = current[p], current[p + 1]
+            if a == b:
+                continue
+            order = braid_order(n, a, b)
+            if order == 2:
+                nxt = current[:p] + (b, a) + current[p + 2 :]
+            elif order == 3 and current[p : p + 3] == (a, b, a):
+                nxt = current[:p] + (b, a, b) + current[p + 3 :]
+            elif order == 4 and current[p : p + 4] == (a, b, a, b):
+                nxt = current[:p] + (b, a, b, a) + current[p + 4 :]
+            else:
+                continue
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
 
 # ---------------------------------------------------------------------------
 # commutation classes and pattern containment
@@ -147,7 +190,7 @@ def _forms_by_canonical_word(n: int, s: int) -> dict[Letters, NormalForm]:
 
 def normal_form_by_lookup(n: int, word: Letters) -> NormalForm:
     """The generated form whose word has the canonical word of `word`."""
-    nf = _forms_by_canonical_word(n, affine_length(n, word)).get(canonical_word(n, word))
+    nf = _forms_by_canonical_word(n, word.count(n)).get(canonical_word(n, word))
     if nf is None:
         raise ValueError(f"no normal form matches {word} (is it reduced and FC?)")
     return nf

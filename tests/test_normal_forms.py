@@ -25,16 +25,14 @@ from blobcat.normal_forms import (
     fc_forms,
     format_blocks,
     iter_bforms,
-    is_left_positive,
     is_positive,
-    is_right_positive,
     normal_form_of_word,
     parse_blocks,
     positive_blocks_of,
     tilde,
     word_of_normal_form,
 )
-from blobcat.words import affine_length, canonical_word, is_reduced_fc
+from blobcat.words import HeapState, canonical_word, heap_state, is_reduced_fc
 
 from oracles import (
     blocks_affine_length,
@@ -51,6 +49,11 @@ LENGTHS = (0, 1, 2, 3)
 
 def catalan(n):
     return math.comb(2 * n, n) // (n + 1)
+
+
+def _state(n, nf):
+    """The heap state of the word a normal form spells: positivity and the bar/tilde domains."""
+    return heap_state(n, word_of_normal_form(n, nf))
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +137,18 @@ def _accepts(n, nf):
 
 
 def test_check_normal_form_accepts_exactly_the_generated_forms():
+    # a form that is not a normal form is outside every operator's domain:
+    # bar and tilde refuse it rather than map its shape
     candidates = 0
     for n in (1, 2, 3):
         generated = set().union(*(fc_forms(n, s) for s in range(n + 4)))
         for nf in _candidate_forms(n):
             candidates += 1
-            assert _accepts(n, nf) == (nf in generated), (n, nf)
+            accepted = _accepts(n, nf)
+            assert accepted == (nf in generated), (n, nf)
+            if not accepted:
+                for op in (bar, tilde):
+                    assert _image_or_refusal(op, n, nf) == "ValueError", (op.__name__, n, nf)
     assert candidates == 83_235
 
 
@@ -171,7 +180,7 @@ def test_generation_is_unique_and_reduced():
         for f in fc_forms(n, s):
             word = word_of_normal_form(n, f)
             assert is_reduced_fc(n, word), (n, s, f)
-            assert affine_length(n, word) == s
+            assert word.count(n) == s
             key = canonical_word(n, word)
             assert key not in seen, (n, s, f)
             seen.add(key)
@@ -190,7 +199,7 @@ def _fc_elements_grown(n, max_s):
         for word in frontier:
             for a in range(n + 1):
                 longer = word + (a,)
-                if affine_length(n, longer) > max_s or not is_reduced_fc(n, longer):
+                if longer.count(n) > max_s or not is_reduced_fc(n, longer):
                     continue
                 key = canonical_word(n, longer)
                 if key not in found:
@@ -207,7 +216,7 @@ def test_generation_matches_prefix_growth(n, max_s):
         forms = fc_forms(n, s)
         generated = {canonical_word(n, word_of_normal_form(n, f)) for f in forms}
         assert len(generated) == len(forms), (n, s)
-        assert generated == {w for w in grown if affine_length(n, w) == s}, (n, s)
+        assert generated == {w for w in grown if w.count(n) == s}, (n, s)
 
 
 def test_generation_and_shortening_use_no_oracle(monkeypatch):
@@ -227,9 +236,10 @@ def test_generation_and_shortening_use_no_oracle(monkeypatch):
     monkeypatch.setattr(words, "iter_commutation_class", refuse)
     for n, f in forms:
         check_normal_form(n, f)
-        if not is_left_positive(n, f):
+        state = _state(n, f)
+        if state == HeapState.LEFT_TRIPLE:
             bar(n, f)
-        elif not is_right_positive(n, f):
+        elif state == HeapState.RIGHT_TRIPLE:
             tilde(n, f)
 
 
@@ -322,11 +332,14 @@ def test_detector_agreement_with_containment_oracle():
         for s in LENGTHS:
             for f in fc_forms(n, s):
                 word = word_of_normal_form(n, f)
-                left = not contains_pattern(n, word, (1, 0, 1))
-                right = not contains_pattern(n, word, (n - 1, n, n - 1))
-                assert is_left_positive(n, f) == left, (n, s, f)
-                assert is_right_positive(n, f) == right, (n, s, f)
-                assert is_positive(n, f) == (left and right), (n, s, f)
+                if contains_pattern(n, word, (1, 0, 1)):
+                    expected = HeapState.LEFT_TRIPLE
+                elif contains_pattern(n, word, (n - 1, n, n - 1)):
+                    expected = HeapState.RIGHT_TRIPLE
+                else:
+                    expected = HeapState.POSITIVE
+                assert heap_state(n, word) == expected, (n, s, f)
+                assert is_positive(n, f) == (expected == HeapState.POSITIVE), (n, s, f)
 
 
 def _image_or_refusal(op, n, f):
@@ -337,7 +350,7 @@ def _image_or_refusal(op, n, f):
 
 
 def test_classification_matches_detectors():
-    # the operators' shape cases are their domains: bar refuses exactly the
+    # the operators' shape cases cover their domains: bar refuses exactly the
     # left-positive forms, tilde all but the left- and not right-positive ones
     # (the rank-1 boundary braids are refused inside the domain)
     braids = {(1, FirstType(1, 1, 1)), (1, LengthOne(0, DescentTail(0)))}
@@ -346,10 +359,11 @@ def test_classification_matches_detectors():
             for f in fc_forms(n, s):
                 if (n, f) in braids:
                     continue
-                left, right = is_left_positive(n, f), is_right_positive(n, f)
-                assert (_image_or_refusal(bar, n, f) == "ValueError") == left, (n, s, f)
+                state = _state(n, f)
+                refused = _image_or_refusal(bar, n, f) == "ValueError"
+                assert refused == (state != HeapState.LEFT_TRIPLE), (n, s, f)
                 refused = _image_or_refusal(tilde, n, f) == "ValueError"
-                assert refused == (not left or right), (n, s, f)
+                assert refused == (state != HeapState.RIGHT_TRIPLE), (n, s, f)
 
 
 # sha256 over fc_forms(n, s) for n = 1..5 and s = 0..3 (5,073 forms) of one
@@ -373,8 +387,10 @@ def test_bar_and_tilde_outputs_are_pinned():
 
 
 def test_positivity_examples():
-    assert not is_left_positive(2, FirstType(2, 1, 2))
-    assert not is_left_positive(3, LengthZero((Bracket(2, 2), Bracket(-1, 1))))
+    assert _state(2, FirstType(2, 1, 2)) == HeapState.LEFT_TRIPLE
+    assert _state(3, LengthZero((Bracket(2, 2), Bracket(-1, 1)))) == HeapState.LEFT_TRIPLE
+    assert _state(2, LengthOne(0, DescentTail(1))) == HeapState.RIGHT_TRIPLE
+    assert _state(3, LengthZero(())) == HeapState.POSITIVE
     assert is_positive(3, LengthZero(()))
 
 
@@ -434,6 +450,34 @@ def test_tilde_undefined_on_rank_one_braid():
         tilde(1, LengthOne(0, DescentTail(0)))
 
 
+def test_bar_and_tilde_read_their_input_once(monkeypatch):
+    # one normal-form read of the input's word, in domain or not; the two
+    # LengthOne-with-brackets branches read their image's word once more
+    reads = []
+    read = nfm.normal_form_of_word
+
+    def counting_read(n, word):
+        reads.append(word)
+        return read(n, word)
+
+    monkeypatch.setattr(nfm, "normal_form_of_word", counting_read)
+    for n in (1, 2, 3, 4):
+        for s in LENGTHS:
+            for f in fc_forms(n, s):
+                for op in (bar, tilde):
+                    reads.clear()
+                    try:
+                        image = op(n, f)
+                    except ValueError:
+                        image = None
+                    if op is bar and image is not None:
+                        image = image[0]
+                    expected = [nfm._word_of_normal_form(n, f)]
+                    if image is not None and isinstance(f, LengthOne) and isinstance(f.v, tuple):
+                        expected.append(nfm._word_of_normal_form(n, image))
+                    assert reads == expected, (op.__name__, n, f)
+
+
 def test_bar_and_tilde_shrink_across_generation():
     # every image is itself a generated normal form, not just a valid one
     for n in (2, 3, 4, 5):
@@ -441,11 +485,12 @@ def test_bar_and_tilde_shrink_across_generation():
         for s in LENGTHS:
             for f in fc_forms(n, s):
                 word = word_of_normal_form(n, f)
-                if not is_left_positive(n, f):
+                state = heap_state(n, word)
+                if state == HeapState.LEFT_TRIPLE:
                     image, _ = bar(n, f)
                     assert len(word_of_normal_form(n, image)) < len(word), (n, f)
                     assert image in generated, (n, f)
-                elif not is_right_positive(n, f):
+                elif state == HeapState.RIGHT_TRIPLE:
                     image = tilde(n, f)
                     shorter = word_of_normal_form(n, image)
                     assert len(shorter) < len(word), (n, f)
