@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 from . import enumeration, grids, normal_forms, triangles, verify
 from .algebra import AlgebraLevel, in_index_set, reduce_word
-from .words import HeapState, check_rank, format_word, heap_state, parse_word
+from .words import ClassSizeError, HeapState, check_rank, format_word, heap_state, parse_word
 
 
 def _triangle(args: argparse.Namespace) -> int:
@@ -60,7 +60,7 @@ def _enumerate(args: argparse.Namespace) -> int:
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"--limit must be non-negative, got {args.limit}")
     elements = []
-    for nf in normal_forms.fc_forms(args.n, args.s):
+    for nf in normal_forms.iter_fc_forms(args.n, args.s):
         if len(elements) == args.limit:
             break
         word = normal_forms._word_of_normal_form(args.n, nf)
@@ -119,6 +119,9 @@ def _reduce(args: argparse.Namespace) -> int:
         raise ValueError(
             "word needs more nested rewrites than reduce supports yet"
         ) from None
+    except ClassSizeError as exc:
+        # the walk to a deep redex can pass the class cap, also until item 2 lands
+        raise ValueError(f"{exc}; reduce cannot reach the next rewrite yet") from None
     print(f"{scalar} * [{format_word(word)}]")
     return 0
 

@@ -159,13 +159,8 @@ def descending_run(n: int, f: int) -> Letters:
 
 
 def descent_bform(n: int, h: int) -> BForm:
-    """([h, n-1])^-1 rewritten as a finite-part form (staircase brackets)."""
-    if h == n:
-        return ()
-    if h >= 0:
-        return tuple(Bracket(g, g) for g in range(n - 1, h - 1, -1))
-    stair = tuple(Bracket(g, g) for g in range(n - 1, -h, -1))
-    return stair + (Bracket(h, -h),)
+    """([h, n-1])^-1 for 0 <= h <= n as a finite-part form: staircase brackets."""
+    return tuple(Bracket(g, g) for g in range(n - 1, h - 1, -1))
 
 
 def _word_of_normal_form(n: int, nf: NormalForm) -> Letters:
@@ -265,44 +260,44 @@ def _zero_run_tails(n: int) -> Iterator[BForm]:
 
 
 def _higher_length_forms(n: int, s: int) -> Iterator[NormalForm]:
-    for i in range(n, -n, -1):
-        for f in range(n, -n, -1):
-            yield FirstType(i, s - 1, f)
+    ends = range(n, -n, -1)
+    yield from (FirstType(i, s - 1, f) for i, f in itertools.product(ends, repeat=2))
     for p in range(0, min(n, s) + 1):
-        k = s - p
-        if p == 0:
-            for tail in _zero_run_tails(n):
-                yield SecondType((), k, tail)
-            continue
-        for head in itertools.combinations(range(n, 0, -1), p - 1):
-            bound = head[-1] if head else n + 1
-            for last in range(min(n, bound - 1), 0, -1):
-                prefix = head + (last,)
-                if k > 0:
-                    for tail in _zero_run_tails(n):
-                        yield SecondType(prefix, k, tail)
-                else:
-                    for tail in iter_bforms(n):
-                        if tail and abs(tail[0].l) >= last:
-                            continue
-                        yield SecondType(prefix, 0, tail)
-                    if last != n - 1 and last >= 1:
-                        yield SecondType(head + (-last,), 0, ())
+        for prefix in itertools.combinations(range(n, 0, -1), p):
+            if p < s:
+                yield from (SecondType(prefix, s - p, tail) for tail in _zero_run_tails(n))
+                continue
+            last = prefix[-1]
+            bforms = (tail for tail in iter_bforms(n) if not tail or abs(tail[0].l) < last)
+            yield from (SecondType(prefix, 0, tail) for tail in bforms)
+            if last != n - 1:
+                yield SecondType(prefix[:-1] + (-last,), 0, ())
 
 
-@lru_cache(maxsize=None)
-def fc_forms(n: int, s: int) -> tuple[NormalForm, ...]:
-    """All fully commutative elements of affine length s, one normal form each."""
+def iter_fc_forms(n: int, s: int) -> Iterator[NormalForm]:
+    """All FC elements of affine length s, one normal form each, as a lazy stream.
+
+    >>> next(iter_fc_forms(10, 3))
+    FirstType(i=10, k=2, f=10)
+    >>> list(iter_fc_forms(1, 2))
+    [FirstType(i=1, k=1, f=1)]
+    """
     check_rank(n)
     if s < 0:
         raise ValueError("affine length must be non-negative")
     if s == 0:
-        return tuple(LengthZero(f) for f in iter_bforms(n))
+        return (LengthZero(f) for f in iter_bforms(n))
     if s == 1:
-        return tuple(_length_one_forms(n))
+        return _length_one_forms(n)
     if n == 1:
-        return (FirstType(1, 1, 1),) if s == 2 else ()
-    return tuple(_higher_length_forms(n, s))
+        return iter([FirstType(1, 1, 1)] if s == 2 else [])
+    return _higher_length_forms(n, s)
+
+
+@lru_cache(maxsize=None)
+def fc_forms(n: int, s: int) -> tuple[NormalForm, ...]:
+    """`iter_fc_forms` as one cached tuple, for the oracles in tests and `verify`."""
+    return tuple(iter_fc_forms(n, s))
 
 
 # ---------------------------------------------------------------------------

@@ -196,8 +196,12 @@ def check_triangle_decompositions(max_decomp: int = 30) -> Check:
     return _check("triangle:decompositions", mismatches, cases, f"i <= {max_decomp}")
 
 
-def check_confluence() -> Check:
-    """Seeded random words reduce the same under both strategies, into the index set."""
+def check_confluence(max_n: int = 4) -> Check:
+    """
+    Seeded random words reduce the same under both strategies, into the index
+    set.  Words above rank max_n are drawn and skipped, so the words at the
+    ranks checked do not depend on max_n.
+    """
     rng = random.Random(CONFLUENCE_SEED)
     mismatches = []
     cases = 0
@@ -206,6 +210,8 @@ def check_confluence() -> Check:
             for _ in range(CONFLUENCE_WORDS_PER_RANK):
                 length = rng.randint(0, CONFLUENCE_MAX_LEN)
                 word = tuple(rng.randint(0, n) for _ in range(length))
+                if n > max_n:
+                    continue
                 left = reduce_word(level, n, word, "leftmost")
                 right = reduce_word(level, n, word, "rightmost")
                 cases += 1
@@ -229,13 +235,14 @@ BOUNDARY_IDENTITIES = (
 
 def check_quotient_identities(max_n: int = 3) -> Check:
     """
-    Both shortening steps at ranks 2..3, affine lengths 0..2: TL -> 2B on
-    every non-positive element, 2B -> SB on every non-blobbed positive one
-    (rank 1 is left out: its block words are not all positive).
+    Both shortening steps at ranks 2..min(max_n, 3), affine lengths 0..2:
+    TL -> 2B on every non-positive element, 2B -> SB on every non-blobbed
+    positive one (rank 1 is left out: its block words are not all positive),
+    and the boundary identities at ranks up to max_n.
     """
     TL, TB, SB = AlgebraLevel.TL, AlgebraLevel.TWO_BOUNDARY, AlgebraLevel.SYMPLECTIC_BLOB
     steps = []
-    for n in range(2, min(max(max_n, 2), 3) + 1):
+    for n in range(2, min(max_n, 3) + 1):
         for s in range(0, 3):
             for nf in normal_forms.fc_forms(n, s):
                 word = normal_forms._word_of_normal_form(n, nf)
@@ -249,11 +256,12 @@ def check_quotient_identities(max_n: int = 3) -> Check:
         for a, b, n, word in steps
         if not quotient_image_check(a, b, n, word)
     ]
-    for n, word, want in BOUNDARY_IDENTITIES:
+    identities = [(n, word, want) for n, word, want in BOUNDARY_IDENTITIES if n <= max_n]
+    for n, word, want in identities:
         got = reduce_word(TB, n, word)
         if got != want:
             mismatches.append(f"n={n} {word} -> {got}, want {want}")
-    fixed = len(BOUNDARY_IDENTITIES)
+    fixed = len(identities)
     into_tb = sum(1 for step in steps if step[1] == TB)
     detail = (
         f"{into_tb} TL->2B and {len(steps) - into_tb} 2B->SB elements"
@@ -263,21 +271,24 @@ def check_quotient_identities(max_n: int = 3) -> Check:
 
 
 def check_blob_closure(max_n: int = 3) -> Check:
-    """Blob bases of the published sizes, and products that stay inside them."""
+    """
+    Blob bases of the published sizes, and products that stay inside them:
+    `structure_constants` raises AssertionError on the first that leaves.
+    """
     mismatches = []
     sizes = []
     for n in range(1, min(max_n, 3) + 1):
-        table = structure_constants(n)
         basis = sb_basis(n)
-        sizes.append(len(table))
         if len(basis) != tables.DIMENSION_SEQUENCE[n - 1]:
             mismatches.append(f"n={n} basis size {len(basis)}")
+        try:
+            table = structure_constants(n)
+        except AssertionError as exc:
+            mismatches.append(f"n={n} {exc}")
+            continue
+        sizes.append(len(table))
         if len(table) != len(basis) ** 2:
             mismatches.append(f"n={n} table size {len(table)}")
-        members = set(basis)
-        strays = [target for _, target in table.values() if target not in members]
-        if strays:
-            mismatches.append(f"n={n} target {strays[0]} left the basis")
     return _check("algebra:blob-closure", mismatches, sum(sizes), f"table sizes {sizes}")
 
 
@@ -285,8 +296,9 @@ def _cap(limit: int, max_n: int | None) -> int:
     return limit if max_n is None else min(limit, max_n)
 
 
-def verify_tables(max_n: int = 9, d_fn=None, b_fn=None, p_fn=None) -> list[Check]:
+def verify_tables(max_n: int | None = None, d_fn=None, b_fn=None, p_fn=None) -> list[Check]:
     """The published tables; d_fn, b_fn and p_fn replace the count functions under test."""
+    max_n = _cap(9, max_n)
     return [
         check_excluded(max_n, d_fn),
         check_blobbed(max_n, b_fn),
@@ -303,16 +315,21 @@ def verify_oracle(max_n: int | None = None) -> list[Check]:
     ]
 
 
-def verify_triangle(max_i: int = 64, max_ident: int = 40, max_decomp: int = 30) -> list[Check]:
+def verify_triangle(max_n: int | None = None) -> list[Check]:
+    """The triangle checks are indexed by entry, not by rank, so max_n is ignored."""
     return [
-        check_triangle_closed_form(max_i),
-        check_triangle_identities(max_ident),
-        check_triangle_decompositions(max_decomp),
+        check_triangle_closed_form(),
+        check_triangle_identities(),
+        check_triangle_decompositions(),
     ]
 
 
-def verify_algebra(max_n: int = 3) -> list[Check]:
-    return [check_confluence(), check_quotient_identities(max_n), check_blob_closure(max_n)]
+def verify_algebra(max_n: int | None = None) -> list[Check]:
+    return [
+        check_confluence(_cap(4, max_n)),
+        check_quotient_identities(_cap(3, max_n)),
+        check_blob_closure(_cap(3, max_n)),
+    ]
 
 
 SUITES: dict[str, Callable[..., list[Check]]] = {
@@ -326,9 +343,10 @@ SUITES: dict[str, Callable[..., list[Check]]] = {
 def run_suites(names: Sequence[str], max_n: int | None = None) -> list[Check]:
     """
     Run the named suites one after another; results come back in name order.
-    The suites are CPU-bound pure Python, so a thread pool only adds cost.
+    max_n, if given, is the largest rank of every rank-indexed check.  The
+    suites are CPU-bound pure Python, so a thread pool only adds cost.
     """
     checks = []
     for name in names:
-        checks += SUITES[name]() if max_n is None else SUITES[name](max_n)
+        checks += SUITES[name](max_n)
     return checks

@@ -8,12 +8,14 @@ exactly the stated number of cases, so a check whose range shrinks fails.
 Every expected value is frozen in blobcat.verify or blobcat.tables.
 """
 
+import json
 import random
 import time
 from functools import partial
 
-from blobcat import verify
+from blobcat import normal_forms, verify
 from blobcat.algebra import AlgebraLevel, reduce_word
+from blobcat.cli import main
 from blobcat.words import is_reduced_fc
 
 
@@ -97,6 +99,21 @@ def test_long_words_reduce_at_rank_8():
             assert left == right, (level, word)
             assert is_reduced_fc(n, left[1]), (level, word)
     budget.done(f"{len(words)} words of length 20 and 30, three levels, two strategies")
+
+
+def test_enumerate_streams_its_forms(capsys, monkeypatch):
+    # the first forms at rank 10 without building a whole FC set: fc_forms(10, 3)
+    # holds 966,816 forms and takes over a minute to build
+    def refuse(n, s):
+        raise AssertionError("enumerate built a whole FC set")
+
+    monkeypatch.setattr(normal_forms, "fc_forms", refuse)
+    budget = Budget("enumerate --limit at rank 10", 3.0)
+    for s, limit in ((3, 1), (0, 2)):
+        argv = ["enumerate", "--n", "10", "--s", str(s), "--limit", str(limit)]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == limit
+    budget.done("s = 3 limit 1, s = 0 limit 2")
 
 
 def test_criterion_8_quotient_identities():

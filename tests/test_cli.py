@@ -12,10 +12,11 @@ from pathlib import Path
 import pytest
 
 import blobcat
-from blobcat import cli, enumeration, verify
+from blobcat import algebra, cli, enumeration, verify
 from blobcat.cli import main
 from blobcat.normal_forms import format_blocks
 from blobcat.triangles import blobbed_entry
+from blobcat.words import iter_commutation_class
 
 
 def run(capsys, *argv):
@@ -50,6 +51,20 @@ def test_reduce_past_recursion_limit_is_malformed_input(capsys):
     assert code == 2
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert out == ""
+
+
+def test_reduce_past_class_cap_is_malformed_input(capsys, monkeypatch):
+    # the first blob redex of this rank-8 word lies ~325k members into its
+    # class; with the cap at 3 instead of 10**6 the walk stops at the cap.
+    # Uncached, so a reduction memoized by an earlier test cannot hide it.
+    monkeypatch.setattr(algebra, "_reduce_canonical", algebra._reduce_canonical.__wrapped__)
+    monkeypatch.setattr(
+        algebra, "iter_commutation_class", lambda n, w: iter_commutation_class(n, w, 3)
+    )
+    word = "2,1,0,3,2,1,0,5,4,3,7,6,5,8,7"
+    code, out, err = run(capsys, "reduce", "--n", "8", "--level", "sb", "--word", word)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "exceeds cap 3" in err and len(err.splitlines()) == 1
 
 
 def test_triangle_csv(capsys):
@@ -388,6 +403,46 @@ def test_verify_max_n_subset(capsys):
     assert code == 0
     assert "PASS tables:excluded: 30 cells" in out
     assert "PASS tables:blobbed: 30 cells" in out
+
+
+@pytest.mark.parametrize("max_n", ["3", "200"])
+def test_verify_triangle_suite_ignores_max_n(capsys, max_n):
+    # its checks are indexed by triangle entry, not by rank
+    code, out, _ = run(capsys, "verify", "--suite", "triangle", "--max-n", max_n)
+    assert code == 0
+    assert "PASS triangle:closed-form: i <= 64, both kinds against their recurrence\n" in out
+
+
+def test_verify_algebra_max_n_is_the_largest_rank(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "algebra", "--max-n", "1")
+    assert code == 0
+    assert out.splitlines() == [
+        "PASS algebra:confluence: 0 random words",
+        "PASS algebra:quotient-identities: 0 TL->2B and 0 2B->SB elements"
+        " plus 1 boundary identities",
+        "PASS algebra:blob-closure: table sizes [25]",
+        "3/3 checks passed",
+    ]
+
+
+def test_verify_reports_a_product_that_leaves_the_basis(capsys, monkeypatch):
+    x = algebra.sb_basis(2)[-1]
+    reduce_word = algebra.reduce_word
+
+    def stray(level, n, word, strategy="leftmost"):
+        scalar, out = reduce_word(level, n, word, strategy)
+        return (scalar, (1, 1)) if (n, word) == (2, x + x) else (scalar, out)
+
+    monkeypatch.setattr(algebra, "reduce_word", stray)
+    code, out, _ = run(capsys, "verify", "--suite", "algebra", "--max-n", "2")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("PASS algebra:confluence:")
+    assert lines[1].startswith("PASS algebra:quotient-identities:")
+    assert lines[2] == (
+        f"FAIL algebra:blob-closure: n=2 product {x} * {x} left the blob basis: (1, 1)"
+    )
+    assert lines[3:] == ["2/3 checks passed"]
 
 
 @pytest.mark.parametrize("argv", [("--max-n", "0"), ("--suite", "tables", "--max-n", "-1")])
