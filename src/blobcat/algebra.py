@@ -14,10 +14,10 @@ shared `Scalar` per monomial instead of a new one per step.  A redex is
 looked for in the commutation class of the word, walked breadth first; at
 each position only the rules whose pattern starts with its two letters are
 tried.  Once the walk has visited as many members as the word has letters
-without a hit, `in_index_set` reads the word's heap in O(length * rank) and
-says exactly whether any member holds a rule pattern of the level; if none
-does, the walk stops there instead of covering the class.  The surviving
-word indexes a basis monomial of the level.
+without a hit, `in_index_set` reads the word's heap, O(length + rank) before
+the blob level's row test, and says exactly whether any member holds a rule
+pattern of the level; if none does, the walk stops there instead of
+covering the class.  The surviving word indexes a basis monomial of the level.
 
 At rank 1 the two boundary pairs coincide; overlapping rules are resolved by
 fixed priority (blob rules first, then the left boundary), which keeps the
@@ -341,8 +341,8 @@ def in_index_set(level: AlgebraLevel, n: int, word: Letters) -> bool:
     of its commutation class hold a rule pattern of the level?  Read off the
     heap: TL takes the reduced FC words, the two-boundary level those with
     no boundary triple (the positive elements), and the blob level those of
-    them whose rigid blocks are blobbed.  O(len(word) * n); a malformed
-    word raises ValueError.
+    them whose rigid blocks are blobbed.  O(len(word) + n) before the row
+    test of `is_blobbed`; a malformed word raises ValueError.
     """
     state = heap_state(n, word)
     if level == AlgebraLevel.TL:

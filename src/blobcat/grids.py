@@ -75,10 +75,9 @@ def _contains(blocks: Blocks, pattern: Blocks) -> bool:
     row t + i of `blocks`.  Rows are intervals and columns never move, so
     this is point-set containment of the grids under a vertical translate.
     """
-    k = len(pattern)
     return any(
-        all(l <= pl and pr <= r for (pl, pr), (l, r) in zip(pattern, blocks[t : t + k]))
-        for t in range(len(blocks) - k + 1)
+        all(blocks[t + i][0] <= pl and pr <= blocks[t + i][1] for i, (pl, pr) in enumerate(pattern))
+        for t in range(len(blocks) - len(pattern) + 1)
     )
 
 

@@ -32,6 +32,12 @@ tails follow n with n - 1.  This sketch leans on every generator constraint
 and does not show that the reader picks the generated shape; the tests check
 that on every form at ranks 1-6 and affine lengths 0-4.  A form is valid iff
 it is the normal form of the word it spells (`check_normal_form`).
+
+The rigid blocks of a positive element are the maximal +1 runs of the same
+greatest member.  Block lefts and rights never increase, so every letter left
+above the next letter b of the block word first occurs after b in b's block,
+above b in the heap: b is the largest minimal letter.  No block starts at
+r + 1 of the one before (l_{k+1} <= l_k <= r_k), so no two blocks merge.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Union
 
-from .words import HeapState, Letters, _canonical_word, _heads, check_rank, check_word, heap_state
+from .words import HeapState, Letters, _canonical_word, check_rank, check_word, heap_state
 from .words import is_reduced_fc  # noqa: F401  kept as a binding the perfbench tracer wraps
 
 # ---------------------------------------------------------------------------
@@ -306,7 +312,20 @@ def fc_forms(n: int, s: int) -> tuple[NormalForm, ...]:
 
 def _normal_word(n: int, word: Letters) -> Letters:
     """The greatest class member: the flip a -> n - a is a diagram automorphism."""
-    return tuple(n - a for a in _canonical_word(n, tuple(n - a for a in word)))
+    # list-built: a tuple built from a generator is allocated at a guessed size
+    # and resized, which fills CPython's tuple free lists with every word length
+    return tuple([n - a for a in _canonical_word(n, tuple([n - a for a in word]))])
+
+
+def _runs(word: Letters) -> list[list[int]]:
+    """The maximal +1 runs of a word, each as [first letter, last letter]."""
+    runs: list[list[int]] = []
+    for a in word:
+        if runs and a == runs[-1][1] + 1:
+            runs[-1][1] = a
+        else:
+            runs.append([a, a])
+    return runs
 
 
 def _read_bform(word: Letters) -> BForm:
@@ -314,12 +333,7 @@ def _read_bform(word: Letters) -> BForm:
     The brackets of a finite-part word: its maximal +1 runs, except that a last
     run 0 .. g after the singletons x, ..., 2, 1 with x <= g is [-x, g].
     """
-    runs: list[list[int]] = []
-    for a in word:
-        if runs and a == runs[-1][1] + 1:
-            runs[-1][1] = a
-        else:
-            runs.append([a, a])
+    runs = _runs(word)
     x = 0
     if runs and runs[-1][0] == 0:
         while x < min(runs[-1][1], len(runs) - 1) and runs[-2 - x] == [x + 1, x + 1]:
@@ -503,30 +517,16 @@ def format_blocks(blocks: Blocks) -> str:
 
 def blocks_of_word(n: int, word: Letters) -> Blocks:
     """
-    The rigid blocks of a positive element, read from any word of it: a
-    greedy linear extension of the heap (see `words._heads`) split into
-    maximal runs.  The current run <l, r> grows by r + 1 while that letter
-    is minimal among the remaining occurrences; otherwise a new run starts
-    at the largest minimal letter.  O(len(word) * n).  The word must be
-    positive (`words.heap_state`); a reading that breaks the block rules
-    raises ValueError.
+    The rigid blocks of a positive element, read from any word of it as the
+    maximal +1 runs of its greatest class member, O(len(word) + n).  The
+    word must be positive (`words.heap_state`); a reading that breaks the
+    block rules raises ValueError.
+
+    >>> blocks_of_word(3, (0, 1, 3, 2))
+    ((3, 3), (0, 2))
     """
-    word = check_word(n, word)
-    heads, following = _heads(n, word)
-
-    def minimal(a: int) -> bool:  # a is the letter plus one, as in `heads`
-        return heads[a] < heads[a - 1] and heads[a] < heads[a + 1]
-
-    runs: list[list[int]] = []
-    for _ in range(len(word)):
-        a = runs[-1][1] + 2 if runs else n + 2
-        if a <= n + 1 and minimal(a):
-            runs[-1][1] += 1
-        else:
-            a = next(a for a in range(n + 1, 0, -1) if minimal(a))
-            runs.append([a - 1, a - 1])
-        heads[a] = following[heads[a]]
-    return check_blocks(n, tuple(map(tuple, runs)))
+    runs = _runs(_normal_word(n, check_word(n, word)))
+    return check_blocks(n, tuple([(l, r) for l, r in runs]))
 
 
 def positive_blocks_of(n: int, nf: NormalForm) -> Blocks:

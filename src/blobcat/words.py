@@ -176,7 +176,7 @@ class HeapState(IntEnum):
 
 def heap_state(n: int, word: Letters) -> HeapState:
     """
-    Classify a word in one left-to-right pass, O(len(word)).  By Stembridge
+    Classify a word in one left-to-right pass, O(len(word) + n).  By Stembridge
     (1996) it is reduced and fully commutative iff its heap has no convex
     chain ss, sts (bond 3) or stst (bond 4).  Such chains end at the second
     of two consecutive occurrences of a letter a with no neighbour a +- 1

@@ -13,8 +13,8 @@ import random
 import time
 from functools import partial
 
-from blobcat import normal_forms, verify
-from blobcat.algebra import AlgebraLevel, reduce_word
+from blobcat import grids, normal_forms, verify
+from blobcat.algebra import AlgebraLevel, in_index_set, reduce_word
 from blobcat.cli import main
 from blobcat.words import is_reduced_fc
 
@@ -27,7 +27,7 @@ class Budget:
 
     def done(self, detail):
         elapsed = time.perf_counter() - self.start
-        line = f"{self.name}: {detail} ({elapsed:.2f}s / {self.seconds:.0f}s budget)"
+        line = f"{self.name}: {detail} ({elapsed:.2f}s / {self.seconds:g}s budget)"
         assert elapsed < self.seconds, f"FAIL {line}"
         print(f"PASS {line}")
 
@@ -114,6 +114,23 @@ def test_enumerate_streams_its_forms(capsys, monkeypatch):
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["count"] == limit
     budget.done("s = 3 limit 1, s = 0 limit 2")
+
+
+def test_block_reading_scales_with_rank():
+    # the descending word is 4,000 one-letter blocks and the staircase 2,000
+    # two-letter ones; a reader that rescans the rank per block takes seconds
+    n = 4000
+    descending = tuple(range(n - 1, -1, -1))
+    staircase = tuple(a for k in range(n - 1, 0, -2) for a in (k - 1, k))
+    grids.iji_blocks.cache_clear()
+    grids.jij_blocks.cache_clear()
+    budget = Budget("rigid blocks at rank 4000", 0.25)
+    assert normal_forms.blocks_of_word(n, descending) == tuple((a, a) for a in descending)
+    assert normal_forms.blocks_of_word(n, staircase) == tuple(
+        (k - 1, k) for k in range(n - 1, 0, -2)
+    )
+    assert in_index_set(AlgebraLevel.SYMPLECTIC_BLOB, n, descending)
+    budget.done("descending and staircase words, one cold blob-level query")
 
 
 def test_criterion_8_quotient_identities():

@@ -17,7 +17,7 @@ from blobcat.grids import (
     render,
 )
 from blobcat.normal_forms import block_word
-from blobcat.words import same_element
+from blobcat.words import HeapState, heap_state, same_element
 
 from oracles import contains_pattern, oblique_factorization
 
@@ -121,6 +121,10 @@ def test_alternating_word():
 
 
 def test_boundary_pattern_blocks():
+    # at rank 1 the words 1,0,1 and 0,1,0 are boundary triples, not positive,
+    # yet `is_blobbed` compares against the blocks read from them
+    assert heap_state(1, i_word(1) + j_word(1) + i_word(1)) == HeapState.LEFT_TRIPLE
+    assert heap_state(1, j_word(1) + i_word(1) + j_word(1)) == HeapState.RIGHT_TRIPLE
     assert iji_blocks(2) == ((1, 2), (0, 1))
     assert iji_blocks(3) == ((3, 3), (1, 3), (0, 1))
     assert iji_blocks(1) == ((1, 1), (0, 1))

@@ -570,6 +570,59 @@ def test_blocks_of_a_non_positive_word_are_refused():
         blocks_of_word(2, (1, 0, 1))
 
 
+def _random_blocks(rng, n, s):
+    """A random block list at rank n with s rows ending at n; later rows shrink by 1-3."""
+    blocks, l, r = [], n + 1, n
+    while True:
+        r = n if len(blocks) < s else r - rng.randint(1, 3)
+        if r < 0:
+            return check_blocks(n, tuple(blocks))
+        l = 0 if l == 0 else max(0, min(l - 1, r) - rng.randint(0, 3))
+        blocks.append((l, r))
+
+
+def test_blocks_are_read_from_any_class_member_at_high_rank():
+    rng = random.Random(64)
+    for n in (8, 16, 32, 64):
+        for s in range(5):
+            for _ in range(40):
+                blocks = _random_blocks(rng, n, s)
+                word = _scrambled(rng, block_word(blocks))
+                assert heap_state(n, word) == HeapState.POSITIVE, (n, blocks)
+                assert blocks_of_word(n, word) == blocks, (n, blocks)
+
+
+def test_block_reading_does_not_swell_memory():
+    # A tuple built from a generator is allocated at a guessed size and then
+    # resized, so CPython's per-size tuple free lists fill up with freed
+    # tuples of every word length.  Holding 2,100 tuples of each free-listed
+    # size first empties those lists, so earlier tests cannot hide the growth.
+    import gc
+    import tracemalloc
+
+    from blobcat import enumeration
+    from blobcat.algebra import AlgebraLevel, in_index_set
+
+    rng = random.Random(5)
+    queries = []
+    for n in (5, 6, 7):
+        pool = [blocks for s in range(4) for blocks in enumeration.iter_positive_blocks(n, s)]
+        queries += [(n, _scrambled(rng, block_word(b))) for b in rng.sample(pool, 800)]
+    held = [tuple([0] * size) for size in range(1, 20) for _ in range(2100)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for _ in range(5):
+            for n, word in queries:
+                in_index_set(AlgebraLevel.SYMPLECTIC_BLOB, n, word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del held
+    # about 0.3 MB with list-built tuples, over 2 MB with generator-built flips
+    assert peak < 1_000_000, peak
+
+
 def test_positive_generation_completeness():
     from blobcat import enumeration
 
