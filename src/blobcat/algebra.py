@@ -17,7 +17,11 @@ tried.  Once the walk has visited as many members as the word has letters
 without a hit, `in_index_set` reads the word's heap, O(length + rank) before
 the blob level's row test, and says exactly whether any member holds a rule
 pattern of the level; if none does, the walk stops there instead of
-covering the class.  The surviving word indexes a basis monomial of the level.
+covering the class.  If one does and the word is a positive element at the
+blob level, its only redexes are IJI and JIJ, and the search takes the
+paper's blob step instead of walking on to them: the oblique image
+`oblique_shortening_word` of the rigid blocks, one I J alternation fewer,
+times k.  The surviving word indexes a basis monomial of the level.
 
 At rank 1 the two boundary pairs coincide; overlapping rules are resolved by
 fixed priority (blob rules first, then the left boundary), which keeps the
@@ -266,11 +270,13 @@ def _rules_by_first_pair(level: AlgebraLevel, n: int) -> dict[Letters, tuple[Rul
 
 def _find_redex(
     level: AlgebraLevel, n: int, word: Letters, strategy: str
-) -> tuple[Letters, int, Rule] | None:
+) -> tuple[Letters, Scalar] | None:
     """
-    First redex in class-BFS order from `word`: the earliest visited member
-    containing any rule pattern, with the position chosen by the strategy
-    and ties between rules at one position broken by priority.
+    One rewrite step of `word` as (shorter word, rule scalar), or None if
+    the word is a basis index.  The step rewrites the first redex in
+    class-BFS order from `word`: the earliest visited member containing any
+    rule pattern, with the position chosen by the strategy and ties between
+    rules at one position broken by priority.
 
     Every pattern has two letters or more, so one dict probe per position
     (`_rules_by_first_pair`) finds the only rules that can match there, in
@@ -278,9 +284,13 @@ def _find_redex(
     `len(word)` members without a hit, when the walk has already cost more
     than a heap pass, `in_index_set` is asked once.  It is exact at every
     level, so if it says the word is a basis index the class holds no redex
-    and the search ends with None instead of walking the rest of it;
-    otherwise the walk goes on to the first redex, however deep it lies.  A
-    class past the enumeration cap before that still raises ClassSizeError.
+    and the search ends with None.  Otherwise, at the blob level, a positive
+    word (`heap_state`) holds no TL or boundary pattern in any member, so
+    its only redexes are IJI and JIJ: the search stops walking and takes
+    the paper's blob step from the heap, `oblique_shortening_word` of the
+    rigid blocks (one I J alternation fewer) with scalar k.  In every other
+    case the walk goes on to the first redex, however deep it lies, and a
+    class past the enumeration cap before that raises ClassSizeError.
     """
     index = _rules_by_first_pair(level, n)
     for visited, member in enumerate(iter_commutation_class(n, word), 1):
@@ -290,9 +300,16 @@ def _find_redex(
         for pos, pair in pairs:
             for rule in index.get(pair, ()):
                 if member[pos : pos + len(rule.pattern)] == rule.pattern:
-                    return member, pos, rule
-        if visited == len(word) and in_index_set(level, n, word):
-            return None
+                    rest = member[pos + len(rule.pattern) :]
+                    return member[:pos] + rule.replacement + rest, rule.scalar
+        if visited == len(word):
+            if in_index_set(level, n, word):
+                return None
+            if (
+                level == AlgebraLevel.SYMPLECTIC_BLOB
+                and heap_state(n, word) == HeapState.POSITIVE
+            ):
+                return oblique_shortening_word(n, blocks_of_word(n, word)), K
     return None
 
 
@@ -301,20 +318,20 @@ def _reduce_canonical(
     level: AlgebraLevel, n: int, word: Letters, strategy: str
 ) -> tuple[Scalar, Letters]:
     """
-    `reduce_word` on a canonical word.  Every rule scalar is a monomial of
-    coefficient 1 (`_rules_by_first_pair`), so a step adds the rule's
-    exponents to the tail's and returns the shared Scalar of the sum.
+    `reduce_word` on a canonical word.  Every step scalar is a monomial of
+    coefficient 1 (`_rules_by_first_pair`, and k for the blob step), so a
+    step adds its exponents to the tail's and returns the shared Scalar of
+    the sum.
     """
-    hit = _find_redex(level, n, word, strategy)
-    if hit is None:
+    step = _find_redex(level, n, word, strategy)
+    if step is None:
         return _ONE, word
-    member, pos, rule = hit
-    shorter = member[:pos] + rule.replacement + member[pos + len(rule.pattern) :]
-    assert len(shorter) < len(member), "rules must strictly shorten"
+    shorter, step_scalar = step
+    assert len(shorter) < len(word), "rewrite steps must strictly shorten"
     scalar, final = _reduce_canonical(level, n, _canonical_word(n, shorter), strategy)
-    (step,) = rule.scalar.terms
+    (head,) = step_scalar.terms
     (tail,) = scalar.terms
-    return _shared_monomial(tuple(map(add, step, tail))), final
+    return _shared_monomial(tuple(map(add, head, tail))), final
 
 
 def reduce_word(

@@ -239,6 +239,13 @@ def check_quotient_identities(max_n: int = 3) -> Check:
     TL -> 2B on every non-positive element, 2B -> SB on every non-blobbed
     positive one (rank 1 is left out: its block words are not all positive),
     and the boundary identities at ranks up to max_n.
+
+    The 2B -> SB half would be circular on a word where the kernel itself
+    takes the blob step (a positive word whose first blob redex lies past
+    len(word) class members): there it compares `reduce_word` with k times
+    `reduce_word` on the very image the kernel stepped to.  No word of this
+    range reaches that step, but larger ranges do, so the test suite checks
+    the kernel against a reducer that only walks commutation classes.
     """
     TL, TB, SB = AlgebraLevel.TL, AlgebraLevel.TWO_BOUNDARY, AlgebraLevel.SYMPLECTIC_BLOB
     steps = []

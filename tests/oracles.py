@@ -5,8 +5,9 @@ Each one is the slow or literal route to an answer that `blobcat` computes
 another way: reduced expressions through braid moves, containment through
 commutation classes and the occurrence order, the normal form looked up
 among all generated forms by canonical word and spelled by rigid blocks,
-and the paper's oblique factorization around the alternating run, which
-the blob step `grids.oblique_shortening_word` shortcuts.
+the paper's oblique factorization around the alternating run, which
+the blob step `grids.oblique_shortening_word` shortcuts, and the rewriting
+kernel as a plain class walk that never reads the heap.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from blobcat import grids
+from blobcat.algebra import AlgebraLevel, Rule, Scalar, rewrite_rules
 from blobcat.normal_forms import (
     Blocks,
     Bracket,
@@ -177,6 +179,57 @@ def grown_fc_word(rng, n: int, length: int, word: Letters = ()) -> Letters:
         if heap_state(n, grown) != HeapState.NOT_REDUCED_FC:
             word = grown
     return word
+
+
+# ---------------------------------------------------------------------------
+# the rewriting kernel by class walk
+
+
+def walk_redex(
+    level: AlgebraLevel, n: int, word: Letters, strategy: str
+) -> tuple[int, Letters, int, Rule] | None:
+    """
+    The plain class-BFS redex search: at every position of every member,
+    every rule that starts with the position's letter, in priority order;
+    on to the end of the class if need be.  The first hit as (members
+    visited, counted from 1; member; position; rule), or None.
+    """
+    by_first_letter: dict[int, list[Rule]] = {}
+    for rule in rewrite_rules(level, n):
+        by_first_letter.setdefault(rule.pattern[0], []).append(rule)
+    for visited, member in enumerate(iter_commutation_class(n, word), 1):
+        positions = range(len(member))
+        if strategy == "rightmost":
+            positions = reversed(positions)
+        for pos in positions:
+            for rule in by_first_letter.get(member[pos], ()):
+                if member[pos : pos + len(rule.pattern)] == rule.pattern:
+                    return visited, member, pos, rule
+    return None
+
+
+def rewrite_at(member: Letters, pos: int, rule: Rule) -> Letters:
+    """`member` with the rule's pattern at `pos` replaced."""
+    return member[:pos] + rule.replacement + member[pos + len(rule.pattern) :]
+
+
+@lru_cache(maxsize=None)
+def walk_reduce(
+    level: AlgebraLevel, n: int, word: Letters, strategy: str = "leftmost"
+) -> tuple[Scalar, Letters]:
+    """
+    `reduce_word` by the class walk alone: rewrite the first redex that
+    `walk_redex` finds until a whole class holds none.  No heap test and no
+    blob step, so it is independent of `in_index_set` and of
+    `grids.oblique_shortening_word`.
+    """
+    word = canonical_word(n, word)
+    hit = walk_redex(level, n, word, strategy)
+    if hit is None:
+        return Scalar.one(), word
+    _, member, pos, rule = hit
+    scalar, final = walk_reduce(level, n, rewrite_at(member, pos, rule), strategy)
+    return rule.scalar * scalar, final
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,14 @@ import random
 import time
 from functools import partial
 
-from blobcat import grids, normal_forms, verify
+from blobcat import enumeration, grids, normal_forms, verify
 from blobcat.algebra import AlgebraLevel, in_index_set, reduce_word
 from blobcat.cli import main
 from blobcat.words import is_reduced_fc
+
+from oracles import walk_reduce
+
+SB = AlgebraLevel.SYMPLECTIC_BLOB
 
 
 class Budget:
@@ -86,8 +90,8 @@ def test_criterion_7_rewriting_confluence():
 
 def test_long_words_reduce_at_rank_8():
     # Redex-free classes of long words are certified from the heap instead of
-    # walked.  A word whose first blob redex lies deep in its class still
-    # walks to it (see test_deep_blob_redex_is_found_in_few_members).
+    # walked, and a deep blob redex is rewritten by the blob step (see
+    # test_deep_blob_redexes_reduce_at_ranks_6_and_8).
     budget = Budget("long words at rank 8", 10.0)
     n = 8
     rng = random.Random(8)
@@ -99,6 +103,27 @@ def test_long_words_reduce_at_rank_8():
             assert left == right, (level, word)
             assert is_reduced_fc(n, left[1]), (level, word)
     budget.done(f"{len(words)} words of length 20 and 30, three levels, two strategies")
+
+
+def test_deep_blob_redexes_reduce_at_ranks_6_and_8():
+    # The long words of seeds 1-30 at rank 8 and one rank-6 blob product hold
+    # blob redexes deep in their classes: a class walk to them takes seconds,
+    # or passes the class cap and raises ClassSizeError (a word of seed 14,
+    # and the product).  Positive words take the blob step from the heap.
+    budget = Budget("deep blob redexes at ranks 6 and 8", 10.0)
+    x = (5, 4, 3, 2, 1, 6, 5, 4, 3, 2, 6, 5, 4, 6, 5, 6)
+    y = (0, 2, 1, 0, 3, 2, 1, 0, 5, 4, 3, 6)
+    cases = [(6, x + y)]
+    for seed in range(1, 31):
+        rng = random.Random(seed)
+        lengths = (20,) * 10 + (30,) * 10
+        cases += [(8, tuple(rng.randint(0, 8) for _ in range(m))) for m in lengths]
+    for n, word in cases:
+        for level in AlgebraLevel:
+            left = reduce_word(level, n, word, "leftmost")
+            assert left == reduce_word(level, n, word, "rightmost"), (level, n, word)
+            assert in_index_set(level, n, left[1]), (level, n, word)
+    budget.done(f"{len(cases)} words, three levels, two strategies")
 
 
 def test_enumerate_streams_its_forms(capsys, monkeypatch):
@@ -137,6 +162,29 @@ def test_criterion_8_quotient_identities():
     # 114 non-positive elements (TL -> 2B), 68 non-blobbed positive elements
     # (2B -> SB), the rank-3 descent chain, the rank-1 identity
     accept("criterion 8 quotient identities", 30.0, [184], verify.check_quotient_identities)
+
+
+def test_blob_step_matches_the_class_walk():
+    # verify's 2B -> SB check compares the kernel with itself on the image,
+    # which is circular once the kernel takes that step; here a reducer that
+    # only walks classes (oracles.walk_reduce) is the reference instead.
+    # Every non-blobbed positive block word: ranks 2-3 at affine lengths 0-4,
+    # rank 4 at 0-3, rank 5 at 0-1 (rank 4 at length 4 and rank 5 at length
+    # 2 would add about 2 s and 55 s); both strategies, 1,474 reductions.
+    budget = Budget("blob step against the class walk", 30.0)
+    cases = 0
+    for n, max_s in ((2, 4), (3, 4), (4, 3), (5, 1)):
+        for s in range(max_s + 1):
+            for blocks in enumeration.iter_positive_blocks(n, s):
+                if grids.is_blobbed(n, blocks):
+                    continue
+                word = normal_forms.block_word(blocks)
+                for strategy in ("leftmost", "rightmost"):
+                    expected = walk_reduce(SB, n, word, strategy)
+                    assert reduce_word(SB, n, word, strategy) == expected, (n, word, strategy)
+                    cases += 1
+    assert cases == 1474
+    budget.done(f"{cases} reductions at ranks 2-5")
 
 
 def test_criterion_9_blob_closure():

@@ -25,9 +25,9 @@ from blobcat.algebra import (
     sb_basis,
     structure_constants,
 )
-from blobcat.words import ClassSizeError, canonical_word, iter_commutation_class
+from blobcat.words import HeapState, canonical_word, heap_state, iter_commutation_class
 
-from oracles import commutation_class, grown_fc_word
+from oracles import commutation_class, grown_fc_word, rewrite_at, walk_redex
 
 TL = AlgebraLevel.TL
 TB = AlgebraLevel.TWO_BOUNDARY
@@ -199,44 +199,77 @@ def test_index_soundness_uses_the_stated_detectors():
 
 
 def _reference_find_redex(level, n, word, strategy):
-    """The plain class-BFS search: every rule at every position of every member."""
-    rules = rewrite_rules(level, n)
-    for member in iter_commutation_class(n, word):
-        positions = range(len(member))
-        if strategy == "rightmost":
-            positions = reversed(positions)
-        for pos in positions:
-            for rule in rules:
-                if member[pos : pos + len(rule.pattern)] == rule.pattern:
-                    return member, pos, rule.pattern
-    return None
+    """
+    The plain class walk (`oracles.walk_redex`) as a step of the kernel's
+    shape, (shorter word, rule scalar), plus the members it visited and the
+    pattern it rewrote.
+    """
+    hit = walk_redex(level, n, word, strategy)
+    if hit is None:
+        return None
+    visited, member, pos, rule = hit
+    return (rewrite_at(member, pos, rule), rule.scalar), visited, rule.pattern
 
 
-def _redex_choice(level, n, word, strategy):
-    hit = algebra._find_redex(level, n, word, strategy)
-    return None if hit is None else (hit[0], hit[1], hit[2].pattern)
+def _assert_blob_step(n, word, step):
+    """
+    The heap step: scalar k, and some class member holds IJI or JIJ at some
+    position whose rewrite is the step's word up to commutation.
+    """
+    shorter, scalar = step
+    assert scalar == K, (n, word)
+    target = canonical_word(n, shorter)
+    blob_rules = rewrite_rules(SB, n)[:2]
+    assert any(
+        canonical_word(n, rewrite_at(member, pos, rule)) == target
+        for member in iter_commutation_class(n, word)
+        for rule in blob_rules
+        for pos in range(len(member))
+        if member[pos : pos + len(rule.pattern)] == rule.pattern
+    ), (n, word, shorter)
 
 
 def _assert_same_redex_choice(n, word):
-    """Compare at every level and strategy; return the patterns chosen."""
+    """
+    Compare at every level and strategy; return the patterns chosen and
+    whether the blob level took the heap step.  The kernel walks as the
+    reference does, except that a positive word whose first redex lies past
+    `len(word)` members takes the blob step from the heap.
+    """
     patterns = set()
+    heap_step = False
     for level in (TL, TB, SB):
         for strategy in ("leftmost", "rightmost"):
             expected = _reference_find_redex(level, n, word, strategy)
-            assert _redex_choice(level, n, word, strategy) == expected, (
-                level, n, word, strategy
-            )
-            if expected is not None:
-                patterns.add(expected[2])
-    return patterns
+            step = algebra._find_redex(level, n, word, strategy)
+            if expected is None:
+                assert step is None, (level, n, word, strategy)
+                continue
+            walked, visited, pattern = expected
+            patterns.add(pattern)
+            if (
+                level == SB
+                and visited > len(word)
+                and heap_state(n, word) == HeapState.POSITIVE
+            ):
+                _assert_blob_step(n, word, step)
+                heap_step = True
+            else:
+                assert step == walked, (level, n, word, strategy)
+    return patterns, heap_step
 
 
 def test_redex_choice_matches_reference_exhaustive():
+    heap_steps = set()
     for n in (1, 2, 3):
         for length in range(8):
             for word in itertools.product(range(n + 1), repeat=length):
                 for w in {word, canonical_word(n, word)}:
-                    _assert_same_redex_choice(n, w)
+                    if _assert_same_redex_choice(n, w)[1]:
+                        heap_steps.add((n, w))
+    # all at rank 3: the words whose first blob redex lies past len(word)
+    # members (10 canonical words, 53 words with their raw spellings)
+    assert len(heap_steps) == 53
 
 
 def test_redex_choice_matches_reference_random():
@@ -255,7 +288,8 @@ def test_redex_choice_matches_reference_random():
             low = rng.choice((0, n - width, rng.randint(0, n - width)))
             word = [rng.randint(low, low + width) for _ in range(rng.randint(0, 12))]
             word = tuple(x for p, x in enumerate(word) if p == 0 or x != word[p - 1])
-            keys |= {pattern[:2] for pattern in _assert_same_redex_choice(n, word)}
+            patterns, _ = _assert_same_redex_choice(n, word)
+            keys |= {pattern[:2] for pattern in patterns}
         assert {(0, 0), (0, 1), (1, 0), (n - 1, n), (n, n - 1), (n, n)} <= keys, n
 
 
@@ -405,21 +439,18 @@ def test_queries_at_rank_12_use_no_normal_forms(monkeypatch, capsys):
     assert capsys.readouterr().out.count("*") == len(basis)
 
 
-@pytest.mark.xfail(
-    raises=ClassSizeError,
-    strict=True,
-    reason="a blob redex far from the start of the class is still reached by walking it",
-)
 def test_deep_blob_redex_is_found_in_few_members(monkeypatch):
     # This rank-8 word is reduced FC and free of boundary triples, so only a
-    # blob rule applies; its first IJI factor lies ~325k members into the walk.
+    # blob rule applies; its first IJI factor lies ~325k members into the
+    # walk, and the search takes the blob step from the heap after 15.
     word = (2, 1, 0, 3, 2, 1, 0, 5, 4, 3, 7, 6, 5, 8, 7)
     assert in_index_set(TB, 8, word) and not in_index_set(SB, 8, word)
     cap = len(word) ** 2
     monkeypatch.setattr(
         algebra, "iter_commutation_class", lambda n, w: iter_commutation_class(n, w, cap)
     )
-    assert algebra._find_redex(SB, 8, word, "leftmost") is not None
+    shorter, scalar = algebra._find_redex(SB, 8, word, "leftmost")
+    assert scalar == K and len(shorter) == len(word) - len(grids.i_word(8) + grids.j_word(8))
 
 
 # ---------------------------------------------------------------------------
@@ -596,6 +627,22 @@ def test_structure_constants_records_rank_three_are_pinned():
 
     blob = json.dumps(structure_constants_records(3), sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == STRUCTURE_CONSTANTS_3_SHA256
+
+
+# sha256 of json.dumps(structure_constants_records(4, max_rank=4),
+# sort_keys=True): all 112,225 products of the rank-4 blob table, recorded
+# before the kernel took the blob step from the heap
+STRUCTURE_CONSTANTS_4_SHA256 = "2f7a51fbd267ea2175b7c4e95c5638473902b331c5173762f9b34c184fb548bb"
+
+
+def test_structure_constants_records_rank_four_are_pinned():
+    import hashlib
+    import json
+
+    from blobcat.algebra import structure_constants_records
+
+    blob = json.dumps(structure_constants_records(4, max_rank=4), sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == STRUCTURE_CONSTANTS_4_SHA256
 
 
 @pytest.mark.xfail(
