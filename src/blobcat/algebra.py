@@ -11,17 +11,18 @@ canonical basis word; the rules all strictly shorten the word, so
 termination is by length.  Each rule scales by one monomial of coefficient
 1, so a rewrite step adds exponent vectors, and the kernel hands out one
 shared `Scalar` per monomial instead of a new one per step.  A redex is
-looked for in the commutation class of the word, walked breadth first; at
-each position only the rules whose pattern starts with its two letters are
-tried.  Once the walk has visited as many members as the word has letters
-without a hit, `in_index_set` reads the word's heap, O(length + rank) before
-the blob level's row test, and says exactly whether any member holds a rule
-pattern of the level; if none does, the walk stops there instead of
-covering the class.  If one does and the word is a positive element at the
-blob level, its only redexes are IJI and JIJ, and the search takes the
-paper's blob step instead of walking on to them: the oblique image
-`oblique_shortening_word` of the rigid blocks, one I J alternation fewer,
-times k.  The surviving word indexes a basis monomial of the level.
+looked for in the first members of the word's commutation class, walked
+breadth first, as many as the word has letters; at each position only the
+rules whose pattern starts with its two letters are tried.  Past them one
+pass over the word's heap (`words.heap_reading`, O(length + rank)) decides:
+a word that is not reduced fully commutative, or at the two-boundary and
+blob levels one with a boundary triple, gets the position of a chain or
+triple that some member holds as a rule pattern, and the step deletes its
+trailing letters; a positive, non-blobbed word at the blob level takes the
+paper's blob step, `oblique_shortening_word` of its rigid blocks, one I J
+alternation fewer, times k; any other word is a basis index.  So no
+redex, however deep in a large class, is walked to.  The surviving word
+indexes a basis monomial of the level.
 
 At rank 1 the two boundary pairs coincide; overlapping rules are resolved by
 fixed priority (blob rules first, then the left boundary), which keeps the
@@ -33,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from operator import add
 
 from . import enumeration
@@ -53,6 +54,7 @@ from .words import (
     canonical_word,
     check_rank,
     check_word,
+    heap_reading,
     heap_state,
     iter_commutation_class,
 )
@@ -273,27 +275,18 @@ def _find_redex(
 ) -> tuple[Letters, Scalar] | None:
     """
     One rewrite step of `word` as (shorter word, rule scalar), or None if
-    the word is a basis index.  The step rewrites the first redex in
-    class-BFS order from `word`: the earliest visited member containing any
-    rule pattern, with the position chosen by the strategy and ties between
-    rules at one position broken by priority.
-
-    Every pattern has two letters or more, so one dict probe per position
-    (`_rules_by_first_pair`) finds the only rules that can match there, in
-    priority order: the choice is that of trying every rule.  After
-    `len(word)` members without a hit, when the walk has already cost more
-    than a heap pass, `in_index_set` is asked once.  It is exact at every
-    level, so if it says the word is a basis index the class holds no redex
-    and the search ends with None.  Otherwise, at the blob level, a positive
-    word (`heap_state`) holds no TL or boundary pattern in any member, so
-    its only redexes are IJI and JIJ: the search stops walking and takes
-    the paper's blob step from the heap, `oblique_shortening_word` of the
-    rigid blocks (one I J alternation fewer) with scalar k.  In every other
-    case the walk goes on to the first redex, however deep it lies, and a
-    class past the enumeration cap before that raises ClassSizeError.
+    the word is a basis index.  The first `len(word)` members of the class,
+    walked breadth first from `word`, are searched for a rule pattern: the
+    step rewrites the earliest member holding one, at the position the
+    strategy chooses, with ties between rules at one position broken by
+    priority.  Every pattern has two letters or more, so one dict probe per
+    position (`_rules_by_first_pair`) finds the only rules that can match
+    there, in priority order: the choice is that of trying every rule.
+    Past those members, when the walk has already cost more than a heap
+    pass, `_heap_step` decides from the heap alone, however deep the redex.
     """
     index = _rules_by_first_pair(level, n)
-    for visited, member in enumerate(iter_commutation_class(n, word), 1):
+    for member in islice(iter_commutation_class(n, word), len(word)):
         pairs = enumerate(zip(member, member[1:]))
         if strategy == "rightmost":
             pairs = reversed(tuple(pairs))
@@ -302,14 +295,31 @@ def _find_redex(
                 if member[pos : pos + len(rule.pattern)] == rule.pattern:
                     rest = member[pos + len(rule.pattern) :]
                     return member[:pos] + rule.replacement + rest, rule.scalar
-        if visited == len(word):
-            if in_index_set(level, n, word):
-                return None
-            if (
-                level == AlgebraLevel.SYMPLECTIC_BLOB
-                and heap_state(n, word) == HeapState.POSITIVE
-            ):
-                return oblique_shortening_word(n, blocks_of_word(n, word)), K
+    return _heap_step(level, n, word)
+
+
+def _heap_step(level: AlgebraLevel, n: int, word: Letters) -> tuple[Letters, Scalar] | None:
+    """
+    One rewrite step read off one `heap_reading` of the word, or None if it
+    is a basis index.  A witness that is a redex at the level (a chain at
+    TL, a chain or a boundary triple above it) spells the pattern of one
+    rule, and some class member holds it as a factor; every replacement is
+    a prefix of its pattern, so the step deletes the witness's trailing
+    positions and scales by the rule's scalar.  A positive word that is not
+    blobbed holds only the blob level's IJI and JIJ, and takes the paper's
+    blob step: `oblique_shortening_word` of its rigid blocks, one I J
+    alternation fewer, times k.
+    """
+    state, witness = heap_reading(n, word)
+    if witness and (state == HeapState.NOT_REDUCED_FC or level != AlgebraLevel.TL):
+        pattern = tuple([word[p] for p in witness])
+        (rule,) = [r for r in _rules_by_first_pair(level, n)[pattern[:2]] if r.pattern == pattern]
+        drop = witness[len(rule.replacement) :]
+        return tuple([a for p, a in enumerate(word) if p not in drop]), rule.scalar
+    if level == AlgebraLevel.SYMPLECTIC_BLOB and state == HeapState.POSITIVE:
+        blocks = blocks_of_word(n, word)
+        if not is_blobbed(n, blocks):
+            return oblique_shortening_word(n, blocks), K
     return None
 
 
@@ -339,9 +349,12 @@ def reduce_word(
 ) -> tuple[Scalar, Letters]:
     """
     Rewrite a product of generators to (parameter monomial, canonical basis
-    word) under the level's relations, for any word short of one limit: it
-    recurses once per rewrite, so under the default recursion limit a word
-    needing ~500 rewrites, e.g. `(1,) * 499` at rank 2, raises RecursionError.
+    word) under the level's relations.  Each step walks at most `len(word)`
+    class members and then reads the heap once (`_find_redex`), so a deep
+    redex costs no class walk and no valid word meets the class cap.  One
+    limit remains: it recurses once per rewrite, so under the default
+    recursion limit a word needing ~500 rewrites, e.g. `(1,) * 499` at
+    rank 2, raises RecursionError.
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -361,7 +374,7 @@ def in_index_set(level: AlgebraLevel, n: int, word: Letters) -> bool:
     them whose rigid blocks are blobbed.  O(len(word) + n) before the row
     test of `is_blobbed`; a malformed word raises ValueError.
     """
-    state = heap_state(n, word)
+    state, _ = heap_reading(n, word)
     if level == AlgebraLevel.TL:
         return state != HeapState.NOT_REDUCED_FC
     if state != HeapState.POSITIVE:

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 from . import enumeration, grids, normal_forms, triangles, verify
 from .algebra import AlgebraLevel, in_index_set, reduce_word
-from .words import ClassSizeError, HeapState, check_rank, format_word, heap_state, parse_word
+from .words import HeapState, check_rank, format_word, heap_state, parse_word
 
 
 def _triangle(args: argparse.Namespace) -> int:
@@ -115,13 +115,10 @@ def _reduce(args: argparse.Namespace) -> int:
     try:
         scalar, word = reduce_word(level, args.n, parse_word(args.word))
     except RecursionError:
-        # the kernel recurses once per rewrite until ROADMAP item 2's loop lands
+        # the kernel recurses once per rewrite until ROADMAP item 4's loop lands
         raise ValueError(
             "word needs more nested rewrites than reduce supports yet"
         ) from None
-    except ClassSizeError as exc:
-        # the walk to a deep redex can pass the class cap, also until item 2 lands
-        raise ValueError(f"{exc}; reduce cannot reach the next rewrite yet") from None
     print(f"{scalar} * [{format_word(word)}]")
     return 0
 

@@ -11,7 +11,7 @@ equivalent when one can be turned into the other by swapping adjacent
 commuting letters.  The equivalence class of a word is finite; the functions
 below either enumerate it (the slow, oracle-grade route, guarded by a hard
 cap) or read the word's heap (the projection criterion, greedy linear
-extensions, the one-pass chain test of `heap_state`) with no enumeration.
+extensions, the one-pass chain test of `heap_reading`) with no enumeration.
 
 >>> canonical_word(4, (3, 1, 2))
 (1, 3, 2)
@@ -174,17 +174,71 @@ class HeapState(IntEnum):
     POSITIVE = 3
 
 
+def heap_reading(n: int, word: Letters) -> tuple[HeapState, Letters]:
+    """
+    Classify a word in one left-to-right pass, O(len(word) + n), and say
+    where the decision fell.  By Stembridge (1996) it is reduced and fully
+    commutative iff its heap has no convex chain ss, sts (bond 3) or stst
+    (bond 4).  Such chains end at the second of two consecutive occurrences
+    of a letter a with no neighbour a +- 1 between them (ss) or exactly one,
+    b: with bond 3 that is sts; with bond 4 it is stst when b's own previous
+    gap held nothing but that first a, else the triple a, b, a: the left
+    boundary triple 1,0,1 when b == 0, the right one n-1,n,n-1 (0,1,0 at
+    rank 1) when b == n.  The left one wins: a heap with both is
+    LEFT_TRIPLE.
+
+    The second item is the witness, as positions in increasing order: for
+    a word that is not reduced FC, the first chain the pass closes; else
+    the first triple of the winning side; () for a positive word.  Some
+    class member holds the witness's letters as a factor, because every
+    letter strictly between its positions commutes with the letters that
+    move.  Between the two a's of ss, sts or a triple lies no a and no
+    neighbour of a but b, so the first a moves right up to b (or to the
+    second a) and the second a moves left up to b.  In stst = b a b a,
+    b's gap between its two occurrences holds no b and no neighbour of b
+    but the first a, and a's gap no a and no neighbour of a but the second
+    b: the first b moves right up to the first a, the second b moves left
+    up to it, and the second a moves left up to the second b.
+
+    >>> heap_reading(3, (2, 0, 3, 2))
+    (<HeapState.RIGHT_TRIPLE: 2>, (0, 2, 3))
+    >>> heap_reading(4, (0, 1, 3, 0, 4, 1, 0))
+    (<HeapState.NOT_REDUCED_FC: 0>, (0, 1, 3, 5))
+    """
+    word = check_word(n, word)
+    # per letter: its latest position, the neighbour occurrences since then
+    # and the latest of them; slot n + 1 takes the missing neighbours of 0, n
+    last, gap, gap_last = [-1] * (n + 2), [0] * (n + 2), [-1] * (n + 2)
+    lone = [-1] * len(word)  # the single neighbour in the gap a position closed
+    state, triple = HeapState.POSITIVE, ()
+    for pos, a in enumerate(word):
+        if last[a] >= 0:
+            if gap[a] == 0:
+                return HeapState.NOT_REDUCED_FC, (last[a], pos)
+            if gap[a] == 1:
+                q = gap_last[a]
+                b = word[q]
+                # bond 3 (no end letter in the pair), or bond 4 closing b a b a
+                if 0 < a < n and 0 < b < n:
+                    return HeapState.NOT_REDUCED_FC, (last[a], q, pos)
+                if lone[q] == last[a]:
+                    first = last[a] - 1 - word[last[a] - 1 :: -1].index(b)
+                    return HeapState.NOT_REDUCED_FC, (first, last[a], q, pos)
+                if b == 0 and state != HeapState.LEFT_TRIPLE:
+                    state, triple = HeapState.LEFT_TRIPLE, (last[a], q, pos)
+                elif b == n and state == HeapState.POSITIVE:
+                    state, triple = HeapState.RIGHT_TRIPLE, (last[a], q, pos)
+                lone[pos] = q
+        for c in (a - 1, a + 1):
+            gap[c] += 1
+            gap_last[c] = pos
+        last[a], gap[a] = pos, 0
+    return state, triple
+
+
 def heap_state(n: int, word: Letters) -> HeapState:
     """
-    Classify a word in one left-to-right pass, O(len(word) + n).  By Stembridge
-    (1996) it is reduced and fully commutative iff its heap has no convex
-    chain ss, sts (bond 3) or stst (bond 4).  Such chains end at the second
-    of two consecutive occurrences of a letter a with no neighbour a +- 1
-    between them (ss) or exactly one, b: with bond 3 that is sts; with bond
-    4 it is stst when b's own previous gap held nothing but that first a,
-    else the triple a, b, a: the left boundary triple 1,0,1 when b == 0,
-    the right one n-1,n,n-1 (0,1,0 at rank 1) when b == n.  The left one
-    wins: a heap with both is LEFT_TRIPLE.
+    The state of `heap_reading` alone.
 
     >>> heap_state(3, (1, 0, 1)).name
     'LEFT_TRIPLE'
@@ -193,32 +247,7 @@ def heap_state(n: int, word: Letters) -> HeapState:
     >>> heap_state(3, (2, 3, 2, 1, 0, 1)).name
     'LEFT_TRIPLE'
     """
-    word = check_word(n, word)
-    # per letter: its latest position, the neighbour occurrences since then
-    # and the latest of them; slot n + 1 takes the missing neighbours of 0, n
-    last, gap, gap_last = [-1] * (n + 2), [0] * (n + 2), [-1] * (n + 2)
-    lone = [-1] * len(word)  # the single neighbour in the gap a position closed
-    state = HeapState.POSITIVE
-    for pos, a in enumerate(word):
-        if last[a] >= 0:
-            if gap[a] == 0:
-                return HeapState.NOT_REDUCED_FC
-            if gap[a] == 1:
-                q = gap_last[a]
-                b = word[q]
-                # bond 3 (no end letter in the pair), or bond 4 closing b a b a
-                if (0 < a < n and 0 < b < n) or lone[q] == last[a]:
-                    return HeapState.NOT_REDUCED_FC
-                if b == 0:
-                    state = HeapState.LEFT_TRIPLE
-                elif b == n:
-                    state = min(state, HeapState.RIGHT_TRIPLE)
-                lone[pos] = q
-        for c in (a - 1, a + 1):
-            gap[c] += 1
-            gap_last[c] = pos
-        last[a], gap[a] = pos, 0
-    return state
+    return heap_reading(n, word)[0]
 
 
 def is_reduced_fc(n: int, word: Letters) -> bool:

@@ -8,6 +8,7 @@ exactly the stated number of cases, so a check whose range shrinks fails.
 Every expected value is frozen in blobcat.verify or blobcat.tables.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -124,6 +125,71 @@ def test_deep_blob_redexes_reduce_at_ranks_6_and_8():
             assert left == reduce_word(level, n, word, "rightmost"), (level, n, word)
             assert in_index_set(level, n, left[1]), (level, n, word)
     budget.done(f"{len(cases)} words, three levels, two strategies")
+
+
+def _fc_products(n, s):
+    """
+    Products of 30 consecutive pairs of 60 FC normal forms, drawn by
+    `random.Random(5).sample` from the first 200,000 of `iter_fc_forms(n, s)`.
+    `sample` draws positions only, so sampling `range(200_000)` picks the
+    forms that sampling their list would, without keeping the list.
+    """
+    picks = random.Random(5).sample(range(200_000), 60)
+    wanted, forms = set(picks), {}
+    for index, nf in enumerate(normal_forms.iter_fc_forms(n, s)):
+        if index in wanted:
+            forms[index] = nf
+            if len(forms) == len(picks):
+                break
+    words = [normal_forms._word_of_normal_form(n, forms[index]) for index in picks]
+    return [words[p] + words[p + 1] for p in range(0, len(words), 2)]
+
+
+def _class_shuffle(rng, word):
+    """A seeded random walk of commuting swaps: another member of the class."""
+    word = list(word)
+    for _ in range(4 * len(word)):
+        p = rng.randrange(len(word) - 1)
+        if abs(word[p] - word[p + 1]) > 1:
+            word[p], word[p + 1] = word[p + 1], word[p]
+    return tuple(word)
+
+
+# sha256 of the outputs of test_deep_tl_and_boundary_redexes_at_ranks_10_and_12
+DEEP_REDEX_PRODUCTS_SHA256 = "f51a14e7916e055ec23bc50a6ef4a17c11c68436db099f58368b326de6e5632c"
+
+
+def test_deep_tl_and_boundary_redexes_at_ranks_10_and_12():
+    # Products of two long FC normal forms hold TL or boundary redexes so
+    # deep in their classes that a walk to them takes up to a minute or
+    # passes the class cap; the heap witness takes each in one step.  No
+    # walk reduces them all, so each output is checked four ways: it is a
+    # basis index, leftmost equals rightmost, a class shuffle of the input
+    # gives it too, and so does reducing a prefix of the input first.
+    TL, TB = AlgebraLevel.TL, AlgebraLevel.TWO_BOUNDARY
+    rank_10, rank_12 = _fc_products(10, 3), _fc_products(12, 2)
+    rng = random.Random(21)
+    records = []
+    for name, seconds, level, n, words in (
+        ("rank-10 TL products", 2.0, TL, 10, rank_10),
+        ("rank-12 TL products", 1.0, TL, 12, rank_12),
+        ("rank-12 two-boundary products", 1.0, TB, 12, rank_12),
+    ):
+        budget = Budget(name, seconds)
+        outputs = [reduce_word(level, n, word) for word in words]
+        lengths = sorted(map(len, words))
+        budget.done(f"{len(words)} products of {lengths[0]}-{lengths[-1]} letters")
+        for word, output in zip(words, outputs):
+            assert in_index_set(level, n, output[1]), (level, n, word)
+            assert reduce_word(level, n, word, "rightmost") == output, (level, n, word)
+            assert reduce_word(level, n, _class_shuffle(rng, word)) == output, (level, n, word)
+            cut = rng.randrange(1, len(word))
+            head_scalar, head = reduce_word(level, n, word[:cut])
+            scalar, out = reduce_word(level, n, head + word[cut:])
+            assert (head_scalar * scalar, out) == output, (level, n, word, cut)
+            records.append([level.name, n, str(output[0]), list(output[1])])
+    blob = json.dumps(records).encode()
+    assert hashlib.sha256(blob).hexdigest() == DEEP_REDEX_PRODUCTS_SHA256
 
 
 def test_enumerate_streams_its_forms(capsys, monkeypatch):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from blobcat import algebra, cli, enumeration, grids, normal_forms as nfm
+from blobcat import algebra, cli, enumeration, grids, normal_forms as nfm, words
 from blobcat.algebra import (
     D,
     DL,
@@ -25,7 +25,7 @@ from blobcat.algebra import (
     sb_basis,
     structure_constants,
 )
-from blobcat.words import HeapState, canonical_word, heap_state, iter_commutation_class
+from blobcat.words import canonical_word, iter_commutation_class
 
 from oracles import commutation_class, grown_fc_word, rewrite_at, walk_redex
 
@@ -211,33 +211,33 @@ def _reference_find_redex(level, n, word, strategy):
     return (rewrite_at(member, pos, rule), rule.scalar), visited, rule.pattern
 
 
-def _assert_blob_step(n, word, step):
+def _assert_heap_step(level, n, word, step):
     """
-    The heap step: scalar k, and some class member holds IJI or JIJ at some
-    position whose rewrite is the step's word up to commutation.
+    A step taken from the heap: its scalar is some rule's, and some class
+    member holds that rule's pattern at a position whose rewrite is the
+    step's word up to commutation.
     """
     shorter, scalar = step
-    assert scalar == K, (n, word)
     target = canonical_word(n, shorter)
-    blob_rules = rewrite_rules(SB, n)[:2]
+    rules = [rule for rule in rewrite_rules(level, n) if rule.scalar == scalar]
     assert any(
         canonical_word(n, rewrite_at(member, pos, rule)) == target
         for member in iter_commutation_class(n, word)
-        for rule in blob_rules
+        for rule in rules
         for pos in range(len(member))
         if member[pos : pos + len(rule.pattern)] == rule.pattern
-    ), (n, word, shorter)
+    ), (level, n, word, shorter, scalar)
 
 
 def _assert_same_redex_choice(n, word):
     """
-    Compare at every level and strategy; return the patterns chosen and
-    whether the blob level took the heap step.  The kernel walks as the
-    reference does, except that a positive word whose first redex lies past
-    `len(word)` members takes the blob step from the heap.
+    Compare at every level and strategy; return the patterns chosen and the
+    levels at which the kernel took a heap step.  The kernel walks as the
+    reference does for `len(word)` members; a word whose first redex lies
+    past them takes its step from the heap.
     """
     patterns = set()
-    heap_step = False
+    heap_levels = set()
     for level in (TL, TB, SB):
         for strategy in ("leftmost", "rightmost"):
             expected = _reference_find_redex(level, n, word, strategy)
@@ -247,29 +247,29 @@ def _assert_same_redex_choice(n, word):
                 continue
             walked, visited, pattern = expected
             patterns.add(pattern)
-            if (
-                level == SB
-                and visited > len(word)
-                and heap_state(n, word) == HeapState.POSITIVE
-            ):
-                _assert_blob_step(n, word, step)
-                heap_step = True
+            if visited > len(word):
+                _assert_heap_step(level, n, word, step)
+                heap_levels.add(level)
             else:
                 assert step == walked, (level, n, word, strategy)
-    return patterns, heap_step
+    return patterns, heap_levels
+
+
+# per level, the words of the exhaustive range (raw spellings and canonical
+# words) whose first redex lies past len(word) members; all are at rank 3,
+# and 53 of the blob level's are positive words that take the blob step
+HEAP_STEP_COUNTS = {TL: 106, TB: 46, SB: 97}
 
 
 def test_redex_choice_matches_reference_exhaustive():
-    heap_steps = set()
+    heap_steps = {level: set() for level in (TL, TB, SB)}
     for n in (1, 2, 3):
         for length in range(8):
             for word in itertools.product(range(n + 1), repeat=length):
                 for w in {word, canonical_word(n, word)}:
-                    if _assert_same_redex_choice(n, w)[1]:
-                        heap_steps.add((n, w))
-    # all at rank 3: the words whose first blob redex lies past len(word)
-    # members (10 canonical words, 53 words with their raw spellings)
-    assert len(heap_steps) == 53
+                    for level in _assert_same_redex_choice(n, w)[1]:
+                        heap_steps[level].add((n, w))
+    assert {level: len(found) for level, found in heap_steps.items()} == HEAP_STEP_COUNTS
 
 
 def test_redex_choice_matches_reference_random():
@@ -368,7 +368,8 @@ def _redex_free_levels(n, word):
 
 
 def test_index_set_is_exactly_the_redex_free_words_exhaustive():
-    # the redex search stops on `in_index_set`, so it must be exact at every level
+    # the redex search ends on the heap pass that `in_index_set` reads, so it
+    # must be exact at every level
     cases = 0
     for n in (1, 2, 3, 4):
         truth = {}
@@ -451,6 +452,38 @@ def test_deep_blob_redex_is_found_in_few_members(monkeypatch):
     )
     shorter, scalar = algebra._find_redex(SB, 8, word, "leftmost")
     assert scalar == K and len(shorter) == len(word) - len(grids.i_word(8) + grids.j_word(8))
+
+
+def test_heap_step_reads_the_heap_once(monkeypatch):
+    # one heap pass and at most one greatest-member build per heap step,
+    # whichever way it decides: a chain, a boundary triple, the blob step, None
+    for n in (1, 2, 3):  # the IJI and JIJ grids are read once per rank and kept
+        grids.iji_blocks(n), grids.jij_blocks(n)
+    passes, builds = [], []
+    read, normal = words.heap_reading, nfm._normal_word
+
+    def counting_read(n, word):
+        passes.append(word)
+        return read(n, word)
+
+    def counting_normal(n, word):
+        builds.append(word)
+        return normal(n, word)
+
+    monkeypatch.setattr(words, "heap_reading", counting_read)
+    monkeypatch.setattr(algebra, "heap_reading", counting_read)
+    monkeypatch.setattr(nfm, "_normal_word", counting_normal)
+    outcomes = set()
+    for n in (1, 2, 3):
+        for length in range(7):
+            for word in itertools.product(range(n + 1), repeat=length):
+                for level in (TL, TB, SB):
+                    passes.clear()
+                    builds.clear()
+                    step = algebra._heap_step(level, n, word)
+                    assert len(passes) == 1 and len(builds) <= 1, (level, n, word)
+                    outcomes.add(None if step is None else str(step[1]))
+    assert outcomes == {None, "k", "d", "dL", "dR", "kL", "kR", "1"}
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +681,7 @@ def test_structure_constants_records_rank_four_are_pinned():
 @pytest.mark.xfail(
     raises=RecursionError,
     strict=True,
-    reason="_reduce_canonical recurses once per rewrite (ROADMAP item 2)",
+    reason="_reduce_canonical recurses once per rewrite (ROADMAP item 4)",
 )
 def test_long_word_reduces_without_recursion_limit():
     # 1199 square rewrites; a fresh process already fails at (1,) * 499

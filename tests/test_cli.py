@@ -16,7 +16,19 @@ from blobcat import algebra, cli, enumeration, verify
 from blobcat.cli import main
 from blobcat.normal_forms import format_blocks
 from blobcat.triangles import blobbed_entry
-from blobcat.words import iter_commutation_class
+
+
+# also a CI step: the product of two rank-10 FC normal forms, and its reduction
+DEEP_TL_WORD = (
+    "0,1,2,3,4,5,6,7,8,9,10,0,1,2,3,4,5,6,7,8,9,10,0,1,2,3,4,5,6,7,8,9,10,0,1,2,3,4,5,"
+    "0,3,4,5,6,7,8,9,10,2,3,4,5,6,7,8,9,10,0,1,2,3,4,5,6,7,8,9,10,0,1,2,3,4,5,6,7,8,9,"
+    "0,1,2,3,4,5,6,7,8,0,1,2,3,4,0,1,2,3,0"
+)
+DEEP_TL_REDUCED = (
+    "dL*kR * [0,1,0,2,1,0,3,2,1,0,4,3,2,1,0,5,4,3,2,1,0,6,5,4,3,2,1,0,7,6,5,4,3,2,1,0,"
+    "8,7,6,5,4,3,2,1,0,9,8,7,6,5,4,3,2,1,0,10,9,8,7,6,5,4,3,2,10,9,8,7,6,5,4,3,10,9,8,7,"
+    "6,10,9,8,7,10,9,8]"
+)
 
 
 def run(capsys, *argv):
@@ -44,7 +56,7 @@ def test_reduce_output(capsys):
 
 
 def test_reduce_past_recursion_limit_is_malformed_input(capsys):
-    # the kernel recurses once per rewrite; ROADMAP item 2's loop will turn
+    # the kernel recurses once per rewrite; ROADMAP item 4's loop will turn
     # this into exit 0 with "d^2999 * [1]"
     word = ",".join(["1"] * 3000)
     code, out, err = run(capsys, "reduce", "--n", "2", "--level", "tl", "--word", word)
@@ -53,18 +65,15 @@ def test_reduce_past_recursion_limit_is_malformed_input(capsys):
     assert out == ""
 
 
-def test_reduce_past_class_cap_is_malformed_input(capsys, monkeypatch):
-    # the first blob redex of this rank-8 word lies ~325k members into its
-    # class; with the cap at 3 instead of 10**6 the walk stops at the cap.
-    # Uncached, so a reduction memoized by an earlier test cannot hide it.
+def test_reduce_deep_tl_redex_at_rank_10(capsys, monkeypatch):
+    # a product of two rank-10 FC normal forms of affine length 3: its first
+    # TL redex lies so deep in its class that a walk to it passes the class
+    # cap; the heap witness takes it in one step.  Uncached, so a reduction
+    # memoized by an earlier test cannot hide it.
     monkeypatch.setattr(algebra, "_reduce_canonical", algebra._reduce_canonical.__wrapped__)
-    monkeypatch.setattr(
-        algebra, "iter_commutation_class", lambda n, w: iter_commutation_class(n, w, 3)
-    )
-    word = "2,1,0,3,2,1,0,5,4,3,7,6,5,8,7"
-    code, out, err = run(capsys, "reduce", "--n", "8", "--level", "sb", "--word", word)
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "exceeds cap 3" in err and len(err.splitlines()) == 1
+    code, out, err = run(capsys, "reduce", "--n", "10", "--level", "tl", "--word", DEEP_TL_WORD)
+    assert (code, err) == (0, "")
+    assert out == DEEP_TL_REDUCED + "\n"
 
 
 def test_triangle_csv(capsys):

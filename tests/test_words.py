@@ -13,6 +13,7 @@ from blobcat.words import (
     HeapState,
     canonical_word,
     format_word,
+    heap_reading,
     heap_state,
     is_reduced_fc,
     iter_commutation_class,
@@ -210,6 +211,52 @@ def test_heap_state_matches_reference_exhaustive():
         for length in range(max_len + 1):
             for word in itertools.product(range(n + 1), repeat=length):
                 assert heap_state(n, word) == _reference_heap_state(n, word), (n, word)
+
+
+def _pieces(word):
+    """
+    Each position as (letter, occurrences of it before): commuting swaps
+    never exchange equal letters, so this names the same heap piece in
+    every member of the class.
+    """
+    before = {}
+    out = []
+    for a in word:
+        out.append((a, before.get(a, 0)))
+        before[a] = before.get(a, 0) + 1
+    return out
+
+
+def test_heap_witness_is_a_factor_of_some_member_exhaustive():
+    # the witness spells a chain ss, sts (bond 3) or stst (bond 4), or the
+    # winning boundary triple, and some member holds those very pieces side
+    # by side, so the kernel can rewrite them
+    witnessed = 0
+    for n, max_len in ((1, 8), (2, 7), (3, 6), (4, 5)):
+        pairs = [(a, b) for a in range(n + 1) for b in range(n + 1) if abs(a - b) == 1]
+        spelled = {
+            HeapState.NOT_REDUCED_FC: {(a, a) for a in range(n + 1)}
+            | {(a, b, a) for a, b in pairs if braid_order(n, a, b) == 3}
+            | {(b, a, b, a) for a, b in pairs if braid_order(n, a, b) == 4},
+            HeapState.LEFT_TRIPLE: {(1, 0, 1)},
+            HeapState.RIGHT_TRIPLE: {(n - 1, n, n - 1)},
+            HeapState.POSITIVE: {()},
+        }
+        for length in range(max_len + 1):
+            for word in itertools.product(range(n + 1), repeat=length):
+                state, witness = heap_reading(n, word)
+                assert state == heap_state(n, word)
+                assert list(witness) == sorted(witness)
+                assert tuple(word[p] for p in witness) in spelled[state], (n, word)
+                if not witness:
+                    continue
+                pieces = [_pieces(word)[p] for p in witness]
+                assert any(
+                    pieces == occ[occ.index(pieces[0]) :][: len(pieces)]
+                    for occ in map(_pieces, commutation_class(n, word))
+                ), (n, word, witness)
+                witnessed += 1
+    assert witnessed == 12_270
 
 
 def test_canonical_word_examples():
