@@ -45,7 +45,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from .words import HeapState, Letters, _canonical_word, check_rank, check_word, heap_state
 from .words import is_reduced_fc  # noqa: F401  kept as a binding the perfbench tracer wraps
@@ -81,27 +81,36 @@ def bform_is_negative(form: BForm) -> bool:
     return bool(form) and form[-1].l < 0
 
 
-def iter_bforms(n: int) -> Iterator[BForm]:
-    """All valid finite-part forms at rank n, identity first."""
-    check_rank(n)
+def _bracket_dfs(n: int, keep: Callable[[int, int, int], bool]) -> Iterator[BForm]:
+    """
+    The finite-part forms at rank n whose every bracket [l, g], at position j
+    from 1, passes keep(j, l, g), identity first, in pre-order.  A failing
+    bracket is skipped with every form that extends it, so no form is built
+    only to be filtered out.  Each g is below the previous one, each |l| below
+    the previous l, or l is 0 after an l of 0, and a negative bracket ends the form.
+    """
 
-    def extend(prefix: tuple[Bracket, ...], prev_g: int, prev_l: int | None,
-               seen_zero: bool) -> Iterator[BForm]:
+    def extend(prefix: BForm, prev_g: int, cap: int) -> Iterator[BForm]:
         yield prefix
+        j = len(prefix) + 1
         for g in range(prev_g - 1, -1, -1):
-            if seen_zero:
-                ls: list[int] = [0]
-            else:
-                top = g if prev_l is None else min(g, prev_l - 1)
-                ls = list(range(top, 0, -1)) + [0] + [-x for x in range(1, top + 1)]
-            for l in ls:
-                bracket = Bracket(l, g)
+            top = min(g, cap)
+            for l in range(top, -top - 1, -1):
+                if not keep(j, l, g):
+                    continue
+                form = prefix + (Bracket(l, g),)
                 if l < 0:
-                    yield prefix + (bracket,)  # negative bracket terminates
+                    yield form  # a negative bracket ends the form
                 else:
-                    yield from extend(prefix + (bracket,), g, l, l == 0)
+                    yield from extend(form, g, max(l - 1, 0))
 
-    yield from extend((), n, None, False)
+    return extend((), n, n)
+
+
+def iter_bforms(n: int) -> Iterator[BForm]:
+    """All valid finite-part forms at rank n, identity first, in DFS pre-order, as a lazy stream."""
+    check_rank(n)
+    yield from _bracket_dfs(n, lambda j, l, g: True)
 
 
 # ---------------------------------------------------------------------------
@@ -219,18 +228,15 @@ def check_normal_form(n: int, nf: NormalForm) -> NormalForm:
 
 
 def _length_one_forms(n: int) -> Iterator[LengthOne]:
-    bforms = tuple(iter_bforms(n))
     for i in range(n, 0, -1):
-        for form in bforms:
-            fits = all(br.l == n - j or br.l < i for j, br in enumerate(form, start=1))
-            if fits and not _braids_into_run(n, i, form):
-                yield LengthOne(i, form)
+        fits = _bracket_dfs(n, lambda j, l, g: l == n - j or l < i)
+        yield from (LengthOne(i, form) for form in fits if not _braids_into_run(n, i, form))
     for h in range(n, -n, -1):
         yield LengthOne(0, DescentTail(h))
-    # z == 1 would spell the word of DescentTail(0)
+    # z == 1 would spell the word of DescentTail(0); the empty tail is DescentTail(z)
     for z in range(n, 1, -1):
-        for runs in _decreasing_runs(z - 1):
-            yield LengthOne(0, DescentZerosTail(z, runs))
+        for runs in itertools.islice(_bracket_dfs(n, lambda j, l, g: l == 0 and g < z), 1, None):
+            yield LengthOne(0, DescentZerosTail(z, tuple(br.g for br in runs)))
     for i in range(-1, -n, -1):
         for h in range(n, -n, -1):
             yield LengthOne(i, DescentTail(h))
@@ -248,40 +254,29 @@ def _braids_into_run(n: int, i: int, form: BForm) -> bool:
     return i <= x <= n - 2 and all(abs(a - x) > 1 for a in bform_word(form[:-1]))
 
 
-def _decreasing_runs(top: int) -> Iterator[tuple[int, ...]]:
-    """Nonempty strictly decreasing tuples with entries in 0..top."""
-
-    def extend(prefix: tuple[int, ...], bound: int) -> Iterator[tuple[int, ...]]:
-        for r in range(bound, -1, -1):
-            yield prefix + (r,)
-            yield from extend(prefix + (r,), r - 1)
-
-    yield from extend((), top)
-
-
-def _zero_run_tails(n: int) -> Iterator[BForm]:
-    yield ()
-    for runs in _decreasing_runs(n - 1):
-        yield tuple(Bracket(0, r) for r in runs)
-
-
 def _higher_length_forms(n: int, s: int) -> Iterator[NormalForm]:
     ends = range(n, -n, -1)
     yield from (FirstType(i, s - 1, f) for i, f in itertools.product(ends, repeat=2))
     for p in range(0, min(n, s) + 1):
         for prefix in itertools.combinations(range(n, 0, -1), p):
             if p < s:
-                yield from (SecondType(prefix, s - p, tail) for tail in _zero_run_tails(n))
+                zero_runs = _bracket_dfs(n, lambda j, l, g: l == 0)
+                yield from (SecondType(prefix, s - p, tail) for tail in zero_runs)
                 continue
             last = prefix[-1]
-            bforms = (tail for tail in iter_bforms(n) if not tail or abs(tail[0].l) < last)
-            yield from (SecondType(prefix, 0, tail) for tail in bforms)
+            tails = _bracket_dfs(n, lambda j, l, g: j > 1 or abs(l) < last)
+            yield from (SecondType(prefix, 0, tail) for tail in tails)
             if last != n - 1:
                 yield SecondType(prefix[:-1] + (-last,), 0, ())
 
 
 def iter_fc_forms(n: int, s: int) -> Iterator[NormalForm]:
     """All FC elements of affine length s, one normal form each, as a lazy stream.
+
+    Every finite-part tail comes from one bracket DFS that skips a failing
+    bracket with its subtree, so the first forms come at once at any rank.
+    Only the few affine-length-1 tails that braid into the run are dropped
+    after they are built.
 
     >>> next(iter_fc_forms(10, 3))
     FirstType(i=10, k=2, f=10)

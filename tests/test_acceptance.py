@@ -193,18 +193,19 @@ def test_deep_tl_and_boundary_redexes_at_ranks_10_and_12():
 
 
 def test_enumerate_streams_its_forms(capsys, monkeypatch):
-    # the first forms at rank 10 without building a whole FC set: fc_forms(10, 3)
-    # holds 966,816 forms and takes over a minute to build
+    # the first forms without building a whole FC set: fc_forms(10, 3) holds
+    # 966,816 forms and takes over a minute to build, and listing the 2,912,167
+    # finite-part forms of rank 12 before the first affine-length-1 form took 20 s
     def refuse(n, s):
         raise AssertionError("enumerate built a whole FC set")
 
     monkeypatch.setattr(normal_forms, "fc_forms", refuse)
-    budget = Budget("enumerate --limit at rank 10", 3.0)
-    for s, limit in ((3, 1), (0, 2)):
-        argv = ["enumerate", "--n", "10", "--s", str(s), "--limit", str(limit)]
+    budget = Budget("enumerate --limit at ranks 10 and 12", 3.0)
+    for n, s, limit in ((10, 3, 1), (10, 0, 2), (12, 1, 1)):
+        argv = ["enumerate", "--n", str(n), "--s", str(s), "--limit", str(limit)]
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["count"] == limit
-    budget.done("s = 3 limit 1, s = 0 limit 2")
+    budget.done("rank 10 s = 3 limit 1 and s = 0 limit 2, rank 12 s = 1 limit 1")
 
 
 def test_block_reading_scales_with_rank():

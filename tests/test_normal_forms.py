@@ -243,6 +243,35 @@ def test_generation_and_shortening_use_no_oracle(monkeypatch):
             tilde(n, f)
 
 
+# sha256 of f"{form!r}\n" over iter_fc_forms(7, s) for s = 0..5, in order;
+# recorded before every finite-part tail came from one pruned bracket DFS
+RANK_SEVEN_ORDER_SHA256 = "5c40b9f91864186f67ab7ff28ee8aa604247f4849e162b040fdce1059d53a931"
+
+
+def test_generation_order_at_rank_seven_is_pinned():
+    h = hashlib.sha256()
+    count = 0
+    for s in range(6):
+        for f in nfm.iter_fc_forms(7, s):
+            count += 1
+            h.update(f"{f!r}\n".encode())
+    assert count == 82423
+    assert h.hexdigest() == RANK_SEVEN_ORDER_SHA256
+
+
+@pytest.mark.parametrize("s", [0, 2, 3, 4, 5])
+def test_generation_builds_only_brackets_it_yields(monkeypatch, s):
+    # each bracket ends one yielded tail; filtering whole finite-part forms
+    # after building them built four to seven times as many brackets here.
+    # At s = 1 a few built tails braid into the run and are dropped.
+    built = []
+    monkeypatch.setattr(nfm, "Bracket", lambda l, g: built.append(g) or Bracket(l, g))
+    forms = list(nfm.iter_fc_forms(6, s))
+    tails = [f.form if isinstance(f, LengthZero) else f.tail for f in forms
+             if not isinstance(f, FirstType)]
+    assert len(built) == sum(1 for tail in tails if tail)
+
+
 def test_rank_one_census():
     # the rank-1 group is finite: 2, 4, 1 elements at affine lengths 0, 1, 2
     assert len(fc_forms(1, 0)) == 2
