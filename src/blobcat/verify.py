@@ -118,7 +118,7 @@ def check_d_forms(max_n: int = 90) -> Check:
 
 
 def check_dim_polynomial(max_n: int = 90) -> Check:
-    """blob_polynomial's one pass over the wing sequences against b_count at each s."""
+    """blob_polynomial's convolutions of the wing complements against b_count at each s."""
     mismatches = []
     for n in range(1, max_n + 1):
         got = enumeration.blob_polynomial(n)

@@ -225,6 +225,16 @@ def test_block_reading_scales_with_rank():
     budget.done("descending and staircase words, one cold blob-level query")
 
 
+def test_dimension_polynomial_scales_with_rank():
+    # three products of the wing complements; one wing-sum dot product per s
+    # (O(n^2) big-integer products) took about 3 s on a 2-vCPU VM
+    n = 1000
+    budget = Budget("dimension polynomial at rank 1000", 1.5)
+    coeffs = enumeration.blob_polynomial(n)
+    assert len(coeffs) == n + 1 and coeffs[0] == enumeration.a_count(n, 0)
+    budget.done(f"{n + 1} coefficients, sum of {sum(coeffs).bit_length()} bits")
+
+
 def test_criterion_8_quotient_identities():
     # 114 non-positive elements (TL -> 2B), 68 non-blobbed positive elements
     # (2B -> SB), the rank-3 descent chain, the rank-1 identity

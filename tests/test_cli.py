@@ -203,13 +203,15 @@ TRIANGLE_SHA256 = {
 DIM_SHA256 = "ac369d4d2039b9cce59d57c4fa534450a97e9d8542256a0f34f69f40fdc4f1fb"
 
 
-# recorded before blob_polynomial read every d(s) off one pair of wing
-# sequences: sha256 of the stdout of `dim --n N`, and of
-# `count --n 512 --s S --which W`
+# sha256 of the stdout of `dim --n N`, and of `count --n 512 --s S --which W`:
+# N = 128, 256, 512 and the counts recorded before blob_polynomial read every
+# d(s) off one pair of wing sequences, N = 1000 before it read them off the
+# convolutions of the wing complements (a CI step pins N = 2000 the same way)
 DIM_LARGE_SHA256 = {
     128: "5bdabecaf4a14b2bb34cc38baed144f6047f11142b46b1b924c947d7444ce0c3",
     256: "46bfb168457be645280c184c96de8410fe8729265d8f571b6e691f67fbb32c9a",
     512: "210a15bfd6bf9c83a3e32755d097705d2e9132c4f1de0b22c2c8b89e5eef9c0a",
+    1000: "0d47d0cd648bcb2d2b3cf33fd45a3ab53ea3c9d6bba3295c6c4444a9d26d1210",
 }
 COUNT_512_SHA256 = {
     ("b", 1): "6c2b02cf5ef1ac6088017bf5d224a4db4f6dcb6aa5c3cc8d57c88cfffa64cf97",

@@ -1,5 +1,7 @@
 """Counting formulas, their recurrences, and the exhaustive block oracles."""
 
+import random
+
 import pytest
 
 from blobcat import enumeration as en
@@ -87,6 +89,51 @@ def test_dimension_examples():
     for n in range(1, 10):
         assert p_dim(n) == tables.DIMENSION_SEQUENCE[n - 1]
         assert sum(blob_polynomial(n)) == p_dim(n)
+
+
+def _naive_convolution(x, y):
+    out = [0] * (len(x) + len(y) - 1) if x and y else []
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            out[i + j] += a * b
+    return out
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        ([], []),
+        ([], [3]),
+        ([5], []),
+        ([0], [0]),
+        ([7], [9]),
+        ([0, 0, 0], [0, 0]),
+        ([1, 0, 2], [0, 0, 0, 3]),
+        # every coefficient at its list's maximum bit length, with the bound
+        # a whole number of bytes: 7 + 8 + bit_length(1) = 16 bits, and the
+        # one coefficient, 127 * 255, needs 15 of them
+        ([2**7 - 1], [2**8 - 1]),
+        # 5 + 8 + bit_length(4) = 16 bits: the central coefficient, 4 (2^5 - 1)
+        # (2^8 - 1), needs 15 of the 16 bits of its 2-byte field
+        ([2**5 - 1] * 4, [2**8 - 1] * 6),
+        # 100 + 153 + bit_length(3) = 255 bits in 32-byte fields
+        ([2**100 - 1] * 3, [2**153 - 1] * 3),
+    ],
+)
+def test_convolve_edge_cases(x, y):
+    assert en._convolve(x, y) == _naive_convolution(x, y)
+
+
+def test_convolve_matches_naive_convolution():
+    rng = random.Random(23)
+    for _ in range(300):
+        bits_x, bits_y = rng.randint(0, 300), rng.randint(0, 300)
+        x = [rng.getrandbits(bits_x) for _ in range(rng.randint(0, 40))]
+        y = [rng.getrandbits(bits_y) for _ in range(rng.randint(0, 40))]
+        if x and rng.random() < 0.3:
+            x = [(1 << bits_x) - 1] * len(x)
+        assert en._convolve(x, y) == _naive_convolution(x, y)
+        assert en._convolve(x, x) == _naive_convolution(x, x)
 
 
 def test_positive_count_recurrence():
