@@ -194,15 +194,6 @@ class AlgebraLevel(IntEnum):
     TWO_BOUNDARY = 1
     SYMPLECTIC_BLOB = 2
 
-    @classmethod
-    def parse(cls, text: str) -> "AlgebraLevel":
-        try:
-            return {"tl": cls.TL, "2btl": cls.TWO_BOUNDARY, "sb": cls.SYMPLECTIC_BLOB}[
-                text.lower()
-            ]
-        except KeyError:
-            raise ValueError(f"unknown level {text!r}; expected tl, 2btl, or sb")
-
 
 @dataclass(frozen=True)
 class Rule:
@@ -351,10 +342,10 @@ def reduce_word(
     Rewrite a product of generators to (parameter monomial, canonical basis
     word) under the level's relations.  Each step walks at most `len(word)`
     class members and then reads the heap once (`_find_redex`), so a deep
-    redex costs no class walk and no valid word meets the class cap.  One
-    limit remains: it recurses once per rewrite, so under the default
-    recursion limit a word needing ~500 rewrites, e.g. `(1,) * 499` at
-    rank 2, raises RecursionError.
+    redex costs no walk of its class, however large.  One limit remains:
+    it recurses once per rewrite, so under the default recursion limit a
+    word needing ~500 rewrites, e.g. `(1,) * 499` at rank 2, raises
+    RecursionError.
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")

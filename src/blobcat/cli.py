@@ -51,8 +51,7 @@ def _triangle(args: argparse.Namespace) -> int:
 
 
 def _count(args: argparse.Namespace) -> int:
-    kind = enumeration.CountKind(args.which)
-    print(enumeration.count(kind, args.n, args.s))
+    print(enumeration.COUNTS[enumeration.CountKind(args.which)](args.n, args.s))
     return 0
 
 
@@ -110,10 +109,13 @@ def _grid(args: argparse.Namespace) -> int:
     return 0
 
 
+# the --level names, in the order of AlgebraLevel: TL, TWO_BOUNDARY, SYMPLECTIC_BLOB
+_LEVELS = dict(zip(("tl", "2btl", "sb"), AlgebraLevel))
+
+
 def _reduce(args: argparse.Namespace) -> int:
-    level = AlgebraLevel.parse(args.level)
     try:
-        scalar, word = reduce_word(level, args.n, parse_word(args.word))
+        scalar, word = reduce_word(_LEVELS[args.level], args.n, parse_word(args.word))
     except RecursionError:
         # the kernel recurses once per rewrite until ROADMAP item 4's loop lands
         raise ValueError(
@@ -161,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="closed-form counts")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--which", choices=("a", "b", "d"), required=True)
+    p.add_argument("--which", choices=tuple(k.value for k in enumeration.CountKind), required=True)
     p.set_defaults(func=_count)
 
     p = sub.add_parser("enumerate", help="list elements of one affine length")
@@ -184,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="rewrite a generator word to basis form")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--level", choices=("tl", "2btl", "sb"), required=True)
+    p.add_argument("--level", choices=tuple(_LEVELS), required=True)
     p.add_argument("--word", type=str, required=True)
     p.set_defaults(func=_reduce)
 

@@ -27,10 +27,6 @@ class CountKind(Enum):
     A = "a"
     B = "b"
     D = "d"
-    I_T = "i_t"
-    J_T = "j_t"
-    I_NR = "i_nr"
-    J_NR = "j_nr"
 
 
 def a_count(n: int, s: int) -> int:
@@ -243,15 +239,7 @@ COUNTS = {
     CountKind.A: a_count,
     CountKind.B: b_count,
     CountKind.D: d_count,
-    CountKind.I_T: i_t,
-    CountKind.J_T: j_t,
-    CountKind.I_NR: i_nr,
-    CountKind.J_NR: j_nr,
 }
-
-
-def count(kind: CountKind, n: int, second: int) -> int:
-    return COUNTS[kind](n, second)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@ triangle identities, and the rewriting-kernel property checks.
 Each check is one function returning one Check record; a suite is a list of
 checks, and a run passes iff every record does.  These functions are the
 only implementation of the acceptance criteria: tests/test_acceptance.py
-calls them under its time budgets.  The counting functions are injectable so
-a deliberately broken formula can be shown to produce mismatches.
+calls them under its time budgets, and the tests show a deliberately broken
+formula producing mismatches by patching the function in `enumeration`.
+
+A rank-indexed check takes `max_n`, the largest rank to check, and caps it
+at its own limit; None checks up to that limit.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ CONFLUENCE_SEED = 20240817
 CONFLUENCE_RANKS = (2, 3, 4)
 CONFLUENCE_WORDS_PER_RANK = 70
 CONFLUENCE_MAX_LEN = 12
+IDENTITY_MAX_INDEX = 40
+DECOMPOSITION_MAX_I = 30
 
 
 @dataclass(frozen=True)
@@ -42,8 +47,9 @@ def _check(name: str, mismatches: list[str], cases: int, detail_ok: str) -> Chec
     return Check(name, True, detail_ok, cases)
 
 
-def _count_table(name: str, fn: Callable[[int, int], int], table, max_n: int) -> Check:
-    cells = [(n, s) for n in range(1, min(max_n, 9) + 1) for s in range(10)]
+def _count_table(name: str, fn: Callable[[int, int], int], table, max_n: int | None) -> Check:
+    """Row n of the table holds fn(n, s) for s = 0, 1, ...; rows 1..max_n are checked."""
+    cells = [(n, s) for n, row in enumerate(table[:max_n], 1) for s in range(len(row))]
     mismatches = []
     for n, s in cells:
         got, want = fn(n, s), table[n - 1][s]
@@ -52,31 +58,28 @@ def _count_table(name: str, fn: Callable[[int, int], int], table, max_n: int) ->
     return _check(name, mismatches, len(cells), f"{len(cells)} cells")
 
 
-def check_excluded(max_n: int = 9, d_fn: Callable[[int, int], int] | None = None) -> Check:
-    d_fn = d_fn or enumeration.d_count
-    return _count_table("tables:excluded", d_fn, tables.EXCLUDED_TABLE, max_n)
+def check_excluded(max_n: int | None = None) -> Check:
+    return _count_table("tables:excluded", enumeration.d_count, tables.EXCLUDED_TABLE, max_n)
 
 
-def check_blobbed(max_n: int = 9, b_fn: Callable[[int, int], int] | None = None) -> Check:
-    b_fn = b_fn or enumeration.b_count
-    return _count_table("tables:blobbed", b_fn, tables.BLOBBED_TABLE, max_n)
+def check_blobbed(max_n: int | None = None) -> Check:
+    return _count_table("tables:blobbed", enumeration.b_count, tables.BLOBBED_TABLE, max_n)
 
 
-def check_dimension_sequence(max_n: int = 9, p_fn: Callable[[int], int] | None = None) -> Check:
-    p_fn = p_fn or enumeration.p_dim
-    max_n = min(max_n, 9)
+def check_dimension_sequence(max_n: int | None = None) -> Check:
+    terms = tables.DIMENSION_SEQUENCE[:max_n]
     mismatches = []
-    for n in range(1, max_n + 1):
-        got, want = p_fn(n), tables.DIMENSION_SEQUENCE[n - 1]
+    for n, want in enumerate(terms, 1):
+        got = enumeration.p_dim(n)
         if got != want:
             mismatches.append(f"n={n} got {got} want {want}")
-    return _check("tables:dimension-sequence", mismatches, max_n, f"{max_n} terms")
+    return _check("tables:dimension-sequence", mismatches, len(terms), f"{len(terms)} terms")
 
 
 def check_oracle(n: int) -> Check:
     """Block enumeration against a_count and b_count at rank n, s <= min(n+1, 6)."""
     mismatches = []
-    lengths = range(0, min(n + 1, 6) + 1)
+    lengths = range(0, min(n + 1, enumeration.ORACLE_MAX_S) + 1)
     for s in lengths:
         got = enumeration.oracle_positive_count(n, s)
         want = triangles.blobbed_entry(2 * n, 2 * s)
@@ -89,10 +92,11 @@ def check_oracle(n: int) -> Check:
     return _check(f"oracle:n={n}", mismatches, len(lengths), f"{len(lengths)} affine lengths")
 
 
-def check_finite_part(max_n: int = 8) -> Check:
+def check_finite_part(max_n: int | None = None) -> Check:
     """Generated affine-length-0 elements: (n+2)·Catalan(n) − 1 of them, C(2n, n) positive."""
+    ranks = range(1, 9)[:max_n]
     mismatches = []
-    for n in range(1, max_n + 1):
+    for n in ranks:
         forms = normal_forms.fc_forms(n, 0)
         want = (n + 2) * comb(2 * n, n) // (n + 1) - 1
         if len(forms) != want:
@@ -101,34 +105,36 @@ def check_finite_part(max_n: int = 8) -> Check:
         positive = sum(1 for word in spelled if in_index_set(AlgebraLevel.TWO_BOUNDARY, n, word))
         if positive != comb(2 * n, n):
             mismatches.append(f"positive n={n} got {positive} want {comb(2 * n, n)}")
-    detail = f"totals and positive counts for n <= {max_n}"
-    return _check("oracle:finite-part", mismatches, max_n, detail)
+    detail = f"totals and positive counts for n <= {len(ranks)}"
+    return _check("oracle:finite-part", mismatches, len(ranks), detail)
 
 
-def check_d_forms(max_n: int = 90) -> Check:
+def check_d_forms(max_n: int | None = None) -> Check:
     """d_count's wing sums against the closed form in doubled-triangle entries."""
-    pairs = [(n, s) for n in range(2, max_n + 1) for s in range(2, n + 1)]
+    ranks = range(1, 91)[:max_n]
+    pairs = [(n, s) for n in ranks for s in range(2, n + 1)]
     mismatches = []
     for n, s in pairs:
         got, want = enumeration.d_count(n, s), enumeration._d_closed(n, s)
         if got != want:
             mismatches.append(f"(n={n},s={s}) wing sums {got} closed form {want}")
-    detail = f"{len(pairs)} (n,s) pairs, n <= {max_n}"
+    detail = f"{len(pairs)} (n,s) pairs, n <= {len(ranks)}"
     return _check("oracle:d-forms", mismatches, len(pairs), detail)
 
 
-def check_dim_polynomial(max_n: int = 90) -> Check:
+def check_dim_polynomial(max_n: int | None = None) -> Check:
     """blob_polynomial's convolutions of the wing complements against b_count at each s."""
+    ranks = range(1, 91)[:max_n]
     mismatches = []
-    for n in range(1, max_n + 1):
+    for n in ranks:
         got = enumeration.blob_polynomial(n)
         want = tuple(enumeration.b_count(n, s) for s in range(n + 1))
         if got != want:
             diffs = (s for s, (g, w) in enumerate(zip(got, want)) if g != w)
             s = next(diffs, min(len(got), len(want)))
             mismatches.append(f"n={n} first differs at s={s}, length {len(got)} of {n + 1}")
-    detail = f"{max_n} polynomials, n <= {max_n}"
-    return _check("oracle:dim-polynomial", mismatches, max_n, detail)
+    detail = f"{len(ranks)} polynomials, n <= {len(ranks)}"
+    return _check("oracle:dim-polynomial", mismatches, len(ranks), detail)
 
 
 def check_triangle_closed_form(max_i: int = 64) -> Check:
@@ -165,26 +171,25 @@ def check_triangle_closed_form(max_i: int = 64) -> Check:
     return _check("triangle:closed-form", mismatches, cases, detail)
 
 
-def check_triangle_identities(max_ident: int = 40) -> Check:
+def check_triangle_identities() -> Check:
     C = triangles.blobbed_entry
-    mismatches = [
-        f"column identity at {j}" for j in range(0, max_ident + 1) if C(j, 0) != C(j - 1, 1)
-    ]
-    for i in range(1, max_ident + 1):
-        for j in range(1, max_ident + 1):
+    top = IDENTITY_MAX_INDEX
+    mismatches = [f"column identity at {j}" for j in range(0, top + 1) if C(j, 0) != C(j - 1, 1)]
+    for i in range(1, top + 1):
+        for j in range(1, top + 1):
             lhs = C(i, j)
             if lhs != sum(C(i - 1 - k, j + 1 - k) for k in range(j + 1)):
                 mismatches.append(f"row-sum identity at ({i},{j})")
             if lhs != sum(C(i - 1 - k, j - 1 + k) for k in range(i + 1)):
                 mismatches.append(f"diagonal-sum identity at ({i},{j})")
-    cases = max_ident + 1 + 2 * max_ident**2
-    return _check("triangle:identities", mismatches, cases, f"indices <= {max_ident}")
+    cases = top + 1 + 2 * top**2
+    return _check("triangle:identities", mismatches, cases, f"indices <= {top}")
 
 
-def check_triangle_decompositions(max_decomp: int = 30) -> Check:
+def check_triangle_decompositions() -> Check:
     mismatches = []
     cases = 0
-    for i in range(1, max_decomp + 1):
+    for i in range(1, DECOMPOSITION_MAX_I + 1):
         cases += 1 + i
         total = sum(w * c for _, w, c in triangles.central_binomial_decomposition(i))
         if total != triangles.binomial(2 * i, i):
@@ -193,14 +198,14 @@ def check_triangle_decompositions(max_decomp: int = 30) -> Check:
             total = sum(w * c for _, w, c in triangles.general_binomial_decomposition(i, j))
             if total != triangles.binomial(2 * i - j, i):
                 mismatches.append(f"general at ({i},{j})")
-    return _check("triangle:decompositions", mismatches, cases, f"i <= {max_decomp}")
+    return _check("triangle:decompositions", mismatches, cases, f"i <= {DECOMPOSITION_MAX_I}")
 
 
-def check_confluence(max_n: int = 4) -> Check:
+def check_confluence(max_n: int | None = None) -> Check:
     """
     Seeded random words reduce the same under both strategies, into the index
-    set.  Words above rank max_n are drawn and skipped, so the words at the
-    ranks checked do not depend on max_n.
+    set, at CONFLUENCE_RANKS.  Words above rank max_n are drawn and skipped,
+    so the words at the ranks checked do not depend on max_n.
     """
     rng = random.Random(CONFLUENCE_SEED)
     mismatches = []
@@ -210,7 +215,7 @@ def check_confluence(max_n: int = 4) -> Check:
             for _ in range(CONFLUENCE_WORDS_PER_RANK):
                 length = rng.randint(0, CONFLUENCE_MAX_LEN)
                 word = tuple(rng.randint(0, n) for _ in range(length))
-                if n > max_n:
+                if max_n is not None and n > max_n:
                     continue
                 left = reduce_word(level, n, word, "leftmost")
                 right = reduce_word(level, n, word, "rightmost")
@@ -233,7 +238,7 @@ BOUNDARY_IDENTITIES = (
 )
 
 
-def check_quotient_identities(max_n: int = 3) -> Check:
+def check_quotient_identities(max_n: int | None = None) -> Check:
     """
     Both shortening steps at ranks 2..min(max_n, 3), affine lengths 0..2:
     TL -> 2B on every non-positive element, 2B -> SB on every non-blobbed
@@ -248,8 +253,9 @@ def check_quotient_identities(max_n: int = 3) -> Check:
     the kernel against a reducer that only walks commutation classes.
     """
     TL, TB, SB = AlgebraLevel.TL, AlgebraLevel.TWO_BOUNDARY, AlgebraLevel.SYMPLECTIC_BLOB
+    ranks = range(1, 4)[:max_n]
     steps = []
-    for n in range(2, min(max_n, 3) + 1):
+    for n in ranks[1:]:
         for s in range(0, 3):
             for nf in normal_forms.fc_forms(n, s):
                 word = normal_forms._word_of_normal_form(n, nf)
@@ -263,7 +269,7 @@ def check_quotient_identities(max_n: int = 3) -> Check:
         for a, b, n, word in steps
         if not quotient_image_check(a, b, n, word)
     ]
-    identities = [(n, word, want) for n, word, want in BOUNDARY_IDENTITIES if n <= max_n]
+    identities = [(n, word, want) for n, word, want in BOUNDARY_IDENTITIES if n in ranks]
     for n, word, want in identities:
         got = reduce_word(TB, n, word)
         if got != want:
@@ -277,14 +283,15 @@ def check_quotient_identities(max_n: int = 3) -> Check:
     return _check("algebra:quotient-identities", mismatches, len(steps) + fixed, detail)
 
 
-def check_blob_closure(max_n: int = 3) -> Check:
+def check_blob_closure(max_n: int | None = None) -> Check:
     """
-    Blob bases of the published sizes, and products that stay inside them:
-    `structure_constants` raises AssertionError on the first that leaves.
+    Blob bases of the published sizes up to rank 3, and products that stay
+    inside them: `structure_constants` raises AssertionError on the first
+    that leaves.
     """
     mismatches = []
     sizes = []
-    for n in range(1, min(max_n, 3) + 1):
+    for n in range(1, 4)[:max_n]:
         basis = sb_basis(n)
         if len(basis) != tables.DIMENSION_SEQUENCE[n - 1]:
             mismatches.append(f"n={n} basis size {len(basis)}")
@@ -299,27 +306,13 @@ def check_blob_closure(max_n: int = 3) -> Check:
     return _check("algebra:blob-closure", mismatches, sum(sizes), f"table sizes {sizes}")
 
 
-def _cap(limit: int, max_n: int | None) -> int:
-    return limit if max_n is None else min(limit, max_n)
-
-
-def verify_tables(max_n: int | None = None, d_fn=None, b_fn=None, p_fn=None) -> list[Check]:
-    """The published tables; d_fn, b_fn and p_fn replace the count functions under test."""
-    max_n = _cap(9, max_n)
-    return [
-        check_excluded(max_n, d_fn),
-        check_blobbed(max_n, b_fn),
-        check_dimension_sequence(max_n, p_fn),
-    ]
+def verify_tables(max_n: int | None = None) -> list[Check]:
+    return [check_excluded(max_n), check_blobbed(max_n), check_dimension_sequence(max_n)]
 
 
 def verify_oracle(max_n: int | None = None) -> list[Check]:
-    oracle = [check_oracle(n) for n in range(1, _cap(5, max_n) + 1)]
-    return oracle + [
-        check_finite_part(_cap(8, max_n)),
-        check_d_forms(_cap(90, max_n)),
-        check_dim_polynomial(_cap(90, max_n)),
-    ]
+    oracle = [check_oracle(n) for n in range(1, enumeration.ORACLE_MAX_N + 1)[:max_n]]
+    return oracle + [check_finite_part(max_n), check_d_forms(max_n), check_dim_polynomial(max_n)]
 
 
 def verify_triangle(max_n: int | None = None) -> list[Check]:
@@ -332,11 +325,7 @@ def verify_triangle(max_n: int | None = None) -> list[Check]:
 
 
 def verify_algebra(max_n: int | None = None) -> list[Check]:
-    return [
-        check_confluence(_cap(4, max_n)),
-        check_quotient_identities(_cap(3, max_n)),
-        check_blob_closure(_cap(3, max_n)),
-    ]
+    return [check_confluence(max_n), check_quotient_identities(max_n), check_blob_closure(max_n)]
 
 
 SUITES: dict[str, Callable[..., list[Check]]] = {

@@ -9,9 +9,10 @@ end pairs coincide and the group is the finite dihedral one of order 8.
 Everything here works up to the commutation congruence: two words are
 equivalent when one can be turned into the other by swapping adjacent
 commuting letters.  The equivalence class of a word is finite; the functions
-below either enumerate it (the slow, oracle-grade route, guarded by a hard
-cap) or read the word's heap (the projection criterion, greedy linear
-extensions, the one-pass chain test of `heap_reading`) with no enumeration.
+below either enumerate it (the slow, oracle-grade route: a lazy, unbounded
+BFS that its caller bounds) or read the word's heap (the projection
+criterion, greedy linear extensions, the one-pass chain test of
+`heap_reading`) with no enumeration.
 
 >>> canonical_word(4, (3, 1, 2))
 (1, 3, 2)
@@ -30,15 +31,6 @@ from enum import IntEnum
 from typing import Iterator
 
 Letters = tuple[int, ...]
-
-# Commutation classes larger than this abort with ClassSizeError instead of
-# silently truncating.
-DEFAULT_CLASS_CAP = 10**6
-
-
-class ClassSizeError(RuntimeError):
-    """A commutation class exceeded the configured enumeration cap."""
-
 
 def check_rank(n: int) -> int:
     if not isinstance(n, int) or n < 1:
@@ -71,27 +63,25 @@ def format_word(word: Letters) -> str:
     return ",".join(str(x) for x in word)
 
 
-def _swap_neighbours(n: int, word: Letters) -> Iterator[Letters]:
+def _swap_neighbours(word: Letters) -> Iterator[Letters]:
     for p in range(len(word) - 1):
         if abs(word[p] - word[p + 1]) > 1:
             yield word[:p] + (word[p + 1], word[p]) + word[p + 2 :]
 
 
-def iter_commutation_class(
-    n: int, word: Letters, cap: int = DEFAULT_CLASS_CAP
-) -> Iterator[Letters]:
-    """Yield the class members in BFS order from `word`, each as soon as it is found."""
+def iter_commutation_class(n: int, word: Letters) -> Iterator[Letters]:
+    """
+    Yield the class members in BFS order from `word`, each as soon as it is
+    found.  The walk is lazy and unbounded: it holds no more members than it
+    has yielded, so a caller bounds it by how many it reads.
+    """
     word = check_word(n, word)
     seen = {word}
     queue = deque([word])
     yield word
     while queue:
-        for other in _swap_neighbours(n, queue.popleft()):
+        for other in _swap_neighbours(queue.popleft()):
             if other not in seen:
-                if len(seen) >= cap:
-                    raise ClassSizeError(
-                        f"commutation class of {word} exceeds cap {cap}"
-                    )
                 seen.add(other)
                 queue.append(other)
                 yield other

@@ -31,7 +31,6 @@ from blobcat.normal_forms import (
     fc_forms,
 )
 from blobcat.words import (
-    DEFAULT_CLASS_CAP,
     HeapState,
     Letters,
     canonical_word,
@@ -88,11 +87,9 @@ def all_reduced_expressions(n: int, word: Letters) -> set[Letters]:
 # commutation classes and pattern containment
 
 
-def commutation_class(
-    n: int, word: Letters, cap: int = DEFAULT_CLASS_CAP
-) -> frozenset[Letters]:
+def commutation_class(n: int, word: Letters) -> frozenset[Letters]:
     """The full set of words reachable by swaps of adjacent commuting letters."""
-    return frozenset(iter_commutation_class(n, word, cap))
+    return frozenset(iter_commutation_class(n, word))
 
 
 def reach_masks(word: Letters) -> list[int]:
@@ -185,6 +182,15 @@ def grown_fc_word(rng, n: int, length: int, word: Letters = ()) -> Letters:
 # the rewriting kernel by class walk
 
 
+@lru_cache(maxsize=None)
+def rules_by_first_letter(level: AlgebraLevel, n: int) -> dict[int, tuple[Rule, ...]]:
+    """The level's rules keyed by their pattern's first letter, in priority order."""
+    index: dict[int, list[Rule]] = {}
+    for rule in rewrite_rules(level, n):
+        index.setdefault(rule.pattern[0], []).append(rule)
+    return {letter: tuple(rules) for letter, rules in index.items()}
+
+
 def walk_redex(
     level: AlgebraLevel, n: int, word: Letters, strategy: str
 ) -> tuple[int, Letters, int, Rule] | None:
@@ -194,9 +200,7 @@ def walk_redex(
     on to the end of the class if need be.  The first hit as (members
     visited, counted from 1; member; position; rule), or None.
     """
-    by_first_letter: dict[int, list[Rule]] = {}
-    for rule in rewrite_rules(level, n):
-        by_first_letter.setdefault(rule.pattern[0], []).append(rule)
+    by_first_letter = rules_by_first_letter(level, n)
     for visited, member in enumerate(iter_commutation_class(n, word), 1):
         positions = range(len(member))
         if strategy == "rightmost":

@@ -109,8 +109,8 @@ def test_long_words_reduce_at_rank_8():
 def test_deep_blob_redexes_reduce_at_ranks_6_and_8():
     # The long words of seeds 1-30 at rank 8 and one rank-6 blob product hold
     # blob redexes deep in their classes: a class walk to them takes seconds,
-    # or passes the class cap and raises ClassSizeError (a word of seed 14,
-    # and the product).  Positive words take the blob step from the heap.
+    # or passes 10^6 members (a word of seed 14, and the product).  Positive
+    # words take the blob step from the heap.
     budget = Budget("deep blob redexes at ranks 6 and 8", 10.0)
     x = (5, 4, 3, 2, 1, 6, 5, 4, 3, 2, 6, 5, 4, 6, 5, 6)
     y = (0, 2, 1, 0, 3, 2, 1, 0, 5, 4, 3, 6)
@@ -162,7 +162,7 @@ DEEP_REDEX_PRODUCTS_SHA256 = "f51a14e7916e055ec23bc50a6ef4a17c11c68436db099f5836
 def test_deep_tl_and_boundary_redexes_at_ranks_10_and_12():
     # Products of two long FC normal forms hold TL or boundary redexes so
     # deep in their classes that a walk to them takes up to a minute or
-    # passes the class cap; the heap witness takes each in one step.  No
+    # passes 10^6 members; the heap witness takes each in one step.  No
     # walk reduces them all, so each output is checked four ways: it is a
     # basis index, leftmost equals rightmost, a class shuffle of the input
     # gives it too, and so does reducing a prefix of the input first.

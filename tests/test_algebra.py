@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -25,7 +26,7 @@ from blobcat.algebra import (
     sb_basis,
     structure_constants,
 )
-from blobcat.words import canonical_word, iter_commutation_class
+from blobcat.words import canonical_word, iter_commutation_class, parse_word
 
 from oracles import commutation_class, grown_fc_word, rewrite_at, walk_redex
 
@@ -357,12 +358,17 @@ def test_reduce_memo_bytes_per_entry():
     assert grown / entries < 480, grown / entries
 
 
+@lru_cache(maxsize=None)
+def _rule_patterns(level, n):
+    return tuple(rule.pattern for rule in rewrite_rules(level, n))
+
+
 def _redex_free_levels(n, word):
     """Oracle: enumerate the class once and look for each level's patterns in every member."""
     members = commutation_class(n, word)
     factors = {m[p:q] for m in members for p in range(len(m)) for q in range(p + 2, len(m) + 1)}
     return {
-        level: not any(rule.pattern in factors for rule in rewrite_rules(level, n))
+        level: not any(pattern in factors for pattern in _rule_patterns(level, n))
         for level in (TL, TB, SB)
     }
 
@@ -440,18 +446,61 @@ def test_queries_at_rank_12_use_no_normal_forms(monkeypatch, capsys):
     assert capsys.readouterr().out.count("*") == len(basis)
 
 
+def _spy_on_class_walk(monkeypatch):
+    """Record each class walk the kernel starts as [word, members drawn]."""
+    walks = []
+
+    def spy(n, word):
+        walk = [word, 0]
+        walks.append(walk)
+        for member in iter_commutation_class(n, word):
+            walk[1] += 1
+            yield member
+
+    monkeypatch.setattr(algebra, "iter_commutation_class", spy)
+    return walks
+
+
+# the deep rank-8 word of the README, and the 97-letter rank-10 TL product
+# that CI reduces
+DEEP_RANK_8 = (2, 1, 0, 3, 2, 1, 0, 5, 4, 3, 7, 6, 5, 8, 7)
+DEEP_RANK_10 = parse_word(
+    "0,1,2,3,4,5,6,7,8,9,10,0,1,2,3,4,5,6,7,8,9,10,0,1,2,3,4,5,6,7,8,9,10,0,1,2,3,4,5,0,"
+    "3,4,5,6,7,8,9,10,2,3,4,5,6,7,8,9,10,0,1,2,3,4,5,6,7,8,9,10,0,1,2,3,4,5,6,7,8,9,"
+    "0,1,2,3,4,5,6,7,8,0,1,2,3,4,0,1,2,3,0"
+)
+
+
 def test_deep_blob_redex_is_found_in_few_members(monkeypatch):
     # This rank-8 word is reduced FC and free of boundary triples, so only a
     # blob rule applies; its first IJI factor lies ~325k members into the
     # walk, and the search takes the blob step from the heap after 15.
-    word = (2, 1, 0, 3, 2, 1, 0, 5, 4, 3, 7, 6, 5, 8, 7)
+    word = DEEP_RANK_8
     assert in_index_set(TB, 8, word) and not in_index_set(SB, 8, word)
-    cap = len(word) ** 2
-    monkeypatch.setattr(
-        algebra, "iter_commutation_class", lambda n, w: iter_commutation_class(n, w, cap)
-    )
+    walks = _spy_on_class_walk(monkeypatch)
     shorter, scalar = algebra._find_redex(SB, 8, word, "leftmost")
+    assert walks == [[word, len(word)]]
     assert scalar == K and len(shorter) == len(word) - len(grids.i_word(8) + grids.j_word(8))
+
+
+def test_each_redex_search_draws_at_most_word_length_members(monkeypatch):
+    # the class walk has no bound of its own: the search reads at most
+    # len(word) members of it, whatever the level, rank or depth of redex
+    rng = random.Random(2424)
+    cases = [(8, DEEP_RANK_8), (10, DEEP_RANK_10)]
+    for n in range(4, 9):
+        for _ in range(40):
+            cases.append((n, tuple(rng.randint(0, n) for _ in range(rng.randint(0, 20)))))
+    walks = _spy_on_class_walk(monkeypatch)
+    algebra._reduce_canonical.cache_clear()  # so every step searches again
+    for level in (TL, TB, SB):
+        for n, word in cases:
+            reduce_word(level, n, word)
+    assert len(walks) > 1000
+    for word, drawn in walks:
+        assert drawn <= len(word), (word, drawn)
+    # a redex past the bound reads the whole of it before the heap step
+    assert sum(1 for word, drawn in walks if drawn == len(word) > 1) > 100
 
 
 def test_heap_step_reads_the_heap_once(monkeypatch):

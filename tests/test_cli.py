@@ -462,15 +462,20 @@ def test_verify_rejects_max_n_below_one(capsys, argv):
     assert code == 2 and out == "" and "--max-n" in err
 
 
-def test_verify_reports_injected_fault(capsys):
+def test_verify_reports_injected_fault(monkeypatch):
+    d_count = enumeration.d_count
+
     def broken(n, s):
-        value = enumeration.d_count(n, s)
+        value = d_count(n, s)
         return value + 1 if (n, s) == (4, 2) else value
 
-    checks = verify.verify_tables(d_fn=broken)
-    failed = [c for c in checks if not c.ok]
-    assert len(failed) == 1
-    assert "(n=4,s=2) got 149 want 148" in failed[0].detail
+    monkeypatch.setattr(enumeration, "d_count", broken)
+    failed = {c.name: c.detail for c in verify.verify_tables() if not c.ok}
+    # b = a - d, so the fault reaches the blobbed table too
+    assert failed == {
+        "tables:excluded": "(n=4,s=2) got 149 want 148",
+        "tables:blobbed": "(n=4,s=2) got 89 want 90",
+    }
 
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):

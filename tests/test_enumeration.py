@@ -7,11 +7,11 @@ import pytest
 from blobcat import enumeration as en
 from blobcat import tables
 from blobcat.enumeration import (
+    COUNTS,
     CountKind,
     a_count,
     b_count,
     blob_polynomial,
-    count,
     d_count,
     i_nr,
     i_t,
@@ -201,8 +201,9 @@ def test_oracle_budget():
 
 
 def test_count_dispatch_and_table():
-    assert count(CountKind.A, 2, 1) == 14
-    assert count(CountKind.D, 9, 4) == 221004
+    assert set(COUNTS) == set(CountKind)
+    assert COUNTS[CountKind.A](2, 1) == 14
+    assert COUNTS[CountKind.D](9, 4) == 221004
 
 
 def test_exact_halving_guard():

@@ -9,7 +9,6 @@ import pytest
 
 from blobcat import words
 from blobcat.words import (
-    ClassSizeError,
     HeapState,
     canonical_word,
     format_word,
@@ -80,16 +79,6 @@ def test_commutation_class_examples():
     assert commutation_class(4, (1, 3, 2)) == {(1, 3, 2), (3, 1, 2)}
 
 
-def test_commutation_class_cap():
-    with pytest.raises(ClassSizeError):
-        commutation_class(8, (0, 2, 4, 6, 8, 0, 2, 4, 6, 8), cap=10)
-    word = (1, 3, 5, 2)
-    size = len(commutation_class(6, word))
-    assert len(commutation_class(6, word, cap=size)) == size
-    with pytest.raises(ClassSizeError):
-        commutation_class(6, word, cap=size - 1)
-
-
 def _reference_iter_commutation_class(n, word):
     """Eager BFS: each member is yielded when it leaves the queue."""
     word = words.check_word(n, word)
@@ -98,7 +87,7 @@ def _reference_iter_commutation_class(n, word):
     while queue:
         current = queue.popleft()
         yield current
-        for other in words._swap_neighbours(n, current):
+        for other in words._swap_neighbours(current):
             if other not in seen:
                 seen.add(other)
                 queue.append(other)
@@ -120,16 +109,6 @@ def test_class_walk_order_matches_eager_bfs_rank_eight():
         lazy = list(itertools.islice(iter_commutation_class(8, word), 5_000))
         eager = list(itertools.islice(_reference_iter_commutation_class(8, word), 5_000))
         assert lazy == eager, word
-
-
-def test_class_walk_yields_cap_members_then_raises():
-    word = (0, 2, 4, 6, 8, 0, 2, 4, 6, 8)
-    walk = iter_commutation_class(8, word, cap=10)
-    assert list(itertools.islice(walk, 10)) == list(
-        itertools.islice(_reference_iter_commutation_class(8, word), 10)
-    )
-    with pytest.raises(ClassSizeError):
-        next(walk)
 
 
 @pytest.mark.parametrize(
