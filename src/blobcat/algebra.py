@@ -22,11 +22,13 @@ trailing letters; a positive, non-blobbed word at the blob level takes the
 paper's blob step, `oblique_shortening_word` of its rigid blocks, one I J
 alternation fewer, times k; any other word is a basis index.  So no
 redex, however deep in a large class, is walked to.  The surviving word
-indexes a basis monomial of the level.
+indexes a basis monomial of the level.  There is one rewrite order;
+`verify.check_confluence` reduces factors first to test that it does not
+matter.
 
 At rank 1 the two boundary pairs coincide; overlapping rules are resolved by
 fixed priority (blob rules first, then the left boundary), which keeps the
-kernel deterministic there.
+kernel deterministic there, though not confluent at the two-boundary level.
 """
 
 from __future__ import annotations
@@ -261,15 +263,13 @@ def _rules_by_first_pair(level: AlgebraLevel, n: int) -> dict[Letters, tuple[Rul
     return index
 
 
-def _find_redex(
-    level: AlgebraLevel, n: int, word: Letters, strategy: str
-) -> tuple[Letters, Scalar] | None:
+def _find_redex(level: AlgebraLevel, n: int, word: Letters) -> tuple[Letters, Scalar] | None:
     """
     One rewrite step of `word` as (shorter word, rule scalar), or None if
     the word is a basis index.  The first `len(word)` members of the class,
     walked breadth first from `word`, are searched for a rule pattern: the
-    step rewrites the earliest member holding one, at the position the
-    strategy chooses, with ties between rules at one position broken by
+    step rewrites the earliest member holding one, at the first position
+    that holds one, with ties between rules at one position broken by
     priority.  Every pattern has two letters or more, so one dict probe per
     position (`_rules_by_first_pair`) finds the only rules that can match
     there, in priority order: the choice is that of trying every rule.
@@ -278,10 +278,7 @@ def _find_redex(
     """
     index = _rules_by_first_pair(level, n)
     for member in islice(iter_commutation_class(n, word), len(word)):
-        pairs = enumerate(zip(member, member[1:]))
-        if strategy == "rightmost":
-            pairs = reversed(tuple(pairs))
-        for pos, pair in pairs:
+        for pos, pair in enumerate(zip(member, member[1:])):
             for rule in index.get(pair, ()):
                 if member[pos : pos + len(rule.pattern)] == rule.pattern:
                     rest = member[pos + len(rule.pattern) :]
@@ -315,29 +312,25 @@ def _heap_step(level: AlgebraLevel, n: int, word: Letters) -> tuple[Letters, Sca
 
 
 @lru_cache(maxsize=None)
-def _reduce_canonical(
-    level: AlgebraLevel, n: int, word: Letters, strategy: str
-) -> tuple[Scalar, Letters]:
+def _reduce_canonical(level: AlgebraLevel, n: int, word: Letters) -> tuple[Scalar, Letters]:
     """
     `reduce_word` on a canonical word.  Every step scalar is a monomial of
     coefficient 1 (`_rules_by_first_pair`, and k for the blob step), so a
     step adds its exponents to the tail's and returns the shared Scalar of
     the sum.
     """
-    step = _find_redex(level, n, word, strategy)
+    step = _find_redex(level, n, word)
     if step is None:
         return _ONE, word
     shorter, step_scalar = step
     assert len(shorter) < len(word), "rewrite steps must strictly shorten"
-    scalar, final = _reduce_canonical(level, n, _canonical_word(n, shorter), strategy)
+    scalar, final = _reduce_canonical(level, n, _canonical_word(n, shorter))
     (head,) = step_scalar.terms
     (tail,) = scalar.terms
     return _shared_monomial(tuple(map(add, head, tail))), final
 
 
-def reduce_word(
-    level: AlgebraLevel, n: int, word: Letters, strategy: str = "leftmost"
-) -> tuple[Scalar, Letters]:
+def reduce_word(level: AlgebraLevel, n: int, word: Letters) -> tuple[Scalar, Letters]:
     """
     Rewrite a product of generators to (parameter monomial, canonical basis
     word) under the level's relations.  Each step walks at most `len(word)`
@@ -347,9 +340,7 @@ def reduce_word(
     word needing ~500 rewrites, e.g. `(1,) * 499` at rank 2, raises
     RecursionError.
     """
-    if strategy not in ("leftmost", "rightmost"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return _reduce_canonical(level, n, canonical_word(n, word), strategy)
+    return _reduce_canonical(level, n, canonical_word(n, word))
 
 
 # ---------------------------------------------------------------------------

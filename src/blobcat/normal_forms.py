@@ -229,8 +229,9 @@ def check_normal_form(n: int, nf: NormalForm) -> NormalForm:
 
 def _length_one_forms(n: int) -> Iterator[LengthOne]:
     for i in range(n, 0, -1):
-        fits = _bracket_dfs(n, lambda j, l, g: l == n - j or l < i)
-        yield from (LengthOne(i, form) for form in fits if not _braids_into_run(n, i, form))
+        # a negative last bracket [-x, g] with i <= x < n - j braids into the run
+        fits = _bracket_dfs(n, lambda j, l, g: (l == n - j or l < i) and not i <= -l < n - j)
+        yield from (LengthOne(i, form) for form in fits)
     for h in range(n, -n, -1):
         yield LengthOne(0, DescentTail(h))
     # z == 1 would spell the word of DescentTail(0); the empty tail is DescentTail(z)
@@ -240,18 +241,6 @@ def _length_one_forms(n: int) -> Iterator[LengthOne]:
     for i in range(-1, -n, -1):
         for h in range(n, -n, -1):
             yield LengthOne(i, DescentTail(h))
-
-
-def _braids_into_run(n: int, i: int, form: BForm) -> bool:
-    """
-    A last bracket [-x, g] with i <= x <= n - 2 whose leading x commutes left
-    past every earlier letter and past n into the run [i, n-1]: the word then
-    holds the braid x, x+1, x and is not reduced.
-    """
-    if not bform_is_negative(form):
-        return False
-    x = -form[-1].l
-    return i <= x <= n - 2 and all(abs(a - x) > 1 for a in bform_word(form[:-1]))
 
 
 def _higher_length_forms(n: int, s: int) -> Iterator[NormalForm]:
@@ -274,9 +263,8 @@ def iter_fc_forms(n: int, s: int) -> Iterator[NormalForm]:
     """All FC elements of affine length s, one normal form each, as a lazy stream.
 
     Every finite-part tail comes from one bracket DFS that skips a failing
-    bracket with its subtree, so the first forms come at once at any rank.
-    Only the few affine-length-1 tails that braid into the run are dropped
-    after they are built.
+    bracket with its subtree, so the first forms come at once at any rank,
+    and no form is built only to be filtered out.
 
     >>> next(iter_fc_forms(10, 3))
     FirstType(i=10, k=2, f=10)

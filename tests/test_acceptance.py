@@ -97,13 +97,13 @@ def test_long_words_reduce_at_rank_8():
     n = 8
     rng = random.Random(8)
     words = [tuple(rng.randint(0, n) for _ in range(length)) for length in (20,) * 10 + (30,) * 10]
+    cuts = random.Random(9)
     for level in AlgebraLevel:
         for word in words:
-            left = reduce_word(level, n, word, "leftmost")
-            right = reduce_word(level, n, word, "rightmost")
-            assert left == right, (level, word)
-            assert is_reduced_fc(n, left[1]), (level, word)
-    budget.done(f"{len(words)} words of length 20 and 30, three levels, two strategies")
+            cut = cuts.randrange(1, len(word))
+            assert verify._cut_mismatch(level, n, word, (cut,)) is None, (level, word, cut)
+            assert is_reduced_fc(n, reduce_word(level, n, word)[1]), (level, word)
+    budget.done(f"{len(words)} words of length 20 and 30, three levels, one seeded cut")
 
 
 def test_deep_blob_redexes_reduce_at_ranks_6_and_8():
@@ -119,12 +119,12 @@ def test_deep_blob_redexes_reduce_at_ranks_6_and_8():
         rng = random.Random(seed)
         lengths = (20,) * 10 + (30,) * 10
         cases += [(8, tuple(rng.randint(0, 8) for _ in range(m))) for m in lengths]
+    cuts = random.Random(31)
     for n, word in cases:
         for level in AlgebraLevel:
-            left = reduce_word(level, n, word, "leftmost")
-            assert left == reduce_word(level, n, word, "rightmost"), (level, n, word)
-            assert in_index_set(level, n, left[1]), (level, n, word)
-    budget.done(f"{len(cases)} words, three levels, two strategies")
+            cut = cuts.randrange(1, len(word))
+            assert verify._cut_mismatch(level, n, word, (cut,)) is None, (level, n, word, cut)
+    budget.done(f"{len(cases)} words, three levels, one seeded cut")
 
 
 def _fc_products(n, s):
@@ -163,9 +163,9 @@ def test_deep_tl_and_boundary_redexes_at_ranks_10_and_12():
     # Products of two long FC normal forms hold TL or boundary redexes so
     # deep in their classes that a walk to them takes up to a minute or
     # passes 10^6 members; the heap witness takes each in one step.  No
-    # walk reduces them all, so each output is checked four ways: it is a
-    # basis index, leftmost equals rightmost, a class shuffle of the input
-    # gives it too, and so does reducing a prefix of the input first.
+    # walk reduces them all, so each output is checked three ways: it is a
+    # basis index, a class shuffle of the input gives it too, and so does
+    # reducing a prefix or a suffix of the input first, at a seeded cut.
     TL, TB = AlgebraLevel.TL, AlgebraLevel.TWO_BOUNDARY
     rank_10, rank_12 = _fc_products(10, 3), _fc_products(12, 2)
     rng = random.Random(21)
@@ -180,13 +180,9 @@ def test_deep_tl_and_boundary_redexes_at_ranks_10_and_12():
         lengths = sorted(map(len, words))
         budget.done(f"{len(words)} products of {lengths[0]}-{lengths[-1]} letters")
         for word, output in zip(words, outputs):
-            assert in_index_set(level, n, output[1]), (level, n, word)
-            assert reduce_word(level, n, word, "rightmost") == output, (level, n, word)
             assert reduce_word(level, n, _class_shuffle(rng, word)) == output, (level, n, word)
             cut = rng.randrange(1, len(word))
-            head_scalar, head = reduce_word(level, n, word[:cut])
-            scalar, out = reduce_word(level, n, head + word[cut:])
-            assert (head_scalar * scalar, out) == output, (level, n, word, cut)
+            assert verify._cut_mismatch(level, n, word, (cut,)) is None, (level, n, word, cut)
             records.append([level.name, n, str(output[0]), list(output[1])])
     blob = json.dumps(records).encode()
     assert hashlib.sha256(blob).hexdigest() == DEEP_REDEX_PRODUCTS_SHA256
@@ -247,7 +243,8 @@ def test_blob_step_matches_the_class_walk():
     # only walks classes (oracles.walk_reduce) is the reference instead.
     # Every non-blobbed positive block word: ranks 2-3 at affine lengths 0-4,
     # rank 4 at 0-3, rank 5 at 0-1 (rank 4 at length 4 and rank 5 at length
-    # 2 would add about 2 s and 55 s); both strategies, 1,474 reductions.
+    # 2 would add about 2 s and 55 s); against the walk's leftmost and
+    # rightmost orders, 1,474 comparisons.
     budget = Budget("blob step against the class walk", 30.0)
     cases = 0
     for n, max_s in ((2, 4), (3, 4), (4, 3), (5, 1)):
@@ -258,7 +255,7 @@ def test_blob_step_matches_the_class_walk():
                 word = normal_forms.block_word(blocks)
                 for strategy in ("leftmost", "rightmost"):
                     expected = walk_reduce(SB, n, word, strategy)
-                    assert reduce_word(SB, n, word, strategy) == expected, (n, word, strategy)
+                    assert reduce_word(SB, n, word) == expected, (n, word, strategy)
                     cases += 1
     assert cases == 1474
     budget.done(f"{cases} reductions at ranks 2-5")

@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import pytest
 
-from blobcat import algebra, cli, enumeration, grids, normal_forms as nfm, words
+from blobcat import algebra, cli, enumeration, grids, normal_forms as nfm, verify, words
 from blobcat.algebra import (
     D,
     DL,
@@ -82,14 +82,16 @@ def test_scalar_substitution():
 
 
 def test_specialization_preserves_reduce_identities():
-    # identities produced by the kernel remain identities after collapsing
-    # the two boundary loop weights
+    # identities produced by the kernel, whole and with a suffix reduced
+    # first, remain identities after collapsing the two boundary loop weights
     collapse = {"dL": "dR", "kL": "kR"}
     for n, word in [(2, (1, 0, 1, 0, 1)), (3, (0, 0, 3, 3, 1, 0, 1))]:
         scalar, _ = reduce_word(TB, n, word)
         lhs = scalar.substitute(collapse)
-        rhs_scalar, _ = reduce_word(TB, n, word, "rightmost")
-        assert lhs == rhs_scalar.substitute(collapse)
+        for cut in range(1, len(word)):
+            tail_scalar, tail = reduce_word(TB, n, word[cut:])
+            rhs_scalar, _ = reduce_word(TB, n, word[:cut] + tail)
+            assert lhs == (tail_scalar * rhs_scalar).substitute(collapse), (n, word, cut)
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +177,33 @@ def test_confluence_and_soundness_random():
         for n in (2, 3, 4):
             for _ in range(30):
                 word = tuple(rng.randint(0, n) for _ in range(rng.randint(0, 12)))
-                left = reduce_word(level, n, word, "leftmost")
-                right = reduce_word(level, n, word, "rightmost")
-                assert left == right, (level, n, word)
-                _, out = left
-                assert in_index_set(level, n, out), (level, n, word, out)
+                assert verify._cut_mismatch(level, n, word) is None
+
+
+def test_confluence_check_catches_a_swapped_boundary_scalar(monkeypatch):
+    # a mutant rule set: the left boundary braid (0,1,0,1) scales by kR, not
+    # kL; reducing a suffix first then meets (1,0,1) or (1,0,1,0) at kL instead
+    rules = rewrite_rules
+
+    def mutant(level, n):
+        return tuple(
+            algebra.Rule(r.pattern, r.replacement, KR) if r.pattern == (0, 1, 0, 1) else r
+            for r in rules(level, n)
+        )
+
+    caches = (algebra._rules_by_first_pair, algebra._reduce_canonical)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(algebra, "rewrite_rules", mutant)
+            check = verify.check_confluence()
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert not check.ok and check.cases == 630
+    assert "cut mismatch" in check.detail, check.detail
+    assert verify.check_confluence().ok
 
 
 def test_index_soundness_uses_the_stated_detectors():
@@ -199,13 +223,13 @@ def test_index_soundness_uses_the_stated_detectors():
 # the redex search: rule index and heap certificate
 
 
-def _reference_find_redex(level, n, word, strategy):
+def _reference_find_redex(level, n, word):
     """
-    The plain class walk (`oracles.walk_redex`) as a step of the kernel's
-    shape, (shorter word, rule scalar), plus the members it visited and the
-    pattern it rewrote.
+    The plain class walk (`oracles.walk_redex`, leftmost) as a step of the
+    kernel's shape, (shorter word, rule scalar), plus the members it visited
+    and the pattern it rewrote.
     """
-    hit = walk_redex(level, n, word, strategy)
+    hit = walk_redex(level, n, word, "leftmost")
     if hit is None:
         return None
     visited, member, pos, rule = hit
@@ -232,27 +256,26 @@ def _assert_heap_step(level, n, word, step):
 
 def _assert_same_redex_choice(n, word):
     """
-    Compare at every level and strategy; return the patterns chosen and the
-    levels at which the kernel took a heap step.  The kernel walks as the
-    reference does for `len(word)` members; a word whose first redex lies
-    past them takes its step from the heap.
+    Compare at every level; return the patterns chosen and the levels at
+    which the kernel took a heap step.  The kernel walks as the reference
+    does for `len(word)` members; a word whose first redex lies past them
+    takes its step from the heap.
     """
     patterns = set()
     heap_levels = set()
     for level in (TL, TB, SB):
-        for strategy in ("leftmost", "rightmost"):
-            expected = _reference_find_redex(level, n, word, strategy)
-            step = algebra._find_redex(level, n, word, strategy)
-            if expected is None:
-                assert step is None, (level, n, word, strategy)
-                continue
-            walked, visited, pattern = expected
-            patterns.add(pattern)
-            if visited > len(word):
-                _assert_heap_step(level, n, word, step)
-                heap_levels.add(level)
-            else:
-                assert step == walked, (level, n, word, strategy)
+        expected = _reference_find_redex(level, n, word)
+        step = algebra._find_redex(level, n, word)
+        if expected is None:
+            assert step is None, (level, n, word)
+            continue
+        walked, visited, pattern = expected
+        patterns.add(pattern)
+        if visited > len(word):
+            _assert_heap_step(level, n, word, step)
+            heap_levels.add(level)
+        else:
+            assert step == walked, (level, n, word)
     return patterns, heap_levels
 
 
@@ -284,7 +307,7 @@ def test_redex_choice_matches_reference_random():
     # the braid rules at both boundary pairs get chosen, not only the squares
     for n in (12, 64):
         keys = set()
-        for _ in range(300):
+        for _ in range(400):
             width = rng.randint(2, 4)
             low = rng.choice((0, n - width, rng.randint(0, n - width)))
             word = [rng.randint(low, low + width) for _ in range(rng.randint(0, 12))]
@@ -292,31 +315,6 @@ def test_redex_choice_matches_reference_random():
             patterns, _ = _assert_same_redex_choice(n, word)
             keys |= {pattern[:2] for pattern in patterns}
         assert {(0, 0), (0, 1), (1, 0), (n - 1, n), (n, n - 1), (n, n)} <= keys, n
-
-
-# sha256 of json.dumps(_rightmost_records()): the rightmost strategy's
-# outputs must not drift, and no benchmark or CI step runs that strategy
-RIGHTMOST_SHA256 = "aa12c1cac0338088137286b1da792d71029cd7a08a20345bc6e7b45c2b2f7d76"
-
-
-def _rightmost_records():
-    rng = random.Random(1313)
-    records = []
-    for level in AlgebraLevel:
-        for n in range(1, 9):
-            for _ in range(100):
-                word = tuple(rng.randint(0, n) for _ in range(rng.randint(0, 16)))
-                scalar, out = reduce_word(level, n, word, "rightmost")
-                records.append([level.name, n, list(word), str(scalar), list(out)])
-    return records
-
-
-def test_rightmost_reductions_are_pinned():
-    import hashlib
-    import json
-
-    blob = json.dumps(_rightmost_records())
-    assert hashlib.sha256(blob.encode()).hexdigest() == RIGHTMOST_SHA256
 
 
 def _rank_three_blob_table():
@@ -331,8 +329,7 @@ def test_reduce_word_shares_one_scalar_per_value():
         for n in range(1, 7):
             for _ in range(150):
                 word = tuple(rng.randint(0, n) for _ in range(rng.randint(0, 14)))
-                for strategy in ("leftmost", "rightmost"):
-                    scalars.append(reduce_word(level, n, word, strategy)[0])
+                scalars.append(reduce_word(level, n, word)[0])
     # the list keeps every object alive, so no id is reused
     assert len({id(s) for s in scalars}) == len(set(scalars)) > 80
 
@@ -478,7 +475,7 @@ def test_deep_blob_redex_is_found_in_few_members(monkeypatch):
     word = DEEP_RANK_8
     assert in_index_set(TB, 8, word) and not in_index_set(SB, 8, word)
     walks = _spy_on_class_walk(monkeypatch)
-    shorter, scalar = algebra._find_redex(SB, 8, word, "leftmost")
+    shorter, scalar = algebra._find_redex(SB, 8, word)
     assert walks == [[word, len(word)]]
     assert scalar == K and len(shorter) == len(word) - len(grids.i_word(8) + grids.j_word(8))
 
@@ -747,12 +744,20 @@ def test_rank_one_associativity_exhaustive():
                 assert (ab) * c == a * (b * c)
 
 
+@pytest.mark.parametrize(
+    "word, scalar, out", [((0, 1, 0, 1), KR, (0, 1)), ((1, 0, 1, 0, 0), DL * KL, (1, 0))]
+)
+def test_rank_one_two_boundary_whole_word_outputs(word, scalar, out):
+    assert reduce_word(TB, 1, word) == (scalar, out)
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="at rank 1 the two-boundary relations overlap on (0,1,0,1) and the "
-    "strategies pick kL or kR there; the semantics is open (ROADMAP item 7)",
+    "reduction order picks kL or kR there; the semantics is open (ROADMAP item 7)",
 )
 @pytest.mark.parametrize("word", [(0, 1, 0, 1), (1, 0, 1, 0, 0)])
-def test_rank_one_two_boundary_strategies_agree(word):
-    # today leftmost gives kR*[0,1] and dL*kL*[1,0], rightmost kL*[0,1] and dL*kR*[1,0]
-    assert reduce_word(TB, 1, word, "leftmost") == reduce_word(TB, 1, word, "rightmost")
+def test_rank_one_two_boundary_suffix_first_agrees(word):
+    # with the suffix after the first letter reduced first, the words give
+    # kL*[0,1] and dL*kR*[1,0], not the whole-word outputs pinned above
+    assert verify._cut_mismatch(TB, 1, word, cuts=(1,)) is None

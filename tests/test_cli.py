@@ -440,8 +440,8 @@ def test_verify_reports_a_product_that_leaves_the_basis(capsys, monkeypatch):
     x = algebra.sb_basis(2)[-1]
     reduce_word = algebra.reduce_word
 
-    def stray(level, n, word, strategy="leftmost"):
-        scalar, out = reduce_word(level, n, word, strategy)
+    def stray(level, n, word):
+        scalar, out = reduce_word(level, n, word)
         return (scalar, (1, 1)) if (n, word) == (2, x + x) else (scalar, out)
 
     monkeypatch.setattr(algebra, "reduce_word", stray)
