@@ -13,18 +13,20 @@ termination is by length.  Each rule scales by one monomial of coefficient
 shared `Scalar` per monomial instead of a new one per step.  A redex is
 looked for in the first members of the word's commutation class, walked
 breadth first, as many as the word has letters; at each position only the
-rules whose pattern starts with its two letters are tried.  Past them one
-pass over the word's heap (`words.heap_reading`, O(length + rank)) decides:
-a word that is not reduced fully commutative, or at the two-boundary and
-blob levels one with a boundary triple, gets the position of a chain or
-triple that some member holds as a rule pattern, and the step deletes its
-trailing letters; a positive, non-blobbed word at the blob level takes the
-paper's blob step, `oblique_shortening_word` of its rigid blocks, one I J
-alternation fewer, times k; any other word is a basis index.  So no
-redex, however deep in a large class, is walked to.  The surviving word
-indexes a basis monomial of the level.  There is one rewrite order;
-`verify.check_confluence` reduces factors first to test that it does not
-matter.
+rules whose pattern starts with its two letters are tried.  A word that
+holds no pattern itself is asked `in_index_set` before the walk goes on: a
+basis index, the word every reduction ends on, costs one member and one
+heap pass.  Past the members one pass over the word's heap
+(`words.heap_reading`, O(length + rank)) decides: a word that is not
+reduced fully commutative, or at the two-boundary and blob levels one with
+a boundary triple, gets the position of a chain or triple that some member
+holds as a rule pattern, and the step deletes its trailing letters; a
+positive, non-blobbed word at the blob level takes the paper's blob step,
+`oblique_shortening_word` of its rigid blocks, one I J alternation fewer,
+times k; any other word is a basis index.  So no redex, however deep in a
+large class, is walked to.  The surviving word indexes a basis monomial of
+the level.  There is one rewrite order; `verify.check_confluence` reduces
+factors first to test that it does not matter.
 
 At rank 1 the two boundary pairs coincide; overlapping rules are resolved by
 fixed priority (blob rules first, then the left boundary), which keeps the
@@ -273,16 +275,23 @@ def _find_redex(level: AlgebraLevel, n: int, word: Letters) -> tuple[Letters, Sc
     priority.  Every pattern has two letters or more, so one dict probe per
     position (`_rules_by_first_pair`) finds the only rules that can match
     there, in priority order: the choice is that of trying every rule.
-    Past those members, when the walk has already cost more than a heap
-    pass, `_heap_step` decides from the heap alone, however deep the redex.
+    When the word itself, the first member, holds no pattern, one heap pass
+    (`in_index_set`) says whether any member does; a basis index stops the
+    search there, at one member, since it is exactly the word that
+    `_heap_step` would leave as it is.  Past the `len(word)` members, when
+    the walk has already cost more than a heap pass, `_heap_step` decides
+    from the heap alone, however deep the redex.
     """
     index = _rules_by_first_pair(level, n)
-    for member in islice(iter_commutation_class(n, word), len(word)):
+    walk = islice(iter_commutation_class(n, word), len(word))
+    for drawn, member in enumerate(walk, 1):
         for pos, pair in enumerate(zip(member, member[1:])):
             for rule in index.get(pair, ()):
                 if member[pos : pos + len(rule.pattern)] == rule.pattern:
                     rest = member[pos + len(rule.pattern) :]
                     return member[:pos] + rule.replacement + rest, rule.scalar
+        if drawn == 1 and in_index_set(level, n, word):
+            return None
     return _heap_step(level, n, word)
 
 
@@ -335,9 +344,12 @@ def reduce_word(level: AlgebraLevel, n: int, word: Letters) -> tuple[Scalar, Let
     Rewrite a product of generators to (parameter monomial, canonical basis
     word) under the level's relations.  Each step walks at most `len(word)`
     class members and then reads the heap once (`_find_redex`), so a deep
-    redex costs no walk of its class, however large.  One limit remains:
-    it recurses once per rewrite, so under the default recursion limit a
-    word needing ~500 rewrites, e.g. `(1,) * 499` at rank 2, raises
+    redex costs no walk of its class, however large.  The last search, on
+    the basis word, reads one member and one heap pass, so a word that is
+    already a basis index costs O(length + rank) past its canonical word
+    (and, at the blob level, the row test of `is_blobbed`).  One limit
+    remains: it recurses once per rewrite, so under the default recursion
+    limit a word needing ~500 rewrites, e.g. `(1,) * 499` at rank 2, raises
     RecursionError.
     """
     return _reduce_canonical(level, n, canonical_word(n, word))

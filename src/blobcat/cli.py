@@ -117,7 +117,7 @@ def _reduce(args: argparse.Namespace) -> int:
     try:
         scalar, word = reduce_word(_LEVELS[args.level], args.n, parse_word(args.word))
     except RecursionError:
-        # the kernel recurses once per rewrite until ROADMAP item 4's loop lands
+        # the kernel recurses once per rewrite until ROADMAP item 3's loop lands
         raise ValueError(
             "word needs more nested rewrites than reduce supports yet"
         ) from None

@@ -73,12 +73,14 @@ def iter_commutation_class(n: int, word: Letters) -> Iterator[Letters]:
     """
     Yield the class members in BFS order from `word`, each as soon as it is
     found.  The walk is lazy and unbounded: it holds no more members than it
-    has yielded, so a caller bounds it by how many it reads.
+    has yielded, so a caller bounds it by how many it reads.  The word itself
+    comes first, before the walk builds any state, so a caller that reads
+    only it pays for no BFS.
     """
     word = check_word(n, word)
+    yield word
     seen = {word}
     queue = deque([word])
-    yield word
     while queue:
         for other in _swap_neighbours(queue.popleft()):
             if other not in seen:
@@ -197,7 +199,8 @@ def heap_reading(n: int, word: Letters) -> tuple[HeapState, Letters]:
     """
     word = check_word(n, word)
     # per letter: its latest position, the neighbour occurrences since then
-    # and the latest of them; slot n + 1 takes the missing neighbours of 0, n
+    # and the latest of them; slot n + 1, also indexed as -1, takes the
+    # missing neighbours a - 1 of 0 and a + 1 of n
     last, gap, gap_last = [-1] * (n + 2), [0] * (n + 2), [-1] * (n + 2)
     lone = [-1] * len(word)  # the single neighbour in the gap a position closed
     state, triple = HeapState.POSITIVE, ()
@@ -219,9 +222,10 @@ def heap_reading(n: int, word: Letters) -> tuple[HeapState, Letters]:
                 elif b == n and state == HeapState.POSITIVE:
                     state, triple = HeapState.RIGHT_TRIPLE, (last[a], q, pos)
                 lone[pos] = q
-        for c in (a - 1, a + 1):
-            gap[c] += 1
-            gap_last[c] = pos
+        gap[a - 1] += 1
+        gap_last[a - 1] = pos
+        gap[a + 1] += 1
+        gap_last[a + 1] = pos
         last[a], gap[a] = pos, 0
     return state, triple
 

@@ -15,9 +15,9 @@ import time
 from functools import partial
 
 from blobcat import enumeration, grids, normal_forms, verify
-from blobcat.algebra import AlgebraLevel, in_index_set, reduce_word
+from blobcat.algebra import AlgebraLevel, Scalar, in_index_set, reduce_word
 from blobcat.cli import main
-from blobcat.words import is_reduced_fc
+from blobcat.words import canonical_word, is_reduced_fc
 
 from oracles import walk_reduce
 
@@ -229,6 +229,18 @@ def test_dimension_polynomial_scales_with_rank():
     coeffs = enumeration.blob_polynomial(n)
     assert len(coeffs) == n + 1 and coeffs[0] == enumeration.a_count(n, 0)
     budget.done(f"{n + 1} coefficients, sum of {sum(coeffs).bit_length()} bits")
+
+
+def test_basis_word_takes_no_class_walk():
+    # 32 runs of 0, 1, ..., 64 hold no redex in any member at TL or 2B; a
+    # search that walked len(word) members of the class before its heap pass
+    # took about 2.5 s per level on this word on a 2-vCPU VM
+    n = 64
+    word = tuple(range(n + 1)) * 32
+    budget = Budget("a 2,080-letter basis word at rank 64", 0.5)
+    for level in (AlgebraLevel.TL, AlgebraLevel.TWO_BOUNDARY):
+        assert reduce_word(level, n, word) == (Scalar.one(), canonical_word(n, word)), level
+    budget.done(f"{len(word)} letters at TL and 2B")
 
 
 def test_criterion_8_quotient_identities():

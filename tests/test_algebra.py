@@ -490,14 +490,61 @@ def test_each_redex_search_draws_at_most_word_length_members(monkeypatch):
             cases.append((n, tuple(rng.randint(0, n) for _ in range(rng.randint(0, 20)))))
     walks = _spy_on_class_walk(monkeypatch)
     algebra._reduce_canonical.cache_clear()  # so every step searches again
+    searches = []  # [level, n, word, members drawn] per walk
     for level in (TL, TB, SB):
         for n, word in cases:
+            start = len(walks)
             reduce_word(level, n, word)
-    assert len(walks) > 1000
-    for word, drawn in walks:
-        assert drawn <= len(word), (word, drawn)
-    # a redex past the bound reads the whole of it before the heap step
-    assert sum(1 for word, drawn in walks if drawn == len(word) > 1) > 100
+            searches += [[level, n, w, drawn] for w, drawn in walks[start:]]
+    assert len(searches) > 1000
+    basis = 0
+    for level, n, word, drawn in searches:
+        assert drawn <= len(word), (level, n, word, drawn)
+        if in_index_set(level, n, word):
+            # the word every reduction ends on stops the walk at itself
+            basis += 1
+            assert drawn == 1, (level, n, word, drawn)
+    assert basis > 500
+    # a redex past the bound reads the whole of it before the heap step;
+    # a basis word never does, so each such walk is on a word with a redex
+    full = [s for s in searches if s[3] == len(s[2]) > 1]
+    assert not [s for s in full if in_index_set(*s[:3])]
+    assert len(full) > 40
+
+
+def test_basis_word_search_reads_one_member_and_the_heap_once(monkeypatch):
+    # a word with no redex leaves the search after the word itself and one
+    # heap pass; a word with one reads the heap at most twice, once to ask
+    # for a basis index and once for the heap step
+    for n in (1, 2, 3):  # the IJI and JIJ grids are read once per rank and kept
+        grids.iji_blocks(n), grids.jij_blocks(n)
+    walks = _spy_on_class_walk(monkeypatch)
+    passes, read = [], words.heap_reading
+
+    def counting_read(n, word):
+        passes.append(word)
+        return read(n, word)
+
+    monkeypatch.setattr(words, "heap_reading", counting_read)
+    monkeypatch.setattr(algebra, "heap_reading", counting_read)
+    basis = 0
+    for n in (1, 2, 3):
+        for length in range(7):
+            for word in itertools.product(range(n + 1), repeat=length):
+                for level in (TL, TB, SB):
+                    is_basis = in_index_set(level, n, word)
+                    walks.clear()
+                    passes.clear()
+                    step = algebra._find_redex(level, n, word)
+                    assert (step is None) == is_basis, (level, n, word)
+                    if is_basis:
+                        basis += 1
+                        # the empty word has no member to draw
+                        assert [drawn for _, drawn in walks] == [1] * bool(word), (level, n, word)
+                        assert len(passes) == 1, (level, n, word)
+                    else:
+                        assert len(passes) <= 2, (level, n, word)
+    assert basis > 900
 
 
 def test_heap_step_reads_the_heap_once(monkeypatch):
@@ -727,7 +774,7 @@ def test_structure_constants_records_rank_four_are_pinned():
 @pytest.mark.xfail(
     raises=RecursionError,
     strict=True,
-    reason="_reduce_canonical recurses once per rewrite (ROADMAP item 4)",
+    reason="_reduce_canonical recurses once per rewrite (ROADMAP item 3)",
 )
 def test_long_word_reduces_without_recursion_limit():
     # 1199 square rewrites; a fresh process already fails at (1,) * 499

@@ -56,7 +56,7 @@ def test_reduce_output(capsys):
 
 
 def test_reduce_past_recursion_limit_is_malformed_input(capsys):
-    # the kernel recurses once per rewrite; ROADMAP item 4's loop will turn
+    # the kernel recurses once per rewrite; ROADMAP item 3's loop will turn
     # this into exit 0 with "d^2999 * [1]"
     word = ",".join(["1"] * 3000)
     code, out, err = run(capsys, "reduce", "--n", "2", "--level", "tl", "--word", word)
