@@ -14,19 +14,16 @@ shared `Scalar` per monomial instead of a new one per step.  A redex is
 looked for in the first members of the word's commutation class, walked
 breadth first, as many as the word has letters; at each position only the
 rules whose pattern starts with its two letters are tried.  A word that
-holds no pattern itself is asked `in_index_set` before the walk goes on: a
-basis index, the word every reduction ends on, costs one member and one
-heap pass.  Past the members one pass over the word's heap
-(`words.heap_reading`, O(length + rank)) decides: a word that is not
-reduced fully commutative, or at the two-boundary and blob levels one with
-a boundary triple, gets the position of a chain or triple that some member
-holds as a rule pattern, and the step deletes its trailing letters; a
-positive, non-blobbed word at the blob level takes the paper's blob step,
-`oblique_shortening_word` of its rigid blocks, one I J alternation fewer,
-times k; any other word is a basis index.  So no redex, however deep in a
-large class, is walked to.  The surviving word indexes a basis monomial of
-the level.  There is one rewrite order; `verify.check_confluence` reduces
-factors first to test that it does not matter.
+holds no pattern itself has its heap read once (`_heap_redex`, O(length +
+rank)), and that one reading decides: a basis index, the word every
+reduction ends on, stops the search at one member; past the members, a
+chain or boundary triple that some member holds as a rule pattern loses
+its trailing letters, and a positive, non-blobbed word at the blob level
+takes the paper's blob step, `oblique_shortening_word` of its rigid
+blocks, one I J alternation fewer, times k.  So no redex, however deep in
+a large class, is walked to.  The surviving word indexes a basis monomial
+of the level.  There is one rewrite order; `verify.check_confluence`
+reduces factors first to test that it does not matter.
 
 At rank 1 the two boundary pairs coincide; overlapping rules are resolved by
 fixed priority (blob rules first, then the left boundary), which keeps the
@@ -44,6 +41,7 @@ from operator import add
 from . import enumeration
 from .grids import i_word, is_blobbed, j_word, oblique_shortening_word
 from .normal_forms import (
+    Blocks,
     bar,
     block_word,
     blocks_of_word,
@@ -275,14 +273,16 @@ def _find_redex(level: AlgebraLevel, n: int, word: Letters) -> tuple[Letters, Sc
     priority.  Every pattern has two letters or more, so one dict probe per
     position (`_rules_by_first_pair`) finds the only rules that can match
     there, in priority order: the choice is that of trying every rule.
-    When the word itself, the first member, holds no pattern, one heap pass
-    (`in_index_set`) says whether any member does; a basis index stops the
-    search there, at one member, since it is exactly the word that
-    `_heap_step` would leave as it is.  Past the `len(word)` members, when
-    the walk has already cost more than a heap pass, `_heap_step` decides
-    from the heap alone, however deep the redex.
+    When the word itself, the first member, holds no pattern, its heap is
+    read once (`_heap_redex`): a basis index stops the search there, at
+    one member.  Past the `len(word)` members, when the walk has already
+    cost more than a heap pass, the step is built from that same reading,
+    however deep the redex: a witness loses its trailing positions, since
+    every replacement is a prefix of its pattern, and rigid blocks take
+    `oblique_shortening_word`, times k.
     """
     index = _rules_by_first_pair(level, n)
+    redex = None  # the empty word draws no member and is a basis index
     walk = islice(iter_commutation_class(n, word), len(word))
     for drawn, member in enumerate(walk, 1):
         for pos, pair in enumerate(zip(member, member[1:])):
@@ -290,33 +290,39 @@ def _find_redex(level: AlgebraLevel, n: int, word: Letters) -> tuple[Letters, Sc
                 if member[pos : pos + len(rule.pattern)] == rule.pattern:
                     rest = member[pos + len(rule.pattern) :]
                     return member[:pos] + rule.replacement + rest, rule.scalar
-        if drawn == 1 and in_index_set(level, n, word):
-            return None
-    return _heap_step(level, n, word)
+        if drawn == 1:
+            redex = _heap_redex(level, n, word)
+            if redex is None:
+                return None
+    if redex is None:
+        return None
+    if isinstance(redex[0], tuple):  # rigid blocks, not witness positions
+        return oblique_shortening_word(n, redex), K
+    pattern = tuple([word[p] for p in redex])
+    (rule,) = [r for r in index[pattern[:2]] if r.pattern == pattern]
+    drop = redex[len(rule.replacement) :]
+    return tuple([a for p, a in enumerate(word) if p not in drop]), rule.scalar
 
 
-def _heap_step(level: AlgebraLevel, n: int, word: Letters) -> tuple[Letters, Scalar] | None:
+def _heap_redex(level: AlgebraLevel, n: int, word: Letters) -> Letters | Blocks | None:
     """
-    One rewrite step read off one `heap_reading` of the word, or None if it
-    is a basis index.  A witness that is a redex at the level (a chain at
-    TL, a chain or a boundary triple above it) spells the pattern of one
-    rule, and some class member holds it as a factor; every replacement is
-    a prefix of its pattern, so the step deletes the witness's trailing
-    positions and scales by the rule's scalar.  A positive word that is not
-    blobbed holds only the blob level's IJI and JIJ, and takes the paper's
-    blob step: `oblique_shortening_word` of its rigid blocks, one I J
-    alternation fewer, times k.
+    What one `heap_reading` of the word says at the level: None for a basis
+    index, else what the rewrite step needs.  A word that is not reduced
+    fully commutative, or at the two-boundary and blob levels one with a
+    boundary triple, gives the witness positions of a chain or triple that
+    some class member holds as a rule pattern.  A positive word that is not
+    blobbed, at the blob level, gives its rigid blocks, which hold IJI or
+    JIJ.  Any other word is a basis index: TL takes the reduced FC words,
+    the two-boundary level the positive ones, the blob level the positive
+    ones whose rigid blocks are blobbed.
     """
     state, witness = heap_reading(n, word)
     if witness and (state == HeapState.NOT_REDUCED_FC or level != AlgebraLevel.TL):
-        pattern = tuple([word[p] for p in witness])
-        (rule,) = [r for r in _rules_by_first_pair(level, n)[pattern[:2]] if r.pattern == pattern]
-        drop = witness[len(rule.replacement) :]
-        return tuple([a for p, a in enumerate(word) if p not in drop]), rule.scalar
+        return witness
     if level == AlgebraLevel.SYMPLECTIC_BLOB and state == HeapState.POSITIVE:
         blocks = blocks_of_word(n, word)
         if not is_blobbed(n, blocks):
-            return oblique_shortening_word(n, blocks), K
+            return blocks
     return None
 
 
@@ -343,10 +349,10 @@ def reduce_word(level: AlgebraLevel, n: int, word: Letters) -> tuple[Scalar, Let
     """
     Rewrite a product of generators to (parameter monomial, canonical basis
     word) under the level's relations.  Each step walks at most `len(word)`
-    class members and then reads the heap once (`_find_redex`), so a deep
-    redex costs no walk of its class, however large.  The last search, on
-    the basis word, reads one member and one heap pass, so a word that is
-    already a basis index costs O(length + rank) past its canonical word
+    class members and reads the heap at most once (`_find_redex`), so a
+    deep redex costs no walk of its class, however large.  The last search,
+    on the basis word, reads one member and one heap pass, so a word that
+    is already a basis index costs O(length + rank) past its canonical word
     (and, at the blob level, the row test of `is_blobbed`).  One limit
     remains: it recurses once per rewrite, so under the default recursion
     limit a word needing ~500 rewrites, e.g. `(1,) * 499` at rank 2, raises
@@ -363,17 +369,13 @@ def in_index_set(level: AlgebraLevel, n: int, word: Letters) -> bool:
     """
     Does the word index a basis monomial at this level, i.e. does no member
     of its commutation class hold a rule pattern of the level?  Read off the
-    heap: TL takes the reduced FC words, the two-boundary level those with
-    no boundary triple (the positive elements), and the blob level those of
-    them whose rigid blocks are blobbed.  O(len(word) + n) before the row
-    test of `is_blobbed`; a malformed word raises ValueError.
+    heap (`_heap_redex`): TL takes the reduced FC words, the two-boundary
+    level those with no boundary triple (the positive elements), and the
+    blob level those of them whose rigid blocks are blobbed.
+    O(len(word) + n) before the row test of `is_blobbed`; a malformed word
+    raises ValueError.
     """
-    state, _ = heap_reading(n, word)
-    if level == AlgebraLevel.TL:
-        return state != HeapState.NOT_REDUCED_FC
-    if state != HeapState.POSITIVE:
-        return False
-    return level == AlgebraLevel.TWO_BOUNDARY or is_blobbed(n, blocks_of_word(n, word))
+    return _heap_redex(level, n, word) is None
 
 
 @dataclass(frozen=True)
@@ -518,15 +520,14 @@ def sb_basis(n: int) -> tuple[Letters, ...]:
     return tuple(sorted(words))
 
 
-def structure_constants(
-    n: int, max_rank: int = 3
-) -> dict[tuple[Letters, Letters], tuple[Scalar, Letters]]:
+def structure_constants(n: int) -> dict[tuple[Letters, Letters], tuple[Scalar, Letters]]:
     """
     Full multiplication table of the blob-quotient basis.  Every target must
     land back in the basis; a miss raises, because it would disprove closure.
+    It costs |B|^2 reductions for the basis B: rank 4 (112,225 products)
+    takes about 1.7 s; rank 5 (2,039,184 products) would take minutes, an
+    estimate not yet run.
     """
-    if n > max_rank:
-        raise ValueError(f"structure constants budget exceeded: n={n} > {max_rank}")
     basis = sb_basis(n)
     index = set(basis)
     table: dict[tuple[Letters, Letters], tuple[Scalar, Letters]] = {}
@@ -538,7 +539,7 @@ def structure_constants(
     return table
 
 
-def structure_constants_records(n: int, max_rank: int = 3) -> list[dict[str, str]]:
+def structure_constants_records(n: int) -> list[dict[str, str]]:
     """The table as JSON-ready records {x, y, scalar, z} (word text encoding)."""
     from .words import format_word
 
@@ -549,5 +550,5 @@ def structure_constants_records(n: int, max_rank: int = 3) -> list[dict[str, str
             "scalar": str(scalar),
             "z": format_word(zw),
         }
-        for (xw, yw), (scalar, zw) in sorted(structure_constants(n, max_rank).items())
+        for (xw, yw), (scalar, zw) in sorted(structure_constants(n).items())
     ]

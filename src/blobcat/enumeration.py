@@ -19,9 +19,6 @@ from .normal_forms import Blocks
 from .triangles import blobbed_entry
 from .words import check_rank
 
-ORACLE_MAX_N = 5
-ORACLE_MAX_S = 6
-
 
 class CountKind(Enum):
     A = "a"
@@ -291,13 +288,9 @@ def iter_positive_blocks(n: int, s: int) -> Iterator[Blocks]:
 
 def oracle_positive_count(n: int, s: int) -> int:
     """Count rigid-block forms directly; must equal a_count."""
-    if n > ORACLE_MAX_N or s > ORACLE_MAX_S:
-        raise ValueError(f"oracle budget exceeded: (n={n}, s={s})")
     return sum(1 for _ in iter_positive_blocks(n, s))
 
 
 def oracle_blobbed_count(n: int, s: int) -> int:
     """Count rigid-block forms avoiding both patterns; must equal b_count."""
-    if n > ORACLE_MAX_N or s > ORACLE_MAX_S:
-        raise ValueError(f"oracle budget exceeded: (n={n}, s={s})")
     return sum(1 for blocks in iter_positive_blocks(n, s) if is_blobbed(n, blocks))
