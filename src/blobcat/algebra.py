@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import islice, product
 from operator import add
 
@@ -177,15 +177,10 @@ KL = Scalar.param("kL")
 KR = Scalar.param("kR")
 K = Scalar.param("k")
 
-# the one Scalar per monomial that `_reduce_canonical` returns, by exponents
-_MONOMIALS: dict[Exponents, Scalar] = {}
-
-
+@cache
 def _shared_monomial(exps: Exponents) -> Scalar:
-    scalar = _MONOMIALS.get(exps)
-    if scalar is None:
-        scalar = _MONOMIALS[exps] = Scalar({exps: 1})
-    return scalar
+    """The one Scalar per monomial that `_reduce_canonical` returns, by exponents."""
+    return Scalar({exps: 1})
 
 
 _ONE = _shared_monomial(_ZERO_EXP)
@@ -470,35 +465,33 @@ def quotient_image_check(
     """
     Check that a basis monomial of `level_from` that leaves the index set of
     `level_to` reduces there to the predicted multiple of its shortening
-    image.  Into the two-boundary quotient the image is `bar` of a
-    non-left-positive element (times kL, or kL kR in its one flagged case)
-    or `tilde` of a left- but not right-positive one (times kR), as the
-    word's `heap_state` says.  Into the blob quotient it is
-    `grids.oblique_shortening_word` of a non-blobbed positive element: one
-    I J alternation fewer, times k.
+    image, as one `heap_state` of the word says.  Into the two-boundary
+    quotient the image is `bar` of a non-left-positive FC element (times kL,
+    or kL kR in its one flagged case) or `tilde` of a left- but not
+    right-positive one (times kR).  Into the blob quotient it is
+    `grids.oblique_shortening_word` of a positive element, which refuses a
+    blobbed one: one I J alternation fewer, times k.  Else ValueError.
     """
     word = check_word(n, word)
-    if not in_index_set(level_from, n, word):
-        raise ValueError(f"{word} is not a basis word at level {level_from.name}")
-    if in_index_set(level_to, n, word):
-        raise ValueError(f"{word} stays a basis word at level {level_to.name}")
-    if (level_from, level_to) == (AlgebraLevel.TL, AlgebraLevel.TWO_BOUNDARY):
+    state, step = heap_state(n, word), (level_from, level_to)
+    triple = state in (HeapState.LEFT_TRIPLE, HeapState.RIGHT_TRIPLE)
+    if triple and step == (AlgebraLevel.TL, AlgebraLevel.TWO_BOUNDARY):
         nf = normal_form_of_word(n, word)
-        if heap_state(n, word) == HeapState.LEFT_TRIPLE:
+        if state == HeapState.LEFT_TRIPLE:
             image, needs_kr = bar(n, nf)
             factor = KL * KR if needs_kr else KL
         else:
             image = tilde(n, nf)
             factor = KR
         image_word = word_of_normal_form(n, image)
-    elif (level_from, level_to) == (
+    elif state == HeapState.POSITIVE and step == (
         AlgebraLevel.TWO_BOUNDARY,
         AlgebraLevel.SYMPLECTIC_BLOB,
     ):
         image_word = oblique_shortening_word(n, blocks_of_word(n, word))
         factor = K
     else:
-        raise ValueError("supported steps: TL->TWO_BOUNDARY, TWO_BOUNDARY->SYMPLECTIC_BLOB")
+        raise ValueError(f"{word} ({state.name}) has no {level_from.name}->{level_to.name} image")
     lhs_scalar, lhs_word = reduce_word(level_to, n, word)
     rhs_scalar, rhs_word = reduce_word(level_to, n, image_word)
     return lhs_word == rhs_word and lhs_scalar == factor * rhs_scalar

@@ -10,16 +10,15 @@ Command-line front end.
     blobcat verify --suite tables
 
 Data goes to stdout, diagnostics to stderr.  Exit status: 0 on success, 1
-when a verification suite reports a mismatch, 2 on malformed input, 141
-(128 + SIGPIPE) when the reader closes stdout early, as `head` does.
+when a verification suite reports a mismatch, 2 on malformed input or on
+input past the recursion limit, 141 (128 + SIGPIPE) when the reader closes
+stdout early, as `head` does.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import os
 import sys
@@ -33,12 +32,10 @@ from .words import HeapState, check_rank, format_word, heap_state, parse_word
 def _triangle(args: argparse.Namespace) -> int:
     rows = triangles.triangle_rows(args.kind, args.rows, args.cols)
     if args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["i\\j"] + [str(j) for j in range(args.cols)])
+        # every cell is an int or i\j, so no cell needs quoting
+        print(",".join(["i\\j", *map(str, range(args.cols))]))
         for i, row in enumerate(rows):
-            writer.writerow([str(i)] + [str(v) for v in row])
-        sys.stdout.write(buffer.getvalue())
+            print(",".join(map(str, (i, *row))))
     else:
         payload = {
             "kind": args.kind,
@@ -114,13 +111,7 @@ _LEVELS = dict(zip(("tl", "2btl", "sb"), AlgebraLevel))
 
 
 def _reduce(args: argparse.Namespace) -> int:
-    try:
-        scalar, word = reduce_word(_LEVELS[args.level], args.n, parse_word(args.word))
-    except RecursionError:
-        # the kernel recurses once per rewrite until ROADMAP item 3's loop lands
-        raise ValueError(
-            "word needs more nested rewrites than reduce supports yet"
-        ) from None
+    scalar, word = reduce_word(_LEVELS[args.level], args.n, parse_word(args.word))
     print(f"{scalar} * [{format_word(word)}]")
     return 0
 
@@ -217,6 +208,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return status
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # the kernel recurses once per rewrite, the generators once per row or bracket
+        print("error: input needs deeper recursion than blobcat supports yet", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # the reader is gone; send what is still buffered to /dev/null so the

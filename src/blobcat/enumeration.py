@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from enum import Enum
 from operator import mul
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .grids import is_blobbed
 from .normal_forms import Blocks
@@ -245,45 +245,32 @@ COUNTS = {
 
 def iter_positive_blocks(n: int, s: int) -> Iterator[Blocks]:
     """
-    Depth-first generation of all rigid-block forms with exactly s rows
-    touching the last column, enforcing the block invariants incrementally.
-    The rows touching the last column come first; below them the right ends
-    strictly decrease, so the recursion is finite.  At rank 1 some lists
-    spell no positive element (0,1,0 is a boundary triple, and every list
-    but one from s = 2 on spells a word that is not reduced FC), so the
-    rank-1 counts are counts of block lists.
+    All rigid-block forms with exactly s rows touching the last column, as
+    one depth-first generation in pre-order that enforces the block
+    invariants row by row.  The first s rows end at r = n; each later row
+    ends below the row before, so the search is finite.  Each left end l is
+    at most r and at most the previous row's l - 1, or 0 after an l of 0.  A
+    list is yielded once it holds s rows, before its extensions.  It
+    recurses once per row, so a form of about 1000 rows passes the default
+    recursion limit.  At rank 1 some lists spell no positive element (0,1,0
+    is a boundary triple, and every list but one from s = 2 on spells a word
+    that is not reduced FC), so the rank-1 counts are counts of block lists.
     """
     check_rank(n)
     if s < 0:
         raise ValueError("affine length must be non-negative")
 
-    def lefts(prev_l: int, rows: int) -> Iterator[tuple[int, ...]]:
-        # non-increasing left ends with repeats only at 0
-        if rows == 0:
-            yield ()
-            return
-        for l in range(prev_l, -1, -1):
-            nxt = l - 1 if l > 0 else 0
-            for rest in lefts(nxt, rows - 1):
-                yield (l,) + rest
-
-    def tails(prev_l: int, prev_r: int) -> Iterator[Blocks]:
-        yield ()
-        for r in range(min(prev_r - 1, n - 1), -1, -1):
+    def extend(prefix: Blocks, prev_l: int, prev_r: int) -> Iterator[Blocks]:
+        if len(prefix) < s:
+            ends: Iterable[int] = (n,)
+        else:
+            yield prefix
+            ends = range(prev_r - 1, -1, -1)
+        for r in ends:
             for l in range(min(prev_l, r), -1, -1):
-                nxt = l - 1 if l > 0 else 0
-                for rest in tails(nxt, r):
-                    yield ((l, r),) + rest
+                yield from extend(prefix + ((l, r),), l - 1 if l else 0, r)
 
-    if s == 0:
-        yield from tails(n, n + 1)
-        return
-    for head_ls in lefts(n, s):
-        head: Blocks = tuple((l, n) for l in head_ls)
-        last_l = head_ls[-1]
-        bound = last_l - 1 if last_l > 0 else 0
-        for tail in tails(bound, n):
-            yield head + tail
+    return extend((), n, n)
 
 
 def oracle_positive_count(n: int, s: int) -> int:

@@ -65,6 +65,15 @@ def test_reduce_past_recursion_limit_is_malformed_input(capsys):
     assert out == ""
 
 
+def test_enumerate_past_recursion_limit_is_malformed_input(capsys):
+    # the bracket DFS recurses once per bracket, and the k-th form at rank
+    # 1200 has k brackets, so the 1100th lies past the default limit
+    code, out, err = run(capsys, "enumerate", "--n", "1200", "--s", "0", "--limit", "1100")
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert out == ""
+
+
 def test_reduce_deep_tl_redex_at_rank_10(capsys, monkeypatch):
     # a product of two rank-10 FC normal forms of affine length 3: its first
     # TL redex lies so deep in its class that a walk to it passes the class

@@ -1,5 +1,6 @@
 """Counting formulas, their recurrences, and the exhaustive block oracles."""
 
+import hashlib
 import random
 
 import pytest
@@ -158,6 +159,24 @@ def test_iter_positive_blocks_valid_and_exact():
                 check_blocks(n, blocks)
                 assert sum(1 for _, r in blocks if r == n) == s
             assert len(set(blocks_list)) == len(blocks_list)
+
+
+# sha256 of repr([list(iter_positive_blocks(n, s)) for n 1..7 for s 0..7]),
+# 143,570 lists, recorded with the two nested generators it replaced
+BLOCK_ORDER_SHA256 = "44c2cafdbd3b957a129b9630b3bbec890729569a890414c3c738a36b6ba8d4e0"
+
+
+def test_iter_positive_blocks_order_is_pinned():
+    lists = [list(iter_positive_blocks(n, s)) for n in range(1, 8) for s in range(8)]
+    assert sum(map(len, lists)) == 143570
+    assert hashlib.sha256(repr(lists).encode()).hexdigest() == BLOCK_ORDER_SHA256
+
+
+def test_iter_positive_blocks_checks_arguments_at_the_call():
+    with pytest.raises(ValueError):
+        iter_positive_blocks(2, -1)
+    with pytest.raises(ValueError):
+        iter_positive_blocks(0, 1)
 
 
 def test_rank_one_block_lists_are_not_all_positive_elements():
