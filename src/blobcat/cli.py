@@ -22,33 +22,55 @@ import functools
 import json
 import os
 import sys
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import enumeration, grids, normal_forms, triangles, verify
 from .algebra import AlgebraLevel, in_index_set, reduce_word
 from .words import HeapState, check_rank, format_word, heap_state, parse_word
 
 
+def _print_exact(render: Callable[[], str]) -> None:
+    """
+    Print render(), which turns exact integers into text.  Python 3.10.7+
+    refuses to turn an int of more than 4,300 digits into text (ValueError);
+    only then is render() run once more with that limit lifted, and the limit
+    is put back before this returns.
+    """
+    try:
+        text = render()
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            text = render()
+        finally:
+            sys.set_int_max_str_digits(limit)
+    print(text)
+
+
 def _triangle(args: argparse.Namespace) -> int:
     rows = triangles.triangle_rows(args.kind, args.rows, args.cols)
-    if args.format == "csv":
+
+    def render() -> str:
+        if args.format == "json":
+            payload = {
+                "kind": args.kind,
+                "rows": args.rows,
+                "cols": args.cols,
+                "entries": [[str(v) for v in row] for row in rows],
+            }
+            return json.dumps(payload, sort_keys=True)
         # every cell is an int or i\j, so no cell needs quoting
-        print(",".join(["i\\j", *map(str, range(args.cols))]))
-        for i, row in enumerate(rows):
-            print(",".join(map(str, (i, *row))))
-    else:
-        payload = {
-            "kind": args.kind,
-            "rows": args.rows,
-            "cols": args.cols,
-            "entries": [[str(v) for v in row] for row in rows],
-        }
-        print(json.dumps(payload, sort_keys=True))
+        lines = [["i\\j", *range(args.cols)], *([i, *row] for i, row in enumerate(rows))]
+        return "\n".join(",".join(map(str, line)) for line in lines)
+
+    _print_exact(render)
     return 0
 
 
 def _count(args: argparse.Namespace) -> int:
-    print(enumeration.COUNTS[enumeration.CountKind(args.which)](args.n, args.s))
+    value = enumeration.COUNTS[enumeration.CountKind(args.which)](args.n, args.s)
+    _print_exact(lambda: str(value))
     return 0
 
 
@@ -118,8 +140,7 @@ def _reduce(args: argparse.Namespace) -> int:
 
 def _dim(args: argparse.Namespace) -> int:
     coeffs = enumeration.blob_polynomial(args.n)
-    print(sum(coeffs))
-    print("[" + ", ".join(str(c) for c in coeffs) + "]")
+    _print_exact(lambda: f"{sum(coeffs)}\n[{', '.join(map(str, coeffs))}]")
     return 0
 
 

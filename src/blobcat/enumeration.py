@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 
 from .grids import is_blobbed
 from .normal_forms import Blocks
-from .triangles import blobbed_entry
+from .triangles import blobbed_entry, blobbed_run
 from .words import check_rank
 
 
@@ -45,7 +45,7 @@ def i_t(n: int, t: int) -> int:
     check_rank(n)
     if t < 0:
         raise ValueError("t must be non-negative")
-    return blobbed_entry(n, 2 * t) if n % 2 == 0 else blobbed_entry(n, 2 * t + 1)
+    return blobbed_entry(n, 2 * t + n % 2)
 
 
 def j_t(n: int, t: int) -> int:
@@ -53,9 +53,7 @@ def j_t(n: int, t: int) -> int:
     check_rank(n)
     if t < 0:
         raise ValueError("t must be non-negative")
-    if n % 2 == 0:
-        return _exact_half(blobbed_entry(n + 1, 2 * t + 1))
-    return _exact_half(blobbed_entry(n + 1, 2 * t))
+    return _exact_half(blobbed_entry(n + 1, 2 * t + 1 - n % 2))
 
 
 def i_nr(n: int, r: int) -> int:
@@ -102,10 +100,11 @@ def _wings(n: int, length: int) -> tuple[list[int], list[int]]:
     """
     The wing sequences i_t and j_t for t < length, as (main, other): main is
     i_t for even n and j_t for odd n.  Their prefixes of length s give d(s)
-    for every s <= length.
+    for every s <= length.  Each is one run of the doubled row that `i_t`
+    and `j_t` read an entry at a time.
     """
-    x = [i_t(n, t) for t in range(length)]
-    y = [j_t(n, t) for t in range(length)]
+    x = blobbed_run(n, n % 2, length)
+    y = [_exact_half(v) for v in blobbed_run(n + 1, 1 - n % 2, length)]
     return (x, y) if n % 2 == 0 else (y, x)
 
 
@@ -125,11 +124,12 @@ def d_count(n: int, s: int) -> int:
     """
     Positive elements of affine length s containing a boundary pattern: none
     at s == 0, all past s == n, else the wing sum over the first s terms of
-    i_t and j_t (at s == 1 the square of one).  At one s this costs O(s)
-    products, less than `blob_polynomial`'s whole convolutions, and it is the
-    per-s oracle that `verify` checks the polynomial against
-    (oracle:dim-polynomial).  The equivalent closed form in doubled-triangle
-    entries (_d_closed) is checked against it by `verify` (oracle:d-forms).
+    i_t and j_t (at s == 1 the square of one), read as two runs off the half
+    rows n and n + 1.  At one s this costs O(s) products, less than
+    `blob_polynomial`'s whole convolutions, and it is the per-s oracle that
+    `verify` checks the polynomial against (oracle:dim-polynomial).  The
+    equivalent closed form in doubled-triangle entries (_d_closed) is checked
+    against it by `verify` (oracle:d-forms).
 
     >>> d_count(4, 2), d_count(9, 4)
     (148, 221004)
@@ -191,9 +191,10 @@ def blob_polynomial(n: int) -> tuple[int, ...]:
     nu_{s-2}), sum to -2C mu_{s-1}.  So
         d(s) = C^2 - 2C mu[s-1] + (mu*mu)[s-1] + (nu*nu)[s-2] - 2 (mu*nu)[s-2],
     where an index out of range reads 0.  With the trailing zeros dropped,
-    the three convolutions are three integer products of about half length:
-    three binomial rows, O(n) triangle entries and three big-integer
-    products in all.
+    the three convolutions are three integer products of about half length.
+    The wings and the a-column (a_count(n, s) for every s) are three runs of
+    doubled entries, read off the half rows n, n + 1 and 2n: three half rows
+    and three big-integer products in all.
 
     >>> blob_polynomial(2)
     (6, 10, 3)
@@ -219,7 +220,8 @@ def blob_polynomial(n: int) -> tuple[int, ...]:
     )
     d = [C * (C - 2 * u) + uu + vv - 2 * uv for u, uu, vv, uv in terms]
     d[0] = 0  # the formula holds from s = 1; nothing is excluded at s = 0
-    return tuple(_blobbed(n, s, a_count(n, s), d[s]) for s in range(n + 1))
+    a = blobbed_run(2 * n, 0, n + 1)  # a_count(n, s) for every s
+    return tuple(_blobbed(n, s, a[s], d[s]) for s in range(n + 1))
 
 
 def p_dim(n: int) -> int:

@@ -8,9 +8,12 @@ classical one has c_{-1,-1} = 1 and zero elsewhere on its borders; the
 doubled variant seeds its first two rows with the parity pattern 1,0,1,0,...
 On and above the main diagonal the entries are closed: 1 on the diagonal and
 0 beyond it for the classical triangle, and 2^i on the parity pattern for
-the doubled one.  Below it, with m = (i - j)/2, both are read off binomial
-row i: the ballot number C(i, m) - C(i, m-1), and the sum of C(i, k) over
-m <= k <= i - m.  Only the last few rows are cached.
+the doubled one.  Below it, with m = (i - j)/2, both are read off the prefix
+sums S of binomial row i: the ballot number C(i, m) - C(i, m-1), and the sum
+of C(i, k) over m <= k <= i - m, which is 2^i - 2 S[m] because C(i, k) =
+C(i, i - k).  So only the first half of each row is summed and kept, and
+only the last few half rows are cached.  `blobbed_run` reads a strided run
+of one doubled row at once, as the counts in `enumeration` need it.
 """
 
 from __future__ import annotations
@@ -34,9 +37,13 @@ def binomial(m: int, k: int) -> int:
 
 @lru_cache(maxsize=4)
 def _row(i: int) -> tuple[int, ...]:
-    """Prefix sums of binomial row i: S_k = C(i, 0) + ... + C(i, k-1), k <= i + 1."""
+    """
+    Prefix sums of the first half of binomial row i:
+    S_k = C(i, 0) + ... + C(i, k-1) for k <= i//2 + 1, enough for every
+    m = (i - j)/2 with j >= -1.
+    """
     sums, c = [0], 1
-    for k in range(i + 1):
+    for k in range(i // 2 + 1):
         sums.append(sums[-1] + c)
         c = c * (i - k) // (k + 1)
     return tuple(sums)
@@ -47,17 +54,38 @@ def entry(kind: str, i: int, j: int) -> int:
         raise ValueError(f"unknown triangle kind {kind!r}")
     if not (isinstance(i, int) and isinstance(j, int)):
         raise ValueError(f"triangle indices must be integers, got ({i!r}, {j!r})")
+    if kind == BLOBBED:
+        return blobbed_run(i, j, 1)[0]
     # total: everything outside the bordered quadrant or off parity vanishes,
     # so identity sums never need boundary branches
     if i < -1 or j < -1 or (i + j) % 2:
         return 0
     if j >= i:
-        return int(j == i) if kind == CLASSICAL else 2 ** max(i, 0)
-    # below the diagonal; column -1 comes out 0 from both differences
+        return int(j == i)
+    if j < 0:
+        return 0  # column -1 below the diagonal: C(i, m) = C(i, m - 1) there
     m, S = (i - j) // 2, _row(i)
-    if kind == CLASSICAL:
-        return S[m + 1] - 2 * S[m] + S[m - 1]
-    return S[i - m + 1] - S[m]
+    return S[m + 1] - 2 * S[m] + S[m - 1]
+
+
+def blobbed_run(i: int, j0: int, count: int) -> list[int]:
+    """
+    The doubled entries (i, j0), (i, j0 + 2), ..., count of them, read off
+    one half row: 0 off parity and left of column -1, 2^i on and past the
+    diagonal, and 2^i - 2 S[m] with m = (i - j)/2 below it (0 in column -1).
+    Indices are not checked; `entry` checks them for a single entry.
+    """
+    if i < -1 or (i + j0) % 2:
+        return [0] * count
+    top = 1 << max(i, 0)
+    zeros = min(count, max(0, -j0 // 2))  # the columns left of -1
+    # below the diagonal m falls by one per step, from the first column at or
+    # past -1 down to 1 at j = i - 2
+    m = (i - j0) // 2 - zeros
+    below = min(count - zeros, max(m, 0))
+    S = _row(i) if below else ()
+    doubled = [top - 2 * s for s in S[m : m - below : -1]]
+    return [0] * zeros + doubled + [top] * (count - zeros - below)
 
 
 def classical_entry(i: int, j: int) -> int:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import blobcat
-from blobcat import algebra, cli, enumeration, verify
+from blobcat import algebra, cli, enumeration, triangles, verify
 from blobcat.cli import main
 from blobcat.normal_forms import format_blocks
 from blobcat.triangles import blobbed_entry
@@ -264,6 +264,59 @@ def test_count_output_is_pinned_at_rank_512(capsys, which, s):
     code, out, _ = run(capsys, "count", "--n", "512", "--s", str(s), "--which", which)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == COUNT_512_SHA256[which, s]
+
+
+# sha256 of `count --n 7200 --s 3600 --which a`: 4,335 digits, past the
+# 4,300-digit int-to-str limit of Python 3.10.7+; recorded from a_count with
+# the limit lifted, and equal to blobbed_closed(14400, 7200) (also a CI step)
+COUNT_PAST_DIGIT_LIMIT_SHA256 = "f6b360ec59d6ee621bb73392411f5a3f19b165d73cdabaa3f70a7232c2c4896a"
+
+
+def test_count_prints_past_the_digit_limit(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run(capsys, "count", "--n", "7200", "--s", "3600", "--which", "a")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == COUNT_PAST_DIGIT_LIMIT_SHA256
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+@pytest.fixture
+def lowest_digit_limit():
+    """The int-to-str digit limit at its floor, 640, so 641 digits trip it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--n", "1100", "--s", "550", "--which", "a"),
+        ("dim", "--n", "1100"),
+        ("triangle", "--kind", "blobbed", "--rows", "2140", "--cols", "40"),
+        ("triangle", "--kind", "blobbed", "--rows", "2140", "--cols", "40", "--format", "json"),
+    ],
+)
+def test_every_exact_output_passes_the_digit_limit_and_keeps_it(capsys, lowest_digit_limit, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == 640
+    sys.set_int_max_str_digits(0)
+    if argv[0] == "count":
+        expected = triangles.blobbed_closed(2200, 1100)
+        assert out == f"{expected}\n"
+    elif argv[0] == "dim":
+        coeffs = enumeration.blob_polynomial(1100)
+        expected = sum(coeffs)
+        assert out == f"{expected}\n{list(coeffs)}\n"
+    else:
+        expected = triangles.blobbed_closed(2139, 39)
+        cells = out.replace('"', " ").replace(",", " ").split()
+        assert str(expected) in cells
+    assert len(str(expected)) > 640
 
 
 def fresh(*args):

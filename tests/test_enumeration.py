@@ -232,6 +232,15 @@ def test_exact_halving_guard():
             j_t(n, t)
 
 
+def test_wings_read_as_runs_match_the_single_entries():
+    # past t = n/2 both wings sit at 2^n, so the runs reach the diagonal
+    for n in range(1, 40):
+        main, other = en._wings(n, n + 3)
+        x = [i_t(n, t) for t in range(n + 3)]
+        y = [j_t(n, t) for t in range(n + 3)]
+        assert (main, other) == ((x, y) if n % 2 == 0 else (y, x)), n
+
+
 def test_excluded_counts_from_generated_words():
     # third independent leg: count pattern-containing positive elements from
     # the generated normal forms via the word-level containment oracle

@@ -70,6 +70,32 @@ def test_blobbed_closed_matches_recursion():
     assert check.cases == 132815
 
 
+def test_blobbed_run_matches_the_binomial_sum():
+    # every start column from -3, both parities, runs of 0, 1 and 2 entries
+    # and runs that reach two entries past the diagonal
+    for i in range(201):
+        closed = {j: blobbed_closed(i, j) for j in range(i % 2, i, 2)}
+
+        def expected(j):
+            if j < 0 or (i + j) % 2:
+                return 0
+            return closed.get(j, 2**i)
+
+        for j0 in range(-3, i + 2):
+            for count in {0, 1, 2, max((i - j0) // 2 + 2, 0)}:
+                run = triangles.blobbed_run(i, j0, count)
+                assert run == [expected(j0 + 2 * t) for t in range(count)], (i, j0, count)
+        assert len(triangles._row(i)) == i // 2 + 2
+
+
+def test_blobbed_run_at_the_borders():
+    assert triangles.blobbed_run(-1, -3, 4) == [0, 1, 1, 1]
+    assert triangles.blobbed_run(-1, -2, 3) == [0, 0, 0]
+    assert triangles.blobbed_run(-2, 0, 2) == [0, 0]
+    assert triangles.blobbed_run(7, -1, 3) == [0, 70, 112]
+    assert triangles.blobbed_run(6, 0, 6) == [20, 50, 62, 64, 64, 64]
+
+
 def test_binomial_examples():
     assert binomial(4, 2) == 6
     assert binomial(0, 0) == 1
