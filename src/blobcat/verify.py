@@ -214,7 +214,11 @@ def _cut_mismatch(
     word) when word[:cut] or word[cut:] is reduced first, at each of `cuts`
     (every inner cut by default); else what went wrong.  A factor reduced
     first rewrites in another order than the kernel's, and a confluent
-    system (Bergman's diamond lemma) gives one answer in every order.
+    system (Bergman's diamond lemma) gives one answer in every order.  At
+    the blob level `reduce_word` itself folds the word from the left, so
+    there the prefix-first order is the kernel's own, and the suffix-first
+    order is the one that differs: with it the check catches the same
+    scalar-swapped rules as when the blob level rewrote the whole word.
     """
     scalar, out = reduce_word(level, n, word)
     if not in_index_set(level, n, out):

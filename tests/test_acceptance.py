@@ -11,11 +11,12 @@ Every expected value is frozen in blobcat.verify or blobcat.tables.
 import hashlib
 import json
 import random
+import sys
 import time
 from functools import partial
 
-from blobcat import enumeration, grids, normal_forms, verify
-from blobcat.algebra import AlgebraLevel, Scalar, in_index_set, reduce_word
+from blobcat import algebra, enumeration, grids, normal_forms, verify
+from blobcat.algebra import AlgebraLevel, Scalar, in_index_set, reduce_word, sb_basis
 from blobcat.cli import main
 from blobcat.words import canonical_word, is_reduced_fc
 
@@ -241,6 +242,48 @@ def test_basis_word_takes_no_class_walk():
     for level in (AlgebraLevel.TL, AlgebraLevel.TWO_BOUNDARY):
         assert reduce_word(level, n, word) == (Scalar.one(), canonical_word(n, word)), level
     budget.done(f"{len(word)} letters at TL and 2B")
+
+
+def _seeded_word(n, length):
+    rng = random.Random(n)
+    return tuple(rng.randint(0, n) for _ in range(length))
+
+
+# what `blobcat reduce --n 2 --level sb` prints for the 20,000-letter word
+# _seeded_word(2, 20_000); CI builds the same word and compares the line
+LONG_BLOB_WORD_LINE = "d^2231*dL^3289*dR^3269*kL^1164*kR^1147*k^2195 * [0,1,0,2]"
+
+
+def test_long_blob_words_reduce_past_the_recursion_limit():
+    # The blob level folds a word through its generator action, one table
+    # lookup per letter; the whole-word rewrite recursed once per rewrite
+    # and raised RecursionError on both words.  The two folds take about
+    # 0.08 s on a 2-vCPU VM.
+    words = {2: _seeded_word(2, 20_000), 8: _seeded_word(8, 5_000)}
+    budget = Budget("20,000 letters at rank 2 and 5,000 at rank 8, blob level", 1.0)
+    outputs = {n: reduce_word(SB, n, word) for n, word in words.items()}
+    budget.done("two words")
+    for scalar, out in outputs.values():
+        assert list(scalar.terms.values()) == [1], scalar
+    scalar, out = outputs[2]
+    assert f"{scalar} * [{','.join(map(str, out))}]" == LONG_BLOB_WORD_LINE
+    assert out in sb_basis(2)
+    # sb_basis(8), 97,287 words, takes seconds to build; it is the canonical
+    # words of the blobbed elements, which is what this asks of the output
+    _, out = outputs[8]
+    assert in_index_set(SB, 8, out) and canonical_word(8, out) == out
+    # the whole-word rewrite reaches a 2,000-letter prefix at rank 2 and a
+    # 400-letter one at rank 8 under a raised limit (its class walks grow
+    # too fast at rank 8 for more)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10_000)
+    try:
+        for n, length in ((2, 2_000), (8, 400)):
+            prefix = words[n][:length]
+            whole = algebra._reduce_canonical(SB, n, canonical_word(n, prefix))
+            assert reduce_word(SB, n, prefix) == whole, n
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_criterion_8_quotient_identities():

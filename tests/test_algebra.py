@@ -191,7 +191,7 @@ def test_confluence_check_catches_a_swapped_boundary_scalar(monkeypatch):
             for r in rules(level, n)
         )
 
-    caches = (algebra._rules_by_first_pair, algebra._reduce_canonical)
+    caches = (algebra._rules_by_first_pair, algebra._reduce_canonical, algebra._act)
     for cache in caches:
         cache.cache_clear()
     try:
@@ -338,21 +338,67 @@ def test_reduce_memo_bytes_per_entry():
     import gc
     import tracemalloc
 
-    _rank_three_blob_table()  # build the rules and the shared scalars first
-    algebra._reduce_canonical.cache_clear()
+    # the rank-3 blob table at every level: the blob level fills the action
+    # table, the other two the memo of whole-word rewrites
+    basis = sb_basis(3)
+
+    def job():
+        for level in AlgebraLevel:
+            for x, y in itertools.product(basis, repeat=2):
+                reduce_word(level, 3, x + y)
+
+    job()  # build the rules and the shared scalars first
+    caches = (algebra._act, algebra._reduce_canonical)
+    for cache in caches:
+        cache.cache_clear()
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        _rank_three_blob_table()
+        job()
         gc.collect()
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    entries = algebra._reduce_canonical.cache_info().currsize
+    entries = sum(cache.cache_info().currsize for cache in caches)
     assert entries > 3000
-    # ~280 B an entry with shared scalars, ~630 B with a fresh Scalar per entry
+    # ~265 B an entry with shared scalars, ~580 B with a fresh Scalar per entry
     assert grown / entries < 480, grown / entries
+
+
+def _whole_word(n, word):
+    """The blob level's whole-word rewrite, the path each miss of `_act` takes."""
+    return algebra._reduce_canonical(SB, n, canonical_word(n, word))
+
+
+def test_blob_fold_matches_the_whole_word_rewrite_exhaustive():
+    # every word at rank 1 up to 12 letters, rank 2 up to 8, rank 3 up to 6
+    # and rank 4 up to 5: folding letter by letter through the action table
+    # gives what rewriting the whole word gives
+    cases = 0
+    for n, max_length in ((1, 12), (2, 8), (3, 6), (4, 5)):
+        for length in range(max_length + 1):
+            for word in itertools.product(range(n + 1), repeat=length):
+                assert reduce_word(SB, n, word) == _whole_word(n, word), (n, word)
+                cases += 1
+    assert cases == 27_399
+
+
+def test_blob_fold_matches_the_whole_word_rewrite_random():
+    rng = random.Random(3030)
+    for n in range(4, 9):
+        for _ in range(2000):
+            word = tuple(rng.randint(0, n) for _ in range(rng.randint(0, 24)))
+            assert reduce_word(SB, n, word) == _whole_word(n, word), (n, word)
+
+
+def test_action_table_holds_one_entry_per_basis_word_and_generator():
+    # every state of the fold is a basis word, so the table is bounded by
+    # (n + 1)·|B|, and the rank-4 table, whose factors are all the prefixes
+    # of basis words, fills it
+    algebra._act.cache_clear()
+    structure_constants(4)
+    assert algebra._act.cache_info().currsize == 5 * len(sb_basis(4)) == 1675
 
 
 @lru_cache(maxsize=None)
@@ -488,8 +534,17 @@ def test_each_redex_search_draws_at_most_word_length_members(monkeypatch):
     for n in range(4, 9):
         for _ in range(40):
             cases.append((n, tuple(rng.randint(0, n) for _ in range(rng.randint(0, 20)))))
+    # the blob level folds a word one generator at a time, so its searches
+    # are on a basis word times a generator, and few walk len(word) members;
+    # more and longer words keep the full walks above the floor
+    rng = random.Random(2425)
+    for n in range(4, 9):
+        for _ in range(20):
+            cases.append((n, tuple(rng.randint(0, n) for _ in range(rng.randint(10, 24)))))
     walks = _spy_on_class_walk(monkeypatch)
-    algebra._reduce_canonical.cache_clear()  # so every step searches again
+    # so every step searches again
+    algebra._reduce_canonical.cache_clear()
+    algebra._act.cache_clear()
     searches = []  # [level, n, word, members drawn] per walk
     for level in (TL, TB, SB):
         for n, word in cases:

@@ -65,6 +65,15 @@ def test_reduce_past_recursion_limit_is_malformed_input(capsys):
     assert out == ""
 
 
+def test_reduce_at_the_blob_level_takes_any_length(capsys):
+    # the blob level folds the word one generator at a time, with no
+    # recursion per rewrite, so the word the TL level refuses above reduces
+    word = ",".join(["1"] * 3000)
+    code, out, err = run(capsys, "reduce", "--n", "2", "--level", "sb", "--word", word)
+    assert code == 0 and err == ""
+    assert out == "d^2999 * [1]\n"
+
+
 def test_enumerate_past_recursion_limit_is_malformed_input(capsys):
     # the bracket DFS recurses once per bracket, and the k-th form at rank
     # 1200 has k brackets, so the 1100th lies past the default limit
