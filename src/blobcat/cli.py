@@ -11,8 +11,8 @@ Command-line front end.
 
 Data goes to stdout, diagnostics to stderr.  Exit status: 0 on success, 1
 when a verification suite reports a mismatch, 2 on malformed input or on
-input past the recursion limit, 141 (128 + SIGPIPE) when the reader closes
-stdout early, as `head` does.
+`enumerate` past the recursion limit, 141 (128 + SIGPIPE) when the reader
+closes stdout early, as `head` does.
 """
 
 from __future__ import annotations
@@ -231,7 +231,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the kernel recurses once per rewrite, the generators once per row or bracket
+        # the block and bracket generators recurse once per row or bracket
         print("error: input needs deeper recursion than blobcat supports yet", file=sys.stderr)
         return 2
     except BrokenPipeError:

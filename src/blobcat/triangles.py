@@ -54,17 +54,18 @@ def entry(kind: str, i: int, j: int) -> int:
         raise ValueError(f"unknown triangle kind {kind!r}")
     if not (isinstance(i, int) and isinstance(j, int)):
         raise ValueError(f"triangle indices must be integers, got ({i!r}, {j!r})")
-    if kind == BLOBBED:
-        return blobbed_run(i, j, 1)[0]
     # total: everything outside the bordered quadrant or off parity vanishes,
     # so identity sums never need boundary branches
     if i < -1 or j < -1 or (i + j) % 2:
         return 0
+    m = (i - j) // 2
+    if kind == BLOBBED:  # one entry of `blobbed_run`, read off S[m] alone
+        return (1 << max(i, 0)) - (2 * _row(i)[m] if m > 0 else 0)
     if j >= i:
         return int(j == i)
     if j < 0:
         return 0  # column -1 below the diagonal: C(i, m) = C(i, m - 1) there
-    m, S = (i - j) // 2, _row(i)
+    S = _row(i)
     return S[m + 1] - 2 * S[m] + S[m - 1]
 
 

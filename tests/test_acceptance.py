@@ -23,6 +23,7 @@ from blobcat.words import canonical_word, is_reduced_fc
 from oracles import walk_reduce
 
 SB = AlgebraLevel.SYMPLECTIC_BLOB
+TB = AlgebraLevel.TWO_BOUNDARY
 
 
 class Budget:
@@ -280,10 +281,25 @@ def test_long_blob_words_reduce_past_the_recursion_limit():
     try:
         for n, length in ((2, 2_000), (8, 400)):
             prefix = words[n][:length]
-            whole = algebra._reduce_canonical(SB, n, canonical_word(n, prefix))
+            whole = algebra._reduce_canonical(n, canonical_word(n, prefix))
             assert reduce_word(SB, n, prefix) == whole, n
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_long_two_boundary_word_reduces_at_rank_64():
+    # 800 random letters at rank 64 need more rewrites than the default
+    # recursion limit would allow a recursive rewrite; the loop takes about
+    # 2 s on a 2-vCPU VM
+    n, word = 64, _seeded_word(64, 800)
+    budget = Budget("an 800-letter word at rank 64, two-boundary level", 8.0)
+    scalar, out = reduce_word(TB, n, word)
+    budget.done(f"{len(word)} letters to {len(out)}")
+    assert canonical_word(n, out) == out and in_index_set(TB, n, out)
+    # reducing the first half first lands on the same monomial and word
+    head_scalar, head = reduce_word(TB, n, word[:400])
+    tail_scalar, tail = reduce_word(TB, n, head + word[400:])
+    assert (head_scalar * tail_scalar, tail) == (scalar, out)
 
 
 def test_criterion_8_quotient_identities():

@@ -338,19 +338,18 @@ def test_reduce_memo_bytes_per_entry():
     import gc
     import tracemalloc
 
-    # the rank-3 blob table at every level: the blob level fills the action
-    # table, the other two the memo of whole-word rewrites
-    basis = sb_basis(3)
+    # every miss the rank-5 action table can take, rewritten through the
+    # memo: a basis word times one generator.  The TL and two-boundary
+    # levels keep no memo, so only blob-level work fills it
+    basis = sb_basis(5)
 
     def job():
-        for level in AlgebraLevel:
-            for x, y in itertools.product(basis, repeat=2):
-                reduce_word(level, 3, x + y)
+        for b in basis:
+            for g in range(6):
+                algebra._reduce_canonical(5, canonical_word(5, b + (g,)))
 
     job()  # build the rules and the shared scalars first
-    caches = (algebra._act, algebra._reduce_canonical)
-    for cache in caches:
-        cache.cache_clear()
+    algebra._reduce_canonical.cache_clear()
     gc.collect()
     tracemalloc.start()
     try:
@@ -360,15 +359,50 @@ def test_reduce_memo_bytes_per_entry():
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    entries = sum(cache.cache_info().currsize for cache in caches)
+    entries = algebra._reduce_canonical.cache_info().currsize
     assert entries > 3000
-    # ~265 B an entry with shared scalars, ~580 B with a fresh Scalar per entry
+    # ~270 B an entry with shared scalars, ~555 B with a fresh Scalar per entry
     assert grown / entries < 480, grown / entries
+
+
+def test_tl_and_two_boundary_reductions_keep_no_memo():
+    import gc
+    import tracemalloc
+
+    # a seeded stream of random TL and two-boundary words at ranks 3-8,
+    # reduced and multiplied as basis elements: with no memo at these
+    # levels, four times the ops leave what one time leaves, give or take
+    # the one shared Scalar per new monomial (~42 KB here); a memo of every
+    # rewrite grew ~2.6 MB over the same stream
+    rng = random.Random(31)
+
+    def ops(count):
+        for _ in range(count):
+            n, level = rng.randint(3, 8), rng.choice((TL, TB))
+            words = [tuple(rng.randint(0, n) for _ in range(rng.randint(6, 14))) for _ in "xy"]
+            x, y = (BasisElement(level, n, reduce_word(level, n, w)[1]) for w in words)
+            multiply(x, y)
+
+    ops(300)  # build the rules at every rank first
+    memo = algebra._reduce_canonical.cache_info().currsize
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ops(300)
+        gc.collect()
+        once = tracemalloc.get_traced_memory()[0]
+        ops(900)
+        gc.collect()
+        four_times = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert four_times - once < 256 * 1024, (once, four_times)
+    assert algebra._reduce_canonical.cache_info().currsize == memo
 
 
 def _whole_word(n, word):
     """The blob level's whole-word rewrite, the path each miss of `_act` takes."""
-    return algebra._reduce_canonical(SB, n, canonical_word(n, word))
+    return algebra._reduce_canonical(n, canonical_word(n, word))
 
 
 def test_blob_fold_matches_the_whole_word_rewrite_exhaustive():
@@ -830,13 +864,9 @@ def test_structure_constants_records_rank_four_are_pinned():
     assert hashlib.sha256(blob.encode()).hexdigest() == STRUCTURE_CONSTANTS_4_SHA256
 
 
-@pytest.mark.xfail(
-    raises=RecursionError,
-    strict=True,
-    reason="_reduce_canonical recurses once per rewrite (ROADMAP item 3)",
-)
 def test_long_word_reduces_without_recursion_limit():
-    # 1199 square rewrites; a fresh process already fails at (1,) * 499
+    # 1199 square rewrites, more than the default recursion limit would
+    # allow a recursive rewrite
     assert reduce_word(TL, 2, (1,) * 1200) == (Scalar({(1199, 0, 0, 0, 0, 0): 1}), (1,))
 
 
@@ -860,7 +890,7 @@ def test_rank_one_two_boundary_whole_word_outputs(word, scalar, out):
 @pytest.mark.xfail(
     strict=True,
     reason="at rank 1 the two-boundary relations overlap on (0,1,0,1) and the "
-    "reduction order picks kL or kR there; the semantics is open (ROADMAP item 7)",
+    "reduction order picks kL or kR there; the semantics is open (ROADMAP item 3)",
 )
 @pytest.mark.parametrize("word", [(0, 1, 0, 1), (1, 0, 1, 0, 0)])
 def test_rank_one_two_boundary_suffix_first_agrees(word):

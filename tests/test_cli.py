@@ -55,23 +55,15 @@ def test_reduce_output(capsys):
     assert code == 0 and out == "1 * []\n"
 
 
-def test_reduce_past_recursion_limit_is_malformed_input(capsys):
-    # the kernel recurses once per rewrite; ROADMAP item 3's loop will turn
-    # this into exit 0 with "d^2999 * [1]"
+def test_reduce_takes_any_length_at_every_level(capsys):
+    # 2,999 square rewrites, far past the default recursion limit: TL and
+    # the two-boundary level rewrite in a loop, the blob level folds one
+    # generator at a time
     word = ",".join(["1"] * 3000)
-    code, out, err = run(capsys, "reduce", "--n", "2", "--level", "tl", "--word", word)
-    assert code == 2
-    assert err.startswith("error:") and len(err.splitlines()) == 1
-    assert out == ""
-
-
-def test_reduce_at_the_blob_level_takes_any_length(capsys):
-    # the blob level folds the word one generator at a time, with no
-    # recursion per rewrite, so the word the TL level refuses above reduces
-    word = ",".join(["1"] * 3000)
-    code, out, err = run(capsys, "reduce", "--n", "2", "--level", "sb", "--word", word)
-    assert code == 0 and err == ""
-    assert out == "d^2999 * [1]\n"
+    for level in ("tl", "2btl", "sb"):
+        code, out, err = run(capsys, "reduce", "--n", "2", "--level", level, "--word", word)
+        assert (code, err) == (0, ""), level
+        assert out == "d^2999 * [1]\n", level
 
 
 def test_enumerate_past_recursion_limit_is_malformed_input(capsys):
@@ -83,12 +75,10 @@ def test_enumerate_past_recursion_limit_is_malformed_input(capsys):
     assert out == ""
 
 
-def test_reduce_deep_tl_redex_at_rank_10(capsys, monkeypatch):
+def test_reduce_deep_tl_redex_at_rank_10(capsys):
     # a product of two rank-10 FC normal forms of affine length 3: its first
     # TL redex lies so deep in its class that a walk to it passes the class
-    # cap; the heap witness takes it in one step.  Uncached, so a reduction
-    # memoized by an earlier test cannot hide it.
-    monkeypatch.setattr(algebra, "_reduce_canonical", algebra._reduce_canonical.__wrapped__)
+    # cap; the heap witness takes it in one step
     code, out, err = run(capsys, "reduce", "--n", "10", "--level", "tl", "--word", DEEP_TL_WORD)
     assert (code, err) == (0, "")
     assert out == DEEP_TL_REDUCED + "\n"
