@@ -55,12 +55,32 @@ def test_reduce_output(capsys):
     assert code == 0 and out == "1 * []\n"
 
 
-def test_reduce_takes_any_length_at_every_level(capsys):
-    # 2,999 square rewrites, far past the default recursion limit: TL and
-    # the two-boundary level rewrite in a loop, the blob level folds one
-    # generator at a time
-    word = ",".join(["1"] * 3000)
+def test_reduce_past_recursion_limit_is_malformed_input(capsys):
+    # no level recurses once per rewrite (the next two tests reduce 3,000
+    # letters), so past the default recursion limit a word is refused only
+    # when it is malformed: here by one bad letter at its end
+    word = ",".join(["1"] * 3000 + ["3"])
     for level in ("tl", "2btl", "sb"):
+        code, out, err = run(capsys, "reduce", "--n", "2", "--level", level, "--word", word)
+        assert code == 2, level
+        assert err.startswith("error:") and len(err.splitlines()) == 1, level
+        assert out == "", level
+
+
+def test_reduce_at_the_blob_level_takes_any_length(capsys):
+    # 2,999 square rewrites, far past the default recursion limit: the blob
+    # level folds the word one generator at a time
+    word = ",".join(["1"] * 3000)
+    code, out, err = run(capsys, "reduce", "--n", "2", "--level", "sb", "--word", word)
+    assert code == 0 and err == ""
+    assert out == "d^2999 * [1]\n"
+
+
+def test_reduce_at_the_tl_and_2b_levels_takes_any_length(capsys):
+    # the same word: TL and the two-boundary level rewrite in a loop, with
+    # no recursion per rewrite
+    word = ",".join(["1"] * 3000)
+    for level in ("tl", "2btl"):
         code, out, err = run(capsys, "reduce", "--n", "2", "--level", level, "--word", word)
         assert (code, err) == (0, ""), level
         assert out == "d^2999 * [1]\n", level
