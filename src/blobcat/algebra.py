@@ -10,7 +10,19 @@ product of generators rewrites to a single parameter monomial times a
 canonical basis word; the rules all strictly shorten the word, so
 termination is by length.  Each rule scales by one monomial of coefficient
 1, so a rewrite step adds exponent vectors, and the kernel hands out one
-shared `Scalar` per monomial instead of a new one per step.  A redex is
+shared `Scalar` per monomial instead of a new one per step.
+
+The TL and two-boundary levels have infinite index sets, and their basis
+words are the reduced fully commutative words and the positive ones, the
+words whose heap closes no chain ss, sts or stst (Stembridge 1996) and, at
+the two-boundary level, no boundary triple.  So `reduce_word` reads the
+word from the left with `heap_reading`'s scanner, each letter in O(1): a
+letter that closes a chain or triple is rewritten at once by the rule its
+witness spells, and the scanner unreads only back to the piece the rule
+drops.  It keeps no memo and walks no class, and it canonicalises once, at
+the end.
+
+The blob level takes the kernel's rewrite step instead.  A redex is
 looked for in the first members of the word's commutation class, walked
 breadth first, as many as the word has letters; at each position only the
 rules whose pattern starts with its two letters are tried.  A word that
@@ -22,19 +34,18 @@ its trailing letters, and a positive, non-blobbed word at the blob level
 takes the paper's blob step, `oblique_shortening_word` of its rigid
 blocks, one I J alternation fewer, times k.  So no redex, however deep in
 a large class, is walked to.  The surviving word indexes a basis monomial
-of the level.  There is one rewrite order; `verify.check_confluence`
-reduces factors first to test that it does not matter.
-
-The TL and two-boundary levels have infinite index sets, so `reduce_word`
-rewrites their words in a loop with no memo and no recursion.  The blob
-level is finite-dimensional, so it folds words from the left through
-`_act`, a memo of one generator acting on one basis word (the right regular
-representation), and only the misses of that table reach the whole-word
-memo, `_reduce_canonical`.
+of the level.  The blob level is finite-dimensional, so it folds words
+from the left through `_act`, a memo of one generator acting on one basis
+word (the right regular representation), and only the misses of that
+table reach the whole-word memo, `_reduce_canonical`, which takes these
+steps.  `verify.check_confluence` reduces factors first to test that the
+rewrite order does not matter.
 
 At rank 1 the two boundary pairs coincide; overlapping rules are resolved by
 fixed priority (blob rules first, then the left boundary), which keeps the
 kernel deterministic there, though not confluent at the two-boundary level.
+The heap-scan fold lands where those steps do there too, which every word
+of up to 12 letters bears out.
 """
 
 from __future__ import annotations
@@ -66,6 +77,9 @@ from .words import (
     heap_reading,
     heap_state,
     iter_commutation_class,
+    new_scan,
+    scan_drop,
+    scan_read,
 )
 
 PARAMS = ("d", "dL", "dR", "kL", "kR", "k")
@@ -300,8 +314,7 @@ def _find_redex(level: AlgebraLevel, n: int, word: Letters) -> tuple[Letters, Sc
         return None
     if isinstance(redex[0], tuple):  # rigid blocks, not witness positions
         return oblique_shortening_word(n, redex), K
-    pattern = tuple([word[p] for p in redex])
-    (rule,) = [r for r in index[pattern[:2]] if r.pattern == pattern]
+    rule = _witness_rule(index, tuple([word[p] for p in redex]))
     drop = redex[len(rule.replacement) :]
     return tuple([a for p, a in enumerate(word) if p not in drop]), rule.scalar
 
@@ -364,29 +377,75 @@ def _act(n: int, basis: Letters, g: int) -> tuple[Exponents, Letters]:
     return exps, word
 
 
+def _witness_rule(index: dict[Letters, tuple[Rule, ...]], pattern: Letters) -> Rule:
+    """The rule of `index` (`_rules_by_first_pair`) whose pattern a heap witness spells."""
+    for rule in index[pattern[:2]]:
+        if rule.pattern == pattern:
+            return rule
+    raise AssertionError(f"no rule spells the witness {pattern}")
+
+
+def _fold(level: AlgebraLevel, n: int, word: Letters) -> tuple[Scalar, Letters]:
+    """
+    `reduce_word` at TL or the two-boundary level: read the word from the
+    left with `heap_reading`'s scanner (`words.scan_read`).  A letter that
+    closes no chain, or a boundary triple at TL, is read.  Any other
+    closure rewrites the witness to its rule's replacement, a prefix of
+    it: the closing letter goes, and so does, for sts, stst and the
+    two-boundary triples, the piece before it, which the scanner unreads
+    back to, to read what followed again.  The word read is a basis index
+    when the letters run out, and is canonicalised once.
+    """
+    index = _rules_by_first_pair(level, n)
+    scan = new_scan(n, len(word))
+    triples = [] if level == AlgebraLevel.TL else None
+    exps = [0] * len(PARAMS)
+    read: list[int] = []  # the letters read, then the next few of the word
+    start = taken = 0
+    while True:
+        witness = scan_read(n, read, start, scan, triples)
+        if witness is None:
+            if taken == len(word):
+                break
+            # take the word on in runs as long as what is read, so that a
+            # rewrite shifts no more letters than the scanner may read again
+            run = word[taken : taken + len(read) + 1]
+            start, taken = len(read), taken + len(run)
+            read += run
+            continue
+        rule = _witness_rule(index, tuple(map(read.__getitem__, witness)))
+        (head,) = rule.scalar.terms
+        exps[:] = map(add, exps, head)
+        # the replacement is a prefix of the witness: the closing letter
+        # goes, and for every rule but ss so does the piece before it, from
+        # which the scanner reads again
+        end = witness[-1]
+        del read[end]
+        start = witness[len(rule.replacement)]
+        if start < end:
+            scan_drop(read, start, end, scan)
+            del read[start]
+    return _shared_monomial(tuple(exps)), _canonical_word(n, read)
+
+
 def reduce_word(level: AlgebraLevel, n: int, word: Letters) -> tuple[Scalar, Letters]:
     """
     Rewrite a product of generators to (parameter monomial, canonical basis
     word) under the level's relations.
 
-    The TL and two-boundary index sets are infinite, so there the canonical
-    word is rewritten in a loop with no memo and no recursion: each step
-    (`_find_redex`) walks at most `len(word)` class members and reads the
-    heap at most once, and a word of any length reduces, in time quadratic
-    in its length.  The blob level is finite-dimensional, so its word is
-    folded from the left through `_act`, one table lookup per letter, whose
-    misses reduce one basis word times one generator; the table is bounded
-    by the basis, and the fold keeps no prefixes.
+    The TL and two-boundary index sets are infinite, so there the word is
+    read from the left by the heap scanner (`_fold`), with no memo, no
+    recursion and no class walk, and a word of any length reduces: a letter
+    costs O(1) unless its rewrite drops a piece before it, which costs the
+    letters read again after that piece.  The blob level is
+    finite-dimensional, so its word is folded from the left through `_act`,
+    one table lookup per letter, whose misses reduce one basis word times
+    one generator; the table is bounded by the basis, and the fold keeps no
+    prefixes.
     """
-    exps = _ZERO_EXP
     if level != AlgebraLevel.SYMPLECTIC_BLOB:
-        word = canonical_word(n, word)
-        while (step := _find_redex(level, n, word)) is not None:
-            shorter, scalar = step
-            assert len(shorter) < len(word), "rewrite steps must strictly shorten"
-            (head,) = scalar.terms
-            exps, word = tuple(map(add, exps, head)), _canonical_word(n, shorter)
-        return _shared_monomial(exps), word
+        return _fold(level, n, check_word(n, word))
+    exps = _ZERO_EXP
     basis = ()
     for g in check_word(n, word):
         step, basis = _act(n, basis, g)

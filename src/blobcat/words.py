@@ -166,18 +166,87 @@ class HeapState(IntEnum):
     POSITIVE = 3
 
 
+Scan = tuple[list[int], list[int], list[int], list[int]]
+
+
+def new_scan(n: int, length: int) -> Scan:
+    """
+    The state of `heap_reading`'s pass before it reads a letter, for words
+    of at most `length` letters, as plain lists (last, gap, prev, closed)
+    that `scan_read` and `scan_drop` keep.  Of the letters read so far, in
+    which the pass met no chain: per letter its latest position (`last`, -1
+    for none) and the occurrences of its neighbours since then (`gap`); per
+    position the previous one of its letter (`prev`) and the `gap` that
+    position closed (`closed`).  Slot n + 1, also indexed as -1, takes the
+    missing neighbours a - 1 of 0 and a + 1 of n, which never occur.
+    """
+    return [-1] * (n + 2), [0] * (n + 2), [-1] * length, [0] * length
+
+
+def scan_read(
+    n: int, word: Letters | list[int], start: int, scan: Scan, triples: list | None
+) -> Letters | None:
+    """
+    Read `word` on from position `start`, the letters before it read
+    already, each letter in O(1), until one closes a chain ss, sts or stst,
+    or a boundary triple when `triples` is None; return the witness (see
+    `heap_reading`), which ends at that letter, unread.  None at the end of
+    the word.  A triple that does not close is read, and appended to
+    `triples` as (state, witness) when it beats the latest one there, so
+    that the last entry is the first triple of the winning side.  The one
+    neighbour b in a gap of one is whichever of a - 1 and a + 1 came last.
+    """
+    last, gap, prev, closed = scan
+    for pos, a in enumerate(word[start:], start):
+        p = last[a]
+        if p >= 0 and gap[a] < 2:
+            if gap[a] == 0:
+                return p, pos
+            q, b = last[a - 1], a - 1
+            if last[a + 1] > q:
+                q, b = last[a + 1], a + 1
+            # bond 3 (no end letter in the pair), or bond 4 closing b a b a:
+            # b's own gap before q held nothing but the a at p
+            if 0 < a < n and 0 < b < n:
+                return p, q, pos
+            if 0 <= prev[q] < p and closed[q] == 1:
+                return prev[q], p, q, pos
+            if b == 0 or b == n:
+                if triples is None:
+                    return p, q, pos
+                state = HeapState.LEFT_TRIPLE if b == 0 else HeapState.RIGHT_TRIPLE
+                if not triples or state < triples[-1][0]:
+                    triples.append((state, (p, q, pos)))
+        prev[pos] = p
+        closed[pos] = gap[a]
+        gap[a - 1] += 1
+        gap[a + 1] += 1
+        last[a], gap[a] = pos, 0
+    return None
+
+
+def scan_drop(word: list[int], start: int, stop: int, scan: Scan) -> None:
+    """Unread the letters of `word` at positions `start` to `stop` - 1, each in O(1)."""
+    last, gap, prev, closed = scan
+    for pos in range(stop - 1, start - 1, -1):
+        a = word[pos]
+        gap[a - 1] -= 1
+        gap[a + 1] -= 1
+        last[a], gap[a] = prev[pos], closed[pos]
+
+
 def heap_reading(n: int, word: Letters) -> tuple[HeapState, Letters]:
     """
-    Classify a word in one left-to-right pass, O(len(word) + n), and say
-    where the decision fell.  By Stembridge (1996) it is reduced and fully
-    commutative iff its heap has no convex chain ss, sts (bond 3) or stst
-    (bond 4).  Such chains end at the second of two consecutive occurrences
-    of a letter a with no neighbour a +- 1 between them (ss) or exactly one,
-    b: with bond 3 that is sts; with bond 4 it is stst when b's own previous
-    gap held nothing but that first a, else the triple a, b, a: the left
-    boundary triple 1,0,1 when b == 0, the right one n-1,n,n-1 (0,1,0 at
-    rank 1) when b == n.  The left one wins: a heap with both is
-    LEFT_TRIPLE.
+    Classify a word in one left-to-right pass (`scan_read`), O(len(word) +
+    n), and say where the decision fell.  By Stembridge (1996) it is
+    reduced and fully commutative iff its heap has no convex chain ss, sts
+    (bond 3) or stst (bond 4).  Such chains end at the second of two
+    consecutive occurrences of a letter a with no neighbour a +- 1 between
+    them (ss) or exactly one, b: with bond 3 that is sts; with bond 4 it is
+    stst when b's own previous gap held nothing but that first a, else the
+    triple a, b, a: the left boundary triple 1,0,1 when b == 0, the right
+    one n-1,n,n-1 (0,1,0 at rank 1) when b == n.  The left one wins: a heap
+    with both is LEFT_TRIPLE.
 
     The second item is the witness, as positions in increasing order: for
     a word that is not reduced FC, the first chain the pass closes; else
@@ -198,36 +267,11 @@ def heap_reading(n: int, word: Letters) -> tuple[HeapState, Letters]:
     (<HeapState.NOT_REDUCED_FC: 0>, (0, 1, 3, 5))
     """
     word = check_word(n, word)
-    # per letter: its latest position, the neighbour occurrences since then
-    # and the latest of them; slot n + 1, also indexed as -1, takes the
-    # missing neighbours a - 1 of 0 and a + 1 of n
-    last, gap, gap_last = [-1] * (n + 2), [0] * (n + 2), [-1] * (n + 2)
-    lone = [-1] * len(word)  # the single neighbour in the gap a position closed
-    state, triple = HeapState.POSITIVE, ()
-    for pos, a in enumerate(word):
-        if last[a] >= 0:
-            if gap[a] == 0:
-                return HeapState.NOT_REDUCED_FC, (last[a], pos)
-            if gap[a] == 1:
-                q = gap_last[a]
-                b = word[q]
-                # bond 3 (no end letter in the pair), or bond 4 closing b a b a
-                if 0 < a < n and 0 < b < n:
-                    return HeapState.NOT_REDUCED_FC, (last[a], q, pos)
-                if lone[q] == last[a]:
-                    first = last[a] - 1 - word[last[a] - 1 :: -1].index(b)
-                    return HeapState.NOT_REDUCED_FC, (first, last[a], q, pos)
-                if b == 0 and state != HeapState.LEFT_TRIPLE:
-                    state, triple = HeapState.LEFT_TRIPLE, (last[a], q, pos)
-                elif b == n and state == HeapState.POSITIVE:
-                    state, triple = HeapState.RIGHT_TRIPLE, (last[a], q, pos)
-                lone[pos] = q
-        gap[a - 1] += 1
-        gap_last[a - 1] = pos
-        gap[a + 1] += 1
-        gap_last[a + 1] = pos
-        last[a], gap[a] = pos, 0
-    return state, triple
+    triples: list[tuple[HeapState, Letters]] = []
+    witness = scan_read(n, word, 0, new_scan(n, len(word)), triples)
+    if witness is not None:
+        return HeapState.NOT_REDUCED_FC, witness
+    return triples[-1] if triples else (HeapState.POSITIVE, ())
 
 
 def heap_state(n: int, word: Letters) -> HeapState:

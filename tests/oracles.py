@@ -6,17 +6,20 @@ another way: reduced expressions through braid moves, containment through
 commutation classes and the occurrence order, the normal form looked up
 among all generated forms by canonical word and spelled by rigid blocks,
 the paper's oblique factorization around the alternating run, which
-the blob step `grids.oblique_shortening_word` shortcuts, and the rewriting
-kernel as a plain class walk that never reads the heap.
+the blob step `grids.oblique_shortening_word` shortcuts, the rewriting
+kernel as a plain class walk that never reads the heap, and TL and
+two-boundary reduction as a loop of the kernel's own steps, which the
+heap-scan fold replaced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
-from blobcat import grids
-from blobcat.algebra import AlgebraLevel, Rule, Scalar, rewrite_rules
+from blobcat import algebra, grids
+from blobcat.algebra import PARAMS, AlgebraLevel, Rule, Scalar, rewrite_rules
 from blobcat.normal_forms import (
     Blocks,
     Bracket,
@@ -234,6 +237,23 @@ def walk_reduce(
     _, member, pos, rule = hit
     scalar, final = walk_reduce(level, n, rewrite_at(member, pos, rule), strategy)
     return rule.scalar * scalar, final
+
+
+def loop_reduce(level: AlgebraLevel, n: int, word: Letters) -> tuple[Scalar, Letters]:
+    """
+    `reduce_word` at TL or the two-boundary level as a loop of kernel
+    steps: canonicalise the word, then take `algebra._find_redex` steps,
+    each on the canonical form of the last, until none is left.  No memo and
+    no recursion; each step walks class members and reads the heap.
+    """
+    word = canonical_word(n, word)
+    exps = (0,) * len(PARAMS)
+    while (step := algebra._find_redex(level, n, word)) is not None:
+        shorter, scalar = step
+        assert len(shorter) < len(word), "rewrite steps must strictly shorten"
+        (head,) = scalar.terms
+        exps, word = tuple(map(add, exps, head)), canonical_word(n, shorter)
+    return algebra._shared_monomial(exps), word
 
 
 # ---------------------------------------------------------------------------

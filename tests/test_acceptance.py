@@ -289,8 +289,8 @@ def test_long_blob_words_reduce_past_the_recursion_limit():
 
 def test_long_two_boundary_word_reduces_at_rank_64():
     # 800 random letters at rank 64 need more rewrites than the default
-    # recursion limit would allow a recursive rewrite; the loop takes about
-    # 2 s on a 2-vCPU VM
+    # recursion limit would allow a recursive rewrite; the loop of kernel
+    # steps took about 2 s on a 2-vCPU VM, the heap scan takes milliseconds
     n, word = 64, _seeded_word(64, 800)
     budget = Budget("an 800-letter word at rank 64, two-boundary level", 8.0)
     scalar, out = reduce_word(TB, n, word)
@@ -300,6 +300,35 @@ def test_long_two_boundary_word_reduces_at_rank_64():
     head_scalar, head = reduce_word(TB, n, word[:400])
     tail_scalar, tail = reduce_word(TB, n, head + word[400:])
     assert (head_scalar * tail_scalar, tail) == (scalar, out)
+
+
+# sha256 of what `blobcat reduce --n 64` prints at TL and at 2B (the same
+# line) for the 3,200-letter word _seeded_word(64, 3_200), recorded from the
+# loop of kernel steps (oracles.loop_reduce), which took 160 s per level on
+# a 2-vCPU VM and had not finished the 10,000-letter word at TL after 10
+# min; CI builds the same words and compares
+SEEDED_3200_LETTERS_SHA256 = "71b3436c32e2ec61dc2d4933a1443c21b11d53301b89d1e591927fe7a8a299a5"
+
+
+def test_ten_thousand_letters_reduce_at_rank_64():
+    # The heap scan reads each letter once, and a rewrite that drops a
+    # piece inside the word read so far reads again only what followed it:
+    # about 0.03 s per level on a 2-vCPU VM, where the loop of kernel steps
+    # took 1.5-1.8 s on the first 800 letters
+    n, word = 64, _seeded_word(64, 10_000)
+    for level in (AlgebraLevel.TL, TB):
+        budget = Budget(f"10,000 letters at rank 64, {level.name}", 1.0)
+        scalar, out = reduce_word(level, n, word)
+        budget.done(f"to {len(out)} letters")
+        assert canonical_word(n, out) == out and in_index_set(level, n, out), level
+        # reducing the first half first lands on the same monomial and word
+        head_scalar, head = reduce_word(level, n, word[:5_000])
+        tail_scalar, tail = reduce_word(level, n, head + word[5_000:])
+        assert (head_scalar * tail_scalar, tail) == (scalar, out), level
+        # the word's first 3,200 letters reduce as the loop of kernel steps did
+        scalar, out = reduce_word(level, n, word[:3_200])
+        line = f"{scalar} * [{','.join(map(str, out))}]\n"
+        assert hashlib.sha256(line.encode()).hexdigest() == SEEDED_3200_LETTERS_SHA256, level
 
 
 def test_criterion_8_quotient_identities():

@@ -28,7 +28,7 @@ from blobcat.algebra import (
 )
 from blobcat.words import canonical_word, iter_commutation_class, parse_word
 
-from oracles import commutation_class, grown_fc_word, rewrite_at, walk_redex
+from oracles import commutation_class, grown_fc_word, loop_reduce, rewrite_at, walk_redex
 
 TL = AlgebraLevel.TL
 TB = AlgebraLevel.TWO_BOUNDARY
@@ -154,11 +154,102 @@ def test_reduce_examples(level, n, word, scalar, out):
 
 @pytest.mark.parametrize("word", [(1.0, 1), (1, "1"), (None,), (3,)])
 def test_reduce_rejects_non_integer_letters(word):
-    # canonical_word is the one check of rank and letters on this path
+    # check_word is the one check of rank and letters on this path
     with pytest.raises(ValueError):
         reduce_word(TL, 2, word)
     with pytest.raises(ValueError):
         reduce_word(TL, 0, ())
+
+
+def _line(output):
+    """`output` as `blobcat reduce` prints it."""
+    scalar, word = output
+    return f"{scalar} * [{','.join(map(str, word))}]"
+
+
+def _assert_fold_matches_the_step_loop(level, n, word):
+    got, want = reduce_word(level, n, word), loop_reduce(level, n, word)
+    assert got[0] is want[0] and got[1] == want[1], (level, n, word, got, want)
+    assert type(got[1]) is tuple and _line(got) == _line(want)
+
+
+def test_fold_matches_the_step_loop_exhaustive():
+    # every word at rank 1 up to 12 letters, rank 2 up to 8 and rank 3 up
+    # to 6: the heap-scan fold gives the monomial and word of the kernel's
+    # own steps, rank 1 included, where the two-boundary rules overlap
+    checked = 0
+    for n, max_len in ((1, 12), (2, 8), (3, 6)):
+        for length in range(max_len + 1):
+            for word in itertools.product(range(n + 1), repeat=length):
+                for level in (TL, TB):
+                    _assert_fold_matches_the_step_loop(level, n, word)
+                    checked += 1
+    assert checked == 46_986
+
+
+def test_fold_matches_the_step_loop_random():
+    # seeded words at ranks 4 to 64, one in eight of up to 400 letters
+    rng = random.Random(3232)
+    for i in range(240):
+        n = rng.randint(4, 64)
+        length = rng.randint(0, 400 if i % 8 == 0 else 40)
+        word = tuple(rng.randint(0, n) for _ in range(length))
+        for level in (TL, TB):
+            _assert_fold_matches_the_step_loop(level, n, word)
+
+
+@pytest.mark.parametrize("level", [TL, TB])
+@pytest.mark.parametrize(
+    "n, word, text",
+    [
+        (2, (1,) * 50 + (3,), "1," * 50 + "3"),
+        (2, (1, 0) * 20 + (-1,), "1,0," * 20 + "-1"),
+        (0, (), ""),
+        (2, (1,) * 9 + (1.0,), None),
+        (2, (0, "1"), None),
+        (3, (2, 3, 2, None), None),
+        (1.5, (1, 1), None),
+    ],
+)
+def test_fold_rejects_malformed_input_before_any_work(monkeypatch, capsys, level, n, word, text):
+    # a bad letter at the end of a word with redexes is refused before the
+    # scanner reads a letter, so `blobcat reduce` exits 2 with no output
+    def refuse(*args):
+        raise AssertionError("the fold read a letter before the input check")
+
+    monkeypatch.setattr(algebra, "scan_read", refuse)
+    with pytest.raises(ValueError):
+        reduce_word(level, n, word)
+    if text is not None:
+        level_name = {TL: "tl", TB: "2btl"}[level]
+        assert cli.main(["reduce", "--n", str(n), "--level", level_name, "--word", text]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:")
+
+
+def test_fold_takes_no_class_walk_and_canonicalises_once(monkeypatch):
+    # TL and 2B reduce on the heap scanner alone: no redex search, no class
+    # walk, and one canonical word, at the end
+    def refuse(*args):
+        raise AssertionError("a redex search or class walk on the TL/2B path")
+
+    monkeypatch.setattr(algebra, "_find_redex", refuse)
+    monkeypatch.setattr(algebra, "iter_commutation_class", refuse)
+    canonicalised, canonical = [], words._canonical_word
+
+    def counting(n, word):
+        canonicalised.append(word)
+        return canonical(n, word)
+
+    monkeypatch.setattr(algebra, "_canonical_word", counting)
+    rng = random.Random(77)
+    cases = [(8, DEEP_RANK_8), (10, DEEP_RANK_10), (2, (1,) * 500)]
+    cases += [(n, tuple(rng.randint(0, n) for _ in range(60))) for n in range(1, 13)]
+    for level in (TL, TB):
+        for n, word in cases:
+            canonicalised.clear()
+            scalar, out = reduce_word(level, n, word)
+            assert len(canonicalised) == 1 and in_index_set(level, n, out), (level, n, word)
 
 
 def test_reduce_is_class_invariant():
@@ -562,7 +653,9 @@ def test_deep_blob_redex_is_found_in_few_members(monkeypatch):
 
 def test_each_redex_search_draws_at_most_word_length_members(monkeypatch):
     # the class walk has no bound of its own: the search reads at most
-    # len(word) members of it, whatever the level, rank or depth of redex
+    # len(word) members of it, whatever the level, rank or depth of redex.
+    # `reduce_word` at TL and 2B reads the heap and searches nothing, so
+    # there the searches come from the kernel-step loop of `loop_reduce`
     rng = random.Random(2424)
     cases = [(8, DEEP_RANK_8), (10, DEEP_RANK_10)]
     for n in range(4, 9):
@@ -580,10 +673,10 @@ def test_each_redex_search_draws_at_most_word_length_members(monkeypatch):
     algebra._reduce_canonical.cache_clear()
     algebra._act.cache_clear()
     searches = []  # [level, n, word, members drawn] per walk
-    for level in (TL, TB, SB):
+    for level, reduce in ((TL, loop_reduce), (TB, loop_reduce), (SB, reduce_word)):
         for n, word in cases:
             start = len(walks)
-            reduce_word(level, n, word)
+            reduce(level, n, word)
             searches += [[level, n, w, drawn] for w, drawn in walks[start:]]
     assert len(searches) > 1000
     basis = 0
