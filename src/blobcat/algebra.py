@@ -557,23 +557,32 @@ class AlgebraElement:
 # quotient identities
 
 
-def quotient_image_check(
-    level_from: AlgebraLevel, level_to: AlgebraLevel, n: int, word: Letters
-) -> bool:
+def quotient_image_check(n: int, word: Letters) -> bool:
     """
-    Check that a basis monomial of `level_from` that leaves the index set of
-    `level_to` reduces there to the predicted multiple of its shortening
-    image, as one `heap_state` of the word says.  Into the two-boundary
-    quotient the image is `bar` of a non-left-positive FC element (times kL,
-    or kL kR in its one flagged case) or `tilde` of a left- but not
-    right-positive one (times kR).  Into the blob quotient it is
-    `grids.oblique_shortening_word` of a positive element, which refuses a
-    blobbed one: one I J alternation fewer, times k.  Else ValueError.
+    Check that a basis monomial of one level that leaves the index set of
+    the next reduces there to the predicted multiple of its shortening
+    image.  One `heap_state` of the word fixes the step.  A word with a
+    boundary triple goes from TL into the two-boundary quotient, as `bar` of
+    a non-left-positive FC element (times kL, or kL kR in its one flagged
+    case) or `tilde` of a left- but not right-positive one (times kR).  A
+    positive word goes from the two-boundary into the blob quotient, as
+    `grids.oblique_shortening_word`, which refuses a blobbed one: one I J
+    alternation fewer, times k.  `normal_form_of_word` refuses any other
+    word, one that is not reduced FC, with ValueError.
+
+    >>> quotient_image_check(2, (1, 0, 1))  # TL -> two-boundary, times kL
+    True
+    >>> quotient_image_check(2, (1, 2, 0, 1))  # two-boundary -> blob, times k
+    True
     """
     word = check_word(n, word)
-    state, step = heap_state(n, word), (level_from, level_to)
-    triple = state in (HeapState.LEFT_TRIPLE, HeapState.RIGHT_TRIPLE)
-    if triple and step == (AlgebraLevel.TL, AlgebraLevel.TWO_BOUNDARY):
+    state = heap_state(n, word)
+    if state == HeapState.POSITIVE:
+        level = AlgebraLevel.SYMPLECTIC_BLOB
+        image_word = oblique_shortening_word(n, blocks_of_word(n, word))
+        factor = K
+    else:
+        level = AlgebraLevel.TWO_BOUNDARY
         nf = normal_form_of_word(n, word)
         if state == HeapState.LEFT_TRIPLE:
             image, needs_kr = bar(n, nf)
@@ -582,16 +591,8 @@ def quotient_image_check(
             image = tilde(n, nf)
             factor = KR
         image_word = word_of_normal_form(n, image)
-    elif state == HeapState.POSITIVE and step == (
-        AlgebraLevel.TWO_BOUNDARY,
-        AlgebraLevel.SYMPLECTIC_BLOB,
-    ):
-        image_word = oblique_shortening_word(n, blocks_of_word(n, word))
-        factor = K
-    else:
-        raise ValueError(f"{word} ({state.name}) has no {level_from.name}->{level_to.name} image")
-    lhs_scalar, lhs_word = reduce_word(level_to, n, word)
-    rhs_scalar, rhs_word = reduce_word(level_to, n, image_word)
+    lhs_scalar, lhs_word = reduce_word(level, n, word)
+    rhs_scalar, rhs_word = reduce_word(level, n, image_word)
     return lhs_word == rhs_word and lhs_scalar == factor * rhs_scalar
 
 

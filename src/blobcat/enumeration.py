@@ -40,45 +40,6 @@ def _exact_half(value: int) -> int:
     return value // 2
 
 
-def i_t(n: int, t: int) -> int:
-    """One-sided extension counts of the odd-ended pattern, t extra top dots."""
-    check_rank(n)
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    return blobbed_entry(n, 2 * t + n % 2)
-
-
-def j_t(n: int, t: int) -> int:
-    """One-sided extension counts of the even-ended pattern; exact halves."""
-    check_rank(n)
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    return _exact_half(blobbed_entry(n + 1, 2 * t + 1 - n % 2))
-
-
-def i_nr(n: int, r: int) -> int:
-    """Left extensions of the odd-ended pattern with r dots in the outer column."""
-    check_rank(n)
-    if not 0 <= r < n:
-        raise ValueError(f"need 0 <= r < n, got r={r}")
-    if n % 2 == 1:
-        return 0
-    return blobbed_entry(n - 2 - r, r)
-
-
-def j_nr(n: int, r: int) -> int:
-    check_rank(n)
-    if not 0 <= r < n:
-        raise ValueError(f"need 0 <= r < n, got r={r}")
-    if n % 2 == 0:
-        return 0
-    if r == n - 1:
-        # the maximal extension is a single grid; halving the odd entry
-        # C_{0,n-1} = 1 would break the row sum against j_t(n, 0)
-        return 1
-    return _exact_half(blobbed_entry(n - 1 - r, r))
-
-
 def _d_closed(n: int, s: int) -> int:
     C = blobbed_entry
     if n % 2 == 0:
@@ -100,8 +61,8 @@ def _wings(n: int, length: int) -> tuple[list[int], list[int]]:
     """
     The wing sequences i_t and j_t for t < length, as (main, other): main is
     i_t for even n and j_t for odd n.  Their prefixes of length s give d(s)
-    for every s <= length.  Each is one run of the doubled row that `i_t`
-    and `j_t` read an entry at a time.
+    for every s <= length.  Each is one run of a doubled row, which the
+    tests read an entry at a time as the reference.
     """
     x = blobbed_run(n, n % 2, length)
     y = [_exact_half(v) for v in blobbed_run(n + 1, 1 - n % 2, length)]

@@ -52,7 +52,7 @@ def _row(i: int) -> tuple[int, ...]:
 def entry(kind: str, i: int, j: int) -> int:
     if kind not in KINDS:
         raise ValueError(f"unknown triangle kind {kind!r}")
-    if not (isinstance(i, int) and isinstance(j, int)):
+    if not (type(i) is int and type(j) is int):  # bool is no index
         raise ValueError(f"triangle indices must be integers, got ({i!r}, {j!r})")
     # total: everything outside the bordered quadrant or off parity vanishes,
     # so identity sums never need boundary branches
@@ -132,6 +132,6 @@ def triangle_rows(kind: str, rows: int, cols: int) -> list[list[int]]:
     """Row-major slab of entries for i in 0..rows-1, j in 0..cols-1."""
     if kind not in KINDS:
         raise ValueError(f"unknown triangle kind {kind!r}")
-    if not (isinstance(rows, int) and isinstance(cols, int)) or rows < 0 or cols < 0:
+    if not (type(rows) is int and type(cols) is int) or rows < 0 or cols < 0:
         raise ValueError("rows and cols must be non-negative integers")
     return [[entry(kind, i, j) for j in range(cols)] for i in range(rows)]

@@ -33,7 +33,8 @@ from typing import Iterator
 Letters = tuple[int, ...]
 
 def check_rank(n: int) -> int:
-    if not isinstance(n, int) or n < 1:
+    # `type() is int`, not isinstance: bool subclasses int, and True is no rank
+    if type(n) is not int or n < 1:
         raise ValueError(f"rank must be an integer >= 1, got {n!r}")
     return n
 
@@ -41,7 +42,7 @@ def check_rank(n: int) -> int:
 def check_word(n: int, word: Letters) -> Letters:
     check_rank(n)
     for x in word:
-        if not isinstance(x, int):
+        if type(x) is not int:
             raise ValueError(f"letter {x!r} is not an integer")
         if not 0 <= x <= n:
             raise ValueError(f"letter {x} out of range 0..{n}")

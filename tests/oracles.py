@@ -9,7 +9,8 @@ the paper's oblique factorization around the alternating run, which
 the blob step `grids.oblique_shortening_word` shortcuts, the rewriting
 kernel as a plain class walk that never reads the heap, and TL and
 two-boundary reduction as a loop of the kernel's own steps, which the
-heap-scan fold replaced.
+heap-scan fold replaced, and the wing counts an entry at a time, which the
+counts read as whole runs.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from operator import add
 
 from blobcat import algebra, grids
 from blobcat.algebra import PARAMS, AlgebraLevel, Rule, Scalar, rewrite_rules
+from blobcat.enumeration import _exact_half
 from blobcat.normal_forms import (
     Blocks,
     Bracket,
@@ -33,6 +35,7 @@ from blobcat.normal_forms import (
     check_blocks,
     fc_forms,
 )
+from blobcat.triangles import blobbed_entry
 from blobcat.words import (
     HeapState,
     Letters,
@@ -84,6 +87,49 @@ def all_reduced_expressions(n: int, word: Letters) -> set[Letters]:
                 seen.add(nxt)
                 stack.append(nxt)
     return seen
+
+
+# ---------------------------------------------------------------------------
+# wing counts, an entry at a time
+
+
+def i_t(n: int, t: int) -> int:
+    """One-sided extension counts of the odd-ended pattern, t extra top dots."""
+    check_rank(n)
+    if t < 0:
+        raise ValueError("t must be non-negative")
+    return blobbed_entry(n, 2 * t + n % 2)
+
+
+def j_t(n: int, t: int) -> int:
+    """One-sided extension counts of the even-ended pattern; exact halves."""
+    check_rank(n)
+    if t < 0:
+        raise ValueError("t must be non-negative")
+    return _exact_half(blobbed_entry(n + 1, 2 * t + 1 - n % 2))
+
+
+def i_nr(n: int, r: int) -> int:
+    """Left extensions of the odd-ended pattern with r dots in the outer column."""
+    check_rank(n)
+    if not 0 <= r < n:
+        raise ValueError(f"need 0 <= r < n, got r={r}")
+    if n % 2 == 1:
+        return 0
+    return blobbed_entry(n - 2 - r, r)
+
+
+def j_nr(n: int, r: int) -> int:
+    check_rank(n)
+    if not 0 <= r < n:
+        raise ValueError(f"need 0 <= r < n, got r={r}")
+    if n % 2 == 0:
+        return 0
+    if r == n - 1:
+        # the maximal extension is a single grid; halving the odd entry
+        # C_{0,n-1} = 1 would break the row sum against j_t(n, 0)
+        return 1
+    return _exact_half(blobbed_entry(n - 1 - r, r))
 
 
 # ---------------------------------------------------------------------------

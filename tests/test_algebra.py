@@ -112,6 +112,39 @@ def test_rule_sets_grow_along_the_quotient_chain():
     assert tl1[(0, 1, 0, 1)] == KL
 
 
+def _cuts_disagree(table, word, same):
+    """Does reducing some prefix or suffix of `word` first change its reduction?"""
+    scalar, out = table[word]
+    for cut in range(1, len(word)):
+        for a, b in ((0, cut), (cut, len(word))):
+            first, factor = table[word[a:b]]
+            rest_scalar, rest = table[word[:a] + factor + word[b:]]
+            if rest != out or not same(first * rest_scalar, scalar):
+                return True
+    return False
+
+
+def test_rank_one_cut_disagreements_are_as_the_readme_states():
+    # README "Notes on rank 1": of the 2,047 rank-1 words of up to 10
+    # letters, 1,696 disagree at some cut at the two-boundary level, none
+    # once kR is renamed kL, and none at TL or the blob level.  Every factor
+    # and every rest is itself such a word, so each word is reduced once per
+    # level and every cut is read from that table.
+    rank_one = [w for length in range(11) for w in itertools.product((0, 1), repeat=length)]
+    assert len(rank_one) == 2047
+
+    def renamed_equal(x, y):
+        return x.substitute({"kR": "kL"}) == y.substitute({"kR": "kL"})
+
+    tables = {level: {w: reduce_word(level, 1, w) for w in rank_one} for level in AlgebraLevel}
+    exact = Scalar.__eq__
+    counts = [
+        sum(_cuts_disagree(tables[level], w, same) for w in rank_one)
+        for level, same in ((TL, exact), (TB, exact), (TB, renamed_equal), (SB, exact))
+    ]
+    assert counts == [0, 1696, 0, 0]
+
+
 def test_rule_scalars_are_monomials_of_coefficient_one():
     # a rewrite step adds the rule's exponents to the tail's (_reduce_canonical)
     for level in AlgebraLevel:
@@ -152,13 +185,16 @@ def test_reduce_examples(level, n, word, scalar, out):
     assert reduce_word(level, n, word) == (scalar, out)
 
 
-@pytest.mark.parametrize("word", [(1.0, 1), (1, "1"), (None,), (3,)])
+@pytest.mark.parametrize("word", [(1.0, 1), (1, "1"), (None,), (3,), (1, True, 0)])
 def test_reduce_rejects_non_integer_letters(word):
-    # check_word is the one check of rank and letters on this path
+    # check_word is the one check of rank and letters on this path; bool
+    # subclasses int, so True is refused as a letter and as a rank
     with pytest.raises(ValueError):
         reduce_word(TL, 2, word)
     with pytest.raises(ValueError):
         reduce_word(TL, 0, ())
+    with pytest.raises(ValueError):
+        reduce_word(TL, True, (1, 0))
 
 
 def _line(output):
@@ -209,6 +245,8 @@ def test_fold_matches_the_step_loop_random():
         (2, (0, "1"), None),
         (3, (2, 3, 2, None), None),
         (1.5, (1, 1), None),
+        (2, (1,) * 9 + (False,), None),
+        (True, (1, 1), None),
     ],
 )
 def test_fold_rejects_malformed_input_before_any_work(monkeypatch, capsys, level, n, word, text):
@@ -582,7 +620,15 @@ def test_index_set_is_exact_on_positive_elements_at_the_blob_level():
 
 @pytest.mark.parametrize(
     "level, n, word",
-    [(TL, 2, (3,)), (SB, 2, (1.0, 0)), (TL, 0, ()), (TB, 3, (-1, 0)), (SB, 1.5, ())],
+    [
+        (TL, 2, (3,)),
+        (SB, 2, (1.0, 0)),
+        (TL, 0, ()),
+        (TB, 3, (-1, 0)),
+        (SB, 1.5, ()),
+        (TB, 2, (1, False)),
+        (SB, True, ()),
+    ],
 )
 def test_index_set_rejects_malformed_input(level, n, word):
     with pytest.raises(ValueError):
@@ -827,21 +873,21 @@ def test_algebra_element_associativity_spot():
 
 
 def test_quotient_image_examples():
-    assert quotient_image_check(TL, TB, 2, (1, 0, 1))
-    assert quotient_image_check(TL, TB, 3, (2, 1, 0, 1, 2))
-    assert quotient_image_check(TL, TB, 3, (2, 3, 2, 1, 0, 1, 2, 3))
-    assert quotient_image_check(TB, SB, 2, nfm.block_word(grids.iji_blocks(2)))
-    assert quotient_image_check(TB, SB, 2, nfm.block_word(((1, 2), (0, 2), (0, 1))))
-    assert quotient_image_check(TB, SB, 3, nfm.block_word(grids.jij_blocks(3)))
+    assert quotient_image_check(2, (1, 0, 1))
+    assert quotient_image_check(3, (2, 1, 0, 1, 2))
+    assert quotient_image_check(3, (2, 3, 2, 1, 0, 1, 2, 3))
+    assert quotient_image_check(2, nfm.block_word(grids.iji_blocks(2)))
+    assert quotient_image_check(2, nfm.block_word(((1, 2), (0, 2), (0, 1))))
+    assert quotient_image_check(3, nfm.block_word(grids.jij_blocks(3)))
 
 
 def test_quotient_image_preconditions():
+    # the word's heap state fixes the step: a triple goes TL -> 2B, a
+    # positive word 2B -> SB, and nothing else has an image
     with pytest.raises(ValueError):
-        quotient_image_check(TL, TB, 2, (1, 0))  # stays in the target basis
+        quotient_image_check(2, (1, 0))  # positive and blobbed: a basis word at every level
     with pytest.raises(ValueError):
-        quotient_image_check(TL, TB, 2, (0, 0))  # not a basis word at all
-    with pytest.raises(ValueError):
-        quotient_image_check(TL, SB, 2, (1, 0, 1))  # non-adjacent levels
+        quotient_image_check(2, (0, 0))  # not reduced FC: not a basis word at all
 
 
 def test_quotient_sweep_small():
@@ -850,13 +896,13 @@ def test_quotient_sweep_small():
             for f in nfm.fc_forms(n, s):
                 word = nfm.word_of_normal_form(n, f)
                 if not nfm.is_positive(n, f):
-                    assert quotient_image_check(TL, TB, n, word), (n, s, f)
+                    assert quotient_image_check(n, word), (n, s, f)
     for n in (2, 3):
         for s in range(0, 3):
             for blocks in enumeration.iter_positive_blocks(n, s):
                 if not grids.is_blobbed(n, blocks):
                     word = nfm.block_word(blocks)
-                    assert quotient_image_check(TB, SB, n, word), (n, blocks)
+                    assert quotient_image_check(n, word), (n, blocks)
 
 
 def test_quotient_image_at_higher_ranks():
@@ -868,7 +914,7 @@ def test_quotient_image_at_higher_ranks():
         for _ in range(10):
             triple = rng.choice([(1, 0, 1), (n - 1, n, n - 1)])
             word = grown_fc_word(rng, n, rng.randint(0, 3 * n), triple)
-            assert quotient_image_check(TL, TB, n, word), (n, word)
+            assert quotient_image_check(n, word), (n, word)
             checked += 1
     assert checked == 110
 

@@ -14,11 +14,7 @@ from blobcat.enumeration import (
     b_count,
     blob_polynomial,
     d_count,
-    i_nr,
-    i_t,
     iter_positive_blocks,
-    j_nr,
-    j_t,
     oracle_blobbed_count,
     oracle_positive_count,
     p_dim,
@@ -27,6 +23,7 @@ from blobcat.algebra import AlgebraLevel, in_index_set
 from blobcat.grids import is_blobbed
 from blobcat.normal_forms import block_word, check_blocks
 from blobcat.triangles import blobbed_entry
+from oracles import i_nr, i_t, j_nr, j_t
 
 
 @pytest.mark.parametrize("n,s,expected", [(1, 0, 2), (2, 1, 14), (2, 2, 16)])
@@ -177,6 +174,8 @@ def test_iter_positive_blocks_checks_arguments_at_the_call():
         iter_positive_blocks(2, -1)
     with pytest.raises(ValueError):
         iter_positive_blocks(0, 1)
+    with pytest.raises(ValueError):
+        a_count(True, 1)  # bool subclasses int; at rank True this counted 4
 
 
 def test_rank_one_block_lists_are_not_all_positive_elements():

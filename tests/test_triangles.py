@@ -217,6 +217,9 @@ def test_unknown_kind_is_rejected_everywhere(i, j):
         (classical_entry, (6, "2")),
         (partial(entry, "classical"), (None, 0)),
         (triangle_rows, ("blobbed", 4.0, 2)),
+        (blobbed_entry, (True, 1)),
+        (classical_entry, (3, False)),
+        (triangle_rows, ("classical", 2, True)),
     ],
 )
 def test_non_integer_indices_are_rejected(fn, args):

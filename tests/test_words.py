@@ -350,7 +350,7 @@ def test_canonical_word_budget_rank_2000():
     assert sorted(canon) == sorted(word)
 
 
-@pytest.mark.parametrize("word", [(2.0, 0, 1), (0, "1"), (None,)])
+@pytest.mark.parametrize("word", [(2.0, 0, 1), (0, "1"), (None,), (0, True)])
 def test_canonical_word_rejects_non_integer_letters(word):
     with pytest.raises(ValueError):
         canonical_word(3, word)
@@ -423,3 +423,5 @@ def test_letters_validated():
         words.check_word(2, (3,))
     with pytest.raises(ValueError):
         words.check_rank(0)
+    with pytest.raises(ValueError):
+        words.check_rank(True)  # bool subclasses int
