@@ -74,6 +74,7 @@ from .words import (
     canonical_word,
     check_rank,
     check_word,
+    format_word,
     heap_reading,
     heap_state,
     iter_commutation_class,
@@ -634,9 +635,9 @@ def structure_constants(n: int) -> dict[tuple[Letters, Letters], tuple[Scalar, L
 
 
 def structure_constants_records(n: int) -> list[dict[str, str]]:
-    """The table as JSON-ready records {x, y, scalar, z} (word text encoding)."""
-    from .words import format_word
-
+    """The table as JSON-ready records {x, y, scalar, z} (word text encoding),
+    in the sorted order of the (x, y) keys, which `structure_constants`
+    inserts in that order."""
     return [
         {
             "x": format_word(xw),
@@ -644,5 +645,5 @@ def structure_constants_records(n: int) -> list[dict[str, str]]:
             "scalar": str(scalar),
             "z": format_word(zw),
         }
-        for (xw, yw), (scalar, zw) in sorted(structure_constants(n).items())
+        for (xw, yw), (scalar, zw) in structure_constants(n).items()
     ]

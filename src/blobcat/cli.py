@@ -10,9 +10,8 @@ Command-line front end.
     blobcat verify --suite tables
 
 Data goes to stdout, diagnostics to stderr.  Exit status: 0 on success, 1
-when a verification suite reports a mismatch, 2 on malformed input or on
-`enumerate` past the recursion limit, 141 (128 + SIGPIPE) when the reader
-closes stdout early, as `head` does.
+when a verification suite reports a mismatch, 2 on malformed input, 141
+(128 + SIGPIPE) when the reader closes stdout early, as `head` does.
 """
 
 from __future__ import annotations
@@ -229,10 +228,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return status
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        # the block and bracket generators recurse once per row or bracket
-        print("error: input needs deeper recursion than blobcat supports yet", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # the reader is gone; send what is still buffered to /dev/null so the

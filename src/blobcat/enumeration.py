@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from enum import Enum
 from operator import mul
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .grids import is_blobbed
-from .normal_forms import Blocks
+from .normal_forms import Blocks, _preorder
 from .triangles import blobbed_entry, blobbed_run
-from .words import check_rank
+from .words import check_affine_length, check_rank
 
 
 class CountKind(Enum):
@@ -29,8 +29,7 @@ class CountKind(Enum):
 def a_count(n: int, s: int) -> int:
     """Positive elements of affine length s: the (2n, 2s) doubled entry."""
     check_rank(n)
-    if s < 0:
-        raise ValueError("affine length must be non-negative")
+    check_affine_length(s)
     return blobbed_entry(2 * n, 2 * s)
 
 
@@ -96,8 +95,7 @@ def d_count(n: int, s: int) -> int:
     (148, 221004)
     """
     check_rank(n)
-    if s < 0:
-        raise ValueError("affine length must be non-negative")
+    check_affine_length(s)
     if s > n:
         return a_count(n, s)
     return _wing_sum(_wings(n, s), s)
@@ -209,31 +207,27 @@ COUNTS = {
 def iter_positive_blocks(n: int, s: int) -> Iterator[Blocks]:
     """
     All rigid-block forms with exactly s rows touching the last column, as
-    one depth-first generation in pre-order that enforces the block
+    one pre-order walk (`normal_forms._preorder`) that enforces the block
     invariants row by row.  The first s rows end at r = n; each later row
-    ends below the row before, so the search is finite.  Each left end l is
-    at most r and at most the previous row's l - 1, or 0 after an l of 0.  A
-    list is yielded once it holds s rows, before its extensions.  It
-    recurses once per row, so a form of about 1000 rows passes the default
-    recursion limit.  At rank 1 some lists spell no positive element (0,1,0
-    is a boundary triple, and every list but one from s = 2 on spells a word
-    that is not reduced FC), so the rank-1 counts are counts of block lists.
+    ends below the row before, so the walk is finite.  Each left end l is at
+    most r and at most the previous row's l - 1, or 0 after an l of 0.  A
+    list is yielded once it holds s rows, before its extensions, and the
+    walk keeps no frame per row, so a list of any length comes.  At rank 1
+    some lists spell no positive element (0,1,0 is a boundary triple, and
+    every list but one from s = 2 on spells a word that is not reduced FC),
+    so the rank-1 counts are counts of block lists.
     """
     check_rank(n)
-    if s < 0:
-        raise ValueError("affine length must be non-negative")
+    check_affine_length(s)
 
-    def extend(prefix: Blocks, prev_l: int, prev_r: int) -> Iterator[Blocks]:
-        if len(prefix) < s:
-            ends: Iterable[int] = (n,)
-        else:
-            yield prefix
-            ends = range(prev_r - 1, -1, -1)
-        for r in ends:
-            for l in range(min(prev_l, r), -1, -1):
-                yield from extend(prefix + ((l, r),), l - 1 if l else 0, r)
+    def children(prefix: Blocks) -> Iterator[Blocks]:
+        last_l, last_r = prefix[-1] if prefix else (n + 1, n)  # the root bounds l by n
+        cap = last_l - 1 if last_l else 0
+        for r in (n,) if len(prefix) < s else range(last_r - 1, -1, -1):
+            for l in range(min(cap, r), -1, -1):
+                yield prefix + ((l, r),)
 
-    return extend((), n, n)
+    return (blocks for blocks in _preorder((), children) if len(blocks) >= s)
 
 
 def oracle_positive_count(n: int, s: int) -> int:

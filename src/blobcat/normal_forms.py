@@ -47,7 +47,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Union
 
-from .words import HeapState, Letters, _canonical_word, check_rank, check_word, heap_state
+from .words import HeapState, Letters, _canonical_word, check_affine_length, check_rank
+from .words import check_word, heap_state
 from .words import is_reduced_fc  # noqa: F401  kept as a binding the perfbench tracer wraps
 
 # ---------------------------------------------------------------------------
@@ -81,30 +82,45 @@ def bform_is_negative(form: BForm) -> bool:
     return bool(form) and form[-1].l < 0
 
 
+def _preorder(root: tuple, children: Callable[[tuple], Iterator[tuple]]) -> Iterator[tuple]:
+    """
+    The tree at root in pre-order: each node before its children, which come
+    in the order children(node) gives them.  A stack holds one children
+    iterator per level, so nothing recurses, and each node is yielded from
+    this one frame at any depth (Nijenhuis and Wilf, *Combinatorial
+    Algorithms*, 1978).
+    """
+    stack = [iter((root,))]
+    while stack:
+        for node in stack[-1]:
+            yield node
+            stack.append(children(node))
+            break
+        else:
+            stack.pop()
+
+
 def _bracket_dfs(n: int, keep: Callable[[int, int, int], bool]) -> Iterator[BForm]:
     """
     The finite-part forms at rank n whose every bracket [l, g], at position j
     from 1, passes keep(j, l, g), identity first, in pre-order.  A failing
     bracket is skipped with every form that extends it, so no form is built
     only to be filtered out.  Each g is below the previous one, each |l| below
-    the previous l, or l is 0 after an l of 0, and a negative bracket ends the form.
+    the previous l, or l is 0 after an l of 0, and a negative bracket ends the
+    form.  The walk keeps no frame per bracket, so a form of any length comes.
     """
 
-    def extend(prefix: BForm, prev_g: int, cap: int) -> Iterator[BForm]:
-        yield prefix
-        j = len(prefix) + 1
+    def children(prefix: BForm) -> Iterator[BForm]:
+        last_l, prev_g = (prefix[-1].l, prefix[-1].g) if prefix else (n + 1, n)
+        # after a negative bracket cap < -1 leaves no l, so it ends the form
+        j, cap = len(prefix) + 1, last_l - 1 if last_l else 0
         for g in range(prev_g - 1, -1, -1):
             top = min(g, cap)
             for l in range(top, -top - 1, -1):
-                if not keep(j, l, g):
-                    continue
-                form = prefix + (Bracket(l, g),)
-                if l < 0:
-                    yield form  # a negative bracket ends the form
-                else:
-                    yield from extend(form, g, max(l - 1, 0))
+                if keep(j, l, g):
+                    yield prefix + (Bracket(l, g),)
 
-    return extend((), n, n)
+    return _preorder((), children)
 
 
 def iter_bforms(n: int) -> Iterator[BForm]:
@@ -272,8 +288,7 @@ def iter_fc_forms(n: int, s: int) -> Iterator[NormalForm]:
     [FirstType(i=1, k=1, f=1)]
     """
     check_rank(n)
-    if s < 0:
-        raise ValueError("affine length must be non-negative")
+    check_affine_length(s)
     if s == 0:
         return (LengthZero(f) for f in iter_bforms(n))
     if s == 1:

@@ -39,6 +39,11 @@ def check_rank(n: int) -> int:
     return n
 
 
+def check_affine_length(s: int) -> None:
+    if type(s) is not int or s < 0:
+        raise ValueError(f"affine length must be an integer >= 0, got {s!r}")
+
+
 def check_word(n: int, word: Letters) -> Letters:
     check_rank(n)
     for x in word:

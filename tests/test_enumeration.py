@@ -21,7 +21,7 @@ from blobcat.enumeration import (
 )
 from blobcat.algebra import AlgebraLevel, in_index_set
 from blobcat.grids import is_blobbed
-from blobcat.normal_forms import block_word, check_blocks
+from blobcat.normal_forms import block_word, check_blocks, iter_fc_forms
 from blobcat.triangles import blobbed_entry
 from oracles import i_nr, i_t, j_nr, j_t
 
@@ -176,6 +176,15 @@ def test_iter_positive_blocks_checks_arguments_at_the_call():
         iter_positive_blocks(0, 1)
     with pytest.raises(ValueError):
         a_count(True, 1)  # bool subclasses int; at rank True this counted 4
+    # the affine length is checked as the rank is: True counted as 1, and
+    # 2.0 listed the 32 forms of affine length 2, while d_count(2, 2.0)
+    # raised TypeError from a slice
+    for fn in (a_count, b_count, d_count, iter_positive_blocks, iter_fc_forms):
+        with pytest.raises(ValueError, match="affine length"):
+            fn(2, True)
+    for fn in (d_count, iter_positive_blocks, iter_fc_forms):
+        with pytest.raises(ValueError, match="affine length"):
+            fn(2, 2.0)
 
 
 def test_rank_one_block_lists_are_not_all_positive_elements():
@@ -194,9 +203,11 @@ def test_rank_one_block_lists_are_not_all_positive_elements():
         assert sum(blobbed) == b_count(1, s), s
 
 
-@pytest.mark.parametrize("n,s,expected", [(1, 1, 4), (2, 0, 6), (3, 2, 62)])
+# at (1, 1500) the first list holds 1,500 rows; a generator that recursed
+# once per row raised RecursionError there
+@pytest.mark.parametrize("n,s,expected", [(1, 1, 4), (2, 0, 6), (3, 2, 62), (1, 1500, 4)])
 def test_oracle_positive_examples(n, s, expected):
-    assert oracle_positive_count(n, s) == expected
+    assert oracle_positive_count(n, s) == a_count(n, s) == expected
 
 
 @pytest.mark.parametrize("n,s,expected", [(2, 1, 10), (4, 4, 3), (3, 4, 0), (2, 3, 0)])
