@@ -35,11 +35,13 @@ takes the paper's blob step, `oblique_shortening_word` of its rigid
 blocks, one I J alternation fewer, times k.  So no redex, however deep in
 a large class, is walked to.  The surviving word indexes a basis monomial
 of the level.  The blob level is finite-dimensional, so it folds words
-from the left through `_act`, a memo of one generator acting on one basis
-word (the right regular representation), and only the misses of that
-table reach the whole-word memo, `_reduce_canonical`, which takes these
-steps.  `verify.check_confluence` reduces factors first to test that the
-rewrite order does not matter.
+from the left through its action rows (`_rows`), the right regular
+representation on the basis: one row per basis word reached, holding
+that word times each generator as (exponents, next row), so a letter
+costs one list index.  Only an empty slot (`_fill`) reaches the
+whole-word memo, `_reduce_canonical`, which takes these steps.
+`verify.check_confluence` reduces factors first to test that the rewrite
+order does not matter.
 
 At rank 1 the two boundary pairs coincide; overlapping rules are resolved by
 fixed priority (blob rules first, then the left boundary), which keeps the
@@ -345,13 +347,14 @@ def _heap_redex(level: AlgebraLevel, n: int, word: Letters) -> Letters | Blocks 
 @lru_cache(maxsize=None)
 def _reduce_canonical(n: int, word: Letters) -> tuple[Scalar, Letters]:
     """
-    A miss of `_act`: a canonical blob-level word rewritten to (monomial,
-    basis word).  A step adds its scalar's exponents (a monomial of
-    coefficient 1: `_rules_by_first_pair`, and k for the blob step) to the
-    tail's.  The memo keeps every intermediate, which the misses share:
-    through `reduce_word`'s memo-free loop instead, blob products took
-    0.083 ms at p50, not 0.048.  It stays finite, since its words are the
-    rewrites of the (n + 1)·|B| basis words times a generator.
+    A miss of the action rows (`_fill`): a canonical blob-level word
+    rewritten to (monomial, basis word).  A step adds its scalar's
+    exponents (a monomial of coefficient 1: `_rules_by_first_pair`, and k
+    for the blob step) to the tail's.  The memo keeps every intermediate,
+    which the misses share: through `reduce_word`'s memo-free loop instead,
+    blob products took 0.083 ms at p50, not 0.048.  It stays finite, since
+    its words are the rewrites of the (n + 1)·|B| basis words times a
+    generator.
     """
     step = _find_redex(AlgebraLevel.SYMPLECTIC_BLOB, n, word)
     if step is None:
@@ -361,21 +364,34 @@ def _reduce_canonical(n: int, word: Letters) -> tuple[Scalar, Letters]:
     scalar, final = _reduce_canonical(n, _canonical_word(n, shorter))
     (head,) = step_scalar.terms
     (tail,) = scalar.terms
-    return _shared_monomial(tuple(map(add, head, tail))), final
+    # a list sizes the tuple exactly; a map iterator over-allocates, then shrinks
+    return _shared_monomial(tuple([*map(add, head, tail)])), final
 
 
-@lru_cache(maxsize=None)
-def _act(n: int, basis: Letters, g: int) -> tuple[Exponents, Letters]:
+@cache
+def _rows(n: int) -> dict[Letters, list]:
     """
-    The blob basis word `basis` times the generator g, as (exponents of the
-    monomial, basis word): one entry of the right regular representation of
-    the blob quotient on its basis.  Rank n holds at most (n + 1)·|B| of
-    them for the basis B = `sb_basis(n)`.  A miss is one whole-word
-    reduction, so the table is the kernel's rewriting, remembered.
+    The action rows of rank n by basis word: the right regular
+    representation of the blob quotient on its basis, filled as the fold of
+    `reduce_word` reaches it.  A row is a list of n + 2 slots.  Slot g,
+    0 <= g <= n, holds the row's basis word times the generator g as
+    (exponents of the monomial, row of the basis word it lands on), or None
+    until a fold first takes g there (`_fill`); slot n + 1 holds the row's
+    basis word.  Rank n holds at most |B| rows and (n + 1)·|B| entries for
+    the basis B = `sb_basis(n)`; `_rows.cache_clear()` drops every rank's.
     """
-    scalar, word = _reduce_canonical(n, _canonical_word(n, basis + (g,)))
+    return {(): [None] * (n + 1) + [()]}
+
+
+def _fill(n: int, row: list, g: int) -> tuple[Exponents, list]:
+    """
+    A miss of the rank-n action rows: the basis word of `row` times the
+    generator g, reduced once by `_reduce_canonical` and kept in slot g.
+    """
+    scalar, word = _reduce_canonical(n, _canonical_word(n, row[-1] + (g,)))
     (exps,) = scalar.terms
-    return exps, word
+    row[g] = entry = (exps, _rows(n).setdefault(word, [None] * (n + 1) + [word]))
+    return entry
 
 
 def _witness_rule(index: dict[Letters, tuple[Rule, ...]], pattern: Letters) -> Rule:
@@ -439,20 +455,27 @@ def reduce_word(level: AlgebraLevel, n: int, word: Letters) -> tuple[Scalar, Let
     recursion and no class walk, and a word of any length reduces: a letter
     costs O(1) unless its rewrite drops a piece before it, which costs the
     letters read again after that piece.  The blob level is
-    finite-dimensional, so its word is folded from the left through `_act`,
-    one table lookup per letter, whose misses reduce one basis word times
-    one generator; the table is bounded by the basis, and the fold keeps no
-    prefixes.
+    finite-dimensional, so its word is folded from the left through the
+    action rows of its rank (`_rows`): each letter indexes the current row
+    and steps to the row of the basis word it lands on, adding the entry's
+    exponents unless they are all 0.  An empty slot reduces one basis word
+    times one generator (`_fill`) and is kept; the rows are bounded by the
+    basis, and the fold keeps no prefixes.
     """
     if level != AlgebraLevel.SYMPLECTIC_BLOB:
         return _fold(level, n, check_word(n, word))
+    # the letters are checked first: slot n + 1, and slot -1, of a row is
+    # its basis word, not an entry
+    word = check_word(n, word)
+    row = _rows(n)[()]
     exps = _ZERO_EXP
-    basis = ()
-    for g in check_word(n, word):
-        step, basis = _act(n, basis, g)
-        if step != _ZERO_EXP:
-            exps = tuple(map(add, exps, step))
-    return _shared_monomial(exps), basis
+    for g in word:
+        step, row = row[g] or _fill(n, row, g)
+        # the one shared Scalar of degree 0, _ONE, has _ZERO_EXP itself as
+        # its exponents, so the identity test skips every trivial step
+        if step is not _ZERO_EXP:
+            exps = tuple([*map(add, exps, step)])
+    return _shared_monomial(exps), row[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -617,11 +640,11 @@ def structure_constants(n: int) -> dict[tuple[Letters, Letters], tuple[Scalar, L
     """
     Full multiplication table of the blob-quotient basis.  Every target must
     land back in the basis; a miss raises, because it would disprove closure.
-    It costs |B|^2 folds of |x| + |y| lookups in the generator action
-    (`reduce_word`), which itself takes at most (n + 1)·|B| reductions for
-    the basis B.  In one fresh process each on a 2-vCPU VM with Python
-    3.11.7, rank 4 (112,225 products) took 1.1 s and 35 MB peak RSS, rank 5
-    (2,039,184 products) 24.5 s and 350 MB.
+    It costs |B|^2 folds of |x| + |y| list indexes in the action rows
+    (`reduce_word`), which take at most (n + 1)·|B| reductions to fill for
+    the basis B.  In fresh processes on a 2-vCPU VM with Python 3.11.7,
+    rank 4 (112,225 products) took 0.46 s and 35 MB peak RSS, rank 5
+    (2,039,184 products) 9.9 s and 350 MB.
     """
     basis = sb_basis(n)
     index = set(basis)

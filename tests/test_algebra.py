@@ -320,7 +320,7 @@ def test_confluence_check_catches_a_swapped_boundary_scalar(monkeypatch):
             for r in rules(level, n)
         )
 
-    caches = (algebra._rules_by_first_pair, algebra._reduce_canonical, algebra._act)
+    caches = (algebra._rules_by_first_pair, algebra._reduce_canonical, algebra._rows)
     for cache in caches:
         cache.cache_clear()
     try:
@@ -530,7 +530,7 @@ def test_tl_and_two_boundary_reductions_keep_no_memo():
 
 
 def _whole_word(n, word):
-    """The blob level's whole-word rewrite, the path each miss of `_act` takes."""
+    """The blob level's whole-word rewrite, the path each miss of the action rows takes."""
     return algebra._reduce_canonical(n, canonical_word(n, word))
 
 
@@ -557,11 +557,46 @@ def test_blob_fold_matches_the_whole_word_rewrite_random():
 
 def test_action_table_holds_one_entry_per_basis_word_and_generator():
     # every state of the fold is a basis word, so the table is bounded by
-    # (n + 1)·|B|, and the rank-4 table, whose factors are all the prefixes
-    # of basis words, fills it
-    algebra._act.cache_clear()
+    # |B| rows of n + 1 entries, and the rank-4 table, whose factors are all
+    # the prefixes of basis words, fills it
+    algebra._rows.cache_clear()
     structure_constants(4)
-    assert algebra._act.cache_info().currsize == 5 * len(sb_basis(4)) == 1675
+    rows = algebra._rows(4)
+    assert len(rows) == len(sb_basis(4)) == 335
+    assert set(rows) == set(sb_basis(4))
+    assert all(row[-1] == word for word, row in rows.items())
+    entries = [entry for row in rows.values() for entry in row[:-1] if entry is not None]
+    assert len(entries) == 5 * 335 == 1675
+    # the fold skips a trivial step by identity, so every one holds _ZERO_EXP itself
+    trivial = [exps for exps, _ in entries if exps == algebra._ZERO_EXP]
+    assert trivial and all(exps is algebra._ZERO_EXP for exps in trivial)
+
+
+def test_blob_action_matches_the_whole_word_rewrite_exhaustive():
+    # every entry of the blob action at ranks 1-5: a basis word times one
+    # generator folds to what rewriting the whole product gives, so the
+    # table is right at these ranks
+    for n in range(1, 6):
+        entries = 0
+        for b in sb_basis(n):
+            for g in range(n + 1):
+                assert reduce_word(SB, n, b + (g,)) == _whole_word(n, b + (g,)), (n, b, g)
+                entries += 1
+    assert entries == 8568  # at rank 5
+
+
+@pytest.mark.parametrize("letter", [3, -1, True, 1.0])
+def test_blob_level_refuses_the_letters_tl_refuses(letter):
+    # a row keeps its basis word past slot n, so an unchecked letter would
+    # read it; the word is checked before any row is looked up
+    algebra._rows.cache_clear()
+    for word in ((letter,), (1, 0, letter), (0, 1, 0, 2, letter)):
+        with pytest.raises(ValueError) as tl:
+            reduce_word(TL, 2, word)
+        with pytest.raises(ValueError) as sb:
+            reduce_word(SB, 2, word)
+        assert str(sb.value) == str(tl.value)
+    assert algebra._rows(2) == {(): [None, None, None, ()]}
 
 
 @lru_cache(maxsize=None)
@@ -717,7 +752,7 @@ def test_each_redex_search_draws_at_most_word_length_members(monkeypatch):
     walks = _spy_on_class_walk(monkeypatch)
     # so every step searches again
     algebra._reduce_canonical.cache_clear()
-    algebra._act.cache_clear()
+    algebra._rows.cache_clear()
     searches = []  # [level, n, word, members drawn] per walk
     for level, reduce in ((TL, loop_reduce), (TB, loop_reduce), (SB, reduce_word)):
         for n, word in cases:
