@@ -123,7 +123,8 @@ def _grid(args: argparse.Namespace) -> int:
         if not in_index_set(AlgebraLevel.TWO_BOUNDARY, n, word):
             raise ValueError(f"word {args.word!r} is not reduced and positive; it has no grid")
         blocks = normal_forms.blocks_of_word(n, word)
-    print(grids.render(n, blocks, args.render))
+    for line in grids.render_lines(n, blocks, args.render):
+        print(line)
     return 0
 
 

@@ -86,7 +86,7 @@ def d_count(n: int, s: int) -> int:
     at s == 0, all past s == n, else the wing sum over the first s terms of
     i_t and j_t (at s == 1 the square of one), read as two runs off the half
     rows n and n + 1.  At one s this costs O(s) products, less than
-    `blob_polynomial`'s whole convolutions, and it is the per-s oracle that
+    `blob_polynomial`'s two whole squarings, and it is the per-s oracle that
     `verify` checks the polynomial against (oracle:dim-polynomial).  The
     equivalent closed form in doubled-triangle entries (_d_closed) is checked
     against it by `verify` (oracle:d-forms).
@@ -112,35 +112,12 @@ def b_count(n: int, s: int) -> int:
     return _blobbed(n, s, a_count(n, s), d_count(n, s))
 
 
-def _convolve(x: list[int], y: list[int]) -> list[int]:
-    """
-    The convolution of two lists of non-negative integers by one integer
-    product (Kronecker substitution): each list is packed into byte-aligned
-    fields of one integer, wide enough for any coefficient of the result, and
-    the product's fields are the coefficients.
-    """
-    if not x or not y:
-        return []
-    # a coefficient sums at most min(len(x), len(y)) products, each below
-    # 2^(bits of max(x) + bits of max(y))
-    bits = max(x).bit_length() + max(y).bit_length() + min(len(x), len(y)).bit_length()
-    width = (bits + 7) // 8
-
-    def pack(values: list[int]) -> int:
-        return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
-
-    size, px = len(x) + len(y) - 1, pack(x)
-    # one packed operand for a square: CPython squares `a * a` faster
-    raw = (px * (px if y is x else pack(y))).to_bytes(size * width, "little")
-    return [int.from_bytes(raw[k : k + width], "little") for k in range(0, size * width, width)]
-
-
 def blob_polynomial(n: int) -> tuple[int, ...]:
     """
     Coefficients (b_n^0, ..., b_n^n) of the dimension polynomial, equal to
     b_count(n, s) for each s.  The wing sequences are built once, up to
-    length n, and every d(s), 1 <= s <= n, is read off three convolutions of
-    their complements.  With C = 2^n, mu_t = C - main_t and nu_t = C - other_t
+    length n, and every d(s), 1 <= s <= n, is read off one integer made of
+    two squarings.  With C = 2^n, mu_t = C - main_t and nu_t = C - other_t
     are non-negative, and zero from about t = n/2 on, where both wings reach
     C.  Substitute main = C - mu and other = C - nu into the wing sum
         d(s) = (main*main)[s-1] + (other*other)[s-2] - 2 (main*other)[s-2].
@@ -149,36 +126,38 @@ def blob_polynomial(n: int) -> tuple[int, ...]:
     -2C(nu_0 + ... + nu_{s-2}) and +2C(mu_0 + ... + mu_{s-2} + nu_0 + ... +
     nu_{s-2}), sum to -2C mu_{s-1}.  So
         d(s) = C^2 - 2C mu[s-1] + (mu*mu)[s-1] + (nu*nu)[s-2] - 2 (mu*nu)[s-2],
-    where an index out of range reads 0.  With the trailing zeros dropped,
-    the three convolutions are three integer products of about half length.
-    The wings and the a-column (a_count(n, s) for every s) are three runs of
-    doubled entries, read off the half rows n, n + 1 and 2n: three half rows
-    and three big-integer products in all.
+    where an index out of range reads 0.  As polynomials P = sum mu_t x^t and
+    Q = sum nu_t x^t, with Q^2 - 2PQ = (Q - P)^2 - P^2, the d(s) are the
+    coefficients of x^s, s <= n, in
+        D = x (C^2 (1 + x + ... + x^(n-1)) - 2C P + P^2) + x^2 ((Q - P)^2 - P^2).
+    D is evaluated once at x = 2^w, w = 8 ((2n + 8) // 8) > 2n + 1: mu and
+    nu are packed into w-bit fields, whose trailing zeros vanish from the
+    integers, the C-multiples are shifts, and the only products are the
+    squarings P^2 and (Q - P)^2.  Evaluation is a ring map, and each d(s),
+    s <= n, lies in [0, 4^n] (it is at most a(s), at most 4^n), inside one
+    field, so D mod 2^(w (n + 1)) holds exactly d(0), ..., d(n) in its fields;
+    the higher terms, some negative, are multiples of 2^(w (n + 1)) and fall
+    away under the mask.  The wings and the a-column (a_count(n, s) for every
+    s) are three runs of doubled entries, read off the half rows n, n + 1 and
+    2n: three half rows and two big-integer squarings in all.
 
     >>> blob_polynomial(2)
     (6, 10, 3)
     """
     check_rank(n)
     main, other = _wings(n, n)
-    C = 1 << n
-    mu = [C - v for v in main]
-    nu = [C - v for v in other]
-    for seq in mu, nu:
-        while seq and not seq[-1]:
-            seq.pop()
+    C, width = 1 << n, (2 * n + 8) // 8  # bytes per field
+    w = 8 * width
 
-    def shifted(seq: list[int], k: int) -> list[int]:
-        # seq[s - k] for s = 0..n, zero out of range
-        return ([0] * k + seq + [0] * (n + 1))[: n + 1]
+    def pack(wing: list[int]) -> int:
+        return int.from_bytes(b"".join((C - v).to_bytes(width, "little") for v in wing), "little")
 
-    terms = zip(
-        shifted(mu, 1),
-        shifted(_convolve(mu, mu), 1),
-        shifted(_convolve(nu, nu), 2),
-        shifted(_convolve(mu, nu), 2),
-    )
-    d = [C * (C - 2 * u) + uu + vv - 2 * uv for u, uu, vv, uv in terms]
-    d[0] = 0  # the formula holds from s = 1; nothing is excluded at s = 0
+    P, Q = pack(main), pack(other)
+    P2 = P * P
+    repunit = int.from_bytes((b"\x01" + bytes(width - 1)) * n, "little")
+    D = ((repunit << 2 * n) - (P << n + 1) + P2 + (((Q - P) ** 2 - P2) << w)) << w
+    raw = (D & ((1 << w * (n + 1)) - 1)).to_bytes(width * (n + 1), "little")
+    d = [int.from_bytes(raw[k : k + width], "little") for k in range(0, len(raw), width)]
     a = blobbed_run(2 * n, 0, n + 1)  # a_count(n, s) for every s
     return tuple(_blobbed(n, s, a[s], d[s]) for s in range(n + 1))
 

@@ -22,6 +22,7 @@ the even family J = s_0 s_2 s_4 ... are the two full obliques.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Iterator
 
 from .words import Letters, check_rank
 from .normal_forms import Blocks, blocks_of_word, check_blocks
@@ -115,42 +116,50 @@ def oblique_shortening_word(n: int, blocks: Blocks) -> Letters:
 CELL = 24  # px pitch of the SVG raster; rows stagger by half a cell
 
 
-def render_ascii(n: int, blocks: Blocks) -> str:
+def _ascii_lines(n: int, blocks: Blocks) -> Iterator[str]:
     rows = len(blocks)
     width = 2 * (n + 1) + rows
-    lines = ["+" + "-" * width + "+"]
+    edge = "+" + "-" * width + "+"
+    yield edge
     for i, (l, r) in enumerate(blocks, start=1):
-        chars = [" "] * width
-        for j in range(l, r + 1):
-            chars[2 * j + (rows - i)] = "*"
-        lines.append("|" + "".join(chars) + "|")
-    lines.append(lines[0])
-    return "\n".join(lines)
+        # the points of row i sit at columns 2j + rows - i, l <= j <= r
+        lead, dots = 2 * l + rows - i, "* " * (r - l) + "*"
+        yield "|" + " " * lead + dots + " " * (width - lead - len(dots)) + "|"
+    yield edge
 
 
-def render_svg(n: int, blocks: Blocks) -> str:
+def _svg_lines(n: int, blocks: Blocks) -> Iterator[str]:
     rows = len(blocks)
     width = CELL * (n + 1) + (CELL // 2) * rows
     height = CELL * max(rows, 1)
-    parts = [
+    yield (
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">'
-    ]
+    )
     for i, (l, r) in enumerate(blocks, start=1):
         for j in range(l, r + 1):
             cx = CELL * j + (CELL // 2) * (rows - i) + CELL // 2
             cy = CELL * i - CELL // 2
-            parts.append(f'<circle cx="{cx}" cy="{cy}" r="6" fill="black"/>')
-    parts.append("</svg>")
-    return "\n".join(parts)
+            yield f'<circle cx="{cx}" cy="{cy}" r="6" fill="black"/>'
+    yield "</svg>"
+
+
+def render_lines(n: int, blocks: Blocks, fmt: str) -> Iterator[str]:
+    """
+    The lines of the grid's drawing, one at a time, so that a caller can
+    write a drawing larger than it could hold: one row per block in ASCII,
+    one point per letter in SVG.  The blocks and format are checked before
+    the first line.
+    """
+    check_blocks(n, blocks)
+    if fmt == "ascii":
+        return _ascii_lines(n, blocks)
+    if fmt == "svg":
+        return _svg_lines(n, blocks)
+    raise ValueError(f"unknown format {fmt!r}; expected 'ascii' or 'svg'")
 
 
 def render(n: int, blocks: Blocks, fmt: str) -> str:
-    """Draw the grid of the blocks: one row per block, one point per letter."""
-    check_blocks(n, blocks)
-    if fmt == "ascii":
-        return render_ascii(n, blocks)
-    if fmt == "svg":
-        return render_svg(n, blocks)
-    raise ValueError(f"unknown format {fmt!r}; expected 'ascii' or 'svg'")
+    """Draw the grid of the blocks as one string: its lines, joined."""
+    return "\n".join(render_lines(n, blocks, fmt))

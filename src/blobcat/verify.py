@@ -128,7 +128,7 @@ def check_d_forms(max_n: int | None = None) -> Check:
 
 
 def check_dim_polynomial(max_n: int | None = None) -> Check:
-    """blob_polynomial's convolutions of the wing complements against b_count at each s."""
+    """blob_polynomial's packed squarings of the wing complements against b_count at each s."""
     ranks = range(1, 91)[:max_n]
     mismatches = []
     for n in ranks:

@@ -9,8 +9,10 @@ the paper's oblique factorization around the alternating run, which
 the blob step `grids.oblique_shortening_word` shortcuts, the rewriting
 kernel as a plain class walk that never reads the heap, and TL and
 two-boundary reduction as a loop of the kernel's own steps, which the
-heap-scan fold replaced, and the wing counts an entry at a time, which the
-counts read as whole runs.
+heap-scan fold replaced, the wing counts an entry at a time, which the
+counts read as whole runs, and the dimension polynomial off three
+convolutions of the wing complements, which `blob_polynomial` reads off two
+squarings.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from operator import add
 
 from blobcat import algebra, grids
 from blobcat.algebra import PARAMS, AlgebraLevel, Rule, Scalar, rewrite_rules
-from blobcat.enumeration import _exact_half
+from blobcat.enumeration import _blobbed, _exact_half, _wings
 from blobcat.normal_forms import (
     Blocks,
     Bracket,
@@ -35,7 +37,7 @@ from blobcat.normal_forms import (
     check_blocks,
     fc_forms,
 )
-from blobcat.triangles import blobbed_entry
+from blobcat.triangles import blobbed_entry, blobbed_run
 from blobcat.words import (
     HeapState,
     Letters,
@@ -130,6 +132,61 @@ def j_nr(n: int, r: int) -> int:
         # C_{0,n-1} = 1 would break the row sum against j_t(n, 0)
         return 1
     return _exact_half(blobbed_entry(n - 1 - r, r))
+
+
+def convolve(x: list[int], y: list[int]) -> list[int]:
+    """
+    The convolution of two lists of non-negative integers by one integer
+    product (Kronecker substitution): each list is packed into byte-aligned
+    fields of one integer, wide enough for any coefficient of the result, and
+    the product's fields are the coefficients.
+    """
+    if not x or not y:
+        return []
+    # a coefficient sums at most min(len(x), len(y)) products, each below
+    # 2^(bits of max(x) + bits of max(y))
+    bits = max(x).bit_length() + max(y).bit_length() + min(len(x), len(y)).bit_length()
+    width = (bits + 7) // 8
+
+    def pack(values: list[int]) -> int:
+        return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+
+    size, px = len(x) + len(y) - 1, pack(x)
+    # one packed operand for a square: CPython squares `a * a` faster
+    raw = (px * (px if y is x else pack(y))).to_bytes(size * width, "little")
+    return [int.from_bytes(raw[k : k + width], "little") for k in range(0, size * width, width)]
+
+
+def blob_polynomial_by_convolutions(n: int) -> tuple[int, ...]:
+    """
+    `enumeration.blob_polynomial` read term by term: with C = 2^n and the
+    wing complements mu = C - main and nu = C - other, trailing zeros dropped,
+        d(s) = C^2 - 2C mu[s-1] + (mu*mu)[s-1] + (nu*nu)[s-2] - 2 (mu*nu)[s-2]
+    for 1 <= s <= n, each convolution its own packed product.
+    """
+    check_rank(n)
+    main, other = _wings(n, n)
+    C = 1 << n
+    mu = [C - v for v in main]
+    nu = [C - v for v in other]
+    for seq in mu, nu:
+        while seq and not seq[-1]:
+            seq.pop()
+
+    def shifted(seq: list[int], k: int) -> list[int]:
+        # seq[s - k] for s = 0..n, zero out of range
+        return ([0] * k + seq + [0] * (n + 1))[: n + 1]
+
+    terms = zip(
+        shifted(mu, 1),
+        shifted(convolve(mu, mu), 1),
+        shifted(convolve(nu, nu), 2),
+        shifted(convolve(mu, nu), 2),
+    )
+    d = [C * (C - 2 * u) + uu + vv - 2 * uv for u, uu, vv, uv in terms]
+    d[0] = 0  # the formula holds from s = 1; nothing is excluded at s = 0
+    a = blobbed_run(2 * n, 0, n + 1)
+    return tuple(_blobbed(n, s, a[s], d[s]) for s in range(n + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -424,6 +424,23 @@ def test_grid_output_is_pinned(capsys, fmt):
     assert h.hexdigest() == GRID_SHA256[fmt]
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc")
+def test_grid_streams_its_drawing():
+    # the descending rank-4000 word draws 48 MB of ASCII; held as one string
+    # before printing, it took the process past 110 MB.  VmHWM is the peak of
+    # this process image alone: ru_maxrss keeps that of the forking test run
+    word = ",".join(map(str, range(3999, -1, -1)))
+    code = (
+        "import os, sys\n"
+        "from blobcat.cli import main\n"
+        "out, sys.stdout = sys.stdout, open(os.devnull, 'w')\n"
+        f"assert main(['grid', '--word', '{word}', '--n', '4000']) == 0\n"
+        "status = open('/proc/self/status').read().split()\n"
+        "print(status[status.index('VmHWM:') + 1], file=out)\n"
+    )
+    assert int(fresh("-c", code)) < 60 * 1024
+
+
 def test_grid_rejects_non_positive_word(capsys):
     code, _, err = run(capsys, "grid", "--word", "1,0,1", "--n", "2")
     assert code == 2 and "positive" in err

@@ -23,7 +23,7 @@ from blobcat.algebra import AlgebraLevel, in_index_set
 from blobcat.grids import is_blobbed
 from blobcat.normal_forms import block_word, check_blocks, iter_fc_forms
 from blobcat.triangles import blobbed_entry
-from oracles import i_nr, i_t, j_nr, j_t
+from oracles import blob_polynomial_by_convolutions, convolve, i_nr, i_t, j_nr, j_t
 
 
 @pytest.mark.parametrize("n,s,expected", [(1, 0, 2), (2, 1, 14), (2, 2, 16)])
@@ -119,7 +119,7 @@ def _naive_convolution(x, y):
     ],
 )
 def test_convolve_edge_cases(x, y):
-    assert en._convolve(x, y) == _naive_convolution(x, y)
+    assert convolve(x, y) == _naive_convolution(x, y)
 
 
 def test_convolve_matches_naive_convolution():
@@ -130,8 +130,18 @@ def test_convolve_matches_naive_convolution():
         y = [rng.getrandbits(bits_y) for _ in range(rng.randint(0, 40))]
         if x and rng.random() < 0.3:
             x = [(1 << bits_x) - 1] * len(x)
-        assert en._convolve(x, y) == _naive_convolution(x, y)
-        assert en._convolve(x, x) == _naive_convolution(x, x)
+        assert convolve(x, y) == _naive_convolution(x, y)
+        assert convolve(x, x) == _naive_convolution(x, x)
+
+
+def test_blob_polynomial_matches_the_convolution_oracle():
+    # the fields are w = 8 ((2n + 8) // 8) bits, 2 to 8 bits more than 2n:
+    # n = 1..300 meets each of the four slacks (one per n mod 4) 75 times
+    for n in [*range(1, 301), 512]:
+        assert blob_polynomial(n) == blob_polynomial_by_convolutions(n), n
+    coeffs = blob_polynomial(1000)
+    for s in (1, 500, 1000):
+        assert coeffs[s] == b_count(1000, s), s
 
 
 def test_positive_count_recurrence():

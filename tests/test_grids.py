@@ -15,6 +15,7 @@ from blobcat.grids import (
     oblique_shortening_word,
     obliques,
     render,
+    render_lines,
 )
 from blobcat.normal_forms import block_word
 from blobcat.words import HeapState, heap_state, same_element
@@ -318,6 +319,13 @@ def test_render_ascii():
         render(1, (), "png")
     with pytest.raises(ValueError):
         render(2, ((0, 1), (1, 2)), "ascii")
+
+
+def test_render_lines_checks_before_the_first_line():
+    with pytest.raises(ValueError):
+        render_lines(2, ((0, 1), (1, 2)), "ascii")
+    with pytest.raises(ValueError):
+        render_lines(1, (), "png")
 
 
 def test_render_svg_well_formed():
