@@ -18,9 +18,9 @@ words whose heap closes no chain ss, sts or stst (Stembridge 1996) and, at
 the two-boundary level, no boundary triple.  So `reduce_word` reads the
 word from the left with `heap_reading`'s scanner, each letter in O(1): a
 letter that closes a chain or triple is rewritten at once by the rule its
-witness spells, and the scanner unreads only back to the piece the rule
-drops.  It keeps no memo and walks no class, and it canonicalises once, at
-the end.
+witness spells, which changes only the tops of two stacks, the letters
+read and those to come.  It keeps no memo and walks no class, and it
+canonicalises once, at the end.
 
 The blob level takes the kernel's rewrite step instead.  A redex is
 looked for in the first members of the word's commutation class, walked
@@ -52,11 +52,12 @@ of up to 12 letters bears out.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cache, lru_cache
 from itertools import islice, product
-from operator import add
+from operator import add, itemgetter
 
 from . import enumeration
 from .grids import i_word, is_blobbed, j_word, oblique_shortening_word
@@ -208,6 +209,12 @@ def _shared_monomial(exps: Exponents) -> Scalar:
 
 
 _ONE = _shared_monomial(_ZERO_EXP)
+_PACKED = struct.Struct(f"<{len(PARAMS)}Q")
+
+
+def _unpacked(exps: int) -> Scalar:
+    """The shared monomial of exponents packed as 64-bit fields: a sum of packings multiplies."""
+    return _shared_monomial(_PACKED.unpack(exps.to_bytes(_PACKED.size, "little")))
 
 
 class AlgebraLevel(IntEnum):
@@ -282,6 +289,18 @@ def _rules_by_first_pair(level: AlgebraLevel, n: int) -> dict[Letters, tuple[Rul
     return index
 
 
+@lru_cache(maxsize=None)
+def _rule_steps(level: AlgebraLevel, n: int) -> dict[Letters, tuple[int, int]]:
+    """The rules by the whole pattern, which a heap witness spells, as
+    (length of the replacement, exponents packed by `_PACKED`)."""
+    return {
+        rule.pattern: (len(rule.replacement), int.from_bytes(_PACKED.pack(*exps), "little"))
+        for rules in _rules_by_first_pair(level, n).values()
+        for rule in rules
+        for exps in rule.scalar.terms
+    }
+
+
 def _find_redex(level: AlgebraLevel, n: int, word: Letters) -> tuple[Letters, Scalar] | None:
     """
     One rewrite step of `word` as (shorter word, rule scalar), or None if
@@ -317,9 +336,9 @@ def _find_redex(level: AlgebraLevel, n: int, word: Letters) -> tuple[Letters, Sc
         return None
     if isinstance(redex[0], tuple):  # rigid blocks, not witness positions
         return oblique_shortening_word(n, redex), K
-    rule = _witness_rule(index, tuple([word[p] for p in redex]))
-    drop = redex[len(rule.replacement) :]
-    return tuple([a for p, a in enumerate(word) if p not in drop]), rule.scalar
+    keep, exps = _rule_steps(level, n)[itemgetter(*redex)(word)]
+    drop = redex[keep:]
+    return tuple([a for p, a in enumerate(word) if p not in drop]), _unpacked(exps)
 
 
 def _heap_redex(level: AlgebraLevel, n: int, word: Letters) -> Letters | Blocks | None:
@@ -394,55 +413,36 @@ def _fill(n: int, row: list, g: int) -> tuple[Exponents, list]:
     return entry
 
 
-def _witness_rule(index: dict[Letters, tuple[Rule, ...]], pattern: Letters) -> Rule:
-    """The rule of `index` (`_rules_by_first_pair`) whose pattern a heap witness spells."""
-    for rule in index[pattern[:2]]:
-        if rule.pattern == pattern:
-            return rule
-    raise AssertionError(f"no rule spells the witness {pattern}")
-
-
 def _fold(level: AlgebraLevel, n: int, word: Letters) -> tuple[Scalar, Letters]:
     """
-    `reduce_word` at TL or the two-boundary level: read the word from the
-    left with `heap_reading`'s scanner (`words.scan_read`).  A letter that
-    closes no chain, or a boundary triple at TL, is read.  Any other
-    closure rewrites the witness to its rule's replacement, a prefix of
-    it: the closing letter goes, and so does, for sts, stst and the
-    two-boundary triples, the piece before it, which the scanner unreads
-    back to, to read what followed again.  The word read is a basis index
-    when the letters run out, and is canonicalised once.
+    `reduce_word` at TL or the two-boundary level: the scanner
+    (`words.scan_read`) moves letters from `pending`, the word reversed,
+    onto `read` while they close no chain, or a boundary triple at TL.  Any
+    other closure rewrites the witness to its rule's replacement, a prefix:
+    the closing letter goes, and for sts, stst and the two-boundary triples
+    so does the piece before it; the scanner unreads back to that piece and
+    what followed it goes back onto `pending`.  The word read is a basis
+    index when `pending` runs out, and is canonicalised once.
     """
-    index = _rules_by_first_pair(level, n)
+    steps = _rule_steps(level, n)
     scan = new_scan(n, len(word))
     triples = [] if level == AlgebraLevel.TL else None
-    exps = [0] * len(PARAMS)
-    read: list[int] = []  # the letters read, then the next few of the word
-    start = taken = 0
-    while True:
-        witness = scan_read(n, read, start, scan, triples)
-        if witness is None:
-            if taken == len(word):
-                break
-            # take the word on in runs as long as what is read, so that a
-            # rewrite shifts no more letters than the scanner may read again
-            run = word[taken : taken + len(read) + 1]
-            start, taken = len(read), taken + len(run)
-            read += run
-            continue
-        rule = _witness_rule(index, tuple(map(read.__getitem__, witness)))
-        (head,) = rule.scalar.terms
-        exps[:] = map(add, exps, head)
-        # the replacement is a prefix of the witness: the closing letter
-        # goes, and for every rule but ss so does the piece before it, from
-        # which the scanner reads again
-        end = witness[-1]
-        del read[end]
-        start = witness[len(rule.replacement)]
+    exps = 0  # `_PACKED`: a field counts rewrites, at most one per letter
+    read: list[int] = []
+    pending = list(reversed(word))
+    while (witness := scan_read(n, reversed(pending), len(read), scan, triples)) is not None:
+        end = witness[-1]  # the closing letter: it and those before it move to `read`
+        cut = len(pending) + len(read) - end - 1
+        read += pending[cut:][::-1]
+        del pending[cut:]
+        keep, step = steps[itemgetter(*witness)(read)]
+        exps += step
+        start = witness[keep]
         if start < end:
             scan_drop(read, start, end, scan)
-            del read[start]
-    return _shared_monomial(tuple(exps)), _canonical_word(n, read)
+            pending += read[end - 1 : start : -1]
+        del read[start:]
+    return _unpacked(exps), _canonical_word(n, read + pending[::-1])
 
 
 def reduce_word(level: AlgebraLevel, n: int, word: Letters) -> tuple[Scalar, Letters]:
@@ -453,8 +453,8 @@ def reduce_word(level: AlgebraLevel, n: int, word: Letters) -> tuple[Scalar, Let
     The TL and two-boundary index sets are infinite, so there the word is
     read from the left by the heap scanner (`_fold`), with no memo, no
     recursion and no class walk, and a word of any length reduces: a letter
-    costs O(1) unless its rewrite drops a piece before it, which costs the
-    letters read again after that piece.  The blob level is
+    costs O(1) unless its rewrite drops a piece before it, which costs only
+    the letters read again after that piece.  The blob level is
     finite-dimensional, so its word is folded from the left through the
     action rows of its rank (`_rows`): each letter indexes the current row
     and steps to the row of the basis word it lands on, adding the entry's

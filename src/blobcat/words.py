@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from enum import IntEnum
-from typing import Iterator
+from typing import Iterable, Iterator
 
 Letters = tuple[int, ...]
 
@@ -177,8 +177,8 @@ Scan = tuple[list[int], list[int], list[int], list[int]]
 
 def new_scan(n: int, length: int) -> Scan:
     """
-    The state of `heap_reading`'s pass before it reads a letter, for words
-    of at most `length` letters, as plain lists (last, gap, prev, closed)
+    The state of `heap_reading`'s pass before it reads a letter, for up to
+    `length` letters read at once, as plain lists (last, gap, prev, closed)
     that `scan_read` and `scan_drop` keep.  Of the letters read so far, in
     which the pass met no chain: per letter its latest position (`last`, -1
     for none) and the occurrences of its neighbours since then (`gap`); per
@@ -190,20 +190,20 @@ def new_scan(n: int, length: int) -> Scan:
 
 
 def scan_read(
-    n: int, word: Letters | list[int], start: int, scan: Scan, triples: list | None
+    n: int, letters: Iterable[int], start: int, scan: Scan, triples: list | None
 ) -> Letters | None:
     """
-    Read `word` on from position `start`, the letters before it read
-    already, each letter in O(1), until one closes a chain ss, sts or stst,
-    or a boundary triple when `triples` is None; return the witness (see
-    `heap_reading`), which ends at that letter, unread.  None at the end of
-    the word.  A triple that does not close is read, and appended to
+    Read `letters` on, iterated, not copied, the first at position `start`
+    after as many read, each in O(1), until one closes a chain ss, sts or
+    stst, or a boundary triple when `triples` is None; return the witness
+    (see `heap_reading`), which ends at that letter, unread.  None when the
+    letters run out.  A triple that does not close is read, and appended to
     `triples` as (state, witness) when it beats the latest one there, so
     that the last entry is the first triple of the winning side.  The one
     neighbour b in a gap of one is whichever of a - 1 and a + 1 came last.
     """
     last, gap, prev, closed = scan
-    for pos, a in enumerate(word[start:], start):
+    for pos, a in enumerate(letters, start):
         p = last[a]
         if p >= 0 and gap[a] < 2:
             if gap[a] == 0:

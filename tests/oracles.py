@@ -18,8 +18,10 @@ squarings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
+from itertools import chain, product
 from operator import add
+from typing import Iterator
 
 from blobcat import algebra, grids
 from blobcat.algebra import PARAMS, AlgebraLevel, Rule, Scalar, rewrite_rules
@@ -282,6 +284,59 @@ def grown_fc_word(rng, n: int, length: int, word: Letters = ()) -> Letters:
         if heap_state(n, grown) != HeapState.NOT_REDUCED_FC:
             word = grown
     return word
+
+
+@cache
+def _words_of_length(n: int, length: int) -> tuple[Letters, ...]:
+    return tuple(product(range(n + 1), repeat=length))
+
+
+def exhaustive_words(n: int, max_len: int) -> Iterator[Letters]:
+    """
+    Every word at rank n of at most `max_len` letters, shortest first, in
+    `itertools.product` order.  Each length is built once per test run and
+    shared by the exhaustive tests.
+    """
+    return chain.from_iterable(_words_of_length(n, length) for length in range(max_len + 1))
+
+
+def adversarial_word(rng, n: int, length: int) -> Letters:
+    """
+    A word of about `length` letters on which the heap-scan fold reads
+    much of the word again (ROADMAP item 2).  It is made of heads a, b
+    (or b, a, b at the pair {0, 1}) on disjoint adjacent pairs in the
+    lower half of the range, then a stretch, then each head's a again, in
+    random order.  The stretch avoids the head letters and their
+    neighbours, and is grown as a reduced FC word, so no rewrite touches
+    it.  Each closing a meets its head as a b a or b a b a, and the
+    rewrite drops the head's last b, so the scanner reads the whole
+    stretch again.  At ranks 1 and 2 no letter is free of the heads, so
+    there the stretch is random letters of the whole range, and the rules
+    overlap instead.
+    """
+    check_rank(n)
+    heads: list[int] = []
+    closers: list[int] = []
+    banned: set[int] = set()
+    for x in range(0, max(1, n // 2), 3)[: max(1, length // 8)]:
+        a, b = (x, x + 1) if rng.random() < 0.5 else (x + 1, x)
+        # b, a, b closes no chain only at the bond-4 pair {0, 1}
+        heads += [b, a, b] if x == 0 and rng.random() < 0.5 else [a, b]
+        closers.append(a)
+        banned |= {x - 1, x, x + 1, x + 2}
+    rng.shuffle(closers)
+    free = [x for x in range(n + 1) if x not in banned]
+    size = max(0, length - len(heads) - len(closers))
+    if not free:
+        return tuple(heads + [rng.randint(0, n) for _ in range(size)] + closers)
+    stretch: Letters = ()
+    for _ in range(4 * size):
+        grown = stretch + (rng.choice(free),)
+        if heap_state(n, grown) != HeapState.NOT_REDUCED_FC:
+            stretch = grown
+            if len(stretch) == size:
+                break
+    return tuple(heads) + stretch + tuple(closers)
 
 
 # ---------------------------------------------------------------------------

@@ -331,6 +331,28 @@ def test_ten_thousand_letters_reduce_at_rank_64():
         assert hashlib.sha256(line.encode()).hexdigest() == SEEDED_3200_LETTERS_SHA256, level
 
 
+# sha256 of the line that `blobcat reduce --n 16` would print at TL and at 2B (the
+# same line) for the 100,000-letter word _seeded_word(16, 100_000), recorded
+# from the fold on a run buffer that this two-stack fold replaced; CI builds
+# the same word and compares, through the library, since the word's 241 KB
+# of text is more than one argument may hold
+SEEDED_RANK_16_100K_SHA256 = "0848b906bdf5908854f5e2d2e469b35b3049c724f6703db53fcc583f7d85ffa5"
+
+
+def test_hundred_thousand_letters_reduce_at_rank_16():
+    # The fold keeps the letters read and the letters to come on two stacks,
+    # so a rewrite changes only their tops: 0.13-0.30 s per level on a 2-vCPU
+    # VM, where the run buffer, which deleted inside its list and copied its
+    # tail on every read, took 0.34-0.70 s
+    n, word = 16, _seeded_word(16, 100_000)
+    for level in (AlgebraLevel.TL, TB):
+        budget = Budget(f"100,000 letters at rank 16, {level.name}", 1.0)
+        scalar, out = reduce_word(level, n, word)
+        budget.done(f"to {len(out)} letters")
+        line = f"{scalar} * [{','.join(map(str, out))}]\n"
+        assert hashlib.sha256(line.encode()).hexdigest() == SEEDED_RANK_16_100K_SHA256, level
+
+
 def test_criterion_8_quotient_identities():
     # 114 non-positive elements (TL -> 2B), 68 non-blobbed positive elements
     # (2B -> SB), the rank-3 descent chain, the rank-1 identity

@@ -28,7 +28,15 @@ from blobcat.algebra import (
 )
 from blobcat.words import canonical_word, iter_commutation_class, parse_word
 
-from oracles import commutation_class, grown_fc_word, loop_reduce, rewrite_at, walk_redex
+from oracles import (
+    adversarial_word,
+    commutation_class,
+    exhaustive_words,
+    grown_fc_word,
+    loop_reduce,
+    rewrite_at,
+    walk_redex,
+)
 
 TL = AlgebraLevel.TL
 TB = AlgebraLevel.TWO_BOUNDARY
@@ -130,7 +138,7 @@ def test_rank_one_cut_disagreements_are_as_the_readme_states():
     # once kR is renamed kL, and none at TL or the blob level.  Every factor
     # and every rest is itself such a word, so each word is reduced once per
     # level and every cut is read from that table.
-    rank_one = [w for length in range(11) for w in itertools.product((0, 1), repeat=length)]
+    rank_one = list(exhaustive_words(1, 10))
     assert len(rank_one) == 2047
 
     def renamed_equal(x, y):
@@ -215,11 +223,10 @@ def test_fold_matches_the_step_loop_exhaustive():
     # own steps, rank 1 included, where the two-boundary rules overlap
     checked = 0
     for n, max_len in ((1, 12), (2, 8), (3, 6)):
-        for length in range(max_len + 1):
-            for word in itertools.product(range(n + 1), repeat=length):
-                for level in (TL, TB):
-                    _assert_fold_matches_the_step_loop(level, n, word)
-                    checked += 1
+        for word in exhaustive_words(n, max_len):
+            for level in (TL, TB):
+                _assert_fold_matches_the_step_loop(level, n, word)
+                checked += 1
     assert checked == 46_986
 
 
@@ -232,6 +239,31 @@ def test_fold_matches_the_step_loop_random():
         word = tuple(rng.randint(0, n) for _ in range(length))
         for level in (TL, TB):
             _assert_fold_matches_the_step_loop(level, n, word)
+
+
+def test_fold_matches_the_step_loop_on_adversarial_words(monkeypatch):
+    # heads whose rewrites each drop an early piece across a stretch that no
+    # rewrite touches (oracles.adversarial_word), so the scanner reads the
+    # stretch again once per head; at ranks 1 and 2 the stretch is random
+    # letters, and at rank 1 the two-boundary rules overlap
+    unread, drop = [], words.scan_drop
+
+    def counting_drop(word, start, stop, scan):
+        unread.append(stop - start)
+        return drop(word, start, stop, scan)
+
+    monkeypatch.setattr(algebra, "scan_drop", counting_drop)
+    for n in (1, 2, 16, 64):
+        rng = random.Random(9000 + n)
+        for length in (8, 40, 120, 300):
+            for _ in range(3):
+                word = adversarial_word(rng, n, length)
+                for level in (TL, TB):
+                    unread.clear()
+                    _assert_fold_matches_the_step_loop(level, n, word)
+                    if n == 64 and length == 300:
+                        # eleven heads, each read again across the stretch
+                        assert sum(unread) > 5 * len(word), (level, word)
 
 
 @pytest.mark.parametrize("level", [TL, TB])
@@ -320,7 +352,12 @@ def test_confluence_check_catches_a_swapped_boundary_scalar(monkeypatch):
             for r in rules(level, n)
         )
 
-    caches = (algebra._rules_by_first_pair, algebra._reduce_canonical, algebra._rows)
+    caches = (
+        algebra._rules_by_first_pair,
+        algebra._rule_steps,
+        algebra._reduce_canonical,
+        algebra._rows,
+    )
     for cache in caches:
         cache.cache_clear()
     try:
@@ -417,11 +454,10 @@ HEAP_STEP_COUNTS = {TL: 106, TB: 46, SB: 97}
 def test_redex_choice_matches_reference_exhaustive():
     heap_steps = {level: set() for level in (TL, TB, SB)}
     for n in (1, 2, 3):
-        for length in range(8):
-            for word in itertools.product(range(n + 1), repeat=length):
-                for w in {word, canonical_word(n, word)}:
-                    for level in _assert_same_redex_choice(n, w)[1]:
-                        heap_steps[level].add((n, w))
+        for word in exhaustive_words(n, 7):
+            for w in {word, canonical_word(n, word)}:
+                for level in _assert_same_redex_choice(n, w)[1]:
+                    heap_steps[level].add((n, w))
     assert {level: len(found) for level, found in heap_steps.items()} == HEAP_STEP_COUNTS
 
 
@@ -540,10 +576,9 @@ def test_blob_fold_matches_the_whole_word_rewrite_exhaustive():
     # gives what rewriting the whole word gives
     cases = 0
     for n, max_length in ((1, 12), (2, 8), (3, 6), (4, 5)):
-        for length in range(max_length + 1):
-            for word in itertools.product(range(n + 1), repeat=length):
-                assert reduce_word(SB, n, word) == _whole_word(n, word), (n, word)
-                cases += 1
+        for word in exhaustive_words(n, max_length):
+            assert reduce_word(SB, n, word) == _whole_word(n, word), (n, word)
+            cases += 1
     assert cases == 27_399
 
 
@@ -620,14 +655,13 @@ def test_index_set_is_exactly_the_redex_free_words_exhaustive():
     cases = 0
     for n in (1, 2, 3, 4):
         truth = {}
-        for length in range(8):
-            for word in itertools.product(range(n + 1), repeat=length):
-                key = canonical_word(n, word)
-                if key not in truth:
-                    truth[key] = _redex_free_levels(n, key)
-                for level, free in truth[key].items():
-                    assert in_index_set(level, n, word) == free, (level, n, word)
-                    cases += 1
+        for word in exhaustive_words(n, 7):
+            key = canonical_word(n, word)
+            if key not in truth:
+                truth[key] = _redex_free_levels(n, key)
+            for level, free in truth[key].items():
+                assert in_index_set(level, n, word) == free, (level, n, word)
+                cases += 1
     assert cases == 369_108
 
 
@@ -792,19 +826,18 @@ def test_basis_word_search_reads_one_member_and_the_heap_once(monkeypatch):
     monkeypatch.setattr(algebra, "heap_reading", counting_read)
     basis = 0
     for n in (1, 2, 3):
-        for length in range(7):
-            for word in itertools.product(range(n + 1), repeat=length):
-                for level in (TL, TB, SB):
-                    is_basis = in_index_set(level, n, word)
-                    walks.clear()
-                    passes.clear()
-                    step = algebra._find_redex(level, n, word)
-                    assert (step is None) == is_basis, (level, n, word)
-                    # the empty word has no member to draw and no heap to read
-                    assert len(passes) <= bool(word), (level, n, word)
-                    if is_basis:
-                        basis += 1
-                        assert [drawn for _, drawn in walks] == [1] * bool(word), (level, n, word)
+        for word in exhaustive_words(n, 6):
+            for level in (TL, TB, SB):
+                is_basis = in_index_set(level, n, word)
+                walks.clear()
+                passes.clear()
+                step = algebra._find_redex(level, n, word)
+                assert (step is None) == is_basis, (level, n, word)
+                # the empty word has no member to draw and no heap to read
+                assert len(passes) <= bool(word), (level, n, word)
+                if is_basis:
+                    basis += 1
+                    assert [drawn for _, drawn in walks] == [1] * bool(word), (level, n, word)
     assert basis > 900
 
 
@@ -840,14 +873,13 @@ def test_heap_redex_reads_the_heap_once(monkeypatch):
     monkeypatch.setattr(nfm, "_normal_word", counting_normal)
     outcomes = set()
     for n in (1, 2, 3):
-        for length in range(7):
-            for word in itertools.product(range(n + 1), repeat=length):
-                for level in (TL, TB, SB):
-                    passes.clear()
-                    builds.clear()
-                    redex = algebra._heap_redex(level, n, word)
-                    assert len(passes) == 1 and len(builds) <= 1, (level, n, word)
-                    outcomes.add(_heap_redex_scalar(level, n, word, redex))
+        for word in exhaustive_words(n, 6):
+            for level in (TL, TB, SB):
+                passes.clear()
+                builds.clear()
+                redex = algebra._heap_redex(level, n, word)
+                assert len(passes) == 1 and len(builds) <= 1, (level, n, word)
+                outcomes.add(_heap_redex_scalar(level, n, word, redex))
     assert outcomes == {None, "k", "d", "dL", "dR", "kL", "kR", "1"}
 
 

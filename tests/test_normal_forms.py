@@ -38,6 +38,7 @@ from oracles import (
     blocks_affine_length,
     commutation_class,
     contains_pattern,
+    exhaustive_words,
     grown_fc_word,
     nf_of_positive_blocks,
     normal_form_by_lookup,
@@ -307,11 +308,10 @@ def test_normal_form_of_word_from_scrambled_class_members():
 def test_normal_word_is_class_maximum_exhaustive():
     checked = 0
     for n in (1, 2, 3, 4):
-        for length in range(8):
-            for word in itertools.product(range(n + 1), repeat=length):
-                if is_reduced_fc(n, word):
-                    assert nfm._normal_word(n, word) == max(commutation_class(n, word))
-                    checked += 1
+        for word in exhaustive_words(n, 7):
+            if is_reduced_fc(n, word):
+                assert nfm._normal_word(n, word) == max(commutation_class(n, word))
+                checked += 1
     assert checked == 3_466
 
 

@@ -26,6 +26,7 @@ from oracles import (
     commutation_class,
     contains_pattern,
     contains_rigid,
+    exhaustive_words,
     reach_masks,
 )
 
@@ -95,11 +96,10 @@ def _reference_iter_commutation_class(n, word):
 
 def test_class_walk_order_matches_eager_bfs_exhaustive():
     for n in (1, 2, 3):
-        for length in range(8):
-            for word in itertools.product(range(n + 1), repeat=length):
-                assert list(iter_commutation_class(n, word)) == list(
-                    _reference_iter_commutation_class(n, word)
-                ), (n, word)
+        for word in exhaustive_words(n, 7):
+            assert list(iter_commutation_class(n, word)) == list(
+                _reference_iter_commutation_class(n, word)
+            ), (n, word)
 
 
 def test_class_walk_order_matches_eager_bfs_rank_eight():
@@ -187,9 +187,8 @@ def test_heap_state_matches_reach_mask_reference():
 
 def test_heap_state_matches_reference_exhaustive():
     for n, max_len in ((1, 8), (2, 8), (3, 7), (4, 6)):
-        for length in range(max_len + 1):
-            for word in itertools.product(range(n + 1), repeat=length):
-                assert heap_state(n, word) == _reference_heap_state(n, word), (n, word)
+        for word in exhaustive_words(n, max_len):
+            assert heap_state(n, word) == _reference_heap_state(n, word), (n, word)
 
 
 def _pieces(word):
@@ -221,20 +220,19 @@ def test_heap_witness_is_a_factor_of_some_member_exhaustive():
             HeapState.RIGHT_TRIPLE: {(n - 1, n, n - 1)},
             HeapState.POSITIVE: {()},
         }
-        for length in range(max_len + 1):
-            for word in itertools.product(range(n + 1), repeat=length):
-                state, witness = heap_reading(n, word)
-                assert state == heap_state(n, word)
-                assert list(witness) == sorted(witness)
-                assert tuple(word[p] for p in witness) in spelled[state], (n, word)
-                if not witness:
-                    continue
-                pieces = [_pieces(word)[p] for p in witness]
-                assert any(
-                    pieces == occ[occ.index(pieces[0]) :][: len(pieces)]
-                    for occ in map(_pieces, commutation_class(n, word))
-                ), (n, word, witness)
-                witnessed += 1
+        for word in exhaustive_words(n, max_len):
+            state, witness = heap_reading(n, word)
+            assert state == heap_state(n, word)
+            assert list(witness) == sorted(witness)
+            assert tuple(word[p] for p in witness) in spelled[state], (n, word)
+            if not witness:
+                continue
+            pieces = [_pieces(word)[p] for p in witness]
+            assert any(
+                pieces == occ[occ.index(pieces[0]) :][: len(pieces)]
+                for occ in map(_pieces, commutation_class(n, word))
+            ), (n, word, witness)
+            witnessed += 1
     assert witnessed == 12_270
 
 
@@ -252,10 +250,9 @@ def test_canonical_word_matches_class_minimum():
 def test_canonical_word_is_class_minimum_exhaustive():
     checked = 0
     for n, max_len in ((1, 7), (2, 7), (3, 7), (4, 6)):
-        for length in range(max_len + 1):
-            for word in itertools.product(range(n + 1), repeat=length):
-                assert canonical_word(n, word) == min(commutation_class(n, word))
-                checked += 1
+        for word in exhaustive_words(n, max_len):
+            assert canonical_word(n, word) == min(commutation_class(n, word))
+            checked += 1
     assert checked == 44_911
 
 
@@ -314,10 +311,9 @@ def _drifting_words(seed, count, max_n, max_len):
 def test_canonical_word_matches_full_rescan_exhaustive():
     checked = 0
     for n in (1, 2, 3, 4):
-        for length in range(8):
-            for word in itertools.product(range(n + 1), repeat=length):
-                assert canonical_word(n, word) == _reference_canonical_word(n, word)
-                checked += 1
+        for word in exhaustive_words(n, 7):
+            assert canonical_word(n, word) == _reference_canonical_word(n, word)
+            checked += 1
     assert checked == 123_036
 
 
