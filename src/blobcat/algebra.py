@@ -63,6 +63,7 @@ from . import enumeration
 from .grids import i_word, is_blobbed, j_word, oblique_shortening_word
 from .normal_forms import (
     Blocks,
+    _blocks_of_word,
     bar,
     block_word,
     blocks_of_word,
@@ -357,7 +358,7 @@ def _heap_redex(level: AlgebraLevel, n: int, word: Letters) -> Letters | Blocks 
     if witness and (state == HeapState.NOT_REDUCED_FC or level != AlgebraLevel.TL):
         return witness
     if level == AlgebraLevel.SYMPLECTIC_BLOB and state == HeapState.POSITIVE:
-        blocks = blocks_of_word(n, word)
+        blocks = _blocks_of_word(n, word)
         if not is_blobbed(n, blocks):
             return blocks
     return None
@@ -488,9 +489,11 @@ def in_index_set(level: AlgebraLevel, n: int, word: Letters) -> bool:
     of its commutation class hold a rule pattern of the level?  Read off the
     heap (`_heap_redex`): TL takes the reduced FC words, the two-boundary
     level those with no boundary triple (the positive elements), and the
-    blob level those of them whose rigid blocks are blobbed.
-    O(len(word) + n) before the row test of `is_blobbed`; a malformed word
-    raises ValueError.
+    blob level those of them whose rigid blocks are blobbed.  The blocks
+    of a positive word are the +1 runs of its greatest class member, which
+    one top-down greedy pass over the heap builds, with no second check of
+    the word (`normal_forms._blocks_of_word`).  O(len(word) + n) before the
+    row test of `is_blobbed`; a malformed word raises ValueError.
     """
     return _heap_redex(level, n, word) is None
 

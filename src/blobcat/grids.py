@@ -75,11 +75,18 @@ def _contains(blocks: Blocks, pattern: Blocks) -> bool:
     True iff some row shift t puts every row interval of `pattern` inside
     row t + i of `blocks`.  Rows are intervals and columns never move, so
     this is point-set containment of the grids under a vertical translate.
+    One plain loop tests each shift from the pattern's first row down and
+    breaks at the first row that sticks out.  The empty pattern fits at
+    t = 0 of any element, `()` too; one taller than the element has no shift.
     """
-    return any(
-        all(blocks[t + i][0] <= pl and pr <= blocks[t + i][1] for i, (pl, pr) in enumerate(pattern))
-        for t in range(len(blocks) - len(pattern) + 1)
-    )
+    for t in range(len(blocks) - len(pattern) + 1):
+        for i, (pl, pr) in enumerate(pattern, t):
+            l, r = blocks[i]
+            if pl < l or r < pr:
+                break
+        else:
+            return True
+    return False
 
 
 def is_blobbed(n: int, blocks: Blocks) -> bool:

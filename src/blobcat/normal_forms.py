@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Union
 
-from .words import HeapState, Letters, _canonical_word, check_affine_length, check_rank
+from .words import HeapState, Letters, _heads, check_affine_length, check_rank
 from .words import check_word, heap_state
 from .words import is_reduced_fc  # noqa: F401  kept as a binding the perfbench tracer wraps
 
@@ -309,20 +309,41 @@ def fc_forms(n: int, s: int) -> tuple[NormalForm, ...]:
 
 
 def _normal_word(n: int, word: Letters) -> Letters:
-    """The greatest class member: the flip a -> n - a is a diagram automorphism."""
-    # list-built: a tuple built from a generator is allocated at a guessed size
-    # and resized, which fills CPython's tuple free lists with every word length
-    return tuple([n - a for a in _canonical_word(n, tuple([n - a for a in word]))])
+    """
+    The lexicographically greatest member of the commutation class, the
+    mirror of `words._canonical_word`: each step takes the largest minimal
+    letter (see `words._heads`).  Taking a moves only `heads[a]`, so no
+    letter above a + 1 can have turned minimal and the next scan starts at
+    a + 1, or at n, and goes down: O(len(word) + n) per word.
+    """
+    heads, following = _heads(n, word)
+    out = []
+    a = n
+    for _ in range(len(word)):
+        if a <= n:
+            a += 1
+        head = heads[a]
+        while not (head < heads[a - 1] and head < heads[a + 1]):
+            a -= 1
+            head = heads[a]
+        out.append(a - 1)
+        heads[a] = following[head]
+    return tuple(out)
 
 
-def _runs(word: Letters) -> list[list[int]]:
-    """The maximal +1 runs of a word, each as [first letter, last letter]."""
-    runs: list[list[int]] = []
-    for a in word:
-        if runs and a == runs[-1][1] + 1:
-            runs[-1][1] = a
+def _runs(word: Letters) -> list[tuple[int, int]]:
+    """The maximal +1 runs of a word, each as (first letter, last letter)."""
+    if not word:
+        return []
+    runs = []
+    l = r = word[0]
+    for a in word[1:]:
+        if a == r + 1:
+            r = a
         else:
-            runs.append([a, a])
+            runs.append((l, r))
+            l = r = a
+    runs.append((l, r))
     return runs
 
 
@@ -334,10 +355,10 @@ def _read_bform(word: Letters) -> BForm:
     runs = _runs(word)
     x = 0
     if runs and runs[-1][0] == 0:
-        while x < min(runs[-1][1], len(runs) - 1) and runs[-2 - x] == [x + 1, x + 1]:
+        while x < min(runs[-1][1], len(runs) - 1) and runs[-2 - x] == (x + 1, x + 1):
             x += 1
     if x:
-        runs[-1 - x :] = [[-x, runs[-1][1]]]
+        runs[-1 - x :] = [(-x, runs[-1][1])]
     return tuple(Bracket(l, g) for l, g in runs)
 
 
@@ -523,8 +544,12 @@ def blocks_of_word(n: int, word: Letters) -> Blocks:
     >>> blocks_of_word(3, (0, 1, 3, 2))
     ((3, 3), (0, 2))
     """
-    runs = _runs(_normal_word(n, check_word(n, word)))
-    return check_blocks(n, tuple([(l, r) for l, r in runs]))
+    return check_blocks(n, _blocks_of_word(n, check_word(n, word)))
+
+
+def _blocks_of_word(n: int, word: Letters) -> Blocks:
+    """`blocks_of_word` without the checks, for a word known to be valid."""
+    return tuple(_runs(_normal_word(n, word)))
 
 
 def positive_blocks_of(n: int, nf: NormalForm) -> Blocks:

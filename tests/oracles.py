@@ -5,6 +5,9 @@ Each one is the slow or literal route to an answer that `blobcat` computes
 another way: reduced expressions through braid moves, containment through
 commutation classes and the occurrence order, the normal form looked up
 among all generated forms by canonical word and spelled by rigid blocks,
+the greatest class member through the flip a -> n - a with the rigid
+blocks read off it, and grid containment as an `any` of `all`s, as
+both were first written,
 the paper's oblique factorization around the alternating run, which
 the blob step `grids.oblique_shortening_word` shortcuts, the rewriting
 kernel as a plain class walk that never reads the heap, and TL and
@@ -433,6 +436,38 @@ def normal_form_by_lookup(n: int, word: Letters) -> NormalForm:
 
 # ---------------------------------------------------------------------------
 # rigid blocks
+
+
+def greatest_word_by_flip(n: int, word: Letters) -> Letters:
+    """
+    The greatest member of the commutation class as the least member of the
+    flipped word, flipped back: a -> n - a is a diagram automorphism, so it
+    turns the least linear extension of the heap into the greatest.  This
+    is how `normal_forms._normal_word` read it before it took the largest
+    minimal letter directly.
+    """
+    return tuple(n - a for a in canonical_word(n, tuple(n - a for a in word)))
+
+
+def blocks_by_flip(n: int, word: Letters) -> Blocks:
+    """The rigid blocks as the maximal +1 runs of `greatest_word_by_flip`,
+    built as [l, r] lists and copied into tuples, then checked."""
+    runs: list[list[int]] = []
+    for a in greatest_word_by_flip(n, check_word(n, word)):
+        if runs and a == runs[-1][1] + 1:
+            runs[-1][1] = a
+        else:
+            runs.append([a, a])
+    return check_blocks(n, tuple((l, r) for l, r in runs))
+
+
+def contains_by_any_all(blocks: Blocks, pattern: Blocks) -> bool:
+    """Grid containment as one `any` over the row shifts of one `all` over
+    the pattern's rows, as `grids._contains` was first written."""
+    return any(
+        all(blocks[t + i][0] <= pl and pr <= blocks[t + i][1] for i, (pl, pr) in enumerate(pattern))
+        for t in range(len(blocks) - len(pattern) + 1)
+    )
 
 
 def blocks_affine_length(n: int, blocks: Blocks) -> int:

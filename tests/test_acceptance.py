@@ -18,7 +18,7 @@ from functools import partial
 from blobcat import algebra, enumeration, grids, normal_forms, verify
 from blobcat.algebra import AlgebraLevel, Scalar, in_index_set, reduce_word, sb_basis
 from blobcat.cli import main
-from blobcat.words import canonical_word, is_reduced_fc
+from blobcat.words import HeapState, canonical_word, heap_state, is_reduced_fc
 
 from oracles import walk_reduce
 
@@ -221,6 +221,31 @@ def test_block_reading_scales_with_rank():
     )
     assert in_index_set(AlgebraLevel.SYMPLECTIC_BLOB, n, descending)
     budget.done("descending and staircase words, one cold blob-level query")
+
+
+def test_rigid_blocks_round_trip_through_a_class_member():
+    # every rigid-block list at ranks 1-5 with s <= n, read back from a seeded
+    # shuffle of its word within the class, with the index-set answers that
+    # its blobbedness implies.  At rank 1 the list 0:1,0:0 spells the boundary
+    # triple 0,1,0, which is no positive element
+    rng = random.Random(5)
+    checked, skipped = 0, []
+    budget = Budget("rigid blocks read back at ranks 1-5", 2.0)
+    for n in range(1, 6):
+        for s in range(n + 1):
+            for blocks in enumeration.iter_positive_blocks(n, s):
+                word = normal_forms.block_word(blocks)
+                if heap_state(n, word) != HeapState.POSITIVE:
+                    skipped.append((n, blocks))
+                    continue
+                word = _class_shuffle(rng, word) if len(word) > 1 else word
+                assert normal_forms.blocks_of_word(n, word) == blocks, (n, word)
+                assert in_index_set(SB, n, word) == grids.is_blobbed(n, blocks), (n, word)
+                assert in_index_set(TB, n, word), (n, word)
+                checked += 1
+    budget.done(f"{checked} elements")
+    assert skipped == [(1, ((0, 1), (0, 0)))]
+    assert checked == 5 + 36 + 196 + 1_000 + 4_884
 
 
 def test_dimension_polynomial_scales_with_rank():

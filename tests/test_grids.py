@@ -20,7 +20,7 @@ from blobcat.grids import (
 from blobcat.normal_forms import block_word
 from blobcat.words import HeapState, heap_state, same_element
 
-from oracles import contains_pattern, oblique_factorization
+from oracles import contains_by_any_all, contains_pattern, oblique_factorization
 
 PAPER_BLOCKS = ((7, 8), (4, 8), (3, 7), (1, 4), (0, 1), (0, 0))
 
@@ -170,6 +170,21 @@ def test_contains_matches_point_set_reference():
                     assert grids._contains(blocks, pattern) == expected, (n, blocks)
                 cases += 1
     assert cases == 34_710
+
+
+def test_contains_matches_the_any_all_reading_exhaustive():
+    # the plain loop against the generator expressions it replaced, on the
+    # two boundary patterns, the empty one and one a row taller than the element
+    cases = 0
+    for n in range(1, 7):
+        for s in range(5):
+            for blocks in enumeration.iter_positive_blocks(n, s):
+                taller = ((0, 0),) * (len(blocks) + 1)
+                for pattern in (iji_blocks(n), jij_blocks(n), (), taller):
+                    got = grids._contains(blocks, pattern)
+                    assert got == contains_by_any_all(blocks, pattern), (n, blocks, pattern)
+                cases += 1
+    assert cases == 20_144
 
 
 def test_contains_grid_examples():

@@ -36,9 +36,11 @@ from blobcat.words import HeapState, canonical_word, heap_state, is_reduced_fc
 
 from oracles import (
     blocks_affine_length,
+    blocks_by_flip,
     commutation_class,
     contains_pattern,
     exhaustive_words,
+    greatest_word_by_flip,
     grown_fc_word,
     nf_of_positive_blocks,
     normal_form_by_lookup,
@@ -313,6 +315,20 @@ def test_normal_word_is_class_maximum_exhaustive():
                 assert nfm._normal_word(n, word) == max(commutation_class(n, word))
                 checked += 1
     assert checked == 3_466
+
+
+def test_greatest_member_and_blocks_match_the_flipped_reading_exhaustive():
+    # the top-down greedy against the least member of the flipped word on
+    # every word, and the blocks read off it on every positive one
+    checked, positive = 0, 0
+    for n, max_len in ((1, 8), (2, 8), (3, 6), (4, 6)):
+        for word in exhaustive_words(n, max_len):
+            assert nfm._normal_word(n, word) == greatest_word_by_flip(n, word), (n, word)
+            checked += 1
+            if heap_state(n, word) == HeapState.POSITIVE:
+                assert blocks_of_word(n, word) == blocks_by_flip(n, word), (n, word)
+                positive += 1
+    assert (checked, positive) == (35_344, 1_496)
 
 
 def _seed_forms(rng, n):
