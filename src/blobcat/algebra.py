@@ -9,8 +9,8 @@ boundaries, the two boundary-braid weights, and the global blob weight).  A
 product of generators rewrites to a single parameter monomial times a
 canonical basis word; the rules all strictly shorten the word, so
 termination is by length.  Each rule scales by one monomial of coefficient
-1, so a rewrite step adds exponent vectors, and the kernel hands out one
-shared `Scalar` per monomial instead of a new one per step.
+1, so the kernel adds exponents packed in one int (`_PACKED`) and hands
+out one shared `Scalar` per monomial (`_unpacked`), made once at the end.
 
 The TL and two-boundary levels have infinite index sets, and their basis
 words are the reduced fully commutative words and the positive ones, the
@@ -37,8 +37,8 @@ a large class, is walked to.  The surviving word indexes a basis monomial
 of the level.  The blob level is finite-dimensional, so it folds words
 from the left through its action rows (`_rows`), the right regular
 representation on the basis: one row per basis word reached, holding
-that word times each generator as (exponents, next row), so a letter
-costs one list index.  Only an empty slot (`_fill`) reaches the
+that word times each generator as (packed exponents, next row), so a
+letter costs one list index.  Only an empty slot (`_fill`) reaches the
 whole-word memo, `_reduce_canonical`, which takes these steps.
 `verify.check_confluence` reduces factors first to test that the rewrite
 order does not matter.
@@ -57,10 +57,10 @@ from dataclasses import dataclass
 from enum import IntEnum
 from functools import cache, lru_cache
 from itertools import islice, product
-from operator import add, itemgetter
+from operator import itemgetter
 
 from . import enumeration
-from .grids import i_word, is_blobbed, j_word, oblique_shortening_word
+from .grids import _oblique_shortening_word, i_word, is_blobbed, j_word, oblique_shortening_word
 from .normal_forms import (
     Blocks,
     _blocks_of_word,
@@ -203,19 +203,24 @@ KL = Scalar.param("kL")
 KR = Scalar.param("kR")
 K = Scalar.param("k")
 
-@cache
-def _shared_monomial(exps: Exponents) -> Scalar:
-    """The one Scalar per monomial that the kernel returns, by exponents."""
-    return Scalar({exps: 1})
-
-
-_ONE = _shared_monomial(_ZERO_EXP)
+# The kernel's one monomial format: its exponents as the 64-bit fields of one
+# int, so 0 packs 1 and adding packings multiplies.  A rewrite shortens the
+# word, so a field counts at most one per letter and never carries.
 _PACKED = struct.Struct(f"<{len(PARAMS)}Q")
 
 
+def _packed(scalar: Scalar) -> int:
+    (exps,) = scalar.terms  # a monomial of coefficient 1
+    return int.from_bytes(_PACKED.pack(*exps), "little")
+
+
+_K_STEP = _packed(K)
+
+
+@cache
 def _unpacked(exps: int) -> Scalar:
-    """The shared monomial of exponents packed as 64-bit fields: a sum of packings multiplies."""
-    return _shared_monomial(_PACKED.unpack(exps.to_bytes(_PACKED.size, "little")))
+    """The one Scalar per monomial that the kernel returns, by its packing."""
+    return Scalar({_PACKED.unpack(exps.to_bytes(_PACKED.size, "little")): 1})
 
 
 class AlgebraLevel(IntEnum):
@@ -293,18 +298,17 @@ def _rules_by_first_pair(level: AlgebraLevel, n: int) -> dict[Letters, tuple[Rul
 @lru_cache(maxsize=None)
 def _rule_steps(level: AlgebraLevel, n: int) -> dict[Letters, tuple[int, int]]:
     """The rules by the whole pattern, which a heap witness spells, as
-    (length of the replacement, exponents packed by `_PACKED`)."""
+    (length of the replacement, packed monomial)."""
     return {
-        rule.pattern: (len(rule.replacement), int.from_bytes(_PACKED.pack(*exps), "little"))
+        rule.pattern: (len(rule.replacement), _packed(rule.scalar))
         for rules in _rules_by_first_pair(level, n).values()
         for rule in rules
-        for exps in rule.scalar.terms
     }
 
 
-def _find_redex(level: AlgebraLevel, n: int, word: Letters) -> tuple[Letters, Scalar] | None:
+def _find_redex(level: AlgebraLevel, n: int, word: Letters) -> tuple[Letters, int] | None:
     """
-    One rewrite step of `word` as (shorter word, rule scalar), or None if
+    One rewrite step of `word` as (shorter word, packed scalar), or None if
     the word is a basis index.  The first `len(word)` members of the class,
     walked breadth first from `word`, are searched for a rule pattern: the
     step rewrites the earliest member holding one, at the first position
@@ -320,7 +324,7 @@ def _find_redex(level: AlgebraLevel, n: int, word: Letters) -> tuple[Letters, Sc
     every replacement is a prefix of its pattern, and rigid blocks take
     `oblique_shortening_word`, times k.
     """
-    index = _rules_by_first_pair(level, n)
+    index, steps = _rules_by_first_pair(level, n), _rule_steps(level, n)
     redex = None  # the empty word draws no member and is a basis index
     walk = islice(iter_commutation_class(n, word), len(word))
     for drawn, member in enumerate(walk, 1):
@@ -328,7 +332,7 @@ def _find_redex(level: AlgebraLevel, n: int, word: Letters) -> tuple[Letters, Sc
             for rule in index.get(pair, ()):
                 if member[pos : pos + len(rule.pattern)] == rule.pattern:
                     rest = member[pos + len(rule.pattern) :]
-                    return member[:pos] + rule.replacement + rest, rule.scalar
+                    return member[:pos] + rule.replacement + rest, steps[rule.pattern][1]
         if drawn == 1:
             redex = _heap_redex(level, n, word)
             if redex is None:
@@ -336,10 +340,10 @@ def _find_redex(level: AlgebraLevel, n: int, word: Letters) -> tuple[Letters, Sc
     if redex is None:
         return None
     if isinstance(redex[0], tuple):  # rigid blocks, not witness positions
-        return oblique_shortening_word(n, redex), K
-    keep, exps = _rule_steps(level, n)[itemgetter(*redex)(word)]
+        return _oblique_shortening_word(n, redex), _K_STEP
+    keep, exps = steps[itemgetter(*redex)(word)]
     drop = redex[keep:]
-    return tuple([a for p, a in enumerate(word) if p not in drop]), _unpacked(exps)
+    return tuple([a for p, a in enumerate(word) if p not in drop]), exps
 
 
 def _heap_redex(level: AlgebraLevel, n: int, word: Letters) -> Letters | Blocks | None:
@@ -365,27 +369,21 @@ def _heap_redex(level: AlgebraLevel, n: int, word: Letters) -> Letters | Blocks 
 
 
 @lru_cache(maxsize=None)
-def _reduce_canonical(n: int, word: Letters) -> tuple[Scalar, Letters]:
+def _reduce_canonical(n: int, word: Letters) -> tuple[int, Letters]:
     """
     A miss of the action rows (`_fill`): a canonical blob-level word
-    rewritten to (monomial, basis word).  A step adds its scalar's
-    exponents (a monomial of coefficient 1: `_rules_by_first_pair`, and k
-    for the blob step) to the tail's.  The memo keeps every intermediate,
-    which the misses share: through `reduce_word`'s memo-free loop instead,
-    blob products took 0.083 ms at p50, not 0.048.  It stays finite, since
-    its words are the rewrites of the (n + 1)·|B| basis words times a
-    generator.
+    rewritten to (packed monomial, basis word), each step adding its
+    packing to the tail's.  The memo keeps every intermediate, which the
+    misses share, and stays finite: its words are the rewrites of the
+    (n + 1)·|B| basis words times a generator.
     """
     step = _find_redex(AlgebraLevel.SYMPLECTIC_BLOB, n, word)
     if step is None:
-        return _ONE, word
-    shorter, step_scalar = step
+        return 0, word
+    shorter, head = step
     assert len(shorter) < len(word), "rewrite steps must strictly shorten"
-    scalar, final = _reduce_canonical(n, _canonical_word(n, shorter))
-    (head,) = step_scalar.terms
-    (tail,) = scalar.terms
-    # a list sizes the tuple exactly; a map iterator over-allocates, then shrinks
-    return _shared_monomial(tuple([*map(add, head, tail)])), final
+    tail, final = _reduce_canonical(n, _canonical_word(n, shorter))
+    return head + tail, final
 
 
 @cache
@@ -395,7 +393,7 @@ def _rows(n: int) -> dict[Letters, list]:
     representation of the blob quotient on its basis, filled as the fold of
     `reduce_word` reaches it.  A row is a list of n + 2 slots.  Slot g,
     0 <= g <= n, holds the row's basis word times the generator g as
-    (exponents of the monomial, row of the basis word it lands on), or None
+    (packed monomial, row of the basis word it lands on), or None
     until a fold first takes g there (`_fill`); slot n + 1 holds the row's
     basis word.  Rank n holds at most |B| rows and (n + 1)·|B| entries for
     the basis B = `sb_basis(n)`; `_rows.cache_clear()` drops every rank's.
@@ -403,13 +401,12 @@ def _rows(n: int) -> dict[Letters, list]:
     return {(): [None] * (n + 1) + [()]}
 
 
-def _fill(n: int, row: list, g: int) -> tuple[Exponents, list]:
+def _fill(n: int, row: list, g: int) -> tuple[int, list]:
     """
     A miss of the rank-n action rows: the basis word of `row` times the
     generator g, reduced once by `_reduce_canonical` and kept in slot g.
     """
-    scalar, word = _reduce_canonical(n, _canonical_word(n, row[-1] + (g,)))
-    (exps,) = scalar.terms
+    exps, word = _reduce_canonical(n, _canonical_word(n, row[-1] + (g,)))
     row[g] = entry = (exps, _rows(n).setdefault(word, [None] * (n + 1) + [word]))
     return entry
 
@@ -428,7 +425,7 @@ def _fold(level: AlgebraLevel, n: int, word: Letters) -> tuple[Scalar, Letters]:
     steps = _rule_steps(level, n)
     scan = new_scan(n, len(word))
     triples = [] if level == AlgebraLevel.TL else None
-    exps = 0  # `_PACKED`: a field counts rewrites, at most one per letter
+    exps = 0
     read: list[int] = []
     pending = list(reversed(word))
     while (witness := scan_read(n, reversed(pending), len(read), scan, triples)) is not None:
@@ -459,9 +456,9 @@ def reduce_word(level: AlgebraLevel, n: int, word: Letters) -> tuple[Scalar, Let
     finite-dimensional, so its word is folded from the left through the
     action rows of its rank (`_rows`): each letter indexes the current row
     and steps to the row of the basis word it lands on, adding the entry's
-    exponents unless they are all 0.  An empty slot reduces one basis word
-    times one generator (`_fill`) and is kept; the rows are bounded by the
-    basis, and the fold keeps no prefixes.
+    packed monomial, which becomes a `Scalar` once, at the end.  An empty
+    slot reduces one basis word times one generator (`_fill`) and is kept;
+    the rows are bounded by the basis, and the fold keeps no prefixes.
     """
     if level != AlgebraLevel.SYMPLECTIC_BLOB:
         return _fold(level, n, check_word(n, word))
@@ -469,14 +466,11 @@ def reduce_word(level: AlgebraLevel, n: int, word: Letters) -> tuple[Scalar, Let
     # its basis word, not an entry
     word = check_word(n, word)
     row = _rows(n)[()]
-    exps = _ZERO_EXP
+    exps = 0
     for g in word:
         step, row = row[g] or _fill(n, row, g)
-        # the one shared Scalar of degree 0, _ONE, has _ZERO_EXP itself as
-        # its exponents, so the identity test skips every trivial step
-        if step is not _ZERO_EXP:
-            exps = tuple([*map(add, exps, step)])
-    return _shared_monomial(exps), row[-1]
+        exps += step
+    return _unpacked(exps), row[-1]
 
 
 # ---------------------------------------------------------------------------

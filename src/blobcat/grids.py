@@ -109,6 +109,11 @@ def oblique_shortening_word(n: int, blocks: Blocks) -> Letters:
     """
     if is_blobbed(n, blocks):  # validates the blocks
         raise ValueError(f"a blobbed element has no alternation to drop: {blocks}")
+    return _oblique_shortening_word(n, blocks)
+
+
+def _oblique_shortening_word(n: int, blocks: Blocks) -> Letters:
+    """`oblique_shortening_word` of blocks known to be valid and not blobbed."""
     sweep = obliques(n, blocks)
     ij = (i_word(n), j_word(n))
     a = next((p for p in range(len(sweep) - 1) if sweep[p : p + 2] == ij), None)

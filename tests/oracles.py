@@ -23,11 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import chain, product
-from operator import add
 from typing import Iterator
 
 from blobcat import algebra, grids
-from blobcat.algebra import PARAMS, AlgebraLevel, Rule, Scalar, rewrite_rules
+from blobcat.algebra import AlgebraLevel, Rule, Scalar, rewrite_rules
 from blobcat.enumeration import _blobbed, _exact_half, _wings
 from blobcat.normal_forms import (
     Blocks,
@@ -408,13 +407,12 @@ def loop_reduce(level: AlgebraLevel, n: int, word: Letters) -> tuple[Scalar, Let
     no recursion; each step walks class members and reads the heap.
     """
     word = canonical_word(n, word)
-    exps = (0,) * len(PARAMS)
+    exps = 0
     while (step := algebra._find_redex(level, n, word)) is not None:
-        shorter, scalar = step
+        shorter, head = step
         assert len(shorter) < len(word), "rewrite steps must strictly shorten"
-        (head,) = scalar.terms
-        exps, word = tuple(map(add, exps, head)), canonical_word(n, shorter)
-    return algebra._shared_monomial(exps), word
+        exps, word = exps + head, canonical_word(n, shorter)
+    return algebra._unpacked(exps), word
 
 
 # ---------------------------------------------------------------------------

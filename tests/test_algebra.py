@@ -402,6 +402,15 @@ def _reference_find_redex(level, n, word):
     return (rewrite_at(member, pos, rule), rule.scalar), visited, rule.pattern
 
 
+def _kernel_step(level, n, word):
+    """`algebra._find_redex` with its packed monomial read as a Scalar."""
+    step = algebra._find_redex(level, n, word)
+    if step is None:
+        return None
+    shorter, exps = step
+    return shorter, algebra._unpacked(exps)
+
+
 def _assert_step_from_heap(level, n, word, step):
     """
     A step taken from the heap: its scalar is some rule's, and some class
@@ -431,7 +440,7 @@ def _assert_same_redex_choice(n, word):
     heap_levels = set()
     for level in (TL, TB, SB):
         expected = _reference_find_redex(level, n, word)
-        step = algebra._find_redex(level, n, word)
+        step = _kernel_step(level, n, word)
         if expected is None:
             assert step is None, (level, n, word)
             continue
@@ -499,6 +508,23 @@ def test_reduce_word_shares_one_scalar_per_value():
     assert len({id(s) for s in scalars}) == len(set(scalars)) > 80
 
 
+def test_equal_monomials_come_back_as_one_instance():
+    # `Scalar`'s promise: `reduce_word` hands out one shared instance per
+    # monomial, whichever path reached it: the TL fold, the two-boundary
+    # fold, a blob fold that fills empty slots and one that reads them
+    for word, expected in (((1,), Scalar.one()), ((1, 1, 1), D * D), ((0, 0, 2, 2), DL * DR)):
+        algebra._rows.cache_clear()
+        algebra._reduce_canonical.cache_clear()
+        miss = reduce_word(SB, 2, word)
+        filled = algebra._reduce_canonical.cache_info()
+        assert filled.currsize > 0
+        hit = reduce_word(SB, 2, word)
+        assert algebra._reduce_canonical.cache_info() == filled
+        scalars = [reduce_word(TL, 2, word)[0], reduce_word(TB, 2, word)[0], miss[0], hit[0]]
+        assert scalars == [expected] * 4, word
+        assert all(s is scalars[0] for s in scalars), word
+
+
 def test_reduce_memo_bytes_per_entry():
     import gc
     import tracemalloc
@@ -526,7 +552,8 @@ def test_reduce_memo_bytes_per_entry():
         tracemalloc.stop()
     entries = algebra._reduce_canonical.cache_info().currsize
     assert entries > 3000
-    # ~270 B an entry with shared scalars, ~555 B with a fresh Scalar per entry
+    # ~290 B an entry holding its own packed int; ~270 B when entries held
+    # one shared Scalar per monomial, ~555 B with a fresh Scalar per entry
     assert grown / entries < 480, grown / entries
 
 
@@ -567,7 +594,8 @@ def test_tl_and_two_boundary_reductions_keep_no_memo():
 
 def _whole_word(n, word):
     """The blob level's whole-word rewrite, the path each miss of the action rows takes."""
-    return algebra._reduce_canonical(n, canonical_word(n, word))
+    exps, final = algebra._reduce_canonical(n, canonical_word(n, word))
+    return algebra._unpacked(exps), final
 
 
 def test_blob_fold_matches_the_whole_word_rewrite_exhaustive():
@@ -602,9 +630,9 @@ def test_action_table_holds_one_entry_per_basis_word_and_generator():
     assert all(row[-1] == word for word, row in rows.items())
     entries = [entry for row in rows.values() for entry in row[:-1] if entry is not None]
     assert len(entries) == 5 * 335 == 1675
-    # the fold skips a trivial step by identity, so every one holds _ZERO_EXP itself
-    trivial = [exps for exps, _ in entries if exps == algebra._ZERO_EXP]
-    assert trivial and all(exps is algebra._ZERO_EXP for exps in trivial)
+    # an entry holds its monomial packed, and a trivial step is the packing 0
+    trivial = [exps for exps, _ in entries if exps == 0]
+    assert trivial and all(type(exps) is int for exps, _ in entries)
 
 
 def test_blob_action_matches_the_whole_word_rewrite_exhaustive():
@@ -761,9 +789,32 @@ def test_deep_blob_redex_is_found_in_few_members(monkeypatch):
     word = DEEP_RANK_8
     assert in_index_set(TB, 8, word) and not in_index_set(SB, 8, word)
     walks = _spy_on_class_walk(monkeypatch)
-    shorter, scalar = algebra._find_redex(SB, 8, word)
+    shorter, scalar = _kernel_step(SB, 8, word)
     assert walks == [[word, len(word)]]
     assert scalar == K and len(shorter) == len(word) - len(grids.i_word(8) + grids.j_word(8))
+
+
+def test_blob_step_tests_the_blocks_once(monkeypatch):
+    # the heap reading finds the rigid blocks valid and not blobbed, and the
+    # blob step drops the alternation from them as they are, with no second
+    # `is_blobbed`; the public `oblique_shortening_word` still checks, and
+    # refuses a blobbed element
+    n = 4
+    word = nfm.block_word(grids.iji_blocks(n))
+    grids.jij_blocks(n)
+    calls, blobbed = [], grids.is_blobbed
+
+    def counting(n, blocks):
+        calls.append(blocks)
+        return blobbed(n, blocks)
+
+    monkeypatch.setattr(grids, "is_blobbed", counting)
+    monkeypatch.setattr(algebra, "is_blobbed", counting)
+    assert _kernel_step(SB, n, word) == ((1, 3), K)
+    assert calls == [grids.iji_blocks(n)]
+    with pytest.raises(ValueError, match="blobbed"):
+        grids.oblique_shortening_word(n, ())
+    assert calls == [grids.iji_blocks(n), ()]
 
 
 def test_each_redex_search_draws_at_most_word_length_members(monkeypatch):
