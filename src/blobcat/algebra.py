@@ -31,8 +31,8 @@ rank)), and that one reading decides: a basis index, the word every
 reduction ends on, stops the search at one member; past the members, a
 chain or boundary triple that some member holds as a rule pattern loses
 its trailing letters, and a positive, non-blobbed word at the blob level
-takes the paper's blob step, `oblique_shortening_word` of its rigid
-blocks, one I J alternation fewer, times k.  So no redex, however deep in
+takes the paper's blob step, `grids._oblique_shortening_word` of its
+rigid blocks, one I J alternation fewer, times k.  So no redex, however deep in
 a large class, is walked to.  The surviving word indexes a basis monomial
 of the level.  The blob level is finite-dimensional, so it folds words
 from the left through its action rows (`_rows`), the right regular
@@ -60,17 +60,8 @@ from itertools import islice, product
 from operator import itemgetter
 
 from . import enumeration
-from .grids import _oblique_shortening_word, i_word, is_blobbed, j_word, oblique_shortening_word
-from .normal_forms import (
-    Blocks,
-    _blocks_of_word,
-    bar,
-    block_word,
-    blocks_of_word,
-    normal_form_of_word,
-    tilde,
-    word_of_normal_form,
-)
+from .grids import _is_blobbed, _oblique_shortening_word, i_word, is_blobbed, j_word
+from .normal_forms import Blocks, _blocks_of_word, block_word
 from .words import (
     HeapState,
     Letters,
@@ -80,7 +71,6 @@ from .words import (
     check_word,
     format_word,
     heap_reading,
-    heap_state,
     iter_commutation_class,
     new_scan,
     scan_drop,
@@ -322,7 +312,7 @@ def _find_redex(level: AlgebraLevel, n: int, word: Letters) -> tuple[Letters, in
     cost more than a heap pass, the step is built from that same reading,
     however deep the redex: a witness loses its trailing positions, since
     every replacement is a prefix of its pattern, and rigid blocks take
-    `oblique_shortening_word`, times k.
+    the blob step (`grids._oblique_shortening_word`), times k.
     """
     index, steps = _rules_by_first_pair(level, n), _rule_steps(level, n)
     redex = None  # the empty word draws no member and is a basis index
@@ -363,7 +353,7 @@ def _heap_redex(level: AlgebraLevel, n: int, word: Letters) -> Letters | Blocks 
         return witness
     if level == AlgebraLevel.SYMPLECTIC_BLOB and state == HeapState.POSITIVE:
         blocks = _blocks_of_word(n, word)
-        if not is_blobbed(n, blocks):
+        if not _is_blobbed(n, blocks):
             return blocks
     return None
 
@@ -486,8 +476,9 @@ def in_index_set(level: AlgebraLevel, n: int, word: Letters) -> bool:
     blob level those of them whose rigid blocks are blobbed.  The blocks
     of a positive word are the +1 runs of its greatest class member, which
     one top-down greedy pass over the heap builds, with no second check of
-    the word (`normal_forms._blocks_of_word`).  O(len(word) + n) before the
-    row test of `is_blobbed`; a malformed word raises ValueError.
+    the word (`normal_forms._blocks_of_word`) and no check of the blocks
+    (`grids._is_blobbed`).  O(len(word) + n) before the row test of
+    `is_blobbed`; a malformed word raises ValueError.
     """
     return _heap_redex(level, n, word) is None
 
@@ -572,49 +563,6 @@ class AlgebraElement:
             for basis, coeff in sorted(self.terms.items(), key=lambda kv: kv[0].word)
         )
         return f"AlgebraElement({body})"
-
-
-# ---------------------------------------------------------------------------
-# quotient identities
-
-
-def quotient_image_check(n: int, word: Letters) -> bool:
-    """
-    Check that a basis monomial of one level that leaves the index set of
-    the next reduces there to the predicted multiple of its shortening
-    image.  One `heap_state` of the word fixes the step.  A word with a
-    boundary triple goes from TL into the two-boundary quotient, as `bar` of
-    a non-left-positive FC element (times kL, or kL kR in its one flagged
-    case) or `tilde` of a left- but not right-positive one (times kR).  A
-    positive word goes from the two-boundary into the blob quotient, as
-    `grids.oblique_shortening_word`, which refuses a blobbed one: one I J
-    alternation fewer, times k.  `normal_form_of_word` refuses any other
-    word, one that is not reduced FC, with ValueError.
-
-    >>> quotient_image_check(2, (1, 0, 1))  # TL -> two-boundary, times kL
-    True
-    >>> quotient_image_check(2, (1, 2, 0, 1))  # two-boundary -> blob, times k
-    True
-    """
-    word = check_word(n, word)
-    state = heap_state(n, word)
-    if state == HeapState.POSITIVE:
-        level = AlgebraLevel.SYMPLECTIC_BLOB
-        image_word = oblique_shortening_word(n, blocks_of_word(n, word))
-        factor = K
-    else:
-        level = AlgebraLevel.TWO_BOUNDARY
-        nf = normal_form_of_word(n, word)
-        if state == HeapState.LEFT_TRIPLE:
-            image, needs_kr = bar(n, nf)
-            factor = KL * KR if needs_kr else KL
-        else:
-            image = tilde(n, nf)
-            factor = KR
-        image_word = word_of_normal_form(n, image)
-    lhs_scalar, lhs_word = reduce_word(level, n, word)
-    rhs_scalar, rhs_word = reduce_word(level, n, image_word)
-    return lhs_word == rhs_word and lhs_scalar == factor * rhs_scalar
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,11 @@ def obliques(n: int, blocks: Blocks) -> tuple[Letters, ...]:
     >>> obliques(2, iji_blocks(2))
     ((1,), (0, 2), (1,))
     """
-    check_blocks(n, blocks)
+    return _obliques(check_blocks(n, blocks))
+
+
+def _obliques(blocks: Blocks) -> tuple[Letters, ...]:
+    """`obliques` of blocks known to be valid."""
     groups: dict[int, list[int]] = {}
     for i, (l, r) in enumerate(blocks, start=1):
         for j in range(l, r + 1):
@@ -91,7 +95,11 @@ def _contains(blocks: Blocks, pattern: Blocks) -> bool:
 
 def is_blobbed(n: int, blocks: Blocks) -> bool:
     """A positive element avoiding both alternating boundary patterns."""
-    check_blocks(n, blocks)
+    return _is_blobbed(n, check_blocks(n, blocks))
+
+
+def _is_blobbed(n: int, blocks: Blocks) -> bool:
+    """`is_blobbed` of blocks known to be valid."""
     return not _contains(blocks, iji_blocks(n)) and not _contains(blocks, jij_blocks(n))
 
 
@@ -114,7 +122,7 @@ def oblique_shortening_word(n: int, blocks: Blocks) -> Letters:
 
 def _oblique_shortening_word(n: int, blocks: Blocks) -> Letters:
     """`oblique_shortening_word` of blocks known to be valid and not blobbed."""
-    sweep = obliques(n, blocks)
+    sweep = _obliques(blocks)
     ij = (i_word(n), j_word(n))
     a = next((p for p in range(len(sweep) - 1) if sweep[p : p + 2] == ij), None)
     if a is None:

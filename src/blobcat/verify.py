@@ -22,9 +22,9 @@ from math import comb
 from typing import Callable, Sequence
 
 from . import enumeration, grids, normal_forms, tables, triangles
-from .algebra import KL, KR, AlgebraLevel, in_index_set, quotient_image_check, reduce_word
+from .algebra import K, KL, KR, AlgebraLevel, Scalar, in_index_set, reduce_word
 from .algebra import sb_basis, structure_constants
-from .words import Letters
+from .words import HeapState, Letters, heap_state
 
 CONFLUENCE_SEED = 20240817
 CONFLUENCE_RANKS = (2, 3, 4)
@@ -264,12 +264,55 @@ BOUNDARY_IDENTITIES = (
 )
 
 
+def _holds(level: AlgebraLevel, n: int, word: Letters, image: Letters, factor: Scalar) -> bool:
+    """Does `word` reduce at the level to `factor` times what `image` reduces to?"""
+    (lhs_scalar, lhs), (rhs_scalar, rhs) = reduce_word(level, n, word), reduce_word(level, n, image)
+    return lhs == rhs and lhs_scalar == factor * rhs_scalar
+
+
+def boundary_image_holds(n: int, nf: normal_forms.NormalForm, state: HeapState) -> bool:
+    """
+    TL -> 2B: the word of a non-positive FC element reduces in the
+    two-boundary quotient to the predicted multiple of its image.  `state`,
+    the `heap_state` of the word, picks the image: `bar` of a LEFT_TRIPLE
+    element, times kL (kL kR in its one flagged case), or `tilde` of a
+    RIGHT_TRIPLE one, times kR; each raises ValueError on any other form.
+
+    >>> nf = normal_forms.normal_form_of_word(2, (1, 0, 1))
+    >>> boundary_image_holds(2, nf, HeapState.LEFT_TRIPLE)  # times kL
+    True
+    """
+    if state == HeapState.LEFT_TRIPLE:
+        image, needs_kr = normal_forms.bar(n, nf)
+        factor = KL * KR if needs_kr else KL
+    else:
+        image, factor = normal_forms.tilde(n, nf), KR
+    word = normal_forms._word_of_normal_form(n, nf)
+    image_word = normal_forms.word_of_normal_form(n, image)
+    return _holds(AlgebraLevel.TWO_BOUNDARY, n, word, image_word, factor)
+
+
+def blob_image_holds(n: int, blocks: normal_forms.Blocks) -> bool:
+    """
+    2B -> SB: the word of a positive, non-blobbed element reduces in the
+    blob quotient to k times `grids.oblique_shortening_word` of its rigid
+    blocks, one I J alternation fewer, which refuses a blobbed element
+    with ValueError.
+
+    >>> blob_image_holds(2, normal_forms.blocks_of_word(2, (1, 2, 0, 1)))  # times k
+    True
+    """
+    image = grids.oblique_shortening_word(n, blocks)
+    return _holds(AlgebraLevel.SYMPLECTIC_BLOB, n, normal_forms.block_word(blocks), image, K)
+
+
 def check_quotient_identities(max_n: int | None = None) -> Check:
     """
-    Both shortening steps at ranks 2..min(max_n, 3), affine lengths 0..2:
-    TL -> 2B on every non-positive element, 2B -> SB on every non-blobbed
-    positive one (rank 1 is left out: its block words are not all positive),
-    and the boundary identities at ranks up to max_n.
+    Both shortening steps at ranks 2..min(max_n, 3), affine lengths 0..2,
+    on each element as enumerated: TL -> 2B on every non-positive one
+    (`boundary_image_holds`), 2B -> SB on every non-blobbed positive one
+    (`blob_image_holds`; rank 1 is left out: its block words are not all
+    positive), and the boundary identities at ranks up to max_n.
 
     The 2B -> SB half would be circular on a word where the kernel itself
     takes the blob step (a positive word whose first blob redex lies past
@@ -285,14 +328,13 @@ def check_quotient_identities(max_n: int | None = None) -> Check:
         for s in range(0, 3):
             for nf in normal_forms.iter_fc_forms(n, s):
                 word = normal_forms._word_of_normal_form(n, nf)
-                if not in_index_set(TB, n, word):
-                    into_tb.append((n, word))
+                if (state := heap_state(n, word)) != HeapState.POSITIVE:
+                    into_tb.append((n, word, boundary_image_holds(n, nf, state)))
             for blocks in enumeration.iter_positive_blocks(n, s):
                 if not grids.is_blobbed(n, blocks):
-                    into_sb.append((n, normal_forms.block_word(blocks)))
-    mismatches = [
-        f"n={n} {word}" for n, word in into_tb + into_sb if not quotient_image_check(n, word)
-    ]
+                    word = normal_forms.block_word(blocks)
+                    into_sb.append((n, word, blob_image_holds(n, blocks)))
+    mismatches = [f"n={n} {word}" for n, word, holds in into_tb + into_sb if not holds]
     identities = [(n, word, want) for n, word, want in BOUNDARY_IDENTITIES if n in ranks]
     for n, word, want in identities:
         got = reduce_word(TB, n, word)

@@ -13,9 +13,10 @@ the blob step `grids.oblique_shortening_word` shortcuts, the rewriting
 kernel as a plain class walk that never reads the heap, and TL and
 two-boundary reduction as a loop of the kernel's own steps, which the
 heap-scan fold replaced, the wing counts an entry at a time, which the
-counts read as whole runs, and the dimension polynomial off three
+counts read as whole runs, the dimension polynomial off three
 convolutions of the wing complements, which `blob_polynomial` reads off two
-squarings.
+squarings, and the quotient-image check of one word, read back into the
+normal form or rigid blocks that `verify` checks as enumerated.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import cache, lru_cache
 from itertools import chain, product
 from typing import Iterator
 
-from blobcat import algebra, grids
+from blobcat import algebra, grids, verify
 from blobcat.algebra import AlgebraLevel, Rule, Scalar, rewrite_rules
 from blobcat.enumeration import _blobbed, _exact_half, _wings
 from blobcat.normal_forms import (
@@ -38,8 +39,10 @@ from blobcat.normal_forms import (
     NormalForm,
     SecondType,
     _word_of_normal_form,
+    blocks_of_word,
     check_blocks,
     fc_forms,
+    normal_form_of_word,
 )
 from blobcat.triangles import blobbed_entry, blobbed_run
 from blobcat.words import (
@@ -430,6 +433,22 @@ def normal_form_by_lookup(n: int, word: Letters) -> NormalForm:
     if nf is None:
         raise ValueError(f"no normal form matches {word} (is it reduced and FC?)")
     return nf
+
+
+def quotient_image_check(n: int, word: Letters) -> bool:
+    """
+    The quotient-image identity of one word, whose heap state picks the
+    step: a word with a boundary triple goes TL -> 2B through its normal
+    form (`verify.boundary_image_holds`), a positive one 2B -> SB through
+    its rigid blocks (`verify.blob_image_holds`), which refuses a blobbed
+    one.  `normal_form_of_word` refuses any other word, one that is not
+    reduced FC, with ValueError.
+    """
+    word = check_word(n, word)
+    state = heap_state(n, word)
+    if state == HeapState.POSITIVE:
+        return verify.blob_image_holds(n, blocks_of_word(n, word))
+    return verify.boundary_image_holds(n, normal_form_of_word(n, word), state)
 
 
 # ---------------------------------------------------------------------------

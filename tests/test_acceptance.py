@@ -411,3 +411,18 @@ def test_blob_step_matches_the_class_walk():
 def test_criterion_9_blob_closure():
     # bases of 5, 19 and 84 elements: tables of 25 + 361 + 7056 products
     accept("criterion 9 blob closure", 120.0, [7442], verify.check_blob_closure)
+
+
+# sha256 of the whole stdout of `blobcat verify`, every suite at its default
+# ranges; CI's "Verification suites" step pins the same hash
+VERIFY_STDOUT_SHA256 = "3d702d506059e52915714f3a3b95428677d3bb7ae51ab08c0461e8a3f44e6426"
+
+
+def test_verify_stdout_is_pinned(capsys):
+    # the suites as `run_suites` assembles them, the oracle suite too, with
+    # every case count and detail line byte for byte
+    budget = Budget("blobcat verify, every suite", 20.0)
+    assert main(["verify"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_SHA256
+    budget.done(f"{len(out.splitlines())} lines")

@@ -20,7 +20,6 @@ from blobcat.algebra import (
     Scalar,
     in_index_set,
     multiply,
-    quotient_image_check,
     reduce_word,
     rewrite_rules,
     sb_basis,
@@ -34,6 +33,7 @@ from oracles import (
     exhaustive_words,
     grown_fc_word,
     loop_reduce,
+    quotient_image_check,
     rewrite_at,
     walk_redex,
 )
@@ -80,6 +80,8 @@ def test_scalar_text_form():
     assert str(Scalar.integer(2) * DL) == "2*dL"
     assert str(Scalar.integer(-1) * KR) == "-kR"
     assert str(D + KL) == "kL + d"  # terms sort by exponent vector
+    assert repr(D + KL) == "Scalar(kL + d)"
+    assert repr(Scalar.zero()) == "Scalar(0)"
 
 
 def test_scalar_substitution():
@@ -738,7 +740,6 @@ def test_queries_at_rank_12_use_no_normal_forms(monkeypatch, capsys):
 
     monkeypatch.setattr(nfm, "fc_forms", refuse)
     monkeypatch.setattr(nfm, "normal_form_of_word", refuse)
-    monkeypatch.setattr(algebra, "normal_form_of_word", refuse)
     n = 12
     basis = (11, 12, 9, 10, 11, 7, 8, 9, 0, 1, 2, 3)
     iji = nfm.block_word(grids.iji_blocks(n))
@@ -795,26 +796,51 @@ def test_deep_blob_redex_is_found_in_few_members(monkeypatch):
 
 
 def test_blob_step_tests_the_blocks_once(monkeypatch):
-    # the heap reading finds the rigid blocks valid and not blobbed, and the
-    # blob step drops the alternation from them as they are, with no second
-    # `is_blobbed`; the public `oblique_shortening_word` still checks, and
+    # the heap reading finds the rigid blocks not blobbed, and the blob step
+    # drops the alternation from them as they are, with no second
+    # `_is_blobbed`; the public `oblique_shortening_word` still tests, and
     # refuses a blobbed element
     n = 4
     word = nfm.block_word(grids.iji_blocks(n))
     grids.jij_blocks(n)
-    calls, blobbed = [], grids.is_blobbed
+    calls, blobbed = [], grids._is_blobbed
 
     def counting(n, blocks):
         calls.append(blocks)
         return blobbed(n, blocks)
 
-    monkeypatch.setattr(grids, "is_blobbed", counting)
-    monkeypatch.setattr(algebra, "is_blobbed", counting)
+    monkeypatch.setattr(grids, "_is_blobbed", counting)
+    monkeypatch.setattr(algebra, "_is_blobbed", counting)
     assert _kernel_step(SB, n, word) == ((1, 3), K)
     assert calls == [grids.iji_blocks(n)]
     with pytest.raises(ValueError, match="blobbed"):
         grids.oblique_shortening_word(n, ())
     assert calls == [grids.iji_blocks(n), ()]
+
+
+def test_blob_path_checks_no_rigid_blocks(monkeypatch):
+    # the blocks that a positive word's heap reading builds are valid, so
+    # neither the blob step nor an index-set query checks them again; the
+    # public `is_blobbed` and `oblique_shortening_word` still do
+    n = 4
+    word = nfm.block_word(grids.iji_blocks(n))
+    grids.jij_blocks(n)
+    calls, check = [], nfm.check_blocks
+
+    def counting(n, blocks):
+        calls.append(blocks)
+        return check(n, blocks)
+
+    monkeypatch.setattr(nfm, "check_blocks", counting)
+    monkeypatch.setattr(grids, "check_blocks", counting)
+    assert _kernel_step(SB, n, word) == ((1, 3), K)
+    assert calls == []
+    assert in_index_set(SB, n, (0, 1, 2))
+    assert calls == []
+    assert grids.oblique_shortening_word(n, grids.iji_blocks(n)) == (1, 3)
+    assert calls == [grids.iji_blocks(n)]
+    assert not grids.is_blobbed(n, grids.iji_blocks(n))
+    assert calls == [grids.iji_blocks(n)] * 2
 
 
 def test_each_redex_search_draws_at_most_word_length_members(monkeypatch):
@@ -976,6 +1002,25 @@ def test_algebra_element_linearity():
     assert z == AlgebraElement(SB, 2, {BasisElement(SB, 2, (1,)): D})
 
 
+def test_algebra_element_text_form():
+    total = AlgebraElement.from_word(SB, 2, (1, 0, 2, 1)) + AlgebraElement.from_word(SB, 2, (0,))
+    assert repr(total) == "AlgebraElement((1)*b[0] + (k)*b[1])"  # terms sort by word
+    assert repr(AlgebraElement(SB, 2)) == "AlgebraElement(0)"
+
+
+@pytest.mark.parametrize("level, n", [(TL, 2), (SB, 3)])
+def test_algebra_element_rejects_mixed_algebras(level, n):
+    # a term, a summand or a factor of another level or rank than the element's
+    x = AlgebraElement.from_word(SB, 2, (1,))
+    with pytest.raises(ValueError, match="mixed"):
+        AlgebraElement(SB, 2, {BasisElement(level, n, (1,)): Scalar.one()})
+    other = AlgebraElement.from_word(level, n, (1,))
+    with pytest.raises(ValueError, match="add"):
+        x + other
+    with pytest.raises(ValueError, match="multiply"):
+        x * other
+
+
 def test_algebra_element_associativity_spot():
     rng = random.Random(77)
     basis = [BasisElement(SB, 2, w) for w in sb_basis(2)]
@@ -1009,14 +1054,17 @@ def test_quotient_image_preconditions():
 
 
 def test_quotient_sweep_small():
-    for n in (2, 3):
-        for s in range(0, 3):
+    # ranks 2 and 3 at affine lengths 0-2, as `verify` checks them, and
+    # ranks 4 and 5 at affine lengths 0-3
+    ranges = [(n, range(0, 3)) for n in (2, 3)] + [(n, range(0, 4)) for n in (4, 5)]
+    for n, lengths in ranges:
+        for s in lengths:
             for f in nfm.fc_forms(n, s):
                 word = nfm.word_of_normal_form(n, f)
                 if not nfm.is_positive(n, f):
                     assert quotient_image_check(n, word), (n, s, f)
-    for n in (2, 3):
-        for s in range(0, 3):
+    for n, lengths in ranges:
+        for s in lengths:
             for blocks in enumeration.iter_positive_blocks(n, s):
                 if not grids.is_blobbed(n, blocks):
                     word = nfm.block_word(blocks)

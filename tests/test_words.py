@@ -362,6 +362,13 @@ def test_same_element_matches_class_membership():
         assert same_element(n, word, other) == (other in cls)
 
 
+def test_same_element_rejects_other_letters():
+    # the projections are compared only for words of one length and letters
+    assert not same_element(2, (0, 1), (0,))
+    assert not same_element(2, (0, 1), (0, 2))
+    assert not same_element(2, (0, 1), (1, 1))
+
+
 def test_contains_pattern_examples():
     assert contains_pattern(2, (1, 0, 1, 2), (1, 0, 1)) is True
     assert contains_pattern(2, (), (0,)) is False
