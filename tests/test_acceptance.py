@@ -21,6 +21,14 @@ from blobcat.cli import main
 from blobcat.words import HeapState, canonical_word, heap_state, is_reduced_fc
 
 from oracles import walk_reduce
+from pins import (
+    LONG_BLOB_WORD_LINE,
+    SEEDED_3200_LETTERS_SHA256,
+    SEEDED_RANK_16_100K_SHA256,
+    VERIFY_STDOUT_SHA256,
+    class_shuffle,
+    seeded_word,
+)
 
 SB = AlgebraLevel.SYMPLECTIC_BLOB
 TB = AlgebraLevel.TWO_BOUNDARY
@@ -147,16 +155,6 @@ def _fc_products(n, s):
     return [words[p] + words[p + 1] for p in range(0, len(words), 2)]
 
 
-def _class_shuffle(rng, word):
-    """A seeded random walk of commuting swaps: another member of the class."""
-    word = list(word)
-    for _ in range(4 * len(word)):
-        p = rng.randrange(len(word) - 1)
-        if abs(word[p] - word[p + 1]) > 1:
-            word[p], word[p + 1] = word[p + 1], word[p]
-    return tuple(word)
-
-
 # sha256 of the outputs of test_deep_tl_and_boundary_redexes_at_ranks_10_and_12
 DEEP_REDEX_PRODUCTS_SHA256 = "f51a14e7916e055ec23bc50a6ef4a17c11c68436db099f58368b326de6e5632c"
 
@@ -182,7 +180,7 @@ def test_deep_tl_and_boundary_redexes_at_ranks_10_and_12():
         lengths = sorted(map(len, words))
         budget.done(f"{len(words)} products of {lengths[0]}-{lengths[-1]} letters")
         for word, output in zip(words, outputs):
-            assert reduce_word(level, n, _class_shuffle(rng, word)) == output, (level, n, word)
+            assert reduce_word(level, n, class_shuffle(rng, word)) == output, (level, n, word)
             cut = rng.randrange(1, len(word))
             assert verify._cut_mismatch(level, n, word, (cut,)) is None, (level, n, word, cut)
             records.append([level.name, n, str(output[0]), list(output[1])])
@@ -238,7 +236,7 @@ def test_rigid_blocks_round_trip_through_a_class_member():
                 if heap_state(n, word) != HeapState.POSITIVE:
                     skipped.append((n, blocks))
                     continue
-                word = _class_shuffle(rng, word) if len(word) > 1 else word
+                word = class_shuffle(rng, word)
                 assert normal_forms.blocks_of_word(n, word) == blocks, (n, word)
                 assert in_index_set(SB, n, word) == grids.is_blobbed(n, blocks), (n, word)
                 assert in_index_set(TB, n, word), (n, word)
@@ -270,22 +268,12 @@ def test_basis_word_takes_no_class_walk():
     budget.done(f"{len(word)} letters at TL and 2B")
 
 
-def _seeded_word(n, length):
-    rng = random.Random(n)
-    return tuple(rng.randint(0, n) for _ in range(length))
-
-
-# what `blobcat reduce --n 2 --level sb` prints for the 20,000-letter word
-# _seeded_word(2, 20_000); CI builds the same word and compares the line
-LONG_BLOB_WORD_LINE = "d^2231*dL^3289*dR^3269*kL^1164*kR^1147*k^2195 * [0,1,0,2]"
-
-
 def test_long_blob_words_reduce_past_the_recursion_limit():
     # The blob level folds a word through its generator action, one table
     # lookup per letter; the whole-word rewrite recursed once per rewrite
     # and raised RecursionError on both words.  The two folds take about
     # 0.08 s on a 2-vCPU VM.
-    words = {2: _seeded_word(2, 20_000), 8: _seeded_word(8, 5_000)}
+    words = {2: seeded_word(2, 20_000), 8: seeded_word(8, 5_000)}
     budget = Budget("20,000 letters at rank 2 and 5,000 at rank 8, blob level", 1.0)
     outputs = {n: reduce_word(SB, n, word) for n, word in words.items()}
     budget.done("two words")
@@ -316,7 +304,7 @@ def test_long_two_boundary_word_reduces_at_rank_64():
     # 800 random letters at rank 64 need more rewrites than the default
     # recursion limit would allow a recursive rewrite; the loop of kernel
     # steps took about 2 s on a 2-vCPU VM, the heap scan takes milliseconds
-    n, word = 64, _seeded_word(64, 800)
+    n, word = 64, seeded_word(64, 800)
     budget = Budget("an 800-letter word at rank 64, two-boundary level", 8.0)
     scalar, out = reduce_word(TB, n, word)
     budget.done(f"{len(word)} letters to {len(out)}")
@@ -327,20 +315,12 @@ def test_long_two_boundary_word_reduces_at_rank_64():
     assert (head_scalar * tail_scalar, tail) == (scalar, out)
 
 
-# sha256 of what `blobcat reduce --n 64` prints at TL and at 2B (the same
-# line) for the 3,200-letter word _seeded_word(64, 3_200), recorded from the
-# loop of kernel steps (oracles.loop_reduce), which took 160 s per level on
-# a 2-vCPU VM and had not finished the 10,000-letter word at TL after 10
-# min; CI builds the same words and compares
-SEEDED_3200_LETTERS_SHA256 = "71b3436c32e2ec61dc2d4933a1443c21b11d53301b89d1e591927fe7a8a299a5"
-
-
 def test_ten_thousand_letters_reduce_at_rank_64():
     # The heap scan reads each letter once, and a rewrite that drops a
     # piece inside the word read so far reads again only what followed it:
     # about 0.03 s per level on a 2-vCPU VM, where the loop of kernel steps
     # took 1.5-1.8 s on the first 800 letters
-    n, word = 64, _seeded_word(64, 10_000)
+    n, word = 64, seeded_word(64, 10_000)
     for level in (AlgebraLevel.TL, TB):
         budget = Budget(f"10,000 letters at rank 64, {level.name}", 1.0)
         scalar, out = reduce_word(level, n, word)
@@ -356,20 +336,12 @@ def test_ten_thousand_letters_reduce_at_rank_64():
         assert hashlib.sha256(line.encode()).hexdigest() == SEEDED_3200_LETTERS_SHA256, level
 
 
-# sha256 of the line that `blobcat reduce --n 16` would print at TL and at 2B (the
-# same line) for the 100,000-letter word _seeded_word(16, 100_000), recorded
-# from the fold on a run buffer that this two-stack fold replaced; CI builds
-# the same word and compares, through the library, since the word's 241 KB
-# of text is more than one argument may hold
-SEEDED_RANK_16_100K_SHA256 = "0848b906bdf5908854f5e2d2e469b35b3049c724f6703db53fcc583f7d85ffa5"
-
-
 def test_hundred_thousand_letters_reduce_at_rank_16():
     # The fold keeps the letters read and the letters to come on two stacks,
     # so a rewrite changes only their tops: 0.13-0.30 s per level on a 2-vCPU
     # VM, where the run buffer, which deleted inside its list and copied its
     # tail on every read, took 0.34-0.70 s
-    n, word = 16, _seeded_word(16, 100_000)
+    n, word = 16, seeded_word(16, 100_000)
     for level in (AlgebraLevel.TL, TB):
         budget = Budget(f"100,000 letters at rank 16, {level.name}", 1.0)
         scalar, out = reduce_word(level, n, word)
@@ -411,11 +383,6 @@ def test_blob_step_matches_the_class_walk():
 def test_criterion_9_blob_closure():
     # bases of 5, 19 and 84 elements: tables of 25 + 361 + 7056 products
     accept("criterion 9 blob closure", 120.0, [7442], verify.check_blob_closure)
-
-
-# sha256 of the whole stdout of `blobcat verify`, every suite at its default
-# ranges; CI's "Verification suites" step pins the same hash
-VERIFY_STDOUT_SHA256 = "3d702d506059e52915714f3a3b95428677d3bb7ae51ab08c0461e8a3f44e6426"
 
 
 def test_verify_stdout_is_pinned(capsys):

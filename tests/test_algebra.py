@@ -37,6 +37,7 @@ from oracles import (
     rewrite_at,
     walk_redex,
 )
+from pins import DEEP_TL_WORD
 
 TL = AlgebraLevel.TL
 TB = AlgebraLevel.TWO_BOUNDARY
@@ -774,13 +775,8 @@ def _spy_on_class_walk(monkeypatch):
 
 
 # the deep rank-8 word of the README, and the 97-letter rank-10 TL product
-# that CI reduces
 DEEP_RANK_8 = (2, 1, 0, 3, 2, 1, 0, 5, 4, 3, 7, 6, 5, 8, 7)
-DEEP_RANK_10 = parse_word(
-    "0,1,2,3,4,5,6,7,8,9,10,0,1,2,3,4,5,6,7,8,9,10,0,1,2,3,4,5,6,7,8,9,10,0,1,2,3,4,5,0,"
-    "3,4,5,6,7,8,9,10,2,3,4,5,6,7,8,9,10,0,1,2,3,4,5,6,7,8,9,10,0,1,2,3,4,5,6,7,8,9,"
-    "0,1,2,3,4,5,6,7,8,0,1,2,3,4,0,1,2,3,0"
-)
+DEEP_RANK_10 = parse_word(DEEP_TL_WORD)
 
 
 def test_deep_blob_redex_is_found_in_few_members(monkeypatch):

@@ -19,17 +19,12 @@ from blobcat.cli import main
 from blobcat.normal_forms import format_blocks
 from blobcat.triangles import blobbed_entry
 
-
-# also a CI step: the product of two rank-10 FC normal forms, and its reduction
-DEEP_TL_WORD = (
-    "0,1,2,3,4,5,6,7,8,9,10,0,1,2,3,4,5,6,7,8,9,10,0,1,2,3,4,5,6,7,8,9,10,0,1,2,3,4,5,"
-    "0,3,4,5,6,7,8,9,10,2,3,4,5,6,7,8,9,10,0,1,2,3,4,5,6,7,8,9,10,0,1,2,3,4,5,6,7,8,9,"
-    "0,1,2,3,4,5,6,7,8,0,1,2,3,4,0,1,2,3,0"
-)
-DEEP_TL_REDUCED = (
-    "dL*kR * [0,1,0,2,1,0,3,2,1,0,4,3,2,1,0,5,4,3,2,1,0,6,5,4,3,2,1,0,7,6,5,4,3,2,1,0,"
-    "8,7,6,5,4,3,2,1,0,9,8,7,6,5,4,3,2,1,0,10,9,8,7,6,5,4,3,2,10,9,8,7,6,5,4,3,10,9,8,7,"
-    "6,10,9,8,7,10,9,8]"
+from pins import (
+    COUNT_PAST_DIGIT_LIMIT_SHA256,
+    DEEP_TL_REDUCED,
+    DEEP_TL_WORD,
+    ENUMERATE_DEEP_SHA256,
+    REPEATED_LETTER_LINE,
 )
 
 
@@ -75,7 +70,7 @@ def test_reduce_at_the_blob_level_takes_any_length(capsys):
     word = ",".join(["1"] * 3000)
     code, out, err = run(capsys, "reduce", "--n", "2", "--level", "sb", "--word", word)
     assert code == 0 and err == ""
-    assert out == "d^2999 * [1]\n"
+    assert out == REPEATED_LETTER_LINE + "\n"
 
 
 def test_reduce_at_the_tl_and_2b_levels_takes_any_length(capsys):
@@ -85,13 +80,7 @@ def test_reduce_at_the_tl_and_2b_levels_takes_any_length(capsys):
     for level in ("tl", "2btl"):
         code, out, err = run(capsys, "reduce", "--n", "2", "--level", level, "--word", word)
         assert (code, err) == (0, ""), level
-        assert out == "d^2999 * [1]\n", level
-
-
-# sha256 of `enumerate --n 1200 --s 0 --limit 1100`, 7,920,268 bytes,
-# recorded from the recursive bracket DFS with the recursion limit at 5,000;
-# also a CI step
-ENUMERATE_DEEP_SHA256 = "1a9b6a0b5e7d69394b60843417b6c903c6c185f3a6cc5dc7340c8ab930ec6571"
+        assert out == REPEATED_LETTER_LINE + "\n", level
 
 
 def test_enumerate_lists_forms_of_any_bracket_count(capsys):
@@ -242,7 +231,7 @@ DIM_SHA256 = "ac369d4d2039b9cce59d57c4fa534450a97e9d8542256a0f34f69f40fdc4f1fb"
 # sha256 of the stdout of `dim --n N`, and of `count --n 512 --s S --which W`:
 # N = 128, 256, 512 and the counts recorded before blob_polynomial read every
 # d(s) off one pair of wing sequences, N = 1000 before it read them off the
-# convolutions of the wing complements (a CI step pins N = 2000 the same way)
+# convolutions of the wing complements
 DIM_LARGE_SHA256 = {
     128: "5bdabecaf4a14b2bb34cc38baed144f6047f11142b46b1b924c947d7444ce0c3",
     256: "46bfb168457be645280c184c96de8410fe8729265d8f571b6e691f67fbb32c9a",
@@ -293,13 +282,9 @@ def test_count_output_is_pinned_at_rank_512(capsys, which, s):
     assert hashlib.sha256(out.encode()).hexdigest() == COUNT_512_SHA256[which, s]
 
 
-# sha256 of `count --n 7200 --s 3600 --which a`: 4,335 digits, past the
-# 4,300-digit int-to-str limit of Python 3.10.7+; recorded from a_count with
-# the limit lifted, and equal to blobbed_closed(14400, 7200) (also a CI step)
-COUNT_PAST_DIGIT_LIMIT_SHA256 = "f6b360ec59d6ee621bb73392411f5a3f19b165d73cdabaa3f70a7232c2c4896a"
-
-
 def test_count_prints_past_the_digit_limit(capsys):
+    # 4,335 digits, past the 4,300-digit int-to-str limit of Python 3.10.7+;
+    # the process's own limit is left as it was
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     code, out, err = run(capsys, "count", "--n", "7200", "--s", "3600", "--which", "a")
     assert (code, err) == (0, "")
