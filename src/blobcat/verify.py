@@ -306,12 +306,36 @@ def blob_image_holds(n: int, blocks: normal_forms.Blocks) -> bool:
     return _holds(AlgebraLevel.SYMPLECTIC_BLOB, n, normal_forms.block_word(blocks), image, K)
 
 
+def _quotient_sweep(n: int, lengths: range) -> tuple[int, int, list[Letters]]:
+    """
+    Both shortening steps at rank n and the given affine lengths, on each
+    element as enumerated: TL -> 2B on every non-positive FC form, spelled
+    through the checked `word_of_normal_form` (`boundary_image_holds`), and
+    2B -> SB on every non-blobbed positive block list (`blob_image_holds`).
+    Returns how many elements each step checked and the words on which an
+    identity fails.
+    """
+    into_tb = into_sb = 0
+    failed = []
+    for s in lengths:
+        for nf in normal_forms.iter_fc_forms(n, s):
+            word = normal_forms.word_of_normal_form(n, nf)
+            if (state := heap_state(n, word)) != HeapState.POSITIVE:
+                into_tb += 1
+                if not boundary_image_holds(n, nf, state):
+                    failed.append(word)
+        for blocks in enumeration.iter_positive_blocks(n, s):
+            if not grids.is_blobbed(n, blocks):
+                into_sb += 1
+                if not blob_image_holds(n, blocks):
+                    failed.append(normal_forms.block_word(blocks))
+    return into_tb, into_sb, failed
+
+
 def check_quotient_identities(max_n: int | None = None) -> Check:
     """
-    Both shortening steps at ranks 2..min(max_n, 3), affine lengths 0..2,
-    on each element as enumerated: TL -> 2B on every non-positive one
-    (`boundary_image_holds`), 2B -> SB on every non-blobbed positive one
-    (`blob_image_holds`; rank 1 is left out: its block words are not all
+    Both shortening steps (`_quotient_sweep`) at ranks 2..min(max_n, 3),
+    affine lengths 0..2 (rank 1 is left out: its block words are not all
     positive), and the boundary identities at ranks up to max_n.
 
     The 2B -> SB half would be circular on a word where the kernel itself
@@ -323,18 +347,12 @@ def check_quotient_identities(max_n: int | None = None) -> Check:
     """
     TB = AlgebraLevel.TWO_BOUNDARY
     ranks = range(1, 4)[:max_n]
-    into_tb, into_sb = [], []
+    into_tb = into_sb = 0
+    mismatches = []
     for n in ranks[1:]:
-        for s in range(0, 3):
-            for nf in normal_forms.iter_fc_forms(n, s):
-                word = normal_forms._word_of_normal_form(n, nf)
-                if (state := heap_state(n, word)) != HeapState.POSITIVE:
-                    into_tb.append((n, word, boundary_image_holds(n, nf, state)))
-            for blocks in enumeration.iter_positive_blocks(n, s):
-                if not grids.is_blobbed(n, blocks):
-                    word = normal_forms.block_word(blocks)
-                    into_sb.append((n, word, blob_image_holds(n, blocks)))
-    mismatches = [f"n={n} {word}" for n, word, holds in into_tb + into_sb if not holds]
+        tb, sb, failed = _quotient_sweep(n, range(3))
+        into_tb, into_sb = into_tb + tb, into_sb + sb
+        mismatches += [f"n={n} {word}" for word in failed]
     identities = [(n, word, want) for n, word, want in BOUNDARY_IDENTITIES if n in ranks]
     for n, word, want in identities:
         got = reduce_word(TB, n, word)
@@ -342,10 +360,10 @@ def check_quotient_identities(max_n: int | None = None) -> Check:
             mismatches.append(f"n={n} {word} -> {got}, want {want}")
     fixed = len(identities)
     detail = (
-        f"{len(into_tb)} TL->2B and {len(into_sb)} 2B->SB elements"
+        f"{into_tb} TL->2B and {into_sb} 2B->SB elements"
         f" plus {fixed} boundary identities"
     )
-    cases = len(into_tb) + len(into_sb) + fixed
+    cases = into_tb + into_sb + fixed
     return _check("algebra:quotient-identities", mismatches, cases, detail)
 
 

@@ -12,8 +12,8 @@ whose value is a line compares it with the output less its final newline.
 A pin that runs `blobcat ARGS` calls `blobcat.cli.main` with the same
 argv, captures its stdout and requires exit status 0.  A pin with two
 outputs, one per level, holds both to the same value.  The tests import
-the values they share with a pin from here, with the seeded words and the
-class shuffle.
+the values they share with a pin from here, with the seeded words, the
+reduce line and the rigid-block round trip.
 """
 
 from __future__ import annotations
@@ -28,17 +28,11 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from blobcat import cli
-from blobcat.algebra import AlgebraLevel, in_index_set, reduce_word, sb_basis
+from blobcat.algebra import AlgebraLevel, Scalar, in_index_set, reduce_word, sb_basis
 from blobcat.enumeration import iter_positive_blocks
 from blobcat.grids import is_blobbed
-from blobcat.normal_forms import (
-    block_word,
-    blocks_of_word,
-    format_blocks,
-    iter_fc_forms,
-    word_of_normal_form,
-)
-from blobcat.verify import blob_image_holds, boundary_image_holds
+from blobcat.normal_forms import Blocks, block_word, blocks_of_word, format_blocks
+from blobcat.verify import _quotient_sweep
 from blobcat.words import HeapState, Letters, format_word, heap_state
 
 
@@ -96,6 +90,35 @@ def class_shuffle(rng: random.Random, word: Letters) -> Letters:
     return tuple(word)
 
 
+def rigid_block_round_trip(
+    rng: random.Random, n: int, blocks: Blocks
+) -> tuple[Letters, bool] | None:
+    """
+    A class_shuffle of the word of `blocks` drawn from `rng`, and whether it
+    is blobbed, once its blocks read back as `blocks` and the index sets at
+    SB and 2B answer as that blobbedness implies; Mismatch if not.  None,
+    with no draw, if the list spells no positive element.
+    """
+    word = block_word(blocks)
+    if heap_state(n, word) != HeapState.POSITIVE:
+        return None
+    word = class_shuffle(rng, word)
+    blobbed = in_index_set(AlgebraLevel.SYMPLECTIC_BLOB, n, word)
+    if (
+        blocks_of_word(n, word) != blocks
+        or blobbed != is_blobbed(n, blocks)
+        or not in_index_set(AlgebraLevel.TWO_BOUNDARY, n, word)
+    ):
+        raise Mismatch(f"the rank-{n} word {format_word(word)} reads back wrong")
+    return word, blobbed
+
+
+def reduce_line(output: tuple[Scalar, Letters]) -> str:
+    """The line `blobcat reduce` prints for a (scalar, word) reduction, less its newline."""
+    scalar, word = output
+    return f"{scalar} * [{format_word(word)}]"
+
+
 def _blobcat(*argv: str) -> str:
     """The stdout of `blobcat ARGV`, which must exit 0."""
     out = io.StringIO()
@@ -108,8 +131,7 @@ def _blobcat(*argv: str) -> str:
 
 def _reduced_line(level: AlgebraLevel, n: int, word: Letters) -> str:
     """The line `blobcat reduce` prints for `word`."""
-    scalar, out = reduce_word(level, n, word)
-    return f"{scalar} * [{format_word(out)}]\n"
+    return reduce_line(reduce_word(level, n, word)) + "\n"
 
 
 ENUMERATE_DEEP_SHA256 = "1a9b6a0b5e7d69394b60843417b6c903c6c185f3a6cc5dc7340c8ab930ec6571"
@@ -281,16 +303,10 @@ def rigid_blocks_rank_6():
     rng, lines = random.Random(6), []
     for s in range(7):
         for blocks in iter_positive_blocks(6, s):
-            word = class_shuffle(rng, block_word(blocks))
-            read = blocks_of_word(6, word)
-            blobbed = in_index_set(AlgebraLevel.SYMPLECTIC_BLOB, 6, word)
-            if (
-                read != blocks
-                or blobbed != is_blobbed(6, blocks)
-                or not in_index_set(AlgebraLevel.TWO_BOUNDARY, 6, word)
-            ):
-                raise Mismatch(f"the rank-6 word {format_word(word)} reads back wrong")
-            lines.append(f"{format_word(word)}|{format_blocks(read)}|{int(blobbed)}\n")
+            if (trip := rigid_block_round_trip(rng, 6, blocks)) is None:
+                raise Mismatch(f"the rank-6 list {format_blocks(blocks)} is not positive")
+            word, blobbed = trip
+            lines.append(f"{format_word(word)}|{format_blocks(blocks)}|{int(blobbed)}\n")
     yield "".join(lines)
 
 
@@ -365,22 +381,14 @@ def quotient_identities_rank_6():
     """
     The numbers of non-positive FC forms (TL -> 2B) and of non-blobbed
     positive block lists (2B -> SB) at rank 6 and affine lengths 0-3, each
-    checked as enumerated through verify's two helpers; every identity must
-    hold.  The counts were recorded from the per-word check that read each
-    word back into its normal form or rigid blocks.
+    checked as enumerated by the sweep that verify runs at ranks 2-3; every
+    identity must hold.  The counts were recorded from the per-word check
+    that read each word back into its normal form or rigid blocks.
     """
-    n, tb, sb = 6, [], []
-    for s in range(4):
-        for nf in iter_fc_forms(n, s):
-            state = heap_state(n, word_of_normal_form(n, nf))
-            if state != HeapState.POSITIVE:
-                tb.append(boundary_image_holds(n, nf, state))
-        for blocks in iter_positive_blocks(n, s):
-            if not is_blobbed(n, blocks):
-                sb.append(blob_image_holds(n, blocks))
-    if not (all(tb) and all(sb)):
-        raise Mismatch("a quotient identity fails at rank 6")
-    yield f"{len(tb)} {len(sb)}\n"
+    tb, sb, failed = _quotient_sweep(6, range(4))
+    if failed:
+        raise Mismatch(f"a quotient identity fails at rank 6 on {format_word(failed[0])}")
+    yield f"{tb} {sb}\n"
 
 
 def main(names: list[str]) -> int:

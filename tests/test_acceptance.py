@@ -8,17 +8,21 @@ exactly the stated number of cases, so a check whose range shrinks fails.
 Every expected value is frozen in blobcat.verify or blobcat.tables.
 """
 
+import contextlib
+import gc
 import hashlib
+import io
 import json
 import random
 import sys
 import time
+import tracemalloc
 from functools import partial
 
 from blobcat import algebra, enumeration, grids, normal_forms, verify
 from blobcat.algebra import AlgebraLevel, Scalar, in_index_set, reduce_word, sb_basis
 from blobcat.cli import main
-from blobcat.words import HeapState, canonical_word, heap_state, is_reduced_fc
+from blobcat.words import canonical_word, is_reduced_fc
 
 from oracles import walk_reduce
 from pins import (
@@ -27,6 +31,8 @@ from pins import (
     SEEDED_RANK_16_100K_SHA256,
     VERIFY_STDOUT_SHA256,
     class_shuffle,
+    reduce_line,
+    rigid_block_round_trip,
     seeded_word,
 )
 
@@ -232,15 +238,10 @@ def test_rigid_blocks_round_trip_through_a_class_member():
     for n in range(1, 6):
         for s in range(n + 1):
             for blocks in enumeration.iter_positive_blocks(n, s):
-                word = normal_forms.block_word(blocks)
-                if heap_state(n, word) != HeapState.POSITIVE:
+                if rigid_block_round_trip(rng, n, blocks) is None:
                     skipped.append((n, blocks))
-                    continue
-                word = class_shuffle(rng, word)
-                assert normal_forms.blocks_of_word(n, word) == blocks, (n, word)
-                assert in_index_set(SB, n, word) == grids.is_blobbed(n, blocks), (n, word)
-                assert in_index_set(TB, n, word), (n, word)
-                checked += 1
+                else:
+                    checked += 1
     budget.done(f"{checked} elements")
     assert skipped == [(1, ((0, 1), (0, 0)))]
     assert checked == 5 + 36 + 196 + 1_000 + 4_884
@@ -279,9 +280,8 @@ def test_long_blob_words_reduce_past_the_recursion_limit():
     budget.done("two words")
     for scalar, out in outputs.values():
         assert list(scalar.terms.values()) == [1], scalar
-    scalar, out = outputs[2]
-    assert f"{scalar} * [{','.join(map(str, out))}]" == LONG_BLOB_WORD_LINE
-    assert out in sb_basis(2)
+    assert reduce_line(outputs[2]) == LONG_BLOB_WORD_LINE
+    assert outputs[2][1] in sb_basis(2)
     # sb_basis(8), 97,287 words, takes seconds to build; it is the canonical
     # words of the blobbed elements, which is what this asks of the output
     _, out = outputs[8]
@@ -331,8 +331,7 @@ def test_ten_thousand_letters_reduce_at_rank_64():
         tail_scalar, tail = reduce_word(level, n, head + word[5_000:])
         assert (head_scalar * tail_scalar, tail) == (scalar, out), level
         # the word's first 3,200 letters reduce as the loop of kernel steps did
-        scalar, out = reduce_word(level, n, word[:3_200])
-        line = f"{scalar} * [{','.join(map(str, out))}]\n"
+        line = reduce_line(reduce_word(level, n, word[:3_200])) + "\n"
         assert hashlib.sha256(line.encode()).hexdigest() == SEEDED_3200_LETTERS_SHA256, level
 
 
@@ -346,7 +345,7 @@ def test_hundred_thousand_letters_reduce_at_rank_16():
         budget = Budget(f"100,000 letters at rank 16, {level.name}", 1.0)
         scalar, out = reduce_word(level, n, word)
         budget.done(f"to {len(out)} letters")
-        line = f"{scalar} * [{','.join(map(str, out))}]\n"
+        line = reduce_line((scalar, out)) + "\n"
         assert hashlib.sha256(line.encode()).hexdigest() == SEEDED_RANK_16_100K_SHA256, level
 
 
@@ -378,6 +377,60 @@ def test_blob_step_matches_the_class_walk():
                     cases += 1
     assert cases == 1474
     budget.done(f"{cases} reductions at ranks 2-5")
+
+
+def _soak_pass():
+    """
+    One pass of a seeded mixed stream, the same operations on every pass:
+    40 words of up to 1,000 letters at ranks 2-64 reduced at TL and 2B,
+    100 words of up to 200 letters at ranks 2-8 reduced at the blob level,
+    `in_index_set` on a prefix of each at each of its levels, and ten
+    rounds of `count`, `dim` and `enumerate --limit` through `main`.
+    Returns the sha256 of every output.
+    """
+    rng = random.Random(13)
+    digest = hashlib.sha256()
+    draws = [(rng.randint(2, 64), 1000, (AlgebraLevel.TL, TB)) for _ in range(40)]
+    draws += [(rng.randint(2, 8), 200, (SB,)) for _ in range(100)]
+    for n, max_len, levels in draws:
+        word = tuple(rng.randint(0, n) for _ in range(rng.randint(0, max_len)))
+        prefix = word[: rng.randint(0, len(word))]
+        for level in levels:
+            digest.update(repr(reduce_word(level, n, word)).encode())
+            digest.update(b"%d" % in_index_set(level, n, prefix))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for _ in range(10):
+            n, rank, length = rng.randint(1, 90), rng.randint(1, 12), rng.randint(0, 3)
+            s, which, limit = rng.randint(0, n), rng.choice("abd"), rng.randint(0, 20)
+            for argv in (
+                f"count --n {n} --s {s} --which {which}",
+                f"dim --n {n}",
+                f"enumerate --n {rank} --s {length} --limit {limit}",
+            ):
+                assert main(argv.split()) == 0, argv
+    digest.update(out.getvalue().encode())
+    return digest.hexdigest()
+
+
+def test_mixed_stream_retains_no_memory_across_passes():
+    # Every cache the stream touches is filled by the first pass, so three
+    # more passes of the same stream must retain nothing more.  The four
+    # passes take 3-4 s under tracemalloc on a 2-vCPU VM
+    budget = Budget("a mixed stream, four passes", 15.0)
+    tracemalloc.start()
+    try:
+        digests = [_soak_pass()]
+        gc.collect()
+        after_one = tracemalloc.get_traced_memory()[0]
+        digests += [_soak_pass() for _ in range(3)]
+        gc.collect()
+        after_four = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    budget.done(f"{after_one} bytes retained after one pass, {after_four} after four")
+    assert len(set(digests)) == 1
+    assert abs(after_four - after_one) < 64 * 1024, (after_one, after_four)
 
 
 def test_criterion_9_blob_closure():

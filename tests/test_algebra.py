@@ -37,7 +37,7 @@ from oracles import (
     rewrite_at,
     walk_redex,
 )
-from pins import DEEP_TL_WORD
+from pins import DEEP_TL_WORD, reduce_line
 
 TL = AlgebraLevel.TL
 TB = AlgebraLevel.TWO_BOUNDARY
@@ -208,16 +208,10 @@ def test_reduce_rejects_non_integer_letters(word):
         reduce_word(TL, True, (1, 0))
 
 
-def _line(output):
-    """`output` as `blobcat reduce` prints it."""
-    scalar, word = output
-    return f"{scalar} * [{','.join(map(str, word))}]"
-
-
 def _assert_fold_matches_the_step_loop(level, n, word):
     got, want = reduce_word(level, n, word), loop_reduce(level, n, word)
     assert got[0] is want[0] and got[1] == want[1], (level, n, word, got, want)
-    assert type(got[1]) is tuple and _line(got) == _line(want)
+    assert type(got[1]) is tuple and reduce_line(got) == reduce_line(want)
 
 
 def test_fold_matches_the_step_loop_exhaustive():
@@ -1083,21 +1077,6 @@ def test_quotient_image_at_higher_ranks():
 
 # ---------------------------------------------------------------------------
 # structure constants
-
-
-def test_sb_basis_sizes():
-    from blobcat.enumeration import p_dim
-
-    for n in (1, 2, 3):
-        assert len(sb_basis(n)) == p_dim(n)
-
-
-def test_structure_constants_close():
-    for n in (1, 2):
-        basis = set(sb_basis(n))
-        table = structure_constants(n)
-        assert len(table) == len(basis) ** 2
-        assert all(target in basis for _, (_, target) in table.items())
 
 
 def test_structure_constants_diagonal_carries_loop_weights():

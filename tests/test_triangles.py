@@ -142,28 +142,11 @@ def test_blobbed_matches_path_counts():
             assert blobbed_entry(i, j) == path_count(i, j), (i, j)
 
 
-def test_column_and_sum_identities():
-    for j in range(0, 31):
-        assert blobbed_entry(j, 0) == blobbed_entry(j - 1, 1)
-    for i in range(1, 25):
-        for j in range(1, 25):
-            value = blobbed_entry(i, j)
-            assert value == sum(
-                blobbed_entry(i - 1 - k, j + 1 - k) for k in range(j + 1)
-            )
-            assert value == sum(
-                blobbed_entry(i - 1 - k, j - 1 + k) for k in range(i + 1)
-            )
-
-
 def test_central_decomposition():
     terms = central_binomial_decomposition(3)
     assert terms == [(1, 2, 2), (2, 4, 2), (3, 8, 1)]
     assert sum(w * c for _, w, c in terms) == binomial(6, 3) == 20
     assert central_binomial_decomposition(1) == [(1, 2, 1)]
-    for i in range(1, 31):
-        total = sum(w * c for _, w, c in central_binomial_decomposition(i))
-        assert total == binomial(2 * i, i), i
 
 
 def test_general_decomposition():
@@ -174,10 +157,6 @@ def test_general_decomposition():
         terms = general_binomial_decomposition(i, i)
         assert terms == [(1, 1, classical_entry(i - 1, i - 1))]
         assert sum(w * c for _, w, c in terms) == binomial(i, i) == 1
-    for i in range(1, 31):
-        for j in range(1, i + 1):
-            total = sum(w * c for _, w, c in general_binomial_decomposition(i, j))
-            assert total == binomial(2 * i - j, i), (i, j)
     with pytest.raises(ValueError):
         general_binomial_decomposition(2, 3)
 
