@@ -22,7 +22,13 @@ witness spells, which changes only the tops of two stacks, the letters
 read and those to come.  It keeps no memo and walks no class, and it
 canonicalises once, at the end.
 
-The blob level takes the kernel's rewrite step instead.  A redex is
+The blob level is finite-dimensional, and reduces a word by one of two
+routes, by rank.  Below rank 6 (`_LOOP_RANK`) it folds words from the
+left through its action rows (`_rows`), the right regular representation
+on the basis: one row per basis word reached, holding that word times
+each generator as (packed exponents, next row), so a letter costs one
+list index.  Only an empty slot (`_fill`) reaches the whole-word memo,
+`_reduce_canonical`, which takes the kernel's rewrite step.  A redex is
 looked for in the first members of the word's commutation class, walked
 breadth first, as many as the word has letters; at each position only the
 rules whose pattern starts with its two letters are tried.  A word that
@@ -32,16 +38,20 @@ reduction ends on, stops the search at one member; past the members, a
 chain or boundary triple that some member holds as a rule pattern loses
 its trailing letters, and a positive, non-blobbed word at the blob level
 takes the paper's blob step, `grids._oblique_shortening_word` of its
-rigid blocks, one I J alternation fewer, times k.  So no redex, however deep in
-a large class, is walked to.  The surviving word indexes a basis monomial
-of the level.  The blob level is finite-dimensional, so it folds words
-from the left through its action rows (`_rows`), the right regular
-representation on the basis: one row per basis word reached, holding
-that word times each generator as (packed exponents, next row), so a
-letter costs one list index.  Only an empty slot (`_fill`) reaches the
-whole-word memo, `_reduce_canonical`, which takes these steps.
-`verify.check_confluence` reduces factors first to test that the rewrite
-order does not matter.
+rigid blocks, one I J alternation fewer, times k.  So no redex, however
+deep in a large class, is walked to.  The rows of ranks 1-5 hold at most
+10,646 entries and the memo at most 9,451 words, the rewrites of those
+entries, so both are bounded in total.
+
+From rank 6 on, a long word reaches a new basis word at nearly every
+letter, and the rows would grow with the word.  There `_blob_loop`
+reduces the word `_CHUNK` letters at a time and keeps nothing: the
+two-boundary heap-scan fold with the blob rule index, then, while the
+rigid blocks of the result are not blobbed, the blob step and the fold
+again.  Chunks are sound because reduction respects products, the
+regular-representation half of Bergman's diamond lemma (1978);
+`verify.check_confluence` and the tests reduce factors first to test that
+the rewrite order does not matter.
 
 At rank 1 the two boundary pairs coincide; overlapping rules are resolved by
 fixed priority (blob rules first, then the left boundary), which keeps the
@@ -361,11 +371,12 @@ def _heap_redex(level: AlgebraLevel, n: int, word: Letters) -> Letters | Blocks 
 @lru_cache(maxsize=None)
 def _reduce_canonical(n: int, word: Letters) -> tuple[int, Letters]:
     """
-    A miss of the action rows (`_fill`): a canonical blob-level word
-    rewritten to (packed monomial, basis word), each step adding its
-    packing to the tail's.  The memo keeps every intermediate, which the
-    misses share, and stays finite: its words are the rewrites of the
-    (n + 1)·|B| basis words times a generator.
+    A miss of the action rows (`_fill`), so only at ranks 1-5: a canonical
+    blob-level word rewritten to (packed monomial, basis word), each step
+    adding its packing to the tail's.  The memo keeps every intermediate,
+    which the misses share.  Its words are the rewrites of the (n + 1)·|B|
+    basis words times a generator of those ranks, so it holds at most
+    9,451 words, however many words `reduce_word` takes.
     """
     step = _find_redex(AlgebraLevel.SYMPLECTIC_BLOB, n, word)
     if step is None:
@@ -381,11 +392,11 @@ def _rows(n: int) -> dict[Letters, list]:
     """
     The action rows of rank n by basis word: the right regular
     representation of the blob quotient on its basis, filled as the fold of
-    `reduce_word` reaches it.  A row is a list of n + 2 slots.  Slot g,
-    0 <= g <= n, holds the row's basis word times the generator g as
-    (packed monomial, row of the basis word it lands on), or None
-    until a fold first takes g there (`_fill`); slot n + 1 holds the row's
-    basis word.  Rank n holds at most |B| rows and (n + 1)·|B| entries for
+    `reduce_word` reaches it, which folds through rows below `_LOOP_RANK`.
+    A row is a list of n + 2 slots.  Slot g, 0 <= g <= n, holds the row's
+    basis word times the generator g as (packed monomial, row of the basis
+    word it lands on), or None until a fold first takes g there (`_fill`);
+    slot n + 1 holds the row's basis word.  Rank n holds at most |B| rows and (n + 1)·|B| entries for
     the basis B = `sb_basis(n)`; `_rows.cache_clear()` drops every rank's.
     """
     return {(): [None] * (n + 1) + [()]}
@@ -401,16 +412,18 @@ def _fill(n: int, row: list, g: int) -> tuple[int, list]:
     return entry
 
 
-def _fold(level: AlgebraLevel, n: int, word: Letters) -> tuple[Scalar, Letters]:
+def _fold(level: AlgebraLevel, n: int, word: Letters) -> tuple[int, Letters]:
     """
-    `reduce_word` at TL or the two-boundary level: the scanner
+    `reduce_word` at TL or the two-boundary level, as (packed monomial,
+    canonical word), and the first step of `_blob_loop`: the scanner
     (`words.scan_read`) moves letters from `pending`, the word reversed,
     onto `read` while they close no chain, or a boundary triple at TL.  Any
     other closure rewrites the witness to its rule's replacement, a prefix:
     the closing letter goes, and for sts, stst and the two-boundary triples
     so does the piece before it; the scanner unreads back to that piece and
     what followed it goes back onto `pending`.  The word read is a basis
-    index when `pending` runs out, and is canonicalised once.
+    index when `pending` runs out, a positive word at the blob level, and
+    is canonicalised once.
     """
     steps = _rule_steps(level, n)
     scan = new_scan(n, len(word))
@@ -430,7 +443,34 @@ def _fold(level: AlgebraLevel, n: int, word: Letters) -> tuple[Scalar, Letters]:
             scan_drop(read, start, end, scan)
             pending += read[end - 1 : start : -1]
         del read[start:]
-    return _unpacked(exps), _canonical_word(n, read + pending[::-1])
+    return exps, _canonical_word(n, read + pending[::-1])
+
+
+def _blob_loop(n: int, word: Letters) -> tuple[int, Letters]:
+    """
+    A blob-level word reduced with no rows and no memo, as (packed monomial,
+    canonical basis word).  The two-boundary fold with the blob rule index
+    (`_fold`) leaves a positive word; a positive word whose rigid blocks
+    are blobbed is a basis index, and any other takes the paper's blob
+    step, `grids._oblique_shortening_word`, one I J alternation fewer,
+    times k, and is folded again.  Each pass shortens the word, so the loop
+    ends.
+    """
+    exps = 0
+    while True:
+        step, word = _fold(AlgebraLevel.SYMPLECTIC_BLOB, n, word)
+        exps += step
+        blocks = _blocks_of_word(n, word)
+        if _is_blobbed(n, blocks):
+            return exps, word
+        word = _oblique_shortening_word(n, blocks)
+        exps += _K_STEP
+
+
+# The blob level folds words through the action rows below rank _LOOP_RANK,
+# and from it on runs `_blob_loop` on _CHUNK letters at a time (README "Costs")
+_LOOP_RANK = 6
+_CHUNK = 256
 
 
 def reduce_word(level: AlgebraLevel, n: int, word: Letters) -> tuple[Scalar, Letters]:
@@ -443,20 +483,32 @@ def reduce_word(level: AlgebraLevel, n: int, word: Letters) -> tuple[Scalar, Let
     recursion and no class walk, and a word of any length reduces: a letter
     costs O(1) unless its rewrite drops a piece before it, which costs only
     the letters read again after that piece.  The blob level is
-    finite-dimensional, so its word is folded from the left through the
-    action rows of its rank (`_rows`): each letter indexes the current row
-    and steps to the row of the basis word it lands on, adding the entry's
-    packed monomial, which becomes a `Scalar` once, at the end.  An empty
-    slot reduces one basis word times one generator (`_fill`) and is kept;
-    the rows are bounded by the basis, and the fold keeps no prefixes.
+    finite-dimensional.  Below rank `_LOOP_RANK` its word is folded from the
+    left through the action rows of its rank (`_rows`): each letter indexes
+    the current row and steps to the row of the basis word it lands on,
+    adding the entry's packed monomial.  An empty slot reduces one basis
+    word times one generator (`_fill`) and is kept; the rows of ranks 1-5
+    hold at most 10,646 entries.  From rank `_LOOP_RANK` on, where a long
+    word reaches a new basis word at nearly every letter, the word is
+    reduced `_CHUNK` letters at a time by `_blob_loop`, each chunk appended
+    to the basis word reduced so far, and nothing is kept: reduction
+    respects products, so the chunks land where the whole word does.  The
+    monomial becomes a `Scalar` once, at the end.
     """
     if level != AlgebraLevel.SYMPLECTIC_BLOB:
-        return _fold(level, n, check_word(n, word))
+        exps, word = _fold(level, n, check_word(n, word))
+        return _unpacked(exps), word
     # the letters are checked first: slot n + 1, and slot -1, of a row is
     # its basis word, not an entry
     word = check_word(n, word)
-    row = _rows(n)[()]
     exps = 0
+    if n >= _LOOP_RANK:
+        reduced: Letters = ()
+        for start in range(0, len(word), _CHUNK):
+            step, reduced = _blob_loop(n, reduced + word[start : start + _CHUNK])
+            exps += step
+        return _unpacked(exps), reduced
+    row = _rows(n)[()]
     for g in word:
         step, row = row[g] or _fill(n, row, g)
         exps += step
@@ -589,7 +641,9 @@ def structure_constants(n: int) -> dict[tuple[Letters, Letters], tuple[Scalar, L
     (`reduce_word`), which take at most (n + 1)·|B| reductions to fill for
     the basis B.  In fresh processes on a 2-vCPU VM with Python 3.11.7,
     rank 4 (112,225 products) took 0.46 s and 35 MB peak RSS, rank 5
-    (2,039,184 products) 9.9 s and 350 MB.
+    (2,039,184 products) 9.9 s and 350 MB.  From rank 6 each product runs
+    the heap-scan loop instead, about 68 µs at rank 6 against 4.7 µs on
+    warm rows.
     """
     basis = sb_basis(n)
     index = set(basis)

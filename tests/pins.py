@@ -269,16 +269,49 @@ def long_blob_word_rank_5():
     yield _reduced_line(AlgebraLevel.SYMPLECTIC_BLOB, 5, seeded_word(5, 1_000_000))
 
 
+SEEDED_RANK_64_100K_SHA256 = "8cc70b17dd304d1c524c40cc9986a0d0e3dbac0ee14ae3f1688a52fea59e44fc"
+
+
+@pin(SEEDED_RANK_64_100K_SHA256)
+def long_blob_word_rank_64():
+    """
+    seeded_word(64, 100_000) at the blob level, through the library: the
+    heap-scan loop reduces it in chunks in under a second.  The hash was
+    recorded from the action rows, where nearly every letter missed and
+    rewrote a whole word: about 2 min on a 2-vCPU VM.
+    """
+    yield _reduced_line(AlgebraLevel.SYMPLECTIC_BLOB, 64, seeded_word(64, 100_000))
+
+
+BLOB_WORDS_AT_THE_CUTOFF_SHA256 = "2e7ae1fadbcdd71a101dd18abcc75305399ab1a325124058268ce74894c659e6"
+
+
+@pin(BLOB_WORDS_AT_THE_CUTOFF_SHA256)
+def blob_words_at_the_cutoff():
+    """
+    The reduce lines of seeded_word(n, 1_000) and seeded_word(n, 10_000) at
+    the blob level for n = 6, 7, 8 and 9, the first ranks that reduce
+    through the heap-scan loop and not the action rows; the hash was
+    recorded from the action rows.
+    """
+    yield "".join(
+        _reduced_line(AlgebraLevel.SYMPLECTIC_BLOB, n, seeded_word(n, length))
+        for n in (6, 7, 8, 9)
+        for length in (1_000, 10_000)
+    )
+
+
 BLOB_ACTION_RANK_6_SHA256 = "bac9fb2e3be421aec8d86424ff6cd9ca3b5684e34579ee188eb80d58bac18c47"
 
 
 @pin(BLOB_ACTION_RANK_6_SHA256)
 def blob_action_rank_6():
     """
-    Every entry of the rank-6 action rows, the 5,748 basis words times each
-    of the 7 generators, one line b|g|scalar|z each; the hash was recorded
-    from the whole-word rewrite _reduce_canonical of each product, which
-    does not read the rows.
+    The rank-6 blob action, the 5,748 basis words times each of the 7
+    generators, one line b|g|scalar|z each, which reduce_word takes through
+    the heap-scan loop; the hash was recorded from the whole-word rewrite
+    _reduce_canonical of each product, which reads neither the rows nor
+    the loop.
     """
     lines = []
     for b in sb_basis(6):

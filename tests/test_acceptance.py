@@ -270,10 +270,11 @@ def test_basis_word_takes_no_class_walk():
 
 
 def test_long_blob_words_reduce_past_the_recursion_limit():
-    # The blob level folds a word through its generator action, one table
-    # lookup per letter; the whole-word rewrite recursed once per rewrite
-    # and raised RecursionError on both words.  The two folds take about
-    # 0.08 s on a 2-vCPU VM.
+    # The blob level folds the rank-2 word through its generator action,
+    # one table lookup per letter, and the rank-8 word in chunks through
+    # the heap-scan loop; the whole-word rewrite recursed once per rewrite
+    # and raised RecursionError on both words.  The two take about 0.02 s
+    # on a 2-vCPU VM.
     words = {2: seeded_word(2, 20_000), 8: seeded_word(8, 5_000)}
     budget = Budget("20,000 letters at rank 2 and 5,000 at rank 8, blob level", 1.0)
     outputs = {n: reduce_word(SB, n, word) for n, word in words.items()}
@@ -349,6 +350,23 @@ def test_hundred_thousand_letters_reduce_at_rank_16():
         assert hashlib.sha256(line.encode()).hexdigest() == SEEDED_RANK_16_100K_SHA256, level
 
 
+def test_blob_words_reduce_alike_whichever_factor_goes_first_at_high_rank():
+    # From rank 6 the blob level reduces a word in chunks through the
+    # heap-scan loop, which is sound only if reduction respects products:
+    # reducing word[:cut] or word[cut:] first must land on the same monomial
+    # and word (verify._cut_mismatch), at cuts on the chunk boundaries and
+    # off them.  About 2 s on a 2-vCPU VM
+    budget = Budget("prefix and suffix first, blob level, ranks 6-64", 15.0)
+    chunk, cases = algebra._CHUNK, 0
+    for n in (6, 8, 16, 64):
+        for length in (100, 1_000, 10_000):
+            word = seeded_word(n, length)
+            cuts = [c for c in (1, chunk - 1, chunk, 3 * chunk, length // 2 + 1, length - 1) if c < length]
+            assert verify._cut_mismatch(SB, n, word, cuts) is None, (n, length)
+            cases += len(cuts)
+    budget.done(f"{cases} cuts of 12 seeded words")
+
+
 def test_criterion_8_quotient_identities():
     # 114 non-positive elements (TL -> 2B), 68 non-blobbed positive elements
     # (2B -> SB), the rank-3 descent chain, the rank-1 identity
@@ -383,7 +401,7 @@ def _soak_pass():
     """
     One pass of a seeded mixed stream, the same operations on every pass:
     40 words of up to 1,000 letters at ranks 2-64 reduced at TL and 2B,
-    100 words of up to 200 letters at ranks 2-8 reduced at the blob level,
+    100 words of up to 200 letters at ranks 2-64 reduced at the blob level,
     `in_index_set` on a prefix of each at each of its levels, and ten
     rounds of `count`, `dim` and `enumerate --limit` through `main`.
     Returns the sha256 of every output.
@@ -391,7 +409,7 @@ def _soak_pass():
     rng = random.Random(13)
     digest = hashlib.sha256()
     draws = [(rng.randint(2, 64), 1000, (AlgebraLevel.TL, TB)) for _ in range(40)]
-    draws += [(rng.randint(2, 8), 200, (SB,)) for _ in range(100)]
+    draws += [(rng.randint(2, 64), 200, (SB,)) for _ in range(100)]
     for n, max_len, levels in draws:
         word = tuple(rng.randint(0, n) for _ in range(rng.randint(0, max_len)))
         prefix = word[: rng.randint(0, len(word))]
@@ -416,7 +434,7 @@ def _soak_pass():
 def test_mixed_stream_retains_no_memory_across_passes():
     # Every cache the stream touches is filled by the first pass, so three
     # more passes of the same stream must retain nothing more.  The four
-    # passes take 3-4 s under tracemalloc on a 2-vCPU VM
+    # passes take about 4.5 s under tracemalloc on a 2-vCPU VM
     budget = Budget("a mixed stream, four passes", 15.0)
     tracemalloc.start()
     try:

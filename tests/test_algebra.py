@@ -37,7 +37,7 @@ from oracles import (
     rewrite_at,
     walk_redex,
 )
-from pins import DEEP_TL_WORD, reduce_line
+from pins import DEEP_TL_WORD, reduce_line, seeded_word
 
 TL = AlgebraLevel.TL
 TB = AlgebraLevel.TWO_BOUNDARY
@@ -608,6 +608,7 @@ def test_blob_fold_matches_the_whole_word_rewrite_exhaustive():
 
 
 def test_blob_fold_matches_the_whole_word_rewrite_random():
+    # ranks 4-5 fold through the rows, ranks 6-8 through the heap-scan loop
     rng = random.Random(3030)
     for n in range(4, 9):
         for _ in range(2000):
@@ -630,6 +631,19 @@ def test_action_table_holds_one_entry_per_basis_word_and_generator():
     # an entry holds its monomial packed, and a trivial step is the packing 0
     trivial = [exps for exps, _ in entries if exps == 0]
     assert trivial and all(type(exps) is int for exps, _ in entries)
+
+
+def test_blob_words_from_rank_6_leave_the_rows_and_the_memo_alone():
+    # from rank 6 the blob level reduces through the heap-scan loop, which
+    # reads no row and fills no slot: the rows and the memo keep only what
+    # ranks 1-5 put there, at most 10,646 row entries and 9,451 memo words
+    reduce_word(SB, 5, seeded_word(5, 1_000))
+    rows, memo = algebra._rows.cache_info(), algebra._reduce_canonical.cache_info()
+    for n in (6, 7, 8, 16, 64):
+        for length in (0, 1, 30, 1_000):
+            reduce_word(SB, n, seeded_word(n, length))
+    assert algebra._rows.cache_info() == rows
+    assert algebra._reduce_canonical.cache_info() == memo
 
 
 def test_blob_action_matches_the_whole_word_rewrite_exhaustive():
@@ -843,9 +857,11 @@ def test_each_redex_search_draws_at_most_word_length_members(monkeypatch):
     for n in range(4, 9):
         for _ in range(40):
             cases.append((n, tuple(rng.randint(0, n) for _ in range(rng.randint(0, 20)))))
-    # the blob level folds a word one generator at a time, so its searches
-    # are on a basis word times a generator, and few walk len(word) members;
-    # more and longer words keep the full walks above the floor
+    # the blob level folds a word one generator at a time through the rows
+    # of ranks 4-5, so its searches are on a basis word times a generator,
+    # and few walk len(word) members; more and longer words keep the full
+    # walks above the floor.  From rank 6 the blob level walks no class
+    # (`_blob_loop`), so its words there add no search
     rng = random.Random(2425)
     for n in range(4, 9):
         for _ in range(20):
