@@ -23,7 +23,7 @@ read and those to come.  It keeps no memo and walks no class, and it
 canonicalises once, at the end.
 
 The blob level is finite-dimensional, and reduces a word by one of two
-routes, by rank.  Below rank 6 (`_LOOP_RANK`) it folds words from the
+routes, by rank.  Below rank 7 (`_LOOP_RANK`) it folds words from the
 left through its action rows (`_rows`), the right regular representation
 on the basis: one row per basis word reached, holding that word times
 each generator as (packed exponents, next row), so a letter costs one
@@ -39,11 +39,11 @@ chain or boundary triple that some member holds as a rule pattern loses
 its trailing letters, and a positive, non-blobbed word at the blob level
 takes the paper's blob step, `grids._oblique_shortening_word` of its
 rigid blocks, one I J alternation fewer, times k.  So no redex, however
-deep in a large class, is walked to.  The rows of ranks 1-5 hold at most
-10,646 entries and the memo at most 9,451 words, the rewrites of those
+deep in a large class, is walked to.  The rows of ranks 1-6 hold at most
+50,882 entries and the memo at most 45,696 words, the rewrites of those
 entries, so both are bounded in total.
 
-From rank 6 on, a long word reaches a new basis word at nearly every
+From rank 7 on, a long word reaches a new basis word at nearly every
 letter, and the rows would grow with the word.  There `_blob_loop`
 reduces the word `_CHUNK` letters at a time and keeps nothing: the
 two-boundary heap-scan fold with the blob rule index, then, while the
@@ -371,12 +371,12 @@ def _heap_redex(level: AlgebraLevel, n: int, word: Letters) -> Letters | Blocks 
 @lru_cache(maxsize=None)
 def _reduce_canonical(n: int, word: Letters) -> tuple[int, Letters]:
     """
-    A miss of the action rows (`_fill`), so only at ranks 1-5: a canonical
+    A miss of the action rows (`_fill`), so only at ranks 1-6: a canonical
     blob-level word rewritten to (packed monomial, basis word), each step
     adding its packing to the tail's.  The memo keeps every intermediate,
     which the misses share.  Its words are the rewrites of the (n + 1)·|B|
     basis words times a generator of those ranks, so it holds at most
-    9,451 words, however many words `reduce_word` takes.
+    45,696 words, however many words `reduce_word` takes.
     """
     step = _find_redex(AlgebraLevel.SYMPLECTIC_BLOB, n, word)
     if step is None:
@@ -469,7 +469,7 @@ def _blob_loop(n: int, word: Letters) -> tuple[int, Letters]:
 
 # The blob level folds words through the action rows below rank _LOOP_RANK,
 # and from it on runs `_blob_loop` on _CHUNK letters at a time (README "Costs")
-_LOOP_RANK = 6
+_LOOP_RANK = 7
 _CHUNK = 256
 
 
@@ -487,8 +487,8 @@ def reduce_word(level: AlgebraLevel, n: int, word: Letters) -> tuple[Scalar, Let
     left through the action rows of its rank (`_rows`): each letter indexes
     the current row and steps to the row of the basis word it lands on,
     adding the entry's packed monomial.  An empty slot reduces one basis
-    word times one generator (`_fill`) and is kept; the rows of ranks 1-5
-    hold at most 10,646 entries.  From rank `_LOOP_RANK` on, where a long
+    word times one generator (`_fill`) and is kept; the rows of ranks 1-6
+    hold at most 50,882 entries.  From rank `_LOOP_RANK` on, where a long
     word reaches a new basis word at nearly every letter, the word is
     reduced `_CHUNK` letters at a time by `_blob_loop`, each chunk appended
     to the basis word reduced so far, and nothing is kept: reduction
@@ -641,8 +641,8 @@ def structure_constants(n: int) -> dict[tuple[Letters, Letters], tuple[Scalar, L
     (`reduce_word`), which take at most (n + 1)·|B| reductions to fill for
     the basis B.  In fresh processes on a 2-vCPU VM with Python 3.11.7,
     rank 4 (112,225 products) took 0.46 s and 35 MB peak RSS, rank 5
-    (2,039,184 products) 9.9 s and 350 MB.  From rank 6 each product runs
-    the heap-scan loop instead, about 68 µs at rank 6 against 4.7 µs on
+    (2,039,184 products) 9.9 s and 350 MB.  From rank 7 each product runs
+    the heap-scan loop instead, about 77 µs at rank 7 against 13 µs on
     warm rows.
     """
     basis = sb_basis(n)

@@ -404,8 +404,8 @@ def walk_reduce(
 
 def loop_reduce(level: AlgebraLevel, n: int, word: Letters) -> tuple[Scalar, Letters]:
     """
-    `reduce_word` at TL or the two-boundary level as a loop of kernel
-    steps: canonicalise the word, then take `algebra._find_redex` steps,
+    `reduce_word` as a loop of kernel steps, at any level: canonicalise
+    the word, then take `algebra._find_redex` steps,
     each on the canonical form of the last, until none is left.  No memo and
     no recursion; each step walks class members and reads the heap.
     """

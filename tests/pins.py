@@ -290,8 +290,8 @@ BLOB_WORDS_AT_THE_CUTOFF_SHA256 = "2e7ae1fadbcdd71a101dd18abcc75305399ab1a325124
 def blob_words_at_the_cutoff():
     """
     The reduce lines of seeded_word(n, 1_000) and seeded_word(n, 10_000) at
-    the blob level for n = 6, 7, 8 and 9, the first ranks that reduce
-    through the heap-scan loop and not the action rows; the hash was
+    the blob level for n = 6, the last rank on the action rows, and n = 7,
+    8 and 9, the first that reduce through the heap-scan loop; the hash was
     recorded from the action rows.
     """
     yield "".join(
@@ -307,11 +307,10 @@ BLOB_ACTION_RANK_6_SHA256 = "bac9fb2e3be421aec8d86424ff6cd9ca3b5684e34579ee188eb
 @pin(BLOB_ACTION_RANK_6_SHA256)
 def blob_action_rank_6():
     """
-    The rank-6 blob action, the 5,748 basis words times each of the 7
-    generators, one line b|g|scalar|z each, which reduce_word takes through
-    the heap-scan loop; the hash was recorded from the whole-word rewrite
-    _reduce_canonical of each product, which reads neither the rows nor
-    the loop.
+    Every entry of the rank-6 action rows, the 5,748 basis words times each
+    of the 7 generators, one line b|g|scalar|z each; the hash was recorded
+    from the whole-word rewrite _reduce_canonical of each product, which
+    does not read the rows.
     """
     lines = []
     for b in sb_basis(6):

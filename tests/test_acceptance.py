@@ -351,20 +351,21 @@ def test_hundred_thousand_letters_reduce_at_rank_16():
 
 
 def test_blob_words_reduce_alike_whichever_factor_goes_first_at_high_rank():
-    # From rank 6 the blob level reduces a word in chunks through the
+    # From rank 7 the blob level reduces a word in chunks through the
     # heap-scan loop, which is sound only if reduction respects products:
     # reducing word[:cut] or word[cut:] first must land on the same monomial
     # and word (verify._cut_mismatch), at cuts on the chunk boundaries and
-    # off them.  About 2 s on a 2-vCPU VM
+    # off them.  Rank 6 folds through the rows, one rank below the cutoff.
+    # About 1.5 s on a 2-vCPU VM
     budget = Budget("prefix and suffix first, blob level, ranks 6-64", 15.0)
     chunk, cases = algebra._CHUNK, 0
-    for n in (6, 8, 16, 64):
+    for n in (6, 7, 8, 16, 64):
         for length in (100, 1_000, 10_000):
             word = seeded_word(n, length)
             cuts = [c for c in (1, chunk - 1, chunk, 3 * chunk, length // 2 + 1, length - 1) if c < length]
             assert verify._cut_mismatch(SB, n, word, cuts) is None, (n, length)
             cases += len(cuts)
-    budget.done(f"{cases} cuts of 12 seeded words")
+    budget.done(f"{cases} cuts of 15 seeded words")
 
 
 def test_criterion_8_quotient_identities():

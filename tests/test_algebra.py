@@ -608,7 +608,7 @@ def test_blob_fold_matches_the_whole_word_rewrite_exhaustive():
 
 
 def test_blob_fold_matches_the_whole_word_rewrite_random():
-    # ranks 4-5 fold through the rows, ranks 6-8 through the heap-scan loop
+    # ranks 4-6 fold through the rows, ranks 7-8 through the heap-scan loop
     rng = random.Random(3030)
     for n in range(4, 9):
         for _ in range(2000):
@@ -633,13 +633,13 @@ def test_action_table_holds_one_entry_per_basis_word_and_generator():
     assert trivial and all(type(exps) is int for exps, _ in entries)
 
 
-def test_blob_words_from_rank_6_leave_the_rows_and_the_memo_alone():
-    # from rank 6 the blob level reduces through the heap-scan loop, which
+def test_blob_words_from_rank_7_leave_the_rows_and_the_memo_alone():
+    # from rank 7 the blob level reduces through the heap-scan loop, which
     # reads no row and fills no slot: the rows and the memo keep only what
-    # ranks 1-5 put there, at most 10,646 row entries and 9,451 memo words
-    reduce_word(SB, 5, seeded_word(5, 1_000))
+    # ranks 1-6 put there, at most 50,882 row entries and 45,696 memo words
+    reduce_word(SB, 6, seeded_word(6, 1_000))
     rows, memo = algebra._rows.cache_info(), algebra._reduce_canonical.cache_info()
-    for n in (6, 7, 8, 16, 64):
+    for n in (7, 8, 16, 64):
         for length in (0, 1, 30, 1_000):
             reduce_word(SB, n, seeded_word(n, length))
     assert algebra._rows.cache_info() == rows
@@ -850,18 +850,18 @@ def test_blob_path_checks_no_rigid_blocks(monkeypatch):
 def test_each_redex_search_draws_at_most_word_length_members(monkeypatch):
     # the class walk has no bound of its own: the search reads at most
     # len(word) members of it, whatever the level, rank or depth of redex.
-    # `reduce_word` at TL and 2B reads the heap and searches nothing, so
-    # there the searches come from the kernel-step loop of `loop_reduce`
+    # `reduce_word` at TL and 2B, and at the blob level from rank
+    # `_LOOP_RANK`, reads the heap and searches nothing, so there the
+    # searches come from the kernel-step loop of `loop_reduce`
     rng = random.Random(2424)
     cases = [(8, DEEP_RANK_8), (10, DEEP_RANK_10)]
     for n in range(4, 9):
         for _ in range(40):
             cases.append((n, tuple(rng.randint(0, n) for _ in range(rng.randint(0, 20)))))
-    # the blob level folds a word one generator at a time through the rows
-    # of ranks 4-5, so its searches are on a basis word times a generator,
-    # and few walk len(word) members; more and longer words keep the full
-    # walks above the floor.  From rank 6 the blob level walks no class
-    # (`_blob_loop`), so its words there add no search
+    # below `_LOOP_RANK` the blob level folds a word one generator at a
+    # time through the rows, so its searches are on a basis word times a
+    # generator, and few walk len(word) members; more and longer words
+    # keep the full walks above the floor
     rng = random.Random(2425)
     for n in range(4, 9):
         for _ in range(20):
@@ -871,10 +871,13 @@ def test_each_redex_search_draws_at_most_word_length_members(monkeypatch):
     algebra._reduce_canonical.cache_clear()
     algebra._rows.cache_clear()
     searches = []  # [level, n, word, members drawn] per walk
-    for level, reduce in ((TL, loop_reduce), (TB, loop_reduce), (SB, reduce_word)):
+    for level in (TL, TB, SB):
         for n, word in cases:
             start = len(walks)
-            reduce(level, n, word)
+            if level == SB and n < algebra._LOOP_RANK:
+                reduce_word(level, n, word)
+            else:
+                loop_reduce(level, n, word)
             searches += [[level, n, w, drawn] for w, drawn in walks[start:]]
     assert len(searches) > 1000
     basis = 0
