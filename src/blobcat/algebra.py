@@ -28,24 +28,21 @@ left through its action rows (`_rows`), the right regular representation
 on the basis: one row per basis word reached, holding that word times
 each generator as (packed exponents, next row), so a letter costs one
 list index.  Only an empty slot (`_fill`) reaches the whole-word memo,
-`_reduce_canonical`, which takes the kernel's rewrite step.  A redex is
-looked for in the first members of the word's commutation class, walked
-breadth first, as many as the word has letters; at each position only the
-rules whose pattern starts with its two letters are tried.  A word that
-holds no pattern itself has its heap read once (`_heap_redex`, O(length +
-rank)), and that one reading decides: a basis index, the word every
-reduction ends on, stops the search at one member; past the members, a
-chain or boundary triple that some member holds as a rule pattern loses
-its trailing letters, and a positive, non-blobbed word at the blob level
-takes the paper's blob step, `grids._oblique_shortening_word` of its
-rigid blocks, one I J alternation fewer, times k.  So no redex, however
-deep in a large class, is walked to.  The rows of ranks 1-6 hold at most
-50,882 entries and the memo at most 45,696 words, the rewrites of those
-entries, so both are bounded in total.
+`_reduce_canonical`.  It looks for a redex in the first members of the
+word's commutation class, walked breadth first, as many as the word has
+letters, and at each position tries only the rules whose pattern starts
+with its two letters.  A word that holds no pattern itself and that
+`in_index_set` accepts, on one heap reading (O(length + rank)), is a basis
+index, the word every reduction ends on, and stops the search at one
+member.  A word whose redex lies past those members goes to `_blob_loop`
+below, so no redex, however deep in a large class, is walked to.  The
+rows of ranks 1-6 hold at most 50,882 entries and the memo at most 43,940
+words, the rewrites of those entries, so both are bounded in total.
 
 From rank 7 on, a long word reaches a new basis word at nearly every
 letter, and the rows would grow with the word.  There `_blob_loop`
-reduces the word `_CHUNK` letters at a time and keeps nothing: the
+reduces the word `_CHUNK` letters at a time and keeps nothing.  It is the
+one code that takes the paper's blob step, at every rank: the
 two-boundary heap-scan fold with the blob rule index, then, while the
 rigid blocks of the result are not blobbed, the blob step and the fold
 again.  Chunks are sound because reduction respects products, the
@@ -71,7 +68,7 @@ from operator import itemgetter
 
 from . import enumeration
 from .grids import _is_blobbed, _oblique_shortening_word, i_word, is_blobbed, j_word
-from .normal_forms import Blocks, _blocks_of_word, block_word
+from .normal_forms import _blocks_of_word, block_word
 from .words import (
     HeapState,
     Letters,
@@ -306,85 +303,41 @@ def _rule_steps(level: AlgebraLevel, n: int) -> dict[Letters, tuple[int, int]]:
     }
 
 
-def _find_redex(level: AlgebraLevel, n: int, word: Letters) -> tuple[Letters, int] | None:
+@lru_cache(maxsize=None)
+def _reduce_canonical(n: int, word: Letters) -> tuple[int, Letters]:
     """
-    One rewrite step of `word` as (shorter word, packed scalar), or None if
-    the word is a basis index.  The first `len(word)` members of the class,
-    walked breadth first from `word`, are searched for a rule pattern: the
-    step rewrites the earliest member holding one, at the first position
-    that holds one, with ties between rules at one position broken by
-    priority.  Every pattern has two letters or more, so one dict probe per
-    position (`_rules_by_first_pair`) finds the only rules that can match
-    there, in priority order: the choice is that of trying every rule.
-    When the word itself, the first member, holds no pattern, its heap is
-    read once (`_heap_redex`): a basis index stops the search there, at
-    one member.  Past the `len(word)` members, when the walk has already
-    cost more than a heap pass, the step is built from that same reading,
-    however deep the redex: a witness loses its trailing positions, since
-    every replacement is a prefix of its pattern, and rigid blocks take
-    the blob step (`grids._oblique_shortening_word`), times k.
+    A miss of the action rows (`_fill`), so only at ranks 1-6: a canonical
+    blob-level word reduced to (packed monomial, basis word).  The first
+    `len(word)` members of its class, walked breadth first from `word`, are
+    searched for a rule pattern: the earliest member holding one is
+    rewritten at the first position that holds one, ties between rules at
+    one position broken by priority, and the canonical shorter word is
+    reduced in turn, its packing added to the step's.  Every pattern has
+    two letters or more, so one dict probe per position
+    (`_rules_by_first_pair`) finds the only rules that can match there, in
+    priority order.  A word whose first member holds no pattern and that
+    `in_index_set` accepts is a basis index, at one member.  A word that
+    none of the members rewrites, its redex deeper in the class, goes to
+    `_blob_loop`.  The memo keeps every word reduced in turn, which the
+    misses share.  Its words are the rewrites of the (n + 1)·|B| basis
+    words times a generator of those ranks, so it holds at most 43,940
+    words, however many words `reduce_word` takes.
     """
+    level = AlgebraLevel.SYMPLECTIC_BLOB
     index, steps = _rules_by_first_pair(level, n), _rule_steps(level, n)
-    redex = None  # the empty word draws no member and is a basis index
     walk = islice(iter_commutation_class(n, word), len(word))
     for drawn, member in enumerate(walk, 1):
         for pos, pair in enumerate(zip(member, member[1:])):
             for rule in index.get(pair, ()):
                 if member[pos : pos + len(rule.pattern)] == rule.pattern:
                     rest = member[pos + len(rule.pattern) :]
-                    return member[:pos] + rule.replacement + rest, steps[rule.pattern][1]
-        if drawn == 1:
-            redex = _heap_redex(level, n, word)
-            if redex is None:
-                return None
-    if redex is None:
-        return None
-    if isinstance(redex[0], tuple):  # rigid blocks, not witness positions
-        return _oblique_shortening_word(n, redex), _K_STEP
-    keep, exps = steps[itemgetter(*redex)(word)]
-    drop = redex[keep:]
-    return tuple([a for p, a in enumerate(word) if p not in drop]), exps
-
-
-def _heap_redex(level: AlgebraLevel, n: int, word: Letters) -> Letters | Blocks | None:
-    """
-    What one `heap_reading` of the word says at the level: None for a basis
-    index, else what the rewrite step needs.  A word that is not reduced
-    fully commutative, or at the two-boundary and blob levels one with a
-    boundary triple, gives the witness positions of a chain or triple that
-    some class member holds as a rule pattern.  A positive word that is not
-    blobbed, at the blob level, gives its rigid blocks, which hold IJI or
-    JIJ.  Any other word is a basis index: TL takes the reduced FC words,
-    the two-boundary level the positive ones, the blob level the positive
-    ones whose rigid blocks are blobbed.
-    """
-    state, witness = heap_reading(n, word)
-    if witness and (state == HeapState.NOT_REDUCED_FC or level != AlgebraLevel.TL):
-        return witness
-    if level == AlgebraLevel.SYMPLECTIC_BLOB and state == HeapState.POSITIVE:
-        blocks = _blocks_of_word(n, word)
-        if not _is_blobbed(n, blocks):
-            return blocks
-    return None
-
-
-@lru_cache(maxsize=None)
-def _reduce_canonical(n: int, word: Letters) -> tuple[int, Letters]:
-    """
-    A miss of the action rows (`_fill`), so only at ranks 1-6: a canonical
-    blob-level word rewritten to (packed monomial, basis word), each step
-    adding its packing to the tail's.  The memo keeps every intermediate,
-    which the misses share.  Its words are the rewrites of the (n + 1)·|B|
-    basis words times a generator of those ranks, so it holds at most
-    45,696 words, however many words `reduce_word` takes.
-    """
-    step = _find_redex(AlgebraLevel.SYMPLECTIC_BLOB, n, word)
-    if step is None:
-        return 0, word
-    shorter, head = step
-    assert len(shorter) < len(word), "rewrite steps must strictly shorten"
-    tail, final = _reduce_canonical(n, _canonical_word(n, shorter))
-    return head + tail, final
+                    shorter = member[:pos] + rule.replacement + rest
+                    assert len(shorter) < len(word), "rewrite steps must strictly shorten"
+                    tail, final = _reduce_canonical(n, _canonical_word(n, shorter))
+                    return steps[rule.pattern][1] + tail, final
+        if drawn == 1 and in_index_set(level, n, word):
+            return 0, word
+    return _blob_loop(n, word)
 
 
 @cache
@@ -405,7 +358,8 @@ def _rows(n: int) -> dict[Letters, list]:
 def _fill(n: int, row: list, g: int) -> tuple[int, list]:
     """
     A miss of the rank-n action rows: the basis word of `row` times the
-    generator g, reduced once by `_reduce_canonical` and kept in slot g.
+    generator g, reduced once by `_reduce_canonical`, which hands a redex
+    past its class walk to `_blob_loop`, and kept in slot g.
     """
     exps, word = _reduce_canonical(n, _canonical_word(n, row[-1] + (g,)))
     row[g] = entry = (exps, _rows(n).setdefault(word, [None] * (n + 1) + [word]))
@@ -454,7 +408,8 @@ def _blob_loop(n: int, word: Letters) -> tuple[int, Letters]:
     are blobbed is a basis index, and any other takes the paper's blob
     step, `grids._oblique_shortening_word`, one I J alternation fewer,
     times k, and is folded again.  Each pass shortens the word, so the loop
-    ends.
+    ends.  `reduce_word` runs it from rank `_LOOP_RANK` on, and
+    `_reduce_canonical` on a word whose redex its class walk does not reach.
     """
     exps = 0
     while True:
@@ -522,17 +477,22 @@ def reduce_word(level: AlgebraLevel, n: int, word: Letters) -> tuple[Scalar, Let
 def in_index_set(level: AlgebraLevel, n: int, word: Letters) -> bool:
     """
     Does the word index a basis monomial at this level, i.e. does no member
-    of its commutation class hold a rule pattern of the level?  Read off the
-    heap (`_heap_redex`): TL takes the reduced FC words, the two-boundary
-    level those with no boundary triple (the positive elements), and the
-    blob level those of them whose rigid blocks are blobbed.  The blocks
-    of a positive word are the +1 runs of its greatest class member, which
-    one top-down greedy pass over the heap builds, with no second check of
-    the word (`normal_forms._blocks_of_word`) and no check of the blocks
+    of its commutation class hold a rule pattern of the level?  Read off one
+    `heap_reading`: TL takes the reduced FC words, the two-boundary level
+    those with no boundary triple (the positive elements), and the blob
+    level those of them whose rigid blocks are blobbed.  The blocks of a
+    positive word are the +1 runs of its greatest class member, which one
+    top-down greedy pass over the heap builds, with no second check of the
+    word (`normal_forms._blocks_of_word`) and no check of the blocks
     (`grids._is_blobbed`).  O(len(word) + n) before the row test of
     `is_blobbed`; a malformed word raises ValueError.
     """
-    return _heap_redex(level, n, word) is None
+    state, _ = heap_reading(n, word)
+    if state == HeapState.NOT_REDUCED_FC:
+        return False
+    if state != HeapState.POSITIVE:
+        return level == AlgebraLevel.TL
+    return level != AlgebraLevel.SYMPLECTIC_BLOB or _is_blobbed(n, _blocks_of_word(n, word))
 
 
 @dataclass(frozen=True)

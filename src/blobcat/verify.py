@@ -338,12 +338,14 @@ def check_quotient_identities(max_n: int | None = None) -> Check:
     affine lengths 0..2 (rank 1 is left out: its block words are not all
     positive), and the boundary identities at ranks up to max_n.
 
-    The 2B -> SB half would be circular on a word where the kernel itself
-    takes the blob step (a positive word whose first blob redex lies past
-    len(word) class members): there it compares `reduce_word` with k times
-    `reduce_word` on the very image the kernel stepped to.  No word of this
-    range reaches that step, but larger ranges do, so the test suite checks
-    the kernel against a reducer that only walks commutation classes.
+    The 2B -> SB half would be circular on a word that the kernel hands to
+    its own blob step, `algebra._blob_loop`: there it compares
+    `reduce_word` with k times `reduce_word` on the very image the loop
+    stepped to.  The loop takes every word from rank 7 on, and below it a
+    row fill whose first redex lies past len(word) class members.  No fill
+    of ranks 1-3 is handed on, so no word of this range reaches that step,
+    but larger ranges do, so the test suite checks the kernel against a
+    reducer that only walks commutation classes.
     """
     TB = AlgebraLevel.TWO_BOUNDARY
     ranks = range(1, 4)[:max_n]

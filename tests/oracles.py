@@ -10,9 +10,10 @@ blocks read off it, and grid containment as an `any` of `all`s, as
 both were first written,
 the paper's oblique factorization around the alternating run, which
 the blob step `grids.oblique_shortening_word` shortcuts, the rewriting
-kernel as a plain class walk that never reads the heap, and TL and
-two-boundary reduction as a loop of the kernel's own steps, which the
-heap-scan fold replaced, the wing counts an entry at a time, which the
+kernel as a plain class walk that never reads the heap, reduction at
+every level as a loop of one-step rewrites, each a bounded class walk
+and then one step off the heap, which the heap-scan fold and the blob
+loop replaced, the wing counts an entry at a time, which the
 counts read as whole runs, the dimension polynomial off three
 convolutions of the wing complements, which `blob_polynomial` reads off two
 squarings, and the quotient-image check of one word, read back into the
@@ -23,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import chain, product
+from itertools import chain, islice, product
+from operator import itemgetter
 from typing import Iterator
 
 from blobcat import algebra, grids, verify
@@ -38,6 +40,7 @@ from blobcat.normal_forms import (
     LengthZero,
     NormalForm,
     SecondType,
+    _blocks_of_word,
     _word_of_normal_form,
     blocks_of_word,
     check_blocks,
@@ -51,6 +54,7 @@ from blobcat.words import (
     canonical_word,
     check_rank,
     check_word,
+    heap_reading,
     heap_state,
     iter_commutation_class,
 )
@@ -402,16 +406,74 @@ def walk_reduce(
     return rule.scalar * scalar, final
 
 
+def heap_redex(level: AlgebraLevel, n: int, word: Letters) -> Letters | Blocks | None:
+    """
+    What one `heap_reading` of the word says at the level: None for a basis
+    index, else what a rewrite step needs.  A word that is not reduced
+    fully commutative, or at the two-boundary and blob levels one with a
+    boundary triple, gives the witness positions of a chain or triple that
+    some class member holds as a rule pattern.  A positive word that is not
+    blobbed, at the blob level, gives its rigid blocks, which hold IJI or
+    JIJ.  Any other word is a basis index, as `algebra.in_index_set` says.
+    """
+    state, witness = heap_reading(n, word)
+    if witness and (state == HeapState.NOT_REDUCED_FC or level != AlgebraLevel.TL):
+        return witness
+    if level == AlgebraLevel.SYMPLECTIC_BLOB and state == HeapState.POSITIVE:
+        blocks = _blocks_of_word(n, word)
+        if not grids._is_blobbed(n, blocks):
+            return blocks
+    return None
+
+
+def find_redex(level: AlgebraLevel, n: int, word: Letters) -> tuple[Letters, int] | None:
+    """
+    One rewrite step of `word` at any level, as (shorter word, packed
+    scalar), or None if the word is a basis index.  The first `len(word)`
+    members of the class, walked breadth first from `word`, are searched
+    for a rule pattern as `algebra._reduce_canonical` searches them: the
+    earliest member holding one, at the first position that holds one,
+    ties broken by priority.  When the word itself holds no pattern, its
+    heap is read once (`heap_redex`): a basis index stops the search at
+    one member.  Past the members the step is built from that same
+    reading, one step however deep the redex: a witness loses its trailing
+    positions, since every replacement is a prefix of its pattern, and
+    rigid blocks take the blob step (`grids._oblique_shortening_word`),
+    times k.  So it takes the blob step by itself, not through
+    `algebra._blob_loop`.
+    """
+    index, steps = algebra._rules_by_first_pair(level, n), algebra._rule_steps(level, n)
+    redex = None  # the empty word draws no member and is a basis index
+    walk = islice(iter_commutation_class(n, word), len(word))
+    for drawn, member in enumerate(walk, 1):
+        for pos, pair in enumerate(zip(member, member[1:])):
+            for rule in index.get(pair, ()):
+                if member[pos : pos + len(rule.pattern)] == rule.pattern:
+                    rest = member[pos + len(rule.pattern) :]
+                    return member[:pos] + rule.replacement + rest, steps[rule.pattern][1]
+        if drawn == 1:
+            redex = heap_redex(level, n, word)
+            if redex is None:
+                return None
+    if redex is None:
+        return None
+    if isinstance(redex[0], tuple):  # rigid blocks, not witness positions
+        return grids._oblique_shortening_word(n, redex), algebra._K_STEP
+    keep, exps = steps[itemgetter(*redex)(word)]
+    drop = redex[keep:]
+    return tuple([a for p, a in enumerate(word) if p not in drop]), exps
+
+
 def loop_reduce(level: AlgebraLevel, n: int, word: Letters) -> tuple[Scalar, Letters]:
     """
     `reduce_word` as a loop of kernel steps, at any level: canonicalise
-    the word, then take `algebra._find_redex` steps,
-    each on the canonical form of the last, until none is left.  No memo and
-    no recursion; each step walks class members and reads the heap.
+    the word, then take `find_redex` steps, each on the canonical form of
+    the last, until none is left.  No memo, no recursion and no call of
+    `algebra._blob_loop`; each step walks class members and reads the heap.
     """
     word = canonical_word(n, word)
     exps = 0
-    while (step := algebra._find_redex(level, n, word)) is not None:
+    while (step := find_redex(level, n, word)) is not None:
         shorter, head = step
         assert len(shorter) < len(word), "rewrite steps must strictly shorten"
         exps, word = exps + head, canonical_word(n, shorter)

@@ -196,8 +196,9 @@ DEEP_BLOB_REDUCED = "d*kR*k * [5,4,3,2,1,0,6,5,4,3,2,1,0,6,5,4,3,6]"
 def deep_blob_redex():
     """
     A rank-6 blob product whose first blob redex lies so deep in its class
-    that a walk to it passes 10^6 members after about 10 s; the heap step
-    takes it at once.
+    that a walk to it passes 10^6 members after about 10 s; the row fill
+    that meets it walks len(word) members and hands the word to the
+    heap-scan loop `_blob_loop`, which takes the blob step at once.
     """
     word = "5,4,3,2,1,6,5,4,3,2,6,5,4,6,5,6,0,2,1,0,3,2,1,0,5,4,3,6"
     yield _blobcat("reduce", "--n", "6", "--level", "sb", "--word", word)

@@ -14,7 +14,6 @@ import hashlib
 import io
 import json
 import random
-import sys
 import time
 import tracemalloc
 from functools import partial
@@ -24,7 +23,7 @@ from blobcat.algebra import AlgebraLevel, Scalar, in_index_set, reduce_word, sb_
 from blobcat.cli import main
 from blobcat.words import canonical_word, is_reduced_fc
 
-from oracles import walk_reduce
+from oracles import loop_reduce, walk_reduce
 from pins import (
     LONG_BLOB_WORD_LINE,
     SEEDED_3200_LETTERS_SHA256,
@@ -287,18 +286,13 @@ def test_long_blob_words_reduce_past_the_recursion_limit():
     # words of the blobbed elements, which is what this asks of the output
     _, out = outputs[8]
     assert in_index_set(SB, 8, out) and canonical_word(8, out) == out
-    # the whole-word rewrite reaches a 2,000-letter prefix at rank 2 and a
-    # 400-letter one at rank 8 under a raised limit (its class walks grow
-    # too fast at rank 8 for more)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(10_000)
-    try:
-        for n, length in ((2, 2_000), (8, 400)):
-            prefix = words[n][:length]
-            exps, whole = algebra._reduce_canonical(n, canonical_word(n, prefix))
-            assert reduce_word(SB, n, prefix) == (algebra._unpacked(exps), whole), n
-    finally:
-        sys.setrecursionlimit(limit)
+    # one-step rewrites of the whole word (`oracles.loop_reduce`, no
+    # recursion and no `_blob_loop`) reach a 2,000-letter prefix at rank 2
+    # and a 400-letter one at rank 8 (its class walks grow too fast at
+    # rank 8 for more)
+    for n, length in ((2, 2_000), (8, 400)):
+        prefix = words[n][:length]
+        assert reduce_word(SB, n, prefix) == loop_reduce(SB, n, prefix), n
 
 
 def test_long_two_boundary_word_reduces_at_rank_64():

@@ -27,10 +27,12 @@ from blobcat.algebra import (
 )
 from blobcat.words import canonical_word, iter_commutation_class, parse_word
 
+import oracles
 from oracles import (
     adversarial_word,
     commutation_class,
     exhaustive_words,
+    find_redex,
     grown_fc_word,
     loop_reduce,
     quotient_image_check,
@@ -295,12 +297,12 @@ def test_fold_rejects_malformed_input_before_any_work(monkeypatch, capsys, level
 
 
 def test_fold_takes_no_class_walk_and_canonicalises_once(monkeypatch):
-    # TL and 2B reduce on the heap scanner alone: no redex search, no class
-    # walk, and one canonical word, at the end
+    # TL and 2B reduce on the heap scanner alone: no blob-level fill, no
+    # class walk, and one canonical word, at the end
     def refuse(*args):
         raise AssertionError("a redex search or class walk on the TL/2B path")
 
-    monkeypatch.setattr(algebra, "_find_redex", refuse)
+    monkeypatch.setattr(algebra, "_reduce_canonical", refuse)
     monkeypatch.setattr(algebra, "iter_commutation_class", refuse)
     canonicalised, canonical = [], words._canonical_word
 
@@ -400,8 +402,8 @@ def _reference_find_redex(level, n, word):
 
 
 def _kernel_step(level, n, word):
-    """`algebra._find_redex` with its packed monomial read as a Scalar."""
-    step = algebra._find_redex(level, n, word)
+    """`oracles.find_redex` with its packed monomial read as a Scalar."""
+    step = find_redex(level, n, word)
     if step is None:
         return None
     shorter, exps = step
@@ -429,9 +431,9 @@ def _assert_step_from_heap(level, n, word, step):
 def _assert_same_redex_choice(n, word):
     """
     Compare at every level; return the patterns chosen and the levels at
-    which the kernel took a heap step.  The kernel walks as the reference
-    does for `len(word)` members; a word whose first redex lies past them
-    takes its step from the heap.
+    which the step oracle took a heap step.  It walks as the reference
+    does for `len(word)` members, as the blob-level fill does; a word whose
+    first redex lies past them takes its step from the heap.
     """
     patterns = set()
     heap_levels = set()
@@ -590,9 +592,9 @@ def test_tl_and_two_boundary_reductions_keep_no_memo():
 
 
 def _whole_word(n, word):
-    """The blob level's whole-word rewrite, the path each miss of the action rows takes."""
-    exps, final = algebra._reduce_canonical(n, canonical_word(n, word))
-    return algebra._unpacked(exps), final
+    """The blob level's whole word reduced by one-step rewrites (`oracles.loop_reduce`),
+    which reads neither the action rows nor `algebra._blob_loop`."""
+    return loop_reduce(SB, n, word)
 
 
 def test_blob_fold_matches_the_whole_word_rewrite_exhaustive():
@@ -636,7 +638,7 @@ def test_action_table_holds_one_entry_per_basis_word_and_generator():
 def test_blob_words_from_rank_7_leave_the_rows_and_the_memo_alone():
     # from rank 7 the blob level reduces through the heap-scan loop, which
     # reads no row and fills no slot: the rows and the memo keep only what
-    # ranks 1-6 put there, at most 50,882 row entries and 45,696 memo words
+    # ranks 1-6 put there, at most 50,882 row entries and 43,940 memo words
     reduce_word(SB, 6, seeded_word(6, 1_000))
     rows, memo = algebra._rows.cache_info(), algebra._reduce_canonical.cache_info()
     for n in (7, 8, 16, 64):
@@ -657,6 +659,27 @@ def test_blob_action_matches_the_whole_word_rewrite_exhaustive():
                 assert reduce_word(SB, n, b + (g,)) == _whole_word(n, b + (g,)), (n, b, g)
                 entries += 1
     assert entries == 8568  # at rank 5
+
+
+def test_row_fills_hand_deep_redexes_to_the_blob_loop(monkeypatch):
+    # every slot of the rank-4 and rank-5 action rows, filled cold: a fill
+    # whose redex lies past its class walk goes to `_blob_loop`, the one
+    # code that takes the blob step, and every entry is what one-step
+    # rewrites of the whole product give (`oracles.loop_reduce`)
+    handed, loop = [], algebra._blob_loop
+
+    def spy(n, word):
+        handed.append(n)
+        return loop(n, word)
+
+    monkeypatch.setattr(algebra, "_blob_loop", spy)
+    algebra._rows.cache_clear()
+    algebra._reduce_canonical.cache_clear()
+    for n in (4, 5):
+        for b in sb_basis(n):
+            for g in range(n + 1):
+                assert reduce_word(SB, n, b + (g,)) == loop_reduce(SB, n, b + (g,)), (n, b, g)
+    assert (handed.count(4), handed.count(5)) == (47, 477)
 
 
 @pytest.mark.parametrize("letter", [3, -1, True, 1.0])
@@ -768,7 +791,8 @@ def test_queries_at_rank_12_use_no_normal_forms(monkeypatch, capsys):
 
 
 def _spy_on_class_walk(monkeypatch):
-    """Record each class walk the kernel starts as [word, members drawn]."""
+    """Record each class walk that the blob-level fill (`algebra._reduce_canonical`)
+    or the step oracle (`oracles.find_redex`) starts, as [word, members drawn]."""
     walks = []
 
     def spy(n, word):
@@ -779,6 +803,7 @@ def _spy_on_class_walk(monkeypatch):
             yield member
 
     monkeypatch.setattr(algebra, "iter_commutation_class", spy)
+    monkeypatch.setattr(oracles, "iter_commutation_class", spy)
     return walks
 
 
@@ -790,23 +815,44 @@ DEEP_RANK_10 = parse_word(DEEP_TL_WORD)
 def test_deep_blob_redex_is_found_in_few_members(monkeypatch):
     # This rank-8 word is reduced FC and free of boundary triples, so only a
     # blob rule applies; its first IJI factor lies ~325k members into the
-    # walk, and the search takes the blob step from the heap after 15.
+    # walk.  The step oracle takes the blob step from the heap after 15
+    # members, and the blob-level fill hands the word to `_blob_loop` after
+    # the same 15.
     word = DEEP_RANK_8
     assert in_index_set(TB, 8, word) and not in_index_set(SB, 8, word)
     walks = _spy_on_class_walk(monkeypatch)
     shorter, scalar = _kernel_step(SB, 8, word)
     assert walks == [[word, len(word)]]
     assert scalar == K and len(shorter) == len(word) - len(grids.i_word(8) + grids.j_word(8))
+    walks.clear()
+    filled = _fill_whole_word(8, word)
+    assert walks == [[canonical_word(8, word), len(word)]]
+    assert filled == loop_reduce(SB, 8, word)
+
+
+# a positive rank-4 product, a basis word times a generator, whose blob
+# redex lies past its first 8 class members, so the fill hands it to
+# `_blob_loop`, which takes the blob step to (1, 0, 3) times k
+HAND_OFF_RANK_4 = (1, 0, 3, 2, 1, 0, 4, 3)
+
+
+def _fill_whole_word(n, word):
+    """The blob-level fill of one word, memo bypassed for the word itself."""
+    exps, final = algebra._reduce_canonical.__wrapped__(n, canonical_word(n, word))
+    return algebra._unpacked(exps), final
 
 
 def test_blob_step_tests_the_blocks_once(monkeypatch):
-    # the heap reading finds the rigid blocks not blobbed, and the blob step
-    # drops the alternation from them as they are, with no second
-    # `_is_blobbed`; the public `oblique_shortening_word` still tests, and
-    # refuses a blobbed element
-    n = 4
-    word = nfm.block_word(grids.iji_blocks(n))
-    grids.jij_blocks(n)
+    # the fill's heap reading of the first member finds the rigid blocks
+    # not blobbed (`in_index_set`), and past the walk `_blob_loop` tests
+    # each pass's blocks once: the blob step drops the alternation from
+    # them as they are, with no second `_is_blobbed`, and the last pass
+    # tests the basis word's blocks; the public `oblique_shortening_word`
+    # still tests, and refuses a blobbed element
+    n, word = 4, HAND_OFF_RANK_4
+    blocks = nfm._blocks_of_word(n, word)
+    assert blocks == ((3, 4), (1, 3), (0, 1), (0, 0))
+    grids.iji_blocks(n), grids.jij_blocks(n)
     calls, blobbed = [], grids._is_blobbed
 
     def counting(n, blocks):
@@ -815,20 +861,20 @@ def test_blob_step_tests_the_blocks_once(monkeypatch):
 
     monkeypatch.setattr(grids, "_is_blobbed", counting)
     monkeypatch.setattr(algebra, "_is_blobbed", counting)
-    assert _kernel_step(SB, n, word) == ((1, 3), K)
-    assert calls == [grids.iji_blocks(n)]
+    assert _fill_whole_word(n, word) == (K, (1, 0, 3))
+    final = nfm._blocks_of_word(n, (1, 0, 3))
+    assert calls == [blocks, blocks, final]
     with pytest.raises(ValueError, match="blobbed"):
         grids.oblique_shortening_word(n, ())
-    assert calls == [grids.iji_blocks(n), ()]
+    assert calls == [blocks, blocks, final, ()]
 
 
 def test_blob_path_checks_no_rigid_blocks(monkeypatch):
     # the blocks that a positive word's heap reading builds are valid, so
     # neither the blob step nor an index-set query checks them again; the
     # public `is_blobbed` and `oblique_shortening_word` still do
-    n = 4
-    word = nfm.block_word(grids.iji_blocks(n))
-    grids.jij_blocks(n)
+    n, word = 4, HAND_OFF_RANK_4
+    grids.iji_blocks(n), grids.jij_blocks(n)
     calls, check = [], nfm.check_blocks
 
     def counting(n, blocks):
@@ -837,7 +883,7 @@ def test_blob_path_checks_no_rigid_blocks(monkeypatch):
 
     monkeypatch.setattr(nfm, "check_blocks", counting)
     monkeypatch.setattr(grids, "check_blocks", counting)
-    assert _kernel_step(SB, n, word) == ((1, 3), K)
+    assert _fill_whole_word(n, word) == (K, (1, 0, 3))
     assert calls == []
     assert in_index_set(SB, n, (0, 1, 2))
     assert calls == []
@@ -850,9 +896,10 @@ def test_blob_path_checks_no_rigid_blocks(monkeypatch):
 def test_each_redex_search_draws_at_most_word_length_members(monkeypatch):
     # the class walk has no bound of its own: the search reads at most
     # len(word) members of it, whatever the level, rank or depth of redex.
-    # `reduce_word` at TL and 2B, and at the blob level from rank
-    # `_LOOP_RANK`, reads the heap and searches nothing, so there the
-    # searches come from the kernel-step loop of `loop_reduce`
+    # Below `_LOOP_RANK` the blob level's searches are those of its fill,
+    # `_reduce_canonical`.  `reduce_word` at TL and 2B, and at the blob
+    # level from rank `_LOOP_RANK`, reads the heap and searches nothing, so
+    # there the searches come from the step oracle of `loop_reduce`
     rng = random.Random(2424)
     cases = [(8, DEEP_RANK_8), (10, DEEP_RANK_10)]
     for n in range(4, 9):
@@ -888,7 +935,8 @@ def test_each_redex_search_draws_at_most_word_length_members(monkeypatch):
             basis += 1
             assert drawn == 1, (level, n, word, drawn)
     assert basis > 500
-    # a redex past the bound reads the whole of it before the heap step;
+    # a redex past the bound reads the whole of it before the heap step or
+    # the hand-off to `_blob_loop`;
     # a basis word never does, so each such walk is on a word with a redex
     full = [s for s in searches if s[3] == len(s[2]) > 1]
     assert not [s for s in full if in_index_set(*s[:3])]
@@ -897,8 +945,11 @@ def test_each_redex_search_draws_at_most_word_length_members(monkeypatch):
 
 def test_basis_word_search_reads_one_member_and_the_heap_once(monkeypatch):
     # a search reads the heap at most once: a word with no pattern of its
-    # own keeps that reading, so a basis word leaves after the word itself,
-    # and a heap step past the walk is built from the same reading
+    # own reads it once, so a basis word leaves after the word itself, and
+    # a word past the walk leaves without a second reading, to
+    # `_blob_loop` from the blob-level fill and to a heap step built from
+    # that reading in the step oracle.  The fill searches at the blob
+    # level, and the oracle at TL and 2B, where `src` searches nothing
     for n in (1, 2, 3):  # the IJI and JIJ grids are read once per rank and kept
         grids.iji_blocks(n), grids.jij_blocks(n)
     walks = _spy_on_class_walk(monkeypatch)
@@ -910,6 +961,11 @@ def test_basis_word_search_reads_one_member_and_the_heap_once(monkeypatch):
 
     monkeypatch.setattr(words, "heap_reading", counting_read)
     monkeypatch.setattr(algebra, "heap_reading", counting_read)
+    monkeypatch.setattr(oracles, "heap_reading", counting_read)
+    # one search per call: the fill's rewrite hands its shorter word to a
+    # stub, not to the memo's next search
+    fill = algebra._reduce_canonical.__wrapped__
+    monkeypatch.setattr(algebra, "_reduce_canonical", lambda n, word: (0, word))
     basis = 0
     for n in (1, 2, 3):
         for word in exhaustive_words(n, 6):
@@ -917,8 +973,11 @@ def test_basis_word_search_reads_one_member_and_the_heap_once(monkeypatch):
                 is_basis = in_index_set(level, n, word)
                 walks.clear()
                 passes.clear()
-                step = algebra._find_redex(level, n, word)
-                assert (step is None) == is_basis, (level, n, word)
+                if level == SB:
+                    stays = fill(n, word) == (0, word)
+                else:
+                    stays = find_redex(level, n, word) is None
+                assert stays == is_basis, (level, n, word)
                 # the empty word has no member to draw and no heap to read
                 assert len(passes) <= bool(word), (level, n, word)
                 if is_basis:
@@ -928,7 +987,7 @@ def test_basis_word_search_reads_one_member_and_the_heap_once(monkeypatch):
 
 
 def _heap_redex_scalar(level, n, word, redex):
-    """The scalar of the step a `_heap_redex` reading leads to, as text."""
+    """The scalar of the step an `oracles.heap_redex` reading leads to, as text."""
     if redex is None:
         return None
     if isinstance(redex[0], tuple):  # rigid blocks: the blob step
@@ -940,7 +999,9 @@ def _heap_redex_scalar(level, n, word, redex):
 
 def test_heap_redex_reads_the_heap_once(monkeypatch):
     # one heap pass and at most one greatest-member build per reading,
-    # whichever way it decides: a chain, a boundary triple, the blob step, None
+    # whichever way it decides: `in_index_set`, and the step oracle's
+    # reading, whose outcomes are a chain, a boundary triple, the blob step
+    # or None, and which agrees with `in_index_set`
     for n in (1, 2, 3):  # the IJI and JIJ grids are read once per rank and kept
         grids.iji_blocks(n), grids.jij_blocks(n)
     passes, builds = [], []
@@ -956,6 +1017,7 @@ def test_heap_redex_reads_the_heap_once(monkeypatch):
 
     monkeypatch.setattr(words, "heap_reading", counting_read)
     monkeypatch.setattr(algebra, "heap_reading", counting_read)
+    monkeypatch.setattr(oracles, "heap_reading", counting_read)
     monkeypatch.setattr(nfm, "_normal_word", counting_normal)
     outcomes = set()
     for n in (1, 2, 3):
@@ -963,8 +1025,13 @@ def test_heap_redex_reads_the_heap_once(monkeypatch):
             for level in (TL, TB, SB):
                 passes.clear()
                 builds.clear()
-                redex = algebra._heap_redex(level, n, word)
+                is_basis = in_index_set(level, n, word)
                 assert len(passes) == 1 and len(builds) <= 1, (level, n, word)
+                passes.clear()
+                builds.clear()
+                redex = oracles.heap_redex(level, n, word)
+                assert len(passes) == 1 and len(builds) <= 1, (level, n, word)
+                assert (redex is None) == is_basis, (level, n, word)
                 outcomes.add(_heap_redex_scalar(level, n, word, redex))
     assert outcomes == {None, "k", "d", "dL", "dR", "kL", "kR", "1"}
 
