@@ -16,11 +16,13 @@ The TL and two-boundary levels have infinite index sets, and their basis
 words are the reduced fully commutative words and the positive ones, the
 words whose heap closes no chain ss, sts or stst (Stembridge 1996) and, at
 the two-boundary level, no boundary triple.  So `reduce_word` reads the
-word from the left with `heap_reading`'s scanner, each letter in O(1): a
-letter that closes a chain or triple is rewritten at once by the rule its
-witness spells, which changes only the tops of two stacks, the letters
-read and those to come.  It keeps no memo and walks no class, and it
-canonicalises once, at the end.
+word's heap once from the left in one loop (`_fold`), each letter in O(1),
+and rewrites each closure where it closes: a letter that closes a chain,
+or a triple above TL (`words.scan_closure`, the one chain test), is
+replaced by the rule its letters spell, which changes only the tops of
+two stacks, the letters read and those to come, and the loop reads on.
+It keeps no memo and walks no class, and it canonicalises once, at the
+end.
 
 The blob level is finite-dimensional, and reduces a word by one of two
 routes, by rank.  Below rank 7 (`_LOOP_RANK`) it folds words from the
@@ -64,7 +66,6 @@ from dataclasses import dataclass
 from enum import IntEnum
 from functools import cache, lru_cache
 from itertools import islice, product
-from operator import itemgetter
 
 from . import enumeration
 from .grids import _is_blobbed, _oblique_shortening_word, i_word, is_blobbed, j_word
@@ -80,8 +81,8 @@ from .words import (
     heap_reading,
     iter_commutation_class,
     new_scan,
+    scan_closure,
     scan_drop,
-    scan_read,
 )
 
 PARAMS = ("d", "dL", "dR", "kL", "kR", "k")
@@ -369,35 +370,48 @@ def _fill(n: int, row: list, g: int) -> tuple[int, list]:
 def _fold(level: AlgebraLevel, n: int, word: Letters) -> tuple[int, Letters]:
     """
     `reduce_word` at TL or the two-boundary level, as (packed monomial,
-    canonical word), and the first step of `_blob_loop`: the scanner
-    (`words.scan_read`) moves letters from `pending`, the word reversed,
-    onto `read` while they close no chain, or a boundary triple at TL.  Any
-    other closure rewrites the witness to its rule's replacement, a prefix:
-    the closing letter goes, and for sts, stst and the two-boundary triples
-    so does the piece before it; the scanner unreads back to that piece and
-    what followed it goes back onto `pending`.  The word read is a basis
-    index when `pending` runs out, a positive word at the blob level, and
-    is canonicalised once.
+    canonical word), and the first step of `_blob_loop`: one reading loop
+    takes letters from the end of `pending`, the word reversed, and reads
+    them onto `read` while they close nothing, or only a boundary triple at
+    TL.  A letter that closes a chain, or a triple above TL
+    (`words.scan_closure`), is rewritten where it closes: the rule of the
+    letters it closes (`_rule_steps`) keeps a prefix of them, so the
+    closing letter goes, and for sts, stst and the two-boundary triples so
+    does the piece before it; the loop unreads back to that piece
+    (`words.scan_drop`), puts what followed it back on `pending` and reads
+    on.  `read` and the scan's position lists have `len(word)` slots, which
+    no rewrite outgrows.  The word read is a basis index when `pending`
+    runs out, a positive word at the blob level, and is canonicalised once.
     """
     steps = _rule_steps(level, n)
-    scan = new_scan(n, len(word))
-    triples = [] if level == AlgebraLevel.TL else None
-    exps = 0
-    read: list[int] = []
+    tl = level == AlgebraLevel.TL
+    scan = last, gap, prev, closed = new_scan(n, len(word))
+    read = [0] * len(word)
     pending = list(reversed(word))
-    while (witness := scan_read(n, reversed(pending), len(read), scan, triples)) is not None:
-        end = witness[-1]  # the closing letter: it and those before it move to `read`
-        cut = len(pending) + len(read) - end - 1
-        read += pending[cut:][::-1]
-        del pending[cut:]
-        keep, step = steps[itemgetter(*witness)(read)]
-        exps += step
-        start = witness[keep]
-        if start < end:
-            scan_drop(read, start, end, scan)
-            pending += read[end - 1 : start : -1]
-        del read[start:]
-    return exps, _canonical_word(n, read + pending[::-1])
+    pop = pending.pop
+    top, exps = 0, 0
+    while pending:
+        a = pop()
+        p = last[a]
+        if p >= 0 and gap[a] < 2 and (hit := scan_closure(n, scan, a, top)):
+            witness, pattern, triple = hit
+            if not (triple and tl):
+                keep, step = steps[pattern]
+                exps += step
+                start = witness[keep]
+                if start < top:
+                    scan_drop(read, start, top, scan)
+                    pending += read[top - 1 : start : -1]
+                top = start
+                continue
+        read[top] = a
+        prev[top] = p
+        closed[top] = gap[a]
+        gap[a - 1] += 1
+        gap[a + 1] += 1
+        last[a], gap[a] = top, 0
+        top += 1
+    return exps, _canonical_word(n, read[:top])
 
 
 def _blob_loop(n: int, word: Letters) -> tuple[int, Letters]:
@@ -434,7 +448,7 @@ def reduce_word(level: AlgebraLevel, n: int, word: Letters) -> tuple[Scalar, Let
     word) under the level's relations.
 
     The TL and two-boundary index sets are infinite, so there the word is
-    read from the left by the heap scanner (`_fold`), with no memo, no
+    read from the left in one heap-reading loop (`_fold`), with no memo, no
     recursion and no class walk, and a word of any length reduces: a letter
     costs O(1) unless its rewrite drops a piece before it, which costs only
     the letters read again after that piece.  The blob level is
@@ -602,7 +616,7 @@ def structure_constants(n: int) -> dict[tuple[Letters, Letters], tuple[Scalar, L
     the basis B.  In fresh processes on a 2-vCPU VM with Python 3.11.7,
     rank 4 (112,225 products) took 0.46 s and 35 MB peak RSS, rank 5
     (2,039,184 products) 9.9 s and 350 MB.  From rank 7 each product runs
-    the heap-scan loop instead, about 77 µs at rank 7 against 13 µs on
+    the heap-scan loop instead, about 90 µs at rank 7 against 11 µs on
     warm rows.
     """
     basis = sb_basis(n)

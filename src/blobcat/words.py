@@ -11,8 +11,9 @@ equivalent when one can be turned into the other by swapping adjacent
 commuting letters.  The equivalence class of a word is finite; the functions
 below either enumerate it (the slow, oracle-grade route: a lazy, unbounded
 BFS that its caller bounds) or read the word's heap (the projection
-criterion, greedy linear extensions, the one-pass chain test of
-`heap_reading`) with no enumeration.
+criterion, greedy linear extensions, and the chain test `scan_closure`
+that `heap_reading` and the TL and two-boundary fold share) with no
+enumeration.
 
 >>> canonical_word(4, (3, 1, 2))
 (1, 3, 2)
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from enum import IntEnum
-from typing import Iterable, Iterator
+from typing import Iterator
 
 Letters = tuple[int, ...]
 
@@ -177,52 +178,68 @@ Scan = tuple[list[int], list[int], list[int], list[int]]
 
 def new_scan(n: int, length: int) -> Scan:
     """
-    The state of `heap_reading`'s pass before it reads a letter, for up to
-    `length` letters read at once, as plain lists (last, gap, prev, closed)
-    that `scan_read` and `scan_drop` keep.  Of the letters read so far, in
-    which the pass met no chain: per letter its latest position (`last`, -1
-    for none) and the occurrences of its neighbours since then (`gap`); per
-    position the previous one of its letter (`prev`) and the `gap` that
-    position closed (`closed`).  Slot n + 1, also indexed as -1, takes the
-    missing neighbours a - 1 of 0 and a + 1 of n, which never occur.
+    The state of a left-to-right heap reading before it reads a letter, for
+    a word of up to `length` letters, as plain lists (last, gap, prev,
+    closed) that its reader keeps, `scan_closure` reads and `scan_drop`
+    unwinds.  Of the letters read so far, in which the reading met no
+    chain: per letter its latest position (`last`, -1 for none) and the
+    occurrences of its neighbours since then (`gap`); per position the
+    previous one of its letter (`prev`) and the `gap` that position closed
+    (`closed`).  Slot n + 1, also indexed as -1, takes the missing
+    neighbours a - 1 of 0 and a + 1 of n, which never occur.
     """
     return [-1] * (n + 2), [0] * (n + 2), [-1] * length, [0] * length
 
 
-def scan_read(
-    n: int, letters: Iterable[int], start: int, scan: Scan, triples: list | None
-) -> Letters | None:
+def scan_closure(n: int, scan: Scan, a: int, pos: int) -> tuple[Letters, Letters, bool] | None:
     """
-    Read `letters` on, iterated, not copied, the first at position `start`
-    after as many read, each in O(1), until one closes a chain ss, sts or
-    stst, or a boundary triple when `triples` is None; return the witness
-    (see `heap_reading`), which ends at that letter, unread.  None when the
-    letters run out.  A triple that does not close is read, and appended to
-    `triples` as (state, witness) when it beats the latest one there, so
-    that the last entry is the first triple of the winning side.  The one
+    The one chain test of the heap reading: what the letter a at `pos`
+    closes when it meets its previous occurrence p = `last[a]` with fewer
+    than two neighbours since (`gap[a] < 2`), the only place where its
+    callers call it.  A chain ss, sts or stst, or a boundary triple, as
+    (witness, pattern, triple): the witness is the positions of the
+    closure in increasing order, ending at `pos` (see `heap_reading`), the
+    pattern their letters, and `triple` whether it is a boundary triple
+    rather than a chain.  None if the letter closes nothing.  The one
     neighbour b in a gap of one is whichever of a - 1 and a + 1 came last.
     """
     last, gap, prev, closed = scan
-    for pos, a in enumerate(letters, start):
+    p = last[a]
+    if gap[a] == 0:
+        return (p, pos), (a, a), False
+    q, b = last[a - 1], a - 1
+    if last[a + 1] > q:
+        q, b = last[a + 1], a + 1
+    # bond 3 (no end letter in the pair), or bond 4 closing b a b a: b's own
+    # gap before q held nothing but the a at p
+    if 0 < a < n and 0 < b < n:
+        return (p, q, pos), (a, b, a), False
+    if 0 <= prev[q] < p and closed[q] == 1:
+        return (prev[q], p, q, pos), (b, a, b, a), False
+    if b == 0 or b == n:
+        return (p, q, pos), (a, b, a), True
+    return None
+
+
+def scan_read(n: int, word: Letters, triples: list) -> Letters | None:
+    """
+    The pass of `heap_reading`: read `word` from the left on a `new_scan`,
+    each letter in O(1), until one closes a chain ss, sts or stst
+    (`scan_closure`); return its witness, which ends at that letter,
+    unread.  None when the letters run out.  A boundary triple is read, and
+    appended to `triples` as (state, witness) when it beats the latest one
+    there, so that the last entry is the first triple of the winning side.
+    """
+    scan = last, gap, prev, closed = new_scan(n, len(word))
+    for pos, a in enumerate(word):
         p = last[a]
-        if p >= 0 and gap[a] < 2:
-            if gap[a] == 0:
-                return p, pos
-            q, b = last[a - 1], a - 1
-            if last[a + 1] > q:
-                q, b = last[a + 1], a + 1
-            # bond 3 (no end letter in the pair), or bond 4 closing b a b a:
-            # b's own gap before q held nothing but the a at p
-            if 0 < a < n and 0 < b < n:
-                return p, q, pos
-            if 0 <= prev[q] < p and closed[q] == 1:
-                return prev[q], p, q, pos
-            if b == 0 or b == n:
-                if triples is None:
-                    return p, q, pos
-                state = HeapState.LEFT_TRIPLE if b == 0 else HeapState.RIGHT_TRIPLE
-                if not triples or state < triples[-1][0]:
-                    triples.append((state, (p, q, pos)))
+        if p >= 0 and gap[a] < 2 and (hit := scan_closure(n, scan, a, pos)):
+            witness, pattern, triple = hit
+            if not triple:
+                return witness
+            state = HeapState.LEFT_TRIPLE if pattern[1] == 0 else HeapState.RIGHT_TRIPLE
+            if not triples or state < triples[-1][0]:
+                triples.append((state, witness))
         prev[pos] = p
         closed[pos] = gap[a]
         gap[a - 1] += 1
@@ -274,7 +291,7 @@ def heap_reading(n: int, word: Letters) -> tuple[HeapState, Letters]:
     """
     word = check_word(n, word)
     triples: list[tuple[HeapState, Letters]] = []
-    witness = scan_read(n, word, 0, new_scan(n, len(word)), triples)
+    witness = scan_read(n, word, triples)
     if witness is not None:
         return HeapState.NOT_REDUCED_FC, witness
     return triples[-1] if triples else (HeapState.POSITIVE, ())

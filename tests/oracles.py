@@ -17,14 +17,17 @@ loop replaced, the wing counts an entry at a time, which the
 counts read as whole runs, the dimension polynomial off three
 convolutions of the wing complements, which `blob_polynomial` reads off two
 squarings, and the quotient-image check of one word, read back into the
-normal form or rigid blocks that `verify` checks as enumerated.
+normal form or rigid blocks that `verify` checks as enumerated.  One law
+stands beside them: the quotient tower commutes with reduction
+(`tower_mismatch`), which holds at every rank and length that a seeded
+stream reaches, where no exhaustive oracle does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import chain, islice, product
+from itertools import chain, combinations, islice, product
 from operator import itemgetter
 from typing import Iterator
 
@@ -462,6 +465,26 @@ def find_redex(level: AlgebraLevel, n: int, word: Letters) -> tuple[Letters, int
     keep, exps = steps[itemgetter(*redex)(word)]
     drop = redex[keep:]
     return tuple([a for p, a in enumerate(word) if p not in drop]), exps
+
+
+def tower_mismatch(
+    n: int, word: Letters
+) -> tuple[AlgebraLevel, AlgebraLevel, tuple[Scalar, Letters], tuple[Scalar, Letters]] | None:
+    """
+    The quotient tower TL -> 2B -> SB commutes with reduction: for levels
+    lo < hi, reduce `word` at lo to m·u; then reducing `word` at hi gives
+    m times the reduction of u at hi.  The two sides run different code,
+    the fold alone against the fold and then the rows or `_blob_loop`.
+    The first pair that breaks the law, as (lo, hi, m times u at hi, the
+    word at hi), or None.
+    """
+    reduced = {level: algebra.reduce_word(level, n, word) for level in AlgebraLevel}
+    for lo, hi in combinations(AlgebraLevel, 2):
+        m, u = reduced[lo]
+        scalar, v = algebra.reduce_word(hi, n, u)
+        if (m * scalar, v) != reduced[hi]:
+            return lo, hi, (m * scalar, v), reduced[hi]
+    return None
 
 
 def loop_reduce(level: AlgebraLevel, n: int, word: Letters) -> tuple[Scalar, Letters]:

@@ -394,6 +394,25 @@ def hundred_thousand_letters():
         yield _reduced_line(level, 16, word)
 
 
+SEEDED_RANK_256_100K_SHA256 = "be5cdaa081c84e15ba713b1a636be30e1fae0b5fc821698ff81472912cc1bda4"
+
+
+@pin(SEEDED_RANK_256_100K_SHA256)
+def rank_256_words():
+    """
+    The line `reduce --n 256` would print for seeded_word(256, 100_000),
+    the same at TL and at the two-boundary level, through the library.  At
+    this rank the rewrites that drop a piece unread the most letters, about
+    11 per letter of the word against 0.8 at rank 16 and 2.9 at rank 64,
+    so the fold reads again most here.  The hash was recorded
+    from the fold that left its reading loop at every rewrite, which took
+    about 0.7 s per level on a 2-vCPU VM.
+    """
+    word = seeded_word(256, 100_000)
+    for level in (AlgebraLevel.TL, AlgebraLevel.TWO_BOUNDARY):
+        yield _reduced_line(level, 256, word)
+
+
 VERIFY_STDOUT_SHA256 = "3d702d506059e52915714f3a3b95428677d3bb7ae51ab08c0461e8a3f44e6426"
 
 

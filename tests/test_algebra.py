@@ -282,11 +282,12 @@ def test_fold_matches_the_step_loop_on_adversarial_words(monkeypatch):
 )
 def test_fold_rejects_malformed_input_before_any_work(monkeypatch, capsys, level, n, word, text):
     # a bad letter at the end of a word with redexes is refused before the
-    # scanner reads a letter, so `blobcat reduce` exits 2 with no output
+    # fold builds its scan, its first touch of the word, so `blobcat
+    # reduce` exits 2 with no output
     def refuse(*args):
-        raise AssertionError("the fold read a letter before the input check")
+        raise AssertionError("the fold began on the word before the input check")
 
-    monkeypatch.setattr(algebra, "scan_read", refuse)
+    monkeypatch.setattr(algebra, "new_scan", refuse)
     with pytest.raises(ValueError):
         reduce_word(level, n, word)
     if text is not None:
@@ -338,6 +339,44 @@ def test_confluence_and_soundness_random():
             for _ in range(30):
                 word = tuple(rng.randint(0, n) for _ in range(rng.randint(0, 12)))
                 assert verify._cut_mismatch(level, n, word) is None
+
+
+def test_tower_commutes_on_a_seeded_stream():
+    # the tower law (oracles.tower_mismatch) past every exhaustive range:
+    # 300 words of up to 60 letters at each rank 2-12, then 100 of up to
+    # 1,500 letters at ranks 16, 24, 32 and 64, and 40 at rank 256
+    checked = 0
+    for n, count, longest in [(n, 300, 60) for n in range(2, 13)] + [
+        (16, 100, 1500),
+        (24, 100, 1500),
+        (32, 100, 1500),
+        (64, 100, 1500),
+        (256, 40, 1500),
+    ]:
+        rng = random.Random(4600 + n)
+        for _ in range(count):
+            word = tuple(rng.randint(0, n) for _ in range(rng.randint(0, longest)))
+            assert oracles.tower_mismatch(n, word) is None, (n, word)
+            checked += 1
+    assert checked == 3740
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="at rank 1 the tower commutes only once kL = kR = k; the semantics "
+    "is open (ROADMAP item 3)",
+)
+@pytest.mark.parametrize(
+    "word",
+    [
+        pytest.param((0, 1, 0, 1), id="tl-to-2b"),
+        pytest.param((0, 1, 0), id="2b-to-sb"),
+    ],
+)
+def test_rank_one_tower_commutes(word):
+    # (0,1,0,1) is kL*[0,1] at TL but kR*[0,1] at 2B, and (0,1,0) is
+    # kR*[0] at 2B but k*[0] at SB
+    assert oracles.tower_mismatch(1, word) is None
 
 
 def test_confluence_check_catches_a_swapped_boundary_scalar(monkeypatch):
