@@ -21,8 +21,9 @@ and rewrites each closure where it closes: a letter that closes a chain,
 or a triple above TL (`words.scan_closure`, the one chain test), is
 replaced by the rule its letters spell, which changes only the tops of
 two stacks, the letters read and those to come, and the loop reads on.
-It keeps no memo and walks no class, and it canonicalises once, at the
-end.
+It keeps no memo and walks no class.  The loop hands back the word in the
+order it read it, and `reduce_word` canonicalises that word once, as it
+returns.
 
 The blob level is finite-dimensional, and reduces a word by one of two
 routes, by rank.  Below rank 7 (`_LOOP_RANK`) it folds words from the
@@ -78,7 +79,7 @@ from .words import (
     check_rank,
     check_word,
     format_word,
-    heap_reading,
+    heap_state,
     iter_commutation_class,
     new_scan,
     scan_closure,
@@ -370,7 +371,7 @@ def _fill(n: int, row: list, g: int) -> tuple[int, list]:
 def _fold(level: AlgebraLevel, n: int, word: Letters) -> tuple[int, Letters]:
     """
     `reduce_word` at TL or the two-boundary level, as (packed monomial,
-    canonical word), and the first step of `_blob_loop`: one reading loop
+    word in read order), and the first step of `_blob_loop`: one reading loop
     takes letters from the end of `pending`, the word reversed, and reads
     them onto `read` while they close nothing, or only a boundary triple at
     TL.  A letter that closes a chain, or a triple above TL
@@ -381,7 +382,8 @@ def _fold(level: AlgebraLevel, n: int, word: Letters) -> tuple[int, Letters]:
     (`words.scan_drop`), puts what followed it back on `pending` and reads
     on.  `read` and the scan's position lists have `len(word)` slots, which
     no rewrite outgrows.  The word read is a basis index when `pending`
-    runs out, a positive word at the blob level, and is canonicalised once.
+    runs out, a positive word at the blob level, and is returned as read:
+    its caller canonicalises it once, where the reduction ends.
     """
     steps = _rule_steps(level, n)
     tl = level == AlgebraLevel.TL
@@ -411,19 +413,23 @@ def _fold(level: AlgebraLevel, n: int, word: Letters) -> tuple[int, Letters]:
         gap[a + 1] += 1
         last[a], gap[a] = top, 0
         top += 1
-    return exps, _canonical_word(n, read[:top])
+    return exps, tuple(read[:top])
 
 
 def _blob_loop(n: int, word: Letters) -> tuple[int, Letters]:
     """
     A blob-level word reduced with no rows and no memo, as (packed monomial,
     canonical basis word).  The two-boundary fold with the blob rule index
-    (`_fold`) leaves a positive word; a positive word whose rigid blocks
-    are blobbed is a basis index, and any other takes the paper's blob
-    step, `grids._oblique_shortening_word`, one I J alternation fewer,
-    times k, and is folded again.  Each pass shortens the word, so the loop
-    ends.  `reduce_word` runs it from rank `_LOOP_RANK` on, and
-    `_reduce_canonical` on a word whose redex its class walk does not reach.
+    (`_fold`) leaves a positive word, in read order; its rigid blocks are
+    read off it as they stand, since the greatest class member they come
+    from is the same for every word of the element.  A positive word whose
+    blocks are blobbed is a basis index, canonicalised once as the loop
+    returns, and any other takes the paper's blob step,
+    `grids._oblique_shortening_word`, one I J alternation fewer, times k,
+    and is folded again.  Each pass shortens the word, so the loop ends.
+    `reduce_word` runs it from rank `_LOOP_RANK` on, and
+    `_reduce_canonical` on a word whose redex its class walk does not
+    reach; both take its canonical word as it is.
     """
     exps = 0
     while True:
@@ -431,7 +437,7 @@ def _blob_loop(n: int, word: Letters) -> tuple[int, Letters]:
         exps += step
         blocks = _blocks_of_word(n, word)
         if _is_blobbed(n, blocks):
-            return exps, word
+            return exps, _canonical_word(n, word)
         word = _oblique_shortening_word(n, blocks)
         exps += _K_STEP
 
@@ -451,22 +457,23 @@ def reduce_word(level: AlgebraLevel, n: int, word: Letters) -> tuple[Scalar, Let
     read from the left in one heap-reading loop (`_fold`), with no memo, no
     recursion and no class walk, and a word of any length reduces: a letter
     costs O(1) unless its rewrite drops a piece before it, which costs only
-    the letters read again after that piece.  The blob level is
-    finite-dimensional.  Below rank `_LOOP_RANK` its word is folded from the
-    left through the action rows of its rank (`_rows`): each letter indexes
-    the current row and steps to the row of the basis word it lands on,
-    adding the entry's packed monomial.  An empty slot reduces one basis
-    word times one generator (`_fill`) and is kept; the rows of ranks 1-6
-    hold at most 50,882 entries.  From rank `_LOOP_RANK` on, where a long
-    word reaches a new basis word at nearly every letter, the word is
-    reduced `_CHUNK` letters at a time by `_blob_loop`, each chunk appended
-    to the basis word reduced so far, and nothing is kept: reduction
-    respects products, so the chunks land where the whole word does.  The
-    monomial becomes a `Scalar` once, at the end.
+    the letters read again after that piece.  The word the loop returns is
+    canonicalised once, here.  The blob level is finite-dimensional.  Below
+    rank `_LOOP_RANK` its word is folded from the left through the action
+    rows of its rank (`_rows`): each letter indexes the current row and
+    steps to the row of the basis word it lands on, adding the entry's
+    packed monomial.  An empty slot reduces one basis word times one
+    generator (`_fill`) and is kept; the rows of ranks 1-6 hold at most
+    50,882 entries.  From rank `_LOOP_RANK` on, where a long word reaches a
+    new basis word at nearly every letter, the word is reduced `_CHUNK`
+    letters at a time by `_blob_loop`, each chunk appended to the basis
+    word reduced so far, and nothing is kept: reduction respects products,
+    so the chunks land where the whole word does.  The monomial becomes a
+    `Scalar` once, at the end.
     """
     if level != AlgebraLevel.SYMPLECTIC_BLOB:
         exps, word = _fold(level, n, check_word(n, word))
-        return _unpacked(exps), word
+        return _unpacked(exps), _canonical_word(n, word)
     # the letters are checked first: slot n + 1, and slot -1, of a row is
     # its basis word, not an entry
     word = check_word(n, word)
@@ -492,7 +499,7 @@ def in_index_set(level: AlgebraLevel, n: int, word: Letters) -> bool:
     """
     Does the word index a basis monomial at this level, i.e. does no member
     of its commutation class hold a rule pattern of the level?  Read off one
-    `heap_reading`: TL takes the reduced FC words, the two-boundary level
+    `heap_state`, the one heap classifier: TL takes the reduced FC words, the two-boundary level
     those with no boundary triple (the positive elements), and the blob
     level those of them whose rigid blocks are blobbed.  The blocks of a
     positive word are the +1 runs of its greatest class member, which one
@@ -501,7 +508,7 @@ def in_index_set(level: AlgebraLevel, n: int, word: Letters) -> bool:
     (`grids._is_blobbed`).  O(len(word) + n) before the row test of
     `is_blobbed`; a malformed word raises ValueError.
     """
-    state, _ = heap_reading(n, word)
+    state = heap_state(n, word)
     if state == HeapState.NOT_REDUCED_FC:
         return False
     if state != HeapState.POSITIVE:

@@ -12,8 +12,8 @@ commuting letters.  The equivalence class of a word is finite; the functions
 below either enumerate it (the slow, oracle-grade route: a lazy, unbounded
 BFS that its caller bounds) or read the word's heap (the projection
 criterion, greedy linear extensions, and the chain test `scan_closure`
-that `heap_reading` and the TL and two-boundary fold share) with no
-enumeration.
+that the classifier `heap_state` and the TL and two-boundary fold share)
+with no enumeration.
 
 >>> canonical_word(4, (3, 1, 2))
 (1, 3, 2)
@@ -198,10 +198,21 @@ def scan_closure(n: int, scan: Scan, a: int, pos: int) -> tuple[Letters, Letters
     than two neighbours since (`gap[a] < 2`), the only place where its
     callers call it.  A chain ss, sts or stst, or a boundary triple, as
     (witness, pattern, triple): the witness is the positions of the
-    closure in increasing order, ending at `pos` (see `heap_reading`), the
-    pattern their letters, and `triple` whether it is a boundary triple
-    rather than a chain.  None if the letter closes nothing.  The one
-    neighbour b in a gap of one is whichever of a - 1 and a + 1 came last.
+    closure in increasing order, ending at `pos`, the pattern their
+    letters, and `triple` whether it is a boundary triple rather than a
+    chain.  None if the letter closes nothing.  The one neighbour b in a
+    gap of one is whichever of a - 1 and a + 1 came last.
+
+    Some class member holds the witness's letters as a factor, which is
+    what lets the fold rewrite them where they close: every letter
+    strictly between its positions commutes with the letters that move.
+    Between the two a's of ss, sts or a triple lies no a and no neighbour
+    of a but b, so the first a moves right up to b (or to the second a)
+    and the second a moves left up to b.  In stst = b a b a, b's gap
+    between its two occurrences holds no b and no neighbour of b but the
+    first a, and a's gap no a and no neighbour of a but the second b: the
+    first b moves right up to the first a, the second b moves left up to
+    it, and the second a moves left up to the second b.
     """
     last, gap, prev, closed = scan
     p = last[a]
@@ -221,33 +232,6 @@ def scan_closure(n: int, scan: Scan, a: int, pos: int) -> tuple[Letters, Letters
     return None
 
 
-def scan_read(n: int, word: Letters, triples: list) -> Letters | None:
-    """
-    The pass of `heap_reading`: read `word` from the left on a `new_scan`,
-    each letter in O(1), until one closes a chain ss, sts or stst
-    (`scan_closure`); return its witness, which ends at that letter,
-    unread.  None when the letters run out.  A boundary triple is read, and
-    appended to `triples` as (state, witness) when it beats the latest one
-    there, so that the last entry is the first triple of the winning side.
-    """
-    scan = last, gap, prev, closed = new_scan(n, len(word))
-    for pos, a in enumerate(word):
-        p = last[a]
-        if p >= 0 and gap[a] < 2 and (hit := scan_closure(n, scan, a, pos)):
-            witness, pattern, triple = hit
-            if not triple:
-                return witness
-            state = HeapState.LEFT_TRIPLE if pattern[1] == 0 else HeapState.RIGHT_TRIPLE
-            if not triples or state < triples[-1][0]:
-                triples.append((state, witness))
-        prev[pos] = p
-        closed[pos] = gap[a]
-        gap[a - 1] += 1
-        gap[a + 1] += 1
-        last[a], gap[a] = pos, 0
-    return None
-
-
 def scan_drop(word: list[int], start: int, stop: int, scan: Scan) -> None:
     """Unread the letters of `word` at positions `start` to `stop` - 1, each in O(1)."""
     last, gap, prev, closed = scan
@@ -258,48 +242,20 @@ def scan_drop(word: list[int], start: int, stop: int, scan: Scan) -> None:
         last[a], gap[a] = prev[pos], closed[pos]
 
 
-def heap_reading(n: int, word: Letters) -> tuple[HeapState, Letters]:
-    """
-    Classify a word in one left-to-right pass (`scan_read`), O(len(word) +
-    n), and say where the decision fell.  By Stembridge (1996) it is
-    reduced and fully commutative iff its heap has no convex chain ss, sts
-    (bond 3) or stst (bond 4).  Such chains end at the second of two
-    consecutive occurrences of a letter a with no neighbour a +- 1 between
-    them (ss) or exactly one, b: with bond 3 that is sts; with bond 4 it is
-    stst when b's own previous gap held nothing but that first a, else the
-    triple a, b, a: the left boundary triple 1,0,1 when b == 0, the right
-    one n-1,n,n-1 (0,1,0 at rank 1) when b == n.  The left one wins: a heap
-    with both is LEFT_TRIPLE.
-
-    The second item is the witness, as positions in increasing order: for
-    a word that is not reduced FC, the first chain the pass closes; else
-    the first triple of the winning side; () for a positive word.  Some
-    class member holds the witness's letters as a factor, because every
-    letter strictly between its positions commutes with the letters that
-    move.  Between the two a's of ss, sts or a triple lies no a and no
-    neighbour of a but b, so the first a moves right up to b (or to the
-    second a) and the second a moves left up to b.  In stst = b a b a,
-    b's gap between its two occurrences holds no b and no neighbour of b
-    but the first a, and a's gap no a and no neighbour of a but the second
-    b: the first b moves right up to the first a, the second b moves left
-    up to it, and the second a moves left up to the second b.
-
-    >>> heap_reading(3, (2, 0, 3, 2))
-    (<HeapState.RIGHT_TRIPLE: 2>, (0, 2, 3))
-    >>> heap_reading(4, (0, 1, 3, 0, 4, 1, 0))
-    (<HeapState.NOT_REDUCED_FC: 0>, (0, 1, 3, 5))
-    """
-    word = check_word(n, word)
-    triples: list[tuple[HeapState, Letters]] = []
-    witness = scan_read(n, word, triples)
-    if witness is not None:
-        return HeapState.NOT_REDUCED_FC, witness
-    return triples[-1] if triples else (HeapState.POSITIVE, ())
-
-
 def heap_state(n: int, word: Letters) -> HeapState:
     """
-    The state of `heap_reading` alone.
+    Classify a word in one left-to-right reading of its heap on a
+    `new_scan`, each letter in O(1): O(len(word) + n).  By Stembridge
+    (1996) a word is reduced and fully commutative iff its heap has no
+    convex chain ss, sts (bond 3) or stst (bond 4).  Such chains end at
+    the second of two consecutive occurrences of a letter a with no
+    neighbour a +- 1 between them (ss) or exactly one, b: with bond 3 that
+    is sts; with bond 4 it is stst when b's own previous gap held nothing
+    but that first a, else the triple a, b, a: the left boundary triple
+    1,0,1 when b == 0, the right one n-1,n,n-1 (0,1,0 at rank 1) when b ==
+    n (`scan_closure`).  The reading stops at the first chain,
+    NOT_REDUCED_FC, and reads on past a triple.  The left one wins: a heap
+    with both is LEFT_TRIPLE.
 
     >>> heap_state(3, (1, 0, 1)).name
     'LEFT_TRIPLE'
@@ -308,7 +264,25 @@ def heap_state(n: int, word: Letters) -> HeapState:
     >>> heap_state(3, (2, 3, 2, 1, 0, 1)).name
     'LEFT_TRIPLE'
     """
-    return heap_reading(n, word)[0]
+    word = check_word(n, word)
+    state = HeapState.POSITIVE
+    scan = last, gap, prev, closed = new_scan(n, len(word))
+    for pos, a in enumerate(word):
+        p = last[a]
+        if p >= 0 and gap[a] < 2 and (hit := scan_closure(n, scan, a, pos)):
+            _, pattern, triple = hit
+            if not triple:
+                return HeapState.NOT_REDUCED_FC
+            if pattern[1] == 0:
+                state = HeapState.LEFT_TRIPLE
+            elif state == HeapState.POSITIVE:
+                state = HeapState.RIGHT_TRIPLE
+        prev[pos] = p
+        closed[pos] = gap[a]
+        gap[a - 1] += 1
+        gap[a + 1] += 1
+        last[a], gap[a] = pos, 0
+    return state
 
 
 def is_reduced_fc(n: int, word: Letters) -> bool:

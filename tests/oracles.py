@@ -10,17 +10,20 @@ blocks read off it, and grid containment as an `any` of `all`s, as
 both were first written,
 the paper's oblique factorization around the alternating run, which
 the blob step `grids.oblique_shortening_word` shortcuts, the rewriting
-kernel as a plain class walk that never reads the heap, reduction at
+kernel as a plain class walk that never reads the heap, the heap
+reading with the positions that decide it (`heap_witness`), reduction at
 every level as a loop of one-step rewrites, each a bounded class walk
 and then one step off the heap, which the heap-scan fold and the blob
 loop replaced, the wing counts an entry at a time, which the
 counts read as whole runs, the dimension polynomial off three
 convolutions of the wing complements, which `blob_polynomial` reads off two
 squarings, and the quotient-image check of one word, read back into the
-normal form or rigid blocks that `verify` checks as enumerated.  One law
-stands beside them: the quotient tower commutes with reduction
-(`tower_mismatch`), which holds at every rank and length that a seeded
-stream reaches, where no exhaustive oracle does.
+normal form or rigid blocks that `verify` checks as enumerated.  The laws
+of reduction stand beside them (`law_mismatch`): the quotient tower
+commutes with reduction, and every output, and every canonical word that
+`in_index_set` accepts, reduces to itself with scalar 1.  They hold at
+every rank and length that a seeded stream reaches, where no exhaustive
+oracle does.
 """
 
 from __future__ import annotations
@@ -57,9 +60,10 @@ from blobcat.words import (
     canonical_word,
     check_rank,
     check_word,
-    heap_reading,
     heap_state,
     iter_commutation_class,
+    new_scan,
+    scan_closure,
 )
 
 # ---------------------------------------------------------------------------
@@ -409,17 +413,45 @@ def walk_reduce(
     return rule.scalar * scalar, final
 
 
+def heap_witness(n: int, word: Letters) -> tuple[HeapState, Letters]:
+    """
+    `words.heap_state` with the positions that decide it, from the same
+    one reading (`words.new_scan`, `words.scan_closure`): for a word that
+    is not reduced FC, the first chain the reading closes; else the first
+    triple of the winning side; () for a positive word.  Some class member
+    holds the witness's letters as a factor (`scan_closure`).
+    """
+    word = check_word(n, word)
+    state, witness = HeapState.POSITIVE, ()
+    scan = last, gap, prev, closed = new_scan(n, len(word))
+    for pos, a in enumerate(word):
+        p = last[a]
+        if p >= 0 and gap[a] < 2 and (hit := scan_closure(n, scan, a, pos)):
+            closure, pattern, triple = hit
+            if not triple:
+                return HeapState.NOT_REDUCED_FC, closure
+            side = HeapState.LEFT_TRIPLE if pattern[1] == 0 else HeapState.RIGHT_TRIPLE
+            if side < state:
+                state, witness = side, closure
+        prev[pos] = p
+        closed[pos] = gap[a]
+        gap[a - 1] += 1
+        gap[a + 1] += 1
+        last[a], gap[a] = pos, 0
+    return state, witness
+
+
 def heap_redex(level: AlgebraLevel, n: int, word: Letters) -> Letters | Blocks | None:
     """
-    What one `heap_reading` of the word says at the level: None for a basis
-    index, else what a rewrite step needs.  A word that is not reduced
-    fully commutative, or at the two-boundary and blob levels one with a
-    boundary triple, gives the witness positions of a chain or triple that
-    some class member holds as a rule pattern.  A positive word that is not
+    What one `heap_witness` reading of the word says at the level: None
+    for a basis index, else what a rewrite step needs.  A word that is not
+    reduced fully commutative, or at the two-boundary and blob levels one
+    with a boundary triple, gives the witness positions of a chain or
+    triple that some class member holds as a rule pattern.  A positive word that is not
     blobbed, at the blob level, gives its rigid blocks, which hold IJI or
     JIJ.  Any other word is a basis index, as `algebra.in_index_set` says.
     """
-    state, witness = heap_reading(n, word)
+    state, witness = heap_witness(n, word)
     if witness and (state == HeapState.NOT_REDUCED_FC or level != AlgebraLevel.TL):
         return witness
     if level == AlgebraLevel.SYMPLECTIC_BLOB and state == HeapState.POSITIVE:
@@ -467,23 +499,41 @@ def find_redex(level: AlgebraLevel, n: int, word: Letters) -> tuple[Letters, int
     return tuple([a for p, a in enumerate(word) if p not in drop]), exps
 
 
-def tower_mismatch(
-    n: int, word: Letters
-) -> tuple[AlgebraLevel, AlgebraLevel, tuple[Scalar, Letters], tuple[Scalar, Letters]] | None:
+def law_mismatch(n: int, word: Letters) -> tuple | None:
     """
-    The quotient tower TL -> 2B -> SB commutes with reduction: for levels
-    lo < hi, reduce `word` at lo to m·u; then reducing `word` at hi gives
-    m times the reduction of u at hi.  The two sides run different code,
-    the fold alone against the fold and then the rows or `_blob_loop`.
-    The first pair that breaks the law, as (lo, hi, m times u at hi, the
-    word at hi), or None.
+    The first law of reduction that `word` breaks, as (law, level or
+    levels, what came out, what the law asks for), or None.  In order:
+
+    - "tower": the quotient tower TL -> 2B -> SB commutes with reduction:
+      for levels lo < hi, reduce `word` at lo to m·u; then reducing `word`
+      at hi gives m times the reduction of u at hi.  The two sides run
+      different code, the fold alone against the fold and then the rows
+      or `_blob_loop`.
+    - "output": at each level the word u that `word` reduces to is a
+      basis index (`algebra.in_index_set`) and reduces to (1, u).
+    - "fixed point": at each level where `in_index_set` accepts `word`,
+      its canonical word reduces to itself with scalar 1.
+
+    The laws tie the heap classifier (`words.heap_state`, through
+    `in_index_set`) to the fold, which reads the same heap another way.
     """
+    one = Scalar.one()
     reduced = {level: algebra.reduce_word(level, n, word) for level in AlgebraLevel}
     for lo, hi in combinations(AlgebraLevel, 2):
         m, u = reduced[lo]
         scalar, v = algebra.reduce_word(hi, n, u)
         if (m * scalar, v) != reduced[hi]:
-            return lo, hi, (m * scalar, v), reduced[hi]
+            return "tower", (lo, hi), (m * scalar, v), reduced[hi]
+    for level, (_, u) in reduced.items():
+        if not algebra.in_index_set(level, n, u):
+            return "output", level, u, "a basis index"
+        if (again := algebra.reduce_word(level, n, u)) != (one, u):
+            return "output", level, again, (one, u)
+    least = canonical_word(n, word)
+    for level in AlgebraLevel:
+        if algebra.in_index_set(level, n, word):
+            if (got := algebra.reduce_word(level, n, least)) != (one, least):
+                return "fixed point", level, got, (one, least)
     return None
 
 

@@ -23,7 +23,7 @@ from blobcat.algebra import AlgebraLevel, Scalar, in_index_set, reduce_word, sb_
 from blobcat.cli import main
 from blobcat.words import canonical_word, is_reduced_fc
 
-from oracles import loop_reduce, tower_mismatch, walk_reduce
+from oracles import law_mismatch, loop_reduce, walk_reduce
 from pins import (
     LONG_BLOB_WORD_LINE,
     SEEDED_3200_LETTERS_SHA256,
@@ -122,14 +122,15 @@ def test_long_words_reduce_at_rank_8():
 
 
 def test_tower_commutes_on_long_words_at_high_rank():
-    # the tower law (oracles.tower_mismatch) on seeded 10,000-letter words,
-    # where the blob level runs _blob_loop on 40 chunks of each
+    # the laws of reduction (oracles.law_mismatch), the tower law first, on
+    # seeded 10,000-letter words, where the blob level runs _blob_loop on 40
+    # chunks of each
     budget = Budget("tower law on long words at ranks 96-256", 10.0)
     for n in (96, 128, 256):
         rng = random.Random(n)
         for _ in range(2):
             word = tuple(rng.randint(0, n) for _ in range(10_000))
-            assert tower_mismatch(n, word) is None, (n, word)
+            assert law_mismatch(n, word) is None, (n, word)
     budget.done("2 words of 10,000 letters at each of ranks 96, 128 and 256")
 
 

@@ -299,7 +299,10 @@ def test_fold_rejects_malformed_input_before_any_work(monkeypatch, capsys, level
 
 def test_fold_takes_no_class_walk_and_canonicalises_once(monkeypatch):
     # TL and 2B reduce on the heap scanner alone: no blob-level fill, no
-    # class walk, and one canonical word, at the end
+    # class walk, and one canonical word, at the end; the blob level from
+    # `_LOOP_RANK` on reduces through `_blob_loop` alone, one call and one
+    # canonical word per `_CHUNK` letters, however many blob steps a chunk
+    # takes
     def refuse(*args):
         raise AssertionError("a redex search or class walk on the TL/2B path")
 
@@ -320,6 +323,27 @@ def test_fold_takes_no_class_walk_and_canonicalises_once(monkeypatch):
             canonicalised.clear()
             scalar, out = reduce_word(level, n, word)
             assert len(canonicalised) == 1 and in_index_set(level, n, out), (level, n, word)
+    steps, shorten = [], algebra._oblique_shortening_word
+
+    def stepping(n, blocks):
+        steps.append(blocks)
+        return shorten(n, blocks)
+
+    monkeypatch.setattr(algebra, "_oblique_shortening_word", stepping)
+    stepped = 0
+    for n in (7, 8, 64):
+        odd, even = grids.i_word(n), grids.j_word(n)
+        blob_cases = [odd + even + odd, even + odd + even, (odd + even) * 3 + odd]
+        blob_cases += [tuple(rng.randint(0, n) for _ in range(k)) for k in (60, 300, 700)]
+        blob_cases += [DEEP_RANK_8] * (n == 8)
+        for word in blob_cases:
+            canonicalised.clear()
+            steps.clear()
+            scalar, out = reduce_word(SB, n, word)
+            chunks = -(-len(word) // algebra._CHUNK)
+            assert len(canonicalised) == chunks and in_index_set(SB, n, out), (n, word)
+            stepped += bool(steps)
+    assert stepped >= 9
 
 
 def test_reduce_is_class_invariant():
@@ -342,7 +366,8 @@ def test_confluence_and_soundness_random():
 
 
 def test_tower_commutes_on_a_seeded_stream():
-    # the tower law (oracles.tower_mismatch) past every exhaustive range:
+    # the laws of reduction (oracles.law_mismatch), the tower law first,
+    # past every exhaustive range:
     # 300 words of up to 60 letters at each rank 2-12, then 100 of up to
     # 1,500 letters at ranks 16, 24, 32 and 64, and 40 at rank 256
     checked = 0
@@ -356,7 +381,7 @@ def test_tower_commutes_on_a_seeded_stream():
         rng = random.Random(4600 + n)
         for _ in range(count):
             word = tuple(rng.randint(0, n) for _ in range(rng.randint(0, longest)))
-            assert oracles.tower_mismatch(n, word) is None, (n, word)
+            assert oracles.law_mismatch(n, word) is None, (n, word)
             checked += 1
     assert checked == 3740
 
@@ -376,7 +401,7 @@ def test_tower_commutes_on_a_seeded_stream():
 def test_rank_one_tower_commutes(word):
     # (0,1,0,1) is kL*[0,1] at TL but kR*[0,1] at 2B, and (0,1,0) is
     # kR*[0] at 2B but k*[0] at SB
-    assert oracles.tower_mismatch(1, word) is None
+    assert oracles.law_mismatch(1, word) is None
 
 
 def test_confluence_check_catches_a_swapped_boundary_scalar(monkeypatch):
@@ -982,6 +1007,26 @@ def test_each_redex_search_draws_at_most_word_length_members(monkeypatch):
     assert len(full) > 40
 
 
+def _spy_on_heap_passes(monkeypatch) -> list:
+    """
+    The words of every heap pass, as they happen: `in_index_set`'s
+    (`heap_state`, through `algebra`) and the step oracle's
+    (`oracles.heap_witness`).
+    """
+    passes = []
+
+    def counting(read):
+        def spy(n, word):
+            passes.append(word)
+            return read(n, word)
+
+        return spy
+
+    monkeypatch.setattr(algebra, "heap_state", counting(words.heap_state))
+    monkeypatch.setattr(oracles, "heap_witness", counting(oracles.heap_witness))
+    return passes
+
+
 def test_basis_word_search_reads_one_member_and_the_heap_once(monkeypatch):
     # a search reads the heap at most once: a word with no pattern of its
     # own reads it once, so a basis word leaves after the word itself, and
@@ -992,15 +1037,7 @@ def test_basis_word_search_reads_one_member_and_the_heap_once(monkeypatch):
     for n in (1, 2, 3):  # the IJI and JIJ grids are read once per rank and kept
         grids.iji_blocks(n), grids.jij_blocks(n)
     walks = _spy_on_class_walk(monkeypatch)
-    passes, read = [], words.heap_reading
-
-    def counting_read(n, word):
-        passes.append(word)
-        return read(n, word)
-
-    monkeypatch.setattr(words, "heap_reading", counting_read)
-    monkeypatch.setattr(algebra, "heap_reading", counting_read)
-    monkeypatch.setattr(oracles, "heap_reading", counting_read)
+    passes = _spy_on_heap_passes(monkeypatch)
     # one search per call: the fill's rewrite hands its shorter word to a
     # stub, not to the memo's next search
     fill = algebra._reduce_canonical.__wrapped__
@@ -1043,20 +1080,13 @@ def test_heap_redex_reads_the_heap_once(monkeypatch):
     # or None, and which agrees with `in_index_set`
     for n in (1, 2, 3):  # the IJI and JIJ grids are read once per rank and kept
         grids.iji_blocks(n), grids.jij_blocks(n)
-    passes, builds = [], []
-    read, normal = words.heap_reading, nfm._normal_word
-
-    def counting_read(n, word):
-        passes.append(word)
-        return read(n, word)
+    passes, builds = _spy_on_heap_passes(monkeypatch), []
+    normal = nfm._normal_word
 
     def counting_normal(n, word):
         builds.append(word)
         return normal(n, word)
 
-    monkeypatch.setattr(words, "heap_reading", counting_read)
-    monkeypatch.setattr(algebra, "heap_reading", counting_read)
-    monkeypatch.setattr(oracles, "heap_reading", counting_read)
     monkeypatch.setattr(nfm, "_normal_word", counting_normal)
     outcomes = set()
     for n in (1, 2, 3):

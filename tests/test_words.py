@@ -12,7 +12,6 @@ from blobcat.words import (
     HeapState,
     canonical_word,
     format_word,
-    heap_reading,
     heap_state,
     is_reduced_fc,
     iter_commutation_class,
@@ -27,6 +26,8 @@ from oracles import (
     contains_pattern,
     contains_rigid,
     exhaustive_words,
+    grown_fc_word,
+    heap_witness,
     reach_masks,
 )
 
@@ -173,6 +174,26 @@ def _grown_fc_words(seed, count, max_n, max_len):
     return out
 
 
+def _high_rank_words(seed, count):
+    """
+    Words at ranks 16-256 from 50-400 random letters: half the letters
+    themselves, half a reduced FC word grown by them from nothing or from
+    a boundary triple (it keeps 30-230 of them), so that every state
+    occurs.
+    """
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        n = rng.choice((16, 32, 64, 128, 256))
+        length = rng.randint(50, 400)
+        if i % 2 == 0:
+            out.append((n, tuple(rng.randint(0, n) for _ in range(length))))
+        else:
+            start = ((), (1, 0, 1), (n - 1, n, n - 1))[i // 2 % 3]
+            out.append((n, grown_fc_word(rng, n, length, start)))
+    return out
+
+
 def test_heap_state_matches_reach_mask_reference():
     cases = random_words(seed=41, count=4_000, max_n=12, max_len=30)
     cases += _grown_fc_words(seed=43, count=1_500, max_n=12, max_len=40)
@@ -181,6 +202,13 @@ def test_heap_state_matches_reach_mask_reference():
         state = heap_state(n, word)
         assert state == _reference_heap_state(n, word), (n, word)
         assert is_reduced_fc(n, word) == (state != HeapState.NOT_REDUCED_FC)
+        states.add(state)
+    assert states == set(HeapState)
+    # past rank 12 and 40 letters
+    states = set()
+    for n, word in _high_rank_words(seed=47, count=120):
+        state = heap_state(n, word)
+        assert state == _reference_heap_state(n, word), (n, word)
         states.add(state)
     assert states == set(HeapState)
 
@@ -206,9 +234,11 @@ def _pieces(word):
 
 
 def test_heap_witness_is_a_factor_of_some_member_exhaustive():
-    # the witness spells a chain ss, sts (bond 3) or stst (bond 4), or the
-    # winning boundary triple, and some member holds those very pieces side
-    # by side, so the kernel can rewrite them
+    # the witness of oracles.heap_witness spells a chain ss, sts (bond 3) or
+    # stst (bond 4), or the winning boundary triple, and some member holds
+    # those very pieces side by side, so the kernel can rewrite them
+    assert heap_witness(3, (2, 0, 3, 2)) == (HeapState.RIGHT_TRIPLE, (0, 2, 3))
+    assert heap_witness(4, (0, 1, 3, 0, 4, 1, 0)) == (HeapState.NOT_REDUCED_FC, (0, 1, 3, 5))
     witnessed = 0
     for n, max_len in ((1, 8), (2, 7), (3, 6), (4, 5)):
         pairs = [(a, b) for a in range(n + 1) for b in range(n + 1) if abs(a - b) == 1]
@@ -221,7 +251,7 @@ def test_heap_witness_is_a_factor_of_some_member_exhaustive():
             HeapState.POSITIVE: {()},
         }
         for word in exhaustive_words(n, max_len):
-            state, witness = heap_reading(n, word)
+            state, witness = heap_witness(n, word)
             assert state == heap_state(n, word)
             assert list(witness) == sorted(witness)
             assert tuple(word[p] for p in witness) in spelled[state], (n, word)
