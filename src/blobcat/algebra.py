@@ -16,14 +16,14 @@ The TL and two-boundary levels have infinite index sets, and their basis
 words are the reduced fully commutative words and the positive ones, the
 words whose heap closes no chain ss, sts or stst (Stembridge 1996) and, at
 the two-boundary level, no boundary triple.  So `reduce_word` reads the
-word's heap once from the left in one loop (`_fold`), each letter in O(1),
-and rewrites each closure where it closes: a letter that closes a chain,
-or a triple above TL (`words.scan_closure`, the one chain test), is
+word's heap once from the left in one loop (`words._fold`), each letter in
+O(1), and rewrites each closure where it closes: a letter that closes a
+chain, or a triple that the level's rule table (`_rule_steps`) holds, is
 replaced by the rule its letters spell, which changes only the tops of
 two stacks, the letters read and those to come, and the loop reads on.
 It keeps no memo and walks no class.  The loop hands back the word in the
 order it read it, and `reduce_word` canonicalises that word once, as it
-returns.
+returns.  Every heap reading lives in `words`; this module holds the rules.
 
 The blob level is finite-dimensional, and reduces a word by one of two
 routes, by rank.  Below rank 7 (`_LOOP_RANK`) it folds words from the
@@ -46,7 +46,7 @@ From rank 7 on, a long word reaches a new basis word at nearly every
 letter, and the rows would grow with the word.  There `_blob_loop`
 reduces the word `_CHUNK` letters at a time and keeps nothing.  It is the
 one code that takes the paper's blob step, at every rank: the
-two-boundary heap-scan fold with the blob rule index, then, while the
+two-boundary heap-scan fold on the blob rule table, then, while the
 rigid blocks of the result are not blobbed, the blob step and the fold
 again.  Chunks are sound because reduction respects products, the
 regular-representation half of Bergman's diamond lemma (1978);
@@ -75,15 +75,13 @@ from .words import (
     HeapState,
     Letters,
     _canonical_word,
+    _fold,
     canonical_word,
     check_rank,
     check_word,
     format_word,
     heap_state,
     iter_commutation_class,
-    new_scan,
-    scan_closure,
-    scan_drop,
 )
 
 PARAMS = ("d", "dL", "dR", "kL", "kR", "k")
@@ -368,59 +366,11 @@ def _fill(n: int, row: list, g: int) -> tuple[int, list]:
     return entry
 
 
-def _fold(level: AlgebraLevel, n: int, word: Letters) -> tuple[int, Letters]:
-    """
-    `reduce_word` at TL or the two-boundary level, as (packed monomial,
-    word in read order), and the first step of `_blob_loop`: one reading loop
-    takes letters from the end of `pending`, the word reversed, and reads
-    them onto `read` while they close nothing, or only a boundary triple at
-    TL.  A letter that closes a chain, or a triple above TL
-    (`words.scan_closure`), is rewritten where it closes: the rule of the
-    letters it closes (`_rule_steps`) keeps a prefix of them, so the
-    closing letter goes, and for sts, stst and the two-boundary triples so
-    does the piece before it; the loop unreads back to that piece
-    (`words.scan_drop`), puts what followed it back on `pending` and reads
-    on.  `read` and the scan's position lists have `len(word)` slots, which
-    no rewrite outgrows.  The word read is a basis index when `pending`
-    runs out, a positive word at the blob level, and is returned as read:
-    its caller canonicalises it once, where the reduction ends.
-    """
-    steps = _rule_steps(level, n)
-    tl = level == AlgebraLevel.TL
-    scan = last, gap, prev, closed = new_scan(n, len(word))
-    read = [0] * len(word)
-    pending = list(reversed(word))
-    pop = pending.pop
-    top, exps = 0, 0
-    while pending:
-        a = pop()
-        p = last[a]
-        if p >= 0 and gap[a] < 2 and (hit := scan_closure(n, scan, a, top)):
-            witness, pattern, triple = hit
-            if not (triple and tl):
-                keep, step = steps[pattern]
-                exps += step
-                start = witness[keep]
-                if start < top:
-                    scan_drop(read, start, top, scan)
-                    pending += read[top - 1 : start : -1]
-                top = start
-                continue
-        read[top] = a
-        prev[top] = p
-        closed[top] = gap[a]
-        gap[a - 1] += 1
-        gap[a + 1] += 1
-        last[a], gap[a] = top, 0
-        top += 1
-    return exps, tuple(read[:top])
-
-
 def _blob_loop(n: int, word: Letters) -> tuple[int, Letters]:
     """
     A blob-level word reduced with no rows and no memo, as (packed monomial,
-    canonical basis word).  The two-boundary fold with the blob rule index
-    (`_fold`) leaves a positive word, in read order; its rigid blocks are
+    canonical basis word).  The two-boundary fold with the blob rule table
+    (`words._fold`) leaves a positive word in read order; its rigid blocks are
     read off it as they stand, since the greatest class member they come
     from is the same for every word of the element.  A positive word whose
     blocks are blobbed is a basis index, canonicalised once as the loop
@@ -431,9 +381,9 @@ def _blob_loop(n: int, word: Letters) -> tuple[int, Letters]:
     `_reduce_canonical` on a word whose redex its class walk does not
     reach; both take its canonical word as it is.
     """
-    exps = 0
+    steps, exps = _rule_steps(AlgebraLevel.SYMPLECTIC_BLOB, n), 0
     while True:
-        step, word = _fold(AlgebraLevel.SYMPLECTIC_BLOB, n, word)
+        step, word = _fold(n, word, steps)
         exps += step
         blocks = _blocks_of_word(n, word)
         if _is_blobbed(n, blocks):
@@ -454,7 +404,7 @@ def reduce_word(level: AlgebraLevel, n: int, word: Letters) -> tuple[Scalar, Let
     word) under the level's relations.
 
     The TL and two-boundary index sets are infinite, so there the word is
-    read from the left in one heap-reading loop (`_fold`), with no memo, no
+    read from the left in one loop of `words._fold`, with no memo, no
     recursion and no class walk, and a word of any length reduces: a letter
     costs O(1) unless its rewrite drops a piece before it, which costs only
     the letters read again after that piece.  The word the loop returns is
@@ -472,7 +422,7 @@ def reduce_word(level: AlgebraLevel, n: int, word: Letters) -> tuple[Scalar, Let
     `Scalar` once, at the end.
     """
     if level != AlgebraLevel.SYMPLECTIC_BLOB:
-        exps, word = _fold(level, n, check_word(n, word))
+        exps, word = _fold(n, check_word(n, word), _rule_steps(level, n))
         return _unpacked(exps), _canonical_word(n, word)
     # the letters are checked first: slot n + 1, and slot -1, of a row is
     # its basis word, not an entry
@@ -508,6 +458,7 @@ def in_index_set(level: AlgebraLevel, n: int, word: Letters) -> bool:
     (`grids._is_blobbed`).  O(len(word) + n) before the row test of
     `is_blobbed`; a malformed word raises ValueError.
     """
+    word = tuple(word)  # heap_state checks it
     state = heap_state(n, word)
     if state == HeapState.NOT_REDUCED_FC:
         return False

@@ -115,7 +115,8 @@ def oblique_shortening_word(n: int, blocks: Blocks) -> Letters:
     >>> oblique_shortening_word(2, jij_blocks(2))
     (0, 2)
     """
-    if is_blobbed(n, blocks):  # validates the blocks
+    blocks = check_blocks(n, blocks)
+    if _is_blobbed(n, blocks):
         raise ValueError(f"a blobbed element has no alternation to drop: {blocks}")
     return _oblique_shortening_word(n, blocks)
 
@@ -172,7 +173,7 @@ def render_lines(n: int, blocks: Blocks, fmt: str) -> Iterator[str]:
     one point per letter in SVG.  The blocks and format are checked before
     the first line.
     """
-    check_blocks(n, blocks)
+    blocks = check_blocks(n, blocks)
     if fmt == "ascii":
         return _ascii_lines(n, blocks)
     if fmt == "svg":

@@ -18,7 +18,7 @@ is dihedral of order 8, so generation lists its one element of affine
 length 2 directly, and the bar/tilde operators refuse the two self-fixed
 elements.
 
-Reading a normal form off a word: each generated form spells the
+Reading a normal form off a word (`words._normal_word`): each form spells the
 lexicographically greatest member of its commutation class.  By Anisimov and
 Knuth (1979), order reversed, a word is the greatest iff, going left from any
 letter a, every letter before the first of a - 1, a, a + 1 exceeds a.  Forms
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Union
 
-from .words import HeapState, Letters, _heads, check_affine_length, check_rank
+from .words import HeapState, Letters, _normal_word, check_affine_length, check_rank
 from .words import check_word, heap_state
 from .words import is_reduced_fc  # noqa: F401  kept as a binding the perfbench tracer wraps
 
@@ -308,29 +308,6 @@ def fc_forms(n: int, s: int) -> tuple[NormalForm, ...]:
 # reading normal forms off a word
 
 
-def _normal_word(n: int, word: Letters) -> Letters:
-    """
-    The lexicographically greatest member of the commutation class, the
-    mirror of `words._canonical_word`: each step takes the largest minimal
-    letter (see `words._heads`).  Taking a moves only `heads[a]`, so no
-    letter above a + 1 can have turned minimal and the next scan starts at
-    a + 1, or at n, and goes down: O(len(word) + n) per word.
-    """
-    heads, following = _heads(n, word)
-    out = []
-    a = n
-    for _ in range(len(word)):
-        if a <= n:
-            a += 1
-        head = heads[a]
-        while not (head < heads[a - 1] and head < heads[a + 1]):
-            a -= 1
-            head = heads[a]
-        out.append(a - 1)
-        heads[a] = following[head]
-    return tuple(out)
-
-
 def _runs(word: Letters) -> list[tuple[int, int]]:
     """The maximal +1 runs of a word, each as (first letter, last letter)."""
     if not word:
@@ -375,9 +352,10 @@ def normal_form_of_word(n: int, word: Letters) -> NormalForm:
     ...
     ValueError: (1, 0, 1, 0) is not a reduced fully commutative word
     """
+    word = tuple(word)
     if heap_state(n, word) == HeapState.NOT_REDUCED_FC:
-        raise ValueError(f"{tuple(word)} is not a reduced fully commutative word")
-    normal = _normal_word(n, tuple(word))
+        raise ValueError(f"{word} is not a reduced fully commutative word")
+    normal = _normal_word(n, word)
     cuts = [p for p, a in enumerate(normal) if a == n]
     segments = [normal[p + 1 : q] for p, q in zip([-1] + cuts, cuts + [len(normal)])]
     s, starts = len(cuts), [n - len(segment) for segment in segments]
@@ -492,9 +470,10 @@ Blocks = tuple[tuple[int, int], ...]
 def check_blocks(n: int, blocks: Blocks) -> Blocks:
     """
     Validate the rigid-block form: both coordinate sequences non-increasing,
-    l <= r, repeats in l only at 0 and in r only at n.
+    l <= r, repeats in l only at 0 and in r only at n; returns them as a tuple.
     """
     check_rank(n)
+    blocks = tuple(blocks)
     prev_l, prev_r = n, n
     for idx, (l, r) in enumerate(blocks):
         if not 0 <= l <= r <= n:
@@ -505,7 +484,7 @@ def check_blocks(n: int, blocks: Blocks) -> Blocks:
             if r > prev_r or (r == prev_r and r != n):
                 raise ValueError(f"right ends must decrease (or repeat {n}): {blocks}")
         prev_l, prev_r = l, r
-    return tuple(blocks)
+    return blocks
 
 
 def block_word(blocks: Blocks) -> Letters:

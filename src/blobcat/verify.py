@@ -302,6 +302,7 @@ def blob_image_holds(n: int, blocks: normal_forms.Blocks) -> bool:
     >>> blob_image_holds(2, normal_forms.blocks_of_word(2, (1, 2, 0, 1)))  # times k
     True
     """
+    blocks = tuple(blocks)  # oblique_shortening_word checks them
     image = grids.oblique_shortening_word(n, blocks)
     return _holds(AlgebraLevel.SYMPLECTIC_BLOB, n, normal_forms.block_word(blocks), image, K)
 

@@ -10,10 +10,10 @@ Everything here works up to the commutation congruence: two words are
 equivalent when one can be turned into the other by swapping adjacent
 commuting letters.  The equivalence class of a word is finite; the functions
 below either enumerate it (the slow, oracle-grade route: a lazy, unbounded
-BFS that its caller bounds) or read the word's heap (the projection
-criterion, greedy linear extensions, and the chain test `scan_closure`
-that the classifier `heap_state` and the TL and two-boundary fold share)
-with no enumeration.
+BFS that its caller bounds) or read the word's heap with no enumeration.
+Every heap reading of the package lives here: the projection criterion,
+the least and greatest class members (`_heads`), and the scan (`Scan`)
+that the classifier `heap_state` and the fold `_fold` share.
 
 >>> canonical_word(4, (3, 1, 2))
 (1, 3, 2)
@@ -47,12 +47,13 @@ def check_affine_length(s: int) -> None:
 
 def check_word(n: int, word: Letters) -> Letters:
     check_rank(n)
+    word = tuple(word)  # once: a loop empties an iterator
     for x in word:
         if type(x) is not int:
             raise ValueError(f"letter {x!r} is not an integer")
         if not 0 <= x <= n:
             raise ValueError(f"letter {x} out of range 0..{n}")
-    return tuple(word)
+    return word
 
 
 def parse_word(text: str) -> Letters:
@@ -141,6 +142,30 @@ def _canonical_word(n: int, word: Letters) -> Letters:
     return tuple(out)
 
 
+def _normal_word(n: int, word: Letters) -> Letters:
+    """
+    The lexicographically greatest member of the commutation class, the
+    mirror of `_canonical_word`, for a word known to be valid: each step
+    takes the largest minimal letter (see `_heads`).  Taking a moves only
+    `heads[a]`, so no letter above a + 1 can have turned minimal and the
+    next scan starts at a + 1, or at n, and goes down: O(len(word) + n) per
+    word.
+    """
+    heads, following = _heads(n, word)
+    out = []
+    a = n
+    for _ in range(len(word)):
+        if a <= n:
+            a += 1
+        head = heads[a]
+        while not (head < heads[a - 1] and head < heads[a + 1]):
+            a -= 1
+            head = heads[a]
+        out.append(a - 1)
+        heads[a] = following[head]
+    return tuple(out)
+
+
 def same_element(n: int, left: Letters, right: Letters) -> bool:
     """
     Commutation-equivalence via the projection criterion: equal letter
@@ -173,22 +198,14 @@ class HeapState(IntEnum):
     POSITIVE = 3
 
 
+# A left-to-right heap reading's state, lists (last, gap, prev, closed) that
+# its reader builds, `scan_closure` reads and `scan_drop` unwinds.  Of the
+# letters read, in which it met no chain: per letter its latest position
+# (`last`, -1 for none) and its neighbours' occurrences since (`gap`); per
+# position the previous one of its letter (`prev`) and the `gap` it closed
+# (`closed`).  Slot n + 1, also -1, takes the neighbours a - 1 of 0 and
+# a + 1 of n, which never occur.
 Scan = tuple[list[int], list[int], list[int], list[int]]
-
-
-def new_scan(n: int, length: int) -> Scan:
-    """
-    The state of a left-to-right heap reading before it reads a letter, for
-    a word of up to `length` letters, as plain lists (last, gap, prev,
-    closed) that its reader keeps, `scan_closure` reads and `scan_drop`
-    unwinds.  Of the letters read so far, in which the reading met no
-    chain: per letter its latest position (`last`, -1 for none) and the
-    occurrences of its neighbours since then (`gap`); per position the
-    previous one of its letter (`prev`) and the `gap` that position closed
-    (`closed`).  Slot n + 1, also indexed as -1, takes the missing
-    neighbours a - 1 of 0 and a + 1 of n, which never occur.
-    """
-    return [-1] * (n + 2), [0] * (n + 2), [-1] * length, [0] * length
 
 
 def scan_closure(n: int, scan: Scan, a: int, pos: int) -> tuple[Letters, Letters, bool] | None:
@@ -196,15 +213,15 @@ def scan_closure(n: int, scan: Scan, a: int, pos: int) -> tuple[Letters, Letters
     The one chain test of the heap reading: what the letter a at `pos`
     closes when it meets its previous occurrence p = `last[a]` with fewer
     than two neighbours since (`gap[a] < 2`), the only place where its
-    callers call it.  A chain ss, sts or stst, or a boundary triple, as
-    (witness, pattern, triple): the witness is the positions of the
-    closure in increasing order, ending at `pos`, the pattern their
-    letters, and `triple` whether it is a boundary triple rather than a
-    chain.  None if the letter closes nothing.  The one neighbour b in a
-    gap of one is whichever of a - 1 and a + 1 came last.
+    callers, `heap_state` and `_fold`, call it.  A chain ss, sts or stst,
+    or a boundary triple, as (witness, pattern, triple): the witness is the
+    positions of the closure in increasing order, ending at `pos`, the
+    pattern their letters, and `triple` whether it is a boundary triple
+    rather than a chain.  None if the letter closes nothing.  The one
+    neighbour b in a gap of one is whichever of a - 1 and a + 1 came last.
 
     Some class member holds the witness's letters as a factor, which is
-    what lets the fold rewrite them where they close: every letter
+    what lets `_fold` rewrite them where they close: every letter
     strictly between its positions commutes with the letters that move.
     Between the two a's of ss, sts or a triple lies no a and no neighbour
     of a but b, so the first a moves right up to b (or to the second a)
@@ -244,8 +261,8 @@ def scan_drop(word: list[int], start: int, stop: int, scan: Scan) -> None:
 
 def heap_state(n: int, word: Letters) -> HeapState:
     """
-    Classify a word in one left-to-right reading of its heap on a
-    `new_scan`, each letter in O(1): O(len(word) + n).  By Stembridge
+    Classify a word in one left-to-right reading of its heap (`Scan`),
+    each letter in O(1): O(len(word) + n).  By Stembridge
     (1996) a word is reduced and fully commutative iff its heap has no
     convex chain ss, sts (bond 3) or stst (bond 4).  Such chains end at
     the second of two consecutive occurrences of a letter a with no
@@ -266,7 +283,7 @@ def heap_state(n: int, word: Letters) -> HeapState:
     """
     word = check_word(n, word)
     state = HeapState.POSITIVE
-    scan = last, gap, prev, closed = new_scan(n, len(word))
+    scan = last, gap, prev, closed = [-1] * (n + 2), [0] * (n + 2), [-1] * len(word), [0] * len(word)
     for pos, a in enumerate(word):
         p = last[a]
         if p >= 0 and gap[a] < 2 and (hit := scan_closure(n, scan, a, pos)):
@@ -288,3 +305,49 @@ def heap_state(n: int, word: Letters) -> HeapState:
 def is_reduced_fc(n: int, word: Letters) -> bool:
     """True iff `word` is a reduced expression of a fully commutative element."""
     return heap_state(n, word) != HeapState.NOT_REDUCED_FC
+
+
+def _fold(n: int, word: Letters, steps: dict[Letters, tuple[int, int]]) -> tuple[int, Letters]:
+    """
+    A valid word reduced by the rule table `steps` (`algebra._rule_steps`),
+    as (packed monomial, word in read order): `algebra.reduce_word` at TL
+    and 2B, and the first step of `algebra._blob_loop`.  One reading loop
+    takes letters from the end of `pending`, the word reversed, and reads
+    them onto `read` while they close nothing, or a boundary triple that
+    `steps` lacks (all at TL).  A letter that closes a chain or a triple in
+    `steps` (`scan_closure`) is rewritten where it closes: the rule keeps a
+    prefix of the closure, so the closing letter goes, and for sts, stst
+    and the triples so does the piece before it; the loop unreads back to
+    that piece (`scan_drop`), puts what followed it back on `pending` and
+    reads on.  `read` and the position lists have `len(word)` slots, which
+    no rewrite outgrows.  The word read is a basis index when `pending`
+    runs out, a positive word at the blob level; its caller canonicalises
+    it once, where the reduction ends.
+    """
+    scan = last, gap, prev, closed = [-1] * (n + 2), [0] * (n + 2), [-1] * len(word), [0] * len(word)
+    read = [0] * len(word)
+    pending = list(reversed(word))
+    pop = pending.pop
+    top, exps = 0, 0
+    while pending:
+        a = pop()
+        p = last[a]
+        if p >= 0 and gap[a] < 2 and (hit := scan_closure(n, scan, a, top)):
+            witness, pattern, triple = hit
+            if not triple or pattern in steps:
+                keep, step = steps[pattern]
+                exps += step
+                start = witness[keep]
+                if start < top:
+                    scan_drop(read, start, top, scan)
+                    pending += read[top - 1 : start : -1]
+                top = start
+                continue
+        read[top] = a
+        prev[top] = p
+        closed[top] = gap[a]
+        gap[a - 1] += 1
+        gap[a + 1] += 1
+        last[a], gap[a] = top, 0
+        top += 1
+    return exps, tuple(read[:top])

@@ -62,7 +62,6 @@ from blobcat.words import (
     check_word,
     heap_state,
     iter_commutation_class,
-    new_scan,
     scan_closure,
 )
 
@@ -416,14 +415,14 @@ def walk_reduce(
 def heap_witness(n: int, word: Letters) -> tuple[HeapState, Letters]:
     """
     `words.heap_state` with the positions that decide it, from the same
-    one reading (`words.new_scan`, `words.scan_closure`): for a word that
+    one reading (`words.Scan`, `words.scan_closure`): for a word that
     is not reduced FC, the first chain the reading closes; else the first
     triple of the winning side; () for a positive word.  Some class member
     holds the witness's letters as a factor (`scan_closure`).
     """
     word = check_word(n, word)
     state, witness = HeapState.POSITIVE, ()
-    scan = last, gap, prev, closed = new_scan(n, len(word))
+    scan = last, gap, prev, closed = [-1] * (n + 2), [0] * (n + 2), [-1] * len(word), [0] * len(word)
     for pos, a in enumerate(word):
         p = last[a]
         if p >= 0 and gap[a] < 2 and (hit := scan_closure(n, scan, a, pos)):

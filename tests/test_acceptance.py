@@ -21,7 +21,7 @@ from functools import partial
 from blobcat import algebra, enumeration, grids, normal_forms, verify
 from blobcat.algebra import AlgebraLevel, Scalar, in_index_set, reduce_word, sb_basis
 from blobcat.cli import main
-from blobcat.words import canonical_word, is_reduced_fc
+from blobcat.words import canonical_word
 
 from oracles import law_mismatch, loop_reduce, walk_reduce
 from pins import (
@@ -102,23 +102,6 @@ def test_criterion_6_finite_part_generation_counts():
 
 def test_criterion_7_rewriting_confluence():
     accept("criterion 7 rewriting confluence", 60.0, [630], verify.check_confluence)
-
-
-def test_long_words_reduce_at_rank_8():
-    # Redex-free classes of long words are certified from the heap instead of
-    # walked, and a deep blob redex is rewritten by the blob step (see
-    # test_deep_blob_redexes_reduce_at_ranks_6_and_8).
-    budget = Budget("long words at rank 8", 10.0)
-    n = 8
-    rng = random.Random(8)
-    words = [tuple(rng.randint(0, n) for _ in range(length)) for length in (20,) * 10 + (30,) * 10]
-    cuts = random.Random(9)
-    for level in AlgebraLevel:
-        for word in words:
-            cut = cuts.randrange(1, len(word))
-            assert verify._cut_mismatch(level, n, word, (cut,)) is None, (level, word, cut)
-            assert is_reduced_fc(n, reduce_word(level, n, word)[1]), (level, word)
-    budget.done(f"{len(words)} words of length 20 and 30, three levels, one seeded cut")
 
 
 def test_tower_commutes_on_long_words_at_high_rank():

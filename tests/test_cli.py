@@ -637,3 +637,19 @@ def test_every_public_name_is_used_in_src_or_named_in_the_readme():
     spans = re.findall(r"`([^`]+)`", README.read_text().replace("```", "`"))
     named = {word for span in spans for word in re.findall(r"[A-Za-z_]\w*", span)}
     assert public - used - named <= TRACED_ONLY
+
+
+def test_only_words_names_the_heap_scan_and_heads():
+    # `words` alone knows the scan format and the heads format: no other
+    # module of blobcat names their readers in code (an ast walk over names,
+    # attributes and imports, so docstrings do not count)
+    readers = {"scan_closure", "scan_drop", "_heads"}
+    for path in sorted(Path(blobcat.__file__).parent.glob("*.py")):
+        if path.stem != "words":
+            named = set()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    named.add(node.id)
+                elif isinstance(node, (ast.Attribute, ast.alias)):
+                    named.add(node.attr if isinstance(node, ast.Attribute) else node.name)
+            assert not named & readers, path.name
