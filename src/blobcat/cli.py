@@ -9,9 +9,12 @@ Command-line front end.
     blobcat dim --n 2
     blobcat verify --suite tables
 
-Data goes to stdout, diagnostics to stderr.  Exit status: 0 on success, 1
-when a verification suite reports a mismatch, 2 on malformed input, 141
-(128 + SIGPIPE) when the reader closes stdout early, as `head` does.
+A call is parsed once, by its command's parser.  The full parser runs only
+when argv names no command or that parse leaves arguments over, so every
+help text and error is the full parser's.  Data goes to stdout, diagnostics
+to stderr.  Exit status: 0 on success, 1 when a verification suite reports
+a mismatch, 2 on malformed input, 141 (128 + SIGPIPE) when the reader
+closes stdout early, as `head` does.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import functools
 import json
 import os
 import sys
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from . import enumeration, grids, normal_forms, triangles, verify
 from .algebra import AlgebraLevel, in_index_set, reduce_word
@@ -158,7 +161,8 @@ def _verify(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser and its command parsers by name."""
     parser = argparse.ArgumentParser(
         prog="blobcat",
         description="exact combinatorics of the affine-C Temperley-Lieb quotients",
@@ -211,18 +215,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=None, dest="max_n")
     p.set_defaults(func=_verify)
 
-    return parser
+    return parser, sub.choices
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # built on the first main() call, not at import; parse_args leaves it
-    # unchanged, so one parser serves every later call in the process
-    return build_parser()
+def build_parser() -> argparse.ArgumentParser:
+    return _build()[0]
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+# built on the first main() call, not at import; parsing leaves it
+# unchanged, so one parser serves every later call in the process
+_parser = functools.cache(_build)
+
+
+def main(argv: Iterable[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parser()
+    args, rest = None, argv
+    if argv and argv[0] in commands:
+        args, rest = commands[argv[0]].parse_known_args(argv[1:])
+    if args is None or rest:
+        args = parser.parse_args(argv)
     try:
         status = args.func(args)
         sys.stdout.flush()

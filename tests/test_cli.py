@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs, determinism, exit codes, fault injection."""
 
+import argparse
 import ast
 import hashlib
 import io
@@ -369,6 +370,109 @@ def test_reused_parser_survives_rejected_calls(capsys):
     assert code == 2
     code, out, _ = run(capsys, "count", "--n", "9", "--s", "4", "--which", "d")
     assert code == 0 and out == "221004\n"
+
+
+# a cheap valid call of each command
+VALID_CALLS = {
+    "triangle": ("triangle", "--kind", "blobbed", "--rows", "3", "--cols", "3"),
+    "count": ("count", "--n", "9", "--s", "4", "--which", "d"),
+    "enumerate": ("enumerate", "--n", "2", "--s", "1", "--limit", "2"),
+    "grid": ("grid", "--blocks", "0:0"),
+    "reduce": ("reduce", "--n", "2", "--level", "sb", "--word", "1,0,2,1"),
+    "dim": ("dim", "--n", "2"),
+    "verify": ("verify", "--suite", "tables", "--max-n", "2"),
+}
+COUNT = ("count", "--n", "3", "--s", "1")
+EXTRA = (*COUNT, "--which", "a", "extra")
+
+
+def outcome(capsys, argv):
+    """(return status or ("exit", SystemExit code), stdout, stderr) of main(argv)."""
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return status, captured.out, captured.err
+
+
+def generator(argv):
+    yield from argv
+
+
+def full_parser_only(monkeypatch):
+    """Empty the command table, so main parses every argv with the full parser."""
+    full, _ = cli._parser()
+    monkeypatch.setattr(cli, "_parser", lambda: (full, {}))
+
+
+@pytest.mark.parametrize(
+    "argv, shape",
+    [
+        *(pytest.param(argv, list, id=name) for name, argv in VALID_CALLS.items()),
+        pytest.param(("count", "-h"), list, id="command-help"),
+        pytest.param(("-h",), list, id="top-help"),
+        pytest.param((), list, id="empty"),
+        pytest.param(("frobnicate", "--n", "3"), list, id="unknown-command"),
+        pytest.param(("count", "--n", "x", "--s", "1", "--which", "a"), list, id="bad-int"),
+        pytest.param((*COUNT, "--which", "z"), list, id="bad-choice"),
+        pytest.param(COUNT, list, id="missing-required"),
+        pytest.param((*COUNT, "--which", "a", "--bogus"), list, id="unknown-option"),
+        pytest.param((*COUNT, "--which", "a", "--n", "4"), list, id="repeated-option"),
+        pytest.param(("count", "--n=3", "--s", "1", "--which", "a"), list, id="equals"),
+        pytest.param((*COUNT, "--wh", "a"), list, id="abbreviation"),
+        pytest.param(EXTRA, list, id="extra-positional"),
+        pytest.param((*COUNT, "--which", "a", "--"), list, id="dashes-at-end"),
+        pytest.param((*COUNT, "--", "--which", "a"), list, id="dashes-in-middle"),
+        pytest.param(("dim", "--", "--n", "2"), list, id="dashes-after-command"),
+        pytest.param(
+            ("enumerate", "--n", "2", "--s", "1", "--positive", "--blobbed"),
+            list,
+            id="exclusive-options",
+        ),
+        pytest.param(VALID_CALLS["count"], tuple, id="tuple"),
+        pytest.param(VALID_CALLS["count"], generator, id="generator"),
+        pytest.param(EXTRA, generator, id="generator-extra"),
+    ],
+)
+def test_dispatch_answers_as_the_full_parser(capsys, monkeypatch, argv, shape):
+    dispatched = outcome(capsys, shape(argv))
+    full_parser_only(monkeypatch)
+    assert dispatched == outcome(capsys, shape(argv))
+
+
+@pytest.mark.parametrize("argv", [VALID_CALLS["count"], EXTRA], ids=["valid", "extra"])
+def test_dispatch_from_sys_argv_answers_as_the_full_parser(capsys, monkeypatch, argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(blobcat.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-m", "blobcat.cli", *argv], env=env, capture_output=True, text=True
+    )
+    full_parser_only(monkeypatch)
+    status, out, err = outcome(capsys, list(argv))
+    code = status[1] if isinstance(status, tuple) else status
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv", VALID_CALLS.values(), ids=VALID_CALLS.keys())
+def test_a_valid_call_is_parsed_once(capsys, monkeypatch, argv):
+    parsers = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def spy(self, *args, **kwargs):
+        parsers.append(self.prog)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    status, _, _ = outcome(capsys, list(argv))
+    assert status == 0
+    assert parsers == [f"blobcat {argv[0]}"]
+
+
+def test_arguments_left_over_get_the_full_parsers_error(capsys):
+    status, out, err = outcome(capsys, list(EXTRA))
+    assert status == ("exit", 2) and out == ""
+    assert err.startswith(cli.build_parser().format_usage())
+    assert err.endswith("blobcat: error: unrecognized arguments: extra\n")
 
 
 def test_grid_from_blocks_and_word(capsys):
