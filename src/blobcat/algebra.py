@@ -31,16 +31,19 @@ left through its action rows (`_rows`), the right regular representation
 on the basis: one row per basis word reached, holding that word times
 each generator as (packed exponents, next row), so a letter costs one
 list index.  Only an empty slot (`_fill`) reaches the whole-word memo,
-`_reduce_canonical`.  It looks for a redex in the first members of the
-word's commutation class, walked breadth first, as many as the word has
-letters, and at each position tries only the rules whose pattern starts
-with its two letters.  A word that holds no pattern itself and that
-`in_index_set` accepts, on one heap reading (O(length + rank)), is a basis
-index, the word every reduction ends on, and stops the search at one
-member.  A word whose redex lies past those members goes to `_blob_loop`
-below, so no redex, however deep in a large class, is walked to.  The
-rows of ranks 1-6 hold at most 50,882 entries and the memo at most 43,940
-words, the rewrites of those entries, so both are bounded in total.
+`_reduce_canonical`, keyed by the row's canonical word with the generator
+inserted where the least class member takes it (`words._canonical_append`),
+so a fill reads no heap to build its key.  The memo looks for a redex in
+the first members of the word's commutation class, walked breadth first,
+as many as the word has letters, and at each position tries only the
+rules whose pattern starts with its two letters.  A word that holds no
+pattern itself and that `in_index_set` accepts, on one heap reading
+(O(length + rank)), is a basis index, the word every reduction ends on,
+and stops the search at one member.  A word whose redex lies past those
+members goes to `_blob_loop` below, so no redex, however deep in a large
+class, is walked to.  The rows of ranks 1-6 hold at most 50,882 entries
+and the memo at most 43,940 words, the rewrites of those entries, so both
+are bounded in total.
 
 From rank 7 on, a long word reaches a new basis word at nearly every
 letter, and the rows would grow with the word.  There `_blob_loop`
@@ -74,6 +77,7 @@ from .normal_forms import _blocks_of_word, block_word
 from .words import (
     HeapState,
     Letters,
+    _canonical_append,
     _canonical_word,
     _fold,
     canonical_word,
@@ -359,9 +363,12 @@ def _fill(n: int, row: list, g: int) -> tuple[int, list]:
     """
     A miss of the rank-n action rows: the basis word of `row` times the
     generator g, reduced once by `_reduce_canonical`, which hands a redex
-    past its class walk to `_blob_loop`, and kept in slot g.
+    past its class walk to `_blob_loop`, and kept in slot g.  A row's word
+    is () or a `_reduce_canonical` result, so canonical, and the memo key is
+    that word with g inserted (`words._canonical_append`), with no second
+    reading of the heap.
     """
-    exps, word = _reduce_canonical(n, _canonical_word(n, row[-1] + (g,)))
+    exps, word = _reduce_canonical(n, _canonical_append(row[-1], g))
     row[g] = entry = (exps, _rows(n).setdefault(word, [None] * (n + 1) + [word]))
     return entry
 

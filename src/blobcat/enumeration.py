@@ -27,10 +27,21 @@ class CountKind(Enum):
 
 
 def a_count(n: int, s: int) -> int:
-    """Positive elements of affine length s: the (2n, 2s) doubled entry."""
+    """
+    Positive elements of affine length s: the (2n, 2s) doubled entry, the
+    diagonal entry (2n, 2n) = 2^(2n) less 2 (C(2n, 0) + ... + C(2n, m - 1))
+    with m = n - s, and the diagonal entry itself when m <= 0.  The m terms
+    are summed here by the recurrence of `triangles._row`, with no half row
+    built or cached, so a count near the diagonal costs a few terms at any
+    rank.
+    """
     check_rank(n)
     check_affine_length(s)
-    return blobbed_entry(2 * n, 2 * s)
+    total, c = 0, 1
+    for k in range(n - s):
+        total += c
+        c = c * (2 * n - k) // (k + 1)
+    return blobbed_entry(2 * n, 2 * n) - 2 * total
 
 
 def _exact_half(value: int) -> int:

@@ -12,8 +12,9 @@ commuting letters.  The equivalence class of a word is finite; the functions
 below either enumerate it (the slow, oracle-grade route: a lazy, unbounded
 BFS that its caller bounds) or read the word's heap with no enumeration.
 Every heap reading of the package lives here: the projection criterion,
-the least and greatest class members (`_heads`), and the scan (`Scan`)
-that the classifier `heap_state` and the fold `_fold` share.
+the least and greatest class members (`_heads`), the least member of a
+canonical word with one letter appended (`_canonical_append`), and the
+scan (`Scan`) that the classifier `heap_state` and the fold `_fold` share.
 
 >>> canonical_word(4, (3, 1, 2))
 (1, 3, 2)
@@ -140,6 +141,27 @@ def _canonical_word(n: int, word: Letters) -> Letters:
         out.append(a - 1)
         heads[a] = following[head]
     return tuple(out)
+
+
+def _canonical_append(word: Letters, g: int) -> Letters:
+    """
+    `_canonical_word(n, word + (g,))` for a canonical `word`, by one short
+    scan with no heap.  The least member is the greedy reading of the heap
+    (Anisimov and Knuth 1979), and that of `word + (g,)` takes the letters
+    of `word` in order until g turns minimal, after its last non-commuting
+    predecessor, the last x with |x - g| <= 1; from there it takes g
+    before the first larger letter, since g commutes with all that follow.
+    So the scan runs back from the end to that x and inserts g before the
+    first letter past x that exceeds g, or at the end.
+    """
+    at = pos = len(word)
+    for x in reversed(word):
+        if -2 < x - g < 2:
+            break
+        pos -= 1
+        if x > g:
+            at = pos
+    return word[:at] + (g,) + word[at:]
 
 
 def _normal_word(n: int, word: Letters) -> Letters:

@@ -189,6 +189,20 @@ def count_past_digit_limit():
     yield _blobcat("count", "--n", "7200", "--s", "3600", "--which", "a")
 
 
+COUNT_ONE_TERM_SHA256 = "dba92bcca923e2ebfc5e4be28a4dd4556a774394a6a348f988a772b7e81d7a27"
+
+
+@pin(COUNT_ONE_TERM_SHA256)
+def count_one_term_at_scale():
+    """
+    `count --n 20000 --s 19999 --which a`: 2^40000 - 2, 12,042 digits, one
+    term of the binomial sum.  a_count built the whole half row of 20,001
+    prefix sums for it, about 0.25 s and 89 MB; the hash is that of the
+    decimal 2^40000 - 2 and a newline.
+    """
+    yield _blobcat("count", "--n", "20000", "--s", "19999", "--which", "a")
+
+
 DEEP_BLOB_REDUCED = "d*kR*k * [5,4,3,2,1,0,6,5,4,3,2,1,0,6,5,4,3,6]"
 
 

@@ -776,6 +776,31 @@ def test_row_fills_hand_deep_redexes_to_the_blob_loop(monkeypatch):
     assert (handed.count(4), handed.count(5)) == (47, 477)
 
 
+def test_a_fill_reads_no_heap_for_its_key(monkeypatch):
+    # every slot of the rank-4 rows, filled cold against a warm memo: the
+    # key is the row's word with g inserted, so no fill canonicalises, and
+    # every entry lands where the canonicalised product does
+    n = 4
+    keys = {(b, g): canonical_word(n, b + (g,)) for b in sb_basis(n) for g in range(n + 1)}
+    expected = {slot: algebra._reduce_canonical(n, key) for slot, key in keys.items()}
+    calls = []
+
+    def counting(n, word):
+        calls.append(word)
+        return words._canonical_word(n, word)
+
+    monkeypatch.setattr(algebra, "_canonical_word", counting)
+    algebra._rows.cache_clear()
+    try:
+        for (b, g), (exps, word) in expected.items():
+            row = [None] * (n + 1) + [b]
+            assert algebra._fill(n, row, g) is row[g]
+            assert (row[g][0], row[g][1][-1]) == (exps, word), (b, g)
+    finally:
+        algebra._rows.cache_clear()
+    assert calls == []
+
+
 @pytest.mark.parametrize("letter", [3, -1, True, 1.0])
 def test_blob_level_refuses_the_letters_tl_refuses(letter):
     # a row keeps its basis word past slot n, so an unchecked letter would

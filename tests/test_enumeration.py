@@ -6,6 +6,7 @@ import random
 import pytest
 
 from blobcat import enumeration as en
+from blobcat import triangles
 from blobcat.enumeration import (
     COUNTS,
     CountKind,
@@ -21,12 +22,26 @@ from blobcat.enumeration import (
 from blobcat.algebra import AlgebraLevel, in_index_set
 from blobcat.grids import is_blobbed
 from blobcat.normal_forms import block_word, check_blocks, iter_fc_forms
+from blobcat.triangles import blobbed_entry
 from oracles import blob_polynomial_by_convolutions, convolve, i_nr, i_t, j_nr, j_t
 
 
 @pytest.mark.parametrize("n,s,expected", [(1, 0, 2), (2, 1, 14), (2, 2, 16)])
 def test_a_count_examples(n, s, expected):
     assert a_count(n, s) == expected
+
+
+def test_a_count_is_the_doubled_entry_and_builds_no_half_row():
+    # the running sum of a_count against the half-row prefix sums of
+    # `triangles._row`, which it leaves alone
+    for n in range(1, 61):
+        for s in range(n + 3):
+            assert a_count(n, s) == blobbed_entry(2 * n, 2 * s), (n, s)
+    triangles._row.cache_clear()
+    rows = triangles._row.cache_info()
+    assert a_count(20_000, 19_999) == 2**40_000 - 2
+    assert a_count(20_000, 20_001) == 2**40_000
+    assert triangles._row.cache_info() == rows
 
 
 def test_wing_count_examples():

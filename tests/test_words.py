@@ -8,6 +8,7 @@ from collections import deque
 import pytest
 
 from blobcat import words
+from blobcat.algebra import sb_basis
 from blobcat.words import (
     HeapState,
     canonical_word,
@@ -374,6 +375,35 @@ def test_canonical_word_budget_rank_2000():
     elapsed = time.perf_counter() - start
     assert elapsed < 0.25, f"{elapsed:.3f}s for a length-20000 word at rank 2000"
     assert sorted(canon) == sorted(word)
+
+
+def test_canonical_append_matches_canonical_word_on_every_row_slot():
+    # every slot of the blob action rows at ranks 1-6: a basis word, which
+    # is canonical, times one generator
+    slots = 0
+    for n in range(1, 7):
+        for b in sb_basis(n):
+            for g in range(n + 1):
+                assert words._canonical_append(b, g) == words._canonical_word(n, b + (g,)), (n, b, g)
+                slots += 1
+    assert slots == 50_882
+
+
+def test_canonical_append_matches_canonical_word_random():
+    # canonical words at ranks 2-256, random and drifting (deep heaps), each
+    # with the end letters, its own last letter and one random letter
+    rng = random.Random(67)
+    cases = random_words(seed=71, count=1_500, max_n=256, max_len=200)
+    cases += _drifting_words(seed=73, count=1_500, max_n=256, max_len=200)
+    checked = 0
+    for n, word in cases:
+        if n < 2:
+            continue
+        word = canonical_word(n, word)
+        for g in {0, n, rng.randint(0, n), *word[-1:]}:
+            assert words._canonical_append(word, g) == canonical_word(n, word + (g,)), (n, word, g)
+            checked += 1
+    assert checked > 9_000
 
 
 @pytest.mark.parametrize("word", [(2.0, 0, 1), (0, "1"), (None,), (0, True)])
