@@ -30,11 +30,15 @@ routes, by rank.  Below rank 7 (`_LOOP_RANK`) it folds words from the
 left through its action rows (`_rows`), the right regular representation
 on the basis: one row per basis word reached, holding that word times
 each generator as (packed exponents, next row), so a letter costs one
-list index.  Only an empty slot (`_fill`) reaches the whole-word memo,
-`_reduce_canonical`, keyed by the row's canonical word with the generator
-inserted where the least class member takes it (`words._canonical_append`),
-so a fill reads no heap to build its key.  The memo looks for a redex in
-the first members of the word's commutation class, walked breadth first,
+list index.  An empty slot (`_fill`) whose generator g closes a square on
+the row's word, its last letter that does not commute with g being g
+itself (`words._appends_square`), holds the row itself times the square's
+scalar, with no memo; 15,845 of the 50,882 slots of ranks 1-6 are such.
+Only another empty slot reaches the whole-word memo, `_reduce_canonical`,
+keyed by the row's canonical word with the generator inserted where the
+least class member takes it (`words._canonical_append`), so a fill reads
+no heap to build its key.  The memo looks for a redex in the first
+members of the word's commutation class, walked breadth first,
 as many as the word has letters, and at each position tries only the
 rules whose pattern starts with its two letters.  A word that holds no
 pattern itself and that `in_index_set` accepts, on one heap reading
@@ -42,8 +46,8 @@ pattern itself and that `in_index_set` accepts, on one heap reading
 and stops the search at one member.  A word whose redex lies past those
 members goes to `_blob_loop` below, so no redex, however deep in a large
 class, is walked to.  The rows of ranks 1-6 hold at most 50,882 entries
-and the memo at most 43,940 words, the rewrites of those entries, so both
-are bounded in total.
+and the memo at most 29,813 words, the rewrites of those entries that
+close no square, so both are bounded in total.
 
 From rank 7 on, a long word reaches a new basis word at nearly every
 letter, and the rows would grow with the word.  There `_blob_loop`
@@ -51,7 +55,9 @@ reduces the word `_CHUNK` letters at a time and keeps nothing.  It is the
 one code that takes the paper's blob step, at every rank: the
 two-boundary heap-scan fold on the blob rule table, then, while the
 rigid blocks of the result are not blobbed, the blob step and the fold
-again.  Chunks are sound because reduction respects products, the
+again.  A positive word with fewer letters than I J I is blobbed, and
+`_unblobbed_blocks`, the one blob test of a word, reads no blocks for it.
+Chunks are sound because reduction respects products, the
 regular-representation half of Bergman's diamond lemma (1978);
 `verify.check_confluence` and the tests reduce factors first to test that
 the rewrite order does not matter.
@@ -73,10 +79,11 @@ from itertools import islice, product
 
 from . import enumeration
 from .grids import _is_blobbed, _oblique_shortening_word, i_word, is_blobbed, j_word
-from .normal_forms import _blocks_of_word, block_word
+from .normal_forms import Blocks, _blocks_of_word, block_word
 from .words import (
     HeapState,
     Letters,
+    _appends_square,
     _canonical_append,
     _canonical_word,
     _fold,
@@ -324,8 +331,9 @@ def _reduce_canonical(n: int, word: Letters) -> tuple[int, Letters]:
     none of the members rewrites, its redex deeper in the class, goes to
     `_blob_loop`.  The memo keeps every word reduced in turn, which the
     misses share.  Its words are the rewrites of the (n + 1)·|B| basis
-    words times a generator of those ranks, so it holds at most 43,940
-    words, however many words `reduce_word` takes.
+    words times a generator of those ranks that close no square, since
+    `_fill` takes a square with no memo, so it holds at most 29,813 words,
+    however many words `reduce_word` takes.
     """
     level = AlgebraLevel.SYMPLECTIC_BLOB
     index, steps = _rules_by_first_pair(level, n), _rule_steps(level, n)
@@ -362,13 +370,20 @@ def _rows(n: int) -> dict[Letters, list]:
 def _fill(n: int, row: list, g: int) -> tuple[int, list]:
     """
     A miss of the rank-n action rows: the basis word of `row` times the
-    generator g, reduced once by `_reduce_canonical`, which hands a redex
-    past its class walk to `_blob_loop`, and kept in slot g.  A row's word
-    is () or a `_reduce_canonical` result, so canonical, and the memo key is
-    that word with g inserted (`words._canonical_append`), with no second
-    reading of the heap.
+    generator g, kept in slot g.  When the last letter of the word that
+    does not commute with g is g itself (`words._appends_square`), the
+    product closes the square g g, and the entry is the row itself times
+    the square's scalar, with no memo.  Any other product is reduced once
+    by `_reduce_canonical`, which hands a redex past its class walk to
+    `_blob_loop`.  A row's word is () or a `_reduce_canonical` result, so
+    canonical, and the memo key is that word with g inserted
+    (`words._canonical_append`), with no second reading of the heap.
     """
-    exps, word = _reduce_canonical(n, _canonical_append(row[-1], g))
+    word = row[-1]
+    if _appends_square(word, g):
+        row[g] = entry = (_rule_steps(AlgebraLevel.SYMPLECTIC_BLOB, n)[g, g][1], row)
+        return entry
+    exps, word = _reduce_canonical(n, _canonical_append(word, g))
     row[g] = entry = (exps, _rows(n).setdefault(word, [None] * (n + 1) + [word]))
     return entry
 
@@ -379,9 +394,10 @@ def _blob_loop(n: int, word: Letters) -> tuple[int, Letters]:
     canonical basis word).  The two-boundary fold with the blob rule table
     (`words._fold`) leaves a positive word in read order; its rigid blocks are
     read off it as they stand, since the greatest class member they come
-    from is the same for every word of the element.  A positive word whose
-    blocks are blobbed is a basis index, canonicalised once as the loop
-    returns, and any other takes the paper's blob step,
+    from is the same for every word of the element, at most once a pass,
+    and not at all for a word shorter than I J I (`_unblobbed_blocks`).  A
+    positive word whose blocks are blobbed is a basis index, canonicalised
+    once as the loop returns, and any other takes the paper's blob step,
     `grids._oblique_shortening_word`, one I J alternation fewer, times k,
     and is folded again.  Each pass shortens the word, so the loop ends.
     `reduce_word` runs it from rank `_LOOP_RANK` on, and
@@ -392,11 +408,26 @@ def _blob_loop(n: int, word: Letters) -> tuple[int, Letters]:
     while True:
         step, word = _fold(n, word, steps)
         exps += step
-        blocks = _blocks_of_word(n, word)
-        if _is_blobbed(n, blocks):
+        blocks = _unblobbed_blocks(n, word)
+        if blocks is None:
             return exps, _canonical_word(n, word)
         word = _oblique_shortening_word(n, blocks)
         exps += _K_STEP
+
+
+def _unblobbed_blocks(n: int, word: Letters) -> Blocks | None:
+    """
+    The rigid blocks of a positive word when they hold I J I or J I J, or
+    None when the word is blobbed.  A pattern is contained cell by cell
+    under a row shift (`grids._contains`), and a positive word has one cell
+    per letter, so a word with fewer letters than I J I, the shorter
+    alternation at n + 1 + (n + 1) // 2 letters, is blobbed with no block
+    read.  The one blob test of a word, for `_blob_loop` and `in_index_set`.
+    """
+    if len(word) < n + 1 + (n + 1) // 2:
+        return None
+    blocks = _blocks_of_word(n, word)
+    return None if _is_blobbed(n, blocks) else blocks
 
 
 # The blob level folds words through the action rows below rank _LOOP_RANK,
@@ -458,12 +489,13 @@ def in_index_set(level: AlgebraLevel, n: int, word: Letters) -> bool:
     of its commutation class hold a rule pattern of the level?  Read off one
     `heap_state`, the one heap classifier: TL takes the reduced FC words, the two-boundary level
     those with no boundary triple (the positive elements), and the blob
-    level those of them whose rigid blocks are blobbed.  The blocks of a
-    positive word are the +1 runs of its greatest class member, which one
-    top-down greedy pass over the heap builds, with no second check of the
-    word (`normal_forms._blocks_of_word`) and no check of the blocks
-    (`grids._is_blobbed`).  O(len(word) + n) before the row test of
-    `is_blobbed`; a malformed word raises ValueError.
+    level those of them whose rigid blocks are blobbed (`_unblobbed_blocks`).
+    A positive word with fewer letters than I J I is blobbed, with no block
+    read.  The blocks of a longer one are the +1 runs of its greatest class
+    member, which one top-down greedy pass over the heap builds, with no
+    second check of the word (`normal_forms._blocks_of_word`) and no check
+    of the blocks (`grids._is_blobbed`).  O(len(word) + n) before the row
+    test of `is_blobbed`; a malformed word raises ValueError.
     """
     word = tuple(word)  # heap_state checks it
     state = heap_state(n, word)
@@ -471,7 +503,7 @@ def in_index_set(level: AlgebraLevel, n: int, word: Letters) -> bool:
         return False
     if state != HeapState.POSITIVE:
         return level == AlgebraLevel.TL
-    return level != AlgebraLevel.SYMPLECTIC_BLOB or _is_blobbed(n, _blocks_of_word(n, word))
+    return level != AlgebraLevel.SYMPLECTIC_BLOB or _unblobbed_blocks(n, word) is None
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ this is asserted, never floored.
 from __future__ import annotations
 
 from enum import Enum
+from math import comb
 from operator import mul
 from typing import Iterator
 
@@ -30,18 +31,25 @@ def a_count(n: int, s: int) -> int:
     """
     Positive elements of affine length s: the (2n, 2s) doubled entry, the
     diagonal entry (2n, 2n) = 2^(2n) less 2 (C(2n, 0) + ... + C(2n, m - 1))
-    with m = n - s, and the diagonal entry itself when m <= 0.  The m terms
+    with m = n - s, and the diagonal entry itself when m <= 0.  The terms
     are summed here by the recurrence of `triangles._row`, with no half row
-    built or cached, so a count near the diagonal costs a few terms at any
-    rank.
+    built or cached.  Up to m = s the sum takes its m terms; past it, the
+    symmetry of the row gives it as (2^(2n) - C(2n, n)) / 2 less
+    C(2n, m) + ... + C(2n, n - 1), s terms from one `math.comb`, on which
+    the recurrence ends at C(2n, n).  So a count near the diagonal or far
+    below it costs a few terms at any rank.
     """
     check_rank(n)
     check_affine_length(s)
-    total, c = 0, 1
-    for k in range(n - s):
+    diagonal, m = blobbed_entry(2 * n, 2 * n), n - s
+    lo, hi = (0, m) if m <= s else (m, n)
+    total, c = 0, comb(2 * n, lo)
+    for k in range(lo, hi):
         total += c
         c = c * (2 * n - k) // (k + 1)
-    return blobbed_entry(2 * n, 2 * n) - 2 * total
+    if m > s:  # c is now C(2n, n)
+        total = _exact_half(diagonal - c) - total
+    return diagonal - 2 * total
 
 
 def _exact_half(value: int) -> int:

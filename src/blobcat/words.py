@@ -13,8 +13,9 @@ below either enumerate it (the slow, oracle-grade route: a lazy, unbounded
 BFS that its caller bounds) or read the word's heap with no enumeration.
 Every heap reading of the package lives here: the projection criterion,
 the least and greatest class members (`_heads`), the least member of a
-canonical word with one letter appended (`_canonical_append`), and the
-scan (`Scan`) that the classifier `heap_state` and the fold `_fold` share.
+canonical word with one letter appended (`_canonical_append`), whether
+that letter closes a square on the word (`_appends_square`), and the scan
+(`Scan`) that the classifier `heap_state` and the fold `_fold` share.
 
 >>> canonical_word(4, (3, 1, 2))
 (1, 3, 2)
@@ -162,6 +163,20 @@ def _canonical_append(word: Letters, g: int) -> Letters:
         if x > g:
             at = pos
     return word[:at] + (g,) + word[at:]
+
+
+def _appends_square(word: Letters, g: int) -> bool:
+    """
+    Is the last letter x of `word` with |x - g| <= 1 the letter g itself?
+    Then g commutes with every letter after that one, so `word + (g,)`
+    commutes to a word holding the square g g, the chain ss of Stembridge's
+    criterion, and the product is the square's scalar times `word`.  The
+    same short scan back from the end as `_canonical_append`, with no heap.
+    """
+    for x in reversed(word):
+        if -2 < x - g < 2:
+            return x == g
+    return False
 
 
 def _normal_word(n: int, word: Letters) -> Letters:

@@ -203,6 +203,20 @@ def count_one_term_at_scale():
     yield _blobcat("count", "--n", "20000", "--s", "19999", "--which", "a")
 
 
+COUNT_FAR_BELOW_DIAGONAL_SHA256 = "2255b0d4603617a2f29b76f78c558345b5813a9b9a042697c2358dae2d9b881a"
+
+
+@pin(COUNT_FAR_BELOW_DIAGONAL_SHA256)
+def count_far_below_diagonal():
+    """
+    `count --n 20000 --s 1 --which a`: the sum of C(40000, k) for k below
+    19,999, which a_count took as 19,999 binomial terms, about 0.2 s, and
+    now takes as one term past the row's symmetry; the hash was recorded
+    from the sum of 19,999 terms.
+    """
+    yield _blobcat("count", "--n", "20000", "--s", "1", "--which", "a")
+
+
 DEEP_BLOB_REDUCED = "d*kR*k * [5,4,3,2,1,0,6,5,4,3,2,1,0,6,5,4,3,6]"
 
 

@@ -732,7 +732,7 @@ def test_action_table_holds_one_entry_per_basis_word_and_generator():
 def test_blob_words_from_rank_7_leave_the_rows_and_the_memo_alone():
     # from rank 7 the blob level reduces through the heap-scan loop, which
     # reads no row and fills no slot: the rows and the memo keep only what
-    # ranks 1-6 put there, at most 50,882 row entries and 43,940 memo words
+    # ranks 1-6 put there, at most 50,882 row entries and 29,813 memo words
     reduce_word(SB, 6, seeded_word(6, 1_000))
     rows, memo = algebra._rows.cache_info(), algebra._reduce_canonical.cache_info()
     for n in (7, 8, 16, 64):
@@ -799,6 +799,67 @@ def test_a_fill_reads_no_heap_for_its_key(monkeypatch):
     finally:
         algebra._rows.cache_clear()
     assert calls == []
+
+
+def test_a_square_fill_takes_no_memo(monkeypatch):
+    # every slot of the rank 1-6 rows whose product closes the square g g,
+    # filled cold: the entry is the row itself times the square's scalar,
+    # and no fill reaches the memo; a slot that closes no square still does
+    calls, memo = [], algebra._reduce_canonical
+
+    def spy(n, word):
+        calls.append(word)
+        return memo(n, word)
+
+    monkeypatch.setattr(algebra, "_reduce_canonical", spy)
+    algebra._rows.cache_clear()
+    try:
+        squares = 0
+        for n in range(1, 7):
+            steps = algebra._rule_steps(SB, n)
+            for b in sb_basis(n):
+                for g in range(n + 1):
+                    if words._appends_square(b, g):
+                        row = algebra._rows(n).setdefault(b, [None] * (n + 1) + [b])
+                        assert algebra._fill(n, row, g) == (steps[g, g][1], row), (n, b, g)
+                        assert row[g][1] is row
+                        squares += 1
+        assert (squares, calls) == (15_845, [])
+        assert reduce_word(SB, 2, (1,)) == (Scalar.one(), (1,))
+        assert calls == [(1,)]
+    finally:
+        algebra._rows.cache_clear()
+
+
+def test_fewer_letters_than_iji_read_no_blocks(monkeypatch):
+    # I J I is the shorter alternation, at n + 1 + (n + 1) // 2 letters, and
+    # a pattern is contained cell by cell, so every positive block list with
+    # fewer cells is blobbed, and its word is answered with no block read
+    for n in range(1, 257):
+        i, j = grids.i_word(n), grids.j_word(n)
+        assert n + 1 + (n + 1) // 2 == min(len(i + j + i), len(j + i + j)), n
+    read, blocks_of_word = [], nfm._blocks_of_word
+
+    def spy(n, word):
+        read.append(word)
+        return blocks_of_word(n, word)
+
+    monkeypatch.setattr(algebra, "_blocks_of_word", spy)
+    short = 0
+    for n in range(1, 7):
+        bound = n + 1 + (n + 1) // 2
+        assert sum(r - l + 1 for l, r in grids.iji_blocks(n)) == bound
+        for s in range(n + 2):
+            for blocks in enumeration.iter_positive_blocks(n, s):
+                if sum(r - l + 1 for l, r in blocks) < bound:
+                    assert grids.is_blobbed(n, blocks), (n, blocks)
+                    assert algebra._unblobbed_blocks(n, nfm.block_word(blocks)) is None
+                    short += 1
+    assert (short, read) == (3_154, [])
+    for n in range(1, 7):
+        for blocks in (grids.iji_blocks(n), grids.jij_blocks(n)):
+            assert algebra._unblobbed_blocks(n, nfm.block_word(blocks)) == blocks
+    assert len(read) == 12
 
 
 @pytest.mark.parametrize("letter", [3, -1, True, 1.0])
@@ -966,8 +1027,9 @@ def test_blob_step_tests_the_blocks_once(monkeypatch):
     # not blobbed (`in_index_set`), and past the walk `_blob_loop` tests
     # each pass's blocks once: the blob step drops the alternation from
     # them as they are, with no second `_is_blobbed`, and the last pass
-    # tests the basis word's blocks; the public `oblique_shortening_word`
-    # still tests, and refuses a blobbed element
+    # reads no blocks, since its 3 letters are fewer than I J I's 7; the
+    # public `oblique_shortening_word` still tests, and refuses a blobbed
+    # element
     n, word = 4, HAND_OFF_RANK_4
     blocks = nfm._blocks_of_word(n, word)
     assert blocks == ((3, 4), (1, 3), (0, 1), (0, 0))
@@ -981,11 +1043,10 @@ def test_blob_step_tests_the_blocks_once(monkeypatch):
     monkeypatch.setattr(grids, "_is_blobbed", counting)
     monkeypatch.setattr(algebra, "_is_blobbed", counting)
     assert _fill_whole_word(n, word) == (K, (1, 0, 3))
-    final = nfm._blocks_of_word(n, (1, 0, 3))
-    assert calls == [blocks, blocks, final]
+    assert calls == [blocks, blocks]
     with pytest.raises(ValueError, match="blobbed"):
         grids.oblique_shortening_word(n, ())
-    assert calls == [blocks, blocks, final, ()]
+    assert calls == [blocks, blocks, ()]
 
 
 def test_blob_path_checks_no_rigid_blocks(monkeypatch):

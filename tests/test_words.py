@@ -7,8 +7,8 @@ from collections import deque
 
 import pytest
 
-from blobcat import words
-from blobcat.algebra import sb_basis
+from blobcat import algebra, words
+from blobcat.algebra import AlgebraLevel, rewrite_rules, sb_basis
 from blobcat.words import (
     HeapState,
     canonical_word,
@@ -29,8 +29,11 @@ from oracles import (
     exhaustive_words,
     grown_fc_word,
     heap_witness,
+    loop_reduce,
     reach_masks,
 )
+
+SB = AlgebraLevel.SYMPLECTIC_BLOB
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +407,28 @@ def test_canonical_append_matches_canonical_word_random():
             assert words._canonical_append(word, g) == canonical_word(n, word + (g,)), (n, word, g)
             checked += 1
     assert checked > 9_000
+
+
+def test_appends_square_on_every_row_slot():
+    # every slot of the blob action rows at ranks 1-6: the predicate holds
+    # exactly where the whole product rewrites to the square's scalar times
+    # the basis word itself, by one-step rewrites (`oracles.loop_reduce`) at
+    # ranks 1-5 and by the memo's class walk at rank 6
+    squares = 0
+    for n in range(1, 7):
+        scalars = {rule.pattern: rule.scalar for rule in rewrite_rules(SB, n)}
+        for b in sb_basis(n):
+            for g in range(n + 1):
+                if n < 6:
+                    reduced = loop_reduce(SB, n, b + (g,))
+                else:
+                    exps, word = algebra._reduce_canonical(n, canonical_word(n, b + (g,)))
+                    reduced = (algebra._unpacked(exps), word)
+                square = words._appends_square(b, g)
+                assert square == (reduced == (scalars[g, g], b)), (n, b, g)
+                squares += square
+    algebra._reduce_canonical.cache_clear()
+    assert squares == 15_845
 
 
 @pytest.mark.parametrize("word", [(2.0, 0, 1), (0, "1"), (None,), (0, True)])
