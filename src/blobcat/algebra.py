@@ -30,14 +30,19 @@ routes, by rank.  Below rank 7 (`_LOOP_RANK`) it folds words from the
 left through its action rows (`_rows`), the right regular representation
 on the basis: one row per basis word reached, holding that word times
 each generator as (packed exponents, next row), so a letter costs one
-list index.  An empty slot (`_fill`) whose generator g closes a square on
-the row's word, its last letter that does not commute with g being g
-itself (`words._appends_square`), holds the row itself times the square's
-scalar, with no memo; 15,845 of the 50,882 slots of ranks 1-6 are such.
-Only another empty slot reaches the whole-word memo, `_reduce_canonical`,
-keyed by the row's canonical word with the generator inserted where the
-least class member takes it (`words._canonical_append`), so a fill reads
-no heap to build its key.  The memo looks for a redex in the first
+list index.  An empty slot (`_fill`) is routed by one short scan back
+from the end of the row's word (`words._closing_gap`), since only its
+generator g can close a chain or a triple there.  A square g g, the last
+letter that does not commute with g being g itself, is the row itself
+times the square's scalar; a g that may close sts, stst or a boundary
+triple sends the product to `_blob_loop`; a g that closes nothing leaves
+a positive product, which with fewer letters than I J I is blobbed and so
+its own basis word, g inserted where the least class member takes it
+(`words._canonical_append`).  Of the 50,882 slots of ranks 1-6 these take
+15,845, 22,898 and 5,457.  Only the other 6,682, positive products of at
+least as many letters as I J I, reach the whole-word memo,
+`_reduce_canonical`, keyed by that same insertion, so a fill reads no
+heap to build its key.  The memo looks for a redex in the first
 members of the word's commutation class, walked breadth first,
 as many as the word has letters, and at each position tries only the
 rules whose pattern starts with its two letters.  A word that holds no
@@ -46,8 +51,8 @@ pattern itself and that `in_index_set` accepts, on one heap reading
 and stops the search at one member.  A word whose redex lies past those
 members goes to `_blob_loop` below, so no redex, however deep in a large
 class, is walked to.  The rows of ranks 1-6 hold at most 50,882 entries
-and the memo at most 29,813 words, the rewrites of those entries that
-close no square, so both are bounded in total.
+and the memo at most 4,665 words, those 6,682 products and their
+rewrites, so both are bounded in total.
 
 From rank 7 on, a long word reaches a new basis word at nearly every
 letter, and the rows would grow with the word.  There `_blob_loop`
@@ -83,9 +88,9 @@ from .normal_forms import Blocks, _blocks_of_word, block_word
 from .words import (
     HeapState,
     Letters,
-    _appends_square,
     _canonical_append,
     _canonical_word,
+    _closing_gap,
     _fold,
     canonical_word,
     check_rank,
@@ -330,10 +335,9 @@ def _reduce_canonical(n: int, word: Letters) -> tuple[int, Letters]:
     `in_index_set` accepts is a basis index, at one member.  A word that
     none of the members rewrites, its redex deeper in the class, goes to
     `_blob_loop`.  The memo keeps every word reduced in turn, which the
-    misses share.  Its words are the rewrites of the (n + 1)·|B| basis
-    words times a generator of those ranks that close no square, since
-    `_fill` takes a square with no memo, so it holds at most 29,813 words,
-    however many words `reduce_word` takes.
+    misses share.  `_fill` calls it only on a positive product of at least
+    as many letters as I J I, 6,682 of the 50,882 slots of ranks 1-6, so
+    it holds at most 4,665 words, however many words `reduce_word` takes.
     """
     level = AlgebraLevel.SYMPLECTIC_BLOB
     index, steps = _rules_by_first_pair(level, n), _rule_steps(level, n)
@@ -370,20 +374,35 @@ def _rows(n: int) -> dict[Letters, list]:
 def _fill(n: int, row: list, g: int) -> tuple[int, list]:
     """
     A miss of the rank-n action rows: the basis word of `row` times the
-    generator g, kept in slot g.  When the last letter of the word that
-    does not commute with g is g itself (`words._appends_square`), the
-    product closes the square g g, and the entry is the row itself times
-    the square's scalar, with no memo.  Any other product is reduced once
-    by `_reduce_canonical`, which hands a redex past its class walk to
-    `_blob_loop`.  A row's word is () or a `_reduce_canonical` result, so
-    canonical, and the memo key is that word with g inserted
-    (`words._canonical_append`), with no second reading of the heap.
+    generator g, kept in slot g.  The basis word is positive, so only g
+    can close a chain or a triple, and one short scan back from the end
+    (`words._closing_gap`) routes the product:
+
+    - gap 0, a square g g: the entry is the row itself times the square's
+      scalar;
+    - gap 1, where g may close sts, stst or a boundary triple: the product
+      goes to `_blob_loop`, whose fold rewrites the closure where it closes;
+    - gap 2, where g closes nothing: the product is positive, and with
+      fewer letters than I J I (`_iji_length`) it is blobbed, so it is its
+      own basis word, g inserted where the least class member takes it
+      (`words._canonical_append`), times 1;
+    - any other product is positive with at least as many letters as I J I
+      and needs the blob test: it is reduced by `_reduce_canonical`, keyed
+      by that same insertion, so no fill reads a heap for its key.
+
+    Only the last route keeps a memo.
     """
     word = row[-1]
-    if _appends_square(word, g):
+    gap = _closing_gap(word, g)
+    if gap == 0:
         row[g] = entry = (_rule_steps(AlgebraLevel.SYMPLECTIC_BLOB, n)[g, g][1], row)
         return entry
-    exps, word = _reduce_canonical(n, _canonical_append(word, g))
+    if gap == 1:
+        exps, word = _blob_loop(n, word + (g,))
+    elif len(word) + 1 < _iji_length(n):
+        exps, word = 0, _canonical_append(word, g)
+    else:
+        exps, word = _reduce_canonical(n, _canonical_append(word, g))
     row[g] = entry = (exps, _rows(n).setdefault(word, [None] * (n + 1) + [word]))
     return entry
 
@@ -400,9 +419,10 @@ def _blob_loop(n: int, word: Letters) -> tuple[int, Letters]:
     once as the loop returns, and any other takes the paper's blob step,
     `grids._oblique_shortening_word`, one I J alternation fewer, times k,
     and is folded again.  Each pass shortens the word, so the loop ends.
-    `reduce_word` runs it from rank `_LOOP_RANK` on, and
-    `_reduce_canonical` on a word whose redex its class walk does not
-    reach; both take its canonical word as it is.
+    `reduce_word` runs it from rank `_LOOP_RANK` on; `_fill` on a row's
+    word times a g that may close a chain or a triple, where the fold
+    rewrites the closure; and `_reduce_canonical` on a word whose redex its
+    class walk does not reach.  Each takes its canonical word as it is.
     """
     steps, exps = _rule_steps(AlgebraLevel.SYMPLECTIC_BLOB, n), 0
     while True:
@@ -415,16 +435,21 @@ def _blob_loop(n: int, word: Letters) -> tuple[int, Letters]:
         exps += _K_STEP
 
 
+def _iji_length(n: int) -> int:
+    """The letters of I J I, the shorter of the two alternations I J I and J I J."""
+    return n + 1 + (n + 1) // 2
+
+
 def _unblobbed_blocks(n: int, word: Letters) -> Blocks | None:
     """
     The rigid blocks of a positive word when they hold I J I or J I J, or
     None when the word is blobbed.  A pattern is contained cell by cell
     under a row shift (`grids._contains`), and a positive word has one cell
-    per letter, so a word with fewer letters than I J I, the shorter
-    alternation at n + 1 + (n + 1) // 2 letters, is blobbed with no block
-    read.  The one blob test of a word, for `_blob_loop` and `in_index_set`.
+    per letter, so a word with fewer letters than I J I (`_iji_length`) is
+    blobbed with no block read.  The one blob test of a word, for
+    `_blob_loop` and `in_index_set`.
     """
-    if len(word) < n + 1 + (n + 1) // 2:
+    if len(word) < _iji_length(n):
         return None
     blocks = _blocks_of_word(n, word)
     return None if _is_blobbed(n, blocks) else blocks

@@ -13,8 +13,8 @@ below either enumerate it (the slow, oracle-grade route: a lazy, unbounded
 BFS that its caller bounds) or read the word's heap with no enumeration.
 Every heap reading of the package lives here: the projection criterion,
 the least and greatest class members (`_heads`), the least member of a
-canonical word with one letter appended (`_canonical_append`), whether
-that letter closes a square on the word (`_appends_square`), and the scan
+canonical word with one letter appended (`_canonical_append`), what
+that letter can close on the word (`_closing_gap`), and the scan
 (`Scan`) that the classifier `heap_state` and the fold `_fold` share.
 
 >>> canonical_word(4, (3, 1, 2))
@@ -165,18 +165,29 @@ def _canonical_append(word: Letters, g: int) -> Letters:
     return word[:at] + (g,) + word[at:]
 
 
-def _appends_square(word: Letters, g: int) -> bool:
+def _closing_gap(word: Letters, g: int) -> int:
     """
-    Is the last letter x of `word` with |x - g| <= 1 the letter g itself?
-    Then g commutes with every letter after that one, so `word + (g,)`
-    commutes to a word holding the square g g, the chain ss of Stembridge's
-    criterion, and the product is the square's scalar times `word`.  The
-    same short scan back from the end as `_canonical_append`, with no heap.
+    How many neighbours g +- 1 follow the last g of `word`: 0, 1, or 2 for
+    two or more and for a word with no g.  By Stembridge's criterion a
+    chain ss, sts or stst, or a boundary triple, ends at a letter that
+    meets its previous occurrence with fewer than two neighbours since
+    (`scan_closure`), so in `word + (g,)` only g can close one, and only
+    at a gap below 2.  At 0 the last letter x of `word` with |x - g| <= 1
+    is g itself: g commutes with every letter after it, the product holds
+    the square g g, and it is the square's scalar times `word`.  At 1 g
+    may close sts, stst or a triple, or, at a bond-4 end, nothing; at 2 it
+    closes nothing.  The same short scan back from the end as
+    `_canonical_append`, with no heap.
     """
+    gap = 0
     for x in reversed(word):
+        if x == g:
+            return gap
         if -2 < x - g < 2:
-            return x == g
-    return False
+            gap += 1
+            if gap == 2:
+                return 2
+    return 2
 
 
 def _normal_word(n: int, word: Letters) -> Letters:

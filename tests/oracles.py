@@ -11,7 +11,8 @@ both were first written,
 the paper's oblique factorization around the alternating run, which
 the blob step `grids.oblique_shortening_word` shortcuts, the rewriting
 kernel as a plain class walk that never reads the heap, the heap
-reading with the positions that decide it (`heap_witness`), reduction at
+reading with the positions that decide it (`heap_witness`) and what one
+letter more meets on it (`closing_scan`), reduction at
 every level as a loop of one-step rewrites, each a bounded class walk
 and then one step off the heap, which the heap-scan fold and the blob
 loop replaced, the wing counts an entry at a time, which the
@@ -438,6 +439,28 @@ def heap_witness(n: int, word: Letters) -> tuple[HeapState, Letters]:
         gap[a + 1] += 1
         last[a], gap[a] = pos, 0
     return state, witness
+
+
+def closing_scan(n: int, word: Letters, g: int) -> tuple[int, tuple | None]:
+    """
+    What the letter g appended to `word` meets, off the left-to-right
+    reading of `heap_witness` carried over the whole word, chains and all:
+    the neighbours g +- 1 read since the last g, as 0, 1, or 2 for two or
+    more and for a word with no g, and what g closes there
+    (`scan_closure`), or None.
+    """
+    word = check_word(n, word)
+    size = len(word) + 1
+    scan = last, gap, prev, closed = [-1] * (n + 2), [0] * (n + 2), [-1] * size, [0] * size
+    for pos, a in enumerate(word):
+        prev[pos] = last[a]
+        closed[pos] = gap[a]
+        gap[a - 1] += 1
+        gap[a + 1] += 1
+        last[a], gap[a] = pos, 0
+    if last[g] < 0 or gap[g] >= 2:
+        return 2, None
+    return gap[g], scan_closure(n, scan, g, len(word))
 
 
 def heap_redex(level: AlgebraLevel, n: int, word: Letters) -> Letters | Blocks | None:

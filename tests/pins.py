@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from blobcat import cli
+from blobcat import algebra, cli
 from blobcat.algebra import AlgebraLevel, Scalar, in_index_set, reduce_word, sb_basis
 from blobcat.enumeration import iter_positive_blocks
 from blobcat.grids import is_blobbed
@@ -346,6 +346,29 @@ def blob_action_rank_6():
         for g in range(7):
             scalar, z = reduce_word(AlgebraLevel.SYMPLECTIC_BLOB, 6, b + (g,))
             lines.append(f"{format_word(b)}|{g}|{scalar}|{format_word(z)}\n")
+    yield "".join(lines)
+
+
+BLOB_FILL_STREAM_SHA256 = "b4409a0f705e6ec479580d66a3993293b1fd875bd38edddaf5f773f32e8850c6"
+
+
+@pin(BLOB_FILL_STREAM_SHA256)
+def blob_fill_stream():
+    """
+    The reduce lines of 3,000 words at each of ranks 4, 5 and 6 at the blob
+    level, each of 8 to 18 letters `randint(0, n)` drawn from one
+    `random.Random(4)`, from cold action rows: short words that fill slots
+    by every route of `algebra._fill`.  The hash was recorded from the fill
+    that reduced every product closing no square through the whole-word
+    memo.
+    """
+    algebra._rows.cache_clear()
+    algebra._reduce_canonical.cache_clear()
+    rng, lines = random.Random(4), []
+    for n in (4, 5, 6):
+        for _ in range(3_000):
+            word = tuple(rng.randint(0, n) for _ in range(rng.randint(8, 18)))
+            lines.append(_reduced_line(AlgebraLevel.SYMPLECTIC_BLOB, n, word))
     yield "".join(lines)
 
 

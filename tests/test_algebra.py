@@ -604,18 +604,29 @@ def test_reduce_word_shares_one_scalar_per_value():
 def test_equal_monomials_come_back_as_one_instance():
     # `Scalar`'s promise: `reduce_word` hands out one shared instance per
     # monomial, whichever path reached it: the TL fold, the two-boundary
-    # fold, a blob fold that fills empty slots and one that reads them
-    for word, expected in (((1,), Scalar.one()), ((1, 1, 1), D * D), ((0, 0, 2, 2), DL * DR)):
+    # fold, a blob fold that fills empty slots and one that reads them.
+    # The blob fills take every route of `algebra._fill`: short positive
+    # products and squares, the boundary triple 1,0,1 through `_blob_loop`,
+    # and I J I = 1,0,2,1, a positive product of as many letters as I J I,
+    # through the memo, which no other word here reaches
+    cases = (
+        ((1,), (Scalar.one(),) * 3),
+        ((1, 1, 1), (D * D,) * 3),
+        ((0, 0, 2, 2), (DL * DR,) * 3),
+        ((1, 0, 1), (Scalar.one(), KL, KL)),
+        ((1, 0, 2, 1), (Scalar.one(), Scalar.one(), K)),
+    )
+    for word, (tl, tb, sb) in cases:
         algebra._rows.cache_clear()
         algebra._reduce_canonical.cache_clear()
         miss = reduce_word(SB, 2, word)
         filled = algebra._reduce_canonical.cache_info()
-        assert filled.currsize > 0
+        assert (filled.currsize > 0) == (word == (1, 0, 2, 1)), word
         hit = reduce_word(SB, 2, word)
         assert algebra._reduce_canonical.cache_info() == filled
         scalars = [reduce_word(TL, 2, word)[0], reduce_word(TB, 2, word)[0], miss[0], hit[0]]
-        assert scalars == [expected] * 4, word
-        assert all(s is scalars[0] for s in scalars), word
+        assert scalars == [tl, tb, sb, sb], word
+        assert all(s is t for s in scalars for t in scalars if s == t), word
 
 
 def test_reduce_memo_bytes_per_entry():
@@ -732,7 +743,7 @@ def test_action_table_holds_one_entry_per_basis_word_and_generator():
 def test_blob_words_from_rank_7_leave_the_rows_and_the_memo_alone():
     # from rank 7 the blob level reduces through the heap-scan loop, which
     # reads no row and fills no slot: the rows and the memo keep only what
-    # ranks 1-6 put there, at most 50,882 row entries and 29,813 memo words
+    # ranks 1-6 put there, at most 50,882 row entries and 4,665 memo words
     reduce_word(SB, 6, seeded_word(6, 1_000))
     rows, memo = algebra._rows.cache_info(), algebra._reduce_canonical.cache_info()
     for n in (7, 8, 16, 64):
@@ -757,29 +768,44 @@ def test_blob_action_matches_the_whole_word_rewrite_exhaustive():
 
 def test_row_fills_hand_deep_redexes_to_the_blob_loop(monkeypatch):
     # every slot of the rank-4 and rank-5 action rows, filled cold: a fill
-    # whose redex lies past its class walk goes to `_blob_loop`, the one
-    # code that takes the blob step, and every entry is what one-step
-    # rewrites of the whole product give (`oracles.loop_reduce`)
-    handed, loop = [], algebra._blob_loop
+    # whose g may close a chain or a triple (`words._closing_gap` 1) goes to
+    # `_blob_loop`, the one code that takes the blob step, and so does a
+    # memo word whose redex lies past its class walk; every entry is what
+    # one-step rewrites of the whole product give (`oracles.loop_reduce`)
+    handed, loop, memo = [], algebra._blob_loop, algebra._reduce_canonical
+    depth = [0]
 
     def spy(n, word):
-        handed.append(n)
+        handed.append((n, depth[0] > 0))
         return loop(n, word)
 
+    def in_memo(n, word):
+        depth[0] += 1
+        try:
+            return memo(n, word)
+        finally:
+            depth[0] -= 1
+
     monkeypatch.setattr(algebra, "_blob_loop", spy)
+    monkeypatch.setattr(algebra, "_reduce_canonical", in_memo)
     algebra._rows.cache_clear()
-    algebra._reduce_canonical.cache_clear()
+    memo.cache_clear()
     for n in (4, 5):
         for b in sb_basis(n):
             for g in range(n + 1):
                 assert reduce_word(SB, n, b + (g,)) == loop_reduce(SB, n, b + (g,)), (n, b, g)
-    assert (handed.count(4), handed.count(5)) == (47, 477)
+        gaps = [words._closing_gap(b, g) for b in sb_basis(n) for g in range(n + 1)]
+        assert handed.count((n, False)) == gaps.count(1), n
+    counts = [handed.count(key) for key in ((4, False), (4, True), (5, False), (5, True))]
+    assert counts == [692, 26, 3_820, 128]
 
 
 def test_a_fill_reads_no_heap_for_its_key(monkeypatch):
     # every slot of the rank-4 rows, filled cold against a warm memo: the
-    # key is the row's word with g inserted, so no fill canonicalises, and
-    # every entry lands where the canonicalised product does
+    # key is the row's word with g inserted, so no fill canonicalises for
+    # its key, and every entry lands where the canonicalised product does.
+    # A fill that goes to `_blob_loop` canonicalises once, the word that
+    # the loop returns, and no other fill canonicalises at all
     n = 4
     keys = {(b, g): canonical_word(n, b + (g,)) for b in sb_basis(n) for g in range(n + 1)}
     expected = {slot: algebra._reduce_canonical(n, key) for slot, key in keys.items()}
@@ -791,20 +817,26 @@ def test_a_fill_reads_no_heap_for_its_key(monkeypatch):
 
     monkeypatch.setattr(algebra, "_canonical_word", counting)
     algebra._rows.cache_clear()
+    folded = 0
     try:
         for (b, g), (exps, word) in expected.items():
             row = [None] * (n + 1) + [b]
+            before = len(calls)
             assert algebra._fill(n, row, g) is row[g]
             assert (row[g][0], row[g][1][-1]) == (exps, word), (b, g)
+            fold = words._closing_gap(b, g) == 1
+            assert len(calls) - before == fold, (b, g)
+            folded += fold
     finally:
         algebra._rows.cache_clear()
-    assert calls == []
+    assert len(calls) == folded == 692
 
 
 def test_a_square_fill_takes_no_memo(monkeypatch):
     # every slot of the rank 1-6 rows whose product closes the square g g,
     # filled cold: the entry is the row itself times the square's scalar,
-    # and no fill reaches the memo; a slot that closes no square still does
+    # and no fill reaches the memo; a positive product of as many letters
+    # as I J I still does, here I J I itself, which rewrites to k times I
     calls, memo = [], algebra._reduce_canonical
 
     def spy(n, word):
@@ -819,16 +851,88 @@ def test_a_square_fill_takes_no_memo(monkeypatch):
             steps = algebra._rule_steps(SB, n)
             for b in sb_basis(n):
                 for g in range(n + 1):
-                    if words._appends_square(b, g):
+                    if words._closing_gap(b, g) == 0:
                         row = algebra._rows(n).setdefault(b, [None] * (n + 1) + [b])
                         assert algebra._fill(n, row, g) == (steps[g, g][1], row), (n, b, g)
                         assert row[g][1] is row
                         squares += 1
         assert (squares, calls) == (15_845, [])
-        assert reduce_word(SB, 2, (1,)) == (Scalar.one(), (1,))
-        assert calls == [(1,)]
+        assert reduce_word(SB, 2, (1, 0, 2, 1)) == (K, (1,))
+        assert calls == [(1, 0, 2, 1), (1,)]
     finally:
         algebra._rows.cache_clear()
+
+
+def test_a_short_positive_fill_is_its_own_basis_word(monkeypatch):
+    # every slot of the rank 1-6 rows that neither closes a square nor
+    # calls `_blob_loop` or the memo, filled cold: g closes nothing on the
+    # basis word and the product has fewer letters than I J I, so the entry
+    # is the product's least class member times 1, a basis index, and what
+    # one-step rewrites of the whole product give at ranks 1-5
+    calls, loop, memo = [], algebra._blob_loop, algebra._reduce_canonical
+
+    def spy(inner):
+        def called(n, word):
+            calls.append(word)
+            return inner(n, word)
+
+        return called
+
+    monkeypatch.setattr(algebra, "_blob_loop", spy(loop))
+    monkeypatch.setattr(algebra, "_reduce_canonical", spy(memo))
+    algebra._rows.cache_clear()
+    short = 0
+    try:
+        for n in range(1, 7):
+            for b in sb_basis(n):
+                for g in range(n + 1):
+                    if words._closing_gap(b, g) == 0:
+                        continue
+                    calls.clear()
+                    row = [None] * (n + 1) + [b]
+                    exps, target = algebra._fill(n, row, g)
+                    if calls:
+                        continue
+                    word = words._canonical_append(b, g)
+                    assert (exps, target[-1]) == (0, word), (n, b, g)
+                    assert in_index_set(SB, n, word), (n, b, g)
+                    if n < 6:
+                        assert loop_reduce(SB, n, b + (g,)) == (Scalar.one(), word), (n, b, g)
+                    short += 1
+    finally:
+        algebra._rows.cache_clear()
+    assert short == 5_457
+
+
+def test_a_full_fill_leaves_the_memo_at_its_bound(monkeypatch):
+    # every slot of the rank 1-6 rows, filled cold: only the 6,682 positive
+    # products of at least as many letters as I J I reach the memo, and it
+    # ends at 4,665 words, those products and their rewrites, the most that
+    # any sequence of fills leaves there
+    entries, memo = [], algebra._reduce_canonical
+    depth = [0]
+
+    def spy(n, word):
+        if not depth[0]:
+            entries.append((n, word))
+        depth[0] += 1
+        try:
+            return memo(n, word)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(algebra, "_reduce_canonical", spy)
+    algebra._rows.cache_clear()
+    memo.cache_clear()
+    for n in range(1, 7):
+        for b in sb_basis(n):
+            for g in range(n + 1):
+                reduce_word(SB, n, b + (g,))
+    assert len(entries) == 6_682
+    for n, word in entries:
+        assert words.heap_state(n, word) == words.HeapState.POSITIVE, (n, word)
+        assert len(word) >= algebra._iji_length(n), (n, word)
+    assert memo.cache_info().currsize == 4_665
 
 
 def test_fewer_letters_than_iji_read_no_blocks(monkeypatch):

@@ -23,6 +23,7 @@ from blobcat.words import (
 from oracles import (
     all_reduced_expressions,
     braid_order,
+    closing_scan,
     commutation_class,
     contains_pattern,
     contains_rigid,
@@ -410,9 +411,9 @@ def test_canonical_append_matches_canonical_word_random():
 
 
 def test_appends_square_on_every_row_slot():
-    # every slot of the blob action rows at ranks 1-6: the predicate holds
-    # exactly where the whole product rewrites to the square's scalar times
-    # the basis word itself, by one-step rewrites (`oracles.loop_reduce`) at
+    # every slot of the blob action rows at ranks 1-6: the gap is 0 exactly
+    # where the whole product rewrites to the square's scalar times the
+    # basis word itself, by one-step rewrites (`oracles.loop_reduce`) at
     # ranks 1-5 and by the memo's class walk at rank 6
     squares = 0
     for n in range(1, 7):
@@ -424,11 +425,50 @@ def test_appends_square_on_every_row_slot():
                 else:
                     exps, word = algebra._reduce_canonical(n, canonical_word(n, b + (g,)))
                     reduced = (algebra._unpacked(exps), word)
-                square = words._appends_square(b, g)
+                square = words._closing_gap(b, g) == 0
                 assert square == (reduced == (scalars[g, g], b)), (n, b, g)
                 squares += square
     algebra._reduce_canonical.cache_clear()
     assert squares == 15_845
+
+
+def test_closing_gap_matches_the_heap_on_every_row_slot():
+    # every slot of the blob action rows at ranks 1-6: the gap is the one
+    # the left-to-right heap reading has for g after the basis word
+    # (`oracles.closing_scan`); at 0 g closes the square g g, at 2 nothing,
+    # and the product is positive exactly where g closes nothing
+    gaps = [0, 0, 0]
+    for n in range(1, 7):
+        for b in sb_basis(n):
+            for g in range(n + 1):
+                gap, closure = closing_scan(n, b, g)
+                assert words._closing_gap(b, g) == gap, (n, b, g)
+                assert (gap == 0) == (closure is not None and closure[1] == (g, g)), (n, b, g)
+                assert gap < 2 or closure is None, (n, b, g)
+                positive = heap_state(n, b + (g,)) == HeapState.POSITIVE
+                assert positive == (closure is None), (n, b, g)
+                gaps[gap] += 1
+    assert gaps == [15_845, 22_898, 12_139]
+
+
+def test_closing_gap_matches_the_heap_random():
+    # canonical words at ranks 2-256, random and drifting (deep heaps), each
+    # with the end letters, its own last letter and one random letter, as
+    # for `_canonical_append`
+    rng = random.Random(79)
+    cases = random_words(seed=83, count=1_500, max_n=256, max_len=200)
+    cases += _drifting_words(seed=89, count=1_500, max_n=256, max_len=200)
+    gaps = [0, 0, 0]
+    for n, word in cases:
+        if n < 2:
+            continue
+        word = canonical_word(n, word)
+        for g in {0, n, rng.randint(0, n), *word[-1:]}:
+            gap, closure = closing_scan(n, word, g)
+            assert words._closing_gap(word, g) == gap, (n, word, g)
+            assert (gap == 0) == (closure is not None and closure[1] == (g, g)), (n, word, g)
+            gaps[gap] += 1
+    assert sum(gaps) > 9_000 and min(gaps) > 500, gaps
 
 
 @pytest.mark.parametrize("word", [(2.0, 0, 1), (0, "1"), (None,), (0, True)])
