@@ -32,27 +32,26 @@ on the basis: one row per basis word reached, holding that word times
 each generator as (packed exponents, next row), so a letter costs one
 list index.  An empty slot (`_fill`) is routed by one short scan back
 from the end of the row's word (`words._closing_gap`), since only its
-generator g can close a chain or a triple there.  A square g g, the last
-letter that does not commute with g being g itself, is the row itself
-times the square's scalar; a g that may close sts, stst or a boundary
-triple sends the product to `_blob_loop`; a g that closes nothing leaves
-a positive product, which with fewer letters than I J I is blobbed and so
-its own basis word, g inserted where the least class member takes it
-(`words._canonical_append`).  Of the 50,882 slots of ranks 1-6 these take
-15,845, 22,898 and 5,457.  Only the other 6,682, positive products of at
-least as many letters as I J I, reach the whole-word memo,
-`_reduce_canonical`, keyed by that same insertion, so a fill reads no
-heap to build its key.  The memo looks for a redex in the first
-members of the word's commutation class, walked breadth first,
-as many as the word has letters, and at each position tries only the
-rules whose pattern starts with its two letters.  A word that holds no
-pattern itself and that `in_index_set` accepts, on one heap reading
-(O(length + rank)), is a basis index, the word every reduction ends on,
-and stops the search at one member.  A word whose redex lies past those
-members goes to `_blob_loop` below, so no redex, however deep in a large
-class, is walked to.  The rows of ranks 1-6 hold at most 50,882 entries
-and the memo at most 4,665 words, those 6,682 products and their
-rewrites, so both are bounded in total.
+generator g can close a chain or a triple there; the same scan finds
+where g goes in the product's least class member.  A square g g, the
+last letter that does not commute with g being g itself, is the row
+itself times the square's scalar; a g that may close sts, stst or a
+boundary triple sends the product to `_blob_loop`; a g that closes
+nothing leaves a positive product, which with fewer letters than I J I
+is blobbed and so its own basis word.  Only a positive product of at
+least as many letters as I J I reaches the whole-word memo,
+`_reduce_canonical`, keyed by that least member, so a fill reads no
+heap to build its key (README "Costs" counts the slots of each route).
+The memo looks for a redex in the first members of the word's
+commutation class, walked breadth first, as many as the word has
+letters, and at each position tries only the rules whose pattern starts
+with its two letters.  A word that holds no pattern itself and that
+`in_index_set` accepts, on one heap reading (O(length + rank)), is a
+basis index, the word every reduction ends on, and stops the search at
+one member.  A word whose redex lies past those members goes to
+`_blob_loop` below, so no redex, however deep in a large class, is
+walked to.  The rows of ranks 1-6 hold at most 50,882 entries and the
+memo at most 4,665 words, so both are bounded in total.
 
 From rank 7 on, a long word reaches a new basis word at nearly every
 letter, and the rows would grow with the word.  There `_blob_loop`
@@ -88,7 +87,6 @@ from .normal_forms import Blocks, _blocks_of_word, block_word
 from .words import (
     HeapState,
     Letters,
-    _canonical_append,
     _canonical_word,
     _closing_gap,
     _fold,
@@ -336,8 +334,8 @@ def _reduce_canonical(n: int, word: Letters) -> tuple[int, Letters]:
     none of the members rewrites, its redex deeper in the class, goes to
     `_blob_loop`.  The memo keeps every word reduced in turn, which the
     misses share.  `_fill` calls it only on a positive product of at least
-    as many letters as I J I, 6,682 of the 50,882 slots of ranks 1-6, so
-    it holds at most 4,665 words, however many words `reduce_word` takes.
+    as many letters as I J I, which bounds it at 4,665 words over ranks
+    1-6, however many words `reduce_word` takes.
     """
     level = AlgebraLevel.SYMPLECTIC_BLOB
     index, steps = _rules_by_first_pair(level, n), _rule_steps(level, n)
@@ -376,33 +374,32 @@ def _fill(n: int, row: list, g: int) -> tuple[int, list]:
     A miss of the rank-n action rows: the basis word of `row` times the
     generator g, kept in slot g.  The basis word is positive, so only g
     can close a chain or a triple, and one short scan back from the end
-    (`words._closing_gap`) routes the product:
+    (`words._closing_gap`) routes the product and finds where g goes in
+    its least class member:
 
     - gap 0, a square g g: the entry is the row itself times the square's
       scalar;
     - gap 1, where g may close sts, stst or a boundary triple: the product
       goes to `_blob_loop`, whose fold rewrites the closure where it closes;
     - gap 2, where g closes nothing: the product is positive, and with
-      fewer letters than I J I (`_iji_length`) it is blobbed, so it is its
-      own basis word, g inserted where the least class member takes it
-      (`words._canonical_append`), times 1;
+      fewer letters than I J I (`_iji_length`) it is blobbed, so its least
+      class member is its own basis word, times 1;
     - any other product is positive with at least as many letters as I J I
       and needs the blob test: it is reduced by `_reduce_canonical`, keyed
-      by that same insertion, so no fill reads a heap for its key.
+      by that least member, so no fill reads a heap for its key.
 
     Only the last route keeps a memo.
     """
     word = row[-1]
-    gap = _closing_gap(word, g)
+    gap, at = _closing_gap(word, g)
     if gap == 0:
         row[g] = entry = (_rule_steps(AlgebraLevel.SYMPLECTIC_BLOB, n)[g, g][1], row)
         return entry
     if gap == 1:
         exps, word = _blob_loop(n, word + (g,))
-    elif len(word) + 1 < _iji_length(n):
-        exps, word = 0, _canonical_append(word, g)
     else:
-        exps, word = _reduce_canonical(n, _canonical_append(word, g))
+        word = word[:at] + (g,) + word[at:]
+        exps, word = (0, word) if len(word) < _iji_length(n) else _reduce_canonical(n, word)
     row[g] = entry = (exps, _rows(n).setdefault(word, [None] * (n + 1) + [word]))
     return entry
 
@@ -590,11 +587,11 @@ class AlgebraElement:
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         if (self.level, self.n) != (other.level, other.n):
             raise ValueError("can only multiply elements of one algebra")
-        out = AlgebraElement(self.level, self.n)
+        out: dict[BasisElement, Scalar] = {}
         for (bx, cx), (by, cy) in product(self.terms.items(), other.terms.items()):
             scalar, bz = multiply(bx, by)
-            out = out + AlgebraElement(self.level, self.n, {bz: cx * cy * scalar})
-        return out
+            out[bz] = out.get(bz, Scalar.zero()) + cx * cy * scalar
+        return AlgebraElement(self.level, self.n, out)
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -342,11 +342,15 @@ def check_quotient_identities(max_n: int | None = None) -> Check:
     The 2B -> SB half would be circular on a word that the kernel hands to
     its own blob step, `algebra._blob_loop`: there it compares
     `reduce_word` with k times `reduce_word` on the very image the loop
-    stepped to.  The loop takes every word from rank 7 on, and below it a
-    row fill whose first redex lies past len(word) class members.  No fill
-    of ranks 1-3 is handed on, so no word of this range reaches that step,
-    but larger ranges do, so the test suite checks the kernel against a
-    reducer that only walks commutation classes.
+    stepped to.  The loop takes every word from rank 7 on, and below it
+    every row fill whose g may close sts, stst or a triple and every memo
+    word whose first redex lies past len(word) class members, so words of
+    this range do reach that step: run alone in a fresh process, this
+    check makes 35 loop calls and 8 blob steps, and in `verify --suite
+    algebra` order 10 and 4.  The independent reference is the test
+    `test_blob_step_matches_the_class_walk`, against a reducer that only
+    walks commutation classes, at ranks 2-3 and affine lengths 0-4, which
+    hold this range.
     """
     TB = AlgebraLevel.TWO_BOUNDARY
     ranks = range(1, 4)[:max_n]

@@ -12,10 +12,11 @@ commuting letters.  The equivalence class of a word is finite; the functions
 below either enumerate it (the slow, oracle-grade route: a lazy, unbounded
 BFS that its caller bounds) or read the word's heap with no enumeration.
 Every heap reading of the package lives here: the projection criterion,
-the least and greatest class members (`_heads`), the least member of a
-canonical word with one letter appended (`_canonical_append`), what
-that letter can close on the word (`_closing_gap`), and the scan
-(`Scan`) that the classifier `heap_state` and the fold `_fold` share.
+the least and greatest class members (`_heads`), one short scan back
+from the end of a canonical word (`_closing_gap`) that finds both what
+one letter appended can close on it and where that letter goes in the
+least member of the product, and the scan (`Scan`) that the classifier
+`heap_state` and the fold `_fold` share.
 
 >>> canonical_word(4, (3, 1, 2))
 (1, 3, 2)
@@ -144,50 +145,46 @@ def _canonical_word(n: int, word: Letters) -> Letters:
     return tuple(out)
 
 
-def _canonical_append(word: Letters, g: int) -> Letters:
+def _closing_gap(word: Letters, g: int) -> tuple[int, int]:
     """
-    `_canonical_word(n, word + (g,))` for a canonical `word`, by one short
-    scan with no heap.  The least member is the greedy reading of the heap
-    (Anisimov and Knuth 1979), and that of `word + (g,)` takes the letters
-    of `word` in order until g turns minimal, after its last non-commuting
-    predecessor, the last x with |x - g| <= 1; from there it takes g
-    before the first larger letter, since g commutes with all that follow.
-    So the scan runs back from the end to that x and inserts g before the
-    first letter past x that exceeds g, or at the end.
+    What g can close on a canonical `word`, and where g goes in the least
+    member of `word + (g,)`, as (gap, at), by one short scan back from the
+    end with no heap.  `gap` is how many neighbours g +- 1 follow the last
+    g of `word`: 0, 1, or 2 for two or more and for a word with no g.  By
+    Stembridge's criterion a chain ss, sts or stst, or a boundary triple,
+    ends at a letter that meets its previous occurrence with fewer than
+    two neighbours since (`scan_closure`), so in `word + (g,)` only g can
+    close one, and only at a gap below 2.  At 0 the last letter x of
+    `word` with |x - g| <= 1 is g itself: g commutes with every letter
+    after it, the product holds the square g g, and it is the square's
+    scalar times `word`.  At 1 g may close sts, stst or a triple, or, at a
+    bond-4 end, nothing; at 2 it closes nothing.
+
+    `word[:at] + (g,) + word[at:]` is `_canonical_word(n, word + (g,))`.
+    The least member is the greedy reading of the heap (Anisimov and Knuth
+    1979), and that of `word + (g,)` takes the letters of `word` in order
+    until g turns minimal, after its last non-commuting predecessor, that
+    same last x with |x - g| <= 1; from there it takes g before the first
+    larger letter, since g commutes with all that follow.  So `at` is the
+    first letter past x that exceeds g, or the end, and is fixed once the
+    scan meets x; past x it looks only for the next g or neighbour.
     """
     at = pos = len(word)
-    for x in reversed(word):
+    letters = reversed(word)
+    for x in letters:
         if -2 < x - g < 2:
             break
         pos -= 1
         if x > g:
             at = pos
-    return word[:at] + (g,) + word[at:]
-
-
-def _closing_gap(word: Letters, g: int) -> int:
-    """
-    How many neighbours g +- 1 follow the last g of `word`: 0, 1, or 2 for
-    two or more and for a word with no g.  By Stembridge's criterion a
-    chain ss, sts or stst, or a boundary triple, ends at a letter that
-    meets its previous occurrence with fewer than two neighbours since
-    (`scan_closure`), so in `word + (g,)` only g can close one, and only
-    at a gap below 2.  At 0 the last letter x of `word` with |x - g| <= 1
-    is g itself: g commutes with every letter after it, the product holds
-    the square g g, and it is the square's scalar times `word`.  At 1 g
-    may close sts, stst or a triple, or, at a bond-4 end, nothing; at 2 it
-    closes nothing.  The same short scan back from the end as
-    `_canonical_append`, with no heap.
-    """
-    gap = 0
-    for x in reversed(word):
-        if x == g:
-            return gap
+    else:
+        return 2, at
+    if x == g:
+        return 0, at
+    for x in letters:
         if -2 < x - g < 2:
-            gap += 1
-            if gap == 2:
-                return 2
-    return 2
+            return (1 if x == g else 2), at
+    return 2, at
 
 
 def _normal_word(n: int, word: Letters) -> Letters:

@@ -28,7 +28,15 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from blobcat import algebra, cli
-from blobcat.algebra import AlgebraLevel, Scalar, in_index_set, reduce_word, sb_basis
+from blobcat.algebra import (
+    AlgebraElement,
+    AlgebraLevel,
+    BasisElement,
+    Scalar,
+    in_index_set,
+    reduce_word,
+    sb_basis,
+)
 from blobcat.enumeration import iter_positive_blocks
 from blobcat.grids import is_blobbed
 from blobcat.normal_forms import Blocks, block_word, blocks_of_word, format_blocks
@@ -370,6 +378,23 @@ def blob_fill_stream():
             word = tuple(rng.randint(0, n) for _ in range(rng.randint(8, 18)))
             lines.append(_reduced_line(AlgebraLevel.SYMPLECTIC_BLOB, n, word))
     yield "".join(lines)
+
+
+ALGEBRA_ELEMENT_SQUARE_RANK_4_SHA256 = "3d9068d6cba6506a4bbee0ca468db9fd7eb27023460d2243ee7f1c5c517963cd"
+
+
+@pin(ALGEBRA_ELEMENT_SQUARE_RANK_4_SHA256)
+def algebra_element_square_rank_4():
+    """
+    The repr of the square of the sum of the 335 rank-4 blob basis
+    elements, each with coefficient 1, as an `AlgebraElement`: 112,225
+    basis products, 180,389 characters.  The hash was recorded from the
+    product that added one element per pair of terms, which took 16-21 s
+    on a 2-vCPU VM.
+    """
+    sb = AlgebraLevel.SYMPLECTIC_BLOB
+    x = AlgebraElement(sb, 4, {BasisElement(sb, 4, b): Scalar.one() for b in sb_basis(4)})
+    yield repr(x * x)
 
 
 RIGID_BLOCKS_RANK_6_SHA256 = "60ab80d4bff2556910d655032a5eb3e686db342fd05815f99b0dd7c8a7f960f8"

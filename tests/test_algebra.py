@@ -794,7 +794,7 @@ def test_row_fills_hand_deep_redexes_to_the_blob_loop(monkeypatch):
         for b in sb_basis(n):
             for g in range(n + 1):
                 assert reduce_word(SB, n, b + (g,)) == loop_reduce(SB, n, b + (g,)), (n, b, g)
-        gaps = [words._closing_gap(b, g) for b in sb_basis(n) for g in range(n + 1)]
+        gaps = [words._closing_gap(b, g)[0] for b in sb_basis(n) for g in range(n + 1)]
         assert handed.count((n, False)) == gaps.count(1), n
     counts = [handed.count(key) for key in ((4, False), (4, True), (5, False), (5, True))]
     assert counts == [692, 26, 3_820, 128]
@@ -824,7 +824,7 @@ def test_a_fill_reads_no_heap_for_its_key(monkeypatch):
             before = len(calls)
             assert algebra._fill(n, row, g) is row[g]
             assert (row[g][0], row[g][1][-1]) == (exps, word), (b, g)
-            fold = words._closing_gap(b, g) == 1
+            fold = words._closing_gap(b, g)[0] == 1
             assert len(calls) - before == fold, (b, g)
             folded += fold
     finally:
@@ -851,7 +851,7 @@ def test_a_square_fill_takes_no_memo(monkeypatch):
             steps = algebra._rule_steps(SB, n)
             for b in sb_basis(n):
                 for g in range(n + 1):
-                    if words._closing_gap(b, g) == 0:
+                    if words._closing_gap(b, g)[0] == 0:
                         row = algebra._rows(n).setdefault(b, [None] * (n + 1) + [b])
                         assert algebra._fill(n, row, g) == (steps[g, g][1], row), (n, b, g)
                         assert row[g][1] is row
@@ -886,14 +886,15 @@ def test_a_short_positive_fill_is_its_own_basis_word(monkeypatch):
         for n in range(1, 7):
             for b in sb_basis(n):
                 for g in range(n + 1):
-                    if words._closing_gap(b, g) == 0:
+                    if words._closing_gap(b, g)[0] == 0:
                         continue
                     calls.clear()
                     row = [None] * (n + 1) + [b]
                     exps, target = algebra._fill(n, row, g)
                     if calls:
                         continue
-                    word = words._canonical_append(b, g)
+                    _, at = words._closing_gap(b, g)
+                    word = b[:at] + (g,) + b[at:]
                     assert (exps, target[-1]) == (0, word), (n, b, g)
                     assert in_index_set(SB, n, word), (n, b, g)
                     if n < 6:
@@ -1394,6 +1395,24 @@ def test_algebra_element_associativity_spot():
             AlgebraElement(SB, 2, {rng.choice(basis): Scalar.one()}) for _ in range(3)
         )
         assert (a * b) * c == a * (b * c)
+
+
+def test_algebra_element_square_is_the_table_sum():
+    # a rank-3 basis sum with seeded +-1 coefficients, squared, against its
+    # terms assembled from the multiplication table: 563 of the 1,971
+    # monomials that the table sends to some basis word cancel there, and
+    # the square holds none of them
+    rng = random.Random(3)
+    signs = {w: rng.choice((1, -1)) for w in sb_basis(3)}
+    x = AlgebraElement(SB, 3, {BasisElement(SB, 3, w): Scalar.integer(c) for w, c in signs.items()})
+    terms, reached = {}, set()
+    for (xw, yw), (scalar, zw) in structure_constants(3).items():
+        terms[zw] = terms.get(zw, Scalar.zero()) + scalar * Scalar.integer(signs[xw] * signs[yw])
+        reached |= {(zw, e) for e in scalar.terms}
+    square = x * x
+    assert square == AlgebraElement(SB, 3, {BasisElement(SB, 3, zw): c for zw, c in terms.items()})
+    kept = {(b.word, e) for b, coeff in square.terms.items() for e in coeff.terms}
+    assert kept < reached and (len(reached), len(reached - kept)) == (1_971, 563)
 
 
 # ---------------------------------------------------------------------------
