@@ -381,6 +381,38 @@ def test_canonical_word_budget_rank_2000():
     assert sorted(canon) == sorted(word)
 
 
+def test_canonical_append_matches_canonical_word_on_every_row_slot():
+    # every slot of the blob action rows at ranks 1-6: a basis word, which
+    # is canonical, times one generator; g inserted at `_closing_gap`'s
+    # insertion point gives the product's least class member
+    slots = 0
+    for n in range(1, 7):
+        for b in sb_basis(n):
+            for g in range(n + 1):
+                _, at = words._closing_gap(b, g)
+                assert b[:at] + (g,) + b[at:] == words._canonical_word(n, b + (g,)), (n, b, g)
+                slots += 1
+    assert slots == 50_882
+
+
+def test_canonical_append_matches_canonical_word_random():
+    # canonical words at ranks 2-256, random and drifting (deep heaps), each
+    # with the end letters, its own last letter and one random letter
+    rng = random.Random(67)
+    cases = random_words(seed=71, count=1_500, max_n=256, max_len=200)
+    cases += _drifting_words(seed=73, count=1_500, max_n=256, max_len=200)
+    checked = 0
+    for n, word in cases:
+        if n < 2:
+            continue
+        word = canonical_word(n, word)
+        for g in {0, n, rng.randint(0, n), *word[-1:]}:
+            _, at = words._closing_gap(word, g)
+            assert word[:at] + (g,) + word[at:] == canonical_word(n, word + (g,)), (n, word, g)
+            checked += 1
+    assert checked > 9_000
+
+
 def test_appends_square_on_every_row_slot():
     # every slot of the blob action rows at ranks 1-6: the gap is 0 exactly
     # where the whole product rewrites to the square's scalar times the
@@ -407,17 +439,13 @@ def test_closing_gap_matches_the_heap_on_every_row_slot():
     # every slot of the blob action rows at ranks 1-6: the gap is the one
     # the left-to-right heap reading has for g after the basis word
     # (`oracles.closing_scan`); at 0 g closes the square g g, at 2 nothing,
-    # and the product is positive exactly where g closes nothing.  The
-    # basis word is canonical, and g inserted at `at` gives the product's
-    # least class member
+    # and the product is positive exactly where g closes nothing
     gaps = [0, 0, 0]
     for n in range(1, 7):
         for b in sb_basis(n):
             for g in range(n + 1):
                 gap, closure = closing_scan(n, b, g)
-                got, at = words._closing_gap(b, g)
-                assert got == gap, (n, b, g)
-                assert b[:at] + (g,) + b[at:] == words._canonical_word(n, b + (g,)), (n, b, g)
+                assert words._closing_gap(b, g)[0] == gap, (n, b, g)
                 assert (gap == 0) == (closure is not None and closure[1] == (g, g)), (n, b, g)
                 assert gap < 2 or closure is None, (n, b, g)
                 positive = heap_state(n, b + (g,)) == HeapState.POSITIVE
@@ -428,26 +456,22 @@ def test_closing_gap_matches_the_heap_on_every_row_slot():
 
 def test_closing_gap_matches_the_heap_random():
     # canonical words at ranks 2-256, random and drifting (deep heaps), each
-    # with the end letters, its own last letter and one random letter, in
-    # two seeded sets: the gap is the heap reading's and the insertion the
-    # least class member
-    for pick, shuffled, drifting in ((67, 71, 73), (79, 83, 89)):
-        rng = random.Random(pick)
-        cases = random_words(seed=shuffled, count=1_500, max_n=256, max_len=200)
-        cases += _drifting_words(seed=drifting, count=1_500, max_n=256, max_len=200)
-        gaps = [0, 0, 0]
-        for n, word in cases:
-            if n < 2:
-                continue
-            word = canonical_word(n, word)
-            for g in {0, n, rng.randint(0, n), *word[-1:]}:
-                gap, closure = closing_scan(n, word, g)
-                got, at = words._closing_gap(word, g)
-                assert got == gap, (n, word, g)
-                assert word[:at] + (g,) + word[at:] == canonical_word(n, word + (g,)), (n, word, g)
-                assert (gap == 0) == (closure is not None and closure[1] == (g, g)), (n, word, g)
-                gaps[gap] += 1
-        assert sum(gaps) > 9_000 and min(gaps) > 500, (pick, gaps)
+    # with the end letters, its own last letter and one random letter, as
+    # for the insertion test above
+    rng = random.Random(79)
+    cases = random_words(seed=83, count=1_500, max_n=256, max_len=200)
+    cases += _drifting_words(seed=89, count=1_500, max_n=256, max_len=200)
+    gaps = [0, 0, 0]
+    for n, word in cases:
+        if n < 2:
+            continue
+        word = canonical_word(n, word)
+        for g in {0, n, rng.randint(0, n), *word[-1:]}:
+            gap, closure = closing_scan(n, word, g)
+            assert words._closing_gap(word, g)[0] == gap, (n, word, g)
+            assert (gap == 0) == (closure is not None and closure[1] == (g, g)), (n, word, g)
+            gaps[gap] += 1
+    assert sum(gaps) > 9_000 and min(gaps) > 500, gaps
 
 
 @pytest.mark.parametrize("word", [(2.0, 0, 1), (0, "1"), (None,), (0, True)])
