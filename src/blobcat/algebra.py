@@ -42,16 +42,12 @@ is blobbed and so its own basis word.  Only a positive product of at
 least as many letters as I J I reaches the whole-word memo,
 `_reduce_canonical`, keyed by that least member, so a fill reads no
 heap to build its key (README "Costs" counts the slots of each route).
-The memo looks for a redex in the first members of the word's
-commutation class, walked breadth first, as many as the word has
-letters, and at each position tries only the rules whose pattern starts
-with its two letters.  A word that holds no pattern itself and that
-`in_index_set` accepts, on one heap reading (O(length + rank)), is a
-basis index, the word every reduction ends on, and stops the search at
-one member.  A word whose redex lies past those members goes to
-`_blob_loop` below, so no redex, however deep in a large class, is
-walked to.  The rows of ranks 1-6 hold at most 50,882 entries and the
-memo at most 4,665 words, so both are bounded in total.
+No class member of a positive word holds a chain or a boundary triple,
+so the memo looks for I J I and J I J alone, in as many members of the
+word's class as it has letters, and hands what it finds, or a word
+whose blob factor lies past them, to `_blob_loop` below.  The rows of
+ranks 1-6 hold at most 50,882 entries and the memo at most 4,643 words,
+so both are bounded in total.
 
 From rank 7 on, a long word reaches a new basis word at nearly every
 letter, and the rows would grow with the word.  There `_blob_loop`
@@ -290,66 +286,60 @@ def rewrite_rules(level: AlgebraLevel, n: int) -> tuple[Rule, ...]:
 
 
 @lru_cache(maxsize=None)
-def _rules_by_first_pair(level: AlgebraLevel, n: int) -> dict[Letters, tuple[Rule, ...]]:
+def _rule_steps(level: AlgebraLevel, n: int) -> dict[Letters, tuple[int, int]]:
     """
-    The rules keyed by the first two letters of their pattern, in priority
-    order.  Each rule must scale by a monomial of coefficient 1, so that a
-    rewrite step is an addition of exponents (`reduce_word`).
+    The kernel's one compiled rule table: the rules by the whole pattern,
+    which a heap witness spells, as (length of the replacement, packed
+    monomial).  Every rewrite keeps that many letters of the pattern and
+    adds exponents (`words._fold`, `_reduce_canonical`), so each rule must
+    replace its pattern by a proper prefix of it and scale by a monomial of
+    coefficient 1.
     """
-    index: dict[Letters, tuple[Rule, ...]] = {}
+    steps: dict[Letters, tuple[int, int]] = {}
     for rule in rewrite_rules(level, n):
+        keep = len(rule.replacement)
         if list(rule.scalar.terms.values()) != [1]:
             raise ValueError(
                 f"rule {rule.pattern} scales by {rule.scalar}, not by a monomial of coefficient 1"
             )
-        index[rule.pattern[:2]] = index.get(rule.pattern[:2], ()) + (rule,)
-    return index
-
-
-@lru_cache(maxsize=None)
-def _rule_steps(level: AlgebraLevel, n: int) -> dict[Letters, tuple[int, int]]:
-    """The rules by the whole pattern, which a heap witness spells, as
-    (length of the replacement, packed monomial)."""
-    return {
-        rule.pattern: (len(rule.replacement), _packed(rule.scalar))
-        for rules in _rules_by_first_pair(level, n).values()
-        for rule in rules
-    }
+        if keep >= len(rule.pattern) or rule.pattern[:keep] != rule.replacement:
+            raise ValueError(
+                f"rule {rule.pattern} rewrites to {rule.replacement}, not to a proper prefix"
+            )
+        steps[rule.pattern] = keep, _packed(rule.scalar)
+    return steps
 
 
 @lru_cache(maxsize=None)
 def _reduce_canonical(n: int, word: Letters) -> tuple[int, Letters]:
     """
-    A miss of the action rows (`_fill`), so only at ranks 1-6: a canonical
-    blob-level word reduced to (packed monomial, basis word).  The first
-    `len(word)` members of its class, walked breadth first from `word`, are
-    searched for a rule pattern: the earliest member holding one is
-    rewritten at the first position that holds one, ties between rules at
-    one position broken by priority, and the canonical shorter word is
-    reduced in turn, its packing added to the step's.  Every pattern has
-    two letters or more, so one dict probe per position
-    (`_rules_by_first_pair`) finds the only rules that can match there, in
-    priority order.  A word whose first member holds no pattern and that
-    `in_index_set` accepts is a basis index, at one member.  A word that
-    none of the members rewrites, its redex deeper in the class, goes to
-    `_blob_loop`.  The memo keeps every word reduced in turn, which the
-    misses share.  `_fill` calls it only on a positive product of at least
-    as many letters as I J I, which bounds it at 4,665 words over ranks
-    1-6, however many words `reduce_word` takes.
+    A miss of the action rows (`_fill`), so only at ranks 1-6: a positive
+    canonical word of at least as many letters as I J I reduced to (packed
+    monomial, basis word).  No member of a positive word's class holds a
+    chain or a boundary triple (Stembridge 1996), so the first `len(word)`
+    members, walked breadth first from `word`, are searched for I J I and
+    J I J alone.  The earliest member holding one keeps the pattern's
+    prefix at the first position that holds one, and the shorter word goes
+    to `_blob_loop`.  A word whose first member holds neither and whose
+    blocks are blobbed (`_unblobbed_blocks`) is a basis index, at one
+    member; any other goes to `_blob_loop` whole.  The memo keeps only the
+    words `_fill` sends, at most 4,643 over ranks 1-6.  The walk and the
+    cache stay while the benchmark counts them
+    (`perfbench/tests/test_perfbench.py:97-98`, ROADMAP item 1a).
     """
-    level = AlgebraLevel.SYMPLECTIC_BLOB
-    index, steps = _rules_by_first_pair(level, n), _rule_steps(level, n)
+    steps, odd, even = _rule_steps(AlgebraLevel.SYMPLECTIC_BLOB, n), i_word(n), j_word(n)
+    # I J I starts with 1 and J I J with 0, so one probe by letter
+    blob = {p[0]: (p, steps[p]) for p in (odd + even + odd, even + odd + even)}
     walk = islice(iter_commutation_class(n, word), len(word))
     for drawn, member in enumerate(walk, 1):
-        for pos, pair in enumerate(zip(member, member[1:])):
-            for rule in index.get(pair, ()):
-                if member[pos : pos + len(rule.pattern)] == rule.pattern:
-                    rest = member[pos + len(rule.pattern) :]
-                    shorter = member[:pos] + rule.replacement + rest
-                    assert len(shorter) < len(word), "rewrite steps must strictly shorten"
-                    tail, final = _reduce_canonical(n, _canonical_word(n, shorter))
-                    return steps[rule.pattern][1] + tail, final
-        if drawn == 1 and in_index_set(level, n, word):
+        for pos, letter in enumerate(member):
+            if letter in blob:
+                pattern, (keep, exps) = blob[letter]
+                if member[pos : pos + len(pattern)] == pattern:
+                    rest = member[pos + len(pattern) :]
+                    tail, final = _blob_loop(n, member[: pos + keep] + rest)
+                    return exps + tail, final
+        if drawn == 1 and _unblobbed_blocks(n, word) is None:
             return 0, word
     return _blob_loop(n, word)
 
@@ -388,7 +378,7 @@ def _fill(n: int, row: list, g: int) -> tuple[int, list]:
       and needs the blob test: it is reduced by `_reduce_canonical`, keyed
       by that least member, so no fill reads a heap for its key.
 
-    Only the last route keeps a memo.
+    Only the last route keeps a memo, bounded by the products it takes.
     """
     word = row[-1]
     gap, at = _closing_gap(word, g)
@@ -418,8 +408,8 @@ def _blob_loop(n: int, word: Letters) -> tuple[int, Letters]:
     and is folded again.  Each pass shortens the word, so the loop ends.
     `reduce_word` runs it from rank `_LOOP_RANK` on; `_fill` on a row's
     word times a g that may close a chain or a triple, where the fold
-    rewrites the closure; and `_reduce_canonical` on a word whose redex its
-    class walk does not reach.  Each takes its canonical word as it is.
+    rewrites the closure; and `_reduce_canonical` on the word its class
+    walk rewrites, or on a word whose blob factor the walk does not reach.
     """
     steps, exps = _rule_steps(AlgebraLevel.SYMPLECTIC_BLOB, n), 0
     while True:
@@ -444,7 +434,7 @@ def _unblobbed_blocks(n: int, word: Letters) -> Blocks | None:
     under a row shift (`grids._contains`), and a positive word has one cell
     per letter, so a word with fewer letters than I J I (`_iji_length`) is
     blobbed with no block read.  The one blob test of a word, for
-    `_blob_loop` and `in_index_set`.
+    `_blob_loop`, `_reduce_canonical` and `in_index_set`.
     """
     if len(word) < _iji_length(n):
         return None
@@ -587,11 +577,12 @@ class AlgebraElement:
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         if (self.level, self.n) != (other.level, other.n):
             raise ValueError("can only multiply elements of one algebra")
-        out: dict[BasisElement, Scalar] = {}
+        out: dict[Letters, Scalar] = {}  # by basis word, each built once below
         for (bx, cx), (by, cy) in product(self.terms.items(), other.terms.items()):
-            scalar, bz = multiply(bx, by)
-            out[bz] = out.get(bz, Scalar.zero()) + cx * cy * scalar
-        return AlgebraElement(self.level, self.n, out)
+            scalar, word = reduce_word(self.level, self.n, bx.word + by.word)
+            out[word] = out.get(word, Scalar.zero()) + cx * cy * scalar
+        terms = {BasisElement(self.level, self.n, w): c for w, c in out.items()}
+        return AlgebraElement(self.level, self.n, terms)
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -344,10 +344,10 @@ def check_quotient_identities(max_n: int | None = None) -> Check:
     `reduce_word` with k times `reduce_word` on the very image the loop
     stepped to.  The loop takes every word from rank 7 on, and below it
     every row fill whose g may close sts, stst or a triple and every memo
-    word whose first redex lies past len(word) class members, so words of
-    this range do reach that step: run alone in a fresh process, this
-    check makes 35 loop calls and 8 blob steps, and in `verify --suite
-    algebra` order 10 and 4.  The independent reference is the test
+    word that is not a basis word, so words of this range do reach that
+    step: run alone in a fresh process, this check makes 44 loop calls
+    and 8 blob steps, and in `verify --suite algebra` order 12 and 4.
+    The independent reference is the test
     `test_blob_step_matches_the_class_walk`, against a reducer that only
     walks commutation classes, at ranks 2-3 and affine lengths 0-4, which
     hold this range.

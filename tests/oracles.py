@@ -488,7 +488,7 @@ def find_redex(level: AlgebraLevel, n: int, word: Letters) -> tuple[Letters, int
     One rewrite step of `word` at any level, as (shorter word, packed
     scalar), or None if the word is a basis index.  The first `len(word)`
     members of the class, walked breadth first from `word`, are searched
-    for a rule pattern as `algebra._reduce_canonical` searches them: the
+    for a rule pattern, as `walk_redex` searches a whole class: the
     earliest member holding one, at the first position that holds one,
     ties broken by priority.  When the word itself holds no pattern, its
     heap is read once (`heap_redex`): a basis index stops the search at
@@ -499,12 +499,12 @@ def find_redex(level: AlgebraLevel, n: int, word: Letters) -> tuple[Letters, int
     times k.  So it takes the blob step by itself, not through
     `algebra._blob_loop`.
     """
-    index, steps = algebra._rules_by_first_pair(level, n), algebra._rule_steps(level, n)
+    by_first_letter, steps = rules_by_first_letter(level, n), algebra._rule_steps(level, n)
     redex = None  # the empty word draws no member and is a basis index
     walk = islice(iter_commutation_class(n, word), len(word))
     for drawn, member in enumerate(walk, 1):
-        for pos, pair in enumerate(zip(member, member[1:])):
-            for rule in index.get(pair, ()):
+        for pos, letter in enumerate(member):
+            for rule in by_first_letter.get(letter, ()):
                 if member[pos : pos + len(rule.pattern)] == rule.pattern:
                     rest = member[pos + len(rule.pattern) :]
                     return member[:pos] + rule.replacement + rest, steps[rule.pattern][1]

@@ -165,16 +165,26 @@ def test_rule_scalars_are_monomials_of_coefficient_one():
             for rule in rewrite_rules(level, n):
                 ((exps, coeff),) = rule.scalar.terms.items()
                 assert coeff == 1 and min(exps) >= 0, (level, n, rule)
-            assert algebra._rules_by_first_pair(level, n)
+            assert algebra._rule_steps(level, n)
 
 
-@pytest.mark.parametrize("bad", [Scalar.integer(2) * D, D + K, Scalar.zero()])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        algebra.Rule((1, 1), (1,), Scalar.integer(2) * D),
+        algebra.Rule((1, 1), (1,), D + K),
+        algebra.Rule((1, 1), (1,), Scalar.zero()),
+        # every rewrite keeps the first letters of its pattern
+        algebra.Rule((1, 2, 1), (2,), Scalar.one()),
+    ],
+)
 def test_rule_index_rejects_a_scalar_that_is_not_a_unit_monomial(monkeypatch, bad):
     rules = rewrite_rules(TL, 2)
-    broken = rules[:1] + (algebra.Rule(rules[1].pattern, rules[1].replacement, bad),) + rules[2:]
+    assert rules[1].pattern == (1, 1)
+    broken = rules[:1] + (bad,) + rules[2:]
     monkeypatch.setattr(algebra, "rewrite_rules", lambda level, n: broken)
-    with pytest.raises(ValueError, match="coefficient 1"):
-        algebra._rules_by_first_pair.__wrapped__(TL, 2)
+    with pytest.raises(ValueError, match="coefficient 1|proper prefix"):
+        algebra._rule_steps.__wrapped__(TL, 2)
 
 
 @pytest.mark.parametrize(
@@ -445,12 +455,7 @@ def test_confluence_check_catches_a_swapped_boundary_scalar(monkeypatch):
             for r in rules(level, n)
         )
 
-    caches = (
-        algebra._rules_by_first_pair,
-        algebra._rule_steps,
-        algebra._reduce_canonical,
-        algebra._rows,
-    )
+    caches = (algebra._rule_steps, algebra._reduce_canonical, algebra._rows)
     for cache in caches:
         cache.cache_clear()
     try:
@@ -633,15 +638,17 @@ def test_reduce_memo_bytes_per_entry():
     import gc
     import tracemalloc
 
-    # every miss the rank-5 action table can take, rewritten through the
-    # memo: a basis word times one generator.  The TL and two-boundary
-    # levels keep no memo, so only blob-level work fills it
-    basis = sb_basis(5)
+    # every product that the action rows of ranks 1-6 send the memo
+    # (`_fill`'s last route), so the memo at its bound; words outside that
+    # route it does not reduce.  The TL and two-boundary levels keep no
+    # memo, so only blob-level work fills it
+    slots = [(n, b, g) for n in range(1, 7) for b in sb_basis(n) for g in range(n + 1)]
 
     def job():
-        for b in basis:
-            for g in range(6):
-                algebra._reduce_canonical(5, canonical_word(5, b + (g,)))
+        for n, b, g in slots:
+            gap, at = words._closing_gap(b, g)
+            if gap == 2 and len(b) + 1 >= algebra._iji_length(n):
+                algebra._reduce_canonical(n, b[:at] + (g,) + b[at:])
 
     job()  # build the rules and the shared scalars first
     algebra._reduce_canonical.cache_clear()
@@ -656,8 +663,9 @@ def test_reduce_memo_bytes_per_entry():
         tracemalloc.stop()
     entries = algebra._reduce_canonical.cache_info().currsize
     assert entries > 3000
-    # ~290 B an entry holding its own packed int; ~270 B when entries held
-    # one shared Scalar per monomial, ~555 B with a fresh Scalar per entry
+    # ~320 B an entry holding its own packed int and its key; ~270 B when
+    # entries held one shared Scalar per monomial, ~555 B with a fresh
+    # Scalar per entry (rank-5 products, rewrites memoised too)
     assert grown / entries < 480, grown / entries
 
 
@@ -743,7 +751,7 @@ def test_action_table_holds_one_entry_per_basis_word_and_generator():
 def test_blob_words_from_rank_7_leave_the_rows_and_the_memo_alone():
     # from rank 7 the blob level reduces through the heap-scan loop, which
     # reads no row and fills no slot: the rows and the memo keep only what
-    # ranks 1-6 put there, at most 50,882 row entries and 4,665 memo words
+    # ranks 1-6 put there, at most 50,882 row entries and 4,643 memo words
     reduce_word(SB, 6, seeded_word(6, 1_000))
     rows, memo = algebra._rows.cache_info(), algebra._reduce_canonical.cache_info()
     for n in (7, 8, 16, 64):
@@ -769,9 +777,10 @@ def test_blob_action_matches_the_whole_word_rewrite_exhaustive():
 def test_row_fills_hand_deep_redexes_to_the_blob_loop(monkeypatch):
     # every slot of the rank-4 and rank-5 action rows, filled cold: a fill
     # whose g may close a chain or a triple (`words._closing_gap` 1) goes to
-    # `_blob_loop`, the one code that takes the blob step, and so does a
-    # memo word whose redex lies past its class walk; every entry is what
-    # one-step rewrites of the whole product give (`oracles.loop_reduce`)
+    # `_blob_loop`, the one code that takes the blob step, and so does
+    # every memo word that is not a basis word, rewritten by its class walk
+    # or whole; every entry is what one-step rewrites of the whole product
+    # give (`oracles.loop_reduce`)
     handed, loop, memo = [], algebra._blob_loop, algebra._reduce_canonical
     depth = [0]
 
@@ -797,18 +806,23 @@ def test_row_fills_hand_deep_redexes_to_the_blob_loop(monkeypatch):
         gaps = [words._closing_gap(b, g)[0] for b in sb_basis(n) for g in range(n + 1)]
         assert handed.count((n, False)) == gaps.count(1), n
     counts = [handed.count(key) for key in ((4, False), (4, True), (5, False), (5, True))]
-    assert counts == [692, 26, 3_820, 128]
+    assert counts == [692, 38, 3_820, 128]
 
 
 def test_a_fill_reads_no_heap_for_its_key(monkeypatch):
-    # every slot of the rank-4 rows, filled cold against a warm memo: the
-    # key is the row's word with g inserted, so no fill canonicalises for
-    # its key, and every entry lands where the canonicalised product does.
-    # A fill that goes to `_blob_loop` canonicalises once, the word that
-    # the loop returns, and no other fill canonicalises at all
+    # every slot of the rank-4 rows, filled cold against a memo warm on the
+    # products it takes: the key is the row's word with g inserted, so no
+    # fill canonicalises for its key, and every entry is what one-step
+    # rewrites of the whole product give (`oracles.loop_reduce`).  A fill
+    # that goes to `_blob_loop` canonicalises once, the word that the loop
+    # returns, and no other fill canonicalises at all
     n = 4
-    keys = {(b, g): canonical_word(n, b + (g,)) for b in sb_basis(n) for g in range(n + 1)}
-    expected = {slot: algebra._reduce_canonical(n, key) for slot, key in keys.items()}
+    slots = [(b, g) for b in sb_basis(n) for g in range(n + 1)]
+    for b, g in slots:
+        key = canonical_word(n, b + (g,))
+        if words._closing_gap(b, g)[0] == 2 and len(key) >= algebra._iji_length(n):
+            algebra._reduce_canonical(n, key)
+    expected = {(b, g): loop_reduce(SB, n, b + (g,)) for b, g in slots}
     calls = []
 
     def counting(n, word):
@@ -819,11 +833,11 @@ def test_a_fill_reads_no_heap_for_its_key(monkeypatch):
     algebra._rows.cache_clear()
     folded = 0
     try:
-        for (b, g), (exps, word) in expected.items():
+        for (b, g), reduced in expected.items():
             row = [None] * (n + 1) + [b]
             before = len(calls)
             assert algebra._fill(n, row, g) is row[g]
-            assert (row[g][0], row[g][1][-1]) == (exps, word), (b, g)
+            assert (algebra._unpacked(row[g][0]), row[g][1][-1]) == reduced, (b, g)
             fold = words._closing_gap(b, g)[0] == 1
             assert len(calls) - before == fold, (b, g)
             folded += fold
@@ -858,7 +872,7 @@ def test_a_square_fill_takes_no_memo(monkeypatch):
                         squares += 1
         assert (squares, calls) == (15_845, [])
         assert reduce_word(SB, 2, (1, 0, 2, 1)) == (K, (1,))
-        assert calls == [(1, 0, 2, 1), (1,)]
+        assert calls == [(1, 0, 2, 1)]
     finally:
         algebra._rows.cache_clear()
 
@@ -908,8 +922,8 @@ def test_a_short_positive_fill_is_its_own_basis_word(monkeypatch):
 def test_a_full_fill_leaves_the_memo_at_its_bound(monkeypatch):
     # every slot of the rank 1-6 rows, filled cold: only the 6,682 positive
     # products of at least as many letters as I J I reach the memo, and it
-    # ends at 4,665 words, those products and their rewrites, the most that
-    # any sequence of fills leaves there
+    # ends at 4,643 words, the distinct products and nothing else, the most
+    # that any sequence of fills leaves there
     entries, memo = [], algebra._reduce_canonical
     depth = [0]
 
@@ -933,7 +947,7 @@ def test_a_full_fill_leaves_the_memo_at_its_bound(monkeypatch):
     for n, word in entries:
         assert words.heap_state(n, word) == words.HeapState.POSITIVE, (n, word)
         assert len(word) >= algebra._iji_length(n), (n, word)
-    assert memo.cache_info().currsize == 4_665
+    assert memo.cache_info().currsize == len(set(entries)) == 4_643
 
 
 def test_fewer_letters_than_iji_read_no_blocks(monkeypatch):
@@ -1128,8 +1142,8 @@ def _fill_whole_word(n, word):
 
 
 def test_blob_step_tests_the_blocks_once(monkeypatch):
-    # the fill's heap reading of the first member finds the rigid blocks
-    # not blobbed (`in_index_set`), and past the walk `_blob_loop` tests
+    # the fill's blob test of the first member finds the rigid blocks not
+    # blobbed (`_unblobbed_blocks`), and past the walk `_blob_loop` tests
     # each pass's blocks once: the blob step drops the alternation from
     # them as they are, with no second `_is_blobbed`, and the last pass
     # reads no blocks, since its 3 letters are fewer than I J I's 7; the
@@ -1254,20 +1268,33 @@ def test_basis_word_search_reads_one_member_and_the_heap_once(monkeypatch):
     # a word past the walk leaves without a second reading, to
     # `_blob_loop` from the blob-level fill and to a heap step built from
     # that reading in the step oracle.  The fill searches at the blob
-    # level, and the oracle at TL and 2B, where `src` searches nothing
+    # level, on the words it takes, positive ones of at least as many
+    # letters as I J I, and reads their blocks, not their heap; the oracle
+    # searches at TL and 2B, where `src` searches nothing
     for n in (1, 2, 3):  # the IJI and JIJ grids are read once per rank and kept
         grids.iji_blocks(n), grids.jij_blocks(n)
     walks = _spy_on_class_walk(monkeypatch)
     passes = _spy_on_heap_passes(monkeypatch)
-    # one search per call: the fill's rewrite hands its shorter word to a
-    # stub, not to the memo's next search
+    blocks_of_word = algebra._blocks_of_word
+
+    def reading_blocks(n, word):
+        passes.append(word)
+        return blocks_of_word(n, word)
+
+    monkeypatch.setattr(algebra, "_blocks_of_word", reading_blocks)
+    # one search per call: the fill hands what it does not answer to a
+    # stub, not to the loop's own readings
     fill = algebra._reduce_canonical.__wrapped__
-    monkeypatch.setattr(algebra, "_reduce_canonical", lambda n, word: (0, word))
-    basis = 0
+    monkeypatch.setattr(algebra, "_blob_loop", lambda n, word: (0, None))
+    basis, fills = dict.fromkeys((TL, TB, SB), 0), 0
     for n in (1, 2, 3):
         for word in exhaustive_words(n, 6):
             for level in (TL, TB, SB):
                 is_basis = in_index_set(level, n, word)
+                if level == SB:
+                    if len(word) < algebra._iji_length(n) or not in_index_set(TB, n, word):
+                        continue
+                    fills += 1
                 walks.clear()
                 passes.clear()
                 if level == SB:
@@ -1278,9 +1305,9 @@ def test_basis_word_search_reads_one_member_and_the_heap_once(monkeypatch):
                 # the empty word has no member to draw and no heap to read
                 assert len(passes) <= bool(word), (level, n, word)
                 if is_basis:
-                    basis += 1
+                    basis[level] += 1
                     assert [drawn for _, drawn in walks] == [1] * bool(word), (level, n, word)
-    assert basis > 900
+    assert (basis, fills) == ({TL: 404, TB: 322, SB: 90}, 144)
 
 
 def _heap_redex_scalar(level, n, word, redex):

@@ -417,7 +417,7 @@ def test_appends_square_on_every_row_slot():
     # every slot of the blob action rows at ranks 1-6: the gap is 0 exactly
     # where the whole product rewrites to the square's scalar times the
     # basis word itself, by one-step rewrites (`oracles.loop_reduce`) at
-    # ranks 1-5 and by the memo's class walk at rank 6
+    # ranks 1-5 and by the heap-scan loop, which reads no gap, at rank 6
     squares = 0
     for n in range(1, 7):
         scalars = {rule.pattern: rule.scalar for rule in rewrite_rules(SB, n)}
@@ -426,12 +426,11 @@ def test_appends_square_on_every_row_slot():
                 if n < 6:
                     reduced = loop_reduce(SB, n, b + (g,))
                 else:
-                    exps, word = algebra._reduce_canonical(n, canonical_word(n, b + (g,)))
+                    exps, word = algebra._blob_loop(n, b + (g,))
                     reduced = (algebra._unpacked(exps), word)
                 square = words._closing_gap(b, g)[0] == 0
                 assert square == (reduced == (scalars[g, g], b)), (n, b, g)
                 squares += square
-    algebra._reduce_canonical.cache_clear()
     assert squares == 15_845
 
 
