@@ -31,22 +31,23 @@ left through its action rows (`_rows`), the right regular representation
 on the basis: one row per basis word reached, holding that word times
 each generator as (packed exponents, next row), so a letter costs one
 list index.  An empty slot (`_fill`) is routed by one short scan back
-from the end of the row's word (`words._closing_gap`), since only its
-generator g can close a chain or a triple there; the same scan finds
-where g goes in the product's least class member.  A square g g, the
-last letter that does not commute with g being g itself, is the row
-itself times the square's scalar; a g that may close sts, stst or a
-boundary triple sends the product to `_blob_loop`; a g that closes
-nothing leaves a positive product, which with fewer letters than I J I
-is blobbed and so its own basis word.  Only a positive product of at
-least as many letters as I J I reaches the whole-word memo,
+from the end of the row's word w (`words._closing_gap`), since only its
+generator g can close a chain or a triple there; the same scan reads
+what g closes and where g goes in the product's least class member.  A
+square g g, sts, stst or a boundary triple drops the letters of w g at
+the closure's witness q and at the end, so the entry is the rule's
+monomial times the rest of w, w[q+1:], folded through the row of the
+shorter basis word w[:q] (the row itself for a square).  A g that
+closes nothing leaves a positive product, which with fewer letters than
+I J I is blobbed and so its own basis word.  Only a positive product of
+at least as many letters as I J I reaches the whole-word memo,
 `_reduce_canonical`, keyed by that least member, so a fill reads no
 heap to build its key (README "Costs" counts the slots of each route).
 No class member of a positive word holds a chain or a boundary triple,
 so the memo looks for I J I and J I J alone, in as many members of the
 word's class as it has letters, and hands what it finds, or a word
 whose blob factor lies past them, to `_blob_loop` below.  The rows of
-ranks 1-6 hold at most 50,882 entries and the memo at most 4,643 words,
+ranks 1-6 hold at most 50,882 entries and the memo at most 5,699 words,
 so both are bounded in total.
 
 From rank 7 on, a long word reaches a new basis word at nearly every
@@ -323,7 +324,7 @@ def _reduce_canonical(n: int, word: Letters) -> tuple[int, Letters]:
     to `_blob_loop`.  A word whose first member holds neither and whose
     blocks are blobbed (`_unblobbed_blocks`) is a basis index, at one
     member; any other goes to `_blob_loop` whole.  The memo keeps only the
-    words `_fill` sends, at most 4,643 over ranks 1-6.  The walk and the
+    words `_fill` sends, at most 5,699 over ranks 1-6.  The walk and the
     cache stay while the benchmark counts them
     (`perfbench/tests/test_perfbench.py:97-98`, ROADMAP item 1a).
     """
@@ -361,36 +362,46 @@ def _rows(n: int) -> dict[Letters, list]:
 
 def _fill(n: int, row: list, g: int) -> tuple[int, list]:
     """
-    A miss of the rank-n action rows: the basis word of `row` times the
-    generator g, kept in slot g.  The basis word is positive, so only g
-    can close a chain or a triple, and one short scan back from the end
-    (`words._closing_gap`) routes the product and finds where g goes in
-    its least class member:
+    A miss of the rank-n action rows: the basis word w of `row` times the
+    generator g, kept in slot g.  w is positive, so only g can close a
+    chain or a triple, and one short scan back from the end
+    (`words._closing_gap`) reads what it closes and where g goes in the
+    product's least class member:
 
-    - gap 0, a square g g: the entry is the row itself times the square's
-      scalar;
-    - gap 1, where g may close sts, stst or a boundary triple: the product
-      goes to `_blob_loop`, whose fold rewrites the closure where it closes;
-    - gap 2, where g closes nothing: the product is positive, and with
-      fewer letters than I J I (`_iji_length`) it is blobbed, so its least
-      class member is its own basis word, times 1;
-    - any other product is positive with at least as many letters as I J I
-      and needs the blob test: it is reduced by `_reduce_canonical`, keyed
-      by that least member, so no fill reads a heap for its key.
+    - g closes a square, sts, stst or a boundary triple: each of these
+      rules keeps a prefix of its pattern that ends before q, the
+      position of g's one neighbour after its last g (the end for a
+      square), and drops the letters of w g at q and at the end.  So the
+      entry is the rule's monomial times w[:q] w[q+1:]: the tail w[q+1:]
+      folded through the row of w[:q], w's own row for a square.  That
+      key is a prefix of a canonical basis word, so canonical, and a
+      basis word, since the basis is closed under factors; it is shorter
+      than w, so nested fills end;
+    - g closes nothing: the product is positive, and with fewer letters
+      than I J I (`_iji_length`) it is blobbed, so its least class member
+      is its own basis word, times 1;
+    - any other product is positive with at least as many letters as
+      I J I and needs the blob test: it is reduced by `_reduce_canonical`,
+      keyed by that least member, so no fill reads a heap for its key.
 
-    Only the last route keeps a memo, bounded by the products it takes.
+    Only the last route keeps a memo, bounded by the products it takes;
+    no fill calls `_blob_loop` itself.
     """
     word = row[-1]
-    gap, at = _closing_gap(word, g)
-    if gap == 0:
-        row[g] = entry = (_rule_steps(AlgebraLevel.SYMPLECTIC_BLOB, n)[g, g][1], row)
-        return entry
-    if gap == 1:
-        exps, word = _blob_loop(n, word + (g,))
-    else:
+    _, at, closure = _closing_gap(n, word, g)
+    if closure is None:
         word = word[:at] + (g,) + word[at:]
         exps, word = (0, word) if len(word) < _iji_length(n) else _reduce_canonical(n, word)
-    row[g] = entry = (exps, _rows(n).setdefault(word, [None] * (n + 1) + [word]))
+        target = _rows(n).setdefault(word, [None] * (n + 1) + [word])
+    else:
+        pattern, q = closure
+        exps = _rule_steps(AlgebraLevel.SYMPLECTIC_BLOB, n)[pattern][1]
+        key = word[:q]
+        target = _rows(n).setdefault(key, [None] * (n + 1) + [key])
+        for a in word[q + 1 :]:
+            step, target = target[a] or _fill(n, target, a)
+            exps += step
+    row[g] = entry = (exps, target)
     return entry
 
 
@@ -406,10 +417,9 @@ def _blob_loop(n: int, word: Letters) -> tuple[int, Letters]:
     once as the loop returns, and any other takes the paper's blob step,
     `grids._oblique_shortening_word`, one I J alternation fewer, times k,
     and is folded again.  Each pass shortens the word, so the loop ends.
-    `reduce_word` runs it from rank `_LOOP_RANK` on; `_fill` on a row's
-    word times a g that may close a chain or a triple, where the fold
-    rewrites the closure; and `_reduce_canonical` on the word its class
-    walk rewrites, or on a word whose blob factor the walk does not reach.
+    It has two callers: `reduce_word` from rank `_LOOP_RANK` on, and
+    `_reduce_canonical` on the word its class walk rewrites, or on a word
+    whose blob factor the walk does not reach.  No row fill calls it.
     """
     steps, exps = _rule_steps(AlgebraLevel.SYMPLECTIC_BLOB, n), 0
     while True:

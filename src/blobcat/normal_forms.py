@@ -399,34 +399,41 @@ def bar(n: int, nf: NormalForm) -> tuple[NormalForm, bool]:
     The shortening operator on non-left-positive elements (`heap_state`
     LEFT_TRIPLE; elsewhere ValueError).  Returns the image together with a
     flag marking the single case whose monomial identity carries an extra
-    right-boundary coefficient.  The shapes below cover the domain.
+    right-boundary coefficient.  The domain is checked here, on the word
+    the form spells; `_bar` is the operator on a form known to lie in it.
     """
-    if heap_state(n, word_of_normal_form(n, nf)) == HeapState.LEFT_TRIPLE:
-        match nf:
-            case FirstType(i, k, f):
-                if f < 0:
-                    return FirstType(i, k, -f), False
-                if k == 1 and f == n and i == n:
-                    if n == 1:
-                        raise ValueError("bar is undefined on the rank-1 boundary braid")
-                    return SecondType((n, n - 1), 0, ()), False
-                if k > 1:
-                    return FirstType(i, k - 1, f), True
-                if i > 0:
-                    return LengthOne(i, descent_bform(n, f)), True
-                return LengthOne(i, DescentTail(f)), True
-            case SecondType(prefix, 0, ()) if prefix and prefix[-1] < 0:
-                return SecondType(prefix[:-1] + (-prefix[-1],), 0, ()), False
-            case SecondType(prefix, 0, tail) if prefix and prefix[-1] > 0 and bform_is_negative(tail):
-                return SecondType(prefix, 0, _flip_last_bracket(tail)), False
-            case LengthOne(i, DescentTail(h)) if i < 0 and h >= 0:
-                return LengthOne(-i, descent_bform(n, h)), False
-            case LengthOne(i, DescentTail(h)) if i <= 0 and h < 0:
-                return LengthOne(i, DescentTail(-h)), False
-            case LengthOne(i, tuple() as v) if bform_is_negative(v):
-                return check_normal_form(n, LengthOne(i, _flip_last_bracket(v))), False
-            case LengthZero(form) if bform_is_negative(form):
-                return LengthZero(_flip_last_bracket(form)), False
+    if heap_state(n, word_of_normal_form(n, nf)) != HeapState.LEFT_TRIPLE:
+        raise ValueError(f"bar is only defined on non-left-positive elements: {nf}")
+    return _bar(n, nf)
+
+
+def _bar(n: int, nf: NormalForm) -> tuple[NormalForm, bool]:
+    """`bar` of a normal form whose heap state is LEFT_TRIPLE; the shapes below cover them."""
+    match nf:
+        case FirstType(i, k, f):
+            if f < 0:
+                return FirstType(i, k, -f), False
+            if k == 1 and f == n and i == n:
+                if n == 1:
+                    raise ValueError("bar is undefined on the rank-1 boundary braid")
+                return SecondType((n, n - 1), 0, ()), False
+            if k > 1:
+                return FirstType(i, k - 1, f), True
+            if i > 0:
+                return LengthOne(i, descent_bform(n, f)), True
+            return LengthOne(i, DescentTail(f)), True
+        case SecondType(prefix, 0, ()) if prefix and prefix[-1] < 0:
+            return SecondType(prefix[:-1] + (-prefix[-1],), 0, ()), False
+        case SecondType(prefix, 0, tail) if prefix and prefix[-1] > 0 and bform_is_negative(tail):
+            return SecondType(prefix, 0, _flip_last_bracket(tail)), False
+        case LengthOne(i, DescentTail(h)) if i < 0 and h >= 0:
+            return LengthOne(-i, descent_bform(n, h)), False
+        case LengthOne(i, DescentTail(h)) if i <= 0 and h < 0:
+            return LengthOne(i, DescentTail(-h)), False
+        case LengthOne(i, tuple() as v) if bform_is_negative(v):
+            return check_normal_form(n, LengthOne(i, _flip_last_bracket(v))), False
+        case LengthZero(form) if bform_is_negative(form):
+            return LengthZero(_flip_last_bracket(form)), False
     raise ValueError(f"bar is only defined on non-left-positive elements: {nf}")
 
 
@@ -434,30 +441,37 @@ def tilde(n: int, nf: NormalForm) -> NormalForm:
     """
     The shortening operator on left-positive, non-right-positive elements
     (`heap_state` RIGHT_TRIPLE; elsewhere ValueError).  Some forms outside
-    the domain share the shapes matched below, so it is checked first.
+    the domain share the shapes that `_tilde` matches, so it is checked
+    first, on the word the form spells.
     """
-    if heap_state(n, word_of_normal_form(n, nf)) == HeapState.RIGHT_TRIPLE:
-        match nf:
-            case LengthOne(i, tuple() as v) if 0 < i < n:
-                # end of the staircase prefix hugging the affine letter; a low
-                # tail bracket can satisfy l == n - j by accident and must not count
-                alpha = 0
-                while alpha < len(v) and v[alpha].l == n - (alpha + 1):
-                    alpha += 1
-                l_alpha = v[alpha - 1].l
-                if i <= l_alpha:
-                    head: BForm = (Bracket(i, l_alpha),)
-                else:
-                    head = tuple(Bracket(g, g) for g in range(i, l_alpha - 1, -1))
-                return check_normal_form(n, LengthZero(head + v[alpha:]))
-            case LengthOne(0, DescentTail(h)):
-                if h > 0:
-                    return LengthZero((Bracket(0, h),))
-                if n == 1:
-                    raise ValueError("tilde is undefined on the rank-1 boundary braid")
-                return LengthZero((Bracket(0, 1), Bracket(0, 0)))
-            case LengthOne(0, DescentZerosTail(z, runs)):
-                return LengthZero((Bracket(0, z),) + tuple(Bracket(0, r) for r in runs))
+    if heap_state(n, word_of_normal_form(n, nf)) != HeapState.RIGHT_TRIPLE:
+        raise ValueError(f"tilde is only defined on left- but not right-positive elements: {nf}")
+    return _tilde(n, nf)
+
+
+def _tilde(n: int, nf: NormalForm) -> NormalForm:
+    """`tilde` of a normal form whose heap state is RIGHT_TRIPLE."""
+    match nf:
+        case LengthOne(i, tuple() as v) if 0 < i < n:
+            # end of the staircase prefix hugging the affine letter; a low
+            # tail bracket can satisfy l == n - j by accident and must not count
+            alpha = 0
+            while alpha < len(v) and v[alpha].l == n - (alpha + 1):
+                alpha += 1
+            l_alpha = v[alpha - 1].l
+            if i <= l_alpha:
+                head: BForm = (Bracket(i, l_alpha),)
+            else:
+                head = tuple(Bracket(g, g) for g in range(i, l_alpha - 1, -1))
+            return check_normal_form(n, LengthZero(head + v[alpha:]))
+        case LengthOne(0, DescentTail(h)):
+            if h > 0:
+                return LengthZero((Bracket(0, h),))
+            if n == 1:
+                raise ValueError("tilde is undefined on the rank-1 boundary braid")
+            return LengthZero((Bracket(0, 1), Bracket(0, 0)))
+        case LengthOne(0, DescentZerosTail(z, runs)):
+            return LengthZero((Bracket(0, z),) + tuple(Bracket(0, r) for r in runs))
     raise ValueError(f"tilde is only defined on left- but not right-positive elements: {nf}")
 
 

@@ -274,19 +274,24 @@ def boundary_image_holds(n: int, nf: normal_forms.NormalForm, state: HeapState) 
     """
     TL -> 2B: the word of a non-positive FC element reduces in the
     two-boundary quotient to the predicted multiple of its image.  `state`,
-    the `heap_state` of the word, picks the image: `bar` of a LEFT_TRIPLE
+    the `heap_state` of the word, picks the image and is the domain check,
+    so the element's heap is not read again: `bar` of a LEFT_TRIPLE
     element, times kL (kL kR in its one flagged case), or `tilde` of a
-    RIGHT_TRIPLE one, times kR; each raises ValueError on any other form.
+    RIGHT_TRIPLE one, times kR, each by its unchecked core; any other state
+    raises ValueError.  The image is spelled through the checked
+    `word_of_normal_form`.
 
     >>> nf = normal_forms.normal_form_of_word(2, (1, 0, 1))
     >>> boundary_image_holds(2, nf, HeapState.LEFT_TRIPLE)  # times kL
     True
     """
     if state == HeapState.LEFT_TRIPLE:
-        image, needs_kr = normal_forms.bar(n, nf)
+        image, needs_kr = normal_forms._bar(n, nf)
         factor = KL * KR if needs_kr else KL
+    elif state == HeapState.RIGHT_TRIPLE:
+        image, factor = normal_forms._tilde(n, nf), KR
     else:
-        image, factor = normal_forms.tilde(n, nf), KR
+        raise ValueError(f"a {state.name} element has no boundary image: {nf}")
     word = normal_forms._word_of_normal_form(n, nf)
     image_word = normal_forms.word_of_normal_form(n, image)
     return _holds(AlgebraLevel.TWO_BOUNDARY, n, word, image_word, factor)
@@ -343,10 +348,10 @@ def check_quotient_identities(max_n: int | None = None) -> Check:
     its own blob step, `algebra._blob_loop`: there it compares
     `reduce_word` with k times `reduce_word` on the very image the loop
     stepped to.  The loop takes every word from rank 7 on, and below it
-    every row fill whose g may close sts, stst or a triple and every memo
-    word that is not a basis word, so words of this range do reach that
-    step: run alone in a fresh process, this check makes 44 loop calls
-    and 8 blob steps, and in `verify --suite algebra` order 12 and 4.
+    every memo word that is not a basis word, so words of this range can
+    reach that step: run alone in a fresh process, this check makes 14
+    loop calls and no blob step, and in `verify --suite algebra` order 4
+    and none.
     The independent reference is the test
     `test_blob_step_matches_the_class_walk`, against a reducer that only
     walks commutation classes, at ranks 2-3 and affine lengths 0-4, which

@@ -145,20 +145,29 @@ def _canonical_word(n: int, word: Letters) -> Letters:
     return tuple(out)
 
 
-def _closing_gap(word: Letters, g: int) -> tuple[int, int]:
+def _closing_gap(n: int, word: Letters, g: int) -> tuple[int, int, tuple[Letters, int] | None]:
     """
-    What g can close on a canonical `word`, and where g goes in the least
-    member of `word + (g,)`, as (gap, at), by one short scan back from the
-    end with no heap.  `gap` is how many neighbours g +- 1 follow the last
-    g of `word`: 0, 1, or 2 for two or more and for a word with no g.  By
-    Stembridge's criterion a chain ss, sts or stst, or a boundary triple,
-    ends at a letter that meets its previous occurrence with fewer than
-    two neighbours since (`scan_closure`), so in `word + (g,)` only g can
-    close one, and only at a gap below 2.  At 0 the last letter x of
-    `word` with |x - g| <= 1 is g itself: g commutes with every letter
-    after it, the product holds the square g g, and it is the square's
-    scalar times `word`.  At 1 g may close sts, stst or a triple, or, at a
-    bond-4 end, nothing; at 2 it closes nothing.
+    What g closes on a canonical `word`, and where g goes in the least
+    member of `word + (g,)`, as (gap, at, closure), by one short scan back
+    from the end with no heap.  `gap` is how many neighbours g +- 1
+    follow the last g of `word`: 0, 1, or 2 for two or more and for a word
+    with no g.  By Stembridge's criterion a chain ss, sts or stst, or a
+    boundary triple, ends at a letter that meets its previous occurrence
+    with fewer than two neighbours since (`scan_closure`), so on a positive
+    `word` only g can close one in `word + (g,)`, and only at a gap below 2.
+
+    `closure` is what `scan_closure` reports there, as (pattern, q), or
+    None: q is `witness[keep]`, where a rule that keeps `keep` letters of
+    the pattern restarts the fold, and every rule here drops the letters
+    at q and at the end.  At gap 0 the last letter x of `word` with
+    |x - g| <= 1 is g itself: g commutes with every letter after it, the
+    pattern is the square g g and q is the end.  At gap 1 x is g's one
+    neighbour b after its last g at p, and q is x's position; the pattern
+    is sts = g b g when g and b are both inner letters; else, at a bond-4
+    pair, stst = b g b g when b occurs before p with that g as its only
+    neighbour since, which the scan reads on past p for, up to b's
+    previous occurrence; else the boundary triple g b g when b is 0 or n;
+    else g closes nothing.  At gap 2 it closes nothing.
 
     `word[:at] + (g,) + word[at:]` is `_canonical_word(n, word + (g,))`.
     The least member is the greedy reading of the heap (Anisimov and Knuth
@@ -167,7 +176,8 @@ def _closing_gap(word: Letters, g: int) -> tuple[int, int]:
     same last x with |x - g| <= 1; from there it takes g before the first
     larger letter, since g commutes with all that follow.  So `at` is the
     first letter past x that exceeds g, or the end, and is fixed once the
-    scan meets x; past x it looks only for the next g or neighbour.
+    scan meets x; past x it looks only for the next g or neighbour, and
+    for b's other neighbour b + b - g, which the stst test counts.
     """
     at = pos = len(word)
     letters = reversed(word)
@@ -178,13 +188,32 @@ def _closing_gap(word: Letters, g: int) -> tuple[int, int]:
         if x > g:
             at = pos
     else:
-        return 2, at
+        return 2, at, None
     if x == g:
-        return 0, at
+        return 0, at, ((g, g), len(word))
+    b, q = x, pos - 1
+    other = b + b - g
+    lone = True  # b's other neighbour does not lie between p and q
     for x in letters:
         if -2 < x - g < 2:
-            return (1 if x == g else 2), at
-    return 2, at
+            break
+        if x == other:
+            lone = False
+    else:
+        return 2, at, None
+    if x != g:
+        return 2, at, None
+    if 0 < g < n and 0 < b < n:
+        return 1, at, ((g, b, g), q)
+    if lone:
+        for x in letters:
+            if x == b:
+                return 1, at, ((b, g, b, g), q)
+            if x == g or x == other:
+                break
+    if b == 0 or b == n:
+        return 1, at, ((g, b, g), q)
+    return 1, at, None
 
 
 def _normal_word(n: int, word: Letters) -> Letters:

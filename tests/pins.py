@@ -357,6 +357,39 @@ def blob_action_rank_6():
     yield "".join(lines)
 
 
+def shuffled_fill(rng: random.Random, n: int) -> list[tuple[Letters, int]]:
+    """
+    Fill every slot of the rank-n action rows from cold rows, one slot at a
+    time in an order drawn from `rng`, each with the fills it nests; returns
+    the slots in that order.
+    """
+    algebra._rows.cache_clear()
+    algebra._reduce_canonical.cache_clear()
+    slots = [(b, g) for b in sb_basis(n) for g in range(n + 1)]
+    rng.shuffle(slots)
+    rows = algebra._rows(n)
+    for b, g in slots:
+        row = rows.setdefault(b, [None] * (n + 1) + [b])
+        row[g] or algebra._fill(n, row, g)
+    return slots
+
+
+@pin(BLOB_ACTION_RANK_6_SHA256)
+def blob_action_rank_6_shuffled():
+    """
+    `blob_action_rank_6`'s lines, read off rank-6 rows whose every slot was
+    filled first in an order drawn from `random.Random(6)` (`shuffled_fill`):
+    the order of the fills, and which of them nest, must not change an entry.
+    """
+    shuffled_fill(random.Random(6), 6)
+    lines = []
+    for b in sb_basis(6):
+        for g in range(7):
+            scalar, z = reduce_word(AlgebraLevel.SYMPLECTIC_BLOB, 6, b + (g,))
+            lines.append(f"{format_word(b)}|{g}|{scalar}|{format_word(z)}\n")
+    yield "".join(lines)
+
+
 BLOB_FILL_STREAM_SHA256 = "b4409a0f705e6ec479580d66a3993293b1fd875bd38edddaf5f773f32e8850c6"
 
 

@@ -39,7 +39,7 @@ from oracles import (
     rewrite_at,
     walk_redex,
 )
-from pins import DEEP_TL_WORD, reduce_line, seeded_word
+from pins import DEEP_TL_WORD, reduce_line, seeded_word, shuffled_fill
 
 TL = AlgebraLevel.TL
 TB = AlgebraLevel.TWO_BOUNDARY
@@ -611,8 +611,8 @@ def test_equal_monomials_come_back_as_one_instance():
     # monomial, whichever path reached it: the TL fold, the two-boundary
     # fold, a blob fold that fills empty slots and one that reads them.
     # The blob fills take every route of `algebra._fill`: short positive
-    # products and squares, the boundary triple 1,0,1 through `_blob_loop`,
-    # and I J I = 1,0,2,1, a positive product of as many letters as I J I,
+    # products and squares, the boundary triple 1,0,1 by its rule, and
+    # I J I = 1,0,2,1, a positive product of as many letters as I J I,
     # through the memo, which no other word here reaches
     cases = (
         ((1,), (Scalar.one(),) * 3),
@@ -646,8 +646,8 @@ def test_reduce_memo_bytes_per_entry():
 
     def job():
         for n, b, g in slots:
-            gap, at = words._closing_gap(b, g)
-            if gap == 2 and len(b) + 1 >= algebra._iji_length(n):
+            _, at, closure = words._closing_gap(n, b, g)
+            if closure is None and len(b) + 1 >= algebra._iji_length(n):
                 algebra._reduce_canonical(n, b[:at] + (g,) + b[at:])
 
     job()  # build the rules and the shared scalars first
@@ -751,7 +751,7 @@ def test_action_table_holds_one_entry_per_basis_word_and_generator():
 def test_blob_words_from_rank_7_leave_the_rows_and_the_memo_alone():
     # from rank 7 the blob level reduces through the heap-scan loop, which
     # reads no row and fills no slot: the rows and the memo keep only what
-    # ranks 1-6 put there, at most 50,882 row entries and 4,643 memo words
+    # ranks 1-6 put there, at most 50,882 row entries and 5,699 memo words
     reduce_word(SB, 6, seeded_word(6, 1_000))
     rows, memo = algebra._rows.cache_info(), algebra._reduce_canonical.cache_info()
     for n in (7, 8, 16, 64):
@@ -776,11 +776,12 @@ def test_blob_action_matches_the_whole_word_rewrite_exhaustive():
 
 def test_row_fills_hand_deep_redexes_to_the_blob_loop(monkeypatch):
     # every slot of the rank-4 and rank-5 action rows, filled cold: a fill
-    # whose g may close a chain or a triple (`words._closing_gap` 1) goes to
-    # `_blob_loop`, the one code that takes the blob step, and so does
-    # every memo word that is not a basis word, rewritten by its class walk
-    # or whole; every entry is what one-step rewrites of the whole product
-    # give (`oracles.loop_reduce`)
+    # whose g closes a chain or a triple (`words._closing_gap`'s closure)
+    # takes the rule and folds the rest through a shorter row, so no fill
+    # calls `_blob_loop` itself; only the memo hands it its words that are
+    # not basis words, rewritten by its class walk or whole.  Every entry
+    # is what one-step rewrites of the whole product give
+    # (`oracles.loop_reduce`)
     handed, loop, memo = [], algebra._blob_loop, algebra._reduce_canonical
     depth = [0]
 
@@ -803,25 +804,25 @@ def test_row_fills_hand_deep_redexes_to_the_blob_loop(monkeypatch):
         for b in sb_basis(n):
             for g in range(n + 1):
                 assert reduce_word(SB, n, b + (g,)) == loop_reduce(SB, n, b + (g,)), (n, b, g)
-        gaps = [words._closing_gap(b, g)[0] for b in sb_basis(n) for g in range(n + 1)]
-        assert handed.count((n, False)) == gaps.count(1), n
     counts = [handed.count(key) for key in ((4, False), (4, True), (5, False), (5, True))]
-    assert counts == [692, 38, 3_820, 128]
+    assert counts == [0, 58, 0, 256]
 
 
 def test_a_fill_reads_no_heap_for_its_key(monkeypatch):
     # every slot of the rank-4 rows, filled cold against a memo warm on the
-    # products it takes: the key is the row's word with g inserted, so no
-    # fill canonicalises for its key, and every entry is what one-step
-    # rewrites of the whole product give (`oracles.loop_reduce`).  A fill
-    # that goes to `_blob_loop` canonicalises once, the word that the loop
-    # returns, and no other fill canonicalises at all
+    # products it takes, those where g closes nothing on the row's word,
+    # at gap 1 or 2: the key is the row's word with g inserted, and a fill
+    # where g closes something folds the rest of the word through a
+    # shorter row, so no fill canonicalises at all, and every entry is what
+    # one-step rewrites of the whole product give (`oracles.loop_reduce`)
     n = 4
     slots = [(b, g) for b in sb_basis(n) for g in range(n + 1)]
+    warmed = 0
     for b, g in slots:
         key = canonical_word(n, b + (g,))
-        if words._closing_gap(b, g)[0] == 2 and len(key) >= algebra._iji_length(n):
+        if words._closing_gap(n, b, g)[2] is None and len(key) >= algebra._iji_length(n):
             algebra._reduce_canonical(n, key)
+            warmed += 1
     expected = {(b, g): loop_reduce(SB, n, b + (g,)) for b, g in slots}
     calls = []
 
@@ -831,19 +832,52 @@ def test_a_fill_reads_no_heap_for_its_key(monkeypatch):
 
     monkeypatch.setattr(algebra, "_canonical_word", counting)
     algebra._rows.cache_clear()
-    folded = 0
     try:
         for (b, g), reduced in expected.items():
             row = [None] * (n + 1) + [b]
-            before = len(calls)
             assert algebra._fill(n, row, g) is row[g]
             assert (algebra._unpacked(row[g][0]), row[g][1][-1]) == reduced, (b, g)
-            fold = words._closing_gap(b, g)[0] == 1
-            assert len(calls) - before == fold, (b, g)
-            folded += fold
     finally:
         algebra._rows.cache_clear()
-    assert len(calls) == folded == 692
+    assert (warmed, calls) == (334, [])
+
+
+def test_the_fill_order_does_not_change_the_rows(monkeypatch):
+    # every slot of the rank 1-5 rows, filled from cold rows in three
+    # seeded random orders (`pins.shuffled_fill`): each table is what
+    # one-step rewrites of the whole product give (`oracles.loop_reduce`),
+    # and a fill nests fills only on rows of words shorter than its own,
+    # so nested fills end
+    expected = {
+        (n, b, g): loop_reduce(SB, n, b + (g,))
+        for n in range(1, 6)
+        for b in sb_basis(n)
+        for g in range(n + 1)
+    }
+    fill, callers, nested = algebra._fill, [], []
+
+    def spy(n, row, g):
+        if callers:
+            nested.append((len(row[-1]), callers[-1]))
+        callers.append(len(row[-1]))
+        try:
+            return fill(n, row, g)
+        finally:
+            callers.pop()
+
+    monkeypatch.setattr(algebra, "_fill", spy)
+    try:
+        for seed in (1, 2, 3):
+            for n in range(1, 6):
+                shuffled_fill(random.Random(seed), n)
+                rows = algebra._rows(n)
+                for b in sb_basis(n):
+                    for g in range(n + 1):
+                        exps, target = rows[b][g]
+                        assert (algebra._unpacked(exps), target[-1]) == expected[n, b, g], (n, b, g)
+    finally:
+        algebra._rows.cache_clear()
+    assert nested and all(inner < outer for inner, outer in nested)
 
 
 def test_a_square_fill_takes_no_memo(monkeypatch):
@@ -865,7 +899,7 @@ def test_a_square_fill_takes_no_memo(monkeypatch):
             steps = algebra._rule_steps(SB, n)
             for b in sb_basis(n):
                 for g in range(n + 1):
-                    if words._closing_gap(b, g)[0] == 0:
+                    if words._closing_gap(n, b, g)[0] == 0:
                         row = algebra._rows(n).setdefault(b, [None] * (n + 1) + [b])
                         assert algebra._fill(n, row, g) == (steps[g, g][1], row), (n, b, g)
                         assert row[g][1] is row
@@ -878,11 +912,12 @@ def test_a_square_fill_takes_no_memo(monkeypatch):
 
 
 def test_a_short_positive_fill_is_its_own_basis_word(monkeypatch):
-    # every slot of the rank 1-6 rows that neither closes a square nor
-    # calls `_blob_loop` or the memo, filled cold: g closes nothing on the
-    # basis word and the product has fewer letters than I J I, so the entry
-    # is the product's least class member times 1, a basis index, and what
-    # one-step rewrites of the whole product give at ranks 1-5
+    # every slot of the rank 1-6 rows where g closes nothing on the basis
+    # word (`words._closing_gap`'s closure is None, at gap 1 or 2) and the
+    # product has fewer letters than I J I, filled cold: the entry is the
+    # product's least class member times 1, a basis index, and what
+    # one-step rewrites of the whole product give at ranks 1-5, with no
+    # call of `_blob_loop` or the memo
     calls, loop, memo = [], algebra._blob_loop, algebra._reduce_canonical
 
     def spy(inner):
@@ -900,29 +935,26 @@ def test_a_short_positive_fill_is_its_own_basis_word(monkeypatch):
         for n in range(1, 7):
             for b in sb_basis(n):
                 for g in range(n + 1):
-                    if words._closing_gap(b, g)[0] == 0:
+                    _, at, closure = words._closing_gap(n, b, g)
+                    word = b[:at] + (g,) + b[at:]
+                    if closure is not None or len(word) >= algebra._iji_length(n):
                         continue
-                    calls.clear()
                     row = [None] * (n + 1) + [b]
                     exps, target = algebra._fill(n, row, g)
-                    if calls:
-                        continue
-                    _, at = words._closing_gap(b, g)
-                    word = b[:at] + (g,) + b[at:]
-                    assert (exps, target[-1]) == (0, word), (n, b, g)
+                    assert (exps, target[-1], calls) == (0, word, []), (n, b, g)
                     assert in_index_set(SB, n, word), (n, b, g)
                     if n < 6:
                         assert loop_reduce(SB, n, b + (g,)) == (Scalar.one(), word), (n, b, g)
                     short += 1
     finally:
         algebra._rows.cache_clear()
-    assert short == 5_457
+    assert short == 6_647
 
 
 def test_a_full_fill_leaves_the_memo_at_its_bound(monkeypatch):
-    # every slot of the rank 1-6 rows, filled cold: only the 6,682 positive
+    # every slot of the rank 1-6 rows, filled cold: only the 10,902 positive
     # products of at least as many letters as I J I reach the memo, and it
-    # ends at 4,643 words, the distinct products and nothing else, the most
+    # ends at 5,699 words, the distinct products and nothing else, the most
     # that any sequence of fills leaves there
     entries, memo = [], algebra._reduce_canonical
     depth = [0]
@@ -943,11 +975,11 @@ def test_a_full_fill_leaves_the_memo_at_its_bound(monkeypatch):
         for b in sb_basis(n):
             for g in range(n + 1):
                 reduce_word(SB, n, b + (g,))
-    assert len(entries) == 6_682
+    assert len(entries) == 10_902
     for n, word in entries:
         assert words.heap_state(n, word) == words.HeapState.POSITIVE, (n, word)
         assert len(word) >= algebra._iji_length(n), (n, word)
-    assert memo.cache_info().currsize == len(set(entries)) == 4_643
+    assert memo.cache_info().currsize == len(set(entries)) == 5_699
 
 
 def test_fewer_letters_than_iji_read_no_blocks(monkeypatch):

@@ -523,6 +523,50 @@ def test_bar_and_tilde_read_their_input_once(monkeypatch):
                     assert reads == expected, (op.__name__, n, f)
 
 
+def test_the_boundary_check_reads_each_element_heap_once(monkeypatch):
+    # the TL -> 2B check of `verify` on every non-positive form at ranks
+    # 2-4 and affine lengths 0-2: the sweep reads each element's heap once,
+    # for its state, and `verify.boundary_image_holds` runs the cores
+    # `_bar` and `_tilde` under that state, so it reads no heap of the
+    # element, only its image's, once in the checked spelling and once more
+    # where the image is a LengthOne with brackets: 459 heap readings and
+    # 459 greatest-member builds for 342 elements, where the checked `bar`
+    # and `tilde` made 1,143 and 801
+    from blobcat import verify
+
+    elements = []
+    for n in (2, 3, 4):
+        for s in range(3):
+            for f in fc_forms(n, s):
+                state = heap_state(n, word_of_normal_form(n, f))
+                if state != HeapState.POSITIVE:
+                    elements.append((n, f, state))
+    reads, builds = [], []
+
+    def spy(seen, inner):
+        def called(n, word):
+            seen.append(word)
+            return inner(n, word)
+
+        return called
+
+    monkeypatch.setattr(nfm, "heap_state", spy(reads, heap_state))
+    monkeypatch.setattr(verify, "heap_state", spy(reads, heap_state))
+    monkeypatch.setattr(nfm, "_normal_word", spy(builds, nfm._normal_word))
+    read = built = 0
+    for n, f, state in elements:
+        reads.clear()
+        builds.clear()
+        assert verify.boundary_image_holds(n, f, state), (n, f)
+        word = nfm._word_of_normal_form(n, f)
+        assert word not in reads and word not in builds, (n, f)
+        read, built = read + len(reads), built + len(builds)
+    assert (len(elements), read, built) == (342, 459, 459)
+    positive = normal_form_of_word(2, (1,))
+    with pytest.raises(ValueError, match="POSITIVE element has no boundary image"):
+        verify.boundary_image_holds(2, positive, HeapState.POSITIVE)
+
+
 def test_bar_and_tilde_shrink_across_generation():
     # every image is itself a generated normal form, not just a valid one
     for n in (2, 3, 4, 5):

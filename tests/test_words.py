@@ -3,7 +3,7 @@
 import itertools
 import random
 import time
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -389,7 +389,7 @@ def test_canonical_append_matches_canonical_word_on_every_row_slot():
     for n in range(1, 7):
         for b in sb_basis(n):
             for g in range(n + 1):
-                _, at = words._closing_gap(b, g)
+                _, at, _ = words._closing_gap(n, b, g)
                 assert b[:at] + (g,) + b[at:] == words._canonical_word(n, b + (g,)), (n, b, g)
                 slots += 1
     assert slots == 50_882
@@ -407,7 +407,7 @@ def test_canonical_append_matches_canonical_word_random():
             continue
         word = canonical_word(n, word)
         for g in {0, n, rng.randint(0, n), *word[-1:]}:
-            _, at = words._closing_gap(word, g)
+            _, at, _ = words._closing_gap(n, word, g)
             assert word[:at] + (g,) + word[at:] == canonical_word(n, word + (g,)), (n, word, g)
             checked += 1
     assert checked > 9_000
@@ -428,49 +428,82 @@ def test_appends_square_on_every_row_slot():
                 else:
                     exps, word = algebra._blob_loop(n, b + (g,))
                     reduced = (algebra._unpacked(exps), word)
-                square = words._closing_gap(b, g)[0] == 0
+                square = words._closing_gap(n, b, g)[0] == 0
                 assert square == (reduced == (scalars[g, g], b)), (n, b, g)
                 squares += square
     assert squares == 15_845
 
 
+def _closing_kind(n, word, g):
+    """
+    `words._closing_gap` of g after `word`, checked against the left-to-right
+    heap reading (`oracles.closing_scan`): the same gap, and the same
+    closure, its pattern and q, the witness position where the rule's kept
+    prefix ends.  Returns the gap and the closure's kind, or None.
+    """
+    gap, _, closure = words._closing_gap(n, word, g)
+    expected, hit = closing_scan(n, word, g)
+    assert gap == expected, (n, word, g)
+    if hit is None:
+        assert closure is None, (n, word, g)
+        return gap, None
+    witness, pattern, triple = hit
+    keep = algebra._rule_steps(AlgebraLevel.SYMPLECTIC_BLOB, n)[pattern][0]
+    assert closure == (pattern, witness[keep]), (n, word, g)
+    return gap, "triple" if triple else {2: "ss", 3: "sts", 4: "stst"}[len(pattern)]
+
+
 def test_closing_gap_matches_the_heap_on_every_row_slot():
-    # every slot of the blob action rows at ranks 1-6: the gap is the one
-    # the left-to-right heap reading has for g after the basis word
-    # (`oracles.closing_scan`); at 0 g closes the square g g, at 2 nothing,
-    # and the product is positive exactly where g closes nothing
-    gaps = [0, 0, 0]
+    # every slot of the blob action rows at ranks 1-6: the gap and the
+    # closure are the ones the left-to-right heap reading has for g after
+    # the basis word; at 0 g closes the square g g, at 2 nothing, and the
+    # product is positive exactly where g closes nothing.  The key w[:q]
+    # of the row a closing fill folds the tail through is a canonical basis
+    # word
+    kinds = Counter()
     for n in range(1, 7):
         for b in sb_basis(n):
             for g in range(n + 1):
-                gap, closure = closing_scan(n, b, g)
-                assert words._closing_gap(b, g)[0] == gap, (n, b, g)
-                assert (gap == 0) == (closure is not None and closure[1] == (g, g)), (n, b, g)
-                assert gap < 2 or closure is None, (n, b, g)
+                gap, kind = _closing_kind(n, b, g)
+                assert (gap == 0) == (kind == "ss"), (n, b, g)
+                assert gap < 2 or kind is None, (n, b, g)
                 positive = heap_state(n, b + (g,)) == HeapState.POSITIVE
-                assert positive == (closure is None), (n, b, g)
-                gaps[gap] += 1
-    assert gaps == [15_845, 22_898, 12_139]
+                assert positive == (kind is None), (n, b, g)
+                if kind is not None:
+                    key = b[: words._closing_gap(n, b, g)[2][1]]
+                    assert canonical_word(n, key) == key, (n, b, g)
+                    assert algebra.in_index_set(AlgebraLevel.SYMPLECTIC_BLOB, n, key), (n, b, g)
+                kinds[gap, kind] += 1
+    assert kinds == {
+        (0, "ss"): 15_845,
+        (1, "sts"): 13_828,
+        (1, "stst"): 2_958,
+        (1, "triple"): 702,
+        (1, None): 5_410,
+        (2, None): 12_139,
+    }
 
 
 def test_closing_gap_matches_the_heap_random():
     # canonical words at ranks 2-256, random and drifting (deep heaps), each
     # with the end letters, its own last letter and one random letter, as
-    # for the insertion test above
+    # for the insertion test above; the words may hold chains, which the
+    # scan reads as the heap reading does
     rng = random.Random(79)
     cases = random_words(seed=83, count=1_500, max_n=256, max_len=200)
     cases += _drifting_words(seed=89, count=1_500, max_n=256, max_len=200)
-    gaps = [0, 0, 0]
+    gaps, kinds = [0, 0, 0], Counter()
     for n, word in cases:
         if n < 2:
             continue
         word = canonical_word(n, word)
         for g in {0, n, rng.randint(0, n), *word[-1:]}:
-            gap, closure = closing_scan(n, word, g)
-            assert words._closing_gap(word, g)[0] == gap, (n, word, g)
-            assert (gap == 0) == (closure is not None and closure[1] == (g, g)), (n, word, g)
+            gap, kind = _closing_kind(n, word, g)
+            assert (gap == 0) == (kind == "ss"), (n, word, g)
             gaps[gap] += 1
+            kinds[kind] += 1
     assert sum(gaps) > 9_000 and min(gaps) > 500, gaps
+    assert set(kinds) == {None, "ss", "sts", "stst", "triple"} and kinds["stst"] > 50, kinds
 
 
 @pytest.mark.parametrize("word", [(2.0, 0, 1), (0, "1"), (None,), (0, True)])
