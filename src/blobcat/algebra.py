@@ -26,42 +26,32 @@ order it read it, and `reduce_word` canonicalises that word once, as it
 returns.  Every heap reading lives in `words`; this module holds the rules.
 
 The blob level is finite-dimensional, and reduces a word by one of two
-routes, by rank.  Below rank 7 (`_LOOP_RANK`) it folds words from the
-left through its action rows (`_rows`), the right regular representation
-on the basis: one row per basis word reached, holding that word times
-each generator as (packed exponents, next row), so a letter costs one
-list index.  An empty slot (`_fill`) is routed by one short scan back
-from the end of the row's word w (`words._closing_gap`), since only its
-generator g can close a chain or a triple there; the same scan reads
-what g closes and where g goes in the product's least class member.  A
-square g g, sts, stst or a boundary triple drops the letters of w g at
-the closure's witness q and at the end, so the entry is the rule's
-monomial times the rest of w, w[q+1:], folded through the row of the
-shorter basis word w[:q] (the row itself for a square).  A g that
-closes nothing leaves a positive product, which with fewer letters than
-I J I is blobbed and so its own basis word.  Only a positive product of
-at least as many letters as I J I reaches the whole-word memo,
-`_reduce_canonical`, keyed by that least member, so a fill reads no
-heap to build its key (README "Costs" counts the slots of each route).
-No class member of a positive word holds a chain or a boundary triple,
-so the memo looks for I J I and J I J alone, in as many members of the
-word's class as it has letters, and hands what it finds, or a word
-whose blob factor lies past them, to `_blob_loop` below.  The rows of
-ranks 1-6 hold at most 50,882 entries and the memo at most 5,699 words,
-so both are bounded in total.
+routes, by rank.  Below rank 7 (`_LOOP_RANK`) one loop (`_fold_rows`)
+folds words from the left through its action rows (`_rows`), the right
+regular representation on the basis: one row per basis word reached,
+holding that word times each generator as (packed exponents, next row),
+so a letter costs one list index.  An empty slot (`_fill`) is routed by
+one short scan back from the end of the row's word w
+(`words._closing_gap`), since only its generator g can close a chain or
+a triple there.  A closure drops the letters of w g at its witness q and
+at the end, so the entry is the rule's monomial times w[q+1:] folded
+from the row of w[:q].  A g that closes nothing leaves a positive
+product, its own basis word when it has fewer letters than I J I; a
+longer one goes to the memo `_reduce_canonical`, which takes its blob
+rule, if it has one, and folds the shorter word from the empty row.
+Every folded word is shorter than the product filled, so nested fills
+end.  The rows of ranks 1-6 hold at most 50,882 entries and the memo at
+most 5,699 words (README "Costs" counts the fills of each route).
 
 From rank 7 on, a long word reaches a new basis word at nearly every
 letter, and the rows would grow with the word.  There `_blob_loop`
-reduces the word `_CHUNK` letters at a time and keeps nothing.  It is the
-one code that takes the paper's blob step, at every rank: the
+reduces the word `_CHUNK` letters at a time and keeps nothing: the
 two-boundary heap-scan fold on the blob rule table, then, while the
-rigid blocks of the result are not blobbed, the blob step and the fold
-again.  A positive word with fewer letters than I J I is blobbed, and
-`_unblobbed_blocks`, the one blob test of a word, reads no blocks for it.
-Chunks are sound because reduction respects products, the
-regular-representation half of Bergman's diamond lemma (1978);
-`verify.check_confluence` and the tests reduce factors first to test that
-the rewrite order does not matter.
+rigid blocks of the result are not blobbed (`_unblobbed_blocks`), the
+paper's blob step and the fold again.  Chunks are sound because
+reduction respects products, the regular-representation half of
+Bergman's diamond lemma (1978); `verify.check_confluence` and the tests
+reduce factors first to test that the rewrite order does not matter.
 
 At rank 1 the two boundary pairs coincide; overlapping rules are resolved by
 fixed priority (blob rules first, then the left boundary), which keeps the
@@ -314,18 +304,19 @@ def _rule_steps(level: AlgebraLevel, n: int) -> dict[Letters, tuple[int, int]]:
 @lru_cache(maxsize=None)
 def _reduce_canonical(n: int, word: Letters) -> tuple[int, Letters]:
     """
-    A miss of the action rows (`_fill`), so only at ranks 1-6: a positive
-    canonical word of at least as many letters as I J I reduced to (packed
-    monomial, basis word).  No member of a positive word's class holds a
-    chain or a boundary triple (Stembridge 1996), so the first `len(word)`
-    members, walked breadth first from `word`, are searched for I J I and
-    J I J alone.  The earliest member holding one keeps the pattern's
-    prefix at the first position that holds one, and the shorter word goes
-    to `_blob_loop`.  A word whose first member holds neither and whose
-    blocks are blobbed (`_unblobbed_blocks`) is a basis index, at one
-    member; any other goes to `_blob_loop` whole.  The memo keeps only the
-    words `_fill` sends, at most 5,699 over ranks 1-6.  The walk and the
-    cache stay while the benchmark counts them
+    A positive canonical word of at least as many letters as I J I, a
+    product that `_fill` meets at ranks 1-6, reduced to (packed monomial,
+    basis word).  No member of a positive word's class holds a chain or a
+    boundary triple (Stembridge 1996), so the first `len(word)` members,
+    walked breadth first from `word`, are searched for I J I and J I J
+    alone.  The earliest member holding one keeps the pattern's prefix at
+    the first position that holds one.  A word whose first member holds
+    neither is a basis index if its blocks are blobbed
+    (`_unblobbed_blocks`), at one member; if the walk finds neither, the
+    blob step on those blocks, `grids._oblique_shortening_word`, gives the
+    shorter word, times k.  The shorter word is folded from the empty row
+    (`_fold_rows`).  The memo keeps at most 5,699 words over ranks 1-6.
+    The walk and the cache stay while the benchmark counts them
     (`perfbench/tests/test_perfbench.py:97-98`, ROADMAP item 1a).
     """
     steps, odd, even = _rule_steps(AlgebraLevel.SYMPLECTIC_BLOB, n), i_word(n), j_word(n)
@@ -338,11 +329,12 @@ def _reduce_canonical(n: int, word: Letters) -> tuple[int, Letters]:
                 pattern, (keep, exps) = blob[letter]
                 if member[pos : pos + len(pattern)] == pattern:
                     rest = member[pos + len(pattern) :]
-                    tail, final = _blob_loop(n, member[: pos + keep] + rest)
-                    return exps + tail, final
-        if drawn == 1 and _unblobbed_blocks(n, word) is None:
+                    exps, row = _fold_rows(n, exps, _rows(n)[()], member[: pos + keep] + rest)
+                    return exps, row[-1]
+        if drawn == 1 and (blocks := _unblobbed_blocks(n, word)) is None:
             return 0, word
-    return _blob_loop(n, word)
+    exps, row = _fold_rows(n, _K_STEP, _rows(n)[()], _oblique_shortening_word(n, blocks))
+    return exps, row[-1]
 
 
 @cache
@@ -368,24 +360,17 @@ def _fill(n: int, row: list, g: int) -> tuple[int, list]:
     (`words._closing_gap`) reads what it closes and where g goes in the
     product's least class member:
 
-    - g closes a square, sts, stst or a boundary triple: each of these
-      rules keeps a prefix of its pattern that ends before q, the
-      position of g's one neighbour after its last g (the end for a
-      square), and drops the letters of w g at q and at the end.  So the
-      entry is the rule's monomial times w[:q] w[q+1:]: the tail w[q+1:]
-      folded through the row of w[:q], w's own row for a square.  That
-      key is a prefix of a canonical basis word, so canonical, and a
-      basis word, since the basis is closed under factors; it is shorter
-      than w, so nested fills end;
+    - g closes a square, sts, stst or a boundary triple: the rule keeps a
+      prefix of its pattern that ends before q, the position of g's one
+      neighbour after its last g (the end for a square), and drops the
+      letters of w g at q and at the end.  So the entry is the rule's
+      monomial times w[q+1:] folded from the row of w[:q], a prefix of a
+      canonical basis word and so a basis word, since the basis is closed
+      under factors;
     - g closes nothing: the product is positive, and with fewer letters
-      than I J I (`_iji_length`) it is blobbed, so its least class member
-      is its own basis word, times 1;
-    - any other product is positive with at least as many letters as
-      I J I and needs the blob test: it is reduced by `_reduce_canonical`,
-      keyed by that least member, so no fill reads a heap for its key.
-
-    Only the last route keeps a memo, bounded by the products it takes;
-    no fill calls `_blob_loop` itself.
+      than I J I (`_iji_length`) it is blobbed, its own basis word times 1;
+      a longer one is reduced by the memo `_reduce_canonical`, keyed by
+      that least member, so no fill reads a heap for its key.
     """
     word = row[-1]
     _, at, closure = _closing_gap(n, word, g)
@@ -398,28 +383,35 @@ def _fill(n: int, row: list, g: int) -> tuple[int, list]:
         exps = _rule_steps(AlgebraLevel.SYMPLECTIC_BLOB, n)[pattern][1]
         key = word[:q]
         target = _rows(n).setdefault(key, [None] * (n + 1) + [key])
-        for a in word[q + 1 :]:
-            step, target = target[a] or _fill(n, target, a)
-            exps += step
+        exps, target = _fold_rows(n, exps, target, word[q + 1 :])
     row[g] = entry = (exps, target)
     return entry
+
+
+def _fold_rows(n: int, exps: int, row: list, word: Letters) -> tuple[int, list]:
+    """
+    The letters of `word` folded from `row` through the rank-n action rows,
+    filling each empty slot met (`_fill`), as (packed monomial, row reached)
+    with `exps` added: one list index per letter on filled rows.
+    """
+    for g in word:
+        step, row = row[g] or _fill(n, row, g)
+        exps += step
+    return exps, row
 
 
 def _blob_loop(n: int, word: Letters) -> tuple[int, Letters]:
     """
     A blob-level word reduced with no rows and no memo, as (packed monomial,
-    canonical basis word).  The two-boundary fold with the blob rule table
-    (`words._fold`) leaves a positive word in read order; its rigid blocks are
-    read off it as they stand, since the greatest class member they come
-    from is the same for every word of the element, at most once a pass,
-    and not at all for a word shorter than I J I (`_unblobbed_blocks`).  A
-    positive word whose blocks are blobbed is a basis index, canonicalised
-    once as the loop returns, and any other takes the paper's blob step,
+    canonical basis word), for `reduce_word` from rank `_LOOP_RANK` on.  The
+    two-boundary fold with the blob rule table (`words._fold`) leaves a
+    positive word in read order; its rigid blocks are read off it as they
+    stand, since the greatest class member they come from is the same for
+    every word of the element (`_unblobbed_blocks`).  A positive word whose
+    blocks are blobbed is a basis index, canonicalised once as the loop
+    returns, and any other takes the paper's blob step,
     `grids._oblique_shortening_word`, one I J alternation fewer, times k,
     and is folded again.  Each pass shortens the word, so the loop ends.
-    It has two callers: `reduce_word` from rank `_LOOP_RANK` on, and
-    `_reduce_canonical` on the word its class walk rewrites, or on a word
-    whose blob factor the walk does not reach.  No row fill calls it.
     """
     steps, exps = _rule_steps(AlgebraLevel.SYMPLECTIC_BLOB, n), 0
     while True:
@@ -487,17 +479,13 @@ def reduce_word(level: AlgebraLevel, n: int, word: Letters) -> tuple[Scalar, Let
     # the letters are checked first: slot n + 1, and slot -1, of a row is
     # its basis word, not an entry
     word = check_word(n, word)
-    exps = 0
     if n >= _LOOP_RANK:
-        reduced: Letters = ()
+        exps, reduced = 0, ()
         for start in range(0, len(word), _CHUNK):
             step, reduced = _blob_loop(n, reduced + word[start : start + _CHUNK])
             exps += step
         return _unpacked(exps), reduced
-    row = _rows(n)[()]
-    for g in word:
-        step, row = row[g] or _fill(n, row, g)
-        exps += step
+    exps, row = _fold_rows(n, 0, _rows(n)[()], word)
     return _unpacked(exps), row[-1]
 
 

@@ -400,11 +400,13 @@ def bar(n: int, nf: NormalForm) -> tuple[NormalForm, bool]:
     LEFT_TRIPLE; elsewhere ValueError).  Returns the image together with a
     flag marking the single case whose monomial identity carries an extra
     right-boundary coefficient.  The domain is checked here, on the word
-    the form spells; `_bar` is the operator on a form known to lie in it.
+    the form spells, and so is the image; `_bar` is the operator on a form
+    known to lie in it, and checks nothing.
     """
     if heap_state(n, word_of_normal_form(n, nf)) != HeapState.LEFT_TRIPLE:
         raise ValueError(f"bar is only defined on non-left-positive elements: {nf}")
-    return _bar(n, nf)
+    image, needs_kr = _bar(n, nf)
+    return check_normal_form(n, image), needs_kr
 
 
 def _bar(n: int, nf: NormalForm) -> tuple[NormalForm, bool]:
@@ -431,7 +433,7 @@ def _bar(n: int, nf: NormalForm) -> tuple[NormalForm, bool]:
         case LengthOne(i, DescentTail(h)) if i <= 0 and h < 0:
             return LengthOne(i, DescentTail(-h)), False
         case LengthOne(i, tuple() as v) if bform_is_negative(v):
-            return check_normal_form(n, LengthOne(i, _flip_last_bracket(v))), False
+            return LengthOne(i, _flip_last_bracket(v)), False
         case LengthZero(form) if bform_is_negative(form):
             return LengthZero(_flip_last_bracket(form)), False
     raise ValueError(f"bar is only defined on non-left-positive elements: {nf}")
@@ -442,15 +444,15 @@ def tilde(n: int, nf: NormalForm) -> NormalForm:
     The shortening operator on left-positive, non-right-positive elements
     (`heap_state` RIGHT_TRIPLE; elsewhere ValueError).  Some forms outside
     the domain share the shapes that `_tilde` matches, so it is checked
-    first, on the word the form spells.
+    first, on the word the form spells, and the image after.
     """
     if heap_state(n, word_of_normal_form(n, nf)) != HeapState.RIGHT_TRIPLE:
         raise ValueError(f"tilde is only defined on left- but not right-positive elements: {nf}")
-    return _tilde(n, nf)
+    return check_normal_form(n, _tilde(n, nf))
 
 
 def _tilde(n: int, nf: NormalForm) -> NormalForm:
-    """`tilde` of a normal form whose heap state is RIGHT_TRIPLE."""
+    """`tilde` of a normal form whose heap state is RIGHT_TRIPLE, unchecked."""
     match nf:
         case LengthOne(i, tuple() as v) if 0 < i < n:
             # end of the staircase prefix hugging the affine letter; a low
@@ -463,7 +465,7 @@ def _tilde(n: int, nf: NormalForm) -> NormalForm:
                 head: BForm = (Bracket(i, l_alpha),)
             else:
                 head = tuple(Bracket(g, g) for g in range(i, l_alpha - 1, -1))
-            return check_normal_form(n, LengthZero(head + v[alpha:]))
+            return LengthZero(head + v[alpha:])
         case LengthOne(0, DescentTail(h)):
             if h > 0:
                 return LengthZero((Bracket(0, h),))

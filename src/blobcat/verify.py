@@ -344,14 +344,13 @@ def check_quotient_identities(max_n: int | None = None) -> Check:
     affine lengths 0..2 (rank 1 is left out: its block words are not all
     positive), and the boundary identities at ranks up to max_n.
 
-    The 2B -> SB half would be circular on a word that the kernel hands to
-    its own blob step, `algebra._blob_loop`: there it compares
-    `reduce_word` with k times `reduce_word` on the very image the loop
-    stepped to.  The loop takes every word from rank 7 on, and below it
-    every memo word that is not a basis word, so words of this range can
-    reach that step: run alone in a fresh process, this check makes 14
-    loop calls and no blob step, and in `verify --suite algebra` order 4
-    and none.
+    The 2B -> SB half would be circular on a word that the kernel takes
+    its own blob step on (`algebra._blob_loop`, or the memo's
+    `grids._oblique_shortening_word`): there it compares `reduce_word`
+    with k times `reduce_word` on the very image the kernel stepped to.
+    On this range it is not: run alone in a fresh process, and in
+    `verify --suite algebra` order, this check makes no loop call and no
+    blob step.
     The independent reference is the test
     `test_blob_step_matches_the_class_walk`, against a reducer that only
     walks commutation classes, at ranks 2-3 and affine lengths 0-4, which

@@ -233,8 +233,9 @@ def deep_blob_redex():
     """
     A rank-6 blob product whose first blob redex lies so deep in its class
     that a walk to it passes 10^6 members after about 10 s; the row fill
-    that meets it walks len(word) members and hands the word to the
-    heap-scan loop `_blob_loop`, which takes the blob step at once.
+    that meets it, on a 20-letter product, walks len(word) members, takes
+    the blob step at once on the rigid blocks it read for the first, and
+    folds the 13-letter word that step leaves from the empty row.
     """
     word = "5,4,3,2,1,6,5,4,3,2,6,5,4,6,5,6,0,2,1,0,3,2,1,0,5,4,3,6"
     yield _blobcat("reduce", "--n", "6", "--level", "sb", "--word", word)
@@ -346,8 +347,7 @@ def blob_action_rank_6():
     """
     Every entry of the rank-6 action rows, the 5,748 basis words times each
     of the 7 generators, one line b|g|scalar|z each; the hash was recorded
-    from the whole-word rewrite _reduce_canonical of each product, which
-    does not read the rows.
+    from a whole-word rewrite of each product that read no rows.
     """
     lines = []
     for b in sb_basis(6):
@@ -399,9 +399,9 @@ def blob_fill_stream():
     The reduce lines of 3,000 words at each of ranks 4, 5 and 6 at the blob
     level, each of 8 to 18 letters `randint(0, n)` drawn from one
     `random.Random(4)`, from cold action rows: short words that fill slots
-    by every route of `algebra._fill`.  The hash was recorded from the fill
+    by every route of `algebra._fill`.  The hash was recorded from a fill
     that reduced every product closing no square through the whole-word
-    memo.
+    memo, which handed each word it rewrote to `_blob_loop`.
     """
     algebra._rows.cache_clear()
     algebra._reduce_canonical.cache_clear()

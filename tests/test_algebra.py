@@ -774,38 +774,28 @@ def test_blob_action_matches_the_whole_word_rewrite_exhaustive():
     assert entries == 8568  # at rank 5
 
 
-def test_row_fills_hand_deep_redexes_to_the_blob_loop(monkeypatch):
+def test_row_fills_take_no_blob_loop(monkeypatch):
     # every slot of the rank-4 and rank-5 action rows, filled cold: a fill
     # whose g closes a chain or a triple (`words._closing_gap`'s closure)
-    # takes the rule and folds the rest through a shorter row, so no fill
-    # calls `_blob_loop` itself; only the memo hands it its words that are
-    # not basis words, rewritten by its class walk or whole.  Every entry
-    # is what one-step rewrites of the whole product give
+    # takes the rule and folds the rest through a shorter row, and the memo
+    # folds the word its class walk rewrites, or its blob step's word,
+    # from the empty row, so neither calls `_blob_loop`.  Every entry is
+    # what one-step rewrites of the whole product give
     # (`oracles.loop_reduce`)
-    handed, loop, memo = [], algebra._blob_loop, algebra._reduce_canonical
-    depth = [0]
+    handed, loop = [], algebra._blob_loop
 
     def spy(n, word):
-        handed.append((n, depth[0] > 0))
+        handed.append((n, word))
         return loop(n, word)
 
-    def in_memo(n, word):
-        depth[0] += 1
-        try:
-            return memo(n, word)
-        finally:
-            depth[0] -= 1
-
     monkeypatch.setattr(algebra, "_blob_loop", spy)
-    monkeypatch.setattr(algebra, "_reduce_canonical", in_memo)
     algebra._rows.cache_clear()
-    memo.cache_clear()
+    algebra._reduce_canonical.cache_clear()
     for n in (4, 5):
         for b in sb_basis(n):
             for g in range(n + 1):
                 assert reduce_word(SB, n, b + (g,)) == loop_reduce(SB, n, b + (g,)), (n, b, g)
-    counts = [handed.count(key) for key in ((4, False), (4, True), (5, False), (5, True))]
-    assert counts == [0, 58, 0, 256]
+    assert handed == []
 
 
 def test_a_fill_reads_no_heap_for_its_key(monkeypatch):
@@ -846,15 +836,21 @@ def test_the_fill_order_does_not_change_the_rows(monkeypatch):
     # every slot of the rank 1-5 rows, filled from cold rows in three
     # seeded random orders (`pins.shuffled_fill`): each table is what
     # one-step rewrites of the whole product give (`oracles.loop_reduce`),
-    # and a fill nests fills only on rows of words shorter than its own,
-    # so nested fills end
+    # with no call of `_blob_loop`; a fill nests fills only on rows of
+    # words shorter than its own, and every fold that a fill starts, of its
+    # closing tail or of the shorter word of its memo call, whose key is
+    # the fill's product, folds fewer letters than that product, so nested
+    # fills end
     expected = {
         (n, b, g): loop_reduce(SB, n, b + (g,))
         for n in range(1, 6)
         for b in sb_basis(n)
         for g in range(n + 1)
     }
-    fill, callers, nested = algebra._fill, [], []
+    fill, fold, callers, nested, folded = algebra._fill, algebra._fold_rows, [], [], []
+
+    def refuse(n, word):
+        raise AssertionError(f"a row fill reached the blob loop on {word}")
 
     def spy(n, row, g):
         if callers:
@@ -865,7 +861,14 @@ def test_the_fill_order_does_not_change_the_rows(monkeypatch):
         finally:
             callers.pop()
 
+    def fold_spy(n, exps, row, word):
+        if callers:  # a memo call folds from the empty row, a closing tail never
+            folded.append((len(row[-1]) + len(word), callers[-1] + 1, row[-1] == ()))
+        return fold(n, exps, row, word)
+
+    monkeypatch.setattr(algebra, "_blob_loop", refuse)
     monkeypatch.setattr(algebra, "_fill", spy)
+    monkeypatch.setattr(algebra, "_fold_rows", fold_spy)
     try:
         for seed in (1, 2, 3):
             for n in range(1, 6):
@@ -878,6 +881,8 @@ def test_the_fill_order_does_not_change_the_rows(monkeypatch):
     finally:
         algebra._rows.cache_clear()
     assert nested and all(inner < outer for inner, outer in nested)
+    assert any(by_memo for *_, by_memo in folded)
+    assert all(inner < outer for inner, outer, _ in folded)
 
 
 def test_a_square_fill_takes_no_memo(monkeypatch):
@@ -952,22 +957,27 @@ def test_a_short_positive_fill_is_its_own_basis_word(monkeypatch):
 
 
 def test_a_full_fill_leaves_the_memo_at_its_bound(monkeypatch):
-    # every slot of the rank 1-6 rows, filled cold: only the 10,902 positive
-    # products of at least as many letters as I J I reach the memo, and it
-    # ends at 5,699 words, the distinct products and nothing else, the most
-    # that any sequence of fills leaves there
+    # every slot of the rank 1-6 rows, filled cold, with no call of
+    # `_blob_loop`: only the 10,902 positive products of at least as many
+    # letters as I J I reach the memo, 10,491 from a fill the memo did not
+    # start and 411 from the fold of a memo word, and it ends at 5,699
+    # words, the distinct products and nothing else, the most that any
+    # sequence of fills leaves there
     entries, memo = [], algebra._reduce_canonical
     depth = [0]
 
+    def refuse(n, word):
+        raise AssertionError(f"a row fill reached the blob loop on {word}")
+
     def spy(n, word):
-        if not depth[0]:
-            entries.append((n, word))
+        entries.append((n, word, depth[0] > 0))
         depth[0] += 1
         try:
             return memo(n, word)
         finally:
             depth[0] -= 1
 
+    monkeypatch.setattr(algebra, "_blob_loop", refuse)
     monkeypatch.setattr(algebra, "_reduce_canonical", spy)
     algebra._rows.cache_clear()
     memo.cache_clear()
@@ -975,11 +985,12 @@ def test_a_full_fill_leaves_the_memo_at_its_bound(monkeypatch):
         for b in sb_basis(n):
             for g in range(n + 1):
                 reduce_word(SB, n, b + (g,))
-    assert len(entries) == 10_902
-    for n, word in entries:
+    nested = [inside for _, _, inside in entries]
+    assert (nested.count(False), nested.count(True)) == (10_491, 411)
+    for n, word, _ in entries:
         assert words.heap_state(n, word) == words.HeapState.POSITIVE, (n, word)
         assert len(word) >= algebra._iji_length(n), (n, word)
-    assert memo.cache_info().currsize == len(set(entries)) == 5_699
+    assert memo.cache_info().currsize == len({(n, w) for n, w, _ in entries}) == 5_699
 
 
 def test_fewer_letters_than_iji_read_no_blocks(monkeypatch):
@@ -1147,7 +1158,7 @@ def test_deep_blob_redex_is_found_in_few_members(monkeypatch):
     # This rank-8 word is reduced FC and free of boundary triples, so only a
     # blob rule applies; its first IJI factor lies ~325k members into the
     # walk.  The step oracle takes the blob step from the heap after 15
-    # members, and the blob-level fill hands the word to `_blob_loop` after
+    # members, and the blob-level fill takes it on the word's blocks after
     # the same 15.
     word = DEEP_RANK_8
     assert in_index_set(TB, 8, word) and not in_index_set(SB, 8, word)
@@ -1162,8 +1173,8 @@ def test_deep_blob_redex_is_found_in_few_members(monkeypatch):
 
 
 # a positive rank-4 product, a basis word times a generator, whose blob
-# redex lies past its first 8 class members, so the fill hands it to
-# `_blob_loop`, which takes the blob step to (1, 0, 3) times k
+# redex lies past its first 8 class members, so the fill takes the blob
+# step on its blocks, to (1, 0, 3) times k
 HAND_OFF_RANK_4 = (1, 0, 3, 2, 1, 0, 4, 3)
 
 
@@ -1175,12 +1186,11 @@ def _fill_whole_word(n, word):
 
 def test_blob_step_tests_the_blocks_once(monkeypatch):
     # the fill's blob test of the first member finds the rigid blocks not
-    # blobbed (`_unblobbed_blocks`), and past the walk `_blob_loop` tests
-    # each pass's blocks once: the blob step drops the alternation from
-    # them as they are, with no second `_is_blobbed`, and the last pass
-    # reads no blocks, since its 3 letters are fewer than I J I's 7; the
-    # public `oblique_shortening_word` still tests, and refuses a blobbed
-    # element
+    # blobbed (`_unblobbed_blocks`), and past the walk the blob step drops
+    # the alternation from those blocks as they are, with no second
+    # `_is_blobbed`; the fold of its word reads no blocks, since its 3
+    # letters are fewer than I J I's 7; the public `oblique_shortening_word`
+    # still tests, and refuses a blobbed element
     n, word = 4, HAND_OFF_RANK_4
     blocks = nfm._blocks_of_word(n, word)
     assert blocks == ((3, 4), (1, 3), (0, 1), (0, 0))
@@ -1194,10 +1204,10 @@ def test_blob_step_tests_the_blocks_once(monkeypatch):
     monkeypatch.setattr(grids, "_is_blobbed", counting)
     monkeypatch.setattr(algebra, "_is_blobbed", counting)
     assert _fill_whole_word(n, word) == (K, (1, 0, 3))
-    assert calls == [blocks, blocks]
+    assert calls == [blocks]
     with pytest.raises(ValueError, match="blobbed"):
         grids.oblique_shortening_word(n, ())
-    assert calls == [blocks, blocks, ()]
+    assert calls == [blocks, ()]
 
 
 def test_blob_path_checks_no_rigid_blocks(monkeypatch):
@@ -1267,7 +1277,7 @@ def test_each_redex_search_draws_at_most_word_length_members(monkeypatch):
             assert drawn == 1, (level, n, word, drawn)
     assert basis > 500
     # a redex past the bound reads the whole of it before the heap step or
-    # the hand-off to `_blob_loop`;
+    # the blob-level fill's blob step;
     # a basis word never does, so each such walk is on a word with a redex
     full = [s for s in searches if s[3] == len(s[2]) > 1]
     assert not [s for s in full if in_index_set(*s[:3])]
@@ -1297,12 +1307,12 @@ def _spy_on_heap_passes(monkeypatch) -> list:
 def test_basis_word_search_reads_one_member_and_the_heap_once(monkeypatch):
     # a search reads the heap at most once: a word with no pattern of its
     # own reads it once, so a basis word leaves after the word itself, and
-    # a word past the walk leaves without a second reading, to
-    # `_blob_loop` from the blob-level fill and to a heap step built from
-    # that reading in the step oracle.  The fill searches at the blob
-    # level, on the words it takes, positive ones of at least as many
-    # letters as I J I, and reads their blocks, not their heap; the oracle
-    # searches at TL and 2B, where `src` searches nothing
+    # a word past the walk leaves without a second reading, to the blob
+    # step on the blocks read in the blob-level fill and to a heap step
+    # built from that reading in the step oracle.  The fill searches at
+    # the blob level, on the words it takes, positive ones of at least as
+    # many letters as I J I, and reads their blocks, not their heap; the
+    # oracle searches at TL and 2B, where `src` searches nothing
     for n in (1, 2, 3):  # the IJI and JIJ grids are read once per rank and kept
         grids.iji_blocks(n), grids.jij_blocks(n)
     walks = _spy_on_class_walk(monkeypatch)
@@ -1314,10 +1324,10 @@ def test_basis_word_search_reads_one_member_and_the_heap_once(monkeypatch):
         return blocks_of_word(n, word)
 
     monkeypatch.setattr(algebra, "_blocks_of_word", reading_blocks)
-    # one search per call: the fill hands what it does not answer to a
-    # stub, not to the loop's own readings
+    # one search per call: the fill folds the shorter word it does not
+    # answer through a stub, not through the rows, whose fills search again
     fill = algebra._reduce_canonical.__wrapped__
-    monkeypatch.setattr(algebra, "_blob_loop", lambda n, word: (0, None))
+    monkeypatch.setattr(algebra, "_fold_rows", lambda n, exps, row, word: (exps, [None]))
     basis, fills = dict.fromkeys((TL, TB, SB), 0), 0
     for n in (1, 2, 3):
         for word in exhaustive_words(n, 6):
