@@ -43,12 +43,14 @@ Every folded word is shorter than the product filled, so nested fills
 end.  The rows of ranks 1-6 hold at most 50,882 entries and the memo at
 most 5,699 words (README "Costs" counts the fills of each route).
 
-From rank 7 on, a long word reaches a new basis word at nearly every
-letter, and the rows would grow with the word.  There `_blob_loop`
-reduces the word `_CHUNK` letters at a time and keeps nothing: the
-two-boundary heap-scan fold on the blob rule table, then, while the
-rigid blocks of the result are not blobbed (`_unblobbed_blocks`), the
-paper's blob step and the fold again.  Chunks are sound because
+From rank 7 on, the rows would cost too much to keep and to fill: at
+about 115 B an entry, full rows take 22.8 MB at rank 7 and 95 MB at rank
+8, and a cold pass of products of two basis words takes 58 and 172 µs a
+product on them, against 54 and 63 µs on the loop (ROADMAP "Measured").
+There `_blob_loop` reduces the word `_CHUNK` letters at a time and keeps
+nothing: the two-boundary heap-scan fold on the blob rule table, then,
+while the result is not blobbed (`_unblobbed_blocks`), the paper's blob
+step and the fold again.  Chunks are sound because
 reduction respects products, the regular-representation half of
 Bergman's diamond lemma (1978); `verify.check_confluence` and the tests
 reduce factors first to test that the rewrite order does not matter.
@@ -69,19 +71,21 @@ from functools import cache, lru_cache
 from itertools import islice, product
 
 from . import enumeration
-from .grids import _is_blobbed, _oblique_shortening_word, i_word, is_blobbed, j_word
-from .normal_forms import Blocks, _blocks_of_word, block_word
+from .grids import _blocks_of_columns, _columns_blobbed, _oblique_shortening_word, i_word, is_blobbed, j_word
+from .normal_forms import Blocks, block_word
 from .words import (
     HeapState,
     Letters,
     _canonical_word,
     _closing_gap,
+    _columns,
     _fold,
+    _heap_reading,
+    _word_columns,
     canonical_word,
     check_rank,
     check_word,
     format_word,
-    heap_state,
     iter_commutation_class,
 )
 
@@ -311,10 +315,10 @@ def _reduce_canonical(n: int, word: Letters) -> tuple[int, Letters]:
     walked breadth first from `word`, are searched for I J I and J I J
     alone.  The earliest member holding one keeps the pattern's prefix at
     the first position that holds one.  A word whose first member holds
-    neither is a basis index if its blocks are blobbed
-    (`_unblobbed_blocks`), at one member; if the walk finds neither, the
-    blob step on those blocks, `grids._oblique_shortening_word`, gives the
-    shorter word, times k.  The shorter word is folded from the empty row
+    neither is a basis index if it is blobbed (`_unblobbed_blocks`), at
+    one member; if the walk finds neither, the blob step on the blocks
+    that test built, `grids._oblique_shortening_word`, gives the shorter
+    word, times k.  The shorter word is folded from the empty row
     (`_fold_rows`).  The memo keeps at most 5,699 words over ranks 1-6.
     The walk and the cache stay while the benchmark counts them
     (`perfbench/tests/test_perfbench.py:97-98`, ROADMAP item 1a).
@@ -405,11 +409,11 @@ def _blob_loop(n: int, word: Letters) -> tuple[int, Letters]:
     A blob-level word reduced with no rows and no memo, as (packed monomial,
     canonical basis word), for `reduce_word` from rank `_LOOP_RANK` on.  The
     two-boundary fold with the blob rule table (`words._fold`) leaves a
-    positive word in read order; its rigid blocks are read off it as they
-    stand, since the greatest class member they come from is the same for
-    every word of the element (`_unblobbed_blocks`).  A positive word whose
-    blocks are blobbed is a basis index, canonicalised once as the loop
-    returns, and any other takes the paper's blob step,
+    positive word in read order; its columns are read off it as it stands,
+    since every word of the element spells the same columns
+    (`_unblobbed_blocks`).  A blobbed positive word is a basis index,
+    canonicalised once as the loop returns, and any other takes the
+    paper's blob step on the blocks built from its columns,
     `grids._oblique_shortening_word`, one I J alternation fewer, times k,
     and is folded again.  Each pass shortens the word, so the loop ends.
     """
@@ -432,16 +436,18 @@ def _iji_length(n: int) -> int:
 def _unblobbed_blocks(n: int, word: Letters) -> Blocks | None:
     """
     The rigid blocks of a positive word when they hold I J I or J I J, or
-    None when the word is blobbed.  A pattern is contained cell by cell
-    under a row shift (`grids._contains`), and a positive word has one cell
-    per letter, so a word with fewer letters than I J I (`_iji_length`) is
-    blobbed with no block read.  The one blob test of a word, for
-    `_blob_loop`, `_reduce_canonical` and `in_index_set`.
+    None when the word is blobbed: the blob test of a word for
+    `_blob_loop` and `_reduce_canonical`.  A pattern is contained cell by
+    cell, and a positive word has one cell per letter, so a word with
+    fewer letters than I J I (`_iji_length`) is blobbed with nothing read.
+    A longer one's columns are read once (`words._word_columns`) and
+    tested (`grids._columns_blobbed`); only a word that is not blobbed
+    has its blocks built from them, for the blob step.
     """
     if len(word) < _iji_length(n):
         return None
-    blocks = _blocks_of_word(n, word)
-    return None if _is_blobbed(n, blocks) else blocks
+    columns = _word_columns(n, word)
+    return None if _columns_blobbed(n, columns) else _blocks_of_columns(*columns)
 
 
 # The blob level folds words through the action rows below rank _LOOP_RANK,
@@ -466,10 +472,11 @@ def reduce_word(level: AlgebraLevel, n: int, word: Letters) -> tuple[Scalar, Let
     steps to the row of the basis word it lands on, adding the entry's
     packed monomial.  An empty slot reduces one basis word times one
     generator (`_fill`) and is kept; the rows of ranks 1-6 hold at most
-    50,882 entries.  From rank `_LOOP_RANK` on, where a long word reaches a
-    new basis word at nearly every letter, the word is reduced `_CHUNK`
-    letters at a time by `_blob_loop`, each chunk appended to the basis
-    word reduced so far, and nothing is kept: reduction respects products,
+    50,882 entries.  From rank `_LOOP_RANK` on, where full rows would take
+    22.8 MB and more and a cold pass over them is slower than the loop
+    (the module docstring), the word is reduced `_CHUNK` letters at a time
+    by `_blob_loop`, each chunk appended to the basis word reduced so far,
+    and nothing is kept: reduction respects products,
     so the chunks land where the whole word does.  The monomial becomes a
     `Scalar` once, at the end.
     """
@@ -497,23 +504,24 @@ def in_index_set(level: AlgebraLevel, n: int, word: Letters) -> bool:
     """
     Does the word index a basis monomial at this level, i.e. does no member
     of its commutation class hold a rule pattern of the level?  Read off one
-    `heap_state`, the one heap classifier: TL takes the reduced FC words, the two-boundary level
-    those with no boundary triple (the positive elements), and the blob
-    level those of them whose rigid blocks are blobbed (`_unblobbed_blocks`).
-    A positive word with fewer letters than I J I is blobbed, with no block
-    read.  The blocks of a longer one are the +1 runs of its greatest class
-    member, which one top-down greedy pass over the heap builds, with no
-    second check of the word (`normal_forms._blocks_of_word`) and no check
-    of the blocks (`grids._is_blobbed`).  O(len(word) + n) before the row
-    test of `is_blobbed`; a malformed word raises ValueError.
+    heap reading (`words._heap_reading`, the one heap classifier): TL takes
+    the reduced FC words, the two-boundary level those with no boundary
+    triple (the positive elements), and the blob level those of them whose
+    rigid-block grids avoid I J I and J I J.  A positive word with fewer
+    letters than I J I is blobbed with nothing more read; a longer one's
+    columns are read off that same reading (`words._columns`) and tested
+    in O(n) (`grids._columns_blobbed`), with no block built.
+    O(len(word) + n); a malformed word raises ValueError.
     """
-    word = tuple(word)  # heap_state checks it
-    state = heap_state(n, word)
+    word = tuple(word)  # the reading checks it
+    state, last, prev = _heap_reading(n, word)
     if state == HeapState.NOT_REDUCED_FC:
         return False
     if state != HeapState.POSITIVE:
         return level == AlgebraLevel.TL
-    return level != AlgebraLevel.SYMPLECTIC_BLOB or _unblobbed_blocks(n, word) is None
+    if level != AlgebraLevel.SYMPLECTIC_BLOB or len(word) < _iji_length(n):
+        return True
+    return _columns_blobbed(n, _columns(n, last, prev))
 
 
 @dataclass(frozen=True)

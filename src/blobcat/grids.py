@@ -7,9 +7,13 @@ and the rigid blocks; there is no grid object.
 The grid of a rigid-block word <l_1,r_1>...<l_k,r_k> is the point set
 {(i, j) : 1 <= i <= k, l_i <= j <= r_i}.  Columns carry generator identity
 and never move; rows are only defined up to a common shift, so containment
-quantifies over vertical translates.  Each row is an interval, so pattern
-containment is decided row by row on the blocks themselves: every row
-interval of the pattern must lie inside the shifted row of the element.
+quantifies over vertical translates.  Neither end of a block increases
+from one row to the next, so each column is an interval of rows: column
+j holds the rows from the first with l_i <= j to the last with r_i >= j.  So pattern
+containment is decided column by column (`_columns_blobbed`), in O(n)
+whatever the number of rows: the column intervals of the pattern, shifted
+by one common t, must lie inside those of the element (Stembridge 1996
+for heaps; the alternations I J I and J I J as in arXiv 1904.08351).
 
 Sweeping a line of slope -2 across the staircase drawing groups the points
 by the value 2*i + j.  Two points of one group sit an even number of columns
@@ -22,9 +26,10 @@ the even family J = s_0 s_2 s_4 ... are the two full obliques.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add
 from typing import Iterator
 
-from .words import Letters, check_rank
+from .words import Columns, Letters, check_rank
 from .normal_forms import Blocks, blocks_of_word, check_blocks
 
 
@@ -74,23 +79,76 @@ def jij_blocks(n: int) -> Blocks:
     return blocks_of_word(n, j + i + j)
 
 
-def _contains(blocks: Blocks, pattern: Blocks) -> bool:
+def _block_columns(n: int, blocks: Blocks) -> Columns | None:
+    """The columns of valid blocks, rows counted from the first block, or
+    None when some column is empty; O(cells + n)."""
+    low, count = [0] * (n + 1), [0] * (n + 1)
+    for i, (l, r) in enumerate(blocks):
+        for j in range(l, r + 1):
+            if not count[j]:
+                low[j] = i
+            count[j] += 1
+    return None if 0 in count else (low, count)
+
+
+@lru_cache(maxsize=None)
+def _pattern_columns(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """
-    True iff some row shift t puts every row interval of `pattern` inside
-    row t + i of `blocks`.  Rows are intervals and columns never move, so
-    this is point-set containment of the grids under a vertical translate.
-    One plain loop tests each shift from the pattern's first row down and
-    breaks at the first row that sticks out.  The empty pattern fits at
-    t = 0 of any element, `()` too; one taller than the element has no shift.
+    The columns of I J I and of J I J, read once from their blocks: per
+    column, its first row and the row past its last.
     """
-    for t in range(len(blocks) - len(pattern) + 1):
-        for i, (pl, pr) in enumerate(pattern, t):
-            l, r = blocks[i]
-            if pl < l or r < pr:
+    patterns = []
+    for blocks in (iji_blocks(n), jij_blocks(n)):
+        low, count = _block_columns(n, blocks)
+        patterns.append(tuple(zip(low, map(add, low, count))))
+    return tuple(patterns)
+
+
+def _columns_blobbed(n: int, columns: Columns | None) -> bool:
+    """
+    The one blob criterion, on the columns of a positive element
+    (`words.Columns`).  Columns never move and each holds consecutive rows,
+    in the element and in each pattern alike, so a pattern fits under the
+    row shift t iff, in every column j, its rows PL(j) .. PR(j) shifted by
+    t lie within the element's rows low[j] .. low[j] + count[j] - 1.  Both
+    patterns fill every column, so an element with an empty column is
+    blobbed; else a pattern fits iff
+    max_j (low[j] - PL(j)) <= min_j (low[j] + count[j] - 1 - PR(j)).
+    One pass over the columns narrows that range of shifts and stops once
+    it is empty: O(n), whatever the number of rows.
+    """
+    if columns is None:
+        return True
+    low, count = columns
+    for pattern in _pattern_columns(n):
+        (first, stop), l, c = pattern[0], low[0], count[0]
+        lo, hi = l - first, l + c - stop
+        for l, c, (first, stop) in zip(low, count, pattern):
+            if l - first > lo:
+                lo = l - first
+            if l + c - stop < hi:
+                hi = l + c - stop
+            if lo > hi:
                 break
         else:
-            return True
-    return False
+            return False
+    return True
+
+
+def _blocks_of_columns(low: list[int], count: list[int]) -> Blocks:
+    """
+    The rigid blocks of the element whose columns these are, none empty:
+    row i runs from the least to the greatest column with a cell in it.
+    """
+    base = low[-1]  # a column starts level with its left neighbour or a row above
+    rows = max(map(add, low, count)) - base
+    left, right = [0] * rows, [-1] * rows
+    for j, (l, c) in enumerate(zip(low, count)):
+        for i in range(l - base, l - base + c):
+            if right[i] < 0:
+                left[i] = j
+            right[i] = j
+    return tuple(zip(left, right))
 
 
 def is_blobbed(n: int, blocks: Blocks) -> bool:
@@ -99,8 +157,8 @@ def is_blobbed(n: int, blocks: Blocks) -> bool:
 
 
 def _is_blobbed(n: int, blocks: Blocks) -> bool:
-    """`is_blobbed` of blocks known to be valid."""
-    return not _contains(blocks, iji_blocks(n)) and not _contains(blocks, jij_blocks(n))
+    """`is_blobbed` of blocks known to be valid, by their columns."""
+    return _columns_blobbed(n, _block_columns(n, blocks))
 
 
 def oblique_shortening_word(n: int, blocks: Blocks) -> Letters:

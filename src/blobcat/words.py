@@ -355,6 +355,15 @@ def heap_state(n: int, word: Letters) -> HeapState:
     >>> heap_state(3, (2, 3, 2, 1, 0, 1)).name
     'LEFT_TRIPLE'
     """
+    return _heap_reading(n, word)[0]
+
+
+def _heap_reading(n: int, word: Letters) -> tuple[HeapState, list[int], list[int]]:
+    """
+    `heap_state` with the reading's `last` and `prev` lists (`Scan`), which
+    `_columns` reads the heap's columns off; they are whole only when the
+    reading ran to the end, not at NOT_REDUCED_FC.
+    """
     word = check_word(n, word)
     state = HeapState.POSITIVE
     scan = last, gap, prev, closed = [-1] * (n + 2), [0] * (n + 2), [-1] * len(word), [0] * len(word)
@@ -363,7 +372,7 @@ def heap_state(n: int, word: Letters) -> HeapState:
         if p >= 0 and gap[a] < 2 and (hit := scan_closure(n, scan, a, pos)):
             _, pattern, triple = hit
             if not triple:
-                return HeapState.NOT_REDUCED_FC
+                return HeapState.NOT_REDUCED_FC, last, prev
             if pattern[1] == 0:
                 state = HeapState.LEFT_TRIPLE
             elif state == HeapState.POSITIVE:
@@ -373,7 +382,51 @@ def heap_state(n: int, word: Letters) -> HeapState:
         gap[a - 1] += 1
         gap[a + 1] += 1
         last[a], gap[a] = pos, 0
-    return state
+    return state, last, prev
+
+
+# The columns of a positive heap, as (low, count): the cells of column j,
+# its letters j, fill count[j] consecutive rows of the rigid-block grid
+# from row low[j], rows counted from any fixed one (`grids`).
+Columns = tuple[list[int], list[int]]
+
+
+def _columns(n: int, last: list[int], prev: list[int]) -> Columns | None:
+    """
+    The columns of a positive heap off the `last` and `prev` lists of a
+    whole reading of one of its words (`_heap_reading`), or None when some
+    letter does not occur.  Following each letter's `prev` chain back from
+    its last position counts it and finds its first: O(len(word) + n).
+
+    The k-th j of any word of the element lies in row low[j] + k - 1, and
+    the blocks' left ends strictly decrease above 0, so column j + 1 starts
+    one row above column j when the word's first j + 1 comes before its
+    first j, and in the same row otherwise.
+
+    >>> _columns(3, *_heap_reading(3, (0, 1, 3, 2))[1:])
+    ([0, 0, 0, -1], [1, 1, 1, 1])
+    """
+    low, count = [0] * (n + 1), [0] * (n + 1)
+    row, before = 0, -1
+    for j in range(n + 1):
+        p, c = last[j], 0
+        if p < 0:
+            return None
+        while p >= 0:
+            first, c, p = p, c + 1, prev[p]
+        if first < before:
+            row -= 1
+        low[j], count[j], before = row, c, first
+    return low, count
+
+
+def _word_columns(n: int, word: Letters) -> Columns | None:
+    """`_columns` of a positive word known to be valid, with no heap reading:
+    one pass over its letters lists each one's previous position."""
+    last, prev = [-1] * (n + 1), [-1] * len(word)
+    for pos, a in enumerate(word):
+        prev[pos], last[a] = last[a], pos
+    return _columns(n, last, prev)
 
 
 def is_reduced_fc(n: int, word: Letters) -> bool:

@@ -478,7 +478,7 @@ def heap_redex(level: AlgebraLevel, n: int, word: Letters) -> Letters | Blocks |
         return witness
     if level == AlgebraLevel.SYMPLECTIC_BLOB and state == HeapState.POSITIVE:
         blocks = _blocks_of_word(n, word)
-        if not grids._is_blobbed(n, blocks):
+        if not blobbed_by_rows(n, blocks):
             return blocks
     return None
 
@@ -635,9 +635,35 @@ def blocks_by_flip(n: int, word: Letters) -> Blocks:
     return check_blocks(n, tuple((l, r) for l, r in runs))
 
 
+def contains(blocks: Blocks, pattern: Blocks) -> bool:
+    """
+    True iff some row shift t puts every row interval of `pattern` inside
+    row t + i of `blocks`.  Rows are intervals and columns never move, so
+    this is point-set containment of the grids under a vertical translate.
+    One plain loop tests each shift from the pattern's first row down and
+    breaks at the first row that sticks out.  The empty pattern fits at
+    t = 0 of any element, `()` too; one taller than the element has no
+    shift.  The blob test by rows, the oracle of the test by columns,
+    `grids._columns_blobbed`.
+    """
+    for t in range(len(blocks) - len(pattern) + 1):
+        for i, (pl, pr) in enumerate(pattern, t):
+            l, r = blocks[i]
+            if pl < l or r < pr:
+                break
+        else:
+            return True
+    return False
+
+
+def blobbed_by_rows(n: int, blocks: Blocks) -> bool:
+    """Blobbedness of valid blocks as `contains` of neither I J I nor J I J."""
+    return not contains(blocks, grids.iji_blocks(n)) and not contains(blocks, grids.jij_blocks(n))
+
+
 def contains_by_any_all(blocks: Blocks, pattern: Blocks) -> bool:
     """Grid containment as one `any` over the row shifts of one `all` over
-    the pattern's rows, as `grids._contains` was first written."""
+    the pattern's rows, as `contains` was first written."""
     return any(
         all(blocks[t + i][0] <= pl and pr <= blocks[t + i][1] for i, (pl, pr) in enumerate(pattern))
         for t in range(len(blocks) - len(pattern) + 1)
@@ -687,7 +713,7 @@ def oblique_factorization(n: int, blocks: Blocks) -> ObliqueFactorization:
     split its oblique form as prefix, (IJ)^k I, suffix with k >= 1.
     """
     sweep = grids.obliques(n, blocks)  # validates the blocks
-    if not grids._contains(blocks, grids.iji_blocks(n)):
+    if not contains(blocks, grids.iji_blocks(n)):
         raise ValueError("element avoids the odd-ended alternating pattern")
     i, j = grids.i_word(n), grids.j_word(n)
     i_positions = [p for p, ob in enumerate(sweep) if ob == i]

@@ -42,6 +42,7 @@ from blobcat.grids import is_blobbed
 from blobcat.normal_forms import Blocks, block_word, blocks_of_word, format_blocks
 from blobcat.verify import _quotient_sweep
 from blobcat.words import HeapState, Letters, format_word, heap_state
+from oracles import blobbed_by_rows
 
 
 class Mismatch(Exception):
@@ -450,6 +451,40 @@ def rigid_blocks_rank_6():
             word, blobbed = trip
             lines.append(f"{format_word(word)}|{format_blocks(blocks)}|{int(blobbed)}\n")
     yield "".join(lines)
+
+
+BLOB_TEST_RANK_7 = "114993 99328"
+
+
+@pin(BLOB_TEST_RANK_7, hashed=False)
+def blob_test_rank_7():
+    """
+    The blob test by columns against its oracle by rows on every positive
+    element of rank 7 with at least as many letters as I J I: its block
+    word and a class_shuffle of it drawn from one `random.Random(7)`.  For
+    each word the index-set query (columns read off its heap) and
+    `algebra._unblobbed_blocks` (columns read off the word, blocks built
+    from them) answer as `oracles.blobbed_by_rows` on `blocks_of_word`,
+    the rows of its greatest member; Mismatch if not.  The line is how
+    many elements were checked and how many of them are not blobbed.
+    """
+    rng, checked, unblobbed = random.Random(7), 0, 0
+    for s in range(9):
+        for blocks in iter_positive_blocks(7, s):
+            word = block_word(blocks)
+            if len(word) < algebra._iji_length(7) or heap_state(7, word) != HeapState.POSITIVE:
+                continue
+            for member in (word, class_shuffle(rng, word)):
+                read = blocks_of_word(7, member)
+                blobbed = blobbed_by_rows(7, read)
+                if (
+                    in_index_set(AlgebraLevel.SYMPLECTIC_BLOB, 7, member) != blobbed
+                    or algebra._unblobbed_blocks(7, member) != (None if blobbed else read)
+                ):
+                    raise Mismatch(f"the blob test of {format_word(member)} at rank 7 is wrong")
+            checked += 1
+            unblobbed += not blobbed
+    yield f"{checked} {unblobbed}\n"
 
 
 REPEATED_LETTER_LINE = "d^2999 * [1]"

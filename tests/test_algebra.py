@@ -39,7 +39,7 @@ from oracles import (
     rewrite_at,
     walk_redex,
 )
-from pins import DEEP_TL_WORD, reduce_line, seeded_word, shuffled_fill
+from pins import DEEP_TL_WORD, class_shuffle, reduce_line, seeded_word, shuffled_fill
 
 TL = AlgebraLevel.TL
 TB = AlgebraLevel.TWO_BOUNDARY
@@ -996,17 +996,22 @@ def test_a_full_fill_leaves_the_memo_at_its_bound(monkeypatch):
 def test_fewer_letters_than_iji_read_no_blocks(monkeypatch):
     # I J I is the shorter alternation, at n + 1 + (n + 1) // 2 letters, and
     # a pattern is contained cell by cell, so every positive block list with
-    # fewer cells is blobbed, and its word is answered with no block read
+    # fewer cells is blobbed, and its word is answered with no column read,
+    # by the blob test of a word and by `in_index_set` alike
     for n in range(1, 257):
         i, j = grids.i_word(n), grids.j_word(n)
         assert n + 1 + (n + 1) // 2 == min(len(i + j + i), len(j + i + j)), n
-    read, blocks_of_word = [], nfm._blocks_of_word
+    read = []
 
-    def spy(n, word):
-        read.append(word)
-        return blocks_of_word(n, word)
+    def spy(read_columns):
+        def reading(n, *lists):
+            read.append(lists)
+            return read_columns(n, *lists)
 
-    monkeypatch.setattr(algebra, "_blocks_of_word", spy)
+        return reading
+
+    monkeypatch.setattr(algebra, "_word_columns", spy(words._word_columns))
+    monkeypatch.setattr(algebra, "_columns", spy(words._columns))
     short = 0
     for n in range(1, 7):
         bound = n + 1 + (n + 1) // 2
@@ -1015,7 +1020,9 @@ def test_fewer_letters_than_iji_read_no_blocks(monkeypatch):
             for blocks in enumeration.iter_positive_blocks(n, s):
                 if sum(r - l + 1 for l, r in blocks) < bound:
                     assert grids.is_blobbed(n, blocks), (n, blocks)
-                    assert algebra._unblobbed_blocks(n, nfm.block_word(blocks)) is None
+                    word = nfm.block_word(blocks)
+                    assert algebra._unblobbed_blocks(n, word) is None
+                    assert in_index_set(SB, n, word) == in_index_set(TB, n, word)
                     short += 1
     assert (short, read) == (3_154, [])
     for n in range(1, 7):
@@ -1167,7 +1174,13 @@ def test_deep_blob_redex_is_found_in_few_members(monkeypatch):
     assert walks == [[word, len(word)]]
     assert scalar == K and len(shorter) == len(word) - len(grids.i_word(8) + grids.j_word(8))
     walks.clear()
-    filled = _fill_whole_word(8, word)
+    # the fill folds through the rank-8 rows, which `reduce_word` never
+    # reads at that rank, so the rows it leaves go with the test
+    try:
+        filled = _fill_whole_word(8, word)
+    finally:
+        algebra._rows.cache_clear()
+    assert algebra._rows(8) == {(): [None] * 9 + [()]}
     assert walks == [[canonical_word(8, word), len(word)]]
     assert filled == loop_reduce(SB, 8, word)
 
@@ -1185,35 +1198,39 @@ def _fill_whole_word(n, word):
 
 
 def test_blob_step_tests_the_blocks_once(monkeypatch):
-    # the fill's blob test of the first member finds the rigid blocks not
-    # blobbed (`_unblobbed_blocks`), and past the walk the blob step drops
-    # the alternation from those blocks as they are, with no second
-    # `_is_blobbed`; the fold of its word reads no blocks, since its 3
-    # letters are fewer than I J I's 7; the public `oblique_shortening_word`
+    # the fill's blob test of the first member reads its columns and finds
+    # them not blobbed (`_unblobbed_blocks`), and past the walk the blob
+    # step drops the alternation from the blocks built from those columns,
+    # with no second test; the fold of its word reads no columns, since its
+    # 3 letters are fewer than I J I's 7; the public `oblique_shortening_word`
     # still tests, and refuses a blobbed element
     n, word = 4, HAND_OFF_RANK_4
     blocks = nfm._blocks_of_word(n, word)
     assert blocks == ((3, 4), (1, 3), (0, 1), (0, 0))
+    # the blocks' columns, rows counted from the one where column 0 starts
+    columns = words._word_columns(n, canonical_word(n, word))
+    assert columns == ([0, -1, -1, -2, -2], [2, 2, 1, 2, 1])
+    assert grids._block_columns(n, blocks) == ([2, 1, 1, 0, 0], [2, 2, 1, 2, 1])
     grids.iji_blocks(n), grids.jij_blocks(n)
-    calls, blobbed = [], grids._is_blobbed
+    calls, blobbed = [], grids._columns_blobbed
 
-    def counting(n, blocks):
-        calls.append(blocks)
-        return blobbed(n, blocks)
+    def counting(n, columns):
+        calls.append(columns)
+        return blobbed(n, columns)
 
-    monkeypatch.setattr(grids, "_is_blobbed", counting)
-    monkeypatch.setattr(algebra, "_is_blobbed", counting)
+    monkeypatch.setattr(grids, "_columns_blobbed", counting)
+    monkeypatch.setattr(algebra, "_columns_blobbed", counting)
     assert _fill_whole_word(n, word) == (K, (1, 0, 3))
-    assert calls == [blocks]
+    assert calls == [columns]
     with pytest.raises(ValueError, match="blobbed"):
         grids.oblique_shortening_word(n, ())
-    assert calls == [blocks, ()]
+    assert calls == [columns, None]
 
 
 def test_blob_path_checks_no_rigid_blocks(monkeypatch):
-    # the blocks that a positive word's heap reading builds are valid, so
-    # neither the blob step nor an index-set query checks them again; the
-    # public `is_blobbed` and `oblique_shortening_word` still do
+    # a positive word's columns give valid blocks, so neither the blob step
+    # nor an index-set query checks blocks, and the query builds none; the
+    # public `is_blobbed` and `oblique_shortening_word` still check theirs
     n, word = 4, HAND_OFF_RANK_4
     grids.iji_blocks(n), grids.jij_blocks(n)
     calls, check = [], nfm.check_blocks
@@ -1227,6 +1244,7 @@ def test_blob_path_checks_no_rigid_blocks(monkeypatch):
     assert _fill_whole_word(n, word) == (K, (1, 0, 3))
     assert calls == []
     assert in_index_set(SB, n, (0, 1, 2))
+    assert not in_index_set(SB, n, word)
     assert calls == []
     assert grids.oblique_shortening_word(n, grids.iji_blocks(n)) == (1, 3)
     assert calls == [grids.iji_blocks(n)]
@@ -1287,7 +1305,7 @@ def test_each_redex_search_draws_at_most_word_length_members(monkeypatch):
 def _spy_on_heap_passes(monkeypatch) -> list:
     """
     The words of every heap pass, as they happen: `in_index_set`'s
-    (`heap_state`, through `algebra`) and the step oracle's
+    (`_heap_reading`, through `algebra`) and the step oracle's
     (`oracles.heap_witness`).
     """
     passes = []
@@ -1299,7 +1317,7 @@ def _spy_on_heap_passes(monkeypatch) -> list:
 
         return spy
 
-    monkeypatch.setattr(algebra, "heap_state", counting(words.heap_state))
+    monkeypatch.setattr(algebra, "_heap_reading", counting(words._heap_reading))
     monkeypatch.setattr(oracles, "heap_witness", counting(oracles.heap_witness))
     return passes
 
@@ -1311,19 +1329,19 @@ def test_basis_word_search_reads_one_member_and_the_heap_once(monkeypatch):
     # step on the blocks read in the blob-level fill and to a heap step
     # built from that reading in the step oracle.  The fill searches at
     # the blob level, on the words it takes, positive ones of at least as
-    # many letters as I J I, and reads their blocks, not their heap; the
+    # many letters as I J I, and reads their columns, not their heap; the
     # oracle searches at TL and 2B, where `src` searches nothing
-    for n in (1, 2, 3):  # the IJI and JIJ grids are read once per rank and kept
-        grids.iji_blocks(n), grids.jij_blocks(n)
+    for n in (1, 2, 3):  # the IJI and JIJ columns are read once per rank and kept
+        grids._pattern_columns(n)
     walks = _spy_on_class_walk(monkeypatch)
     passes = _spy_on_heap_passes(monkeypatch)
-    blocks_of_word = algebra._blocks_of_word
+    word_columns = algebra._word_columns
 
-    def reading_blocks(n, word):
+    def reading_columns(n, word):
         passes.append(word)
-        return blocks_of_word(n, word)
+        return word_columns(n, word)
 
-    monkeypatch.setattr(algebra, "_blocks_of_word", reading_blocks)
+    monkeypatch.setattr(algebra, "_word_columns", reading_columns)
     # one search per call: the fill folds the shorter word it does not
     # answer through a stub, not through the rows, whose fills search again
     fill = algebra._reduce_canonical.__wrapped__
@@ -1364,12 +1382,12 @@ def _heap_redex_scalar(level, n, word, redex):
 
 
 def test_heap_redex_reads_the_heap_once(monkeypatch):
-    # one heap pass and at most one greatest-member build per reading,
-    # whichever way it decides: `in_index_set`, and the step oracle's
-    # reading, whose outcomes are a chain, a boundary triple, the blob step
-    # or None, and which agrees with `in_index_set`
-    for n in (1, 2, 3):  # the IJI and JIJ grids are read once per rank and kept
-        grids.iji_blocks(n), grids.jij_blocks(n)
+    # one heap pass per reading, whichever way it decides: `in_index_set`,
+    # which builds no greatest member, and the step oracle's reading, which
+    # builds at most one, whose outcomes are a chain, a boundary triple,
+    # the blob step or None, and which agrees with `in_index_set`
+    for n in (1, 2, 3):  # the IJI and JIJ columns are read once per rank and kept
+        grids._pattern_columns(n)
     passes, builds = _spy_on_heap_passes(monkeypatch), []
     normal = nfm._normal_word
 
@@ -1385,7 +1403,7 @@ def test_heap_redex_reads_the_heap_once(monkeypatch):
                 passes.clear()
                 builds.clear()
                 is_basis = in_index_set(level, n, word)
-                assert len(passes) == 1 and len(builds) <= 1, (level, n, word)
+                assert len(passes) == 1 and builds == [], (level, n, word)
                 passes.clear()
                 builds.clear()
                 redex = oracles.heap_redex(level, n, word)
@@ -1393,6 +1411,40 @@ def test_heap_redex_reads_the_heap_once(monkeypatch):
                 assert (redex is None) == is_basis, (level, n, word)
                 outcomes.add(_heap_redex_scalar(level, n, word, redex))
     assert outcomes == {None, "k", "d", "dL", "dR", "kL", "kR", "1"}
+
+
+def test_a_blob_level_query_reads_the_heap_once_and_no_member(monkeypatch):
+    # on every positive element of ranks 1-5 with at least as many letters
+    # as I J I, its block word and a shuffled member: the blob-level query
+    # is one heap reading, its columns read off that reading, and neither a
+    # greatest member nor a block list is built
+    for n in range(1, 6):
+        grids._pattern_columns(n)
+    passes, builds = _spy_on_heap_passes(monkeypatch), []
+
+    def counting(build):
+        def spy(n, word):
+            builds.append(word)
+            return build(n, word)
+
+        return spy
+
+    monkeypatch.setattr(nfm, "_normal_word", counting(nfm._normal_word))
+    monkeypatch.setattr(nfm, "_blocks_of_word", counting(nfm._blocks_of_word))
+    monkeypatch.setattr(algebra, "_unblobbed_blocks", counting(algebra._unblobbed_blocks))
+    rng, queries = random.Random(1), 0
+    for n in range(1, 6):
+        for s in range(n + 2):
+            for blocks in enumeration.iter_positive_blocks(n, s):
+                word = nfm.block_word(blocks)
+                if len(word) < algebra._iji_length(n) or not in_index_set(TB, n, word):
+                    continue
+                for member in (word, class_shuffle(rng, word)):
+                    passes.clear()
+                    in_index_set(SB, n, member)
+                    assert (passes, builds) == ([member], []), (n, member)
+                    queries += 1
+    assert queries == 2 * 6_510
 
 
 # ---------------------------------------------------------------------------

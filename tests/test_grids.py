@@ -1,11 +1,12 @@
 """Grids of rigid blocks: obliques, boundary patterns, blobbedness, rendering."""
 
 import hashlib
+import random
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from blobcat import enumeration, grids
+from blobcat import algebra, enumeration, grids
 from blobcat.grids import (
     i_word,
     iji_blocks,
@@ -17,10 +18,12 @@ from blobcat.grids import (
     render,
     render_lines,
 )
-from blobcat.normal_forms import block_word
-from blobcat.words import HeapState, heap_state, same_element
+from blobcat.algebra import AlgebraLevel, in_index_set
+from blobcat.normal_forms import block_word, blocks_of_word
+from blobcat.words import HeapState, _word_columns, heap_state, same_element
 
-from oracles import contains_by_any_all, contains_pattern, oblique_factorization
+from oracles import blobbed_by_rows, contains, contains_by_any_all, contains_pattern, oblique_factorization
+from pins import class_shuffle
 
 PAPER_BLOCKS = ((7, 8), (4, 8), (3, 7), (1, 4), (0, 1), (0, 0))
 
@@ -167,7 +170,7 @@ def test_contains_matches_point_set_reference():
                 points = _points(blocks)
                 for pattern, pattern_points in patterns:
                     expected = _reference_contains(len(blocks), points, pattern_points)
-                    assert grids._contains(blocks, pattern) == expected, (n, blocks)
+                    assert contains(blocks, pattern) == expected, (n, blocks)
                 cases += 1
     assert cases == 34_710
 
@@ -181,31 +184,31 @@ def test_contains_matches_the_any_all_reading_exhaustive():
             for blocks in enumeration.iter_positive_blocks(n, s):
                 taller = ((0, 0),) * (len(blocks) + 1)
                 for pattern in (iji_blocks(n), jij_blocks(n), (), taller):
-                    got = grids._contains(blocks, pattern)
+                    got = contains(blocks, pattern)
                     assert got == contains_by_any_all(blocks, pattern), (n, blocks, pattern)
                 cases += 1
     assert cases == 20_144
 
 
 def test_contains_grid_examples():
-    assert grids._contains(iji_blocks(4), iji_blocks(4))
-    assert not grids._contains(((2, 3), (1, 2), (0, 1)), iji_blocks(3))
-    assert grids._contains(((0, 1),), ())
-    assert grids._contains((), ())
-    assert not grids._contains((), ((0, 0),))
+    assert contains(iji_blocks(4), iji_blocks(4))
+    assert not contains(((2, 3), (1, 2), (0, 1)), iji_blocks(3))
+    assert contains(((0, 1),), ())
+    assert contains((), ())
+    assert not contains((), ((0, 0),))
     # a pattern taller than the element never fits
-    assert not grids._contains(((0, 2),), ((0, 0), (0, 0)))
+    assert not contains(((0, 2),), ((0, 0), (0, 0)))
 
 
 def test_contains_grid_translation():
     # the single odd oblique of the worked example sits at rows 1..4
-    assert grids._contains(PAPER_BLOCKS, _oblique_blocks(i_word(8)))
-    assert grids._contains(PAPER_BLOCKS, _oblique_blocks(j_word(8)))
-    assert grids._contains(PAPER_BLOCKS, iji_blocks(8))
-    assert not grids._contains(PAPER_BLOCKS, jij_blocks(8))
+    assert contains(PAPER_BLOCKS, _oblique_blocks(i_word(8)))
+    assert contains(PAPER_BLOCKS, _oblique_blocks(j_word(8)))
+    assert contains(PAPER_BLOCKS, iji_blocks(8))
+    assert not contains(PAPER_BLOCKS, jij_blocks(8))
     # the bottom rows only fit at the last shift
-    assert grids._contains(PAPER_BLOCKS, ((0, 1), (0, 0)))
-    assert not grids._contains(PAPER_BLOCKS[:-1], ((0, 1), (0, 0)))
+    assert contains(PAPER_BLOCKS, ((0, 1), (0, 0)))
+    assert not contains(PAPER_BLOCKS[:-1], ((0, 1), (0, 0)))
 
 
 def test_contains_grid_monotone_under_point_addition():
@@ -217,11 +220,49 @@ def test_contains_grid_monotone_under_point_addition():
         (((1, 2), (0, 1)), iji_blocks(2)),
     ]
     for base, pattern in cases:
-        assert grids._contains(base, pattern)
+        assert contains(base, pattern)
         for row, (l, r) in enumerate(base):
             for wider in [(l - 1, r), (l, r + 1)]:
                 bigger = base[:row] + (wider,) + base[row + 1 :]
-                assert grids._contains(bigger, pattern), (base, bigger)
+                assert contains(bigger, pattern), (base, bigger)
+
+
+def test_column_criterion_matches_the_rows_on_every_block_list():
+    # every list of `iter_positive_blocks` at ranks 1-7, s <= n + 1, the
+    # rank-1 lists that spell no positive element among them: the test by
+    # columns against the one by rows that it replaced
+    cases = 0
+    for n in range(1, 8):
+        for s in range(n + 2):
+            for blocks in enumeration.iter_positive_blocks(n, s):
+                assert grids._is_blobbed(n, blocks) == blobbed_by_rows(n, blocks), (n, blocks)
+                cases += 1
+    assert cases == 158_142
+
+
+def test_column_criterion_matches_the_rows_on_words_exhaustive():
+    # every positive element of ranks 1-6 with at least as many letters as
+    # I J I, its block word and a seeded class-shuffled member: the columns
+    # read off the word, and the index-set query that reads them off its
+    # heap, against the rows of the blocks of its greatest member; the
+    # blocks built from the columns of an unblobbed word are those blocks
+    rng, cases, unblobbed = random.Random(1), 0, 0
+    for n in range(1, 7):
+        for s in range(n + 2):
+            for blocks in enumeration.iter_positive_blocks(n, s):
+                word = block_word(blocks)
+                if len(word) < algebra._iji_length(n) or heap_state(n, word) != HeapState.POSITIVE:
+                    continue
+                for member in (word, class_shuffle(rng, word)):
+                    read = blocks_of_word(n, member)
+                    expected = blobbed_by_rows(n, read)
+                    assert grids._columns_blobbed(n, _word_columns(n, member)) == expected
+                    assert in_index_set(AlgebraLevel.SYMPLECTIC_BLOB, n, member) == expected
+                    built = algebra._unblobbed_blocks(n, member)
+                    assert built == (None if expected else read), (n, member)
+                    cases += 1
+                    unblobbed += not expected
+    assert (cases, unblobbed) == (63_102, 54_172)
 
 
 def test_is_blobbed_examples():
@@ -297,7 +338,7 @@ def test_oblique_shortening_matches_the_factorization():
     # read off the paper's factorization around the alternating run
     odd_ended = 0
     for n, blocks in _non_blobbed(range(1, 6), range(0, 4)):
-        if not grids._contains(blocks, iji_blocks(n)):
+        if not contains(blocks, iji_blocks(n)):
             continue
         odd_ended += 1
         fact = oblique_factorization(n, blocks)
