@@ -49,8 +49,12 @@ about 115 B an entry, full rows take 22.8 MB at rank 7 and 95 MB at rank
 product on them, against 54 and 63 µs on the loop (ROADMAP "Measured").
 There `_blob_loop` reduces the word `_CHUNK` letters at a time and keeps
 nothing: the two-boundary heap-scan fold on the blob rule table, then,
-while the result is not blobbed (`_unblobbed_blocks`), the paper's blob
-step and the fold again.  Chunks are sound because
+while the result is not blobbed, the paper's blob step and the fold
+again.  Both routes take one blob test and step of a word,
+`grids._blob_step`: a full fill of ranks 1-6 calls it 5,695 times and
+sweeps the columns of the 1,230 words that are not blobbed, and the
+seed-1 `random-words` stream calls it 677 times, 480 of them on words
+shorter than I J I, which read nothing.  Chunks are sound because
 reduction respects products, the regular-representation half of
 Bergman's diamond lemma (1978); `verify.check_confluence` and the tests
 reduce factors first to test that the rewrite order does not matter.
@@ -71,8 +75,8 @@ from functools import cache, lru_cache
 from itertools import islice, product
 
 from . import enumeration
-from .grids import _blocks_of_columns, _columns_blobbed, _oblique_shortening_word, i_word, is_blobbed, j_word
-from .normal_forms import Blocks, block_word
+from .grids import _blob_step, _columns_blobbed, _iji_length, i_word, is_blobbed, j_word
+from .normal_forms import block_word
 from .words import (
     HeapState,
     Letters,
@@ -81,7 +85,6 @@ from .words import (
     _columns,
     _fold,
     _heap_reading,
-    _word_columns,
     canonical_word,
     check_rank,
     check_word,
@@ -315,11 +318,11 @@ def _reduce_canonical(n: int, word: Letters) -> tuple[int, Letters]:
     walked breadth first from `word`, are searched for I J I and J I J
     alone.  The earliest member holding one keeps the pattern's prefix at
     the first position that holds one.  A word whose first member holds
-    neither is a basis index if it is blobbed (`_unblobbed_blocks`), at
-    one member; if the walk finds neither, the blob step on the blocks
-    that test built, `grids._oblique_shortening_word`, gives the shorter
-    word, times k.  The shorter word is folded from the empty row
-    (`_fold_rows`).  The memo keeps at most 5,699 words over ranks 1-6.
+    neither is a basis index if it is blobbed, at one member; that one
+    test, `grids._blob_step`, also gives the shorter word of the blob
+    step, times k, taken if the walk finds neither.  The shorter word is
+    folded from the empty row (`_fold_rows`).  The memo keeps at most
+    5,699 words over ranks 1-6.
     The walk and the cache stay while the benchmark counts them
     (`perfbench/tests/test_perfbench.py:97-98`, ROADMAP item 1a).
     """
@@ -335,9 +338,9 @@ def _reduce_canonical(n: int, word: Letters) -> tuple[int, Letters]:
                     rest = member[pos + len(pattern) :]
                     exps, row = _fold_rows(n, exps, _rows(n)[()], member[: pos + keep] + rest)
                     return exps, row[-1]
-        if drawn == 1 and (blocks := _unblobbed_blocks(n, word)) is None:
+        if drawn == 1 and (shorter := _blob_step(n, word)) is None:
             return 0, word
-    exps, row = _fold_rows(n, _K_STEP, _rows(n)[()], _oblique_shortening_word(n, blocks))
+    exps, row = _fold_rows(n, _K_STEP, _rows(n)[()], shorter)
     return exps, row[-1]
 
 
@@ -409,45 +412,21 @@ def _blob_loop(n: int, word: Letters) -> tuple[int, Letters]:
     A blob-level word reduced with no rows and no memo, as (packed monomial,
     canonical basis word), for `reduce_word` from rank `_LOOP_RANK` on.  The
     two-boundary fold with the blob rule table (`words._fold`) leaves a
-    positive word in read order; its columns are read off it as it stands,
-    since every word of the element spells the same columns
-    (`_unblobbed_blocks`).  A blobbed positive word is a basis index,
-    canonicalised once as the loop returns, and any other takes the
-    paper's blob step on the blocks built from its columns,
-    `grids._oblique_shortening_word`, one I J alternation fewer, times k,
-    and is folded again.  Each pass shortens the word, so the loop ends.
+    positive word in read order, and `grids._blob_step` reads its columns
+    off it as it stands, since every word of the element spells the same
+    columns.  A blobbed positive word is a basis index, canonicalised once
+    as the loop returns, and any other takes the paper's blob step, one
+    I J alternation fewer, times k, and is folded again.  Each pass
+    shortens the word, so the loop ends.
     """
     steps, exps = _rule_steps(AlgebraLevel.SYMPLECTIC_BLOB, n), 0
     while True:
         step, word = _fold(n, word, steps)
         exps += step
-        blocks = _unblobbed_blocks(n, word)
-        if blocks is None:
+        shorter = _blob_step(n, word)
+        if shorter is None:
             return exps, _canonical_word(n, word)
-        word = _oblique_shortening_word(n, blocks)
-        exps += _K_STEP
-
-
-def _iji_length(n: int) -> int:
-    """The letters of I J I, the shorter of the two alternations I J I and J I J."""
-    return n + 1 + (n + 1) // 2
-
-
-def _unblobbed_blocks(n: int, word: Letters) -> Blocks | None:
-    """
-    The rigid blocks of a positive word when they hold I J I or J I J, or
-    None when the word is blobbed: the blob test of a word for
-    `_blob_loop` and `_reduce_canonical`.  A pattern is contained cell by
-    cell, and a positive word has one cell per letter, so a word with
-    fewer letters than I J I (`_iji_length`) is blobbed with nothing read.
-    A longer one's columns are read once (`words._word_columns`) and
-    tested (`grids._columns_blobbed`); only a word that is not blobbed
-    has its blocks built from them, for the blob step.
-    """
-    if len(word) < _iji_length(n):
-        return None
-    columns = _word_columns(n, word)
-    return None if _columns_blobbed(n, columns) else _blocks_of_columns(*columns)
+        word, exps = shorter, exps + _K_STEP
 
 
 # The blob level folds words through the action rows below rank _LOOP_RANK,
@@ -632,8 +611,9 @@ def structure_constants(n: int) -> dict[tuple[Letters, Letters], tuple[Scalar, L
     the basis B.  In fresh processes on a 2-vCPU VM with Python 3.11.7,
     rank 4 (112,225 products) took 0.46 s and 35 MB peak RSS, rank 5
     (2,039,184 products) 9.9 s and 350 MB.  From rank 7 each product runs
-    the heap-scan loop instead, about 90 µs at rank 7 against 11 µs on
-    warm rows.
+    the heap-scan loop instead: about 50 µs a rank-7 product of two basis
+    words, in process over 20,000 pairs drawn from `random.Random(1)`,
+    against 9.2 µs on warm rows (ROADMAP "Measured").
     """
     basis = sb_basis(n)
     index = set(basis)

@@ -2,7 +2,8 @@
 Rigid-block grids of positive elements: their obliques, the two alternating
 boundary patterns, blobbedness, the blob step that drops one alternation,
 and plain-text / SVG drawing.  Everything is a plain function of the rank n
-and the rigid blocks; there is no grid object.
+and the rigid blocks, their columns or a word of them; there is no grid
+object.
 
 The grid of a rigid-block word <l_1,r_1>...<l_k,r_k> is the point set
 {(i, j) : 1 <= i <= k, l_i <= j <= r_i}.  Columns carry generator identity
@@ -16,11 +17,14 @@ by one common t, must lie inside those of the element (Stembridge 1996
 for heaps; the alternations I J I and J I J as in arXiv 1904.08351).
 
 Sweeping a line of slope -2 across the staircase drawing groups the points
-by the value 2*i + j.  Two points of one group sit an even number of columns
-apart, so each group is a word of pairwise commuting generators (an
-oblique), and reading the obliques off in increasing sweep order spells a
-reduced expression of the element.  The odd family I = s_1 s_3 s_5 ... and
-the even family J = s_0 s_2 s_4 ... are the two full obliques.
+by the value 2*i + j, read off the columns (`_column_obliques`).  Two
+points of one group sit an even number of columns apart, so each group is
+a word of pairwise commuting generators (an oblique), and reading the
+obliques off in increasing sweep order spells a reduced expression of the
+element.  The odd family I = s_1 s_3 s_5 ... and the even family
+J = s_0 s_2 s_4 ... are the two full obliques.  The blob step drops the
+first I J from that reading (`_drop_ij`), and `_blob_step` is the one blob
+test and step of a word.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from functools import lru_cache
 from operator import add
 from typing import Iterator
 
-from .words import Columns, Letters, check_rank
+from .words import Columns, Letters, _word_columns, check_rank
 from .normal_forms import Blocks, blocks_of_word, check_blocks
 
 
@@ -53,16 +57,21 @@ def obliques(n: int, blocks: Blocks) -> tuple[Letters, ...]:
     >>> obliques(2, iji_blocks(2))
     ((1,), (0, 2), (1,))
     """
-    return _obliques(check_blocks(n, blocks))
+    return _column_obliques(_block_columns(n, check_blocks(n, blocks)))
 
 
-def _obliques(blocks: Blocks) -> tuple[Letters, ...]:
-    """`obliques` of blocks known to be valid."""
+def _column_obliques(columns: Columns) -> tuple[Letters, ...]:
+    """
+    The obliques of the element whose columns these are: column j holds
+    rows low[j] .. low[j] + count[j] - 1, and its cells are grouped by
+    2*row + j, whose order no common row shift changes.  Columns are taken
+    in increasing order, so each group's letters come sorted.
+    """
     groups: dict[int, list[int]] = {}
-    for i, (l, r) in enumerate(blocks, start=1):
-        for j in range(l, r + 1):
-            groups.setdefault(2 * i + j, []).append(j)
-    return tuple(tuple(sorted(groups[c])) for c in sorted(groups))
+    for j, (l, c) in enumerate(zip(*columns)):
+        for row in range(l, l + c):
+            groups.setdefault(2 * row + j, []).append(j)
+    return tuple(tuple(groups[key]) for key in sorted(groups))
 
 
 @lru_cache(maxsize=None)
@@ -79,16 +88,21 @@ def jij_blocks(n: int) -> Blocks:
     return blocks_of_word(n, j + i + j)
 
 
-def _block_columns(n: int, blocks: Blocks) -> Columns | None:
-    """The columns of valid blocks, rows counted from the first block, or
-    None when some column is empty; O(cells + n)."""
+def _block_columns(n: int, blocks: Blocks) -> Columns:
+    """The columns of valid blocks, rows counted from the first block;
+    O(cells + n)."""
     low, count = [0] * (n + 1), [0] * (n + 1)
     for i, (l, r) in enumerate(blocks):
         for j in range(l, r + 1):
             if not count[j]:
                 low[j] = i
             count[j] += 1
-    return None if 0 in count else (low, count)
+    return low, count
+
+
+def _iji_length(n: int) -> int:
+    """The letters of I J I, the shorter of the two alternations I J I and J I J."""
+    return n + 1 + (n + 1) // 2
 
 
 @lru_cache(maxsize=None)
@@ -104,21 +118,19 @@ def _pattern_columns(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(patterns)
 
 
-def _columns_blobbed(n: int, columns: Columns | None) -> bool:
+def _columns_blobbed(n: int, columns: Columns) -> bool:
     """
     The one blob criterion, on the columns of a positive element
     (`words.Columns`).  Columns never move and each holds consecutive rows,
     in the element and in each pattern alike, so a pattern fits under the
     row shift t iff, in every column j, its rows PL(j) .. PR(j) shifted by
-    t lie within the element's rows low[j] .. low[j] + count[j] - 1.  Both
-    patterns fill every column, so an element with an empty column is
-    blobbed; else a pattern fits iff
-    max_j (low[j] - PL(j)) <= min_j (low[j] + count[j] - 1 - PR(j)).
-    One pass over the columns narrows that range of shifts and stops once
-    it is empty: O(n), whatever the number of rows.
+    t lie within the element's rows low[j] .. low[j] + count[j] - 1, that
+    is, iff max_j (low[j] - PL(j)) <= min_j (low[j] + count[j] - 1 - PR(j)).
+    Both patterns fill every column, so an empty column, of count 0, empties
+    that range whatever its low: the element is blobbed.  One pass over the
+    columns narrows the range of shifts and stops once it is empty: O(n),
+    whatever the number of rows.
     """
-    if columns is None:
-        return True
     low, count = columns
     for pattern in _pattern_columns(n):
         (first, stop), l, c = pattern[0], low[0], count[0]
@@ -133,22 +145,6 @@ def _columns_blobbed(n: int, columns: Columns | None) -> bool:
         else:
             return False
     return True
-
-
-def _blocks_of_columns(low: list[int], count: list[int]) -> Blocks:
-    """
-    The rigid blocks of the element whose columns these are, none empty:
-    row i runs from the least to the greatest column with a cell in it.
-    """
-    base = low[-1]  # a column starts level with its left neighbour or a row above
-    rows = max(map(add, low, count)) - base
-    left, right = [0] * rows, [-1] * rows
-    for j, (l, c) in enumerate(zip(low, count)):
-        for i in range(l - base, l - base + c):
-            if right[i] < 0:
-                left[i] = j
-            right[i] = j
-    return tuple(zip(left, right))
 
 
 def is_blobbed(n: int, blocks: Blocks) -> bool:
@@ -173,20 +169,37 @@ def oblique_shortening_word(n: int, blocks: Blocks) -> Letters:
     >>> oblique_shortening_word(2, jij_blocks(2))
     (0, 2)
     """
-    blocks = check_blocks(n, blocks)
-    if _is_blobbed(n, blocks):
+    columns = _block_columns(n, check_blocks(n, blocks))
+    if _columns_blobbed(n, columns):
         raise ValueError(f"a blobbed element has no alternation to drop: {blocks}")
-    return _oblique_shortening_word(n, blocks)
+    return _drop_ij(n, columns)
 
 
-def _oblique_shortening_word(n: int, blocks: Blocks) -> Letters:
-    """`oblique_shortening_word` of blocks known to be valid and not blobbed."""
-    sweep = _obliques(blocks)
-    ij = (i_word(n), j_word(n))
-    a = next((p for p in range(len(sweep) - 1) if sweep[p : p + 2] == ij), None)
-    if a is None:
-        raise ValueError(f"no full odd oblique followed by the even one in {blocks}")
+def _drop_ij(n: int, columns: Columns) -> Letters:
+    """The oblique word of a non-blobbed element, by its columns, without
+    the first full odd oblique I and the full even oblique J right after
+    it, which every non-blobbed element holds."""
+    sweep, ij = _column_obliques(columns), (i_word(n), j_word(n))
+    a = next(p for p in range(len(sweep) - 1) if sweep[p : p + 2] == ij)
     return tuple(x for ob in sweep[:a] + sweep[a + 2 :] for x in ob)
+
+
+def _blob_step(n: int, word: Letters) -> Letters | None:
+    """
+    None for a blobbed positive word, valid at rank n, and else the word of
+    the paper's blob step, one I J alternation shorter, which the blob
+    relation scales by k: the one blob test and step of a product, for
+    `algebra._reduce_canonical` and `algebra._blob_loop`.  A pattern is
+    contained cell by cell, and a positive word has one cell per letter,
+    so a word with fewer letters than I J I (`_iji_length`) is blobbed with
+    nothing read.  A longer one's columns are read once
+    (`words._word_columns`), tested (`_columns_blobbed`) and, when not
+    blobbed, swept into obliques (`_drop_ij`), with no block built.
+    """
+    if len(word) < _iji_length(n):
+        return None
+    columns = _word_columns(n, word)
+    return None if _columns_blobbed(n, columns) else _drop_ij(n, columns)
 
 
 # ---------------------------------------------------------------------------

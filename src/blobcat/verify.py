@@ -345,8 +345,8 @@ def check_quotient_identities(max_n: int | None = None) -> Check:
     positive), and the boundary identities at ranks up to max_n.
 
     The 2B -> SB half would be circular on a word that the kernel takes
-    its own blob step on (`algebra._blob_loop`, or the memo's
-    `grids._oblique_shortening_word`): there it compares `reduce_word`
+    its own blob step on (`grids._blob_step`, in `algebra._blob_loop` or
+    the memo): there it compares `reduce_word`
     with k times `reduce_word` on the very image the kernel stepped to.
     On this range it is not: run alone in a fresh process, and in
     `verify --suite algebra` order, this check makes no loop call and no

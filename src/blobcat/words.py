@@ -387,16 +387,18 @@ def _heap_reading(n: int, word: Letters) -> tuple[HeapState, list[int], list[int
 
 # The columns of a positive heap, as (low, count): the cells of column j,
 # its letters j, fill count[j] consecutive rows of the rigid-block grid
-# from row low[j], rows counted from any fixed one (`grids`).
+# from row low[j], rows counted from any fixed one (`grids`).  An empty
+# column has count 0, and the lows past it are not aligned with those
+# before; such an element is blobbed whatever they are.
 Columns = tuple[list[int], list[int]]
 
 
-def _columns(n: int, last: list[int], prev: list[int]) -> Columns | None:
+def _columns(n: int, last: list[int], prev: list[int]) -> Columns:
     """
     The columns of a positive heap off the `last` and `prev` lists of a
-    whole reading of one of its words (`_heap_reading`), or None when some
-    letter does not occur.  Following each letter's `prev` chain back from
-    its last position counts it and finds its first: O(len(word) + n).
+    whole reading of one of its words (`_heap_reading`).  Following each
+    letter's `prev` chain back from its last position counts it and finds
+    its first: O(len(word) + n).
 
     The k-th j of any word of the element lies in row low[j] + k - 1, and
     the blocks' left ends strictly decrease above 0, so column j + 1 starts
@@ -410,17 +412,17 @@ def _columns(n: int, last: list[int], prev: list[int]) -> Columns | None:
     row, before = 0, -1
     for j in range(n + 1):
         p, c = last[j], 0
-        if p < 0:
-            return None
         while p >= 0:
             first, c, p = p, c + 1, prev[p]
-        if first < before:
-            row -= 1
-        low[j], count[j], before = row, c, first
+        if c:
+            if first < before:
+                row -= 1
+            before = first
+        low[j], count[j] = row, c
     return low, count
 
 
-def _word_columns(n: int, word: Letters) -> Columns | None:
+def _word_columns(n: int, word: Letters) -> Columns:
     """`_columns` of a positive word known to be valid, with no heap reading:
     one pass over its letters lists each one's previous position."""
     last, prev = [-1] * (n + 1), [-1] * len(word)

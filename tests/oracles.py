@@ -6,8 +6,8 @@ another way: reduced expressions through braid moves, containment through
 commutation classes and the occurrence order, the normal form looked up
 among all generated forms by canonical word and spelled by rigid blocks,
 the greatest class member through the flip a -> n - a with the rigid
-blocks read off it, and grid containment as an `any` of `all`s, as
-both were first written,
+blocks read off it, grid containment as an `any` of `all`s, and the
+obliques and the blob step read off the rows, as each was first written,
 the paper's oblique factorization around the alternating run, which
 the blob step `grids.oblique_shortening_word` shortcuts, the rewriting
 kernel as a plain class walk that never reads the heap, the heap
@@ -495,7 +495,7 @@ def find_redex(level: AlgebraLevel, n: int, word: Letters) -> tuple[Letters, int
     one member.  Past the members the step is built from that same
     reading, one step however deep the redex: a witness loses its trailing
     positions, since every replacement is a prefix of its pattern, and
-    rigid blocks take the blob step (`grids._oblique_shortening_word`),
+    rigid blocks take the blob step by rows (`shortening_by_rows`),
     times k.  So it takes the blob step by itself, not through
     `algebra._blob_loop`.
     """
@@ -515,7 +515,7 @@ def find_redex(level: AlgebraLevel, n: int, word: Letters) -> tuple[Letters, int
     if redex is None:
         return None
     if isinstance(redex[0], tuple):  # rigid blocks, not witness positions
-        return grids._oblique_shortening_word(n, redex), algebra._K_STEP
+        return shortening_by_rows(n, redex), algebra._K_STEP
     keep, exps = steps[itemgetter(*redex)(word)]
     drop = redex[keep:]
     return tuple([a for p, a in enumerate(word) if p not in drop]), exps
@@ -659,6 +659,35 @@ def contains(blocks: Blocks, pattern: Blocks) -> bool:
 def blobbed_by_rows(n: int, blocks: Blocks) -> bool:
     """Blobbedness of valid blocks as `contains` of neither I J I nor J I J."""
     return not contains(blocks, grids.iji_blocks(n)) and not contains(blocks, grids.jij_blocks(n))
+
+
+def obliques_by_rows(blocks: Blocks) -> tuple[Letters, ...]:
+    """
+    The obliques of valid blocks as the sweep line first read them off the
+    rows: the points (i, j) of row i, from 1, grouped by 2*i + j, in
+    increasing order of that value, each group sorted.  The oracle of
+    `grids.obliques`, which reads them off the columns.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, (l, r) in enumerate(blocks, start=1):
+        for j in range(l, r + 1):
+            groups.setdefault(2 * i + j, []).append(j)
+    return tuple(tuple(sorted(groups[c])) for c in sorted(groups))
+
+
+def shortening_by_rows(n: int, blocks: Blocks) -> Letters:
+    """
+    The blob step of valid, non-blobbed blocks by rows: their oblique word
+    (`obliques_by_rows`) without the first full odd oblique I and the full
+    even oblique J right after it.  The oracle of
+    `grids.oblique_shortening_word` and `grids._blob_step`.
+    """
+    sweep = obliques_by_rows(blocks)
+    ij = (grids.i_word(n), grids.j_word(n))
+    a = next((p for p in range(len(sweep) - 1) if sweep[p : p + 2] == ij), None)
+    if a is None:
+        raise ValueError(f"no full odd oblique followed by the even one in {blocks}")
+    return tuple(x for ob in sweep[:a] + sweep[a + 2 :] for x in ob)
 
 
 def contains_by_any_all(blocks: Blocks, pattern: Blocks) -> bool:

@@ -38,11 +38,11 @@ from blobcat.algebra import (
     sb_basis,
 )
 from blobcat.enumeration import iter_positive_blocks
-from blobcat.grids import is_blobbed
+from blobcat.grids import _blob_step, is_blobbed
 from blobcat.normal_forms import Blocks, block_word, blocks_of_word, format_blocks
 from blobcat.verify import _quotient_sweep
 from blobcat.words import HeapState, Letters, format_word, heap_state
-from oracles import blobbed_by_rows
+from oracles import blobbed_by_rows, shortening_by_rows
 
 
 class Mismatch(Exception):
@@ -462,10 +462,11 @@ def blob_test_rank_7():
     The blob test by columns against its oracle by rows on every positive
     element of rank 7 with at least as many letters as I J I: its block
     word and a class_shuffle of it drawn from one `random.Random(7)`.  For
-    each word the index-set query (columns read off its heap) and
-    `algebra._unblobbed_blocks` (columns read off the word, blocks built
-    from them) answer as `oracles.blobbed_by_rows` on `blocks_of_word`,
-    the rows of its greatest member; Mismatch if not.  The line is how
+    each word the index-set query (columns read off its heap) answers as
+    `oracles.blobbed_by_rows` on `blocks_of_word`, the rows of its
+    greatest member, and `grids._blob_step` (columns read off the word)
+    is None for a blobbed word and else the step by rows on those blocks,
+    `oracles.shortening_by_rows`; Mismatch if not.  The line is how
     many elements were checked and how many of them are not blobbed.
     """
     rng, checked, unblobbed = random.Random(7), 0, 0
@@ -479,7 +480,7 @@ def blob_test_rank_7():
                 blobbed = blobbed_by_rows(7, read)
                 if (
                     in_index_set(AlgebraLevel.SYMPLECTIC_BLOB, 7, member) != blobbed
-                    or algebra._unblobbed_blocks(7, member) != (None if blobbed else read)
+                    or _blob_step(7, member) != (None if blobbed else shortening_by_rows(7, read))
                 ):
                     raise Mismatch(f"the blob test of {format_word(member)} at rank 7 is wrong")
             checked += 1

@@ -207,19 +207,25 @@ def test_enumerate_streams_its_forms(capsys, monkeypatch):
 
 def test_block_reading_scales_with_rank():
     # the descending word is 4,000 one-letter blocks and the staircase 2,000
-    # two-letter ones; a reader that rescans the rank per block takes seconds
+    # two-letter ones; a reader that rescans the rank per block takes seconds.
+    # The descending word has fewer letters than I J I, so its blob-level
+    # query reads nothing more; the query on I J I itself, 6,000 letters,
+    # reads the patterns' columns cold and its own
     n = 4000
     descending = tuple(range(n - 1, -1, -1))
     staircase = tuple(a for k in range(n - 1, 0, -2) for a in (k - 1, k))
+    i, j = grids.i_word(n), grids.j_word(n)
     grids.iji_blocks.cache_clear()
     grids.jij_blocks.cache_clear()
+    grids._pattern_columns.cache_clear()
     budget = Budget("rigid blocks at rank 4000", 0.25)
     assert normal_forms.blocks_of_word(n, descending) == tuple((a, a) for a in descending)
     assert normal_forms.blocks_of_word(n, staircase) == tuple(
         (k - 1, k) for k in range(n - 1, 0, -2)
     )
     assert in_index_set(AlgebraLevel.SYMPLECTIC_BLOB, n, descending)
-    budget.done("descending and staircase words, one cold blob-level query")
+    assert not in_index_set(AlgebraLevel.SYMPLECTIC_BLOB, n, i + j + i)
+    budget.done("descending and staircase words, two cold blob-level queries")
 
 
 def test_rigid_blocks_round_trip_through_a_class_member():

@@ -372,13 +372,15 @@ def test_fold_takes_no_class_walk_and_canonicalises_once(monkeypatch):
             canonicalised.clear()
             scalar, out = reduce_word(level, n, word)
             assert len(canonicalised) == 1 and in_index_set(level, n, out), (level, n, word)
-    steps, shorten = [], algebra._oblique_shortening_word
+    steps, blob_step = [], grids._blob_step
 
-    def stepping(n, blocks):
-        steps.append(blocks)
-        return shorten(n, blocks)
+    def stepping(n, word):
+        shorter = blob_step(n, word)
+        if shorter is not None:
+            steps.append(word)
+        return shorter
 
-    monkeypatch.setattr(algebra, "_oblique_shortening_word", stepping)
+    monkeypatch.setattr(algebra, "_blob_step", stepping)
     stepped = 0
     for n in (7, 8, 64):
         odd, even = grids.i_word(n), grids.j_word(n)
@@ -1010,7 +1012,7 @@ def test_fewer_letters_than_iji_read_no_blocks(monkeypatch):
 
         return reading
 
-    monkeypatch.setattr(algebra, "_word_columns", spy(words._word_columns))
+    monkeypatch.setattr(grids, "_word_columns", spy(words._word_columns))
     monkeypatch.setattr(algebra, "_columns", spy(words._columns))
     short = 0
     for n in range(1, 7):
@@ -1021,13 +1023,14 @@ def test_fewer_letters_than_iji_read_no_blocks(monkeypatch):
                 if sum(r - l + 1 for l, r in blocks) < bound:
                     assert grids.is_blobbed(n, blocks), (n, blocks)
                     word = nfm.block_word(blocks)
-                    assert algebra._unblobbed_blocks(n, word) is None
+                    assert grids._blob_step(n, word) is None
                     assert in_index_set(SB, n, word) == in_index_set(TB, n, word)
                     short += 1
     assert (short, read) == (3_154, [])
     for n in range(1, 7):
-        for blocks in (grids.iji_blocks(n), grids.jij_blocks(n)):
-            assert algebra._unblobbed_blocks(n, nfm.block_word(blocks)) == blocks
+        i, j = grids.i_word(n), grids.j_word(n)
+        for blocks, shorter in ((grids.iji_blocks(n), i), (grids.jij_blocks(n), j)):
+            assert grids._blob_step(n, nfm.block_word(blocks)) == shorter
     assert len(read) == 12
 
 
@@ -1187,7 +1190,7 @@ def test_deep_blob_redex_is_found_in_few_members(monkeypatch):
 
 # a positive rank-4 product, a basis word times a generator, whose blob
 # redex lies past its first 8 class members, so the fill takes the blob
-# step on its blocks, to (1, 0, 3) times k
+# step off its columns, to (1, 0, 3) times k
 HAND_OFF_RANK_4 = (1, 0, 3, 2, 1, 0, 4, 3)
 
 
@@ -1198,12 +1201,13 @@ def _fill_whole_word(n, word):
 
 
 def test_blob_step_tests_the_blocks_once(monkeypatch):
-    # the fill's blob test of the first member reads its columns and finds
-    # them not blobbed (`_unblobbed_blocks`), and past the walk the blob
-    # step drops the alternation from the blocks built from those columns,
-    # with no second test; the fold of its word reads no columns, since its
-    # 3 letters are fewer than I J I's 7; the public `oblique_shortening_word`
-    # still tests, and refuses a blobbed element
+    # the fill's blob test of the first member (`grids._blob_step`) reads
+    # its columns, finds them not blobbed and sweeps those same columns
+    # once for the step taken past the walk, with no second test and no
+    # block built; the fold of its word reads no columns, since its 3
+    # letters are fewer than I J I's 7; the public `oblique_shortening_word`
+    # still tests, and refuses a blobbed element, whose empty columns
+    # count 0
     n, word = 4, HAND_OFF_RANK_4
     blocks = nfm._blocks_of_word(n, word)
     assert blocks == ((3, 4), (1, 3), (0, 1), (0, 0))
@@ -1218,13 +1222,20 @@ def test_blob_step_tests_the_blocks_once(monkeypatch):
         calls.append(columns)
         return blobbed(n, columns)
 
+    swept, drop = [], grids._drop_ij
+
+    def dropping(n, columns):
+        swept.append(columns)
+        return drop(n, columns)
+
     monkeypatch.setattr(grids, "_columns_blobbed", counting)
     monkeypatch.setattr(algebra, "_columns_blobbed", counting)
+    monkeypatch.setattr(grids, "_drop_ij", dropping)
     assert _fill_whole_word(n, word) == (K, (1, 0, 3))
-    assert calls == [columns]
+    assert calls == swept == [columns]
     with pytest.raises(ValueError, match="blobbed"):
         grids.oblique_shortening_word(n, ())
-    assert calls == [columns, None]
+    assert calls == [columns, ([0] * 5, [0] * 5)] and swept == [columns]
 
 
 def test_blob_path_checks_no_rigid_blocks(monkeypatch):
@@ -1326,7 +1337,7 @@ def test_basis_word_search_reads_one_member_and_the_heap_once(monkeypatch):
     # a search reads the heap at most once: a word with no pattern of its
     # own reads it once, so a basis word leaves after the word itself, and
     # a word past the walk leaves without a second reading, to the blob
-    # step on the blocks read in the blob-level fill and to a heap step
+    # step off the columns read in the blob-level fill and to a heap step
     # built from that reading in the step oracle.  The fill searches at
     # the blob level, on the words it takes, positive ones of at least as
     # many letters as I J I, and reads their columns, not their heap; the
@@ -1335,13 +1346,13 @@ def test_basis_word_search_reads_one_member_and_the_heap_once(monkeypatch):
         grids._pattern_columns(n)
     walks = _spy_on_class_walk(monkeypatch)
     passes = _spy_on_heap_passes(monkeypatch)
-    word_columns = algebra._word_columns
+    word_columns = grids._word_columns
 
     def reading_columns(n, word):
         passes.append(word)
         return word_columns(n, word)
 
-    monkeypatch.setattr(algebra, "_word_columns", reading_columns)
+    monkeypatch.setattr(grids, "_word_columns", reading_columns)
     # one search per call: the fill folds the shorter word it does not
     # answer through a stub, not through the rows, whose fills search again
     fill = algebra._reduce_canonical.__wrapped__
@@ -1416,8 +1427,9 @@ def test_heap_redex_reads_the_heap_once(monkeypatch):
 def test_a_blob_level_query_reads_the_heap_once_and_no_member(monkeypatch):
     # on every positive element of ranks 1-5 with at least as many letters
     # as I J I, its block word and a shuffled member: the blob-level query
-    # is one heap reading, its columns read off that reading, and neither a
-    # greatest member nor a block list is built
+    # is one heap reading, its columns read off that reading and not off
+    # the word again, and neither a greatest member nor a block list is
+    # built nor a blob step taken
     for n in range(1, 6):
         grids._pattern_columns(n)
     passes, builds = _spy_on_heap_passes(monkeypatch), []
@@ -1431,7 +1443,8 @@ def test_a_blob_level_query_reads_the_heap_once_and_no_member(monkeypatch):
 
     monkeypatch.setattr(nfm, "_normal_word", counting(nfm._normal_word))
     monkeypatch.setattr(nfm, "_blocks_of_word", counting(nfm._blocks_of_word))
-    monkeypatch.setattr(algebra, "_unblobbed_blocks", counting(algebra._unblobbed_blocks))
+    monkeypatch.setattr(algebra, "_blob_step", counting(algebra._blob_step))
+    monkeypatch.setattr(grids, "_word_columns", counting(grids._word_columns))
     rng, queries = random.Random(1), 0
     for n in range(1, 6):
         for s in range(n + 2):

@@ -22,7 +22,15 @@ from blobcat.algebra import AlgebraLevel, in_index_set
 from blobcat.normal_forms import block_word, blocks_of_word
 from blobcat.words import HeapState, _word_columns, heap_state, same_element
 
-from oracles import blobbed_by_rows, contains, contains_by_any_all, contains_pattern, oblique_factorization
+from oracles import (
+    blobbed_by_rows,
+    contains,
+    contains_by_any_all,
+    contains_pattern,
+    oblique_factorization,
+    obliques_by_rows,
+    shortening_by_rows,
+)
 from pins import class_shuffle
 
 PAPER_BLOCKS = ((7, 8), (4, 8), (3, 7), (1, 4), (0, 1), (0, 0))
@@ -245,7 +253,8 @@ def test_column_criterion_matches_the_rows_on_words_exhaustive():
     # I J I, its block word and a seeded class-shuffled member: the columns
     # read off the word, and the index-set query that reads them off its
     # heap, against the rows of the blocks of its greatest member; the
-    # blocks built from the columns of an unblobbed word are those blocks
+    # blob step off the columns of an unblobbed word is the step by rows
+    # on those blocks
     rng, cases, unblobbed = random.Random(1), 0, 0
     for n in range(1, 7):
         for s in range(n + 2):
@@ -258,11 +267,28 @@ def test_column_criterion_matches_the_rows_on_words_exhaustive():
                     expected = blobbed_by_rows(n, read)
                     assert grids._columns_blobbed(n, _word_columns(n, member)) == expected
                     assert in_index_set(AlgebraLevel.SYMPLECTIC_BLOB, n, member) == expected
-                    built = algebra._unblobbed_blocks(n, member)
-                    assert built == (None if expected else read), (n, member)
+                    step = grids._blob_step(n, member)
+                    assert step == (None if expected else shortening_by_rows(n, read)), (n, member)
                     cases += 1
                     unblobbed += not expected
     assert (cases, unblobbed) == (63_102, 54_172)
+
+
+def test_obliques_by_columns_match_the_rows_on_every_block_list():
+    # every positive block list of ranks 1-6: the sweep off the columns
+    # against the sweep off the rows, and the blob step of each unblobbed
+    # list against the I J drop of that sweep
+    cases, unblobbed = 0, 0
+    for n in range(1, 7):
+        for s in range(n + 2):
+            for blocks in enumeration.iter_positive_blocks(n, s):
+                assert obliques(n, blocks) == obliques_by_rows(blocks), (n, blocks)
+                if not blobbed_by_rows(n, blocks):
+                    expected = shortening_by_rows(n, blocks)
+                    assert oblique_shortening_word(n, blocks) == expected, (n, blocks)
+                    unblobbed += 1
+                cases += 1
+    assert (cases, unblobbed) == (34_710, 27_091)
 
 
 def test_is_blobbed_examples():
