@@ -69,7 +69,8 @@ of up to 12 letters bears out.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from enum import IntEnum
 from functools import cache, lru_cache
 from itertools import islice, product
@@ -80,6 +81,7 @@ from .normal_forms import block_word
 from .words import (
     HeapState,
     Letters,
+    Record,
     _canonical_word,
     _closing_gap,
     _columns,
@@ -234,11 +236,10 @@ class AlgebraLevel(IntEnum):
     SYMPLECTIC_BLOB = 2
 
 
-@dataclass(frozen=True)
-class Rule:
-    pattern: Letters
-    replacement: Letters
-    scalar: Scalar
+class Rule(Record, namedtuple("Rule", "pattern replacement scalar")):
+    """pattern, replacement: Letters; scalar: Scalar."""
+
+    __slots__ = ()
 
 
 def _square_scalar(n: int, i: int) -> Scalar:
@@ -503,18 +504,21 @@ def in_index_set(level: AlgebraLevel, n: int, word: Letters) -> bool:
     return _columns_blobbed(n, _columns(n, last, prev))
 
 
-@dataclass(frozen=True)
-class BasisElement:
-    level: AlgebraLevel
-    n: int
-    word: Letters
+class BasisElement(Record, namedtuple("BasisElement", "level n word")):
+    """A basis monomial: its word is canonicalised, and must lie in the level's index set."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "word", canonical_word(self.n, self.word))
-        if not in_index_set(self.level, self.n, self.word):
-            raise ValueError(
-                f"{self.word} does not index a basis monomial at level {self.level.name}"
-            )
+    __slots__ = ()
+
+    def __new__(cls, level: AlgebraLevel, n: int, word: Letters) -> BasisElement:
+        word = canonical_word(n, word)
+        if not in_index_set(level, n, word):
+            raise ValueError(f"{word} does not index a basis monomial at level {level.name}")
+        return super().__new__(cls, level, n, word)
+
+    @classmethod
+    def _make(cls, fields: Iterable[object]) -> BasisElement:
+        # namedtuple's _make, and _replace through it, would skip the checks
+        return cls(*fields)
 
 
 def multiply(x: BasisElement, y: BasisElement) -> tuple[Scalar, BasisElement]:

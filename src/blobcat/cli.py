@@ -24,7 +24,7 @@ import functools
 import json
 import os
 import sys
-from typing import Callable, Iterable
+from collections.abc import Callable, Iterable
 
 from . import enumeration, grids, normal_forms, triangles, verify
 from .algebra import AlgebraLevel, in_index_set, reduce_word

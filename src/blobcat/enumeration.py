@@ -10,10 +10,10 @@ this is asserted, never floored.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from enum import Enum
 from math import comb
 from operator import mul
-from typing import Iterator
 
 from .grids import is_blobbed
 from .normal_forms import Blocks, _preorder

@@ -29,9 +29,9 @@ test and step of a word.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache
 from operator import add
-from typing import Iterator
 
 from .words import Columns, Letters, _word_columns, check_rank
 from .normal_forms import Blocks, blocks_of_word, check_blocks

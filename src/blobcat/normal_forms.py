@@ -10,7 +10,7 @@ An element of affine length zero lives in the finite parabolic on indices
     [-x, g] = s_x s_{x-1} ... s_1 s_0 s_1 ... s_g   for 1 <= x <= g
 
 Elements of positive affine length append descending/ascending runs through
-the last generator; the four dataclasses below tag the shapes.  Positive
+the last generator; the four record classes below tag the shapes.  Positive
 elements additionally carry the rigid-block form <l_1,r_1>...<l_k,r_k>.
 
 The rank n == 1 case is degenerate (both end pairs are {0, 1}): its group
@@ -43,24 +43,22 @@ r + 1 of the one before (l_{k+1} <= l_k <= r_k), so no two blocks merge.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterator
 from functools import lru_cache
-from typing import Callable, Iterator, Union
 
-from .words import HeapState, Letters, _normal_word, check_affine_length, check_rank
-from .words import check_word, heap_state
+from .words import HeapState, Letters, Record, _normal_word, _parse_int, check_affine_length
+from .words import check_rank, check_word, heap_state
 from .words import is_reduced_fc  # noqa: F401  kept as a binding the perfbench tracer wraps
 
 # ---------------------------------------------------------------------------
 # brackets and affine-length-zero forms
 
 
-@dataclass(frozen=True)
-class Bracket:
+class Bracket(Record, namedtuple("Bracket", "l g")):
     """The factor [l, g]; a negative l encodes the descent through index 0."""
 
-    l: int
-    g: int
+    __slots__ = ()
 
     def word(self) -> Letters:
         if self.l >= 0:
@@ -133,50 +131,46 @@ def iter_bforms(n: int) -> Iterator[BForm]:
 # normal forms with positive affine length
 
 
-@dataclass(frozen=True)
-class LengthZero:
-    form: BForm
+class LengthZero(Record, namedtuple("LengthZero", "form")):
+    """form: BForm."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FirstType:
-    i: int
-    k: int
-    f: int
+class FirstType(Record, namedtuple("FirstType", "i k f")):
+    """i, k, f: int."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SecondType:
-    prefix: tuple[int, ...]
-    k: int
-    tail: BForm
+class SecondType(Record, namedtuple("SecondType", "prefix k tail")):
+    """prefix: tuple[int, ...]; k: int; tail: BForm."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DescentTail:
+class DescentTail(Record, namedtuple("DescentTail", "h")):
     """The inverted run ([h, n-1])^-1 after the single last-generator letter."""
 
-    h: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DescentZerosTail:
+class DescentZerosTail(Record, namedtuple("DescentZerosTail", "z runs")):
     """([z, n-1])^-1 [0, r_1] ... [0, r_m] with r_m < ... < r_1 < z."""
 
-    z: int
-    runs: tuple[int, ...]
+    __slots__ = ()
 
 
-LengthOneTail = Union[BForm, DescentTail, DescentZerosTail]
+LengthOneTail = BForm | DescentTail | DescentZerosTail
 
 
-@dataclass(frozen=True)
-class LengthOne:
-    i: int
-    v: LengthOneTail
+class LengthOne(Record, namedtuple("LengthOne", "i v")):
+    """i: int; v: LengthOneTail."""
+
+    __slots__ = ()
 
 
-NormalForm = Union[LengthZero, FirstType, SecondType, LengthOne]
+NormalForm = LengthZero | FirstType | SecondType | LengthOne
 
 
 def ascending_run(n: int, i: int) -> Letters:
@@ -432,7 +426,8 @@ def _bar(n: int, nf: NormalForm) -> tuple[NormalForm, bool]:
             return LengthOne(-i, descent_bform(n, h)), False
         case LengthOne(i, DescentTail(h)) if i <= 0 and h < 0:
             return LengthOne(i, DescentTail(-h)), False
-        case LengthOne(i, tuple() as v) if bform_is_negative(v):
+        # a record is a tuple too, so a BForm tail is told by its exact type
+        case LengthOne(i, v) if type(v) is tuple and bform_is_negative(v):
             return LengthOne(i, _flip_last_bracket(v)), False
         case LengthZero(form) if bform_is_negative(form):
             return LengthZero(_flip_last_bracket(form)), False
@@ -454,7 +449,7 @@ def tilde(n: int, nf: NormalForm) -> NormalForm:
 def _tilde(n: int, nf: NormalForm) -> NormalForm:
     """`tilde` of a normal form whose heap state is RIGHT_TRIPLE, unchecked."""
     match nf:
-        case LengthOne(i, tuple() as v) if 0 < i < n:
+        case LengthOne(i, v) if type(v) is tuple and 0 < i < n:
             # end of the staircase prefix hugging the affine letter; a low
             # tail bracket can satisfy l == n - j by accident and must not count
             alpha = 0
@@ -519,7 +514,7 @@ def parse_blocks(text: str) -> Blocks:
     for part in text.split(","):
         try:
             l, r = part.split(":")
-            out.append((int(l), int(r)))
+            out.append((_parse_int(l), _parse_int(r)))
         except ValueError as exc:
             raise ValueError(f"malformed block {part!r}") from exc
     return tuple(out)

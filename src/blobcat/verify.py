@@ -16,15 +16,15 @@ at its own limit; None checks up to that limit.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 from functools import partial
 from math import comb
-from typing import Callable, Sequence
 
 from . import enumeration, grids, normal_forms, tables, triangles
 from .algebra import K, KL, KR, AlgebraLevel, Scalar, in_index_set, reduce_word
 from .algebra import sb_basis, structure_constants
-from .words import HeapState, Letters, heap_state
+from .words import HeapState, Letters, Record, heap_state
 
 CONFLUENCE_SEED = 20240817
 CONFLUENCE_RANKS = (2, 3, 4)
@@ -36,12 +36,10 @@ ORACLE_MAX_N = 5
 ORACLE_MAX_S = 6
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    ok: bool
-    detail: str
-    cases: int = 0
+class Check(Record, namedtuple("Check", "name ok detail cases", defaults=(0,))):
+    """name: str; ok: bool; detail: str; cases: int, 0 unless given."""
+
+    __slots__ = ()
 
 
 def _check(name: str, mismatches: list[str], cases: int, detail_ok: str) -> Check:

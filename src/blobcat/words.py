@@ -16,7 +16,8 @@ the least and greatest class members (`_heads`), one short scan back
 from the end of a canonical word (`_closing_gap`) that finds both what
 one letter appended can close on it and where that letter goes in the
 least member of the product, and the scan (`Scan`) that the classifier
-`heap_state` and the fold `_fold` share.
+`heap_state` and the fold `_fold` share.  `Record`, the equality of the
+package's record classes, lives here too, in the one module they all import.
 
 >>> canonical_word(4, (3, 1, 2))
 (1, 3, 2)
@@ -31,10 +32,31 @@ False
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 from enum import IntEnum
-from typing import Iterator
 
 Letters = tuple[int, ...]
+
+
+class Record:
+    """
+    Equality for the package's records, classes over `collections.namedtuple`
+    that put this class first among their bases: a record equals only a
+    record of its own class with equal fields, never a plain tuple or a
+    record of another class, and hashes as the tuple of its fields.  Each
+    record class sets `__slots__ = ()`, so that no attribute can be set.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
 
 def check_rank(n: int) -> int:
     # `type() is int`, not isinstance: bool subclasses int, and True is no rank
@@ -59,13 +81,27 @@ def check_word(n: int, word: Letters) -> Letters:
     return word
 
 
+def _parse_int(text: str) -> int:
+    """
+    The integer that text spells as optional surrounding whitespace, an
+    optional sign and ASCII digits; ValueError on anything else, such as the
+    underscores and non-ASCII digits that int() also reads.
+    """
+    digits = text.strip()
+    if digits[:1] in ("+", "-"):
+        digits = digits[1:]
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_word(text: str) -> Letters:
     """Parse the comma-separated encoding; the empty string is the identity."""
     text = text.strip()
     if not text:
         return ()
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(_parse_int(part) for part in text.split(","))
     except ValueError as exc:
         raise ValueError(f"malformed word {text!r}") from exc
 

@@ -461,13 +461,15 @@ def blob_test_rank_7():
     """
     The blob test by columns against its oracle by rows on every positive
     element of rank 7 with at least as many letters as I J I: its block
-    word and a class_shuffle of it drawn from one `random.Random(7)`.  For
-    each word the index-set query (columns read off its heap) answers as
-    `oracles.blobbed_by_rows` on `blocks_of_word`, the rows of its
-    greatest member, and `grids._blob_step` (columns read off the word)
-    is None for a blobbed word and else the step by rows on those blocks,
-    `oracles.shortening_by_rows`; Mismatch if not.  The line is how
-    many elements were checked and how many of them are not blobbed.
+    word and a class_shuffle of it drawn from one `random.Random(7)`.  The
+    shuffled word must give the block word's `blocks_of_word`, the rows of
+    their greatest member, so the oracles by rows run once per element, on
+    those blocks.  For each word the index-set query (columns read off its
+    heap) answers as `oracles.blobbed_by_rows` on those blocks, and
+    `grids._blob_step` (columns read off the word) is None for a blobbed
+    word and else the step by rows on those blocks,
+    `oracles.shortening_by_rows`; Mismatch if not.  The line is how many
+    elements were checked and how many of them are not blobbed.
     """
     rng, checked, unblobbed = random.Random(7), 0, 0
     for s in range(9):
@@ -475,12 +477,16 @@ def blob_test_rank_7():
             word = block_word(blocks)
             if len(word) < algebra._iji_length(7) or heap_state(7, word) != HeapState.POSITIVE:
                 continue
-            for member in (word, class_shuffle(rng, word)):
-                read = blocks_of_word(7, member)
-                blobbed = blobbed_by_rows(7, read)
+            read = blocks_of_word(7, word)
+            blobbed = blobbed_by_rows(7, read)
+            step = None if blobbed else shortening_by_rows(7, read)
+            shuffled = class_shuffle(rng, word)
+            if blocks_of_word(7, shuffled) != read:
+                raise Mismatch(f"the blocks of {format_word(shuffled)} at rank 7 are wrong")
+            for member in (word, shuffled):
                 if (
                     in_index_set(AlgebraLevel.SYMPLECTIC_BLOB, 7, member) != blobbed
-                    or _blob_step(7, member) != (None if blobbed else shortening_by_rows(7, read))
+                    or _blob_step(7, member) != step
                 ):
                     raise Mismatch(f"the blob test of {format_word(member)} at rank 7 is wrong")
             checked += 1

@@ -346,6 +346,28 @@ def test_import_does_not_build_the_parser():
     assert fresh("-c", code) == "0\n"
 
 
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # start-up is most of a count or dim call, and these three modules (with
+    # ast, dis and tokenize behind them) were most of the import: blobcat
+    # loads them only if the stdlib modules that it imports do, on this Python
+    heavy = {"dataclasses", "inspect", "typing"}
+    stdlib = set()
+    for path in Path(blobcat.__file__).parent.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.Import):
+                stdlib.update(alias.name for alias in stmt.names)
+            elif isinstance(stmt, ast.ImportFrom) and not stmt.level:
+                stdlib.add(stmt.module)
+    stdlib = (stdlib | {"sys"}) - heavy - {"__future__"}
+    code = (
+        f"import {', '.join(sorted(stdlib))}\n"
+        f"loaded = set(sys.modules)\n"
+        f"import blobcat.cli\n"
+        f"print(sorted(set({sorted(heavy)!r}) & (set(sys.modules) - loaded)))"
+    )
+    assert fresh("-S", "-c", code) == "[]\n"
+
+
 @pytest.mark.parametrize(
     "second, extra",
     [
@@ -584,6 +606,22 @@ def test_closed_pipe_exits_141_quietly_in_a_fresh_process():
 def test_malformed_input_exits_two(capsys):
     code, _, err = run(capsys, "reduce", "--n", "2", "--level", "sb", "--word", "1,x")
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (("reduce", "--n", "12", "--level", "tl", "--word", "1_0"), "malformed word"),
+        (("reduce", "--n", "12", "--level", "tl", "--word", "\u0661,\u0662"), "malformed word"),
+        (("grid", "--word", "1,\u00b2"), "malformed word"),
+        (("grid", "--blocks", "0:1_0"), "malformed block"),
+        (("grid", "--n", "12", "--blocks", "\u0660:\u0661"), "malformed block"),
+    ],
+)
+def test_letters_other_than_ascii_digits_exit_two(capsys, argv, what):
+    # int() reads underscores and non-ASCII digits; a word or block does not
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and what in err
 
 
 def test_output_determinism(capsys):

@@ -618,6 +618,10 @@ def test_block_text_encoding():
     assert parse_blocks("") == ()
     with pytest.raises(ValueError):
         parse_blocks("1-2")
+    assert parse_blocks(" 3: 4 ,+0:-1") == ((3, 4), (0, -1))
+    for text in ("0:1_0", "\u0660:\u0661", "0:\u00b9", "0:1,", "0:- 1", "0:1:2"):
+        with pytest.raises(ValueError, match="malformed block"):
+            parse_blocks(text)
 
 
 def test_blocks_round_trip_with_normal_forms():

@@ -7,7 +7,8 @@ from collections import Counter, deque
 
 import pytest
 
-from blobcat import algebra, words
+from blobcat import algebra, verify, words
+from blobcat import normal_forms as nf
 from blobcat.algebra import AlgebraLevel, rewrite_rules, sb_basis
 from blobcat.words import (
     HeapState,
@@ -579,6 +580,76 @@ def test_word_text_encoding():
     assert format_word(()) == ""
     with pytest.raises(ValueError):
         parse_word("1,x")
+
+
+def test_word_letters_are_ascii_digits():
+    # surrounding whitespace and a sign are read; the underscores and
+    # non-ASCII digits that int() also reads are not
+    assert parse_word(" 1, +0 ,2 ") == (1, 0, 2)
+    assert parse_word("-1") == (-1,)
+    for text in ("1_0", "\u0661,\u0662", "1,\uff12", "\u00b2", "- 1", "+", "1,,2", "0x1", "1.0"):
+        with pytest.raises(ValueError, match="malformed word"):
+            parse_word(text)
+
+
+# every record class: (record, its field names, its fields, its repr)
+RECORDS = [
+    (nf.Bracket(0, 1), "l g", (0, 1), "Bracket(l=0, g=1)"),
+    (nf.LengthZero(()), "form", ((),), "LengthZero(form=())"),
+    (nf.FirstType(1, 2, 3), "i k f", (1, 2, 3), "FirstType(i=1, k=2, f=3)"),
+    (nf.SecondType((2,), 0, ()), "prefix k tail", ((2,), 0, ()), "SecondType(prefix=(2,), k=0, tail=())"),
+    (nf.DescentTail(2), "h", (2,), "DescentTail(h=2)"),
+    (nf.DescentZerosTail(3, ()), "z runs", (3, ()), "DescentZerosTail(z=3, runs=())"),
+    (nf.LengthOne(3, (nf.Bracket(-1, 2),)), "i v", (3, (nf.Bracket(-1, 2),)),
+     "LengthOne(i=3, v=(Bracket(l=-1, g=2),))"),
+    (algebra.Rule((1, 1), (1,), algebra.D), "pattern replacement scalar", ((1, 1), (1,), algebra.D),
+     "Rule(pattern=(1, 1), replacement=(1,), scalar=Scalar(d))"),
+    (algebra.BasisElement(SB, 3, (2, 0)), "level n word", (SB, 3, (0, 2)),
+     "BasisElement(level=<AlgebraLevel.SYMPLECTIC_BLOB: 2>, n=3, word=(0, 2))"),
+    (verify.Check("x", True, "ok", 3), "name ok detail cases", ("x", True, "ok", 3),
+     "Check(name='x', ok=True, detail='ok', cases=3)"),
+]
+
+
+@pytest.mark.parametrize("record, names, fields, text", RECORDS, ids=[type(r).__name__ for r, *_ in RECORDS])
+def test_a_record_equals_only_its_own_class_and_is_frozen(record, names, fields, text):
+    same = type(record)(*fields)
+    assert record == same and not record != same and hash(record) == hash(same)
+    assert repr(record) == text
+    assert [getattr(record, name) for name in names.split()] == list(fields)
+    # the plain tuple of its fields is not the record, from either side
+    assert record != fields and fields != record and not record == fields
+    for name in names.split():
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+
+
+def test_records_of_two_classes_with_equal_fields_differ():
+    # fields that every record class of their length accepts
+    shared = {1: ((),), 2: (3, ()), 3: (SB, 3, (0, 2))}
+    length = {type(record): len(fields) for record, _, fields, _ in RECORDS}
+    pairs = 0
+    for a, b in itertools.permutations(length, 2):
+        if length[a] == length[b] and (fields := shared.get(length[a])):
+            assert a(*fields) != b(*fields) and not a(*fields) == b(*fields)
+            pairs += 1
+    assert pairs == 2 * (1 + 3 + 6)
+
+
+def test_record_defaults_and_basis_checks():
+    assert verify.Check("x", True, "ok").cases == 0
+    assert algebra.BasisElement(SB, 3, (2, 0)).word == canonical_word(3, (2, 0)) == (0, 2)
+    with pytest.raises(ValueError, match="does not index a basis monomial"):
+        algebra.BasisElement(AlgebraLevel.TL, 2, (0, 0))
+    with pytest.raises(ValueError, match="does not index a basis monomial"):
+        algebra.BasisElement(AlgebraLevel.TWO_BOUNDARY, 2, (1, 0, 1))
+    # the namedtuple copies go through the same checks
+    element = algebra.BasisElement(SB, 3, (0, 2))
+    assert element._replace(word=(2, 0)) == element
+    with pytest.raises(ValueError, match="does not index a basis monomial"):
+        element._replace(level=AlgebraLevel.TL, n=2, word=(0, 0))
 
 
 def test_letters_validated():
