@@ -1,11 +1,14 @@
 """
-Pinned outputs: one function per pin, with the value it must produce.
+Pinned outputs: one function per pin, with the value it must produce and
+the time limit it must produce it in.
 
     PYTHONPATH=src python tests/pins.py [NAME ...]
 
-runs the named pins, or every pin when no name is given, and prints the
-sha256 or the line of each output.  It exits 1 if any output differs from
-its pin and 2 if a name is no pin.  CI runs each pin as one step.
+runs the named pins in this process, and prints the sha256 or the line of
+each output.  With no name it runs every pin in a fresh child process
+under the pin's limit: a child that exits non-zero or runs past its limit
+is killed and fails its pin, and the other pins still run.  It exits 1 if
+any pin fails and 2 if a name is no pin.  CI runs it with no name.
 
 A pin whose value is a sha256 hashes the whole text of each output; a pin
 whose value is a line compares it with the output less its final newline.
@@ -22,6 +25,7 @@ import contextlib
 import hashlib
 import io
 import random
+import subprocess
 import sys
 import time
 from dataclasses import dataclass
@@ -51,11 +55,15 @@ class Mismatch(Exception):
 
 @dataclass(frozen=True)
 class Pin:
-    """A pinned value, and the function that yields each output held to it."""
+    """
+    A pinned value, the function that yields each output held to it, and
+    the seconds its own process may take.
+    """
 
     outputs: Callable[[], Iterator[str]]
     expected: str
     hashed: bool
+    seconds: float
 
     def shown(self, text: str) -> str:
         """The sha256 of `text`, or `text` less its final newline."""
@@ -70,11 +78,11 @@ class Pin:
 PINS: dict[str, Pin] = {}
 
 
-def pin(expected: str, hashed: bool = True):
+def pin(expected: str, seconds: float, hashed: bool = True):
     """Register the decorated function as the pin of its name."""
 
     def register(outputs):
-        PINS[outputs.__name__] = Pin(outputs, expected, hashed)
+        PINS[outputs.__name__] = Pin(outputs, expected, hashed, seconds)
         return outputs
 
     return register
@@ -143,10 +151,37 @@ def _reduced_line(level: AlgebraLevel, n: int, word: Letters) -> str:
     return reduce_line(reduce_word(level, n, word)) + "\n"
 
 
+ENUMERATE_FIRST_FORM_RANK_10_SHA256 = "9ae23bec490d84032d023d7c8957fe11b8342360d3dc3296e53133eae8e3708e"
+
+
+@pin(ENUMERATE_FIRST_FORM_RANK_10_SHA256, 20)
+def enumerate_first_form_rank_10():
+    """
+    `enumerate --n 10 --s 3 --limit 1`.  Building the whole affine-length-3
+    set at rank 10 takes over a minute, so only a stream that stops at the
+    first form ends within the limit; the hash was recorded from that stream.
+    """
+    yield _blobcat("enumerate", "--n", "10", "--s", "3", "--limit", "1")
+
+
+ENUMERATE_FIRST_FORM_RANK_12_SHA256 = "bda41666438369a47938640989404492a0ca143247fad2a669b89b41c8f61dcf"
+
+
+@pin(ENUMERATE_FIRST_FORM_RANK_12_SHA256, 5)
+def enumerate_first_form_rank_12():
+    """
+    `enumerate --n 12 --s 1 --limit 1`.  Listing the rank-12 finite part
+    before the first affine-length-1 form takes about 20 s, so only a stream
+    that starts at that form ends within the limit; the hash was recorded
+    from that stream.
+    """
+    yield _blobcat("enumerate", "--n", "12", "--s", "1", "--limit", "1")
+
+
 ENUMERATE_DEEP_SHA256 = "1a9b6a0b5e7d69394b60843417b6c903c6c185f3a6cc5dc7340c8ab930ec6571"
 
 
-@pin(ENUMERATE_DEEP_SHA256)
+@pin(ENUMERATE_DEEP_SHA256, 10)
 def enumerate_deep():
     """
     `enumerate --n 1200 --s 0 --limit 1100`, 7,920,268 bytes.  The k-th form
@@ -160,7 +195,7 @@ def enumerate_deep():
 DIM_2000_SHA256 = "5a43fb063ec6344fa6174d6a0b09aa51cdc65ccaf4888b182de1e693fd86a48f"
 
 
-@pin(DIM_2000_SHA256)
+@pin(DIM_2000_SHA256, 15)
 def dim_2000():
     """
     `dim --n 2000`.  The two packed squarings of about 4 million bits take
@@ -174,7 +209,7 @@ def dim_2000():
 DIM_3000_SHA256 = "fa6ab8f300d17bc3c30c51ffe73f6089b205b6587e65e50091154f4c6aac6a6c"
 
 
-@pin(DIM_3000_SHA256)
+@pin(DIM_3000_SHA256, 20)
 def dim_3000():
     """
     `dim --n 3000`.  The two squarings of about 9 million bits take about
@@ -187,7 +222,7 @@ def dim_3000():
 COUNT_PAST_DIGIT_LIMIT_SHA256 = "f6b360ec59d6ee621bb73392411f5a3f19b165d73cdabaa3f70a7232c2c4896a"
 
 
-@pin(COUNT_PAST_DIGIT_LIMIT_SHA256)
+@pin(COUNT_PAST_DIGIT_LIMIT_SHA256, 10)
 def count_past_digit_limit():
     """
     `count --n 7200 --s 3600 --which a`: 4,335 digits, past the 4,300-digit
@@ -201,7 +236,7 @@ def count_past_digit_limit():
 COUNT_ONE_TERM_SHA256 = "dba92bcca923e2ebfc5e4be28a4dd4556a774394a6a348f988a772b7e81d7a27"
 
 
-@pin(COUNT_ONE_TERM_SHA256)
+@pin(COUNT_ONE_TERM_SHA256, 5)
 def count_one_term_at_scale():
     """
     `count --n 20000 --s 19999 --which a`: 2^40000 - 2, 12,042 digits, one
@@ -215,7 +250,7 @@ def count_one_term_at_scale():
 COUNT_FAR_BELOW_DIAGONAL_SHA256 = "2255b0d4603617a2f29b76f78c558345b5813a9b9a042697c2358dae2d9b881a"
 
 
-@pin(COUNT_FAR_BELOW_DIAGONAL_SHA256)
+@pin(COUNT_FAR_BELOW_DIAGONAL_SHA256, 5)
 def count_far_below_diagonal():
     """
     `count --n 20000 --s 1 --which a`: the sum of C(40000, k) for k below
@@ -229,7 +264,7 @@ def count_far_below_diagonal():
 DEEP_BLOB_REDUCED = "d*kR*k * [5,4,3,2,1,0,6,5,4,3,2,1,0,6,5,4,3,6]"
 
 
-@pin(DEEP_BLOB_REDUCED, hashed=False)
+@pin(DEEP_BLOB_REDUCED, 20, hashed=False)
 def deep_blob_redex():
     """
     A rank-6 blob product whose first blob redex lies so deep in its class
@@ -255,7 +290,7 @@ DEEP_TL_REDUCED = (
 )
 
 
-@pin(DEEP_TL_REDUCED, hashed=False)
+@pin(DEEP_TL_REDUCED, 20, hashed=False)
 def deep_tl_redex():
     """
     DEEP_TL_WORD at TL: a walk of its commutation class to its first TL
@@ -268,7 +303,7 @@ def deep_tl_redex():
 BASIS_WORD_SHA256 = "7a5717a359557c3391524c89d32ae71ec0b18e211acaedf87c199cd2cad0aa3b"
 
 
-@pin(BASIS_WORD_SHA256)
+@pin(BASIS_WORD_SHA256, 3)
 def basis_word():
     """
     64 runs of 0, 1, ..., 64 at rank 64 and TL hold no redex: the heap scan
@@ -282,7 +317,7 @@ def basis_word():
 LONG_BLOB_WORD_LINE = "d^2231*dL^3289*dR^3269*kL^1164*kR^1147*k^2195 * [0,1,0,2]"
 
 
-@pin(LONG_BLOB_WORD_LINE, hashed=False)
+@pin(LONG_BLOB_WORD_LINE, 10, hashed=False)
 def long_blob_word():
     """
     `reduce --n 2 --level sb` of seeded_word(2, 20_000).  The blob level
@@ -297,7 +332,7 @@ def long_blob_word():
 SEEDED_RANK_5_MILLION_SHA256 = "7b55f6c2a72891699bce62363136e0157ea9460c24adadc0cdaf0cf0392f94a2"
 
 
-@pin(SEEDED_RANK_5_MILLION_SHA256)
+@pin(SEEDED_RANK_5_MILLION_SHA256, 10)
 def long_blob_word_rank_5():
     """
     seeded_word(5, 1_000_000) at the blob level, through the library: a
@@ -311,7 +346,7 @@ def long_blob_word_rank_5():
 SEEDED_RANK_64_100K_SHA256 = "8cc70b17dd304d1c524c40cc9986a0d0e3dbac0ee14ae3f1688a52fea59e44fc"
 
 
-@pin(SEEDED_RANK_64_100K_SHA256)
+@pin(SEEDED_RANK_64_100K_SHA256, 10)
 def long_blob_word_rank_64():
     """
     seeded_word(64, 100_000) at the blob level, through the library: the
@@ -325,7 +360,7 @@ def long_blob_word_rank_64():
 BLOB_WORDS_AT_THE_CUTOFF_SHA256 = "2e7ae1fadbcdd71a101dd18abcc75305399ab1a325124058268ce74894c659e6"
 
 
-@pin(BLOB_WORDS_AT_THE_CUTOFF_SHA256)
+@pin(BLOB_WORDS_AT_THE_CUTOFF_SHA256, 10)
 def blob_words_at_the_cutoff():
     """
     The reduce lines of seeded_word(n, 1_000) and seeded_word(n, 10_000) at
@@ -343,7 +378,7 @@ def blob_words_at_the_cutoff():
 BLOB_ACTION_RANK_6_SHA256 = "bac9fb2e3be421aec8d86424ff6cd9ca3b5684e34579ee188eb80d58bac18c47"
 
 
-@pin(BLOB_ACTION_RANK_6_SHA256)
+@pin(BLOB_ACTION_RANK_6_SHA256, 15)
 def blob_action_rank_6():
     """
     Every entry of the rank-6 action rows, the 5,748 basis words times each
@@ -375,7 +410,7 @@ def shuffled_fill(rng: random.Random, n: int) -> list[tuple[Letters, int]]:
     return slots
 
 
-@pin(BLOB_ACTION_RANK_6_SHA256)
+@pin(BLOB_ACTION_RANK_6_SHA256, 15)
 def blob_action_rank_6_shuffled():
     """
     `blob_action_rank_6`'s lines, read off rank-6 rows whose every slot was
@@ -394,7 +429,7 @@ def blob_action_rank_6_shuffled():
 BLOB_FILL_STREAM_SHA256 = "b4409a0f705e6ec479580d66a3993293b1fd875bd38edddaf5f773f32e8850c6"
 
 
-@pin(BLOB_FILL_STREAM_SHA256)
+@pin(BLOB_FILL_STREAM_SHA256, 10)
 def blob_fill_stream():
     """
     The reduce lines of 3,000 words at each of ranks 4, 5 and 6 at the blob
@@ -417,7 +452,7 @@ def blob_fill_stream():
 ALGEBRA_ELEMENT_SQUARE_RANK_4_SHA256 = "3d9068d6cba6506a4bbee0ca468db9fd7eb27023460d2243ee7f1c5c517963cd"
 
 
-@pin(ALGEBRA_ELEMENT_SQUARE_RANK_4_SHA256)
+@pin(ALGEBRA_ELEMENT_SQUARE_RANK_4_SHA256, 10)
 def algebra_element_square_rank_4():
     """
     The repr of the square of the sum of the 335 rank-4 blob basis
@@ -434,7 +469,7 @@ def algebra_element_square_rank_4():
 RIGID_BLOCKS_RANK_6_SHA256 = "60ab80d4bff2556910d655032a5eb3e686db342fd05815f99b0dd7c8a7f960f8"
 
 
-@pin(RIGID_BLOCKS_RANK_6_SHA256)
+@pin(RIGID_BLOCKS_RANK_6_SHA256, 20)
 def rigid_blocks_rank_6():
     """
     Every rigid-block list at rank 6, 23,128 elements, read back from a
@@ -456,7 +491,7 @@ def rigid_blocks_rank_6():
 BLOB_TEST_RANK_7 = "114993 99328"
 
 
-@pin(BLOB_TEST_RANK_7, hashed=False)
+@pin(BLOB_TEST_RANK_7, 60, hashed=False)
 def blob_test_rank_7():
     """
     The blob test by columns against its oracle by rows on every positive
@@ -497,7 +532,7 @@ def blob_test_rank_7():
 REPEATED_LETTER_LINE = "d^2999 * [1]"
 
 
-@pin(REPEATED_LETTER_LINE, hashed=False)
+@pin(REPEATED_LETTER_LINE, 10, hashed=False)
 def long_tl_and_2b_words():
     """
     3,000 letters 1 at rank 2, at TL and at the two-boundary level: 2,999
@@ -512,7 +547,7 @@ def long_tl_and_2b_words():
 SEEDED_3200_LETTERS_SHA256 = "71b3436c32e2ec61dc2d4933a1443c21b11d53301b89d1e591927fe7a8a299a5"
 
 
-@pin(SEEDED_3200_LETTERS_SHA256)
+@pin(SEEDED_3200_LETTERS_SHA256, 5)
 def ten_thousand_letters():
     """
     `reduce --n 64` of seeded_word(64, 10_000), output not compared, and of
@@ -531,7 +566,7 @@ def ten_thousand_letters():
 SEEDED_RANK_16_100K_SHA256 = "0848b906bdf5908854f5e2d2e469b35b3049c724f6703db53fcc583f7d85ffa5"
 
 
-@pin(SEEDED_RANK_16_100K_SHA256)
+@pin(SEEDED_RANK_16_100K_SHA256, 5)
 def hundred_thousand_letters():
     """
     The line `reduce --n 16` would print for seeded_word(16, 100_000), the
@@ -548,7 +583,7 @@ def hundred_thousand_letters():
 SEEDED_RANK_256_100K_SHA256 = "be5cdaa081c84e15ba713b1a636be30e1fae0b5fc821698ff81472912cc1bda4"
 
 
-@pin(SEEDED_RANK_256_100K_SHA256)
+@pin(SEEDED_RANK_256_100K_SHA256, 10)
 def rank_256_words():
     """
     The line `reduce --n 256` would print for seeded_word(256, 100_000),
@@ -567,7 +602,7 @@ def rank_256_words():
 VERIFY_STDOUT_SHA256 = "3d702d506059e52915714f3a3b95428677d3bb7ae51ab08c0461e8a3f44e6426"
 
 
-@pin(VERIFY_STDOUT_SHA256)
+@pin(VERIFY_STDOUT_SHA256, 60)
 def verify_stdout():
     """
     The whole stdout of `blobcat verify`, every suite at its default ranges:
@@ -579,7 +614,7 @@ def verify_stdout():
 QUOTIENT_COUNTS_RANK_6 = "2256 5385"
 
 
-@pin(QUOTIENT_COUNTS_RANK_6, hashed=False)
+@pin(QUOTIENT_COUNTS_RANK_6, 20, hashed=False)
 def quotient_identities_rank_6():
     """
     The numbers of non-positive FC forms (TL -> 2B) and of non-blobbed
@@ -594,13 +629,36 @@ def quotient_identities_rank_6():
     yield f"{tb} {sb}\n"
 
 
+def run_each_in_a_child() -> int:
+    """
+    Run every pin in a fresh child process under its limit, each after the
+    last whatever it gave; 1 if a child exits non-zero or runs past its limit.
+    """
+    failed = False
+    for name, entry in PINS.items():
+        start = time.perf_counter()
+        try:
+            status = subprocess.run([sys.executable, __file__, name], timeout=entry.seconds).returncode
+        except subprocess.TimeoutExpired:
+            failed = True
+            print(f"FAIL {name}: over its {entry.seconds} s limit", flush=True)
+            continue
+        if status:
+            failed = True
+            print(f"FAIL {name}: exited {status}", flush=True)
+        print(f"  {time.perf_counter() - start:.2f} s in its process, limit {entry.seconds} s", flush=True)
+    return 1 if failed else 0
+
+
 def main(names: list[str]) -> int:
     unknown = [name for name in names if name not in PINS]
     if unknown:
         print(f"error: no pin {', '.join(unknown)}; the pins are {', '.join(PINS)}", file=sys.stderr)
         return 2
+    if not names:
+        return run_each_in_a_child()
     failed = False
-    for name in names or PINS:
+    for name in names:
         entry, start = PINS[name], time.perf_counter()
         try:
             for text in entry.outputs():

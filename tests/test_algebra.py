@@ -25,7 +25,7 @@ from blobcat.algebra import (
     sb_basis,
     structure_constants,
 )
-from blobcat.words import canonical_word, iter_commutation_class, parse_word
+from blobcat.words import canonical_word, format_word, iter_commutation_class, parse_word
 
 import oracles
 from oracles import (
@@ -156,6 +156,74 @@ def test_rank_one_cut_disagreements_are_as_the_readme_states():
         for level, same in ((TL, exact), (TB, exact), (TB, renamed_equal), (SB, exact))
     ]
     assert counts == [0, 1696, 0, 0]
+
+
+@lru_cache(maxsize=None)
+def _classes_up_to(n, max_len):
+    """Every commutation class of the words at rank n of at most `max_len` letters, once each."""
+    seen, classes = set(), []
+    for word in exhaustive_words(n, max_len):
+        if word not in seen:
+            members = commutation_class(n, word)
+            seen |= members
+            classes.append(sorted(members))
+    return classes
+
+
+def _rewrites_off_target(level, n, max_len):
+    """
+    Every rule of the level at every position of every member of every class
+    up to `max_len` letters: the number of rewrites, and the first member,
+    position and rule whose rewrite, reduced and times the rule's scalar, is
+    not the member reduced (or None).
+    """
+    by_first_letter = oracles.rules_by_first_letter(level, n)
+    rewrites = 0
+    for members in _classes_up_to(n, max_len):
+        for member in members:
+            for pos, letter in enumerate(member):
+                for rule in by_first_letter.get(letter, ()):
+                    if member[pos : pos + len(rule.pattern)] != rule.pattern:
+                        continue
+                    rewrites += 1
+                    scalar, out = reduce_word(level, n, rewrite_at(member, pos, rule))
+                    if (rule.scalar * scalar, out) != reduce_word(level, n, member):
+                        return rewrites, (member, pos, rule)
+    return rewrites, None
+
+
+_RANK_ONE_OPEN = pytest.mark.xfail(
+    strict=True,
+    reason="at rank 1 the 2B and SB rules are not locally confluent until kL, kR "
+    "are identified; the first rewrite off target is on (0,1,0,1) (ROADMAP item 3a)",
+)
+
+
+@pytest.mark.parametrize(
+    "level, n, max_len, rewrites",
+    [
+        pytest.param(TL, 1, 10, 9732, id="tl-1"),
+        pytest.param(TB, 1, 10, None, id="2b-1", marks=_RANK_ONE_OPEN),
+        pytest.param(SB, 1, 10, None, id="sb-1", marks=_RANK_ONE_OPEN),
+        pytest.param(TL, 2, 8, 23512, id="tl-2"),
+        pytest.param(TB, 2, 8, 27522, id="2b-2"),
+        pytest.param(SB, 2, 8, 28211, id="sb-2"),
+        pytest.param(TL, 3, 7, 35386, id="tl-3"),
+        pytest.param(TB, 3, 7, 38572, id="2b-3"),
+        pytest.param(SB, 3, 7, 38590, id="sb-3"),
+        pytest.param(TL, 4, 6, 21243, id="tl-4"),
+        # I J I has 8 letters at rank 4, so no blob rule fits in 6
+        pytest.param(TB, 4, 6, 22415, id="2b-4"),
+        pytest.param(SB, 4, 6, 22415, id="sb-4"),
+    ],
+)
+def test_every_one_step_rewrite_lands_where_the_word_reduces(level, n, max_len, rewrites):
+    # termination plus local confluence gives unique normal forms (ROADMAP
+    # item 18): no rewrite the rules allow anywhere in a class may change
+    # where the word reduces
+    counted, off = _rewrites_off_target(level, n, max_len)
+    assert off is None, f"{format_word(off[0])} at {off[1]} by {off[2]}"
+    assert counted == rewrites
 
 
 def test_rule_scalars_are_monomials_of_coefficient_one():
