@@ -9,22 +9,25 @@ Command-line front end.
     blobcat dim --n 2
     blobcat verify --suite tables
 
-A call is parsed once, by its command's parser.  The full parser runs only
-when argv names no command or that parse leaves arguments over, so every
-help text and error is the full parser's.  Data goes to stdout, diagnostics
-to stderr.  Exit status: 0 on success, 1 when a verification suite reports
-a mismatch, 2 on malformed input, 141 (128 + SIGPIPE) when the reader
-closes stdout early, as `head` does.
+Every command's options are one table, `_COMMANDS`.  A call of the
+canonical shape, full option names each given once and values that start
+with no "-", is read off that table; argparse, built from the same table,
+parses every other call, so it alone gives every help text and every
+error.  Data goes to stdout, diagnostics to stderr.  Exit status: 0 on
+success, 1 when a verification suite reports a mismatch, 2 on malformed
+input, 141 (128 + SIGPIPE) when the reader closes stdout early, as `head`
+does.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
+from collections import namedtuple
 from collections.abc import Callable, Iterable
+from types import SimpleNamespace
 
 from . import enumeration, grids, normal_forms, triangles, verify
 from .algebra import AlgebraLevel, in_index_set, reduce_word
@@ -50,7 +53,7 @@ def _print_exact(render: Callable[[], str]) -> None:
     print(text)
 
 
-def _triangle(args: argparse.Namespace) -> int:
+def _triangle(args: SimpleNamespace) -> int:
     rows = triangles.triangle_rows(args.kind, args.rows, args.cols)
 
     def render() -> str:
@@ -70,13 +73,13 @@ def _triangle(args: argparse.Namespace) -> int:
     return 0
 
 
-def _count(args: argparse.Namespace) -> int:
+def _count(args: SimpleNamespace) -> int:
     value = enumeration.COUNTS[enumeration.CountKind(args.which)](args.n, args.s)
     _print_exact(lambda: str(value))
     return 0
 
 
-def _enumerate(args: argparse.Namespace) -> int:
+def _enumerate(args: SimpleNamespace) -> int:
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"--limit must be non-negative, got {args.limit}")
     elements = []
@@ -116,7 +119,7 @@ def _grid_rank(given: int | None, letters: Iterable[int]) -> int:
     return max([1, *letters]) if given is None else check_rank(given)
 
 
-def _grid(args: argparse.Namespace) -> int:
+def _grid(args: SimpleNamespace) -> int:
     if args.blocks is not None:
         blocks = normal_forms.parse_blocks(args.blocks)
         n = _grid_rank(args.n, (r for _, r in blocks))
@@ -135,19 +138,19 @@ def _grid(args: argparse.Namespace) -> int:
 _LEVELS = dict(zip(("tl", "2btl", "sb"), AlgebraLevel))
 
 
-def _reduce(args: argparse.Namespace) -> int:
+def _reduce(args: SimpleNamespace) -> int:
     scalar, word = reduce_word(_LEVELS[args.level], args.n, parse_word(args.word))
     print(f"{scalar} * [{format_word(word)}]")
     return 0
 
 
-def _dim(args: argparse.Namespace) -> int:
+def _dim(args: SimpleNamespace) -> int:
     coeffs = enumeration.blob_polynomial(args.n)
     _print_exact(lambda: f"{sum(coeffs)}\n[{', '.join(map(str, coeffs))}]")
     return 0
 
 
-def _verify(args: argparse.Namespace) -> int:
+def _verify(args: SimpleNamespace) -> int:
     if args.max_n is not None and args.max_n < 1:
         raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
     names = [args.suite] if args.suite else list(verify.SUITES)
@@ -161,80 +164,157 @@ def _verify(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
-def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The full parser and its command parsers by name."""
+# One row per option of a command, in the order of its help text.  A type
+# of None makes the option a store_true flag.  Options that share a group
+# are mutually exclusive, and the group is required when its members are
+# marked required: argparse lets no member of such a group be required.
+_Option = namedtuple(
+    "_Option",
+    "flag dest type choices required default group help",
+    defaults=(str, None, False, None, None, None),
+)
+# options maps each flag to its row, in the order of the rows
+_Command = namedtuple("_Command", "func help options")
+
+
+def _command(func: Callable[[SimpleNamespace], int], help: str, *options: _Option) -> _Command:
+    return _Command(func, help, {o.flag: o for o in options})
+
+
+# every command's options: build_parser builds its argparse parsers from
+# this table, and _read reads a canonical call off it
+_COMMANDS = {
+    "triangle": _command(
+        _triangle,
+        "dump a triangle slab",
+        _Option("--kind", "kind", choices=triangles.KINDS, required=True),
+        _Option("--rows", "rows", int, required=True),
+        _Option("--cols", "cols", int, required=True),
+        _Option("--format", "format", choices=("csv", "json"), default="csv"),
+    ),
+    "count": _command(
+        _count,
+        "closed-form counts",
+        _Option("--n", "n", int, required=True),
+        _Option("--s", "s", int, required=True),
+        _Option(
+            "--which", "which", choices=tuple(k.value for k in enumeration.CountKind), required=True
+        ),
+    ),
+    "enumerate": _command(
+        _enumerate,
+        "list elements of one affine length",
+        _Option("--n", "n", int, required=True),
+        _Option("--s", "s", int, required=True),
+        _Option("--positive", "positive", None, default=False, group="filter"),
+        _Option("--blobbed", "blobbed", None, default=False, group="filter"),
+        _Option("--format", "format", choices=("json",), default="json"),
+        _Option("--limit", "limit", int),
+    ),
+    "grid": _command(
+        _grid,
+        "draw the grid of a positive element",
+        _Option("--blocks", "blocks", required=True, group="source", help='"l:r,l:r,..."'),
+        _Option("--word", "word", required=True, group="source", help='"i,j,..."'),
+        _Option("--n", "n", int, help="rank (inferred if omitted)"),
+        _Option("--render", "render", choices=("ascii", "svg"), default="ascii"),
+    ),
+    "reduce": _command(
+        _reduce,
+        "rewrite a generator word to basis form",
+        _Option("--n", "n", int, required=True),
+        _Option("--level", "level", choices=tuple(_LEVELS), required=True),
+        _Option("--word", "word", required=True),
+    ),
+    "dim": _command(
+        _dim,
+        "blob-quotient dimension and coefficients",
+        _Option("--n", "n", int, required=True),
+    ),
+    "verify": _command(
+        _verify,
+        "run the verification suites",
+        _Option("--suite", "suite", choices=tuple(verify.SUITES)),
+        _Option("--max-n", "max_n", int),
+    ),
+}
+
+
+def build_parser():
+    """The full argparse.ArgumentParser, built from the table; only it imports argparse."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="blobcat",
         description="exact combinatorics of the affine-C Temperley-Lieb quotients",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("triangle", help="dump a triangle slab")
-    p.add_argument("--kind", choices=triangles.KINDS, required=True)
-    p.add_argument("--rows", type=int, required=True)
-    p.add_argument("--cols", type=int, required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=_triangle)
-
-    p = sub.add_parser("count", help="closed-form counts")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--which", choices=tuple(k.value for k in enumeration.CountKind), required=True)
-    p.set_defaults(func=_count)
-
-    p = sub.add_parser("enumerate", help="list elements of one affine length")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--positive", action="store_true")
-    group.add_argument("--blobbed", action="store_true")
-    p.add_argument("--format", choices=("json",), default="json")
-    p.add_argument("--limit", type=int, default=None)
-    p.set_defaults(func=_enumerate)
-
-    p = sub.add_parser("grid", help="draw the grid of a positive element")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--blocks", type=str, default=None, help='"l:r,l:r,..."')
-    group.add_argument("--word", type=str, default=None, help='"i,j,..."')
-    p.add_argument("--n", type=int, default=None, help="rank (inferred if omitted)")
-    p.add_argument("--render", choices=("ascii", "svg"), default="ascii")
-    p.set_defaults(func=_grid)
-
-    p = sub.add_parser("reduce", help="rewrite a generator word to basis form")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--level", choices=tuple(_LEVELS), required=True)
-    p.add_argument("--word", type=str, required=True)
-    p.set_defaults(func=_reduce)
-
-    p = sub.add_parser("dim", help="blob-quotient dimension and coefficients")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_dim)
-
-    p = sub.add_parser("verify", help="run the verification suites")
-    p.add_argument("--suite", choices=tuple(verify.SUITES), default=None)
-    p.add_argument("--max-n", type=int, default=None, dest="max_n")
-    p.set_defaults(func=_verify)
-
-    return parser, sub.choices
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        groups = {}
+        for o in command.options.values():
+            kwargs = {"dest": o.dest, "default": o.default, "help": o.help}
+            if o.type is None:
+                kwargs["action"] = "store_true"
+            else:
+                kwargs.update(type=o.type, choices=o.choices)
+            if o.group is None:
+                p.add_argument(o.flag, required=o.required, **kwargs)
+            else:
+                if o.group not in groups:
+                    groups[o.group] = p.add_mutually_exclusive_group(required=o.required)
+                groups[o.group].add_argument(o.flag, **kwargs)
+        p.set_defaults(func=command.func)
+    return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _build()[0]
+# built on the first call that the table does not read, not at import;
+# parsing leaves it unchanged, so one parser serves every later call
+_parser = functools.cache(build_parser)
 
 
-# built on the first main() call, not at import; parsing leaves it
-# unchanged, so one parser serves every later call in the process
-_parser = functools.cache(_build)
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """
+    The fields that the full parser gives argv, read off the table when argv
+    has the canonical shape: a command, then full option names, none twice
+    and at most one of a group, each but a flag followed by a value that
+    does not start with "-" and that the option's type and choices accept,
+    with every required option and group present.  None for any other argv.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command = _COMMANDS[argv[0]]
+    fields = {o.dest: o.default for o in command.options.values()}
+    seen = set()  # the flags and groups given so far
+    tokens = iter(argv[1:])
+    for token in tokens:
+        o = command.options.get(token)
+        if o is None or (o.group or o.flag) in seen:
+            return None
+        seen.add(o.group or o.flag)
+        if o.type is None:
+            fields[o.dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value reads as an option
+        if value.startswith("-"):
+            return None
+        try:
+            value = o.type(value)
+        except ValueError:
+            return None
+        if o.choices is not None and value not in o.choices:
+            return None
+        fields[o.dest] = value
+    if any(o.required and (o.group or o.flag) not in seen for o in command.options.values()):
+        return None
+    return SimpleNamespace(command=argv[0], func=command.func, **fields)
 
 
 def main(argv: Iterable[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = _parser()
-    args, rest = None, argv
-    if argv and argv[0] in commands:
-        args, rest = commands[argv[0]].parse_known_args(argv[1:])
-    if args is None or rest:
-        args = parser.parse_args(argv)
+    args = _read(argv)
+    if args is None:
+        args = _parser().parse_args(argv, SimpleNamespace())
     try:
         status = args.func(args)
         sys.stdout.flush()

@@ -107,6 +107,20 @@ def class_shuffle(rng: random.Random, word: Letters) -> Letters:
     return tuple(word)
 
 
+def commuting_pass(rng: random.Random, word: Letters) -> Letters:
+    """
+    A member of the class in one seeded pass, cheaper than class_shuffle:
+    left to right, each adjacent pair of commuting letters is swapped when
+    its bit of one `getrandbits` draw is set, so a letter can travel far.
+    """
+    bits = rng.getrandbits(len(word))
+    word = list(word)
+    for p in range(len(word) - 1):
+        if bits >> p & 1 and abs(word[p] - word[p + 1]) > 1:
+            word[p], word[p + 1] = word[p + 1], word[p]
+    return tuple(word)
+
+
 def rigid_block_round_trip(
     rng: random.Random, n: int, blocks: Blocks
 ) -> tuple[Letters, bool] | None:
@@ -496,7 +510,7 @@ def blob_test_rank_7():
     """
     The blob test by columns against its oracle by rows on every positive
     element of rank 7 with at least as many letters as I J I: its block
-    word and a class_shuffle of it drawn from one `random.Random(7)`.  The
+    word and a commuting_pass of it drawn from one `random.Random(7)`.  The
     shuffled word must give the block word's `blocks_of_word`, the rows of
     their greatest member, so the oracles by rows run once per element, on
     those blocks.  For each word the index-set query (columns read off its
@@ -515,7 +529,7 @@ def blob_test_rank_7():
             read = blocks_of_word(7, word)
             blobbed = blobbed_by_rows(7, read)
             step = None if blobbed else shortening_by_rows(7, read)
-            shuffled = class_shuffle(rng, word)
+            shuffled = commuting_pass(rng, word)
             if blocks_of_word(7, shuffled) != read:
                 raise Mismatch(f"the blocks of {format_word(shuffled)} at rank 7 are wrong")
             for member in (word, shuffled):

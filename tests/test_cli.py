@@ -2,14 +2,18 @@
 
 import argparse
 import ast
+import collections
+import functools
 import hashlib
 import io
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -368,15 +372,31 @@ def test_import_loads_no_dataclasses_inspect_or_typing():
     assert fresh("-S", "-c", code) == "[]\n"
 
 
+def test_a_call_the_table_reads_loads_no_argparse():
+    # argparse, with gettext behind it, was a few ms of the import; a call
+    # that the table declines loads them, and gets its answer from argparse
+    code = (
+        "import sys, blobcat.cli\n"
+        "def main(*argv):\n"
+        "    blobcat.cli.main(argv)\n"
+        "    print(sorted({'argparse', 'gettext'} & set(sys.modules)))\n"
+        "main('count', '--n', '9', '--s', '4', '--which', 'd')\n"
+        "main('count', '--n', '9', '--s', '4', '--which=d')\n"
+    )
+    assert fresh("-S", "-c", code) == "221004\n[]\n221004\n['argparse', 'gettext']\n"
+
+
 @pytest.mark.parametrize(
     "second, extra",
     [
-        (("enumerate", "--n", "2", "--s", "1"), ("--limit", "1")),
-        (("verify", "--suite", "tables"), ("--max-n", "2")),
+        (("enumerate", "--n", "2", "--s=1"), ("--lim", "1")),
+        (("verify", "--suite=tables"), ("--max", "2")),
     ],
 )
 def test_reused_parser_answers_as_a_fresh_process(capsys, second, extra):
-    # the same call with one more option first: nothing of it may carry over
+    # the same call with one more option first: nothing of it may carry over;
+    # "--s=1", "--suite=tables" and the abbreviations send both calls to argparse
+    assert cli._read([*second, *extra]) is None and cli._read(list(second)) is None
     run(capsys, *second, *extra)
     code, out, _ = run(capsys, *second)
     assert code == 0
@@ -423,9 +443,9 @@ def generator(argv):
 
 
 def full_parser_only(monkeypatch):
-    """Empty the command table, so main parses every argv with the full parser."""
-    full, _ = cli._parser()
-    monkeypatch.setattr(cli, "_parser", lambda: (full, {}))
+    """Build the full parser, then empty the option table, so argparse parses every argv."""
+    cli._parser()
+    monkeypatch.setattr(cli, "_COMMANDS", {})
 
 
 @pytest.mark.parametrize(
@@ -477,6 +497,7 @@ def test_dispatch_from_sys_argv_answers_as_the_full_parser(capsys, monkeypatch, 
 
 @pytest.mark.parametrize("argv", VALID_CALLS.values(), ids=VALID_CALLS.keys())
 def test_a_valid_call_is_parsed_once(capsys, monkeypatch, argv):
+    # once, by the table: argparse neither parses it nor is built for it
     parsers = []
     real = argparse.ArgumentParser.parse_known_args
 
@@ -485,9 +506,85 @@ def test_a_valid_call_is_parsed_once(capsys, monkeypatch, argv):
         return real(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    monkeypatch.setattr(cli, "_parser", functools.cache(cli.build_parser))
     status, _, _ = outcome(capsys, list(argv))
     assert status == 0
-    assert parsers == [f"blobcat {argv[0]}"]
+    assert parsers == []
+    assert cli._parser.cache_info().currsize == 0
+
+
+# what the grammar below draws option values from: every choice, one value
+# off every choice, an option name, and strings that int() takes or refuses
+# in odd ways
+GRAMMAR_VALUES = ("", "-3", "-h", "x", "\u0663", "1_0", " 7", "4", "JSON") + tuple(
+    sorted(
+        {c for cmd in cli._COMMANDS.values() for o in cmd.options.values() for c in o.choices or ()}
+    )
+)
+
+
+def grammar_argv(rng):
+    """
+    A seeded argv of one command: mostly its required options, then up to
+    two parts of any shape (full or abbreviated names, --opt=value, repeats,
+    both members of a group, flags, --, -h, strays), all parts shuffled.
+    """
+    name = rng.choice(list(cli._COMMANDS))
+    options = list(cli._COMMANDS[name].options.values())
+
+    def value(o):
+        if rng.random() < 0.5:
+            return rng.choice(GRAMMAR_VALUES)
+        return rng.choice(o.choices or ("4", "\u0663", "1_0", " 7"))
+
+    def tokens(o):
+        if o.type is None:
+            return [o.flag]
+        return [o.flag, value(o)]
+
+    parts = []
+    if rng.random() < 0.8:
+        groups = set()
+        for o in options:
+            if o.required and (o.group is None or o.group not in groups):
+                groups.add(o.group)
+                parts.append(tokens(o))
+    for _ in range(rng.randrange(3)):
+        o = rng.choice(options)
+        shape = rng.randrange(8)
+        if shape == 0 and len(o.flag) > 3:
+            parts.append([o.flag[: rng.randrange(3, len(o.flag))], *tokens(o)[1:]])
+        elif shape == 1:
+            parts.append([f"{o.flag}={value(o)}"])
+        elif shape == 2:
+            parts.append([o.flag])
+        elif shape == 3:
+            parts.append([rng.choice(("--", "-h", rng.choice(GRAMMAR_VALUES)))])
+        else:
+            parts.append(tokens(o))
+    rng.shuffle(parts)
+    return [name, *(token for part in parts for token in part)]
+
+
+def test_the_table_reads_a_call_as_the_full_parser_does(capsys):
+    parser = cli.build_parser()
+    rng = random.Random(61)
+    taken, refused = collections.Counter(), 0
+    for _ in range(3000):
+        argv = grammar_argv(rng)
+        try:
+            full = vars(parser.parse_args(argv, types.SimpleNamespace()))
+        except SystemExit:
+            full = None
+        capsys.readouterr()
+        read = cli._read(argv)
+        # the table takes an argv only if argparse takes it whole, with equal fields
+        assert read is None or vars(read) == full, argv
+        if read is not None:
+            taken[argv[0]] += 1
+        refused += full is None
+    assert set(taken) == set(cli._COMMANDS), taken
+    assert sum(taken.values()) > 300 and refused > 300, (taken, refused)
 
 
 def test_arguments_left_over_get_the_full_parsers_error(capsys):
