@@ -236,6 +236,12 @@ class AlgebraLevel(IntEnum):
     SYMPLECTIC_BLOB = 2
 
 
+# the members that the hot paths read, bound once: a module global reads
+# faster than a class attribute
+_TL, _SB = AlgebraLevel.TL, AlgebraLevel.SYMPLECTIC_BLOB
+_NOT_REDUCED_FC, _POSITIVE = HeapState.NOT_REDUCED_FC, HeapState.POSITIVE
+
+
 class Rule(Record, namedtuple("Rule", "pattern replacement scalar")):
     """pattern, replacement: Letters; scalar: Scalar."""
 
@@ -327,7 +333,7 @@ def _reduce_canonical(n: int, word: Letters) -> tuple[int, Letters]:
     The walk and the cache stay while the benchmark counts them
     (`perfbench/tests/test_perfbench.py:97-98`, ROADMAP item 1a).
     """
-    steps, odd, even = _rule_steps(AlgebraLevel.SYMPLECTIC_BLOB, n), i_word(n), j_word(n)
+    steps, odd, even = _rule_steps(_SB, n), i_word(n), j_word(n)
     # I J I starts with 1 and J I J with 0, so one probe by letter
     blob = {p[0]: (p, steps[p]) for p in (odd + even + odd, even + odd + even)}
     walk = islice(iter_commutation_class(n, word), len(word))
@@ -388,7 +394,7 @@ def _fill(n: int, row: list, g: int) -> tuple[int, list]:
         target = _rows(n).setdefault(word, [None] * (n + 1) + [word])
     else:
         pattern, q = closure
-        exps = _rule_steps(AlgebraLevel.SYMPLECTIC_BLOB, n)[pattern][1]
+        exps = _rule_steps(_SB, n)[pattern][1]
         key = word[:q]
         target = _rows(n).setdefault(key, [None] * (n + 1) + [key])
         exps, target = _fold_rows(n, exps, target, word[q + 1 :])
@@ -420,7 +426,7 @@ def _blob_loop(n: int, word: Letters) -> tuple[int, Letters]:
     I J alternation fewer, times k, and is folded again.  Each pass
     shortens the word, so the loop ends.
     """
-    steps, exps = _rule_steps(AlgebraLevel.SYMPLECTIC_BLOB, n), 0
+    steps, exps = _rule_steps(_SB, n), 0
     while True:
         step, word = _fold(n, word, steps)
         exps += step
@@ -460,7 +466,7 @@ def reduce_word(level: AlgebraLevel, n: int, word: Letters) -> tuple[Scalar, Let
     so the chunks land where the whole word does.  The monomial becomes a
     `Scalar` once, at the end.
     """
-    if level != AlgebraLevel.SYMPLECTIC_BLOB:
+    if level != _SB:
         exps, word = _fold(n, check_word(n, word), _rule_steps(level, n))
         return _unpacked(exps), _canonical_word(n, word)
     # the letters are checked first: slot n + 1, and slot -1, of a row is
@@ -493,13 +499,13 @@ def in_index_set(level: AlgebraLevel, n: int, word: Letters) -> bool:
     in O(n) (`grids._columns_blobbed`), with no block built.
     O(len(word) + n); a malformed word raises ValueError.
     """
-    word = tuple(word)  # the reading checks it
-    state, last, prev = _heap_reading(n, word)
-    if state == HeapState.NOT_REDUCED_FC:
+    state, last, prev = _heap_reading(n, word)  # checks the word, once
+    if state == _NOT_REDUCED_FC:
         return False
-    if state != HeapState.POSITIVE:
-        return level == AlgebraLevel.TL
-    if level != AlgebraLevel.SYMPLECTIC_BLOB or len(word) < _iji_length(n):
+    if state != _POSITIVE:
+        return level == _TL
+    # `prev` has one slot per letter
+    if level != _SB or len(prev) < _iji_length(n):
         return True
     return _columns_blobbed(n, _columns(n, last, prev))
 

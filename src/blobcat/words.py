@@ -16,8 +16,12 @@ the least and greatest class members (`_heads`), one short scan back
 from the end of a canonical word (`_closing_gap`) that finds both what
 one letter appended can close on it and where that letter goes in the
 least member of the product, and the scan (`Scan`) that the classifier
-`heap_state` and the fold `_fold` share.  `Record`, the equality of the
-package's record classes, lives here too, in the one module they all import.
+`heap_state` and the fold `_fold` share.  The scan keeps three lists, each
+letter's last position, each position's previous one of its letter, and
+what a letter read again met since that one; it keeps no count of
+neighbours, and reads a repeated letter's gap off its neighbours' last
+two positions.  `Record`, the equality of the package's record classes,
+lives here too, in the one module they all import.
 
 >>> canonical_word(4, (3, 1, 2))
 (1, 3, 2)
@@ -308,27 +312,41 @@ class HeapState(IntEnum):
     POSITIVE = 3
 
 
-# A left-to-right heap reading's state, lists (last, gap, prev, closed) that
-# its reader builds, `scan_closure` reads and `scan_drop` unwinds.  Of the
+# the members bound once: a module global reads faster than a class attribute
+_NOT_REDUCED_FC, _LEFT_TRIPLE, _RIGHT_TRIPLE, _POSITIVE = HeapState
+
+
+# A left-to-right heap reading's state, lists (last, prev, closed) that its
+# readers build, `scan_closure` reads and `scan_drop` unwinds.  Of the
 # letters read, in which it met no chain: per letter its latest position
-# (`last`, -1 for none) and its neighbours' occurrences since (`gap`); per
-# position the previous one of its letter (`prev`) and the `gap` it closed
-# (`closed`).  Slot n + 1, also -1, takes the neighbours a - 1 of 0 and
-# a + 1 of n, which never occur.
-Scan = tuple[list[int], list[int], list[int], list[int]]
+# (`last`, -1 for none); per position the previous one of its letter
+# (`prev`, -1 for none) and, where there is one, the gap it closed
+# (`closed`, written only then: `scan_closure` reads `closed[q]` only where
+# `prev[q]` is not -1, so a slot that the fold reads again shows no stale
+# value).  The gap of a letter a read again at pos
+# is how many neighbours a +- 1 lie between p = last[a] and pos: 0, 1, or
+# 2 for two or more.  Each reader reads it off the neighbours' last
+# positions q = last[a - 1] and r = last[a + 1] with no count kept: a
+# neighbour last seen after p counts once, twice if its `prev` is after p
+# too.  At gap 1 the one neighbour b is whichever of q and r is after p.
+# Slot n + 1, also -1, takes the neighbours a - 1 of 0 and a + 1 of n,
+# which never occur.
+Scan = tuple[list[int], list[int], list[int]]
 
 
-def scan_closure(n: int, scan: Scan, a: int, pos: int) -> tuple[Letters, Letters, bool] | None:
+def scan_closure(
+    n: int, scan: Scan, a: int, pos: int, gap: int, q: int, b: int
+) -> tuple[Letters, Letters, bool] | None:
     """
     The one chain test of the heap reading: what the letter a at `pos`
-    closes when it meets its previous occurrence p = `last[a]` with fewer
-    than two neighbours since (`gap[a] < 2`), the only place where its
-    callers, `heap_state` and `_fold`, call it.  A chain ss, sts or stst,
-    or a boundary triple, as (witness, pattern, triple): the witness is the
-    positions of the closure in increasing order, ending at `pos`, the
-    pattern their letters, and `triple` whether it is a boundary triple
-    rather than a chain.  None if the letter closes nothing.  The one
-    neighbour b in a gap of one is whichever of a - 1 and a + 1 came last.
+    closes when it meets its previous occurrence p = `last[a]` with `gap`
+    neighbours since, fewer than two, the only place where its callers,
+    `heap_state` and `_fold`, call it; at gap 1 the one neighbour is b, at
+    position q (`Scan`).  A chain ss, sts or stst, or a boundary triple, as
+    (witness, pattern, triple): the witness is the positions of the
+    closure in increasing order, ending at `pos`, the pattern their
+    letters, and `triple` whether it is a boundary triple rather than a
+    chain.  None if the letter closes nothing.
 
     Some class member holds the witness's letters as a factor, which is
     what lets `_fold` rewrite them where they close: every letter
@@ -341,13 +359,10 @@ def scan_closure(n: int, scan: Scan, a: int, pos: int) -> tuple[Letters, Letters
     first b moves right up to the first a, the second b moves left up to
     it, and the second a moves left up to the second b.
     """
-    last, gap, prev, closed = scan
+    last, prev, closed = scan
     p = last[a]
-    if gap[a] == 0:
+    if gap == 0:
         return (p, pos), (a, a), False
-    q, b = last[a - 1], a - 1
-    if last[a + 1] > q:
-        q, b = last[a + 1], a + 1
     # bond 3 (no end letter in the pair), or bond 4 closing b a b a: b's own
     # gap before q held nothing but the a at p
     if 0 < a < n and 0 < b < n:
@@ -360,13 +375,11 @@ def scan_closure(n: int, scan: Scan, a: int, pos: int) -> tuple[Letters, Letters
 
 
 def scan_drop(word: list[int], start: int, stop: int, scan: Scan) -> None:
-    """Unread the letters of `word` at positions `start` to `stop` - 1, each in O(1)."""
-    last, gap, prev, closed = scan
+    """Unread the letters of `word` at positions `start` to `stop` - 1, each
+    in O(1): the last one first, each letter's `last` back to its `prev`."""
+    last, prev = scan[0], scan[1]
     for pos in range(stop - 1, start - 1, -1):
-        a = word[pos]
-        gap[a - 1] -= 1
-        gap[a + 1] -= 1
-        last[a], gap[a] = prev[pos], closed[pos]
+        last[word[pos]] = prev[pos]
 
 
 def heap_state(n: int, word: Letters) -> HeapState:
@@ -398,26 +411,34 @@ def _heap_reading(n: int, word: Letters) -> tuple[HeapState, list[int], list[int
     """
     `heap_state` with the reading's `last` and `prev` lists (`Scan`), which
     `_columns` reads the heap's columns off; they are whole only when the
-    reading ran to the end, not at NOT_REDUCED_FC.
+    reading ran to the end, not at NOT_REDUCED_FC.  A letter's gap is read
+    only when it repeats, and only a gap below 2 is handed to
+    `scan_closure`.
     """
     word = check_word(n, word)
-    state = HeapState.POSITIVE
-    scan = last, gap, prev, closed = [-1] * (n + 2), [0] * (n + 2), [-1] * len(word), [0] * len(word)
+    state = _POSITIVE
+    scan = last, prev, closed = [-1] * (n + 2), [-1] * len(word), [0] * len(word)
     for pos, a in enumerate(word):
         p = last[a]
-        if p >= 0 and gap[a] < 2 and (hit := scan_closure(n, scan, a, pos)):
-            _, pattern, triple = hit
-            if not triple:
-                return HeapState.NOT_REDUCED_FC, last, prev
-            if pattern[1] == 0:
-                state = HeapState.LEFT_TRIPLE
-            elif state == HeapState.POSITIVE:
-                state = HeapState.RIGHT_TRIPLE
+        if p >= 0:
+            q, r = last[a - 1], last[a + 1]
+            if q > p:
+                gap, b = (2 if r > p or prev[q] > p else 1), a - 1
+            elif r > p:
+                gap, q, b = (2 if prev[r] > p else 1), r, a + 1
+            else:
+                gap, b = 0, a
+            if gap < 2 and (hit := scan_closure(n, scan, a, pos, gap, q, b)):
+                _, pattern, triple = hit
+                if not triple:
+                    return _NOT_REDUCED_FC, last, prev
+                if pattern[1] == 0:
+                    state = _LEFT_TRIPLE
+                elif state == _POSITIVE:
+                    state = _RIGHT_TRIPLE
+            closed[pos] = gap
         prev[pos] = p
-        closed[pos] = gap[a]
-        gap[a - 1] += 1
-        gap[a + 1] += 1
-        last[a], gap[a] = pos, 0
+        last[a] = pos
     return state, last, prev
 
 
@@ -469,7 +490,7 @@ def _word_columns(n: int, word: Letters) -> Columns:
 
 def is_reduced_fc(n: int, word: Letters) -> bool:
     """True iff `word` is a reduced expression of a fully commutative element."""
-    return heap_state(n, word) != HeapState.NOT_REDUCED_FC
+    return _heap_reading(n, word)[0] != _NOT_REDUCED_FC
 
 
 def _fold(n: int, word: Letters, steps: dict[Letters, tuple[int, int]]) -> tuple[int, Letters]:
@@ -479,17 +500,20 @@ def _fold(n: int, word: Letters, steps: dict[Letters, tuple[int, int]]) -> tuple
     and 2B, and the first step of `algebra._blob_loop`.  One reading loop
     takes letters from the end of `pending`, the word reversed, and reads
     them onto `read` while they close nothing, or a boundary triple that
-    `steps` lacks (all at TL).  A letter that closes a chain or a triple in
-    `steps` (`scan_closure`) is rewritten where it closes: the rule keeps a
-    prefix of the closure, so the closing letter goes, and for sts, stst
-    and the triples so does the piece before it; the loop unreads back to
-    that piece (`scan_drop`), puts what followed it back on `pending` and
-    reads on.  `read` and the position lists have `len(word)` slots, which
-    no rewrite outgrows.  The word read is a basis index when `pending`
-    runs out, a positive word at the blob level; its caller canonicalises
-    it once, where the reduction ends.
+    `steps` lacks (all at TL).  A letter read costs three list writes, and
+    one more when it repeats; its gap is read off its neighbours' last
+    positions (`Scan`) only then.  A letter that closes a chain or a
+    triple in `steps` (`scan_closure`) is rewritten where it closes: the
+    rule keeps a prefix of the closure, so the closing letter goes, and for
+    sts, stst and the triples so does the piece before it; the loop unreads
+    back to that piece (`scan_drop`, which restores `last` alone), puts
+    what followed it back on `pending` and reads on.  `read` and the
+    position lists have `len(word)` slots, which no rewrite outgrows.  The
+    word read is a basis index when `pending` runs out, a positive word at
+    the blob level; its caller canonicalises it once, where the reduction
+    ends.
     """
-    scan = last, gap, prev, closed = [-1] * (n + 2), [0] * (n + 2), [-1] * len(word), [0] * len(word)
+    scan = last, prev, closed = [-1] * (n + 2), [-1] * len(word), [0] * len(word)
     read = [0] * len(word)
     pending = list(reversed(word))
     pop = pending.pop
@@ -497,22 +521,28 @@ def _fold(n: int, word: Letters, steps: dict[Letters, tuple[int, int]]) -> tuple
     while pending:
         a = pop()
         p = last[a]
-        if p >= 0 and gap[a] < 2 and (hit := scan_closure(n, scan, a, top)):
-            witness, pattern, triple = hit
-            if not triple or pattern in steps:
-                keep, step = steps[pattern]
-                exps += step
-                start = witness[keep]
-                if start < top:
-                    scan_drop(read, start, top, scan)
-                    pending += read[top - 1 : start : -1]
-                top = start
-                continue
+        if p >= 0:
+            q, r = last[a - 1], last[a + 1]
+            if q > p:
+                gap, b = (2 if r > p or prev[q] > p else 1), a - 1
+            elif r > p:
+                gap, q, b = (2 if prev[r] > p else 1), r, a + 1
+            else:
+                gap, b = 0, a
+            if gap < 2 and (hit := scan_closure(n, scan, a, top, gap, q, b)):
+                witness, pattern, triple = hit
+                if not triple or pattern in steps:
+                    keep, step = steps[pattern]
+                    exps += step
+                    start = witness[keep]
+                    if start < top:
+                        scan_drop(read, start, top, scan)
+                        pending += read[top - 1 : start : -1]
+                    top = start
+                    continue
+            closed[top] = gap
         read[top] = a
         prev[top] = p
-        closed[top] = gap[a]
-        gap[a - 1] += 1
-        gap[a + 1] += 1
-        last[a], gap[a] = top, 0
+        last[a] = top
         top += 1
     return exps, tuple(read[:top])

@@ -11,8 +11,10 @@ obliques and the blob step read off the rows, as each was first written,
 the paper's oblique factorization around the alternating run, which
 the blob step `grids.oblique_shortening_word` shortcuts, the rewriting
 kernel as a plain class walk that never reads the heap, the heap
-reading with the positions that decide it (`heap_witness`) and what one
-letter more meets on it (`closing_scan`), reduction at
+reading on per-letter gap counters, as the package first kept it, with
+the positions that decide it (`heap_witness`), what one letter more
+meets on it (`closing_scan`) and the heap-scan fold on them
+(`gap_fold`), reduction at
 every level as a loop of one-step rewrites, each a bounded class walk
 and then one step off the heap, which the heap-scan fold and the blob
 loop replaced, the wing counts an entry at a time, which the
@@ -21,8 +23,9 @@ convolutions of the wing complements, which `blob_polynomial` reads off two
 squarings, and the quotient-image check of one word, read back into the
 normal form or rigid blocks that `verify` checks as enumerated.  The laws
 of reduction stand beside them (`law_mismatch`): the quotient tower
-commutes with reduction, and every output, and every canonical word that
-`in_index_set` accepts, reduces to itself with scalar 1.  They hold at
+commutes with reduction, every output, and every canonical word that
+`in_index_set` accepts, reduces to itself with scalar 1, and reduction
+commutes with the presentation's flip and reversal.  They hold at
 every rank and length that a seeded stream reaches, where no exhaustive
 oracle does.
 """
@@ -61,9 +64,7 @@ from blobcat.words import (
     canonical_word,
     check_rank,
     check_word,
-    heap_state,
     iter_commutation_class,
-    scan_closure,
 )
 
 # ---------------------------------------------------------------------------
@@ -297,7 +298,7 @@ def grown_fc_word(rng, n: int, length: int, word: Letters = ()) -> Letters:
     for _ in range(length):
         x = rng.randint(0, n)
         grown = word + (x,) if rng.random() < 0.5 else (x,) + word
-        if heap_state(n, grown) != HeapState.NOT_REDUCED_FC:
+        if heap_witness(n, grown)[0] != HeapState.NOT_REDUCED_FC:
             word = grown
     return word
 
@@ -348,7 +349,7 @@ def adversarial_word(rng, n: int, length: int) -> Letters:
     stretch: Letters = ()
     for _ in range(4 * size):
         grown = stretch + (rng.choice(free),)
-        if heap_state(n, grown) != HeapState.NOT_REDUCED_FC:
+        if heap_witness(n, grown)[0] != HeapState.NOT_REDUCED_FC:
             stretch = grown
             if len(stretch) == size:
                 break
@@ -413,54 +414,141 @@ def walk_reduce(
     return rule.scalar * scalar, final
 
 
-def heap_witness(n: int, word: Letters) -> tuple[HeapState, Letters]:
+# A left-to-right heap reading as `words` first kept it, lists (last, gap,
+# prev, closed): per letter its latest position (`last`, -1 for none) and
+# its neighbours' occurrences since (`gap`); per position the previous one
+# of its letter (`prev`) and the `gap` it closed (`closed`).  Slot n + 1,
+# also -1, takes the neighbours a - 1 of 0 and a + 1 of n.  Every letter
+# read updates the counters of its neighbours, so a letter's gap is a list
+# index, where `words.Scan` reads it off the neighbours' last positions.
+GapScan = tuple[list[int], list[int], list[int], list[int]]
+
+
+def _gap_scan(n: int, size: int) -> GapScan:
+    return [-1] * (n + 2), [0] * (n + 2), [-1] * size, [0] * size
+
+
+def _gap_read(scan: GapScan, a: int, pos: int) -> None:
+    """Read the letter a at `pos` onto the counters."""
+    last, gap, prev, closed = scan
+    prev[pos] = last[a]
+    closed[pos] = gap[a]
+    gap[a - 1] += 1
+    gap[a + 1] += 1
+    last[a], gap[a] = pos, 0
+
+
+def _gap_unread(scan: GapScan, a: int, pos: int) -> None:
+    """Unread the letter a at `pos`, the last one read, off the counters."""
+    last, gap, prev, closed = scan
+    gap[a - 1] -= 1
+    gap[a + 1] -= 1
+    last[a], gap[a] = prev[pos], closed[pos]
+
+
+def gap_closure(n: int, scan: GapScan, a: int, pos: int) -> tuple[Letters, Letters, bool] | None:
     """
-    `words.heap_state` with the positions that decide it, from the same
-    one reading (`words.Scan`, `words.scan_closure`): for a word that
-    is not reduced FC, the first chain the reading closes; else the first
-    triple of the winning side; () for a positive word.  Some class member
-    holds the witness's letters as a factor (`scan_closure`).
+    `words.scan_closure` on the gap counters: what the letter a at `pos`
+    closes when it meets its previous occurrence p = `last[a]` with fewer
+    than two neighbours since (`gap[a] < 2`), as (witness, pattern,
+    triple), or None.  The one neighbour b in a gap of one is whichever of
+    a - 1 and a + 1 came last; the pattern is stst = b a b a when b's own
+    gap at its last position held only the a at p.
+    """
+    last, gap, prev, closed = scan
+    p = last[a]
+    if gap[a] == 0:
+        return (p, pos), (a, a), False
+    q, b = last[a - 1], a - 1
+    if last[a + 1] > q:
+        q, b = last[a + 1], a + 1
+    if 0 < a < n and 0 < b < n:
+        return (p, q, pos), (a, b, a), False
+    if 0 <= prev[q] < p and closed[q] == 1:
+        return (prev[q], p, q, pos), (b, a, b, a), False
+    if b == 0 or b == n:
+        return (p, q, pos), (a, b, a), True
+    return None
+
+
+def gap_reading(n: int, word: Letters) -> tuple[HeapState, Letters, list[int], list[int]]:
+    """
+    `words._heap_reading` on the gap counters, with the positions that
+    decide the state: (state, witness, last, prev).  For a word that is
+    not reduced FC the witness is the first chain the reading closes, and
+    the reading stops there; else the first triple of the winning side; ()
+    for a positive word.  `last` has n + 2 slots, as the package's.
     """
     word = check_word(n, word)
     state, witness = HeapState.POSITIVE, ()
-    scan = last, gap, prev, closed = [-1] * (n + 2), [0] * (n + 2), [-1] * len(word), [0] * len(word)
+    scan = last, gap, prev, _ = _gap_scan(n, len(word))
     for pos, a in enumerate(word):
-        p = last[a]
-        if p >= 0 and gap[a] < 2 and (hit := scan_closure(n, scan, a, pos)):
+        if last[a] >= 0 and gap[a] < 2 and (hit := gap_closure(n, scan, a, pos)):
             closure, pattern, triple = hit
             if not triple:
-                return HeapState.NOT_REDUCED_FC, closure
+                return HeapState.NOT_REDUCED_FC, closure, last, prev
             side = HeapState.LEFT_TRIPLE if pattern[1] == 0 else HeapState.RIGHT_TRIPLE
             if side < state:
                 state, witness = side, closure
-        prev[pos] = p
-        closed[pos] = gap[a]
-        gap[a - 1] += 1
-        gap[a + 1] += 1
-        last[a], gap[a] = pos, 0
-    return state, witness
+        _gap_read(scan, a, pos)
+    return state, witness, last, prev
+
+
+def gap_fold(n: int, word: Letters, steps: dict[Letters, tuple[int, int]]) -> tuple[int, Letters]:
+    """
+    `words._fold` on the gap counters: a valid word reduced by the rule
+    table `steps`, as (packed monomial, word in read order).  Each letter
+    read updates the counters, and a rewrite unreads every letter back to
+    the piece it keeps, its neighbours' counters too, before the letters
+    after that piece go back on `pending`.
+    """
+    scan = last, gap, _, _ = _gap_scan(n, len(word))
+    read = [0] * len(word)
+    pending = list(reversed(word))
+    top, exps = 0, 0
+    while pending:
+        a = pending.pop()
+        if last[a] >= 0 and gap[a] < 2 and (hit := gap_closure(n, scan, a, top)):
+            witness, pattern, triple = hit
+            if not triple or pattern in steps:
+                keep, step = steps[pattern]
+                exps += step
+                start = witness[keep]
+                for pos in range(top - 1, start - 1, -1):
+                    _gap_unread(scan, read[pos], pos)
+                pending += read[top - 1 : start : -1]
+                top = start
+                continue
+        read[top] = a
+        _gap_read(scan, a, top)
+        top += 1
+    return exps, tuple(read[:top])
+
+
+def heap_witness(n: int, word: Letters) -> tuple[HeapState, Letters]:
+    """
+    `words.heap_state` with the positions that decide it, off the reading
+    on the gap counters (`gap_reading`), which reads no code of `words`'
+    scan.  Some class member holds the witness's letters as a factor
+    (`words.scan_closure`).
+    """
+    return gap_reading(n, word)[:2]
 
 
 def closing_scan(n: int, word: Letters, g: int) -> tuple[int, tuple | None]:
     """
-    What the letter g appended to `word` meets, off the left-to-right
-    reading of `heap_witness` carried over the whole word, chains and all:
-    the neighbours g +- 1 read since the last g, as 0, 1, or 2 for two or
-    more and for a word with no g, and what g closes there
-    (`scan_closure`), or None.
+    What the letter g appended to `word` meets, off the reading on the gap
+    counters carried over the whole word, chains and all: the neighbours
+    g +- 1 read since the last g, as 0, 1, or 2 for two or more and for a
+    word with no g, and what g closes there (`gap_closure`), or None.
     """
     word = check_word(n, word)
-    size = len(word) + 1
-    scan = last, gap, prev, closed = [-1] * (n + 2), [0] * (n + 2), [-1] * size, [0] * size
+    scan = last, gap, _, _ = _gap_scan(n, len(word) + 1)
     for pos, a in enumerate(word):
-        prev[pos] = last[a]
-        closed[pos] = gap[a]
-        gap[a - 1] += 1
-        gap[a + 1] += 1
-        last[a], gap[a] = pos, 0
+        _gap_read(scan, a, pos)
     if last[g] < 0 or gap[g] >= 2:
         return 2, None
-    return gap[g], scan_closure(n, scan, g, len(word))
+    return gap[g], gap_closure(n, scan, g, len(word))
 
 
 def heap_redex(level: AlgebraLevel, n: int, word: Letters) -> Letters | Blocks | None:
@@ -521,6 +609,36 @@ def find_redex(level: AlgebraLevel, n: int, word: Letters) -> tuple[Letters, int
     return tuple([a for p, a in enumerate(word) if p not in drop]), exps
 
 
+# The presentation's two symmetries, each as (image of a word at rank n,
+# parameter swap): the flip a -> n - a, which swaps the two boundaries, and
+# the reversal, which swaps nothing.  At n >= 2 each maps every relation to
+# a relation, so it maps a reduction of a word to one of the word's image.
+SYMMETRIES = {
+    "flip": (
+        lambda n, word: tuple(n - a for a in word),
+        {"dL": "dR", "dR": "dL", "kL": "kR", "kR": "kL"},
+    ),
+    "reverse": (lambda n, word: tuple(reversed(word)), {}),
+}
+
+
+def symmetry_mismatch(
+    law: str, level: AlgebraLevel, n: int, word: Letters, reduced: tuple[Scalar, Letters]
+) -> tuple | None:
+    """
+    The symmetry `law` at `level` (`SYMMETRIES`), for `word` that reduces
+    to `reduced` = (m, u) there: the image of `word` reduces to m with the
+    law's parameters swapped, times the canonical word of the image of u.
+    As (what came out, what the law asks for), or None if it holds.  It
+    reads no rule of the kernel, so it checks the rules too.
+    """
+    image, swap = SYMMETRIES[law]
+    m, u = reduced
+    want = m.substitute(swap), canonical_word(n, image(n, u))
+    got = algebra.reduce_word(level, n, image(n, word))
+    return None if got == want else (got, want)
+
+
 def law_mismatch(n: int, word: Letters) -> tuple | None:
     """
     The first law of reduction that `word` breaks, as (law, level or
@@ -535,9 +653,13 @@ def law_mismatch(n: int, word: Letters) -> tuple | None:
       basis index (`algebra.in_index_set`) and reduces to (1, u).
     - "fixed point": at each level where `in_index_set` accepts `word`,
       its canonical word reduces to itself with scalar 1.
+    - "flip", then "reverse": at each level the presentation's symmetries
+      hold (`symmetry_mismatch`); at rank 1 they hold only as far as item
+      3a of ROADMAP decides.
 
     The laws tie the heap classifier (`words.heap_state`, through
-    `in_index_set`) to the fold, which reads the same heap another way.
+    `in_index_set`) to the fold, which reads the same heap another way,
+    and the symmetries check each level's rules against their images.
     """
     one = Scalar.one()
     reduced = {level: algebra.reduce_word(level, n, word) for level in AlgebraLevel}
@@ -556,6 +678,10 @@ def law_mismatch(n: int, word: Letters) -> tuple | None:
         if algebra.in_index_set(level, n, word):
             if (got := algebra.reduce_word(level, n, least)) != (one, least):
                 return "fixed point", level, got, (one, least)
+    for law in SYMMETRIES:
+        for level, pair in reduced.items():
+            if mismatch := symmetry_mismatch(law, level, n, word, pair):
+                return (law, level, *mismatch)
     return None
 
 
@@ -602,7 +728,7 @@ def quotient_image_check(n: int, word: Letters) -> bool:
     reduced FC, with ValueError.
     """
     word = check_word(n, word)
-    state = heap_state(n, word)
+    state = heap_witness(n, word)[0]
     if state == HeapState.POSITIVE:
         return verify.blob_image_holds(n, blocks_of_word(n, word))
     return verify.boundary_image_holds(n, normal_form_of_word(n, word), state)

@@ -29,13 +29,15 @@ from oracles import (
     contains_pattern,
     contains_rigid,
     exhaustive_words,
+    gap_fold,
+    gap_reading,
     grown_fc_word,
     heap_witness,
     loop_reduce,
     reach_masks,
 )
 
-SB = AlgebraLevel.SYMPLECTIC_BLOB
+TL, TB, SB = AlgebraLevel
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +272,34 @@ def test_heap_witness_is_a_factor_of_some_member_exhaustive():
             ), (n, word, witness)
             witnessed += 1
     assert witnessed == 12_270
+
+
+def test_scan_matches_the_gap_counters_exhaustive():
+    # every word at rank 1 up to 12 letters, rank 2 up to 8, rank 3 up to 7
+    # and rank 4 up to 6: the scan, which reads a repeated letter's gap off
+    # its neighbours' last positions, gives the state of the reading on
+    # per-letter gap counters (`oracles.gap_reading`), and its `last` and
+    # `prev` where the reading is whole; the fold of `reduce_word` at TL and
+    # 2B gives the monomial and the word in read order of the fold on those
+    # counters (`oracles.gap_fold`)
+    states = Counter()
+    for n, max_len in ((1, 12), (2, 8), (3, 7), (4, 6)):
+        tables = [algebra._rule_steps(level, n) for level in (TL, TB)]
+        for word in exhaustive_words(n, max_len):
+            state, last, prev = words._heap_reading(n, word)
+            expected, _, want_last, want_prev = gap_reading(n, word)
+            assert state == expected, (n, word)
+            if state != HeapState.NOT_REDUCED_FC:
+                assert (last, prev) == (want_last, want_prev), (n, word)
+            for steps in tables:
+                assert words._fold(n, word, steps) == gap_fold(n, word, steps), (n, word, steps)
+            states[state] += 1
+    assert states == {
+        HeapState.NOT_REDUCED_FC: 57_328,
+        HeapState.LEFT_TRIPLE: 230,
+        HeapState.RIGHT_TRIPLE: 190,
+        HeapState.POSITIVE: 1_660,
+    }
 
 
 def test_canonical_word_examples():
